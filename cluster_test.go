@@ -116,11 +116,3 @@ func TestWithSwarmInvalidPanics(t *testing.T) {
 	}()
 	NewCluster(WithSwarm(SweepConfig{Servers: 1, SwarmHosts: 1, ValueBytes: 1 << 20}))
 }
-
-// The deprecated alias stays source-compatible with the shared type.
-func TestKVWorkloadConfigAlias(t *testing.T) {
-	var c KVWorkloadConfig = WorkloadConfig{Tenant: "x", Clients: 3}
-	if c.Tenant != "x" || c.Clients != 3 {
-		t.Fatalf("alias mismatch: %+v", c)
-	}
-}

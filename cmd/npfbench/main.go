@@ -594,10 +594,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
-		spans := 0
+		spans, faults := 0, 0
 		for _, tr := range tracers {
 			spans += tr.SpanCount()
+			faults += tr.FaultRecordCount()
 		}
-		fmt.Printf("trace: wrote %d spans from %d engines to %s\n", spans, len(tracers), *traceOut)
+		fmt.Printf("trace: wrote %d spans and %d NPF tracks from %d engines to %s\n", spans, faults, len(tracers), *traceOut)
 	}
 }

@@ -9,7 +9,7 @@
 // With no package patterns it checks ./... . -json emits machine-readable
 // diagnostics on stdout:
 //
-//	{"diagnostics":[{"analyzer":"detwall","pos":"file.go:12:7","message":"..."}]}
+//	{"diagnostics":[{"analyzer":"detflow","pos":"file.go:12:7","message":"..."}]}
 //
 // Exit status: 0 on a clean tree, 1 when diagnostics were reported, 2 on
 // loading/internal errors.

@@ -1,14 +1,16 @@
 // Command npftrace runs small, seeded NPF scenarios with tracing enabled
-// and prints what the telemetry subsystem recorded: the span tree, the
-// slowest NPFs, a per-stage latency breakdown (the span-derived equivalent
-// of the paper's Figure 3a), and the metrics snapshot.
+// and prints what the telemetry subsystem recorded: the NPF tree derived
+// from the fault records followed by the recorded span tree, the slowest
+// NPFs, a per-stage latency breakdown of the fault records (the measured
+// equivalent of the paper's Figure 3a, with fault-report as the
+// detect-and-report stage), and the metrics snapshot.
 //
 // Scenarios:
 //
 //	single   one cold receive on an IB QP → a single recv-side rNPF
 //	fig3     repeated minor rNPFs (Figure 3a conditions, 4KB messages)
 //	backup   TCP into a cold 16-entry server ring under the backup-ring
-//	         policy (§5) — park/replay spans plus TCP retransmissions
+//	         policy (§5) — parked faults plus TCP retransmission spans
 //
 // Flags:
 //
@@ -72,24 +74,26 @@ func main() {
 		os.Exit(2)
 	}
 
-	spans := tr.Spans()
+	recs := tr.FaultRecords()
+	npfs := trace.FaultSpans(recs)
 	if *scenario == "single" {
 		fmt.Println("== span tree ==")
-		trace.WriteTree(os.Stdout, spans)
+		trace.WriteTree(os.Stdout, npfs)
+		trace.WriteTree(os.Stdout, tr.Spans())
 		fmt.Println()
 	}
 
 	fmt.Printf("== top %d slowest NPFs ==\n", *topK)
-	for _, r := range trace.TopSlowest(spans, "npf", *topK) {
+	for _, r := range trace.TopSlowest(npfs, "npf", *topK) {
 		fmt.Printf("  #%-6d %-14s %8.1fus  @%.1fus\n",
 			r.Span.ID, r.Span.Name, r.Dur.Micros(), r.Span.Start.Micros())
 	}
 	fmt.Println()
 
-	stages := trace.StageBreakdown(spans, "npf")
-	fmt.Println("== NPF stage breakdown (µs, span-derived Fig. 3a) ==")
+	stages := trace.FaultStageBreakdown(recs)
+	fmt.Println("== NPF stage breakdown (µs, fault records, Fig. 3a) ==")
 	trace.WriteStageTable(os.Stdout, stages)
-	fmt.Printf("hardware share (firmware+update+resume): %.1f%%  (paper: ~90%% at 4KB)\n\n",
+	fmt.Printf("hardware share (fault-report-parked+update+resume): %.1f%%  (paper: ~90%% at 4KB)\n\n",
 		trace.HardwareShare(stages)*100)
 
 	fmt.Println("== metrics ==")
@@ -109,7 +113,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "npftrace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nwrote %d spans to %s\n", tr.SpanCount(), *out)
+		fmt.Printf("\nwrote %d recorded and %d derived NPF spans to %s\n", tr.SpanCount(), len(npfs), *out)
 	}
 }
 

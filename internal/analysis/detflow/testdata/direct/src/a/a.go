@@ -1,5 +1,5 @@
-// Package a exercises the detwall analyzer: wall-clock, global rand, and
-// environment reads are banned in sim-layer code.
+// Package a exercises detflow's direct-use check: wall-clock, global rand,
+// and environment reads are banned in sim-layer code.
 package a
 
 import (

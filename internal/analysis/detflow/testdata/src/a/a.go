@@ -17,7 +17,8 @@ func SimWrapped() int64 {
 	return hostutil.WrapStamp() // want `call to hostutil\.WrapStamp reaches nondeterminism \(Stamp → time\.Now\)`
 }
 
-// SimTool reaches the clock through a cmd/ helper detwall never sees.
+// SimTool reaches the clock through a cmd/ helper, where direct uses are
+// never reported.
 func SimTool() int64 {
 	return tool.Helper() // want `call to tool\.Helper reaches nondeterminism \(time\.Now\)`
 }

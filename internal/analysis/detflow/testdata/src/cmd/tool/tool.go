@@ -1,7 +1,7 @@
-// Package tool is a fixture cmd/ package: detwall does not report inside
-// cmd/ at all, so a clock-wrapping helper here is invisible to the
-// per-package analyzer — exactly the gap detflow closes by exporting the
-// Reaches fact anyway and flagging the sim-side caller.
+// Package tool is a fixture cmd/ package: detflow reports nothing inside
+// cmd/ at all, so a clock-wrapping helper here escapes the direct-use
+// check — the gap detflow closes by exporting the Reaches fact anyway and
+// flagging the sim-side caller.
 package tool
 
 import "time"

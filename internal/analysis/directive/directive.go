@@ -6,7 +6,7 @@
 //
 //	//npf:orderinvariant  maporder: this map iteration's effects are
 //	                      independent of iteration order
-//	//npf:wallclock       detwall/detflow: this wall-clock / environment
+//	//npf:wallclock       detflow: this wall-clock / environment
 //	                      read (or call into a clock-reaching helper) is
 //	                      intentional (host-side tooling, not sim state)
 //	//npf:realtime        simtime: this signature intentionally carries a

@@ -11,9 +11,9 @@ func TestSortDiagnostics(t *testing.T) {
 		return Diagnostic{Analyzer: analyzer, Message: msg, file: file, line: line, col: col}
 	}
 	diags := []Diagnostic{
-		d("b.go", 1, 1, "detwall", "z"),
-		d("a.go", 10, 1, "detwall", "later line"),
-		d("a.go", 9, 2, "detwall", "earlier line"),
+		d("b.go", 1, 1, "maporder", "z"),
+		d("a.go", 10, 1, "maporder", "later line"),
+		d("a.go", 9, 2, "maporder", "earlier line"),
 		d("a.go", 9, 2, "detflow", "tie broken by analyzer"),
 	}
 	SortDiagnostics(diags)

@@ -48,7 +48,7 @@ func TestExitCodes(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("known-bad package: exit=%d, want 1\n%s", code, out)
 	}
-	for _, want := range []string{"detwall", "maporder", "bad.go"} {
+	for _, want := range []string{"detflow", "maporder", "bad.go"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("known-bad output missing %q:\n%s", want, out)
 		}
@@ -95,7 +95,7 @@ func TestJSONOutput(t *testing.T) {
 			t.Errorf("diagnostic pos %q does not point into bad.go", d.Pos)
 		}
 	}
-	if !byAnalyzer["detwall"] || !byAnalyzer["maporder"] {
-		t.Errorf("expected detwall and maporder diagnostics, got %v", byAnalyzer)
+	if !byAnalyzer["detflow"] || !byAnalyzer["maporder"] {
+		t.Errorf("expected detflow and maporder diagnostics, got %v", byAnalyzer)
 	}
 }

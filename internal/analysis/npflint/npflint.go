@@ -8,10 +8,8 @@ import (
 	"golang.org/x/tools/go/analysis"
 
 	"npf/internal/analysis/detflow"
-	"npf/internal/analysis/detwall"
 	"npf/internal/analysis/maporder"
 	"npf/internal/analysis/noalloc"
-	"npf/internal/analysis/optshim"
 	"npf/internal/analysis/probepure"
 	"npf/internal/analysis/simtime"
 	"npf/internal/analysis/tracesafe"
@@ -24,10 +22,8 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detflow.Analyzer,
-		detwall.Analyzer,
 		maporder.Analyzer,
 		noalloc.Analyzer,
-		optshim.Analyzer,
 		probepure.Analyzer,
 		simtime.Analyzer,
 		tracesafe.Analyzer,

@@ -87,23 +87,24 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 }
 
 // TestFig3SpanConsistency cross-checks the two independent observers of the
-// same faults: span-derived stage statistics (trace.StageBreakdown) must
-// agree with the driver's own Breakdown histograms, and reproduce the
-// paper's Figure 3a calibration (≈220µs total, ~90% hardware at 4KB).
+// same faults: the stage statistics of the fault records
+// (trace.FaultStageBreakdown) must agree with the driver's own Breakdown
+// histograms, and reproduce the paper's Figure 3a calibration (≈220µs
+// total, ~90% hardware at 4KB).
 func TestFig3SpanConsistency(t *testing.T) {
 	e := runTracedNPFs(7, 50, true, false)
-	stages := trace.StageBreakdown(e.Tracer.Spans(), "npf")
+	stages := trace.FaultStageBreakdown(e.Tracer.FaultRecords())
 	h := &e.DrvB.Hist
 
 	if got := stages["total"].Count(); got != h.Total.Count() {
-		t.Fatalf("span roots %d != driver faults %d", got, h.Total.Count())
+		t.Fatalf("fault records %d != driver faults %d", got, h.Total.Count())
 	}
-	close := func(name string, spanUs, histUs float64) {
-		if math.Abs(spanUs-histUs) > 1.0 {
-			t.Errorf("%s: span-derived %.2fµs vs driver histogram %.2fµs", name, spanUs, histUs)
+	close := func(name string, recUs, histUs float64) {
+		if math.Abs(recUs-histUs) > 1.0 {
+			t.Errorf("%s: fault records %.2fµs vs driver histogram %.2fµs", name, recUs, histUs)
 		}
 	}
-	close("firmware/trigger", stages["firmware"].Mean(), h.Trigger.Mean())
+	close("fault-report/trigger", stages["fault-report"].Mean(), h.Trigger.Mean())
 	close("driver", stages["driver"].Mean(), h.DriverSW.Mean())
 	close("update", stages["update"].Mean(), h.UpdateHW.Mean())
 	close("resume", stages["resume"].Mean(), h.Resume.Mean())

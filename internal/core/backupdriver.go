@@ -70,14 +70,13 @@ func (st *chanState) pump() {
 		// Copying the parked packet into the IOuser buffer is CPU work.
 		copyCost = sim.Time(int64(e.Packet.Size) * int64(sim.Second) / st.d.Cfg.MemcpyBps)
 	}
-	// The packet stops being "parked" once T starts serving it.
-	st.d.tr.End(e.Parked)
 	if e.Packet != nil && p.attempt == 0 {
-		// Backup-ring residency of the causal record: park to service start
-		// (requeued attempts accrue to the retry stages instead).
+		// Backup-ring residency of the causal record: park to service start,
+		// when the packet stops being "parked" (requeued attempts accrue to
+		// the retry stages instead).
 		st.d.tr.FaultStageAt(e.Fault, trace.FSParked, e.Start, st.d.Eng.Now()-e.Start, e.Index, e.BitIndex)
 	}
-	st.d.serveFault(st.ch.AS, st.ch.Domain, pages, true, e.Start, 0, copyCost, e.Span, e.Fault, p.attempt,
+	st.d.serveFault(st.ch.AS, st.ch.Domain, pages, true, e.Start, 0, copyCost, e.Fault, p.attempt,
 		func() {
 			if e.Packet != nil {
 				// The OS may have reclaimed the buffer again while T

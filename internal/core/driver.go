@@ -200,17 +200,12 @@ type Driver struct {
 	cResolveTO *trace.Counter
 	cDegraded  *trace.Counter
 	cInvDup    *trace.Counter
-	lTrigger   *trace.LatencyHist
-	lDriver    *trace.LatencyHist
-	lUpdate    *trace.LatencyHist
-	lResume    *trace.LatencyHist
-	lTotal     *trace.LatencyHist
 	lInv       *trace.LatencyHist
 }
 
-// SetTracer wires telemetry into the driver: per-stage NPF latency
-// distributions (the Figure 3a components), fault/invalidation counters,
-// and lifecycle spans recorded by serveFault. Safe to call with nil.
+// SetTracer wires telemetry into the driver: fault/invalidation counters,
+// the invalidation latency distribution, and the per-stage fault records
+// (the Figure 3a components) serveFault contributes. Safe to call with nil.
 func (d *Driver) SetTracer(tr *trace.Tracer) {
 	d.tr = tr
 	d.cNPF = tr.Counter("core.npfs")
@@ -222,11 +217,6 @@ func (d *Driver) SetTracer(tr *trace.Tracer) {
 	d.cResolveTO = tr.Counter("core.resolver_timeouts")
 	d.cDegraded = tr.Counter("core.degraded_pins")
 	d.cInvDup = tr.Counter("core.inv_duplicates")
-	d.lTrigger = tr.Latency("core.npf_trigger_us")
-	d.lDriver = tr.Latency("core.npf_driver_us")
-	d.lUpdate = tr.Latency("core.npf_update_us")
-	d.lResume = tr.Latency("core.npf_resume_us")
-	d.lTotal = tr.Latency("core.npf_total_us")
 	d.lInv = tr.Latency("core.inv_mapped_us")
 	tr.Probe("core.outstanding_npfs", func() float64 {
 		return float64(d.outstanding)
@@ -395,14 +385,12 @@ func (d *Driver) faultCommit(as *mem.AddressSpace, dom *iommu.Domain, pages []me
 
 // serveFault runs the full Figure 2 NPF flow for one fault event and calls
 // done once the device may resume. extraCost is added to the software phase
-// (e.g. the backup resolver's packet copy). parent is the device-opened
-// lifecycle span for this fault (0 when the device predates tracing or
-// tracing is off); the driver hangs the driver/update/resume stage spans
-// off it and closes it when the device resumes. attempt counts prior failed
+// (e.g. the backup resolver's packet copy). fid is the device-minted fault
+// whose record each stage accrues to. attempt counts prior failed
 // resolutions of this same fault (0 on first service); it drives the
 // exponential retry backoff and the DegradeToPinned escape hatch.
 func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem.PageNum,
-	write bool, start sim.Time, resumeCost, extraCost sim.Time, parent trace.SpanID,
+	write bool, start sim.Time, resumeCost, extraCost sim.Time,
 	fid trace.FaultID, attempt int, done func(), retry func()) {
 	now := d.Eng.Now()
 	trigger := now - start
@@ -411,13 +399,6 @@ func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem
 		// The fault-report stage of the causal record: device detection to
 		// driver service start (firmware + interrupt + report-queue wait).
 		d.tr.FaultStageAt(fid, trace.FSReport, start, trigger, int64(len(pages)), 0)
-	}
-	root := parent
-	if d.tr.Enabled() && root == 0 {
-		// No device-side span: synthesize the root and its firmware stage
-		// from the fault-report delay so the tree is complete anyway.
-		root = d.tr.BeginAt(0, "npf", "npf", start)
-		d.tr.Span(root, "npf.stage", "firmware", start, now)
 	}
 	// Escape hatch: after MaxNPFRetries failed attempts the driver stops
 	// trusting on-demand resolution for this fault — it bypasses the
@@ -433,7 +414,6 @@ func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem
 			d.ResolverTimeouts.Inc()
 			d.cResolveTO.Inc()
 			delay := d.Cfg.DispatchCost + extra + d.Cfg.RetryBackoff(attempt)
-			d.tr.Span(root, "npf.stage", "resolver-timeout", now, now+delay)
 			d.tr.FaultStageAt(fid, trace.FSResolverTimeout, now, delay, int64(attempt), int64(len(pages)))
 			d.Eng.After(delay, retry)
 			return
@@ -452,7 +432,6 @@ func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem
 		// operation suspended/parked meanwhile.
 		d.cOOM.Inc()
 		backoff := d.Cfg.RetryBackoff(attempt)
-		d.tr.Span(root, "npf.stage", "oom-backoff", now, now+sw+backoff)
 		d.tr.FaultStageAt(fid, trace.FSOOMBackoff, now, sw+backoff, int64(attempt), int64(len(pages)))
 		d.Eng.After(sw+backoff, retry)
 		return
@@ -467,21 +446,6 @@ func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem
 	}
 	if extraCost > 0 {
 		d.tr.FaultStageAt(fid, trace.FSCopy, now+sw-extraCost, extraCost, 0, 0)
-	}
-	if d.tr.Enabled() {
-		drv := d.tr.Span(root, "npf.stage", "driver", now, now+sw)
-		d.tr.ArgInt(drv, "pages", int64(len(pages)))
-		if osCost > 0 {
-			pr := d.tr.Span(drv, "npf.stage", "page-resolve", now+sw-extraCost-osCost, now+sw-extraCost)
-			if major {
-				d.tr.ArgStr(pr, "kind", "major")
-			} else {
-				d.tr.ArgStr(pr, "kind", "minor")
-			}
-		}
-		if extraCost > 0 {
-			d.tr.Span(drv, "npf.stage", "copy", now+sw-extraCost, now+sw)
-		}
 	}
 	if degraded && len(pages) > 0 {
 		// The pages are resident now; pin them (best effort, stopping at the
@@ -503,10 +467,6 @@ func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem
 		if pinned > 0 {
 			d.DegradedPins.Add(uint64(pinned))
 			d.cDegraded.Add(uint64(pinned))
-			if d.tr.Enabled() {
-				id := d.tr.Span(root, "npf.stage", "degrade-pinned", now+sw, now+sw+pinCost)
-				d.tr.ArgInt(id, "pages", int64(pinned))
-			}
 			d.tr.FaultStageAt(fid, trace.FSDegradePin, now+sw, pinCost, int64(pinned), int64(attempt))
 			sw += pinCost
 		}
@@ -515,20 +475,10 @@ func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem
 		d.outstanding--
 		hw := d.faultCommit(as, dom, pages, write)
 		d.Hist.record(trigger, sw, hw, resumeCost)
-		d.lTrigger.Observe(trigger)
-		d.lDriver.Observe(sw)
-		d.lUpdate.Observe(hw)
-		d.lResume.Observe(resumeCost)
-		d.lTotal.Observe(trigger + sw + hw + resumeCost)
 		n2 := d.Eng.Now()
 		d.tr.FaultStageAt(fid, trace.FSUpdate, n2, hw, int64(len(pages)), 0)
 		if resumeCost > 0 {
 			d.tr.FaultStageAt(fid, trace.FSResume, n2+hw, resumeCost, 0, 0)
-		}
-		if d.tr.Enabled() {
-			d.tr.Span(root, "npf.stage", "update", n2, n2+hw)
-			d.tr.Span(root, "npf.stage", "resume", n2+hw, n2+hw+resumeCost)
-			d.tr.EndAt(root, n2+hw+resumeCost)
 		}
 		d.Eng.After(hw, done)
 	})
@@ -556,7 +506,7 @@ func (d *Driver) handleQPFault(ev rc.QPFault, attempt int) {
 		}
 	}
 	d.serveFault(ev.QP.AS, ev.QP.Domain, ev.Missing, write, ev.Start,
-		resume, 0, ev.Span, ev.Fault, attempt,
+		resume, 0, ev.Fault, attempt,
 		done,
 		func() { d.handleQPFault(ev, attempt+1) })
 }
@@ -577,7 +527,7 @@ func (d *Driver) handleTxNPF(ev nic.TxNPF, attempt int) {
 		}
 	}
 	d.serveFault(ev.Channel.AS, ev.Channel.Domain, ev.Missing, false, ev.Start,
-		resume, 0, ev.Span, ev.Fault, attempt,
+		resume, 0, ev.Fault, attempt,
 		done,
 		func() { d.handleTxNPF(ev, attempt+1) })
 }

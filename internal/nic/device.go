@@ -82,14 +82,9 @@ type RxNPFEntry struct {
 	Missing  []mem.PageNum
 	Packet   *fabric.Packet // nil under PolicyDrop
 	Start    sim.Time       // when the device hit the fault
-	// Span is the NPF lifecycle span the device opened for this fault, and
-	// Parked the backup-ring residency child span; both 0 when tracing is
-	// off. The hardware tags its fault report with the span the way real
-	// firmware tags it with a fault token the driver echoes back.
-	Span   trace.SpanID
-	Parked trace.SpanID
 	// Fault is the causal FaultID minted at detection (always set; the
-	// recorder ignores it when tracing is off).
+	// recorder ignores it when tracing is off) — the fault token real
+	// firmware tags its report with and the driver echoes back.
 	Fault trace.FaultID
 }
 
@@ -100,8 +95,6 @@ type TxNPF struct {
 	Missing []mem.PageNum
 	Resume  func()
 	Start   sim.Time // when the device hit the fault
-	// Span is the NPF lifecycle span opened by the device (0 = tracing off).
-	Span trace.SpanID
 	// Fault is the causal FaultID minted at detection.
 	Fault trace.FaultID
 }
@@ -165,7 +158,7 @@ type Device struct {
 	faultHook func(sim.Time) sim.Time
 	faultSeq  uint64 // per-device FaultID sequence (fault.go)
 
-	// Tracer records NPF lifecycle spans; nil disables tracing.
+	// Tracer records NPF fault records; nil disables tracing.
 	Tracer *trace.Tracer
 
 	// Counters.

@@ -168,13 +168,6 @@ func (r *RxRing) recv(pkt *fabric.Packet) {
 			// The drop path goes through the slow firmware error path.
 			lat := dev.firmwareFaultLatency() + dev.Cfg.IntLatency
 			dev.Tracer.FaultMinted(entry.Fault, "rx-drop", entry.Start, int64(pkt.Src), idx, len(missing))
-			if dev.Tracer.Enabled() {
-				now := dev.Eng.Now()
-				entry.Span = dev.Tracer.BeginAt(0, "npf", "rx-drop", now)
-				dev.Tracer.ArgInt(entry.Span, "idx", idx)
-				dev.Tracer.ArgInt(entry.Span, "pages", int64(len(missing)))
-				dev.Tracer.Span(entry.Span, "npf.stage", "firmware", now, now+lat)
-			}
 			dev.Eng.After(lat, func() {
 				dev.sink.HandleRxNPF([]RxNPFEntry{entry})
 			})
@@ -219,16 +212,6 @@ func (r *RxRing) parkInBackup(pkt *fabric.Packet, idx int64, missing []mem.PageN
 		name = "rx-ringfull" // parked for ring room, not for paging
 	}
 	dev.Tracer.FaultMinted(e.Fault, name, e.Start, int64(pkt.Src), idx, len(missing))
-	if dev.Tracer.Enabled() {
-		now := dev.Eng.Now()
-		e.Span = dev.Tracer.BeginAt(0, "npf", name, now)
-		dev.Tracer.ArgInt(e.Span, "idx", idx)
-		dev.Tracer.ArgInt(e.Span, "pages", int64(len(missing)))
-		// The backup path is an ordinary receive flow: the "firmware" stage
-		// is just the coalesced backup interrupt.
-		dev.Tracer.Span(e.Span, "npf.stage", "firmware", now, now+dev.Cfg.IntLatency)
-		e.Parked = dev.Tracer.BeginAt(e.Span, "npf.stage", "parked", now)
-	}
 	dev.Backup.store(e)
 }
 

@@ -83,12 +83,6 @@ func (q *TxQueue) kick() {
 			ev.Fault = dev.mintFault()
 			lat := dev.firmwareFaultLatency() + dev.Cfg.IntLatency
 			dev.Tracer.FaultMinted(ev.Fault, "tx", ev.Start, -1, int64(d.Dst), len(missing))
-			if dev.Tracer.Enabled() {
-				now := dev.Eng.Now()
-				ev.Span = dev.Tracer.BeginAt(0, "npf", "tx", now)
-				dev.Tracer.ArgInt(ev.Span, "pages", int64(len(missing)))
-				dev.Tracer.Span(ev.Span, "npf.stage", "firmware", now, now+lat)
-			}
 			dev.Eng.After(lat, func() {
 				dev.sink.HandleTxNPF(ev)
 			})

@@ -63,10 +63,8 @@ type QPFault struct {
 	Class   FaultClass
 	Missing []mem.PageNum
 	Start   sim.Time // when the device hit the fault
-	// Span is the NPF lifecycle span the adapter opened for this fault
-	// (0 = tracing off) — the firmware's fault token, echoed by the driver.
-	Span trace.SpanID
-	// Fault is the causal FaultID minted at detection.
+	// Fault is the causal FaultID minted at detection — the firmware's
+	// fault token, echoed by the driver.
 	Fault trace.FaultID
 	// Resolved must be called by the driver once the pages are resident
 	// and mapped in the QP's IOMMU domain; it triggers the firmware-resume
@@ -172,7 +170,7 @@ type HCA struct {
 	faultHook func(sim.Time) sim.Time
 	faultSeq  uint64 // per-adapter FaultID sequence (trace/fault.go)
 
-	// Tracer records NPF/RNR lifecycle spans; nil disables tracing.
+	// Tracer records NPF fault records and RNR spans; nil disables tracing.
 	Tracer *trace.Tracer
 	cRNR   *trace.Counter
 	cRetx  *trace.Counter
@@ -265,13 +263,6 @@ func (h *HCA) raiseFault(ev QPFault) {
 	}
 	lat := h.firmwareFaultLatency() + h.Cfg.IntLatency
 	h.Tracer.FaultMinted(ev.Fault, ev.Class.String(), ev.Start, origin, int64(ev.QP.QPN), len(ev.Missing))
-	if h.Tracer.Enabled() {
-		now := h.Eng.Now()
-		ev.Span = h.Tracer.BeginAt(0, "npf", ev.Class.String(), now)
-		h.Tracer.ArgInt(ev.Span, "qpn", int64(ev.QP.QPN))
-		h.Tracer.ArgInt(ev.Span, "pages", int64(len(ev.Missing)))
-		h.Tracer.Span(ev.Span, "npf.stage", "firmware", now, now+lat)
-	}
 	h.Eng.After(lat, func() {
 		h.sink.HandleQPFault(ev)
 	})

@@ -22,11 +22,11 @@
 // Each partition i repeatedly:
 //
 //  1. publishes raw_i = min(next local event, earliest mail in box);
-//  2. reads every raw_j and forms M = min_j raw_j (its own included —
-//     mail already in its box bounds its own next action), then
-//     publishes clock_i = min(raw_i, M+L). The M+L term is what lets a
-//     quiescent partition jump its clock across a long idle gap in one
-//     step instead of creeping by L per iteration: nothing anywhere can
+//  2. reads a consistent floor M = min_j min(raw_j, box_j head) (see
+//     floor), then publishes clock_i = min(raw_i, M+L), with raw_i
+//     re-read from its box. The M+L term is what lets a quiescent
+//     partition jump its clock across a long idle gap in one step
+//     instead of creeping by L per iteration: nothing anywhere can
 //     execute before M, so nothing can send mail arriving before M+L.
 //  3. computes the exclusive execution bound
 //     B = min( min_{j≠i} clock_j + L , horizon+1 )
@@ -49,11 +49,9 @@
 // engine events and consume no engine sequence numbers, so seq
 // assignment of the events they schedule is also timing-independent.
 //
-// Termination uses raw values, not clocks: when every partition's
-// published raw exceeds the horizon (or is Forever), no partition can
-// ever create work at or below the horizon. A second full sweep with a
-// mailbox re-check between guards against mail pushed concurrently with
-// the first observation.
+// Termination uses the same floor, not clocks: when every partition's
+// published raw and mailbox head exceed the horizon (or are Forever), no
+// partition can ever create work at or below the horizon.
 //
 // Stop is deterministic too: stopping from an event executing at time s
 // shrinks the shared horizon to s+L-1 with an atomic min. Every
@@ -125,14 +123,22 @@ func (b *mailbox) head() Time {
 	return Time(b.headAt.Load())
 }
 
-// popBelow removes and returns the earliest mail with at < bound.
-func (b *mailbox) popBelow(bound Time) (mail, bool) {
+// popBelow removes and returns the earliest mail with at < bound from the
+// partition's box. The mail stays covered by a published lower bound the
+// whole time: raw drops to its timestamp before it leaves the box, and
+// uncovers is bumped so a concurrent floor snapshot retries.
+func (ps *partState) popBelow(bound Time, uncovers *atomic.Uint64) (mail, bool) {
+	b := &ps.box
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.h) == 0 || b.h[0].at >= bound {
 		return mail{}, false
 	}
 	top := b.h[0]
+	if top.at < Time(ps.raw.Load()) {
+		ps.raw.Store(int64(top.at))
+	}
+	uncovers.Add(1)
 	n := len(b.h) - 1
 	b.h[0] = b.h[n]
 	b.h[n] = mail{}
@@ -182,6 +188,9 @@ type Group struct {
 	// injected counts mailbox closures executed; they are not engine
 	// events, so Executed() folds them in for cross-mode accounting.
 	injected atomic.Uint64
+	// uncovers counts withdrawals of a published lower bound — a raw
+	// raised, a mail popped — so floor can detect a torn snapshot.
+	uncovers atomic.Uint64
 	// done latches the shared termination decision for the current run:
 	// threads must stop together, since a partition that looks exhausted
 	// can still be fed by another thread's batch.
@@ -396,26 +405,36 @@ func (g *Group) runThread(tid, threads int) {
 }
 
 // quiescent reports whether no partition holds — or can ever create —
-// work at or below the horizon. Published raws are read before mailbox
-// heads: any in-flight mail is covered either by its sender's pre-batch
-// raw (republished only after the batch's pushes complete) or by the
-// destination box's head mirror once the second pass loads it, so a true
-// here can never mask pending work.
+// work at or below the horizon.
 func (g *Group) quiescent() bool {
-	h := Time(g.horizon.Load())
-	for _, ps := range g.parts {
-		raw := Time(ps.raw.Load())
-		if raw <= h && raw != Forever {
-			return false
+	f := g.floor()
+	return f == Forever || f > Time(g.horizon.Load())
+}
+
+// floor returns the minimum over every partition's published raw and
+// mailbox head: a lower bound on all future execution anywhere. Pending
+// work is always covered by a raw or a box head, and every hand-off covers
+// the new place before uncovering the old — a sender's pushes land before
+// it republishes its raw, a receiver lowers its raw before it pops. Reads
+// of the two places are not simultaneous, so a hand-off can slip between
+// them; the snapshot is retried whenever an uncover lands while it is
+// being read.
+func (g *Group) floor() Time {
+	for {
+		gen := g.uncovers.Load()
+		f := Forever
+		for _, ps := range g.parts {
+			if r := Time(ps.raw.Load()); r < f {
+				f = r
+			}
+			if h := ps.box.head(); h < f {
+				f = h
+			}
+		}
+		if g.uncovers.Load() == gen {
+			return f
 		}
 	}
-	for _, ps := range g.parts {
-		bh := ps.box.head()
-		if bh <= h && bh != Forever {
-			return false
-		}
-	}
-	return true
 }
 
 // runPartition performs one synchronization-and-execute iteration for
@@ -429,26 +448,20 @@ func (g *Group) runPartition(p int) bool {
 	if h := ps.box.head(); h < raw {
 		raw = h
 	}
+	if raw > Time(ps.raw.Load()) {
+		g.uncovers.Add(1)
+	}
 	ps.raw.Store(int64(raw))
 
-	// (2) Publish the conservative clock: min(raw, globalFloor + L).
-	// The floor is read in two passes — published raws first, then live
-	// mailbox heads. The order matters: any in-flight mail is either
-	// still covered by its sender's pre-batch raw (republished only
-	// after the batch's pushes complete) or already visible in the
-	// destination box's head mirror when the second pass loads it. Stale reads
-	// are therefore always low, never high, so the floor is a true lower
-	// bound on all future execution anywhere.
-	minRaw := raw
-	for _, qs := range g.parts {
-		if r := Time(qs.raw.Load()); r < minRaw {
-			minRaw = r
-		}
-	}
-	for _, qs := range g.parts {
-		if h := qs.box.head(); h < minRaw {
-			minRaw = h
-		}
+	// (2) Publish the conservative clock: min(raw, globalFloor + L), where
+	// the floor is a consistent lower bound on all future execution
+	// anywhere. Mail that reached this box before the floor was read is
+	// this partition's own next action, so raw is re-read from the box;
+	// anything arriving later was sent at or above the floor and so lands
+	// at or above floor + L.
+	minRaw := g.floor()
+	if h := ps.box.head(); h < raw {
+		raw = h
 	}
 	clock := minRaw.Add(g.look)
 	if raw < clock {
@@ -489,7 +502,7 @@ func (g *Group) runPartition(p int) bool {
 		if h1 := Time(g.horizon.Load()).Add(1); h1 < bound {
 			bound = h1
 		}
-		m, ok := ps.box.popBelow(bound)
+		m, ok := ps.popBelow(bound, &g.uncovers)
 		if !ok {
 			break
 		}

@@ -37,6 +37,60 @@ func FaultStageBreakdown(records []FaultRecord) map[string]*sim.Histogram {
 	return out
 }
 
+// FaultSpans derives the span view of completed fault records — the only
+// way NPF lifecycles become spans. Each record becomes an "npf" root named
+// after its fault path and spanning [Start, End]; its children are the
+// stages that occurred, laid end to end from Start in lifecycle order
+// (fault-report, resolver-timeout, oom-backoff, driver, degrade-pin,
+// update, resume). parked nests under fault-report from its start;
+// page-resolve then copy nest under driver, ending at the driver's end.
+// The driver's timeline for one fault is sequential, so on a fault with no
+// retries every child is exactly the interval its stage occupied; a
+// retried fault's stages sum several rounds and are laid out as totals.
+// Span IDs run from 1 in record order; pending records are skipped.
+func FaultSpans(records []FaultRecord) []Span {
+	var out []Span
+	add := func(parent SpanID, name string, start, end sim.Time, args []Arg) SpanID {
+		id := SpanID(len(out) + 1)
+		out = append(out, Span{ID: id, Parent: parent, Cat: "npf", Name: name, Start: start, End: end, Args: args})
+		return id
+	}
+	for i := range records {
+		r := &records[i]
+		if r.End < r.Start {
+			continue
+		}
+		root := add(0, r.Name, r.Start, r.End, []Arg{
+			{Key: "fault", Val: itoa(r.ID.Node()) + ":" + itoa(int64(r.ID.Seq()))},
+			{Key: "pages", Val: itoa(int64(r.Pages))},
+		})
+		at := r.Start
+		for s := FSReport; s <= FSResume; s++ {
+			d := r.Stage[s]
+			if d <= 0 || s == FSParked || s == FSPageResolve || s == FSCopy {
+				continue // absent, or nested below
+			}
+			id := add(root, s.String(), at, at+d, nil)
+			switch s {
+			case FSReport:
+				if p := r.Stage[FSParked]; p > 0 {
+					add(id, FSParked.String(), at, at+p, nil)
+				}
+			case FSDriver:
+				end, cp := at+d, r.Stage[FSCopy]
+				if pr := r.Stage[FSPageResolve]; pr > 0 {
+					add(id, FSPageResolve.String(), end-cp-pr, end-cp, nil)
+				}
+				if cp > 0 {
+					add(id, FSCopy.String(), end-cp, end, nil)
+				}
+			}
+			at += d
+		}
+	}
+	return out
+}
+
 // critComponent is one disjoint slice of a fault's end-to-end latency.
 // Record stages overlap (fault-report contains parked; driver contains
 // page-resolve and copy), so critical-path attribution uses this

@@ -12,9 +12,11 @@ import (
 //
 // Layout: each root span becomes one "thread" (track) whose tid is the
 // root's SpanID, and every span in that tree renders as a complete ("X")
-// event on the track. Children of one NPF nest visually inside it, which is
-// exactly the Figure 3a decomposition. With multiple tracers (one engine
-// per experiment), each tracer becomes a separate "process".
+// event on the track. NPF tracks are derived from the fault records
+// (FaultSpans) and follow the recorded spans, their IDs continuing after
+// the recorded ones; the stages of one NPF nest visually inside it, which
+// is exactly the Figure 3a decomposition. With multiple tracers (one
+// engine per experiment), each tracer becomes a separate "process".
 
 // chromeEvent is one trace_event entry. Field order and json.Marshal's
 // sorted map keys keep the output deterministic.
@@ -34,7 +36,8 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace exports this tracer's spans as Chrome trace_event JSON.
+// WriteChromeTrace exports this tracer's spans, recorded and derived from
+// its fault records, as Chrome trace_event JSON.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return ExportChromeTrace(w, []*Tracer{t})
 }
@@ -55,23 +58,30 @@ func ExportChromeTrace(w io.Writer, tracers []*Tracer) error {
 			Args: map[string]string{"name": "npf-sim engine " + itoa(int64(pid))},
 		})
 		clamp := t.eng.Now()
+		spans := append(t.spans[:len(t.spans):len(t.spans)], FaultSpans(t.FaultRecords())...)
+		for i := len(t.spans); i < len(spans); i++ {
+			spans[i].ID += SpanID(len(t.spans))
+			if spans[i].Parent != 0 {
+				spans[i].Parent += SpanID(len(t.spans))
+			}
+		}
 		// Resolve each span's root so the whole tree shares one track.
-		roots := make([]SpanID, len(t.spans)+1)
-		for i := range t.spans {
-			s := &t.spans[i]
-			if s.Parent == 0 || int(s.Parent) > len(t.spans) {
+		roots := make([]SpanID, len(spans)+1)
+		for i := range spans {
+			s := &spans[i]
+			if s.Parent == 0 || int(s.Parent) > len(spans) {
 				roots[s.ID] = s.ID
 			} else {
 				roots[s.ID] = roots[s.Parent]
 			}
 		}
 		named := make(map[SpanID]bool)
-		for i := range t.spans {
-			s := &t.spans[i]
+		for i := range spans {
+			s := &spans[i]
 			root := roots[s.ID]
 			if !named[root] {
 				named[root] = true
-				r := &t.spans[root-1]
+				r := &spans[root-1]
 				out.TraceEvents = append(out.TraceEvents, chromeEvent{
 					Name: "thread_name", Ph: "M", Pid: pid, Tid: int64(root),
 					Args: map[string]string{"name": r.Cat + ":" + r.Name + " #" + itoa(int64(root))},

@@ -1,8 +1,9 @@
 package trace
 
 // Digest condenses everything a tracer recorded — every span field, every
-// argument, and the full metrics snapshot — into one FNV-1a hash. Two runs
-// of the same seeded scenario must produce the same digest; the chaos
+// argument, every field of every completed fault record, the pending-fault
+// count, and the full metrics snapshot — into one FNV-1a hash. Two runs of
+// the same seeded scenario must produce the same digest; the chaos
 // scenario runner uses this as its byte-identical-replay check without
 // holding two full span sets in memory.
 func (t *Tracer) Digest() uint64 {
@@ -23,6 +24,27 @@ func (t *Tracer) Digest() uint64 {
 			h = fnvStr(h, a.Val)
 		}
 	}
+	if t.fr != nil {
+		for i := range t.fr.records {
+			r := &t.fr.records[i]
+			if r.End < r.Start {
+				continue // pending: counted below
+			}
+			h = fnvInt(h, int64(r.ID))
+			h = fnvStr(h, r.Name)
+			h = fnvInt(h, r.Node)
+			h = fnvInt(h, r.Origin)
+			h = fnvInt(h, r.Op)
+			h = fnvInt(h, int64(r.Pages))
+			h = fnvInt(h, int64(r.Start))
+			h = fnvInt(h, int64(r.End))
+			h = fnvInt(h, int64(r.Retries))
+			for _, d := range r.Stage {
+				h = fnvInt(h, int64(d))
+			}
+		}
+	}
+	h = fnvInt(h, int64(t.PendingFaults()))
 	h = fnvStr(h, t.MetricsSnapshot())
 	return h
 }

@@ -197,6 +197,128 @@ func TestCriticalPathAttribution(t *testing.T) {
 	}
 }
 
+func TestFaultSpans(t *testing.T) {
+	plain := mkRecord(1, 1, "tx", us(0), us(2), 0, us(5), us(1), us(1))
+	parked := mkRecord(2, 1, "rx-backup", us(40), us(9), us(6), us(5), us(1), 0)
+	parked.Stage[FSPageResolve] = us(1)
+	parked.Stage[FSCopy] = us(2)
+	// A retried fault: its stages sum below the total (a 40us requeue wait
+	// belongs to no stage).
+	retried := mkRecord(3, 1, "recv-rnpf", us(100), us(130), 0, us(5), us(35), us(40))
+	retried.Stage[FSResolverTimeout] = us(110)
+	retried.Retries = 1
+	retried.End = us(100 + 130 + 110 + 5 + 35 + 40 + 40)
+	pending := mkRecord(4, 1, "tx", us(0), us(2), 0, 0, 0, 0)
+	pending.End = -1
+	recs := []FaultRecord{plain, parked, retried, pending}
+
+	spans := FaultSpans(recs)
+	byID := map[SpanID]*Span{}
+	for i := range spans {
+		byID[spans[i].ID] = &spans[i]
+		if spans[i].ID != SpanID(i+1) || spans[i].Cat != "npf" {
+			t.Fatalf("span %d: %+v", i, spans[i])
+		}
+	}
+	root := func(s *Span) *Span {
+		for s.Parent != 0 {
+			s = byID[s.Parent]
+		}
+		return s
+	}
+	var roots []*Span
+	childSum := map[SpanID]sim.Time{}
+	for i := range spans {
+		s := &spans[i]
+		if s.Parent == 0 {
+			roots = append(roots, s)
+			continue
+		}
+		p := byID[s.Parent]
+		if s.Start < p.Start || s.End > p.End || s.Start > s.End {
+			t.Errorf("%s %v-%v escapes its parent %s %v-%v", s.Name, s.Start, s.End, p.Name, p.Start, p.End)
+		}
+		if r := root(s); s.Start < r.Start || s.End > r.End {
+			t.Errorf("%s escapes root %s", s.Name, r.Name)
+		}
+		if p.Parent == 0 {
+			childSum[p.ID] += s.Dur()
+		}
+	}
+	if len(roots) != 3 {
+		t.Fatalf("got %d roots, want 3 (pending skipped): %+v", len(roots), roots)
+	}
+	for i, want := range []string{"tx", "rx-backup", "recv-rnpf"} {
+		r := roots[i]
+		if r.Name != want || r.Start != recs[i].Start || r.End != recs[i].End {
+			t.Errorf("root %d = %+v, want %s over the record's interval", i, r, want)
+		}
+		if got := childSum[r.ID]; i < 2 && got != r.Dur() {
+			t.Errorf("%s: children sum to %v, want the total %v", want, got, r.Dur())
+		} else if i == 2 && got != r.Dur()-us(40) {
+			t.Errorf("%s: children sum to %v, want %v", want, got, r.Dur()-us(40))
+		}
+	}
+	find := func(r *Span, name string) *Span {
+		for i := range spans {
+			if spans[i].Name == name && root(&spans[i]) == r {
+				return &spans[i]
+			}
+		}
+		t.Fatalf("%s has no %s span", r.Name, name)
+		return nil
+	}
+	// Laid end to end in lifecycle order: the plain fault's driver starts
+	// where its 2us fault-report ends.
+	if d := find(roots[0], "driver"); d.Start != us(2) || d.End != us(7) {
+		t.Errorf("tx driver = %v-%v, want 2us-7us", d.Start, d.End)
+	}
+	// parked nests under fault-report from its start; page-resolve then
+	// copy end at the driver's end.
+	if p := find(roots[1], "parked"); p.Start != us(40) || p.End != us(46) ||
+		byID[p.Parent].Name != "fault-report" {
+		t.Errorf("parked = %+v", p)
+	}
+	drv := find(roots[1], "driver")
+	if c := find(roots[1], "copy"); c.End != drv.End || c.Start != drv.End-us(2) || c.Parent != drv.ID {
+		t.Errorf("copy = %+v, driver = %+v", c, drv)
+	}
+	if pr := find(roots[1], "page-resolve"); pr.End != drv.End-us(2) || pr.Parent != drv.ID {
+		t.Errorf("page-resolve = %+v, driver = %+v", pr, drv)
+	}
+	if rto := find(roots[2], "resolver-timeout"); rto.Start != us(230) {
+		t.Errorf("resolver-timeout starts %v, want after fault-report at 230us", rto.Start)
+	}
+}
+
+// TestDigestFoldsFaultRecords pins that the replay digest sees the fault
+// records, the only record of the NPF lifecycle.
+func TestDigestFoldsFaultRecords(t *testing.T) {
+	digest := func(driver sim.Time, pending bool) uint64 {
+		tr := newTestTracer()
+		for i, d := range []sim.Time{us(5), driver} {
+			id := MintFaultID(1, uint64(i+1))
+			tr.FaultMinted(id, "tx", us(0), -1, 0, 1)
+			tr.FaultStageAt(id, FSDriver, us(0), d, 1, 0)
+			tr.FaultDone(id, us(10))
+		}
+		if pending {
+			tr.FaultMinted(MintFaultID(1, 3), "tx", us(20), -1, 0, 1)
+		}
+		return tr.Digest()
+	}
+	base := digest(us(5), false)
+	if digest(us(5), false) != base {
+		t.Fatal("digest differs between identical recordings")
+	}
+	if digest(us(6), false) == base {
+		t.Fatal("changing one stage duration in one record left the digest unchanged")
+	}
+	if digest(us(5), true) == base {
+		t.Fatal("a pending fault left the digest unchanged")
+	}
+}
+
 func TestFaultStageBreakdownAndPaths(t *testing.T) {
 	recs := []FaultRecord{
 		mkRecord(1, 1, "tx", us(0), us(2), 0, us(5), us(1), us(1)),

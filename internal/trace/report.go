@@ -9,9 +9,9 @@ import (
 	"npf/internal/sim"
 )
 
-// Text reporting: span forest rendering, top-k slowest roots, and per-stage
-// percentile breakdowns derived purely from recorded spans (the Fig. 3a
-// decomposition, but measured rather than bookkept by the bench runner).
+// Text reporting: span forest rendering, top-k slowest roots, and the
+// per-stage percentile table (the Fig. 3a decomposition, measured from
+// fault records rather than bookkept by the bench runner).
 
 // node is one span plus child indices, used while building the forest.
 type node struct {
@@ -99,40 +99,6 @@ func TopSlowest(spans []Span, cat string, k int) []RootDur {
 	return all
 }
 
-// StageBreakdown aggregates, over every closed root span of category
-// rootCat, the duration of each direct-child stage name plus the root
-// total. The result maps stage name -> histogram of µs samples, with the
-// root total under "total". This is how npftrace reproduces Fig. 3a: the
-// firmware/parked/driver/update/resume children of each "npf" root are the
-// paper's trigger/sw/hw/resume components.
-func StageBreakdown(spans []Span, rootCat string) map[string]*sim.Histogram {
-	nodes, roots := buildForest(spans)
-	out := make(map[string]*sim.Histogram)
-	get := func(name string) *sim.Histogram {
-		h, ok := out[name]
-		if !ok {
-			h = &sim.Histogram{}
-			out[name] = h
-		}
-		return h
-	}
-	for _, r := range roots {
-		root := nodes[r].span
-		if root.Cat != rootCat || root.Open() {
-			continue
-		}
-		get("total").AddTime(root.Dur())
-		for _, c := range nodes[r].children {
-			cs := nodes[c].span
-			if cs.Open() {
-				continue
-			}
-			get(cs.Name).AddTime(cs.Dur())
-		}
-	}
-	return out
-}
-
 // safeHist shields report rendering from nil map entries: callers may build
 // stage maps by hand (tests, tools) and a nil *Histogram must render as an
 // empty one, not panic.
@@ -152,7 +118,7 @@ func finite(v float64) float64 {
 	return v
 }
 
-// WriteStageTable renders a StageBreakdown as a fixed-width percentile
+// WriteStageTable renders a FaultStageBreakdown as a fixed-width percentile
 // table, stages sorted by name with "total" last. Empty maps render as a
 // header-only table; nil histograms render as zero rows.
 func WriteStageTable(w io.Writer, stages map[string]*sim.Histogram) {
@@ -176,23 +142,26 @@ func WriteStageTable(w io.Writer, stages map[string]*sim.Histogram) {
 	}
 }
 
-// HardwareShare computes the fraction of mean NPF time spent in
-// hardware-side stages (firmware detection, page-table update, resume) —
-// the quantity the paper's Fig. 3a reports as ≈90% at 4 KB. Returns 0 if
-// there is no total, the total is empty (avoiding a 0/0 NaN), or the map
-// holds only nil/zero-count histograms.
+// HardwareShare computes, from a FaultStageBreakdown, the fraction of mean
+// NPF time spent in hardware-side stages — the disjoint fault-report
+// (device detection, interrupt and report, minus backup-ring residency),
+// the page-table update and the resume — the quantity the paper's Fig. 3a
+// reports as ≈90% at 4 KB. Returns 0 if there is no total, the total is
+// empty (avoiding a 0/0 NaN), or the map holds only nil/zero-count
+// histograms.
 func HardwareShare(stages map[string]*sim.Histogram) float64 {
 	tot := safeHist(stages["total"])
 	if tot.Count() == 0 || tot.Mean() == 0 {
 		return 0
 	}
-	hw := 0.0
-	for _, n := range []string{"firmware", "update", "resume"} {
-		if h := safeHist(stages[n]); h.Count() > 0 {
-			// Sum of per-fault means: stages may not appear on every
-			// fault, so weight by occurrence count relative to totals.
-			hw += h.Mean() * float64(h.Count()) / float64(tot.Count())
+	// A stage's summed time, not its mean: stages may not appear on every
+	// fault, so each contributes by its occurrence count.
+	sum := func(name string) float64 {
+		if h := safeHist(stages[name]); h.Count() > 0 {
+			return h.Mean() * float64(h.Count())
 		}
+		return 0
 	}
-	return finite(hw / tot.Mean())
+	hw := sum("fault-report") - sum("parked") + sum("update") + sum("resume")
+	return finite(hw / float64(tot.Count()) / tot.Mean())
 }

@@ -16,8 +16,8 @@ func TestStageTableGuards(t *testing.T) {
 	cases := map[string]map[string]*sim.Histogram{
 		"empty map":       {},
 		"nil total":       {"total": nil},
-		"nil stage":       {"firmware": nil, "total": &sim.Histogram{}},
-		"zero-count hist": {"firmware": {}, "update": {}, "total": {}},
+		"nil stage":       {"fault-report": nil, "total": &sim.Histogram{}},
+		"zero-count hist": {"fault-report": {}, "update": {}, "total": {}},
 	}
 	for name, stages := range cases {
 		var b bytes.Buffer
@@ -42,7 +42,7 @@ func TestHardwareShareFinite(t *testing.T) {
 	bad.Add(math.NaN())
 	tot := &sim.Histogram{}
 	tot.Add(100)
-	stages := map[string]*sim.Histogram{"firmware": bad, "total": tot}
+	stages := map[string]*sim.Histogram{"fault-report": bad, "total": tot}
 	if got := HardwareShare(stages); math.IsNaN(got) || math.IsInf(got, 0) {
 		t.Fatalf("HardwareShare = %v, want finite", got)
 	}
@@ -54,7 +54,8 @@ func TestHardwareShareFinite(t *testing.T) {
 }
 
 // TestHardwareShareStillComputes sanity-checks the happy path after the
-// guards: hw-stage mass over total mean.
+// guards: hw-stage mass, with backup-ring residency taken out of the
+// fault-report stage, over total mean.
 func TestHardwareShareStillComputes(t *testing.T) {
 	h := func(vals ...float64) *sim.Histogram {
 		hh := &sim.Histogram{}
@@ -64,11 +65,12 @@ func TestHardwareShareStillComputes(t *testing.T) {
 		return hh
 	}
 	stages := map[string]*sim.Histogram{
-		"firmware": h(10, 10),
-		"update":   h(20, 20),
-		"resume":   h(60, 60),
-		"driver":   h(10, 10),
-		"total":    h(100, 100),
+		"fault-report": h(15, 15),
+		"parked":       h(5, 5),
+		"update":       h(20, 20),
+		"resume":       h(60, 60),
+		"driver":       h(10, 10),
+		"total":        h(100, 100),
 	}
 	if got := HardwareShare(stages); math.Abs(got-0.9) > 1e-9 {
 		t.Fatalf("HardwareShare = %v, want 0.9", got)

@@ -16,24 +16,36 @@
 //     tracer are nil and equally inert. BenchmarkTracerDisabled and
 //     TestTracerDisabledNoAlloc enforce the no-allocation property.
 //   - Hardware/driver layering is preserved: devices (internal/nic,
-//     internal/rc) open root spans when they detect a fault and hand the
-//     SpanID to the driver inside the fault event, mirroring how the real
-//     firmware tags fault reports with a token the driver echoes back.
+//     internal/rc) mint a FaultID when they detect a fault and hand it to
+//     the driver inside the fault event, mirroring how the real firmware
+//     tags fault reports with a token the driver echoes back.
 //
-// The span vocabulary for the NPF lifecycle (Figure 2 / Figure 3a):
+// One recorder holds the NPF lifecycle (Figure 2 / Figure 3a): the
+// FaultRecord (fault.go), one per network page fault, named after the
+// fault path (recv-rnpf, send-local, rx-drop, rx-backup, tx, ...), with
+// the summed duration of each stage:
 //
-//	npf            root span, one per network page fault, named after the
-//	               fault path (recv-rnpf, send-local, rx-drop, rx-backup, ...)
-//	└ firmware     device detects the fault and raises the interrupt [hw]
-//	└ parked       backup-ring residency of the faulting packet (Ethernet)
-//	└ driver       driver + OS produce the pages [sw]
-//	  └ page-resolve   the OS fault-in portion, minor or major
-//	  └ copy           backup-resolver packet merge (memcpy)
-//	└ update       IOMMU page-table update [sw+hw]
-//	└ resume       device notices and resumes the operation [hw]
+//	fault-report      device detects the fault, interrupts, reports [hw]
+//	parked            backup-ring residency of the faulting packet
+//	                  (Ethernet; inside fault-report)
+//	resolver-timeout  aborted resolution attempts and their backoff
+//	oom-backoff       OOM-after-reclaim retry rounds
+//	driver            driver + OS produce the pages [sw]
+//	page-resolve      the OS fault-in portion, minor or major (inside driver)
+//	copy              backup-resolver packet merge (memcpy; inside driver)
+//	degrade-pin       pinning by the DegradeToPinned escape hatch
+//	update            IOMMU page-table update [sw+hw]
+//	resume            device notices and resumes the operation [hw]
 //
-// Invalidation flows use cat "inv"; RNR suspension windows and RDMA read
-// drop windows use cat "rc"; TCP retransmission episodes use cat "tcp".
+// No NPF span is recorded. Span-shaped views of faults — the Chrome
+// export's NPF tracks, npftrace's tree and top-k — are derived from the
+// records at export time by FaultSpans: an "npf" root per fault with the
+// occurring stages laid end to end as children.
+//
+// Recorded spans cover what is not one fault's lifecycle: invalidation
+// flows use cat "inv", pin-down cache acquisitions "pin", RNR suspension
+// windows and RDMA read drop windows "rc", TCP retransmission episodes
+// "tcp", and injected faults "chaos".
 package trace
 
 import "npf/internal/sim"
@@ -55,7 +67,7 @@ type Arg struct {
 type Span struct {
 	ID     SpanID
 	Parent SpanID // 0 for root spans
-	Cat    string // coarse grouping: "npf", "npf.stage", "inv", "rc", "tcp", "pin"
+	Cat    string // coarse grouping: "npf" (derived), "inv", "rc", "tcp", "pin", "chaos"
 	Name   string
 	Start  sim.Time
 	End    sim.Time

@@ -246,16 +246,15 @@ func buildScenario(t *testing.T) *Tracer {
 	tr := New(eng)
 	for i := 0; i < 20; i++ {
 		base := us(int64(i * 300))
-		root := tr.BeginAt(0, "npf", "recv-rnpf", base)
-		tr.ArgInt(root, "pages", int64(i%3+1))
-		tr.Span(root, "npf.stage", "firmware", base, base+us(133))
-		d := tr.Span(root, "npf.stage", "driver", base+us(133), base+us(138))
-		tr.ArgInt(d, "pages", int64(i%3+1))
-		tr.Span(root, "npf.stage", "update", base+us(138), base+us(173))
-		tr.Span(root, "npf.stage", "resume", base+us(173), base+us(213))
-		tr.EndAt(root, base+us(213))
+		id := MintFaultID(1, uint64(i+1))
+		tr.FaultMinted(id, "recv-rnpf", base, 0, 1, i%3+1)
+		tr.FaultStageAt(id, FSReport, base, us(133), 0, 0)
+		tr.FaultStageAt(id, FSDriver, base+us(133), us(5), int64(i%3+1), 0)
+		tr.FaultStageAt(id, FSUpdate, base+us(138), us(35), 0, 0)
+		tr.FaultStageAt(id, FSResume, base+us(173), us(40), 0, 0)
+		tr.FaultDone(id, base+us(213))
 		tr.Counter("core.npfs").Inc()
-		tr.Latency("core.npf_total_us").Observe(us(213))
+		tr.Latency("core.inv_mapped_us").Observe(us(48))
 	}
 	tr.Begin(0, "tcp", "retx-episode") // leave one open
 	return tr
@@ -282,7 +281,8 @@ func TestExportsByteIdentical(t *testing.T) {
 	if err := json.Unmarshal(ja.Bytes(), &decoded); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
-	// 20 roots × 5 spans + 1 open + process meta + 21 thread metas.
+	// 20 derived NPF trees × 5 spans + 1 recorded open span + process meta
+	// + 21 thread metas.
 	if len(decoded.TraceEvents) == 0 {
 		t.Fatal("no events exported")
 	}
@@ -305,7 +305,8 @@ func TestExportsByteIdentical(t *testing.T) {
 
 func TestReportHelpers(t *testing.T) {
 	tr := buildScenario(t)
-	spans := tr.Spans()
+	recs := tr.FaultRecords()
+	spans := FaultSpans(recs)
 
 	top := TopSlowest(spans, "npf", 3)
 	if len(top) != 3 {
@@ -321,12 +322,12 @@ func TestReportHelpers(t *testing.T) {
 		t.Error("tie-break not by span ID")
 	}
 
-	stages := StageBreakdown(spans, "npf")
+	stages := FaultStageBreakdown(recs)
 	if got := stages["total"].Count(); got != 20 {
 		t.Fatalf("total count %d, want 20", got)
 	}
-	if got := stages["firmware"].Mean(); got != 133 {
-		t.Fatalf("firmware mean %v", got)
+	if got := stages["fault-report"].Mean(); got != 133 {
+		t.Fatalf("fault-report mean %v", got)
 	}
 	share := HardwareShare(stages)
 	want := (133.0 + 35 + 40) / 213
@@ -336,8 +337,9 @@ func TestReportHelpers(t *testing.T) {
 
 	var tree bytes.Buffer
 	WriteTree(&tree, spans)
+	WriteTree(&tree, tr.Spans())
 	out := tree.String()
-	if !strings.Contains(out, "recv-rnpf") || !strings.Contains(out, "firmware") {
+	if !strings.Contains(out, "recv-rnpf") || !strings.Contains(out, "fault-report") {
 		t.Fatalf("tree missing spans:\n%s", out)
 	}
 	if !strings.Contains(out, "open") {

@@ -119,22 +119,6 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-// The deprecated positional shims must keep building the same setups as the
-// options they forward to.
-func TestDeprecatedShimsStillWork(t *testing.T) {
-	cluster := NewClusterSeed(5, EthernetFabric())
-	h := cluster.NewHostRAM("h", 1<<30)
-	as := h.NewProcess("p", nil)
-	as.MapBytes(1 << 20)
-	ch := h.OpenChannelRing("p", as, 64, PolicyBackup)
-	if ch == nil || ch.Dev != h.NIC {
-		t.Fatal("shim-built channel not wired to the host NIC")
-	}
-	if got := int64(1 << 30); h.Machine.RAM.Limit != got {
-		t.Fatalf("RAM = %d, want %d", h.Machine.RAM.Limit, got)
-	}
-}
-
 // A cluster-level chaos plan arms before any host exists; faults must still
 // land on devices and drivers added afterwards (late-bound targets).
 func TestClusterChaosLateBinding(t *testing.T) {
@@ -245,7 +229,7 @@ func TestClusterWithKV(t *testing.T) {
 	if len(ij.T.Groups) == 0 || len(ij.T.Drivers) == 0 || len(ij.T.Devs) == 0 {
 		t.Fatal("KV layers did not join the chaos target set")
 	}
-	wl := cluster.KV.NewWorkload(KVWorkloadConfig{
+	wl := cluster.KV.NewWorkload(WorkloadConfig{
 		TargetOps: 600, Keys: 256, Prepopulate: true,
 	})
 	wl.OnDone = func() {
@@ -270,7 +254,7 @@ func TestClusterWithKVOverRC(t *testing.T) {
 	cluster := NewCluster(WithSeed(8), WithFabric(InfiniBandFabric()),
 		WithKV(KVConfig{ServerHosts: 3, ClientHosts: 1, Shards: 4,
 			Transport: KVTransportRC, Reg: KVRegPinned}))
-	wl := cluster.KV.NewWorkload(KVWorkloadConfig{TargetOps: 400, Keys: 256, Prepopulate: true})
+	wl := cluster.KV.NewWorkload(WorkloadConfig{TargetOps: 400, Keys: 256, Prepopulate: true})
 	wl.OnDone = func() {
 		cluster.KV.ClientEngine().After(300*Millisecond, func() { cluster.KV.Stop() })
 	}
@@ -344,7 +328,7 @@ func TestClusterWithEnginesKV(t *testing.T) {
 		if len(ij.T.Drivers) != 3 {
 			t.Fatalf("chaos targets hold %d drivers, want the 3 servers", len(ij.T.Drivers))
 		}
-		wl := cluster.KV.NewWorkload(KVWorkloadConfig{
+		wl := cluster.KV.NewWorkload(WorkloadConfig{
 			TargetOps: 600, Keys: 256, Prepopulate: true,
 		})
 		wl.OnDone = func() {

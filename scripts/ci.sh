@@ -38,6 +38,13 @@ go build ./...
 echo "== go test =="
 go test -timeout 20m ./...
 
+# cmd/npfperf is its own module, so the root ./... patterns above never
+# compile it; it imports the simulator's internal packages, so an API
+# change that breaks the benchmark fails here rather than at its run.
+echo "== npfperf module vet / test =="
+go -C cmd/npfperf vet ./...
+go -C cmd/npfperf test -short ./...
+
 # The full experiment suite (internal/bench) takes ~10 minutes without the
 # race detector and blows past any reasonable timeout with it; its heavy
 # tests honour -short, so the race pass runs in short mode and still
@@ -111,15 +118,13 @@ echo "engines matrix ok (chaos + kv + scaleout + anatomy, -engines 1 vs 4)"
 
 # npflint: the determinism contracts (no wall clock in sim layers, no
 # order-dependent map walks, sim.Time-only signatures, nil-safe tracer
-# access, no deprecated positional shims, no host concurrency bypassing
-# the cross-engine mailbox protocol) as a hard machine-checked gate.
-# The optshim analyzer subsumes the old grep-based deprecated-shim gate and
-# is robust to import aliasing and line wrapping; xengine fences the sim
-# layers from sync/channel/go constructs that would race partitions.
-# The v2 interprocedural analyzers ride the same invocation: detflow
-# (transitive nondeterminism reach via facts), noalloc (the //npf:noalloc
-# allocation fence — removing a registered hot-path annotation fails
-# here), and probepure (read-only sampler probes).
+# access, no host concurrency bypassing the cross-engine mailbox protocol)
+# as a hard machine-checked gate. xengine fences the sim layers from
+# sync/channel/go constructs that would race partitions. The v2
+# interprocedural analyzers ride the same invocation: detflow (direct
+# nondeterminism reads plus transitive reach via facts), noalloc (the
+# //npf:noalloc allocation fence — removing a registered hot-path
+# annotation fails here), and probepure (read-only sampler probes).
 echo "== npflint =="
 go run ./cmd/npflint ./...
 
