@@ -14,7 +14,8 @@
 // the -json artifact's "fault_anatomy" section (also rendered standalone by
 // `npftrace anatomy`). When any tracers were built (-trace/-series), the
 // artifact additionally carries a "trace_drops" section summing dropped
-// spans and flight-recorder events/records; npfstat warns when nonzero.
+// spans and flight-recorder events/records. The artifact's types and their
+// npfstat gates are declared in internal/artifact.
 //
 // The extra "scaleout" experiment (also not in the default set) runs the
 // million-user cluster sweep — 1,008 hosts and 101,000 logical clients per
@@ -66,6 +67,7 @@ import (
 	"sync"
 	"time"
 
+	"npf/internal/artifact"
 	"npf/internal/bench"
 	"npf/internal/chaos"
 	"npf/internal/sim"
@@ -106,150 +108,11 @@ func runChaos(name string, seed int64) int {
 	return code
 }
 
-// expResult is one experiment's row in the -json artifact.
-type expResult struct {
-	Name         string  `json:"name"`
-	WallMs       float64 `json:"wall_ms"`
-	Engines      int     `json:"engines"`
-	Events       uint64  `json:"events"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
-
-// seriesSummary condenses the -series capture into the -json artifact: the
-// digest is the order-invariant fold of every engine's series digest, so
-// two runs of the same seed must agree on it for any -parallel N.
-type seriesSummary struct {
-	Engines    int    `json:"engines"`
-	Samples    int    `json:"samples"`
-	Metrics    int    `json:"metrics"`
-	IntervalNs int64  `json:"interval_ns"`
-	Digest     string `json:"digest"`
-}
-
-// kvRow is one registration policy's row of the KV ablation in the -json
-// artifact. Every field is virtual-time-deterministic given the seed, so
-// npfstat hard-gates them like event counts.
-type kvRow struct {
-	Policy    string  `json:"policy"`
-	Ops       int     `json:"ops"`
-	P99Us     float64 `json:"p99_us"`
-	NPFs      uint64  `json:"npfs"`
-	Evictions uint64  `json:"evictions"`
-	Shed      uint64  `json:"shed"`
-	Failovers uint64  `json:"failovers"`
-}
-
-// scaleoutTenantRow is one tenant of one scale-out fleet in the -json
-// artifact: the registration-policy spectrum as fleet-wide tail latency.
-type scaleoutTenantRow struct {
-	Tenant   string  `json:"tenant"`
-	Reg      string  `json:"reg"`
-	Clients  int     `json:"clients"`
-	Ops      uint64  `json:"ops"`
-	Timeouts uint64  `json:"timeouts"`
-	Lost     uint64  `json:"lost"`
-	P50Us    float64 `json:"p50_us"`
-	P99Us    float64 `json:"p99_us"`
-}
-
-// scaleoutRow is one transport's cluster-sweep fleet in the -json artifact.
-// Hosts, clients, ops, and the fingerprint are exact gates in npfstat (the
-// fingerprint folds every tail percentile, so it is the byte-identity
-// check across engine budgets); bytes_per_host is the cheap-per-host-state
-// gate, held within -count-tol.
-type scaleoutRow struct {
-	Transport    string              `json:"transport"`
-	Hosts        int                 `json:"hosts"`
-	Clients      int                 `json:"clients"`
-	Ops          uint64              `json:"ops"`
-	NPFs         uint64              `json:"npfs"`
-	Evictions    uint64              `json:"evictions"`
-	DropsFault   uint64              `json:"drops_fault"`
-	BytesPerHost int64               `json:"bytes_per_host"`
-	Fingerprint  string              `json:"fingerprint"`
-	Tenants      []scaleoutTenantRow `json:"tenants"`
-}
-
-// scaleoutRows flattens the cluster sweep into artifact rows.
-func scaleoutRows(r *bench.ScaleoutResult) []scaleoutRow {
-	rows := make([]scaleoutRow, len(r.Results))
-	for i, res := range r.Results {
-		row := scaleoutRow{
-			Transport:    res.Transport,
-			Hosts:        res.Hosts,
-			Clients:      res.Clients,
-			Ops:          res.Ops,
-			NPFs:         res.NPFs,
-			Evictions:    res.Evictions,
-			DropsFault:   res.DropsFault,
-			BytesPerHost: res.BytesPerHost,
-			Fingerprint:  fmt.Sprintf("%016x", res.Fingerprint),
-		}
-		for _, tn := range res.Tenants {
-			row.Tenants = append(row.Tenants, scaleoutTenantRow{
-				Tenant:   tn.Tenant,
-				Reg:      tn.Reg,
-				Clients:  tn.Clients,
-				Ops:      tn.Ops,
-				Timeouts: tn.Timeouts,
-				Lost:     tn.Lost,
-				P50Us:    tn.P50us,
-				P99Us:    tn.P99us,
-			})
-		}
-		rows[i] = row
-	}
-	return rows
-}
-
-// scalingRow is one experiment's PDES speedup record in the -json artifact
-// (the "scale" pseudo-experiment): the same partitioned run timed under a
-// 1-thread and an 8-thread engine budget. The partition structure is fixed
-// by the env shape, not the budget, so the event count must agree exactly
-// between the two runs — only wall clock may differ.
-type scalingRow struct {
-	Name    string  `json:"name"`
-	Wall1Ms float64 `json:"engines1_wall_ms"`
-	Wall8Ms float64 `json:"engines8_wall_ms"`
-	Speedup float64 `json:"speedup"`
-	Events  uint64  `json:"events"`
-}
-
-// traceDrops summarises telemetry loss across every tracer the run built:
-// spans dropped at MaxSpans plus fault lifecycle events/records dropped at
-// the flight-recorder bounds. Nonzero values mean the capture was partial
-// (npfstat warns on them); they never affect the simulation itself.
-type traceDrops struct {
-	Tracers        int    `json:"tracers"`
-	Spans          uint64 `json:"dropped_spans"`
-	FaultEvents    uint64 `json:"dropped_fault_events"`
-	FaultRecords   uint64 `json:"dropped_fault_records"`
-	PendingFaults  int    `json:"pending_faults"`
-	CompletedFault int    `json:"completed_faults"`
-}
-
-// benchArtifact is the top-level -json document.
-type benchArtifact struct {
-	GoVersion    string                  `json:"go_version"`
-	GOMAXPROCS   int                     `json:"gomaxprocs"`
-	Parallel     int                     `json:"parallel"`
-	Engines      int                     `json:"engines"`
-	Quick        bool                    `json:"quick"`
-	EngineBench  bench.EngineBenchResult `json:"engine_bench"`
-	Series       *seriesSummary          `json:"series,omitempty"`
-	KV           []kvRow                 `json:"kv,omitempty"`
-	FaultAnatomy []bench.AnatomyRow      `json:"fault_anatomy,omitempty"`
-	ScaleOut     []scaleoutRow           `json:"scale_out,omitempty"`
-	Scaling      []scalingRow            `json:"scaling,omitempty"`
-	TraceDrops   *traceDrops             `json:"trace_drops,omitempty"`
-	Experiments  []expResult             `json:"experiments"`
-}
-
 // runScale times fig4a and table5 as partitioned PDES runs at engine-thread
 // budgets 1 and 8, hard-failing if the event counts differ (they are the
 // same simulation; the budget may only change wall clock). The rows land in
 // the artifact's "scaling" section.
-func runScale(quick bool) ([]scalingRow, string) {
+func runScale(quick bool) ([]artifact.ScalingRow, string) {
 	dur := 80 * sim.Second
 	if quick {
 		dur = 30 * sim.Second
@@ -263,7 +126,7 @@ func runScale(quick bool) ([]scalingRow, string) {
 	}
 	saved := bench.Engines
 	defer func() { bench.Engines = saved }()
-	var rows []scalingRow
+	var rows []artifact.ScalingRow
 	var b strings.Builder
 	b.WriteString("PDES scaling: identical partitioned run, engine-thread budget 1 vs 8\n")
 	if procs := runtime.GOMAXPROCS(0); procs < 8 {
@@ -271,7 +134,7 @@ func runScale(quick bool) ([]scalingRow, string) {
 			"   ratio measures scheduling overhead, not parallel speedup)\n", procs)
 	}
 	for _, ex := range exps {
-		row := scalingRow{Name: ex.name}
+		row := artifact.ScalingRow{Name: ex.name}
 		for _, n := range []int{1, 8} {
 			bench.Engines = n
 			bench.StartEngineStats()
@@ -299,23 +162,6 @@ func runScale(quick bool) ([]scalingRow, string) {
 			ex.name, row.Wall1Ms, row.Wall8Ms, row.Speedup, row.Events)
 	}
 	return rows, b.String()
-}
-
-// kvRows flattens the KV ablation result into artifact rows.
-func kvRows(r *bench.KVResult) []kvRow {
-	rows := make([]kvRow, len(r.Policies))
-	for i, pol := range r.Policies {
-		rows[i] = kvRow{
-			Policy:    pol.String(),
-			Ops:       r.Ops[i],
-			P99Us:     r.P99Us[i],
-			NPFs:      r.NPFs[i],
-			Evictions: r.Evicts[i],
-			Shed:      r.Shed[i],
-			Failovers: r.Failover[i],
-		}
-	}
-	return rows
 }
 
 func main() {
@@ -397,7 +243,7 @@ func main() {
 		}
 	}
 
-	artifact := &benchArtifact{
+	doc := &artifact.Artifact{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Parallel:   *parallel,
@@ -460,21 +306,21 @@ func main() {
 			out = bench.RunAblate().Render()
 		case "kv":
 			r := bench.RunKV(*quick)
-			artifact.KV = kvRows(r)
+			doc.KV = r.Rows()
 			out = r.Render()
 		case "anatomy":
 			r := bench.RunAnatomy(*quick)
-			artifact.FaultAnatomy = r.Rows()
+			doc.FaultAnatomy = r.Rows()
 			out = r.Render()
 		case "scaleout":
 			r := bench.RunScaleout(*quick)
-			artifact.ScaleOut = scaleoutRows(r)
+			doc.ScaleOut = r.Rows()
 			out = r.Render()
 		case "scale":
 			// runScale drives its own engine-stats windows (one per timed
 			// run), so the enclosing window reports zero engines/events for
 			// the "scale" row itself — deterministically.
-			artifact.Scaling, out = runScale(*quick)
+			doc.Scaling, out = runScale(*quick)
 		case "loc":
 			r, err := bench.RunLOC(*root)
 			if err != nil {
@@ -489,7 +335,7 @@ func main() {
 		}
 		wall := time.Since(start)
 		engines, events := bench.StopEngineStats()
-		row := expResult{
+		row := artifact.Experiment{
 			Name:    exp,
 			WallMs:  float64(wall.Microseconds()) / 1000,
 			Engines: engines,
@@ -498,12 +344,12 @@ func main() {
 		if wall > 0 {
 			row.EventsPerSec = float64(events) / wall.Seconds()
 		}
-		artifact.Experiments = append(artifact.Experiments, row)
+		doc.Experiments = append(doc.Experiments, row)
 		fmt.Printf("==== %s (wall %v) ====\n%s\n", exp, wall.Round(time.Millisecond), out)
 	}
 
 	if len(tracers) > 0 {
-		td := &traceDrops{Tracers: len(tracers)}
+		td := &artifact.TraceDrops{Tracers: len(tracers)}
 		for _, tr := range tracers {
 			td.Spans += tr.DroppedSpans()
 			td.FaultEvents += tr.DroppedFaultEvents()
@@ -511,7 +357,7 @@ func main() {
 			td.PendingFaults += tr.PendingFaults()
 			td.CompletedFault += tr.FaultRecordCount()
 		}
-		artifact.TraceDrops = td
+		doc.TraceDrops = td
 		if td.Spans+td.FaultEvents+td.FaultRecords > 0 {
 			fmt.Printf("trace drops: %d spans, %d fault events, %d fault records across %d tracers\n",
 				td.Spans, td.FaultEvents, td.FaultRecords, td.Tracers)
@@ -547,7 +393,7 @@ func main() {
 				names[n] = true
 			}
 		}
-		artifact.Series = &seriesSummary{
+		doc.Series = &artifact.Series{
 			Engines:    len(set),
 			Samples:    samples,
 			Metrics:    len(names),
@@ -559,7 +405,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		artifact.EngineBench = bench.EngineMicrobench()
+		doc.EngineBench = bench.EngineMicrobench()
 		f, err := os.Create(*jsonOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
@@ -567,7 +413,7 @@ func main() {
 		}
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(artifact); err != nil {
+		if err := enc.Encode(doc); err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			os.Exit(1)
 		}
@@ -576,8 +422,8 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("json: wrote %d experiment rows to %s (engine bench: %.1f ns/op, %d allocs/op)\n",
-			len(artifact.Experiments), *jsonOut,
-			artifact.EngineBench.NsPerOp, artifact.EngineBench.AllocsPerOp)
+			len(doc.Experiments), *jsonOut,
+			doc.EngineBench.NsPerOp, doc.EngineBench.AllocsPerOp)
 	}
 
 	if *traceOut != "" {

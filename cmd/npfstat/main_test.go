@@ -5,15 +5,18 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"npf/internal/artifact"
 )
 
-func mkArtifact(events uint64, engines int, wall float64, allocs int64) *artifact {
-	a := &artifact{}
+func mkArtifact(events uint64, engines int, wall float64, allocs int64) *artifact.Artifact {
+	a := &artifact.Artifact{}
 	a.EngineBench.NsPerOp = 14
 	a.EngineBench.AllocsPerOp = allocs
-	a.Experiments = []expRow{{
+	a.Experiments = []artifact.Experiment{{
 		Name: "fig3", WallMs: wall, Engines: engines, Events: events, EventsPerSec: 1e6,
 	}}
 	return a
@@ -37,7 +40,7 @@ func TestDiffPassesOnIdenticalRuns(t *testing.T) {
 
 func TestDiffHardFailures(t *testing.T) {
 	base := mkArtifact(1000, 3, 50, 0)
-	for name, cur := range map[string]*artifact{
+	for name, cur := range map[string]*artifact.Artifact{
 		"event drift":      mkArtifact(1100, 3, 50, 0),
 		"engine mismatch":  mkArtifact(1000, 4, 50, 0),
 		"alloc regression": mkArtifact(1000, 3, 50, 2),
@@ -89,9 +92,9 @@ func TestDiffEventsGateExactly(t *testing.T) {
 	}
 }
 
-func mkScaleArtifact(events uint64, w1, w8 float64) *artifact {
+func mkScaleArtifact(events uint64, w1, w8 float64) *artifact.Artifact {
 	a := mkArtifact(1000, 3, 50, 0)
-	a.Scaling = []scalingRow{{
+	a.Scaling = []artifact.ScalingRow{{
 		Name: "fig4a", Wall1Ms: w1, Wall8Ms: w8, Speedup: w1 / w8, Events: events,
 	}}
 	return a
@@ -109,7 +112,7 @@ func TestDiffScalingGate(t *testing.T) {
 	}
 	warned := false
 	for _, r := range rows {
-		if r.scope == "scale/fig4a" && r.v == vWarn {
+		if r.scope == "scaling/fig4a" && r.v == vWarn {
 			warned = true
 		}
 	}
@@ -128,9 +131,9 @@ func TestDiffScalingGate(t *testing.T) {
 	}
 }
 
-func mkKVArtifact(ops int, npfs, evicts, failovers uint64) *artifact {
+func mkKVArtifact(ops int, npfs, evicts, failovers uint64) *artifact.Artifact {
 	a := mkArtifact(1000, 3, 50, 0)
-	a.KV = []kvRow{{
+	a.KV = []artifact.KVRow{{
 		Policy: "odp", Ops: ops, P99Us: 7000,
 		NPFs: npfs, Evictions: evicts, Failovers: failovers,
 	}}
@@ -146,7 +149,7 @@ func TestDiffKVGate(t *testing.T) {
 	if _, pass := diff(base, mkKVArtifact(1200, 1330, 2040, 0), defCfg); !pass {
 		t.Fatal("in-tolerance KV count drift failed the gate")
 	}
-	for name, cur := range map[string]*artifact{
+	for name, cur := range map[string]*artifact.Artifact{
 		"lost ops":           mkKVArtifact(1199, 1300, 2000, 0),
 		"npf drift":          mkKVArtifact(1200, 2600, 2000, 0),
 		"eviction drift":     mkKVArtifact(1200, 1300, 100, 0),
@@ -169,9 +172,9 @@ func TestDiffKVGate(t *testing.T) {
 	}
 }
 
-func mkAnatomyArtifact(faults, pending int, p99 float64, stage string) *artifact {
+func mkAnatomyArtifact(faults, pending int, p99 float64, stage string) *artifact.Artifact {
 	a := mkArtifact(1000, 3, 50, 0)
-	a.FaultAnatomy = []anatomyRow{{
+	a.FaultAnatomy = []artifact.AnatomyRow{{
 		Policy: "odp", Faults: faults, Pending: pending, NPFs: 1300,
 		TotalP50Us: 250, TotalP99Us: p99,
 		CritStage: stage, CritLayer: "hw", CritHost: 2, CritShare: 0.9,
@@ -188,7 +191,7 @@ func TestDiffAnatomyGate(t *testing.T) {
 	if _, pass := diff(base, mkAnatomyArtifact(1300, 2, 7200, "fault-report"), defCfg); !pass {
 		t.Fatal("in-tolerance anatomy p99 drift failed the gate")
 	}
-	for name, cur := range map[string]*artifact{
+	for name, cur := range map[string]*artifact.Artifact{
 		"fault-count drift": mkAnatomyArtifact(1299, 2, 7000, "fault-report"),
 		"leaked pending":    mkAnatomyArtifact(1300, 3, 7000, "fault-report"),
 		"p99 blowup":        mkAnatomyArtifact(1300, 2, 14000, "fault-report"),
@@ -201,20 +204,173 @@ func TestDiffAnatomyGate(t *testing.T) {
 	// Dropped telemetry warns but does not fail.
 	cur := mkAnatomyArtifact(1300, 2, 7000, "fault-report")
 	cur.FaultAnatomy[0].DroppedEvents = 5
-	cur.TraceDrops = &traceDrops{Tracers: 2, FaultEvents: 5}
+	cur.TraceDrops = &artifact.TraceDrops{Tracers: 2, FaultEvents: 5}
 	rows, pass := diff(base, cur, defCfg)
 	if !pass {
 		t.Fatal("dropped-telemetry warning hard-failed the gate")
 	}
 	warns := 0
 	for _, r := range rows {
-		if r.v == vWarn && r.metric == "dropped" {
+		if r.v == vWarn && r.metric == "dropped_fault_events" {
 			warns++
 		}
 	}
 	if warns != 2 {
 		t.Fatalf("got %d dropped-telemetry warnings, want 2 (row + summary):\n%+v", warns, rows)
 	}
+}
+
+func mkScaleOutArtifact(fingerprint string, hosts int, tenantOps, lost uint64, p99 float64) *artifact.Artifact {
+	a := mkArtifact(1000, 3, 50, 0)
+	a.ScaleOut = []artifact.ScaleOutRow{{
+		Transport: "eth", Hosts: hosts, Clients: 3600, Ops: 7200,
+		NPFs: 900, Evictions: 400, BytesPerHost: 27000, Fingerprint: fingerprint,
+		Tenants: []artifact.TenantRow{
+			{Tenant: "odp", Reg: "odp", Clients: 1200, Ops: tenantOps, Lost: lost, P50Us: 3700, P99Us: p99},
+			{Tenant: "pinned", Reg: "pinned", Clients: 1200, Ops: 2400, P50Us: 220, P99Us: 3600},
+		},
+	}}
+	return a
+}
+
+func TestDiffScaleOutGate(t *testing.T) {
+	mk := func() *artifact.Artifact { return mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 0, 62000) }
+	base := mk()
+	if _, pass := diff(base, mk(), defCfg); !pass {
+		t.Fatal("identical scale-out rows failed the gate")
+	}
+	// Tenant tail percentiles hold within -count-tol.
+	if _, pass := diff(base, mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 0, 63000), defCfg); !pass {
+		t.Fatal("in-tolerance tenant p99 drift failed the gate")
+	}
+	clients, ops := mk(), mk()
+	clients.ScaleOut[0].Clients++
+	ops.ScaleOut[0].Ops--
+	for name, cur := range map[string]*artifact.Artifact{
+		"fingerprint drift": mkScaleOutArtifact("26623ab0ea675b43", 64, 2400, 0, 62000),
+		"host drift":        mkScaleOutArtifact("ae4a32d1b737695a", 63, 2400, 0, 62000),
+		"client drift":      clients,
+		"ops drift":         ops,
+		"tenant ops drift":  mkScaleOutArtifact("ae4a32d1b737695a", 64, 2399, 0, 62000),
+		"tenant lost ops":   mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 1, 62000),
+	} {
+		if _, pass := diff(base, cur, defCfg); pass {
+			t.Fatalf("%s: expected hard failure", name)
+		}
+	}
+	// A transport or tenant the baseline has never seen is structural drift.
+	transport, tenant := mk(), mk()
+	transport.ScaleOut[0].Transport = "ud"
+	tenant.ScaleOut[0].Tenants[1].Tenant = "pindown"
+	for name, cur := range map[string]*artifact.Artifact{"new transport": transport, "new tenant": tenant} {
+		if _, pass := diff(base, cur, defCfg); pass {
+			t.Fatalf("%s: expected hard failure", name)
+		}
+	}
+}
+
+// TestCommittedArtifactVerdicts pins the gate's verdict on every pair of
+// committed artifacts at the CI tolerance: row i is the baseline, column j
+// the current run.
+func TestCommittedArtifactVerdicts(t *testing.T) {
+	names := []string{"baseline", "pr5", "pr6", "pr7", "pr8", "pr10"}
+	want := [][]int{
+		{0, 1, 1, 1, 1, 1},
+		{1, 0, 1, 1, 1, 1},
+		{0, 1, 0, 1, 1, 1},
+		{1, 1, 1, 0, 1, 1},
+		{1, 1, 1, 1, 0, 1},
+		{1, 1, 1, 0, 1, 0},
+	}
+	path := func(name string) string { return filepath.Join("..", "..", "BENCH_"+name+".json") }
+	for i, b := range names {
+		for j, c := range names {
+			if got := run([]string{"-count-tol", "0.10", path(b), path(c)}); got != want[i][j] {
+				t.Errorf("baseline %s vs current %s: exit %d, want %d", b, c, got, want[i][j])
+			}
+		}
+	}
+}
+
+// TestDiffMissingRowsFail checks that a baseline row absent from the
+// current run fails in every keyed section present in both, while the
+// experiment list and baseline-only sections stay a selection.
+func TestDiffMissingRowsFail(t *testing.T) {
+	load := func() *artifact.Artifact {
+		a, err := readArtifact(filepath.Join("..", "..", "BENCH_pr10.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	base := load()
+	cur := load()
+	cur.KV = cur.KV[:len(cur.KV)-1] // drop kv/pinned
+	rows, pass := diff(base, cur, defCfg)
+	if pass {
+		t.Fatal("dropping kv/pinned passed the gate")
+	}
+	found := false
+	for _, r := range rows {
+		found = found || (r.scope == "kv/pinned" && r.v == vFail && r.note == "missing from current run")
+	}
+	if !found {
+		t.Fatalf("no missing-row failure for kv/pinned:\n%+v", rows)
+	}
+
+	tenant := mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 0, 62000)
+	tenant.ScaleOut[0].Tenants = tenant.ScaleOut[0].Tenants[:1]
+	if _, pass := diff(mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 0, 62000), tenant, defCfg); pass {
+		t.Fatal("dropping a scale-out tenant passed the gate")
+	}
+
+	subset := load()
+	subset.Experiments = subset.Experiments[:len(subset.Experiments)-1] // CI skips "scale"
+	subset.Scaling = nil
+	if rows, pass := diff(base, subset, defCfg); !pass {
+		t.Fatalf("omitted experiment or baseline-only section failed the gate:\n%+v", rows)
+	}
+}
+
+// TestArtifactGateTags checks that the schema uses only the gate
+// vocabulary the walker interprets and that every row type has one key.
+func TestArtifactGateTags(t *testing.T) {
+	var check func(typ reflect.Type, row bool)
+	check = func(typ reflect.Type, row bool) {
+		keys := 0
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			gate, where := f.Tag.Get("gate"), typ.Name()+"."+f.Name
+			switch k := f.Type.Kind(); {
+			case k == reflect.Slice:
+				if gate != "" && gate != "subset" {
+					t.Errorf("%s: gate %q on a row slice", where, gate)
+				}
+				check(f.Type.Elem(), true)
+			case k == reflect.Pointer || k == reflect.Struct:
+				if gate != "" {
+					t.Errorf("%s: gate %q on a section", where, gate)
+				}
+				if k == reflect.Pointer {
+					check(f.Type.Elem(), false)
+				} else {
+					check(f.Type, false)
+				}
+			case gate == "key":
+				keys++
+			case gate == "tol" || gate == "timing":
+				if _, ok := number(reflect.Zero(f.Type)); !ok {
+					t.Errorf("%s: gate %q on a non-numeric field", where, gate)
+				}
+			case gate != "" && gate != "exact" && gate != "warn":
+				t.Errorf("%s: unknown gate %q", where, gate)
+			}
+		}
+		if row && keys != 1 {
+			t.Errorf("%s: %d key fields, want 1", typ.Name(), keys)
+		}
+	}
+	check(reflect.TypeOf(artifact.Artifact{}), false)
 }
 
 func TestRelDelta(t *testing.T) {
@@ -269,6 +425,12 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if code := run([]string{base, write("empty.json", `{}`)}); code != 2 {
 		t.Fatalf("malformed artifact exit = %d, want 2", code)
+	}
+	// A renamed section is an unknown field, not a silently skipped gate.
+	renamed := strings.Replace(good, `"experiments"`,
+		`"fault_anatomy_rows":[{"policy":"odp","faults":1}],"experiments"`, 1)
+	if code := run([]string{base, write("renamed.json", renamed)}); code != 2 {
+		t.Fatalf("unknown-field artifact exit = %d, want 2", code)
 	}
 
 	series := write("series.csv", "# series interval_ns=1000 samples=2 metrics=1\ntime_us,m.a\n0,1\n1,2\n")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"npf/internal/artifact"
 	"npf/internal/fabric"
 	"npf/internal/kv"
 	"npf/internal/sim"
@@ -26,24 +27,6 @@ type AnatomyResult struct {
 	EvDrop   []uint64                    // flight-ring events overwritten
 	RecDrop  []uint64                    // records dropped at the cap
 	SpanDrop []uint64                    // spans dropped at MaxSpans
-}
-
-// AnatomyRow is the fault_anatomy artifact section: one row per policy with
-// the headline numbers npfstat gates (see cmd/npfbench, cmd/npfstat).
-type AnatomyRow struct {
-	Policy         string  `json:"policy"`
-	Faults         int     `json:"faults"`
-	Pending        int     `json:"pending"`
-	NPFs           uint64  `json:"npfs"`
-	TotalP50Us     float64 `json:"total_p50_us"`
-	TotalP99Us     float64 `json:"total_p99_us"`
-	CritStage      string  `json:"crit_stage"` // dominant stage of the p99 tail
-	CritLayer      string  `json:"crit_layer"`
-	CritHost       int64   `json:"crit_host"`
-	CritShare      float64 `json:"crit_share"` // mean share of tail-fault totals
-	DroppedEvents  uint64  `json:"dropped_fault_events"`
-	DroppedRecords uint64  `json:"dropped_fault_records"`
-	DroppedSpans   uint64  `json:"dropped_spans"`
 }
 
 // RunAnatomy profiles the NPF lifecycle per registration policy. Each
@@ -153,10 +136,10 @@ func anatomyJob(res *AnatomyResult, i int, pol kv.RegPolicy, ops int) {
 }
 
 // Rows flattens the result into the fault_anatomy artifact section.
-func (r *AnatomyResult) Rows() []AnatomyRow {
-	rows := make([]AnatomyRow, len(r.Policies))
+func (r *AnatomyResult) Rows() []artifact.AnatomyRow {
+	rows := make([]artifact.AnatomyRow, len(r.Policies))
 	for i, pol := range r.Policies {
-		row := AnatomyRow{
+		row := artifact.AnatomyRow{
 			Policy: pol.String(), Faults: r.Faults[i], Pending: r.Pending[i],
 			NPFs:      r.NPFs[i],
 			CritStage: "-", CritLayer: "-", CritHost: -1,

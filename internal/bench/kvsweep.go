@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"npf/internal/artifact"
 	"npf/internal/fabric"
 	"npf/internal/kv"
 	"npf/internal/sim"
@@ -143,6 +144,23 @@ func kvSweepJob(res *KVResult, i int, pol kv.RegPolicy, ops int) {
 	res.Majors[i] = svc.MajorFaults()
 	res.Shed[i] = svc.Shed.N
 	res.Failover[i] = svc.Failovers.N
+}
+
+// Rows flattens the result into the kv artifact section.
+func (r *KVResult) Rows() []artifact.KVRow {
+	rows := make([]artifact.KVRow, len(r.Policies))
+	for i, pol := range r.Policies {
+		rows[i] = artifact.KVRow{
+			Policy:    pol.String(),
+			Ops:       r.Ops[i],
+			P99Us:     r.P99Us[i],
+			NPFs:      r.NPFs[i],
+			Evictions: r.Evicts[i],
+			Shed:      r.Shed[i],
+			Failovers: r.Failover[i],
+		}
+	}
+	return rows
 }
 
 // Render prints the ablation table.

@@ -3,23 +3,15 @@ package bench
 import (
 	"testing"
 
+	"npf/internal/artifact"
 	"npf/internal/sim"
 )
-
-// EngineBenchResult summarizes the sim-engine hot-path microbenchmark for
-// the machine-readable artifact written by cmd/npfbench -json.
-type EngineBenchResult struct {
-	NsPerOp      float64 `json:"ns_per_op"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	BytesPerOp   int64   `json:"bytes_per_op"`
-	EventsPerSec float64 `json:"events_per_sec"`
-}
 
 // EngineMicrobench runs the same steady-state schedule-and-dispatch loop as
 // BenchmarkEngineEventThroughput in internal/sim and returns its figures.
 // Steady state must be allocation-free (the engine's free list absorbs all
 // event churn); the perf gate in scripts/ci.sh asserts AllocsPerOp == 0.
-func EngineMicrobench() EngineBenchResult {
+func EngineMicrobench() artifact.EngineBench {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		e := sim.NewEngine(1)
@@ -36,7 +28,7 @@ func EngineMicrobench() EngineBenchResult {
 		e.Run()
 	})
 	ns := float64(r.T.Nanoseconds()) / float64(r.N)
-	res := EngineBenchResult{
+	res := artifact.EngineBench{
 		NsPerOp:     ns,
 		AllocsPerOp: r.AllocsPerOp(),
 		BytesPerOp:  r.AllocedBytesPerOp(),

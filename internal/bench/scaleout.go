@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"npf/internal/artifact"
 	"npf/internal/fabric"
 	"npf/internal/topo"
 	"npf/internal/workload"
@@ -92,6 +93,38 @@ func scaleoutJob(res *ScaleoutResult, i int, tr topo.Transport, quick bool) {
 	}
 	s.Run()
 	res.Results[i] = s.Result()
+}
+
+// Rows flattens the sweep into the scale_out artifact section.
+func (r *ScaleoutResult) Rows() []artifact.ScaleOutRow {
+	rows := make([]artifact.ScaleOutRow, len(r.Results))
+	for i, res := range r.Results {
+		row := artifact.ScaleOutRow{
+			Transport:    res.Transport,
+			Hosts:        res.Hosts,
+			Clients:      res.Clients,
+			Ops:          res.Ops,
+			NPFs:         res.NPFs,
+			Evictions:    res.Evictions,
+			DropsFault:   res.DropsFault,
+			BytesPerHost: res.BytesPerHost,
+			Fingerprint:  fmt.Sprintf("%016x", res.Fingerprint),
+		}
+		for _, tn := range res.Tenants {
+			row.Tenants = append(row.Tenants, artifact.TenantRow{
+				Tenant:   tn.Tenant,
+				Reg:      tn.Reg,
+				Clients:  tn.Clients,
+				Ops:      tn.Ops,
+				Timeouts: tn.Timeouts,
+				Lost:     tn.Lost,
+				P50Us:    tn.P50us,
+				P99Us:    tn.P99us,
+			})
+		}
+		rows[i] = row
+	}
+	return rows
 }
 
 // Render prints the fleet table plus the per-tenant policy spectrum.

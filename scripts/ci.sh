@@ -175,30 +175,25 @@ print("fault anatomy ok:", ", ".join(
     f"{r['policy']}: faults={r['faults']} crit={r['crit_stage']}" for r in an))
 EOF
 
-# npfstat regression gate: the quick run above must stay within generous
-# deltas of the committed baseline (BENCH_pr10.json, the current
-# reference: the quick fig3/ablate/kv/anatomy suite plus the KV ablation,
-# fault-anatomy, and PDES scaling sections). Structural drift (missing
-# experiments, engine-count changes, any event-count delta — engines and
-# events gate exactly — KV metric drift beyond -count-tol, fault-anatomy
-# drift: faults/pending and the critical-path stage/layer/host exactly,
-# percentiles within -count-tol, allocs/op regressions) hard-fails;
-# wall-clock deltas are machine noise and only warn, and dropped-telemetry
-# counts warn. The baseline was captured with the same -series flag as the
-# run above, so sampler tick events match exactly; regenerate it with
+# npfstat regression gate: diff the quick run above against the committed
+# BENCH_pr10.json. What each field gates on is its gate tag in
+# internal/artifact (the package doc tables the vocabulary). The baseline
+# was captured with the same -series flag as the run above, so sampler
+# tick events match exactly; regenerate it with
 #   go run ./cmd/npfbench -quick -parallel 0 -series /dev/null \
 #       -json BENCH_pr10.json fig3 ablate kv anatomy scale
-# (the trailing scale experiment adds the scaling section; the diff
-# ignores baseline-only sections, so CI skips re-measuring it).
+# (the trailing scale experiment adds the scaling section; the experiment
+# list is a subset gate and baseline-only sections are not gated, so CI
+# skips re-measuring it).
 echo "== npfstat regression gate =="
 go run ./cmd/npfstat -count-tol 0.10 -baseline BENCH_pr10.json "$tmpjson"
 
 # Scale-out fleet gate: re-run the full 1,008-host / 101,000-client cluster
 # sweep (both transports, the fixed 8-partition group, ~10 s at -engines 8)
-# and hard-gate it against the committed BENCH_pr8.json: fleet shape,
-# completed ops, and the run fingerprint must match exactly — the sweep is
-# byte-identical for every -engines and -parallel value — and bytes-per-host
-# must hold within -count-tol. Regenerate the baseline with
+# and gate it against the committed BENCH_pr8.json per the scale_out tags
+# in internal/artifact; the sweep is byte-identical for every -engines and
+# -parallel value, so its fingerprint gates exactly. Regenerate the
+# baseline with
 #   go run ./cmd/npfbench -engines 8 -parallel 0 -json BENCH_pr8.json scaleout
 echo "== scale-out fleet gate =="
 go run ./cmd/npfbench -engines 8 -parallel 0 -json "$tmpjson" scaleout > /dev/null
