@@ -77,6 +77,12 @@ var Required = map[string][]string{
 	"npf/internal/sim": {
 		"Engine.At", "Engine.After", "Engine.Cancel",
 	},
+	"npf/internal/fabric": {
+		"port.enqueue", "port.kick",
+	},
+	"npf/internal/iommu": {
+		"iotlb.lookup", "iotlb.insert", "iotlb.invalidate",
+	},
 	"npf/internal/trace": {
 		"Tracer.Begin", "Tracer.End", "Tracer.ArgInt",
 		"Tracer.FaultMinted", "Tracer.FaultStageAt", "Tracer.FaultDone",

@@ -55,3 +55,19 @@ func Cold() []int {
 	m := map[string]int{"k": 1}
 	return append([]int(nil), m["k"])
 }
+
+// HotGeneric calls generic methods, across packages and within this one:
+// each call names an instantiation and is judged by its declaration.
+//
+//npf:noalloc
+func HotGeneric(st *dep.Stack[int], b *box[int]) {
+	st.Push(1) // want `call to dep\.Stack\.Push allocates: append may grow the backing array inside //npf:noalloc fence of HotGeneric`
+	_ = st.Len()
+	b.add(2)
+}
+
+type box[E any] struct{ v []E }
+
+func (b *box[E]) add(v E) {
+	b.v = append(b.v, v) // want `append may grow the backing array inside //npf:noalloc fence of HotGeneric`
+}

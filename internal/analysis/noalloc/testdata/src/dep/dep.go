@@ -17,3 +17,13 @@ func Pure(x int) int { return x + 1 }
 //
 //npf:allocok — reviewed boundary: one warm-up allocation by design
 func Boundary() *T { return &T{} }
+
+// Stack is generic: a fence calls an instantiation (Stack[int].Push), and
+// the verdict comes from the facts on the declared methods.
+type Stack[E any] struct{ s []E }
+
+// Push allocates (growing append).
+func (k *Stack[E]) Push(v E) { k.s = append(k.s, v) }
+
+// Len is proven allocation-free.
+func (k *Stack[E]) Len() int { return len(k.s) }

@@ -87,8 +87,18 @@ func CallEdges(info *types.Info, node ast.Node, foldFuncLits bool) []Edge {
 // StaticCallee resolves call to its compile-time target. isCall is false
 // for builtins and type conversions (no function runs); fn is nil, with
 // isCall true, for dynamic calls — func values, func-typed fields, and
-// interface method calls — whose target cannot be known statically.
+// interface method calls — whose target cannot be known statically. A call
+// into a generic function or type resolves to the generic declaration
+// (Origin), the object that owns the Decl and the facts.
 func StaticCallee(info *types.Info, call *ast.CallExpr) (fn *types.Func, isCall bool) {
+	fn, isCall = staticCallee(info, call)
+	if fn != nil {
+		fn = fn.Origin()
+	}
+	return fn, isCall
+}
+
+func staticCallee(info *types.Info, call *ast.CallExpr) (fn *types.Func, isCall bool) {
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		return nil, false // conversion like []byte(s) or T(x)
 	}

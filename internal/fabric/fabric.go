@@ -82,8 +82,8 @@ type Network struct {
 	cfg   Config
 	rng   *sim.Rand
 
-	nodes   map[NodeID]*node
-	nextsID NodeID
+	// nodes is indexed by NodeID. IDs are dense from 1, so slot 0 is nil.
+	nodes []*node
 }
 
 type node struct {
@@ -96,8 +96,14 @@ type node struct {
 	// seq numbers this node's in-flight propagations: the deterministic
 	// tiebreak for same-timestamp mailbox deliveries from different sources.
 	seq     uint64
-	egress  *port
-	ingress *port
+	egress  port
+	ingress port
+	// prop holds the packets this node sent on same-engine hops that are
+	// still propagating, oldest first; each one's land event pops it. The
+	// propagation delay is one constant per network, so a source's land
+	// events fire in the order it scheduled them, which is FIFO order.
+	prop sim.Ring[*Packet]
+	land func()
 	// rng is this link's private loss stream: each node draws from its own
 	// deterministic sequence, so loss outcomes on one link do not depend on
 	// how deliveries interleave with other links' traffic.
@@ -120,7 +126,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		eng:   eng,
 		cfg:   cfg,
 		rng:   eng.Rand().Split(),
-		nodes: make(map[NodeID]*node),
+		nodes: make([]*node, 1),
 	}
 }
 
@@ -157,13 +163,24 @@ func (n *Network) Attach(ep Endpoint) NodeID {
 // per-partition engine of the host that owns it. Attachment must happen
 // before the group runs (construction is single-threaded).
 func (n *Network) AttachOn(ep Endpoint, eng *sim.Engine) NodeID {
-	n.nextsID++
-	id := n.nextsID
+	id := NodeID(len(n.nodes))
 	nd := &node{id: id, endpoint: ep, eng: eng, part: eng.Partition(), rng: n.rng.Split()}
-	nd.egress = newPort(nd, fmt.Sprintf("egress-%d", id), n.cfg.RateBps, 1<<30, true)
-	nd.ingress = newPort(nd, fmt.Sprintf("ingress-%d", id), n.cfg.RateBps, n.cfg.IngressBufferBytes, n.cfg.Lossless)
-	n.nodes[id] = nd
+	nd.egress.init(nd, n.cfg.RateBps, 1<<30, true, func(p *Packet) { n.hop(nd, p) })
+	nd.ingress.init(nd, n.cfg.RateBps, n.cfg.IngressBufferBytes, n.cfg.Lossless, func(p *Packet) { n.deliver(nd, p) })
+	nd.land = func() {
+		p := nd.prop.Pop()
+		n.arrive(n.nodes[p.Dst], p)
+	}
+	n.nodes = append(n.nodes, nd)
 	return id
+}
+
+// node returns the attached node with the given id, or nil.
+func (n *Network) node(id NodeID) *node {
+	if id <= 0 || int(id) >= len(n.nodes) {
+		return nil
+	}
+	return n.nodes[id]
 }
 
 // Engine returns the engine a node's events run on.
@@ -186,11 +203,10 @@ func (n *Network) InjectedDrops() uint64 {
 	return n.sum(func(nd *node) uint64 { return nd.injectedDrops.N })
 }
 
-// sum folds a per-node statistic; addition commutes, so map order is fine.
+// sum folds a per-node statistic.
 func (n *Network) sum(f func(*node) uint64) uint64 {
 	var total uint64
-	//npf:orderinvariant — summation commutes
-	for _, nd := range n.nodes {
+	for _, nd := range n.nodes[1:] {
 		total += f(nd)
 	}
 	return total
@@ -209,53 +225,57 @@ func (n *Network) SetNodeRate(id NodeID, rateBps int64) {
 // serialization — unless it is dropped by a full ingress buffer or the loss
 // injector.
 func (n *Network) Send(pkt *Packet) {
-	src, ok := n.nodes[pkt.Src]
-	if !ok {
+	src := n.node(pkt.Src)
+	if src == nil {
 		panic(fmt.Sprintf("fabric: send from unattached node %d", pkt.Src))
 	}
-	if _, ok := n.nodes[pkt.Dst]; !ok {
+	if n.node(pkt.Dst) == nil {
 		panic(fmt.Sprintf("fabric: send to unattached node %d", pkt.Dst))
 	}
-	src.egress.enqueue(pkt, func(p *Packet) {
-		// Egress done; after propagation the packet hits the destination
-		// ingress port. In partitioned mode a cross-partition hop rides
-		// the group mailbox — (src node id, per-node seq) is the
-		// deterministic tiebreak for same-instant arrivals from different
-		// senders. A hop between nodes of the same partition must NOT use
-		// the mailbox: a partition's execution bound is derived from the
-		// other partitions' clocks only, so its local tail could run past
-		// a self-posted mail and execute events out of timestamp order.
-		// The engine's own queue orders it correctly (and local events
-		// deterministically precede same-instant cross-partition mail).
-		dst := n.nodes[p.Dst]
-		arrive := func() { n.arrive(dst, p) }
-		if n.group != nil && dst.eng != src.eng {
-			src.seq++
-			n.group.Post(dst.part, src.eng.Now().Add(n.cfg.Propagation),
-				uint64(src.id), src.seq, arrive)
-		} else {
-			src.eng.After(n.cfg.Propagation, arrive)
-		}
-	})
+	src.egress.enqueue(pkt)
 }
 
-// arrive runs on the destination node's partition: ingress serialization,
-// then loss decisions drawn from the destination's private stream.
-func (n *Network) arrive(dst *node, p *Packet) {
-	dst.ingress.enqueue(p, func(p *Packet) {
-		if dst.loss != nil && dst.loss(p) {
-			dst.dropped.Inc()
-			dst.injectedDrops.Inc()
-			return
-		}
-		if n.cfg.LossProbability > 0 && dst.rng.Bernoulli(n.cfg.LossProbability) {
-			dst.dropped.Inc()
-			return
-		}
-		dst.delivered.Inc()
-		dst.deliveredBytes.Add(uint64(p.Size))
-		dst.endpoint.Deliver(p)
-	})
+// hop runs when a packet leaves src's egress port: after propagation it
+// reaches the destination's ingress port. In partitioned mode a
+// cross-partition hop rides the group mailbox — (src node id, per-node seq)
+// is the deterministic tiebreak for same-instant arrivals from different
+// senders. A hop between nodes of the same partition must NOT use the
+// mailbox: a partition's execution bound is derived from the other
+// partitions' clocks only, so its local tail could run past a self-posted
+// mail and execute events out of timestamp order. The engine's own queue
+// orders it correctly (and local events deterministically precede
+// same-instant cross-partition mail).
+func (n *Network) hop(src *node, p *Packet) {
+	dst := n.nodes[p.Dst]
+	if n.group != nil && dst.eng != src.eng {
+		src.seq++
+		n.group.Post(dst.part, src.eng.Now().Add(n.cfg.Propagation),
+			uint64(src.id), src.seq, func() { n.arrive(dst, p) })
+		return
+	}
+	src.prop.Push(p)
+	src.eng.After(n.cfg.Propagation, src.land)
+}
+
+// arrive runs on the destination node's partition: the packet enters
+// ingress serialization.
+func (n *Network) arrive(dst *node, p *Packet) { dst.ingress.enqueue(p) }
+
+// deliver runs when a packet leaves dst's ingress port: loss decisions
+// drawn from the destination's private stream, then the endpoint.
+func (n *Network) deliver(dst *node, p *Packet) {
+	if dst.loss != nil && dst.loss(p) {
+		dst.dropped.Inc()
+		dst.injectedDrops.Inc()
+		return
+	}
+	if n.cfg.LossProbability > 0 && dst.rng.Bernoulli(n.cfg.LossProbability) {
+		dst.dropped.Inc()
+		return
+	}
+	dst.delivered.Inc()
+	dst.deliveredBytes.Add(uint64(p.Size))
+	dst.endpoint.Deliver(p)
 }
 
 // SetLossFunc installs (or, with nil, removes) an injected per-link loss
@@ -281,11 +301,9 @@ func (n *Network) SetLinkDown(id NodeID, down bool) {
 // NodeIDs returns every attached node id in ascending order (a stable
 // enumeration for fault injectors and diagnostics).
 func (n *Network) NodeIDs() []NodeID {
-	ids := make([]NodeID, 0, len(n.nodes))
-	for id := NodeID(1); int(id) <= len(n.nodes); id++ {
-		if _, ok := n.nodes[id]; ok {
-			ids = append(ids, id)
-		}
+	ids := make([]NodeID, 0, len(n.nodes)-1)
+	for _, nd := range n.nodes[1:] {
+		ids = append(ids, nd.id)
 	}
 	return ids
 }
@@ -314,28 +332,33 @@ func (n *Network) QueuedBytes(id NodeID) int {
 // all of its events on that node's engine.
 type port struct {
 	owner    *node
-	name     string
 	rateBps  int64
 	capBytes int
 	lossless bool
 
-	queue       []portItem
+	// cur is the packet being serialized, nil while the port is idle; queue
+	// holds the packets waiting behind it.
+	cur         *Packet
+	queue       sim.Ring[*Packet]
 	queuedBytes int
-	busy        bool
 	paused      bool
 	blackhole   bool
-}
 
-type portItem struct {
-	pkt  *Packet
+	// done takes each packet as its serialization completes; fire is the
+	// serialization-complete event. Both are bound once, at attach time, so
+	// a hop creates no closure.
 	done func(*Packet)
+	fire func()
 }
 
-func newPort(owner *node, name string, rateBps int64, capBytes int, lossless bool) *port {
-	return &port{owner: owner, name: name, rateBps: rateBps, capBytes: capBytes, lossless: lossless}
+func (p *port) init(owner *node, rateBps int64, capBytes int, lossless bool, done func(*Packet)) {
+	p.owner, p.rateBps, p.capBytes, p.lossless = owner, rateBps, capBytes, lossless
+	p.done = done
+	p.fire = p.serialized
 }
 
-func (p *port) enqueue(pkt *Packet, done func(*Packet)) {
+//npf:noalloc
+func (p *port) enqueue(pkt *Packet) {
 	if p.blackhole {
 		p.owner.dropped.Inc()
 		return
@@ -344,7 +367,7 @@ func (p *port) enqueue(pkt *Packet, done func(*Packet)) {
 		p.owner.dropped.Inc()
 		return
 	}
-	p.queue = append(p.queue, portItem{pkt, done})
+	p.queue.Push(pkt)
 	p.queuedBytes += pkt.Size
 	p.kick()
 }
@@ -356,18 +379,22 @@ func (p *port) setPaused(paused bool) {
 	}
 }
 
+//npf:noalloc
 func (p *port) kick() {
-	if p.busy || p.paused || len(p.queue) == 0 {
+	if p.cur != nil || p.paused || p.queue.Len() == 0 {
 		return
 	}
-	item := p.queue[0]
-	p.queue = p.queue[1:]
-	p.queuedBytes -= item.pkt.Size
-	p.busy = true
-	ser := sim.Time(int64(item.pkt.Size) * 8 * int64(sim.Second) / p.rateBps)
-	p.owner.eng.After(ser, func() {
-		p.busy = false
-		item.done(item.pkt)
-		p.kick()
-	})
+	pkt := p.queue.Pop()
+	p.queuedBytes -= pkt.Size
+	p.cur = pkt
+	ser := sim.Time(int64(pkt.Size) * 8 * int64(sim.Second) / p.rateBps)
+	p.owner.eng.After(ser, p.fire)
+}
+
+// serialized is the fire event: the in-service packet has left the port.
+func (p *port) serialized() {
+	pkt := p.cur
+	p.cur = nil
+	p.done(pkt)
+	p.kick()
 }

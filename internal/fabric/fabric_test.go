@@ -224,3 +224,186 @@ func TestPartitionedFabricDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// sendAt schedules a send of one 1000-byte packet, tagged with id, at t.
+func sendAt(eng *sim.Engine, net *Network, t sim.Time, src, dst NodeID, id int) {
+	eng.At(t, func() { net.Send(&Packet{Src: src, Dst: dst, Size: 1000, Payload: id}) })
+}
+
+// checkArrivals compares a sink's delivery log with the expected
+// (payload id, time) sequence.
+func checkArrivals(t *testing.T, s *sink, ids []int, at []sim.Time) {
+	t.Helper()
+	if len(s.pkts) != len(ids) {
+		t.Fatalf("delivered %d packets, want %d (%v)", len(s.pkts), len(ids), s.at)
+	}
+	for i := range ids {
+		if got := s.pkts[i].Payload.(int); got != ids[i] || s.at[i] != at[i] {
+			t.Fatalf("delivery %d: packet %d at %v, want packet %d at %v", i, got, s.at[i], ids[i], at[i])
+		}
+	}
+}
+
+// TestArrivalTimesUnderQueueing pins arrival times for a schedule that
+// keeps more packets queued at the egress port, and in flight on the wire,
+// than a port's or a node's first ring buffer holds, with sends landing
+// while earlier packets are being delivered. At 1 B/ns a 1000-byte packet
+// serializes in 1000 ns, and equal rates never queue at the ingress, so
+// packet i leaves egress at E_i = max(send_i, E_{i-1}) + 1000 and is
+// delivered at E_i + propagation + 1000.
+func TestArrivalTimesUnderQueueing(t *testing.T) {
+	sends := []sim.Time{0, 0, 0, 0, 0, 0, 0, 0, 0, 2500, 9000, 9100, 9200, 9300, 9400, 9500, 9600, 30000, 30000}
+	for _, prop := range []sim.Time{0, 10 * sim.Microsecond} {
+		eng, net, _, b, ida, idb := setup(Config{RateBps: 8e9, Propagation: prop})
+		var ids []int
+		var want []sim.Time
+		var egress sim.Time
+		for i, s := range sends {
+			sendAt(eng, net, s, ida, idb, i)
+			egress = max(s, egress) + 1000
+			ids = append(ids, i)
+			want = append(want, egress+prop+1000)
+		}
+		eng.Run()
+		checkArrivals(t, b, ids, want)
+	}
+}
+
+// TestArrivalTimesPauseMidQueue: pausing an ingress port lets the packet
+// in service finish, holds the rest, and unpausing drains them back to
+// back from the unpause instant.
+func TestArrivalTimesPauseMidQueue(t *testing.T) {
+	eng, net, _, b, ida, idb := setup(Config{RateBps: 8e9, Propagation: 0, Lossless: true})
+	for i := 0; i < 5; i++ {
+		sendAt(eng, net, 0, ida, idb, i)
+	}
+	// Packets reach the ingress at 1000, 2000, ..., 5000 and serialize
+	// there for 1000 ns each. The pause at 2500 catches packet 1 in service.
+	eng.At(2500, func() { net.Pause(idb, true) })
+	eng.At(6000, func() {
+		if q := net.QueuedBytes(idb); q != 3000 {
+			t.Errorf("queued at the paused ingress: %d bytes, want 3000", q)
+		}
+	})
+	eng.At(7000, func() { net.Pause(idb, false) })
+	eng.Run()
+	checkArrivals(t, b, []int{0, 1, 2, 3, 4}, []sim.Time{2000, 3000, 8000, 9000, 10000})
+}
+
+// TestArrivalTimesBlackholeMidQueue: a black hole drops what arrives while
+// it is on; packets already queued behind the one in service still go
+// through.
+func TestArrivalTimesBlackholeMidQueue(t *testing.T) {
+	eng, net, _, b, ida, idb := setup(Config{RateBps: 8e9, Propagation: 0})
+	net.SetNodeRate(idb, 4e9) // ingress at 2000 ns per packet: a queue builds
+	for i := 0; i < 5; i++ {
+		sendAt(eng, net, 0, ida, idb, i)
+	}
+	// Arrivals at 1000..5000; packet 0 is in service 1000-3000 and packet 1
+	// queued behind it when the black hole opens. Only packet 2 (arriving
+	// at 3000) falls in.
+	eng.At(2500, func() { net.SetBlackhole(idb, true) })
+	eng.At(3500, func() { net.SetBlackhole(idb, false) })
+	eng.Run()
+	checkArrivals(t, b, []int{0, 1, 3, 4}, []sim.Time{3000, 5000, 7000, 9000})
+	if net.Dropped() != 1 {
+		t.Fatalf("dropped %d, want 1", net.Dropped())
+	}
+}
+
+// TestArrivalTimesPartitioned: on a partitioned network a same-partition
+// hop (engine queue) and a cross-partition hop (group mailbox) from one
+// sender arrive at the same analytic times for any thread count.
+func TestArrivalTimesPartitioned(t *testing.T) {
+	cfg := Config{RateBps: 8e9, Propagation: 2 * sim.Microsecond}
+	for _, threads := range []int{1, 2} {
+		g := sim.NewGroup(1, 2, cfg.Lookahead())
+		net := NewOnGroup(g, cfg)
+		e0, e1 := g.Engine(0), g.Engine(1)
+		a, near, far := &sink{eng: e0}, &sink{eng: e0}, &sink{eng: e1}
+		ida, idnear, idfar := net.AttachOn(a, e0), net.AttachOn(near, e0), net.AttachOn(far, e1)
+		for i := 0; i < 3; i++ {
+			sendAt(e0, net, 0, ida, idnear, 2*i)
+			sendAt(e0, net, 0, ida, idfar, 2*i+1)
+		}
+		g.SetThreads(threads)
+		g.Run()
+		// Egress alternates near/far, one packet per 1000 ns; each is
+		// delivered propagation + 1000 ns after it leaves.
+		checkArrivals(t, near, []int{0, 2, 4}, []sim.Time{4000, 6000, 8000})
+		checkArrivals(t, far, []int{1, 3, 5}, []sim.Time{5000, 7000, 9000})
+	}
+}
+
+func TestSendToUnattachedNodePanics(t *testing.T) {
+	_, net, _, _, ida, idb := setup(DefaultEthernet())
+	for _, c := range []struct {
+		src, dst NodeID
+		msg      string
+	}{
+		{0, idb, "fabric: send from unattached node 0"},
+		{-1, idb, "fabric: send from unattached node -1"},
+		{ida, 3, "fabric: send to unattached node 3"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != c.msg {
+					t.Errorf("Send(%d -> %d) panicked with %v, want %q", c.src, c.dst, r, c.msg)
+				}
+			}()
+			net.Send(&Packet{Src: c.src, Dst: c.dst, Size: 100})
+		}()
+	}
+}
+
+// countSink counts deliveries without retaining packets.
+type countSink struct{ n int }
+
+func (c *countSink) Deliver(*Packet) { c.n++ }
+
+// sendDeliverRound returns a function that sends 16 packets between two
+// nodes, in both directions, and runs the engine until all are delivered.
+func sendDeliverRound(tb testing.TB) func() {
+	eng := sim.NewEngine(1)
+	net := New(eng, DefaultEthernet())
+	a, b := &countSink{}, &countSink{}
+	ida, idb := net.Attach(a), net.Attach(b)
+	pkts := make([]Packet, 16)
+	for i := range pkts {
+		pkts[i] = Packet{Src: ida, Dst: idb, Size: 1500}
+		if i%2 == 1 {
+			pkts[i].Src, pkts[i].Dst = idb, ida
+		}
+	}
+	return func() {
+		before := a.n + b.n
+		for i := range pkts {
+			net.Send(&pkts[i])
+		}
+		eng.Run()
+		if a.n+b.n != before+len(pkts) {
+			tb.Fatalf("delivered %d of %d", a.n+b.n-before, len(pkts))
+		}
+	}
+}
+
+// TestSendDeliverNoAlloc: on a warm network, moving a packet through
+// egress, propagation and ingress to the endpoint allocates nothing.
+func TestSendDeliverNoAlloc(t *testing.T) {
+	round := sendDeliverRound(t)
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Fatalf("16-packet Send→Deliver round allocates %.1f, want 0", allocs)
+	}
+}
+
+// BenchmarkSendDeliver times one 16-packet Send→Deliver round.
+func BenchmarkSendDeliver(b *testing.B) {
+	b.ReportAllocs()
+	round := sendDeliverRound(b)
+	round()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+}

@@ -55,9 +55,8 @@ func DefaultCosts() Costs {
 
 // Unit is one IOMMU instance (one per NIC).
 type Unit struct {
-	Costs   Costs
-	domains map[DomainID]*Domain
-	nextID  DomainID
+	Costs  Costs
+	nextID DomainID
 
 	iotlb *iotlb
 
@@ -91,10 +90,7 @@ func (u *Unit) SetTracer(tr *trace.Tracer) {
 // New returns a Unit with default costs and an IOTLB of the given capacity
 // in entries (0 disables IOTLB modelling: every access walks).
 func New(iotlbEntries int) *Unit {
-	u := &Unit{
-		Costs:   DefaultCosts(),
-		domains: make(map[DomainID]*Domain),
-	}
+	u := &Unit{Costs: DefaultCosts()}
 	if iotlbEntries > 0 {
 		u.iotlb = newIOTLB(iotlbEntries)
 	}
@@ -117,9 +113,7 @@ type Domain struct {
 // NewDomain allocates a fresh, empty translation domain.
 func (u *Unit) NewDomain() *Domain {
 	u.nextID++
-	d := &Domain{ID: u.nextID, unit: u, present: make(map[mem.PageNum]bool)}
-	u.domains[d.ID] = d
-	return d
+	return &Domain{ID: u.nextID, unit: u, present: make(map[mem.PageNum]bool)}
 }
 
 // Present reports whether page pn currently translates (for at least read

@@ -67,7 +67,9 @@ type TxCompletion struct {
 	Cookie any
 }
 
-// TxHandler receives TX completions.
+// TxHandler receives TX completions. The completions slice is valid only
+// during the call: the queue reuses its backing array for a later batch,
+// so a handler that keeps completions must copy them.
 type TxHandler interface {
 	TxComplete(ch *Channel, completions []TxCompletion)
 }

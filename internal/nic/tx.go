@@ -3,6 +3,7 @@ package nic
 import (
 	"npf/internal/fabric"
 	"npf/internal/mem"
+	"npf/internal/sim"
 )
 
 // TxDesc is one send descriptor: read Len bytes from Buffer and transmit
@@ -23,38 +24,47 @@ type TxDesc struct {
 // wait until the NPF is resolved, as the faulting data is local").
 type TxQueue struct {
 	ch        *Channel
-	queue     []TxDesc
+	queue     sim.Ring[TxDesc]
 	suspended bool
 
+	// completions collects the batch the pending flush will deliver; spare
+	// is the previous batch's buffer, reused by the next one. flush is the
+	// completion interrupt, bound once so a batch creates no closure.
 	compPending bool
 	completions []TxCompletion
+	spare       []TxCompletion
+	flush       func()
 }
 
 func newTxQueue(ch *Channel) *TxQueue {
-	return &TxQueue{ch: ch}
+	q := &TxQueue{ch: ch}
+	q.flush = q.flushCompletions
+	return q
 }
 
 // Suspended reports whether the queue is stalled on an NPF.
 func (q *TxQueue) Suspended() bool { return q.suspended }
 
 // QueuedPackets reports descriptors awaiting transmission.
-func (q *TxQueue) QueuedPackets() int { return len(q.queue) }
+func (q *TxQueue) QueuedPackets() int { return q.queue.Len() }
 
 // Post enqueues descriptors for transmission.
 func (q *TxQueue) Post(descs ...TxDesc) {
-	q.queue = append(q.queue, descs...)
+	for _, d := range descs {
+		q.queue.Push(d)
+	}
 	q.kick()
 }
 
 // kick drains the queue until it is empty or a fault suspends it.
 func (q *TxQueue) kick() {
 	dev := q.ch.Dev
-	for !q.suspended && len(q.queue) > 0 {
-		d := q.queue[0]
+	for !q.suspended && q.queue.Len() > 0 {
+		d := q.queue.Peek()
 		if q.ch.Domain.Blocked(d.Buffer, d.Len) {
 			// Guest-table protection violation: the descriptor is
 			// discarded (the IOuser misprogrammed its own table).
-			q.queue = q.queue[1:]
+			q.queue.Pop()
 			dev.TxDroppedProtect.Inc()
 			continue
 		}
@@ -88,7 +98,7 @@ func (q *TxQueue) kick() {
 			})
 			return
 		}
-		q.queue = q.queue[1:]
+		q.queue.Pop()
 		q.ch.dmaTouch(d.Buffer, d.Len, false)
 		dev.Net.Send(&fabric.Packet{
 			Src:     dev.Node,
@@ -110,13 +120,18 @@ func (q *TxQueue) complete(c TxCompletion) {
 		return
 	}
 	q.compPending = true
-	dev := q.ch.Dev
-	dev.Eng.After(dev.Cfg.IntLatency, func() {
-		q.compPending = false
-		comps := q.completions
-		q.completions = nil
-		if q.ch.txHandler != nil {
-			q.ch.txHandler.TxComplete(q.ch, comps)
-		}
-	})
+	q.ch.Dev.Eng.After(q.ch.Dev.Cfg.IntLatency, q.flush)
+}
+
+// flushCompletions is the coalesced completion interrupt. The two batch
+// buffers swap roles, so completions posted while the handler runs start
+// the next batch without touching the slice the handler was given.
+func (q *TxQueue) flushCompletions() {
+	q.compPending = false
+	comps := q.completions
+	q.completions, q.spare = q.spare[:0], comps
+	if q.ch.txHandler != nil {
+		q.ch.txHandler.TxComplete(q.ch, comps)
+	}
+	clear(comps) // drop the cookies until the buffer is reused
 }

@@ -73,6 +73,22 @@ if ! echo "$out" | grep -q 'BenchmarkEngineEventThroughput.* 0 B/op.* 0 allocs/o
     exit 1
 fi
 
+# The packet path's contract: on a warm network a fabric Send→Deliver
+# round, and an IOTLB miss that inserts and evicts at capacity, allocate
+# nothing. npflint's noalloc Required entries (port.enqueue/kick,
+# iotlb.lookup/insert/invalidate) are the static side of the same gate.
+echo "== packet-path allocation gate =="
+out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc' \
+    -bench 'BenchmarkSendDeliver|BenchmarkIOTLBChurn' -benchtime 10000x \
+    ./internal/fabric/ ./internal/iommu/)
+echo "$out"
+for bench in BenchmarkSendDeliver BenchmarkIOTLBChurn; do
+    if ! echo "$out" | grep -q "$bench.* 0 B/op.* 0 allocs/op"; then
+        echo "$bench is not allocation-free" >&2
+        exit 1
+    fi
+done
+
 # The sweep runner's determinism contract under the race detector: the
 # worker pool fans real figure jobs across 8 goroutines and must produce
 # byte-identical output to the serial run.
