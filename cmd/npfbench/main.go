@@ -4,9 +4,10 @@
 //
 //	npfbench fig3 table4 fig4a fig4b table5 fig7 fig8a fig8b fig9 table6 fig10 ablate loc kv
 //
-// The extra "scale" experiment (not in the default set) times fig4a and
-// table5 as partitioned PDES runs at engine-thread budgets 1 and 8 and
-// records the speedup in the -json artifact's "scaling" section.
+// The extra "scale" experiment (not in the default set) runs fig4a and
+// table5 as partitioned PDES runs at engine-thread budgets 1 and 8, fails
+// unless both budgets execute the same events, and records the count in
+// the -json artifact's "scaling" section.
 //
 // The extra "anatomy" experiment (not in the default set) runs the fault
 // profiler: the distributed-KV deployment per registration policy with the
@@ -41,7 +42,11 @@
 //	            byte-identical for every N >= 1 (0 = historical
 //	            single-engine mode). Applies to -chaos scenarios too.
 //	-json       write a machine-readable BENCH_results.json-style artifact
-//	            (wall clock, simulated events/sec, engine microbenchmark)
+//	            (per-experiment engines and events, engine allocs/op,
+//	            section rows); a pure function of the code, the experiment
+//	            list, -quick and -engines, so byte-identical for every
+//	            -parallel value and on every host. Host timing lives only
+//	            in cmd/npfperf
 //	-trace      write a Chrome trace_event JSON (load in Perfetto /
 //	            about:tracing) covering every engine the selected
 //	            experiments build
@@ -62,7 +67,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -93,14 +97,12 @@ func runChaos(name string, seed int64) int {
 	}
 	code := 0
 	for _, n := range names {
-		start := time.Now()
 		rep, err := chaos.RunScenario(n, seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 			return 2
 		}
-		fmt.Printf("==== chaos %s (wall %v) ====\n%s\n",
-			n, time.Since(start).Round(time.Millisecond), rep.Render())
+		fmt.Printf("==== chaos %s ====\n%s\n", n, rep.Render())
 		if !rep.Pass {
 			code = 1
 		}
@@ -108,10 +110,10 @@ func runChaos(name string, seed int64) int {
 	return code
 }
 
-// runScale times fig4a and table5 as partitioned PDES runs at engine-thread
-// budgets 1 and 8, hard-failing if the event counts differ (they are the
-// same simulation; the budget may only change wall clock). The rows land in
-// the artifact's "scaling" section.
+// runScale runs fig4a and table5 as partitioned PDES runs at engine-thread
+// budgets 1 and 8, hard-failing if the event counts differ: they are the
+// same simulation, and the budget may only change how its windows are
+// scheduled. The rows land in the artifact's "scaling" section.
 func runScale(quick bool) ([]artifact.ScalingRow, string) {
 	dur := 80 * sim.Second
 	if quick {
@@ -129,37 +131,22 @@ func runScale(quick bool) ([]artifact.ScalingRow, string) {
 	var rows []artifact.ScalingRow
 	var b strings.Builder
 	b.WriteString("PDES scaling: identical partitioned run, engine-thread budget 1 vs 8\n")
-	if procs := runtime.GOMAXPROCS(0); procs < 8 {
-		fmt.Fprintf(&b, "  (host has %d usable CPU(s): the budget-8 run timeshares, so the\n"+
-			"   ratio measures scheduling overhead, not parallel speedup)\n", procs)
-	}
 	for _, ex := range exps {
-		row := artifact.ScalingRow{Name: ex.name}
-		for _, n := range []int{1, 8} {
+		var events [2]uint64
+		for i, n := range []int{1, 8} {
 			bench.Engines = n
 			bench.StartEngineStats()
-			start := time.Now()
 			ex.run()
-			wall := float64(time.Since(start).Microseconds()) / 1000
-			_, events := bench.StopEngineStats()
-			if n == 1 {
-				row.Wall1Ms, row.Events = wall, events
-			} else {
-				row.Wall8Ms = wall
-				if events != row.Events {
-					fmt.Fprintf(os.Stderr,
-						"scale: %s event count diverged across thread budgets: %d vs %d\n",
-						ex.name, row.Events, events)
-					os.Exit(1)
-				}
-			}
+			_, events[i] = bench.StopEngineStats()
 		}
-		if row.Wall8Ms > 0 {
-			row.Speedup = row.Wall1Ms / row.Wall8Ms
+		if events[0] != events[1] {
+			fmt.Fprintf(os.Stderr,
+				"scale: %s event count diverged across thread budgets: %d vs %d\n",
+				ex.name, events[0], events[1])
+			os.Exit(1)
 		}
-		rows = append(rows, row)
-		fmt.Fprintf(&b, "  %-8s %9.0f ms -> %7.0f ms   %.2fx   (%d events, identical)\n",
-			ex.name, row.Wall1Ms, row.Wall8Ms, row.Speedup, row.Events)
+		rows = append(rows, artifact.ScalingRow{Name: ex.name, Events: events[0]})
+		fmt.Fprintf(&b, "  %-8s %d events at both budgets\n", ex.name, events[0])
 	}
 	return rows, b.String()
 }
@@ -243,16 +230,9 @@ func main() {
 		}
 	}
 
-	doc := &artifact.Artifact{
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Parallel:   *parallel,
-		Engines:    *engines,
-		Quick:      *quick,
-	}
+	doc := &artifact.Artifact{Engines: *engines, Quick: *quick}
 
 	for _, exp := range experiments {
-		start := time.Now()
 		bench.StartEngineStats()
 		var out string
 		switch exp {
@@ -317,9 +297,9 @@ func main() {
 			doc.ScaleOut = r.Rows()
 			out = r.Render()
 		case "scale":
-			// runScale drives its own engine-stats windows (one per timed
-			// run), so the enclosing window reports zero engines/events for
-			// the "scale" row itself — deterministically.
+			// runScale drives its own engine-stats windows (one per
+			// budget), so the enclosing window reports zero engines/events
+			// for the "scale" row itself — deterministically.
 			doc.Scaling, out = runScale(*quick)
 		case "loc":
 			r, err := bench.RunLOC(*root)
@@ -333,19 +313,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", exp)
 			os.Exit(2)
 		}
-		wall := time.Since(start)
 		engines, events := bench.StopEngineStats()
-		row := artifact.Experiment{
-			Name:    exp,
-			WallMs:  float64(wall.Microseconds()) / 1000,
-			Engines: engines,
-			Events:  events,
-		}
-		if wall > 0 {
-			row.EventsPerSec = float64(events) / wall.Seconds()
-		}
-		doc.Experiments = append(doc.Experiments, row)
-		fmt.Printf("==== %s (wall %v) ====\n%s\n", exp, wall.Round(time.Millisecond), out)
+		doc.Experiments = append(doc.Experiments,
+			artifact.Experiment{Name: exp, Engines: engines, Events: events})
+		fmt.Printf("==== %s ====\n%s\n", exp, out)
 	}
 
 	if len(tracers) > 0 {
@@ -421,9 +392,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("json: wrote %d experiment rows to %s (engine bench: %.1f ns/op, %d allocs/op)\n",
-			len(doc.Experiments), *jsonOut,
-			doc.EngineBench.NsPerOp, doc.EngineBench.AllocsPerOp)
+		fmt.Printf("json: wrote %d experiment rows to %s (engine bench: %d allocs/op)\n",
+			len(doc.Experiments), *jsonOut, doc.EngineBench.AllocsPerOp)
 	}
 
 	if *traceOut != "" {

@@ -16,9 +16,14 @@
 //
 // Diff semantics: every field's gate is the gate tag on its type in
 // internal/artifact, whose package doc tables the vocabulary; npfstat
-// walks the tags and names no section. Artifacts decode strictly: an
-// unknown field is a usage error, so a renamed section cannot skip its
-// gate. Exit codes: 0 pass, 1 fail, 2 usage.
+// walks the tags and names no section. The artifact carries no wall-clock
+// value, so against a reference captured with the same experiments and
+// flags every row of an unchanged tree is ok and any warn or FAIL row is a
+// behaviour change (host time is measured by cmd/npfperf).
+// Artifacts decode strictly: an unknown field is a usage error, so a
+// renamed section cannot skip its gate, and an artifact that still
+// carries the retired wall-clock or host fields is rejected. Exit codes:
+// 0 pass, 1 fail, 2 usage.
 package main
 
 import (
@@ -103,24 +108,17 @@ func fmtDelta(d float64) string {
 	return fmt.Sprintf("%+.1f%%", d*100)
 }
 
-// diffConfig holds the gate thresholds.
-type diffConfig struct {
-	countTol     float64 // hard-fail threshold on gate:"tol" fields
-	timingTol    float64 // warn threshold on gate:"timing" fields
-	failOnTiming bool    // promote timing warnings to failures
-}
-
 // differ accumulates the delta table of one comparison.
 type differ struct {
-	cfg  diffConfig
-	rows []row
-	pass bool
+	countTol float64 // hard-fail threshold on gate:"tol" fields
+	rows     []row
+	pass     bool
 }
 
 // diff compares cur against base and returns the table plus overall pass.
 // The gates are the artifact types' gate tags (see internal/artifact).
-func diff(base, cur *artifact.Artifact, cfg diffConfig) ([]row, bool) {
-	d := &differ{cfg: cfg, pass: true}
+func diff(base, cur *artifact.Artifact, countTol float64) ([]row, bool) {
+	d := &differ{countTol: countTol, pass: true}
 	d.walk("", reflect.ValueOf(base).Elem(), reflect.ValueOf(cur).Elem())
 	return d.rows, d.pass
 }
@@ -228,15 +226,8 @@ func (d *differ) metric(scope, name, gate string, b, c reflect.Value) {
 			r.v, r.note = vFail, "changed (exact gate)"
 		}
 	case "tol":
-		if math.Abs(dlt) > d.cfg.countTol {
-			r.v, r.note = vFail, fmt.Sprintf("beyond count-tol %.2f", d.cfg.countTol)
-		}
-	case "timing":
-		if math.Abs(dlt) > d.cfg.timingTol {
-			r.v, r.note = vWarn, "timing (load-dependent)"
-			if d.cfg.failOnTiming {
-				r.v = vFail
-			}
+		if math.Abs(dlt) > d.countTol {
+			r.v, r.note = vFail, fmt.Sprintf("beyond count-tol %.2f", d.countTol)
 		}
 	case "warn":
 		if changed {
@@ -319,8 +310,6 @@ func run(args []string) int {
 	width := fs.Int("width", 60, "sparkline width for -render")
 	baseline := fs.String("baseline", "", "baseline -json artifact to diff against")
 	countTol := fs.Float64("count-tol", 0.05, "hard-fail threshold on relative deltas of tolerance-gated counts and percentiles (kv, fault anatomy, scale-out)")
-	timingTol := fs.Float64("timing-tol", 0.5, "warn threshold on relative timing deltas (wall clock, events/sec, ns/op, speedup)")
-	failOnTiming := fs.Bool("fail-on-timing", false, "treat timing warnings as failures")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -351,9 +340,7 @@ func run(args []string) int {
 		return 2
 	}
 
-	rows, pass := diff(base, cur, diffConfig{
-		countTol: *countTol, timingTol: *timingTol, failOnTiming: *failOnTiming,
-	})
+	rows, pass := diff(base, cur, *countTol)
 	fmt.Printf("npfstat: %s (baseline) vs %s\n", basePath, curPath)
 	writeTable(os.Stdout, rows)
 	if !pass {

@@ -12,22 +12,19 @@ import (
 	"npf/internal/artifact"
 )
 
-func mkArtifact(events uint64, engines int, wall float64, allocs int64) *artifact.Artifact {
+func mkArtifact(events uint64, engines int, allocs int64) *artifact.Artifact {
 	a := &artifact.Artifact{}
-	a.EngineBench.NsPerOp = 14
 	a.EngineBench.AllocsPerOp = allocs
-	a.Experiments = []artifact.Experiment{{
-		Name: "fig3", WallMs: wall, Engines: engines, Events: events, EventsPerSec: 1e6,
-	}}
+	a.Experiments = []artifact.Experiment{{Name: "fig3", Engines: engines, Events: events}}
 	return a
 }
 
-var defCfg = diffConfig{countTol: 0.05, timingTol: 0.5}
+const tol = 0.05
 
 func TestDiffPassesOnIdenticalRuns(t *testing.T) {
-	base := mkArtifact(1000, 3, 50, 0)
-	cur := mkArtifact(1000, 3, 50, 0)
-	rows, pass := diff(base, cur, defCfg)
+	base := mkArtifact(1000, 3, 0)
+	cur := mkArtifact(1000, 3, 0)
+	rows, pass := diff(base, cur, tol)
 	if !pass {
 		t.Fatalf("identical runs fail:\n%+v", rows)
 	}
@@ -39,42 +36,21 @@ func TestDiffPassesOnIdenticalRuns(t *testing.T) {
 }
 
 func TestDiffHardFailures(t *testing.T) {
-	base := mkArtifact(1000, 3, 50, 0)
+	base := mkArtifact(1000, 3, 0)
 	for name, cur := range map[string]*artifact.Artifact{
-		"event drift":      mkArtifact(1100, 3, 50, 0),
-		"engine mismatch":  mkArtifact(1000, 4, 50, 0),
-		"alloc regression": mkArtifact(1000, 3, 50, 2),
+		"event drift":      mkArtifact(1100, 3, 0),
+		"engine mismatch":  mkArtifact(1000, 4, 0),
+		"alloc regression": mkArtifact(1000, 3, 2),
 	} {
-		if _, pass := diff(base, cur, defCfg); pass {
+		if _, pass := diff(base, cur, tol); pass {
 			t.Fatalf("%s: expected hard failure", name)
 		}
 	}
 	// Unknown experiment: structural drift.
-	cur := mkArtifact(1000, 3, 50, 0)
+	cur := mkArtifact(1000, 3, 0)
 	cur.Experiments[0].Name = "fig99"
-	if _, pass := diff(base, cur, defCfg); pass {
+	if _, pass := diff(base, cur, tol); pass {
 		t.Fatal("unknown experiment passed the gate")
-	}
-}
-
-func TestDiffTimingOnlyWarns(t *testing.T) {
-	base := mkArtifact(1000, 3, 50, 0)
-	cur := mkArtifact(1000, 3, 500, 0) // 10x wall clock: noisy machine
-	rows, pass := diff(base, cur, defCfg)
-	if !pass {
-		t.Fatal("timing delta hard-failed without -fail-on-timing")
-	}
-	warned := false
-	for _, r := range rows {
-		if r.metric == "wall_ms" && r.v == vWarn {
-			warned = true
-		}
-	}
-	if !warned {
-		t.Fatalf("no timing warning emitted:\n%+v", rows)
-	}
-	if _, pass := diff(base, cur, diffConfig{countTol: 0.05, timingTol: 0.5, failOnTiming: true}); pass {
-		t.Fatal("-fail-on-timing did not promote the warning")
 	}
 }
 
@@ -82,57 +58,41 @@ func TestDiffEventsGateExactly(t *testing.T) {
 	// Event counts are a pure function of the seed — conservation across
 	// -parallel and -engines values is part of the determinism contract —
 	// so even a single-event delta is a hard failure, count-tol or not.
-	base := mkArtifact(1000, 3, 50, 0)
-	cur := mkArtifact(1001, 3, 50, 0)
-	if _, pass := diff(base, cur, defCfg); pass {
+	base := mkArtifact(1000, 3, 0)
+	cur := mkArtifact(1001, 3, 0)
+	if _, pass := diff(base, cur, tol); pass {
 		t.Fatal("one-event drift passed the gate")
 	}
-	if _, pass := diff(base, cur, diffConfig{countTol: 0.9, timingTol: 0.5}); pass {
+	if _, pass := diff(base, cur, 0.9); pass {
 		t.Fatal("count-tol loosened the exact events gate")
 	}
 }
 
-func mkScaleArtifact(events uint64, w1, w8 float64) *artifact.Artifact {
-	a := mkArtifact(1000, 3, 50, 0)
-	a.Scaling = []artifact.ScalingRow{{
-		Name: "fig4a", Wall1Ms: w1, Wall8Ms: w8, Speedup: w1 / w8, Events: events,
-	}}
+func mkScaleArtifact(events uint64) *artifact.Artifact {
+	a := mkArtifact(1000, 3, 0)
+	a.Scaling = []artifact.ScalingRow{{Name: "fig4a", Events: events}}
 	return a
 }
 
 func TestDiffScalingGate(t *testing.T) {
-	base := mkScaleArtifact(5_000_000, 8000, 2000)
-	if _, pass := diff(base, mkScaleArtifact(5_000_000, 8000, 2000), defCfg); !pass {
+	base := mkScaleArtifact(5_000_000)
+	if _, pass := diff(base, mkScaleArtifact(5_000_000), tol); !pass {
 		t.Fatal("identical scaling rows failed the gate")
 	}
-	// Wall clock and speedup are machine-load noise: warn only.
-	rows, pass := diff(base, mkScaleArtifact(5_000_000, 16000, 2000), defCfg)
-	if !pass {
-		t.Fatal("scaling wall-clock delta hard-failed")
-	}
-	warned := false
-	for _, r := range rows {
-		if r.scope == "scaling/fig4a" && r.v == vWarn {
-			warned = true
-		}
-	}
-	if !warned {
-		t.Fatalf("no scaling timing warning emitted:\n%+v", rows)
-	}
 	// The event count is the same simulation at two thread budgets: exact.
-	if _, pass := diff(base, mkScaleArtifact(5_000_001, 8000, 2000), defCfg); pass {
+	if _, pass := diff(base, mkScaleArtifact(5_000_001), tol); pass {
 		t.Fatal("scaling event drift passed the gate")
 	}
 	// A scaling row the baseline has never seen is structural drift.
-	cur := mkScaleArtifact(5_000_000, 8000, 2000)
+	cur := mkScaleArtifact(5_000_000)
 	cur.Scaling[0].Name = "table9"
-	if _, pass := diff(base, cur, defCfg); pass {
+	if _, pass := diff(base, cur, tol); pass {
 		t.Fatal("unknown scaling row passed the gate")
 	}
 }
 
 func mkKVArtifact(ops int, npfs, evicts, failovers uint64) *artifact.Artifact {
-	a := mkArtifact(1000, 3, 50, 0)
+	a := mkArtifact(1000, 3, 0)
 	a.KV = []artifact.KVRow{{
 		Policy: "odp", Ops: ops, P99Us: 7000,
 		NPFs: npfs, Evictions: evicts, Failovers: failovers,
@@ -142,11 +102,11 @@ func mkKVArtifact(ops int, npfs, evicts, failovers uint64) *artifact.Artifact {
 
 func TestDiffKVGate(t *testing.T) {
 	base := mkKVArtifact(1200, 1300, 2000, 0)
-	if _, pass := diff(base, mkKVArtifact(1200, 1300, 2000, 0), defCfg); !pass {
+	if _, pass := diff(base, mkKVArtifact(1200, 1300, 2000, 0), tol); !pass {
 		t.Fatal("identical KV rows failed the gate")
 	}
 	// In-tolerance count drift passes; ops drift never does.
-	if _, pass := diff(base, mkKVArtifact(1200, 1330, 2040, 0), defCfg); !pass {
+	if _, pass := diff(base, mkKVArtifact(1200, 1330, 2040, 0), tol); !pass {
 		t.Fatal("in-tolerance KV count drift failed the gate")
 	}
 	for name, cur := range map[string]*artifact.Artifact{
@@ -155,25 +115,25 @@ func TestDiffKVGate(t *testing.T) {
 		"eviction drift":     mkKVArtifact(1200, 1300, 100, 0),
 		"spurious failovers": mkKVArtifact(1200, 1300, 2000, 3),
 	} {
-		if _, pass := diff(base, cur, defCfg); pass {
+		if _, pass := diff(base, cur, tol); pass {
 			t.Fatalf("%s: expected hard failure", name)
 		}
 	}
 	// A policy the baseline has never seen is structural drift.
 	cur := mkKVArtifact(1200, 1300, 2000, 0)
 	cur.KV[0].Policy = "mystery"
-	if _, pass := diff(base, cur, defCfg); pass {
+	if _, pass := diff(base, cur, tol); pass {
 		t.Fatal("unknown KV policy passed the gate")
 	}
 	// A baseline without a KV section gates nothing but also hides nothing:
 	// every current row is "not in baseline".
-	if _, pass := diff(mkArtifact(1000, 3, 50, 0), cur, defCfg); pass {
+	if _, pass := diff(mkArtifact(1000, 3, 0), cur, tol); pass {
 		t.Fatal("KV rows passed against a KV-less baseline")
 	}
 }
 
 func mkAnatomyArtifact(faults, pending int, p99 float64, stage string) *artifact.Artifact {
-	a := mkArtifact(1000, 3, 50, 0)
+	a := mkArtifact(1000, 3, 0)
 	a.FaultAnatomy = []artifact.AnatomyRow{{
 		Policy: "odp", Faults: faults, Pending: pending, NPFs: 1300,
 		TotalP50Us: 250, TotalP99Us: p99,
@@ -184,11 +144,11 @@ func mkAnatomyArtifact(faults, pending int, p99 float64, stage string) *artifact
 
 func TestDiffAnatomyGate(t *testing.T) {
 	base := mkAnatomyArtifact(1300, 2, 7000, "fault-report")
-	if _, pass := diff(base, mkAnatomyArtifact(1300, 2, 7000, "fault-report"), defCfg); !pass {
+	if _, pass := diff(base, mkAnatomyArtifact(1300, 2, 7000, "fault-report"), tol); !pass {
 		t.Fatal("identical anatomy rows failed the gate")
 	}
 	// Percentiles drift within -count-tol; fault accounting never does.
-	if _, pass := diff(base, mkAnatomyArtifact(1300, 2, 7200, "fault-report"), defCfg); !pass {
+	if _, pass := diff(base, mkAnatomyArtifact(1300, 2, 7200, "fault-report"), tol); !pass {
 		t.Fatal("in-tolerance anatomy p99 drift failed the gate")
 	}
 	for name, cur := range map[string]*artifact.Artifact{
@@ -197,7 +157,7 @@ func TestDiffAnatomyGate(t *testing.T) {
 		"p99 blowup":        mkAnatomyArtifact(1300, 2, 14000, "fault-report"),
 		"crit-path shift":   mkAnatomyArtifact(1300, 2, 7000, "driver"),
 	} {
-		if _, pass := diff(base, cur, defCfg); pass {
+		if _, pass := diff(base, cur, tol); pass {
 			t.Fatalf("%s: expected hard failure", name)
 		}
 	}
@@ -205,7 +165,7 @@ func TestDiffAnatomyGate(t *testing.T) {
 	cur := mkAnatomyArtifact(1300, 2, 7000, "fault-report")
 	cur.FaultAnatomy[0].DroppedEvents = 5
 	cur.TraceDrops = &artifact.TraceDrops{Tracers: 2, FaultEvents: 5}
-	rows, pass := diff(base, cur, defCfg)
+	rows, pass := diff(base, cur, tol)
 	if !pass {
 		t.Fatal("dropped-telemetry warning hard-failed the gate")
 	}
@@ -221,7 +181,7 @@ func TestDiffAnatomyGate(t *testing.T) {
 }
 
 func mkScaleOutArtifact(fingerprint string, hosts int, tenantOps, lost uint64, p99 float64) *artifact.Artifact {
-	a := mkArtifact(1000, 3, 50, 0)
+	a := mkArtifact(1000, 3, 0)
 	a.ScaleOut = []artifact.ScaleOutRow{{
 		Transport: "eth", Hosts: hosts, Clients: 3600, Ops: 7200,
 		NPFs: 900, Evictions: 400, BytesPerHost: 27000, Fingerprint: fingerprint,
@@ -236,11 +196,11 @@ func mkScaleOutArtifact(fingerprint string, hosts int, tenantOps, lost uint64, p
 func TestDiffScaleOutGate(t *testing.T) {
 	mk := func() *artifact.Artifact { return mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 0, 62000) }
 	base := mk()
-	if _, pass := diff(base, mk(), defCfg); !pass {
+	if _, pass := diff(base, mk(), tol); !pass {
 		t.Fatal("identical scale-out rows failed the gate")
 	}
 	// Tenant tail percentiles hold within -count-tol.
-	if _, pass := diff(base, mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 0, 63000), defCfg); !pass {
+	if _, pass := diff(base, mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 0, 63000), tol); !pass {
 		t.Fatal("in-tolerance tenant p99 drift failed the gate")
 	}
 	clients, ops := mk(), mk()
@@ -254,7 +214,7 @@ func TestDiffScaleOutGate(t *testing.T) {
 		"tenant ops drift":  mkScaleOutArtifact("ae4a32d1b737695a", 64, 2399, 0, 62000),
 		"tenant lost ops":   mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 1, 62000),
 	} {
-		if _, pass := diff(base, cur, defCfg); pass {
+		if _, pass := diff(base, cur, tol); pass {
 			t.Fatalf("%s: expected hard failure", name)
 		}
 	}
@@ -263,7 +223,7 @@ func TestDiffScaleOutGate(t *testing.T) {
 	transport.ScaleOut[0].Transport = "ud"
 	tenant.ScaleOut[0].Tenants[1].Tenant = "pindown"
 	for name, cur := range map[string]*artifact.Artifact{"new transport": transport, "new tenant": tenant} {
-		if _, pass := diff(base, cur, defCfg); pass {
+		if _, pass := diff(base, cur, tol); pass {
 			t.Fatalf("%s: expected hard failure", name)
 		}
 	}
@@ -271,22 +231,29 @@ func TestDiffScaleOutGate(t *testing.T) {
 
 // TestCommittedArtifactVerdicts pins the gate's verdict on every pair of
 // committed artifacts at the CI tolerance: row i is the baseline, column j
-// the current run.
+// the current run. Each reference passes against itself with no warn row,
+// since the artifact carries nothing host-dependent.
 func TestCommittedArtifactVerdicts(t *testing.T) {
-	names := []string{"baseline", "pr5", "pr6", "pr7", "pr8", "pr10"}
+	names := []string{"pr8", "pr10"}
 	want := [][]int{
-		{0, 1, 1, 1, 1, 1},
-		{1, 0, 1, 1, 1, 1},
-		{0, 1, 0, 1, 1, 1},
-		{1, 1, 1, 0, 1, 1},
-		{1, 1, 1, 1, 0, 1},
-		{1, 1, 1, 0, 1, 0},
+		{0, 1},
+		{1, 0},
 	}
 	path := func(name string) string { return filepath.Join("..", "..", "BENCH_"+name+".json") }
 	for i, b := range names {
 		for j, c := range names {
 			if got := run([]string{"-count-tol", "0.10", path(b), path(c)}); got != want[i][j] {
 				t.Errorf("baseline %s vs current %s: exit %d, want %d", b, c, got, want[i][j])
+			}
+		}
+		a, err := readArtifact(path(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, _ := diff(a, a, 0.10)
+		for _, r := range rows {
+			if r.v != vOK {
+				t.Errorf("%s vs itself: %s/%s verdict %v", b, r.scope, r.metric, r.v)
 			}
 		}
 	}
@@ -306,7 +273,7 @@ func TestDiffMissingRowsFail(t *testing.T) {
 	base := load()
 	cur := load()
 	cur.KV = cur.KV[:len(cur.KV)-1] // drop kv/pinned
-	rows, pass := diff(base, cur, defCfg)
+	rows, pass := diff(base, cur, tol)
 	if pass {
 		t.Fatal("dropping kv/pinned passed the gate")
 	}
@@ -320,14 +287,14 @@ func TestDiffMissingRowsFail(t *testing.T) {
 
 	tenant := mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 0, 62000)
 	tenant.ScaleOut[0].Tenants = tenant.ScaleOut[0].Tenants[:1]
-	if _, pass := diff(mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 0, 62000), tenant, defCfg); pass {
+	if _, pass := diff(mkScaleOutArtifact("ae4a32d1b737695a", 64, 2400, 0, 62000), tenant, tol); pass {
 		t.Fatal("dropping a scale-out tenant passed the gate")
 	}
 
 	subset := load()
 	subset.Experiments = subset.Experiments[:len(subset.Experiments)-1] // CI skips "scale"
 	subset.Scaling = nil
-	if rows, pass := diff(base, subset, defCfg); !pass {
+	if rows, pass := diff(base, subset, tol); !pass {
 		t.Fatalf("omitted experiment or baseline-only section failed the gate:\n%+v", rows)
 	}
 }
@@ -358,7 +325,7 @@ func TestArtifactGateTags(t *testing.T) {
 				}
 			case gate == "key":
 				keys++
-			case gate == "tol" || gate == "timing":
+			case gate == "tol":
 				if _, ok := number(reflect.Zero(f.Type)); !ok {
 					t.Errorf("%s: gate %q on a non-numeric field", where, gate)
 				}
@@ -405,8 +372,8 @@ func TestRunEndToEnd(t *testing.T) {
 		}
 		return p
 	}
-	good := `{"engine_bench":{"ns_per_op":14,"allocs_per_op":0},"experiments":[{"name":"fig3","wall_ms":50,"engines":3,"events":1000,"events_per_sec":1e6}]}`
-	drifted := `{"engine_bench":{"ns_per_op":14,"allocs_per_op":0},"experiments":[{"name":"fig3","wall_ms":50,"engines":3,"events":2000,"events_per_sec":1e6}]}`
+	good := `{"engine_bench":{"allocs_per_op":0},"experiments":[{"name":"fig3","engines":3,"events":1000}]}`
+	drifted := `{"engine_bench":{"allocs_per_op":0},"experiments":[{"name":"fig3","engines":3,"events":2000}]}`
 	base := write("base.json", good)
 	same := write("same.json", good)
 	bad := write("bad.json", drifted)
@@ -431,6 +398,16 @@ func TestRunEndToEnd(t *testing.T) {
 		`"fault_anatomy_rows":[{"policy":"odp","faults":1}],"experiments"`, 1)
 	if code := run([]string{base, write("renamed.json", renamed)}); code != 2 {
 		t.Fatalf("unknown-field artifact exit = %d, want 2", code)
+	}
+	// An artifact that still carries the retired wall-clock or host fields is
+	// rejected rather than half-gated.
+	for name, legacy := range map[string]string{
+		"wall_ms":    strings.Replace(good, `"engines":3`, `"wall_ms":50,"engines":3`, 1),
+		"gomaxprocs": strings.Replace(good, `{"engine_bench"`, `{"gomaxprocs":8,"engine_bench"`, 1),
+	} {
+		if code := run([]string{base, write(name+".json", legacy)}); code != 2 {
+			t.Fatalf("artifact with %s exit = %d, want 2", name, code)
+		}
 	}
 
 	series := write("series.csv", "# series interval_ns=1000 samples=2 metrics=1\ntime_us,m.a\n0,1\n1,2\n")

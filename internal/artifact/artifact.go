@@ -4,14 +4,16 @@
 // decodes them strictly (an unknown field is a usage error) and walks the
 // tags, so a new section costs one struct here and no code in either tool.
 //
+// Every field is a function of the code, the experiment list, -quick and
+// -engines: the document is byte-identical for every -parallel value and
+// on every host. Host time is measured only by cmd/npfperf.
+//
 // The gate vocabulary (`gate:"…"`):
 //
 //	tag      on                 meaning
 //	key      row field          identifies the row; rows match by key
 //	exact    field              any change fails
 //	tol      numeric field      fails when |Δ/baseline| > -count-tol
-//	timing   numeric field      warns when |Δ/baseline| > -timing-tol;
-//	                            fails only with -fail-on-timing
 //	warn     field              warns when the value differs from the baseline
 //	subset   row slice          the current rows may omit baseline rows
 //	(none)   field              not gated
@@ -27,9 +29,6 @@ package artifact
 
 // Artifact is the top-level -json document.
 type Artifact struct {
-	GoVersion    string        `json:"go_version"`
-	GOMAXPROCS   int           `json:"gomaxprocs"`
-	Parallel     int           `json:"parallel"`
 	Engines      int           `json:"engines"`
 	Quick        bool          `json:"quick"`
 	EngineBench  EngineBench   `json:"engine_bench"`
@@ -48,20 +47,15 @@ type Artifact struct {
 // function of the seed for any -parallel or -engines value, so even a
 // one-event delta is a behavioural change.
 type Experiment struct {
-	Name         string  `json:"name" gate:"key"`
-	WallMs       float64 `json:"wall_ms" gate:"timing"`
-	Engines      int     `json:"engines" gate:"exact"`
-	Events       uint64  `json:"events" gate:"exact"`
-	EventsPerSec float64 `json:"events_per_sec" gate:"timing"`
+	Name    string `json:"name" gate:"key"`
+	Engines int    `json:"engines" gate:"exact"`
+	Events  uint64 `json:"events" gate:"exact"`
 }
 
-// EngineBench summarizes the sim-engine hot-path microbenchmark. Steady
-// state is allocation-free, so allocs/op is exact.
+// EngineBench is the sim-engine hot-path allocation check. Steady state is
+// allocation-free, so allocs/op is exact.
 type EngineBench struct {
-	NsPerOp      float64 `json:"ns_per_op" gate:"timing"`
-	AllocsPerOp  int64   `json:"allocs_per_op" gate:"exact"`
-	BytesPerOp   int64   `json:"bytes_per_op"`
-	EventsPerSec float64 `json:"events_per_sec" gate:"timing"`
+	AllocsPerOp int64 `json:"allocs_per_op" gate:"exact"`
 }
 
 // Series condenses the -series capture: the digest is the order-invariant
@@ -140,16 +134,13 @@ type TenantRow struct {
 	P99Us    float64 `json:"p99_us" gate:"tol"`
 }
 
-// ScalingRow is one experiment's PDES speedup record: the same partitioned
-// run timed under a 1-thread and an 8-thread engine budget. The partition
-// structure is fixed by the env shape, so the event count is exact; only
-// wall clock may differ.
+// ScalingRow is one experiment's PDES identity record: the same partitioned
+// run under a 1-thread and an 8-thread engine budget. The partition
+// structure is fixed by the env shape, so both budgets execute the same
+// events and the count is exact.
 type ScalingRow struct {
-	Name    string  `json:"name" gate:"key"`
-	Wall1Ms float64 `json:"engines1_wall_ms" gate:"timing"`
-	Wall8Ms float64 `json:"engines8_wall_ms" gate:"timing"`
-	Speedup float64 `json:"speedup" gate:"timing"`
-	Events  uint64  `json:"events" gate:"exact"`
+	Name   string `json:"name" gate:"key"`
+	Events uint64 `json:"events" gate:"exact"`
 }
 
 // TraceDrops sums telemetry loss across every tracer the run built: spans

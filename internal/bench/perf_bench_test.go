@@ -60,3 +60,11 @@ func BenchmarkBackupReplay(b *testing.B) {
 		as.DiscardPages(page, 1)
 	}
 }
+
+// TestEngineMicrobenchAllocFree pins the -json artifact's engine_bench row:
+// the fixed-count run reports 0 allocs/op, the value CI asserts.
+func TestEngineMicrobenchAllocFree(t *testing.T) {
+	if got := EngineMicrobench().AllocsPerOp; got != 0 {
+		t.Fatalf("EngineMicrobench allocs/op = %d, want 0", got)
+	}
+}

@@ -181,7 +181,7 @@ ORDER = ["fig3", "table4", "fig4a", "fig4b", "table5", "fig7",
 def main():
     text = open(RUN).read()
     blocks = {}
-    for m in re.finditer(r"^==== (\w+) \(wall [^)]*\) ====\n(.*?)(?=^==== |\Z)",
+    for m in re.finditer(r"^==== (\w+) ====\n(.*?)(?=^==== |\Z)",
                          text, re.M | re.S):
         blocks[m.group(1)] = m.group(2).strip("\n")
 
