@@ -83,6 +83,14 @@ var Required = map[string][]string{
 	"npf/internal/iommu": {
 		"iotlb.lookup", "iotlb.insert", "iotlb.invalidate",
 	},
+	"npf/internal/mem": {
+		"PageTable.Get", "PageTable.Lookup",
+		"AddressSpace.lruPush", "AddressSpace.lruRemove",
+	},
+	"npf/internal/rc": {
+		"HCA.send",
+		"QP.PostSend", "QP.PostRecv", "QP.handleAck", "QP.handleData",
+	},
 	"npf/internal/trace": {
 		"Tracer.Begin", "Tracer.End", "Tracer.ArgInt",
 		"Tracer.FaultMinted", "Tracer.FaultStageAt", "Tracer.FaultDone",

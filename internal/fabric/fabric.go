@@ -227,10 +227,10 @@ func (n *Network) SetNodeRate(id NodeID, rateBps int64) {
 func (n *Network) Send(pkt *Packet) {
 	src := n.node(pkt.Src)
 	if src == nil {
-		panic(fmt.Sprintf("fabric: send from unattached node %d", pkt.Src))
+		panic(fmt.Sprintf("fabric: send from unattached node %d", pkt.Src)) //npf:allocok — invariant violation
 	}
 	if n.node(pkt.Dst) == nil {
-		panic(fmt.Sprintf("fabric: send to unattached node %d", pkt.Dst))
+		panic(fmt.Sprintf("fabric: send to unattached node %d", pkt.Dst)) //npf:allocok — invariant violation
 	}
 	src.egress.enqueue(pkt)
 }

@@ -16,36 +16,41 @@ import (
 // outside the allowed set are protection violations the device must drop,
 // *not* NPFs — no amount of IOprovider paging can make them legal.
 type GuestTable struct {
-	allowed map[mem.PageNum]bool
+	allowed mem.PageTable[bool]
+	granted int // pages with allowed set
 
 	// Violations counts accesses the guest table blocked.
 	Violations sim.Counter
 }
 
 // NewGuestTable returns an empty (all-blocking) guest table.
-func NewGuestTable() *GuestTable {
-	return &GuestTable{allowed: make(map[mem.PageNum]bool)}
-}
+func NewGuestTable() *GuestTable { return &GuestTable{} }
 
 // Allow grants DMA access to count pages starting at first.
 func (g *GuestTable) Allow(first mem.PageNum, count int) {
 	for i := 0; i < count; i++ {
-		g.allowed[first+mem.PageNum(i)] = true
+		if p := g.allowed.At(first + mem.PageNum(i)); !*p {
+			*p = true
+			g.granted++
+		}
 	}
 }
 
 // Revoke removes DMA access (the IOuser's fine-grained unmap).
 func (g *GuestTable) Revoke(first mem.PageNum, count int) {
 	for i := 0; i < count; i++ {
-		delete(g.allowed, first+mem.PageNum(i))
+		if p := g.allowed.Lookup(first + mem.PageNum(i)); p != nil && *p {
+			*p = false
+			g.granted--
+		}
 	}
 }
 
 // Allowed reports whether pn may be DMAed.
-func (g *GuestTable) Allowed(pn mem.PageNum) bool { return g.allowed[pn] }
+func (g *GuestTable) Allowed(pn mem.PageNum) bool { return g.allowed.Get(pn) }
 
 // AllowedPages reports the grant count.
-func (g *GuestTable) AllowedPages() int { return len(g.allowed) }
+func (g *GuestTable) AllowedPages() int { return g.granted }
 
 // SetGuestTable installs (or clears, with nil) the guest level on this
 // domain. With a guest table set, every device walk pays a second-level
@@ -65,7 +70,7 @@ func (d *Domain) Blocked(addr mem.VAddr, length int) bool {
 	first := addr.Page()
 	n := mem.PagesSpanned(addr, length)
 	for i := 0; i < n; i++ {
-		if !d.guest.allowed[first+mem.PageNum(i)] {
+		if !d.guest.allowed.Get(first + mem.PageNum(i)) {
 			d.guest.Violations.Inc()
 			return true
 		}

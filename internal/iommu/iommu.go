@@ -19,7 +19,8 @@ import (
 	"npf/internal/trace"
 )
 
-// DomainID identifies a translation domain (one per IOchannel).
+// DomainID identifies a translation domain (one per IOchannel). A Unit
+// numbers its domains densely from 1.
 type DomainID int32
 
 // Costs models hardware/software interaction latencies of the on-NIC IOMMU.
@@ -101,27 +102,35 @@ func New(iotlbEntries int) *Unit {
 // to. Page numbers are in the owning IOuser's virtual address space (the
 // paper's IOVAs equal process virtual addresses for RDMA memory regions).
 type Domain struct {
-	ID      DomainID
-	unit    *Unit
-	present map[mem.PageNum]bool // page → writable
+	ID   DomainID
+	unit *Unit
+	// ptes holds each page's pteMapped and pteWritable bits: the radix
+	// table whose update Figure 3 prices as updatePT.
+	ptes mem.PageTable[uint8]
 	// guest is the optional IOuser-managed first translation level (§2.4).
 	guest *GuestTable
 	// Mapped counts currently present PTEs.
 	Mapped int
 }
 
+// PTE bits of a Domain's page table.
+const (
+	pteMapped   uint8 = 1 << iota // translates for device reads
+	pteWritable                   // translates for device writes too
+)
+
 // NewDomain allocates a fresh, empty translation domain.
 func (u *Unit) NewDomain() *Domain {
 	u.nextID++
-	return &Domain{ID: u.nextID, unit: u, present: make(map[mem.PageNum]bool)}
+	return &Domain{ID: u.nextID, unit: u}
 }
 
 // Present reports whether page pn currently translates (for at least read
 // access).
-func (d *Domain) Present(pn mem.PageNum) bool { _, ok := d.present[pn]; return ok }
+func (d *Domain) Present(pn mem.PageNum) bool { return d.ptes.Get(pn)&pteMapped != 0 }
 
 // Writable reports whether page pn translates for device writes.
-func (d *Domain) Writable(pn mem.PageNum) bool { return d.present[pn] }
+func (d *Domain) Writable(pn mem.PageNum) bool { return d.ptes.Get(pn)&pteWritable != 0 }
 
 // MappedPages returns the number of present PTEs.
 func (d *Domain) MappedPages() int { return d.Mapped }
@@ -144,12 +153,16 @@ func (d *Domain) Map(first mem.PageNum, count int) sim.Time {
 // mapOne installs or upgrades one PTE, returning the per-page increment.
 func (d *Domain) mapOne(pn mem.PageNum, writable bool) sim.Time {
 	d.unit.cMapPages.Inc()
-	w, ok := d.present[pn]
-	if !ok {
-		d.present[pn] = writable
+	e := d.ptes.At(pn)
+	switch {
+	case *e == 0:
+		*e = pteMapped
+		if writable {
+			*e |= pteWritable
+		}
 		d.Mapped++
-	} else if writable && !w {
-		d.present[pn] = true // permission upgrade
+	case writable && *e&pteWritable == 0:
+		*e |= pteWritable // permission upgrade
 		if d.unit.iotlb != nil {
 			d.unit.iotlb.invalidate(d.ID, pn) // stale read-only entry
 		}
@@ -188,14 +201,8 @@ func (d *Domain) MapBatchPerm(pages []mem.PageNum, writable bool) sim.Time {
 func (d *Domain) Unmap(first mem.PageNum, count int) (sim.Time, int) {
 	removed := 0
 	for i := 0; i < count; i++ {
-		pn := first + mem.PageNum(i)
-		if _, ok := d.present[pn]; ok {
-			delete(d.present, pn)
-			d.Mapped--
+		if d.unmapOne(first + mem.PageNum(i)) {
 			removed++
-			if d.unit.iotlb != nil {
-				d.unit.iotlb.invalidate(d.ID, pn)
-			}
 		}
 	}
 	if removed == 0 {
@@ -212,13 +219,8 @@ func (d *Domain) Unmap(first mem.PageNum, count int) (sim.Time, int) {
 func (d *Domain) UnmapBatch(pages []mem.PageNum) (sim.Time, int) {
 	removed := 0
 	for _, pn := range pages {
-		if _, ok := d.present[pn]; ok {
-			delete(d.present, pn)
-			d.Mapped--
+		if d.unmapOne(pn) {
 			removed++
-			if d.unit.iotlb != nil {
-				d.unit.iotlb.invalidate(d.ID, pn)
-			}
 		}
 	}
 	if removed == 0 {
@@ -227,6 +229,21 @@ func (d *Domain) UnmapBatch(pages []mem.PageNum) (sim.Time, int) {
 	d.unit.cUnmapPages.Add(uint64(removed))
 	d.unit.cInvBatch.Inc()
 	return d.unit.Costs.InvalidateSync + sim.Time(removed)*d.unit.Costs.InvalidatePerPage, removed
+}
+
+// unmapOne clears one PTE and its IOTLB entry, reporting whether it was
+// present.
+func (d *Domain) unmapOne(pn mem.PageNum) bool {
+	e := d.ptes.Lookup(pn)
+	if e == nil || *e == 0 {
+		return false
+	}
+	*e = 0
+	d.Mapped--
+	if d.unit.iotlb != nil {
+		d.unit.iotlb.invalidate(d.ID, pn)
+	}
+	return true
 }
 
 // Translate checks translations for the byte range [addr, addr+length) on
@@ -264,21 +281,21 @@ func (d *Domain) TranslateAccess(addr mem.VAddr, length int, write bool) (cost s
 			d.unit.cMisses.Inc()
 			d.unit.cWalks.Inc()
 			cost += walk
-			if w, ok := d.present[pn]; ok && (!write || w) {
-				d.unit.iotlb.insert(d.ID, pn, w)
+			if e := d.ptes.Get(pn); e != 0 && (!write || e&pteWritable != 0) {
+				d.unit.iotlb.insert(d.ID, pn, e&pteWritable != 0)
 			} else {
 				d.unit.Faults.Inc()
 				d.unit.cFaults.Inc()
-				missing = append(missing, pn)
+				missing = append(missing, pn) //npf:allocok — only a faulting access grows the miss list
 			}
 			continue
 		}
 		cost += walk
 		d.unit.cWalks.Inc()
-		if w, ok := d.present[pn]; !ok || (write && !w) {
+		if e := d.ptes.Get(pn); e == 0 || (write && e&pteWritable == 0) {
 			d.unit.Faults.Inc()
 			d.unit.cFaults.Inc()
-			missing = append(missing, pn)
+			missing = append(missing, pn) //npf:allocok — only a faulting access grows the miss list
 		}
 	}
 	return cost, missing

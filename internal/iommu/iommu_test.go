@@ -97,8 +97,8 @@ func TestIOTLBCapacityEviction(t *testing.T) {
 	d := u.NewDomain()
 	d.Map(0, 3)
 	d.Translate(0, 3*mem.PageSize) // fills 3 > capacity 2
-	if len(u.iotlb.index) != 2 {
-		t.Fatalf("iotlb entries = %d, want 2", len(u.iotlb.index))
+	if u.iotlb.cached != 2 {
+		t.Fatalf("iotlb entries = %d, want 2", u.iotlb.cached)
 	}
 	// Page 0 was evicted (oldest): translating it again misses.
 	before := u.iotlb.Misses.N

@@ -5,11 +5,9 @@ import (
 	"npf/internal/sim"
 )
 
-// iotlbKey identifies one cached translation. The domain is widened to 64
-// bits so the key has no padding: the map then hashes it as 16 plain bytes
-// instead of field by field.
+// iotlbKey identifies one cached translation.
 type iotlbKey struct {
-	dom int64
+	dom DomainID
 	pn  mem.PageNum
 }
 
@@ -28,12 +26,16 @@ type iotlbEntry struct {
 //
 // The LRU list is intrusive over a slot array, so a miss, an insert or an
 // eviction allocates nothing once the array has grown: entries grows on
-// demand (never past capacity; most units never fill their cache), and
-// index maps each cached key to its slot.
+// demand (never past capacity; most units never fill their cache). index
+// finds each cached key's slot: one radix table per domain (domain IDs are
+// dense from 1), holding slot+1 so that the zero entry means "not cached".
+// An index leaf, once allocated, is reused by every later entry in its
+// 512-page range.
 type iotlb struct {
 	capacity int
 	entries  []iotlbEntry
-	index    map[iotlbKey]int32
+	index    []mem.PageTable[int32]
+	cached   int // slots holding a translation
 	// head is the least recently used slot, tail the most recently used;
 	// free heads the list of slots vacated by invalidations.
 	head, tail, free int32
@@ -45,7 +47,6 @@ type iotlb struct {
 func newIOTLB(capacity int) *iotlb {
 	return &iotlb{
 		capacity: capacity,
-		index:    make(map[iotlbKey]int32),
 		head:     -1,
 		tail:     -1,
 		free:     -1,
@@ -57,7 +58,7 @@ func newIOTLB(capacity int) *iotlb {
 //
 //npf:noalloc
 func (t *iotlb) lookup(dom DomainID, pn mem.PageNum, write bool) bool {
-	if i, ok := t.index[iotlbKey{int64(dom), pn}]; ok && (!write || t.entries[i].writable) {
+	if i := t.find(dom, pn); i >= 0 && (!write || t.entries[i].writable) {
 		if i != t.tail {
 			t.unlink(i)
 			t.pushBack(i)
@@ -75,8 +76,7 @@ func (t *iotlb) lookup(dom DomainID, pn mem.PageNum, write bool) bool {
 //
 //npf:noalloc
 func (t *iotlb) insert(dom DomainID, pn mem.PageNum, writable bool) {
-	key := iotlbKey{int64(dom), pn}
-	if i, ok := t.index[key]; ok {
+	if i := t.find(dom, pn); i >= 0 {
 		t.entries[i].writable = writable
 		return
 	}
@@ -91,24 +91,44 @@ func (t *iotlb) insert(dom DomainID, pn mem.PageNum, writable bool) {
 	default:
 		i = t.head
 		t.unlink(i)
-		delete(t.index, t.entries[i].key)
+		victim := t.entries[i].key
+		*t.index[victim.dom].Lookup(victim.pn) = 0
+		t.cached--
 	}
-	t.entries[i] = iotlbEntry{key: key, writable: writable}
+	t.entries[i] = iotlbEntry{key: iotlbKey{dom, pn}, writable: writable}
 	t.pushBack(i)
-	t.index[key] = i //npf:allocok — the map stops growing once it holds capacity keys
+	*t.slot(dom, pn) = i + 1 //npf:allocok — a domain's first insert and each new 512-page range allocate an index leaf, once
+	t.cached++
 }
 
 // invalidate drops one cached translation if present.
 //
 //npf:noalloc
 func (t *iotlb) invalidate(dom DomainID, pn mem.PageNum) {
-	key := iotlbKey{int64(dom), pn}
-	if i, ok := t.index[key]; ok {
+	if i := t.find(dom, pn); i >= 0 {
 		t.unlink(i)
-		delete(t.index, key)
+		*t.index[dom].Lookup(pn) = 0
+		t.cached--
 		t.entries[i].next = t.free
 		t.free = i
 	}
+}
+
+// find returns the slot caching (dom, pn), or -1.
+func (t *iotlb) find(dom DomainID, pn mem.PageNum) int32 {
+	if int(dom) >= len(t.index) {
+		return -1
+	}
+	return t.index[dom].Get(pn) - 1
+}
+
+// slot returns (dom, pn)'s index entry, growing the index to dom and
+// allocating the entry's leaf on first use.
+func (t *iotlb) slot(dom DomainID, pn mem.PageNum) *int32 {
+	if n := int(dom) + 1; n > len(t.index) {
+		t.index = append(t.index, make([]mem.PageTable[int32], n-len(t.index))...)
+	}
+	return t.index[dom].At(pn)
 }
 
 // unlink removes slot i from the LRU list.

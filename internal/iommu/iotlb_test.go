@@ -60,8 +60,8 @@ func (r *refLRU) invalidate(k iotlbKey) {
 // compares it, key and permission, with the reference.
 func checkSameLRU(t *testing.T, step int, tl *iotlb, ref *refLRU) {
 	t.Helper()
-	if len(tl.index) != len(ref.ents) {
-		t.Fatalf("step %d: %d cached, reference %d", step, len(tl.index), len(ref.ents))
+	if tl.cached != len(ref.ents) {
+		t.Fatalf("step %d: %d cached, reference %d", step, tl.cached, len(ref.ents))
 	}
 	i := tl.head
 	for n, want := range ref.ents {
@@ -69,8 +69,8 @@ func checkSameLRU(t *testing.T, step int, tl *iotlb, ref *refLRU) {
 			t.Fatalf("step %d: list ends after %d entries, reference has %d", step, n, len(ref.ents))
 		}
 		e := tl.entries[i]
-		if e.key != want.key || e.writable != want.writable || tl.index[e.key] != i {
-			t.Fatalf("step %d: LRU position %d holds %+v (index %d), reference %+v", step, n, e, tl.index[e.key], want)
+		if slot := tl.find(e.key.dom, e.key.pn); e.key != want.key || e.writable != want.writable || slot != i {
+			t.Fatalf("step %d: LRU position %d holds %+v (index %d), reference %+v", step, n, e, slot, want)
 		}
 		i = e.next
 	}
@@ -93,7 +93,7 @@ func TestIOTLBMatchesReferenceLRU(t *testing.T) {
 		// Twice the capacity in distinct pages per domain, so lookups
 		// both hit and miss and inserts both fill and evict.
 		key := func() iotlbKey {
-			return iotlbKey{int64(1 + rng.Intn(2)), mem.PageNum(rng.Intn(2*capacity + 2))}
+			return iotlbKey{DomainID(1 + rng.Intn(2)), mem.PageNum(rng.Intn(2*capacity + 2))}
 		}
 		hits, evictions := 0, 0
 		for step := 0; step < ops; step++ {
@@ -101,7 +101,7 @@ func TestIOTLBMatchesReferenceLRU(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 4: // lookup, one in four with write intent
 				write := op == 0
-				got, want := tl.lookup(DomainID(k.dom), k.pn, write), ref.lookup(k, write)
+				got, want := tl.lookup(k.dom, k.pn, write), ref.lookup(k, write)
 				if got != want {
 					t.Fatalf("cap %d step %d: lookup(%v, write=%v) hit=%v, reference %v", capacity, step, k, write, got, want)
 				}
@@ -110,12 +110,12 @@ func TestIOTLBMatchesReferenceLRU(t *testing.T) {
 				}
 			case op < 8: // insert, half of them read-only
 				var victim iotlbKey
-				_, cached := tl.index[k]
-				full := !cached && len(tl.index) == capacity
+				cached := tl.find(k.dom, k.pn) >= 0
+				full := !cached && tl.cached == capacity
 				if full {
 					victim = tl.entries[tl.head].key
 				}
-				tl.insert(DomainID(k.dom), k.pn, op < 6)
+				tl.insert(k.dom, k.pn, op < 6)
 				refVictim, evicted := ref.insert(k, op < 6)
 				if full != evicted || victim != refVictim {
 					t.Fatalf("cap %d step %d: insert(%v) evicted %v (%v), reference %v (%v)", capacity, step, k, victim, full, refVictim, evicted)
@@ -124,14 +124,14 @@ func TestIOTLBMatchesReferenceLRU(t *testing.T) {
 					evictions++
 				}
 			case op < 9:
-				tl.invalidate(DomainID(k.dom), k.pn)
+				tl.invalidate(k.dom, k.pn)
 				ref.invalidate(k)
 			default: // permission upgrade of a cached entry, in place
 				if len(ref.ents) == 0 {
 					continue
 				}
 				k = ref.ents[rng.Intn(len(ref.ents))].key
-				tl.insert(DomainID(k.dom), k.pn, true)
+				tl.insert(k.dom, k.pn, true)
 				ref.insert(k, true)
 			}
 			checkSameLRU(t, step, tl, ref)
@@ -168,8 +168,8 @@ func churnIOTLB(capacity int) (tl *iotlb, churn func()) {
 func TestIOTLBChurnNoAlloc(t *testing.T) {
 	const capacity = 256
 	tl, churn := churnIOTLB(capacity)
-	if len(tl.index) != capacity {
-		t.Fatalf("warm-up left %d entries, want %d", len(tl.index), capacity)
+	if tl.cached != capacity {
+		t.Fatalf("warm-up left %d entries, want %d", tl.cached, capacity)
 	}
 	if allocs := testing.AllocsPerRun(10*capacity, churn); allocs != 0 {
 		t.Fatalf("IOTLB miss/insert/evict allocates %.2f per op, want 0", allocs)

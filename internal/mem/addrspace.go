@@ -1,7 +1,6 @@
 package mem
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 
@@ -22,7 +21,9 @@ type pte struct {
 	wp      bool // write-protected (COW-shared after Fork)
 	cowCopy bool // first materialisation must copy from the fork parent
 	access  sim.Time
-	lruElem *list.Element // non-nil iff present && !pinned
+	// prev and next link the page into its space's LRU, a circular list
+	// through the space's sentinel; both are non-nil iff present && !pinned.
+	prev, next *pte
 }
 
 // TouchResult summarises the outcome of an access.
@@ -55,9 +56,11 @@ type AddressSpace struct {
 	// first (cgroup, then machine RAM).
 	groups []*Group
 
-	pages map[PageNum]*pte
-	// lru holds resident, unpinned pages; front is coldest.
-	lru *list.List
+	pages PageTable[*pte]
+	ptes  int // entries of pages ever materialised
+	// lru is the sentinel of the list of resident, unpinned pages:
+	// lru.next is the coldest, lru.prev the most recently used.
+	lru pte
 
 	// vmas is a bump allocator: pages [0, mappedPages) are mapped.
 	mappedPages PageNum
@@ -79,12 +82,8 @@ type AddressSpace struct {
 // NewAddressSpace creates an address space on machine m, optionally confined
 // to a cgroup. It registers with every group for reclaim.
 func (m *Machine) NewAddressSpace(name string, cgroup *Group) *AddressSpace {
-	as := &AddressSpace{
-		Name:  name,
-		m:     m,
-		pages: make(map[PageNum]*pte),
-		lru:   list.New(),
-	}
+	as := &AddressSpace{Name: name, m: m}
+	as.lru.prev, as.lru.next = &as.lru, &as.lru
 	if cgroup != nil {
 		as.groups = append(as.groups, cgroup)
 	}
@@ -126,29 +125,57 @@ func (as *AddressSpace) PinnedBytes() int64 { return as.pinnedBytes }
 // PTEs are allocated lazily on first touch, so this is the model-state
 // footprint a scale-out host actually pays for this space — the number the
 // topology layer's bytes-per-host accounting folds in.
-func (as *AddressSpace) PTEs() int { return len(as.pages) }
+func (as *AddressSpace) PTEs() int { return as.ptes }
 
 // RegisterNotifier adds an MMU notifier invoked on invalidations.
 func (as *AddressSpace) RegisterNotifier(n Notifier) { as.notifiers = append(as.notifiers, n) }
 
 func (as *AddressSpace) pte(pn PageNum) *pte {
-	p := as.pages[pn]
-	if p == nil {
-		p = &pte{pn: pn}
-		as.pages[pn] = p
+	pp := as.pages.At(pn)
+	if *pp == nil {
+		*pp = &pte{pn: pn}
+		as.ptes++
 	}
-	return p
+	return *pp
+}
+
+// lruPush appends resident, unpinned page p to the LRU as its most recently
+// used page.
+//
+//npf:noalloc
+func (as *AddressSpace) lruPush(p *pte) {
+	tail := as.lru.prev
+	p.prev, p.next = tail, &as.lru
+	tail.next = p
+	as.lru.prev = p
+}
+
+// lruRemove unlinks p from the LRU.
+//
+//npf:noalloc
+func (as *AddressSpace) lruRemove(p *pte) {
+	p.prev.next = p.next
+	p.next.prev = p.prev
+	p.prev, p.next = nil, nil
+}
+
+// lruTouch makes p, if it is on the LRU, the most recently used page.
+func (as *AddressSpace) lruTouch(p *pte) {
+	if p.next != nil && p.next != &as.lru {
+		as.lruRemove(p)
+		as.lruPush(p)
+	}
 }
 
 // Resident reports whether page pn is currently backed by a frame.
 func (as *AddressSpace) Resident(pn PageNum) bool {
-	p := as.pages[pn]
+	p := as.pages.Get(pn)
 	return p != nil && p.present
 }
 
 // Pinned reports whether page pn is pinned.
 func (as *AddressSpace) Pinned(pn PageNum) bool {
-	p := as.pages[pn]
+	p := as.pages.Get(pn)
 	return p != nil && p.pinned
 }
 
@@ -182,9 +209,7 @@ func (as *AddressSpace) TouchPages(first PageNum, count int, write bool) (TouchR
 				}
 				p.dirty = true
 			}
-			if p.lruElem != nil {
-				as.lru.MoveToBack(p.lruElem)
-			}
+			as.lruTouch(p)
 			continue
 		}
 		cost, major, err := as.faultIn(p)
@@ -227,9 +252,7 @@ func (as *AddressSpace) FaultInRange(first PageNum, count int, write bool) (Touc
 				}
 				p.dirty = true
 			}
-			if p.lruElem != nil {
-				as.lru.MoveToBack(p.lruElem)
-			}
+			as.lruTouch(p)
 			continue
 		}
 		cost, major, err := as.faultIn(p)
@@ -282,7 +305,7 @@ func (as *AddressSpace) faultIn(p *pte) (cost sim.Time, major bool, err error) {
 	as.m.lFault.Observe(cost)
 	p.present = true
 	p.access = as.m.Eng.Now()
-	p.lruElem = as.lru.PushBack(p)
+	as.lruPush(p)
 	as.residentBytes += PageSize
 	return cost, major, nil
 }
@@ -314,7 +337,7 @@ func (as *AddressSpace) unchargeGroups(n int64) {
 func (as *AddressSpace) Pin(first PageNum, count int) (TouchResult, error) {
 	need := int64(0)
 	for i := 0; i < count; i++ {
-		if p := as.pages[first+PageNum(i)]; p == nil || !p.pinned {
+		if p := as.pages.Get(first + PageNum(i)); p == nil || !p.pinned {
 			need += PageSize
 		}
 	}
@@ -344,9 +367,8 @@ func (as *AddressSpace) Pin(first PageNum, count int) (TouchResult, error) {
 			return res, err
 		}
 		p.pinned = true
-		if p.lruElem != nil {
-			as.lru.Remove(p.lruElem)
-			p.lruElem = nil
+		if p.next != nil {
+			as.lruRemove(p)
 		}
 		as.pinnedBytes += PageSize
 		res.Cost += as.m.Costs.PinPage
@@ -360,15 +382,15 @@ func (as *AddressSpace) Pin(first PageNum, count int) (TouchResult, error) {
 func (as *AddressSpace) Unpin(first PageNum, count int) sim.Time {
 	var cost sim.Time
 	for i := 0; i < count; i++ {
-		p := as.pages[first+PageNum(i)]
+		p := as.pages.Get(first + PageNum(i))
 		if p == nil || !p.pinned {
 			continue
 		}
 		p.pinned = false
 		as.pinnedBytes -= PageSize
-		if p.present && p.lruElem == nil {
+		if p.present && p.next == nil {
 			p.access = as.m.Eng.Now()
-			p.lruElem = as.lru.PushBack(p)
+			as.lruPush(p)
 		}
 		cost += as.m.Costs.UnpinPage
 	}
@@ -378,19 +400,17 @@ func (as *AddressSpace) Unpin(first PageNum, count int) sim.Time {
 // evictable interface -------------------------------------------------------
 
 func (as *AddressSpace) oldestAccess() (sim.Time, bool) {
-	front := as.lru.Front()
-	if front == nil {
+	if as.lru.next == &as.lru {
 		return 0, false
 	}
-	return front.Value.(*pte).access, true
+	return as.lru.next.access, true
 }
 
 func (as *AddressSpace) evictOldest() (int64, sim.Time, bool) {
-	front := as.lru.Front()
-	if front == nil {
+	p := as.lru.next
+	if p == &as.lru {
 		return 0, 0, false
 	}
-	p := front.Value.(*pte)
 	cost := as.invalidate(p)
 	if p.dirty {
 		as.m.Swap.WriteCost(PageSize)
@@ -415,9 +435,8 @@ func (as *AddressSpace) invalidate(p *pte) sim.Time {
 		cost += n.InvalidatePages(p.pn, 1)
 	}
 	p.present = false
-	if p.lruElem != nil {
-		as.lru.Remove(p.lruElem)
-		p.lruElem = nil
+	if p.next != nil {
+		as.lruRemove(p)
 	}
 	as.residentBytes -= PageSize
 	as.unchargeGroups(PageSize)
@@ -433,7 +452,7 @@ func (as *AddressSpace) DiscardPages(first PageNum, count int) (int, sim.Time) {
 	discarded := 0
 	var cost sim.Time
 	for i := 0; i < count; i++ {
-		p := as.pages[first+PageNum(i)]
+		p := as.pages.Get(first + PageNum(i))
 		if p == nil || !p.present || p.pinned {
 			continue
 		}
@@ -453,7 +472,7 @@ func (as *AddressSpace) EvictPages(first PageNum, count int) (int, sim.Time) {
 	evicted := 0
 	var cost sim.Time
 	for i := 0; i < count; i++ {
-		p := as.pages[first+PageNum(i)]
+		p := as.pages.Get(first + PageNum(i))
 		if p == nil || !p.present || p.pinned {
 			continue
 		}

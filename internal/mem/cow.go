@@ -1,10 +1,6 @@
 package mem
 
-import (
-	"sort"
-
-	"npf/internal/sim"
-)
+import "npf/internal/sim"
 
 // This file implements the canonical memory optimizations from the paper's
 // Table 1 that interact with device DMA beyond plain demand paging: fork
@@ -41,19 +37,14 @@ func (as *AddressSpace) Fork(name string, cgroup *Group) (*AddressSpace, sim.Tim
 	child.mappedPages = as.mappedPages
 	child.MemlockLimit = as.MemlockLimit
 	var cost sim.Time
-	// Walk pages in sorted order: the write-protect notifiers below reach
+	// The walk is in page order: the write-protect notifiers below reach
 	// the driver, which can schedule engine events (e.g. chaos-duplicated
-	// invalidations) — map order would reorder same-timestamp events and
-	// break replay.
-	pns := make([]PageNum, 0, len(as.pages))
-	for pn := range as.pages {
-		pns = append(pns, pn)
-	}
-	sort.Slice(pns, func(i, j int) bool { return pns[i] < pns[j] })
-	for _, pn := range pns {
-		p := as.pages[pn]
-		if !p.present {
-			continue
+	// invalidations), so any other order would reorder same-timestamp
+	// events and break replay.
+	as.pages.Walk(func(pn PageNum, pp **pte) {
+		p := *pp
+		if p == nil || !p.present {
+			return
 		}
 		// Child: lazily copied on first touch.
 		cp := child.pte(pn)
@@ -66,7 +57,7 @@ func (as *AddressSpace) Fork(name string, cgroup *Group) (*AddressSpace, sim.Tim
 				cost += n.InvalidatePages(pn, 1)
 			}
 		}
-	}
+	})
 	return child, cost
 }
 
@@ -85,7 +76,7 @@ func (as *AddressSpace) MigratePages(first PageNum, count int) (int, sim.Time) {
 	migrated := 0
 	var cost sim.Time
 	for i := 0; i < count; i++ {
-		p := as.pages[first+PageNum(i)]
+		p := as.pages.Get(first + PageNum(i))
 		if p == nil || !p.present || p.pinned {
 			continue
 		}

@@ -169,6 +169,9 @@ type HCA struct {
 	sink      FaultSink
 	faultHook func(sim.Time) sim.Time
 	faultSeq  uint64 // per-adapter FaultID sequence (trace/fault.go)
+	// free holds packets this adapter sent that have been delivered and
+	// handled on this adapter's engine, ready for reuse by send.
+	free []*packet
 
 	// Tracer records NPF fault records and RNR spans; nil disables tracing.
 	Tracer *trace.Tracer
@@ -268,27 +271,57 @@ func (h *HCA) raiseFault(ev QPFault) {
 	})
 }
 
-// Deliver implements fabric.Endpoint: demux to the destination QP.
+// Deliver implements fabric.Endpoint: demux to the destination QP. Once
+// the QP has handled it, the packet goes back to its sender's free list —
+// but only when the sender runs on this adapter's engine. A packet that
+// crossed partitions is left to the garbage collector, so no free list is
+// ever touched from two engines' goroutines.
 func (h *HCA) Deliver(p *fabric.Packet) {
 	pkt := p.Payload.(*packet)
-	qp, ok := h.qps[pkt.DstQPN]
-	if !ok {
-		return // stale packet to a destroyed QP
+	if qp, ok := h.qps[pkt.DstQPN]; ok { // else a stale packet to a destroyed QP
+		h.PacketsRecv.Inc()
+		qp.handlePacket(pkt)
 	}
-	h.PacketsRecv.Inc()
-	qp.handlePacket(pkt)
+	if from := pkt.from; from.Eng == h.Eng {
+		// Zeroed, so a handler that kept a field past its return reads
+		// garbage at once rather than a later packet's value by chance.
+		*pkt = packet{Packet: fabric.Packet{Payload: p.Payload}}
+		from.free = append(from.free, pkt)
+	}
 }
 
-// send puts one protocol packet on the wire.
-func (h *HCA) send(dst fabric.NodeID, pkt *packet, payloadBytes int) {
+// send puts one protocol packet on the wire: v's fields in a packet object
+// drawn from the free list. Handlers must copy out any field a closure
+// reads later, since the object is reused once they return.
+//
+//npf:noalloc
+func (h *HCA) send(dst fabric.NodeID, v packet, payloadBytes int) {
 	h.PacketsSent.Inc()
-	h.Net.Send(&fabric.Packet{
+	var pkt *packet
+	if n := len(h.free); n > 0 {
+		pkt = h.free[n-1]
+		h.free = h.free[:n-1]
+	} else {
+		pkt = h.newPacket() //npf:allocok — pool refill, up to the number of packets in flight
+	}
+	self := pkt.Payload
+	*pkt = v
+	pkt.Packet = fabric.Packet{
 		Src:     h.Node,
 		Dst:     dst,
-		Flow:    fabric.FlowID(pkt.DstQPN),
+		Flow:    fabric.FlowID(v.DstQPN),
 		Size:    payloadBytes + h.Cfg.HeaderBytes,
-		Payload: pkt,
-	})
+		Payload: self,
+	}
+	pkt.from = h
+	h.Net.Send(&pkt.Packet)
+}
+
+// newPacket allocates a packet whose frame points back at it.
+func (h *HCA) newPacket() *packet {
+	pkt := new(packet)
+	pkt.Payload = pkt
+	return pkt
 }
 
 func (h *HCA) String() string { return fmt.Sprintf("hca@node%d", h.Node) }

@@ -33,7 +33,14 @@ const (
 
 // packet is the wire format shared by all RC/UD traffic. One struct with a
 // Kind discriminator keeps the hot demux path monomorphic.
+//
+// A packet embeds the fabric frame that carries it, and the frame's Payload
+// points back at the packet, so each wire packet is one object. Packets
+// come from the sending HCA's free list (HCA.send) and return to it once
+// the receiving HCA has handled them (HCA.Deliver).
 type packet struct {
+	fabric.Packet
+
 	Kind     pktKind
 	SrcQPN   QPN
 	SrcNode  int // sender's fabric node; set for UD (address-handle replies)
@@ -45,7 +52,9 @@ type packet struct {
 	MsgOff   int
 	Raddr    mem.VAddr // write target / read source for this chunk
 	Last     bool
-	Payload  any // application payload, on the last chunk of a send
+	App      any // application payload, on the last chunk of a send
+
+	from *HCA // the sending adapter, whose free list the packet returns to
 
 	AckPSN uint64 // pktAck, pktRNRNack
 

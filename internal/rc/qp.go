@@ -70,17 +70,19 @@ type QP struct {
 	OnRemoteWrite  func(raddr mem.VAddr, length int, payload any, last bool)
 
 	// Requester state.
-	sq         []*SendWQE
-	assignPSN  uint64 // next PSN to hand to a queued WQE
+	sq         sim.Ring[SendWQE] // posted, not yet fully acknowledged
+	assignPSN  uint64            // next PSN to hand to a queued WQE
 	sndNxt     uint64
 	sndUna     uint64
 	sendPaused bool // local (send-side) NPF pending
 	rnrWait    bool // paused by an RNR NACK
 	retxArmed  bool
+	retxSnap   uint64 // sndUna when the armed retransmission timer was set
+	retxFire   func() // the retransmission timer event, bound once
 
 	// Responder state.
 	expPSN        uint64
-	rq            []*RecvWQE
+	rq            sim.Ring[RecvWQE]
 	rcvMsgOff     int
 	unacked       int
 	recvFaultOpen bool // NPF already reported, suppress duplicates
@@ -92,6 +94,31 @@ type QP struct {
 	nextReqID   int64
 	reads       map[int64]*readState  // initiator side
 	respStreams map[int64]*respStream // responder side
+
+	// cq holds completions whose interrupt is still on its way. Every entry
+	// is due IntLatency after it was queued, so entries fire in queue
+	// order; cqFire, bound once, is the event that delivers the oldest.
+	cq     sim.Ring[cqEntry]
+	cqFire func()
+}
+
+type cqKind uint8
+
+const (
+	cqSend        cqKind = iota // send or RDMA write complete: OnSendComplete(id)
+	cqRecv                      // send received: OnRecv(recv)
+	cqRemoteWrite               // RDMA write chunk placed: OnRemoteWrite
+	cqRead                      // RDMA read data placed: OnReadComplete(id)
+)
+
+// cqEntry is one completion awaiting its interrupt. A remote-write entry
+// carries its chunk length and payload in recv.Len and recv.Payload.
+type cqEntry struct {
+	kind  cqKind
+	id    int64          // cqSend, cqRead: the WQE ID
+	recv  RecvCompletion // cqRecv; cqRemoteWrite's length and payload
+	raddr mem.VAddr      // cqRemoteWrite
+	last  bool           // cqRemoteWrite
 }
 
 // readState is the initiator's view of an outstanding RDMA read.
@@ -143,6 +170,8 @@ func (h *HCA) NewQPShared(as *mem.AddressSpace, dom *iommu.Domain) *QP {
 		reads:       make(map[int64]*readState),
 		respStreams: make(map[int64]*respStream),
 	}
+	qp.retxFire = qp.retxTimeout
+	qp.cqFire = qp.deliverCompletion
 	h.qps[qp.QPN] = qp
 	return qp
 }
@@ -164,22 +193,22 @@ func (qp *QP) npkts(length int) uint64 {
 }
 
 // PostSend queues a send or RDMA-write work request.
+//
+//npf:noalloc
 func (qp *QP) PostSend(wqe SendWQE) {
 	if !qp.connected {
 		panic("rc: PostSend on unconnected QP")
 	}
-	w := wqe
-	w.firstPSN = qp.assignPSN
-	qp.assignPSN += qp.npkts(w.Len)
-	qp.sq = append(qp.sq, &w)
+	wqe.firstPSN = qp.assignPSN
+	qp.assignPSN += qp.npkts(wqe.Len)
+	qp.sq.Push(wqe)
 	qp.sendLoop()
 }
 
 // PostRecv posts a receive buffer. Receives complete in order.
-func (qp *QP) PostRecv(wqe RecvWQE) {
-	w := wqe
-	qp.rq = append(qp.rq, &w)
-}
+//
+//npf:noalloc
+func (qp *QP) PostRecv(wqe RecvWQE) { qp.rq.Push(wqe) }
 
 // PostRead issues an RDMA read.
 func (qp *QP) PostRead(wqe ReadWQE) {
@@ -189,39 +218,41 @@ func (qp *QP) PostRead(wqe ReadWQE) {
 	qp.nextReqID++
 	id := qp.nextReqID
 	qp.reads[id] = &readState{wqe: wqe}
-	qp.hca.send(fabricNode(qp.peerNode), &packet{
+	qp.hca.send(fabricNode(qp.peerNode), packet{
 		Kind: pktReadReq, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
 		ReqID: id, Raddr: wqe.Raddr, MsgLen: wqe.Len, ReadOff: 0,
 	}, 0)
 }
 
 // RecvQueueLen reports posted, unconsumed receive WQEs.
-func (qp *QP) RecvQueueLen() int { return len(qp.rq) }
+func (qp *QP) RecvQueueLen() int { return qp.rq.Len() }
 
 // SendQueueLen reports send WQEs not yet fully acknowledged.
-func (qp *QP) SendQueueLen() int { return len(qp.sq) }
+func (qp *QP) SendQueueLen() int { return qp.sq.Len() }
 
 // ---------------------------------------------------------------------------
 // Requester: send engine.
 
 func (qp *QP) inflight() uint64 { return qp.sndNxt - qp.sndUna }
 
-// positionOf locates PSN psn within the send queue.
+// positionOf locates PSN psn within the send queue. The WQE pointer is
+// valid until the next PostSend.
 func (qp *QP) positionOf(psn uint64) (wqe *SendWQE, off int) {
-	for _, w := range qp.sq {
+	for i := 0; i < qp.sq.Len(); i++ {
+		w := qp.sq.At(i)
 		n := qp.npkts(w.Len)
 		if psn < w.firstPSN+n {
 			chunkIdx := int(psn - w.firstPSN)
 			return w, chunkIdx * qp.hca.Cfg.MTU
 		}
 	}
-	panic(fmt.Sprintf("rc: PSN %d beyond send queue", psn))
+	panic(fmt.Sprintf("rc: PSN %d beyond send queue", psn)) //npf:allocok — invariant violation
 }
 
 // sendLoop emits packets while the window allows and no fault or RNR pause
 // holds the QP.
 func (qp *QP) sendLoop() {
-	cfg := qp.hca.Cfg
+	cfg := &qp.hca.Cfg
 	for !qp.sendPaused && !qp.rnrWait &&
 		qp.inflight() < uint64(cfg.Window) && qp.sndNxt < qp.assignPSN {
 		w, off := qp.positionOf(qp.sndNxt)
@@ -234,25 +265,12 @@ func (qp *QP) sendLoop() {
 		}
 		_, missing := qp.Domain.Translate(w.Laddr+mem.VAddr(off), chunk)
 		if len(missing) > 0 {
-			// Local fault: stop sending and wait (the faulting data is
-			// local, §4).
-			qp.sendPaused = true
-			qp.hca.raiseFault(QPFault{
-				QP:      qp,
-				Class:   FaultSendLocal,
-				Missing: qp.faultPages(missing, w.Laddr, w.Len, false),
-				Resolved: func() {
-					qp.hca.Eng.After(cfg.FirmwareResume, func() {
-						qp.sendPaused = false
-						qp.sendLoop()
-					})
-				},
-			})
+			qp.sendFault(missing, w.Laddr, w.Len) //npf:allocok — fault path: one NPF per faulting WQE, not per packet
 			return
 		}
 		qp.dmaTouch(w.Laddr+mem.VAddr(off), chunk, false)
 		last := off+chunk >= w.Len
-		pkt := &packet{
+		pkt := packet{
 			Kind: pktData, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
 			PSN: qp.sndNxt, ChunkLen: chunk, MsgLen: w.Len, MsgOff: off,
 			Last: last,
@@ -260,14 +278,31 @@ func (qp *QP) sendLoop() {
 		if w.Write {
 			pkt.Op = opWrite
 			pkt.Raddr = w.Raddr + mem.VAddr(off)
-			pkt.Payload = w.Payload
+			pkt.App = w.Payload
 		} else if last {
-			pkt.Payload = w.Payload
+			pkt.App = w.Payload
 		}
 		qp.hca.send(fabricNode(qp.peerNode), pkt, chunk)
 		qp.sndNxt++
 	}
 	qp.armRetxTimer()
+}
+
+// sendFault reports a local fault reading a send buffer: the send engine
+// stops until the driver resolves it (the faulting data is local, §4).
+func (qp *QP) sendFault(missing []mem.PageNum, laddr mem.VAddr, length int) {
+	qp.sendPaused = true
+	qp.hca.raiseFault(QPFault{
+		QP:      qp,
+		Class:   FaultSendLocal,
+		Missing: qp.faultPages(missing, laddr, length, false),
+		Resolved: func() {
+			qp.hca.Eng.After(qp.hca.Cfg.FirmwareResume, func() {
+				qp.sendPaused = false
+				qp.sendLoop()
+			})
+		},
+	})
 }
 
 // armRetxTimer schedules the local-ACK-timeout safety net.
@@ -276,45 +311,53 @@ func (qp *QP) armRetxTimer() {
 		return
 	}
 	qp.retxArmed = true
-	snapshot := qp.sndUna
-	qp.hca.Eng.After(qp.hca.Cfg.RetxTimeout, func() {
-		qp.retxArmed = false
-		if qp.inflight() > 0 && qp.sndUna == snapshot && !qp.rnrWait && !qp.sendPaused {
-			qp.hca.Retransmits.Inc()
-			qp.hca.cRetx.Inc()
-			qp.sndNxt = qp.sndUna
-			qp.sendLoop()
-		} else {
-			qp.armRetxTimer()
-		}
-	})
+	qp.retxSnap = qp.sndUna
+	qp.hca.Eng.After(qp.hca.Cfg.RetxTimeout, qp.retxFire)
+}
+
+// retxTimeout is the retransmission timer event: with no progress since it
+// was armed, rewind to the oldest unacknowledged packet.
+func (qp *QP) retxTimeout() {
+	qp.retxArmed = false
+	if qp.inflight() > 0 && qp.sndUna == qp.retxSnap && !qp.rnrWait && !qp.sendPaused {
+		qp.hca.Retransmits.Inc()
+		qp.hca.cRetx.Inc()
+		qp.sndNxt = qp.sndUna
+		qp.sendLoop()
+	} else {
+		qp.armRetxTimer()
+	}
 }
 
 // handleAck processes a cumulative acknowledgment.
+//
+//npf:noalloc
 func (qp *QP) handleAck(cum uint64) {
 	if cum <= qp.sndUna {
 		return
 	}
-	qp.sndUna = cum
-	for len(qp.sq) > 0 {
-		w := qp.sq[0]
-		if w.firstPSN+qp.npkts(w.Len) > qp.sndUna {
-			break
-		}
-		qp.sq = qp.sq[1:]
-		if w.Write {
-			qp.completeRead(w.ID, qp.OnSendComplete) // writes share the send CQ
-		} else if qp.OnSendComplete != nil {
-			id := w.ID
-			qp.hca.Eng.After(qp.hca.Cfg.IntLatency, func() { qp.OnSendComplete(id) })
-		}
-	}
+	qp.handleAckOnly(cum)
 	qp.sendLoop()
 }
 
-func (qp *QP) completeRead(id int64, cb func(int64)) {
-	if cb != nil {
-		qp.hca.Eng.After(qp.hca.Cfg.IntLatency, func() { cb(id) })
+// complete queues one completion and schedules its interrupt.
+func (qp *QP) complete(e cqEntry) {
+	qp.cq.Push(e)
+	qp.hca.Eng.After(qp.hca.Cfg.IntLatency, qp.cqFire)
+}
+
+// deliverCompletion is the interrupt event of the oldest queued completion.
+func (qp *QP) deliverCompletion() {
+	e := qp.cq.Pop()
+	switch e.kind {
+	case cqSend:
+		qp.OnSendComplete(e.id)
+	case cqRecv:
+		qp.OnRecv(e.recv)
+	case cqRemoteWrite:
+		qp.OnRemoteWrite(e.raddr, e.recv.Len, e.recv.Payload, e.last)
+	case cqRead:
+		qp.OnReadComplete(e.id)
 	}
 }
 
@@ -364,21 +407,20 @@ func (qp *QP) handleSeqNack(psn uint64) {
 }
 
 // handleAckOnly advances sndUna/completions without restarting the loop
-// (used from the RNR path where the loop must stay paused).
+// (used from the RNR path where the loop must stay paused). Sends and RDMA
+// writes share the send completion queue.
 func (qp *QP) handleAckOnly(cum uint64) {
 	if cum <= qp.sndUna {
 		return
 	}
 	qp.sndUna = cum
-	for len(qp.sq) > 0 {
-		w := qp.sq[0]
-		if w.firstPSN+qp.npkts(w.Len) > qp.sndUna {
+	for qp.sq.Len() > 0 {
+		if w := qp.sq.At(0); w.firstPSN+qp.npkts(w.Len) > qp.sndUna {
 			break
 		}
-		qp.sq = qp.sq[1:]
-		id, isWrite := w.ID, w.Write
-		if qp.OnSendComplete != nil || isWrite {
-			qp.completeRead(id, qp.OnSendComplete)
+		w := qp.sq.Pop()
+		if qp.OnSendComplete != nil {
+			qp.complete(cqEntry{kind: cqSend, id: w.ID})
 		}
 	}
 }
@@ -413,8 +455,9 @@ func (qp *QP) handlePacket(pkt *packet) {
 	}
 }
 
+//npf:noalloc
 func (qp *QP) handleData(pkt *packet) {
-	cfg := qp.hca.Cfg
+	cfg := &qp.hca.Cfg
 	if pkt.PSN != qp.expPSN {
 		if pkt.PSN < qp.expPSN {
 			// Duplicate from a rewind overlap: re-ack to resync.
@@ -432,7 +475,7 @@ func (qp *QP) handleData(pkt *packet) {
 			if qp.seqNacked != qp.expPSN+1 {
 				qp.seqNacked = qp.expPSN + 1
 				qp.unacked = 0
-				qp.hca.send(fabricNode(qp.peerNode), &packet{
+				qp.hca.send(fabricNode(qp.peerNode), packet{
 					Kind: pktSeqNack, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
 					AckPSN: qp.expPSN,
 				}, 0)
@@ -441,15 +484,15 @@ func (qp *QP) handleData(pkt *packet) {
 		return
 	}
 	var dst mem.VAddr
-	var wqe *RecvWQE
+	var wqe *RecvWQE // valid until the next PostRecv
 	switch pkt.Op {
 	case opSend:
-		if len(qp.rq) == 0 {
+		if qp.rq.Len() == 0 {
 			// Literal receiver-not-ready.
 			qp.sendRNRNack()
 			return
 		}
-		wqe = qp.rq[0]
+		wqe = qp.rq.At(0)
 		dst = wqe.Addr + mem.VAddr(qp.rcvMsgOff)
 	case opWrite:
 		dst = pkt.Raddr
@@ -465,23 +508,7 @@ func (qp *QP) handleData(pkt *packet) {
 		// RNR NACK and reports the fault once.
 		qp.sendRNRNack()
 		if !qp.recvFaultOpen {
-			qp.recvFaultOpen = true
-			var miss []mem.PageNum
-			if wqe != nil {
-				miss = qp.faultPages(missing, wqe.Addr, wqe.Len, true)
-			} else {
-				miss = qp.faultPagesRange(missing, pkt.Raddr, pkt.MsgLen-pkt.MsgOff, true)
-			}
-			qp.hca.raiseFault(QPFault{
-				QP:      qp,
-				Class:   FaultRecvRNPF,
-				Missing: miss,
-				Resolved: func() {
-					qp.hca.Eng.After(cfg.FirmwareResume, func() {
-						qp.recvFaultOpen = false
-					})
-				},
-			})
+			qp.recvFault(missing, wqe, pkt) //npf:allocok — fault path: one NPF per faulting message, not per packet
 		}
 		return
 	}
@@ -491,25 +518,48 @@ func (qp *QP) handleData(pkt *packet) {
 	if pkt.Op == opSend {
 		qp.rcvMsgOff += pkt.ChunkLen
 		if pkt.Last {
-			qp.rq = qp.rq[1:]
+			w := qp.rq.Pop()
 			qp.rcvMsgOff = 0
 			if qp.OnRecv != nil {
-				comp := RecvCompletion{WQEID: wqe.ID, Len: pkt.MsgLen, Payload: pkt.Payload}
-				qp.hca.Eng.After(cfg.IntLatency, func() { qp.OnRecv(comp) })
+				qp.complete(cqEntry{kind: cqRecv, recv: RecvCompletion{WQEID: w.ID, Len: pkt.MsgLen, Payload: pkt.App}})
 			}
 		}
 	} else if qp.OnRemoteWrite != nil {
-		raddr, n, payload, last := pkt.Raddr, pkt.ChunkLen, pkt.Payload, pkt.Last
-		qp.hca.Eng.After(cfg.IntLatency, func() { qp.OnRemoteWrite(raddr, n, payload, last) })
+		qp.complete(cqEntry{
+			kind: cqRemoteWrite, raddr: pkt.Raddr, last: pkt.Last,
+			recv: RecvCompletion{Len: pkt.ChunkLen, Payload: pkt.App},
+		})
 	}
 	if qp.unacked >= cfg.AckEvery || pkt.Last {
 		qp.sendAck()
 	}
 }
 
+// recvFault reports a receive NPF on an incoming send (wqe is its receive
+// WQE) or RDMA write (wqe is nil).
+func (qp *QP) recvFault(missing []mem.PageNum, wqe *RecvWQE, pkt *packet) {
+	qp.recvFaultOpen = true
+	var miss []mem.PageNum
+	if wqe != nil {
+		miss = qp.faultPages(missing, wqe.Addr, wqe.Len, true)
+	} else {
+		miss = qp.faultPagesRange(missing, pkt.Raddr, pkt.MsgLen-pkt.MsgOff, true)
+	}
+	qp.hca.raiseFault(QPFault{
+		QP:      qp,
+		Class:   FaultRecvRNPF,
+		Missing: miss,
+		Resolved: func() {
+			qp.hca.Eng.After(qp.hca.Cfg.FirmwareResume, func() {
+				qp.recvFaultOpen = false
+			})
+		},
+	})
+}
+
 func (qp *QP) sendAck() {
 	qp.unacked = 0
-	qp.hca.send(fabricNode(qp.peerNode), &packet{
+	qp.hca.send(fabricNode(qp.peerNode), packet{
 		Kind: pktAck, SrcQPN: qp.QPN, DstQPN: qp.peerQPN, AckPSN: qp.expPSN,
 	}, 0)
 }
@@ -518,7 +568,7 @@ func (qp *QP) sendRNRNack() {
 	qp.hca.RNRNacks.Inc()
 	qp.hca.cRNR.Inc()
 	qp.unacked = 0
-	qp.hca.send(fabricNode(qp.peerNode), &packet{
+	qp.hca.send(fabricNode(qp.peerNode), packet{
 		Kind: pktRNRNack, SrcQPN: qp.QPN, DstQPN: qp.peerQPN, AckPSN: qp.expPSN,
 	}, 0)
 }
@@ -619,7 +669,7 @@ func (qp *QP) pumpReadResp(st *respStream) {
 	}
 	qp.dmaTouch(addr, chunk, false)
 	last := st.off+chunk >= st.length
-	qp.hca.send(fabricNode(st.dstNode), &packet{
+	qp.hca.send(fabricNode(st.dstNode), packet{
 		Kind: pktReadResp, SrcQPN: qp.QPN, DstQPN: st.dstQPN,
 		ReqID: st.reqID, ReadOff: st.off, ChunkLen: chunk, Last: last,
 	}, chunk)
@@ -636,7 +686,8 @@ func (qp *QP) pumpReadResp(st *respStream) {
 }
 
 func (qp *QP) handleReadResp(pkt *packet) {
-	st, ok := qp.reads[pkt.ReqID]
+	reqID := pkt.ReqID // pkt is reused once this handler returns
+	st, ok := qp.reads[reqID]
 	if !ok {
 		return
 	}
@@ -653,7 +704,7 @@ func (qp *QP) handleReadResp(pkt *packet) {
 		qp.hca.DroppedRNPF.Inc()
 		if qp.hca.Tracer.Enabled() {
 			st.dropSpan = qp.hca.Tracer.Begin(0, "rc", "read-drop-window")
-			qp.hca.Tracer.ArgInt(st.dropSpan, "req", pkt.ReqID)
+			qp.hca.Tracer.ArgInt(st.dropSpan, "req", reqID)
 			qp.hca.Tracer.ArgInt(st.dropSpan, "off", int64(st.placedOff))
 		}
 		resumeOff := st.placedOff
@@ -662,9 +713,9 @@ func (qp *QP) handleReadResp(pkt *packet) {
 			// §4 future-work extension: suspend the responder immediately,
 			// exactly like an RNR NACK on the send/receive path.
 			qp.hca.RNRNacks.Inc()
-			qp.hca.send(fabricNode(qp.peerNode), &packet{
+			qp.hca.send(fabricNode(qp.peerNode), packet{
 				Kind: pktReadRNR, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
-				ReqID: pkt.ReqID,
+				ReqID: reqID,
 			}, 0)
 		}
 		qp.hca.raiseFault(QPFault{
@@ -678,9 +729,9 @@ func (qp *QP) handleReadResp(pkt *packet) {
 					st.dropSpan = 0
 					if ext {
 						// Resume the suspended stream where we left off.
-						qp.hca.send(fabricNode(qp.peerNode), &packet{
+						qp.hca.send(fabricNode(qp.peerNode), packet{
 							Kind: pktReadResume, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
-							ReqID: pkt.ReqID, ReadOff: resumeOff,
+							ReqID: reqID, ReadOff: resumeOff,
 						}, 0)
 						return
 					}
@@ -688,9 +739,9 @@ func (qp *QP) handleReadResp(pkt *packet) {
 					qp.hca.cRwnd.Inc()
 					// Baseline RC: no way to stop the responder; rewind by
 					// re-requesting the remainder.
-					qp.hca.send(fabricNode(qp.peerNode), &packet{
+					qp.hca.send(fabricNode(qp.peerNode), packet{
 						Kind: pktReadReq, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
-						ReqID: pkt.ReqID, Raddr: st.wqe.Raddr, MsgLen: st.wqe.Len,
+						ReqID: reqID, Raddr: st.wqe.Raddr, MsgLen: st.wqe.Len,
 						ReadOff: resumeOff,
 					}, 0)
 				})
@@ -702,18 +753,20 @@ func (qp *QP) handleReadResp(pkt *packet) {
 	st.placedOff += pkt.ChunkLen
 	st.uncredited++
 	if st.placedOff >= st.wqe.Len {
-		delete(qp.reads, pkt.ReqID)
-		qp.hca.send(fabricNode(qp.peerNode), &packet{
-			Kind: pktReadDone, SrcQPN: qp.QPN, DstQPN: qp.peerQPN, ReqID: pkt.ReqID,
+		delete(qp.reads, reqID)
+		qp.hca.send(fabricNode(qp.peerNode), packet{
+			Kind: pktReadDone, SrcQPN: qp.QPN, DstQPN: qp.peerQPN, ReqID: reqID,
 		}, 0)
-		qp.completeRead(st.wqe.ID, qp.OnReadComplete)
+		if qp.OnReadComplete != nil {
+			qp.complete(cqEntry{kind: cqRead, id: st.wqe.ID})
+		}
 		return
 	}
 	// Grant credits in half-window batches.
 	if st.uncredited >= qp.hca.Cfg.ReadWindow/2 {
-		qp.hca.send(fabricNode(qp.peerNode), &packet{
+		qp.hca.send(fabricNode(qp.peerNode), packet{
 			Kind: pktReadCredit, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
-			ReqID: pkt.ReqID, ChunkLen: st.uncredited,
+			ReqID: reqID, ChunkLen: st.uncredited,
 		}, 0)
 		st.uncredited = 0
 	}
@@ -764,18 +817,18 @@ func (qp *QP) PostSendUDTo(dst UDRemote, wqe SendWQE) {
 		return
 	}
 	qp.dmaTouch(wqe.Laddr, wqe.Len, false)
-	qp.hca.send(dst.Node, &packet{
+	qp.hca.send(dst.Node, packet{
 		Kind: pktUD, SrcQPN: qp.QPN, SrcNode: int(qp.hca.Node), DstQPN: dst.QPN,
-		ChunkLen: wqe.Len, MsgLen: wqe.Len, Last: true, Payload: wqe.Payload,
+		ChunkLen: wqe.Len, MsgLen: wqe.Len, Last: true, App: wqe.Payload,
 	}, wqe.Len)
 }
 
 func (qp *QP) handleUD(pkt *packet) {
-	if len(qp.rq) == 0 {
+	if qp.rq.Len() == 0 {
 		qp.hca.UDDropsFault.Inc()
 		return
 	}
-	wqe := qp.rq[0]
+	wqe := qp.rq.Peek()
 	_, missing := qp.Domain.TranslateAccess(wqe.Addr, pkt.ChunkLen, true)
 	if len(missing) > 0 {
 		qp.hca.UDDropsFault.Inc()
@@ -794,13 +847,12 @@ func (qp *QP) handleUD(pkt *packet) {
 		return
 	}
 	qp.dmaTouch(wqe.Addr, pkt.ChunkLen, true)
-	qp.rq = qp.rq[1:]
+	qp.rq.Pop()
 	if qp.OnRecv != nil {
-		comp := RecvCompletion{
-			WQEID: wqe.ID, Len: pkt.MsgLen, Payload: pkt.Payload,
+		qp.complete(cqEntry{kind: cqRecv, recv: RecvCompletion{
+			WQEID: wqe.ID, Len: pkt.MsgLen, Payload: pkt.App,
 			From: UDRemote{Node: fabricNode(pkt.SrcNode), QPN: pkt.SrcQPN},
-		}
-		qp.hca.Eng.After(qp.hca.Cfg.IntLatency, func() { qp.OnRecv(comp) })
+		}})
 	}
 }
 
@@ -826,9 +878,11 @@ func (qp *QP) faultPagesRange(chunkMissing []mem.PageNum, addr mem.VAddr, remain
 	return all
 }
 
+// dmaTouch is the device access to memory the IOMMU just translated: the
+// pages are resident, so Touch only refreshes their LRU position.
 func (qp *QP) dmaTouch(addr mem.VAddr, length int, write bool) {
-	res, err := qp.AS.Touch(addr, length, write)
+	res, err := qp.AS.Touch(addr, length, write) //npf:allocok — translated pages are resident: no fault, no reclaim, no error
 	if err != nil || res.Kind() != mem.NoFault {
-		panic(fmt.Sprintf("rc: DMA to non-resident memory on QP %d (res=%+v err=%v)", qp.QPN, res, err))
+		panic(fmt.Sprintf("rc: DMA to non-resident memory on QP %d (res=%+v err=%v)", qp.QPN, res, err)) //npf:allocok — invariant violation
 	}
 }

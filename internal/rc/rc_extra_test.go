@@ -103,7 +103,7 @@ func TestReadUnknownReqIgnored(t *testing.T) {
 	e := newRCEnv(t, nil)
 	warm(e.b, 0, 1)
 	// A stray read response must not crash or corrupt state.
-	e.b.hca.send(fabricNode(int(e.a.hca.Node)), &packet{
+	e.b.hca.send(fabricNode(int(e.a.hca.Node)), packet{
 		Kind: pktReadResp, SrcQPN: e.b.QPN, DstQPN: e.a.QPN,
 		ReqID: 1234, ChunkLen: 100,
 	}, 100)

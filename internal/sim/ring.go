@@ -43,6 +43,23 @@ func (r *Ring[T]) Peek() T {
 	return r.buf[r.head]
 }
 
+// At returns a pointer to the i-th oldest element (0 is the head), for
+// in-place reads and updates. The pointer is valid only until the next
+// Push, which may move the buffer, or until the element is popped. It
+// panics if i is out of range.
+//
+//npf:noalloc
+func (r *Ring[T]) At(i int) *T {
+	if i < 0 || i >= r.n {
+		panic("sim: Ring index out of range")
+	}
+	j := r.head + i
+	if j >= len(r.buf) {
+		j -= len(r.buf)
+	}
+	return &r.buf[j]
+}
+
 // Pop removes and returns the oldest element. Its slot is zeroed, so the
 // ring keeps no reference to a popped element. It panics on an empty ring.
 //

@@ -117,3 +117,38 @@ func TestRingSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state push/pop allocates %.1f per cycle, want 0", allocs)
 	}
 }
+
+// TestRingAt: At indexes from the oldest element across the wrap point,
+// writes through its pointer land in the queue, and an out-of-range index
+// panics.
+func TestRingAt(t *testing.T) {
+	var r Ring[int]
+	for i := 0; i < 4; i++ {
+		r.Push(i)
+	}
+	r.Pop()
+	r.Pop()
+	r.Push(4)
+	r.Push(5) // wraps: the buffer holds 4 5 2 3
+	for i := 0; i < r.Len(); i++ {
+		if got := *r.At(i); got != i+2 {
+			t.Fatalf("At(%d) = %d, want %d", i, got, i+2)
+		}
+	}
+	*r.At(3) = 50
+	for _, want := range []int{2, 3, 4, 50} {
+		if got := r.Pop(); got != want {
+			t.Fatalf("popped %d, want %d", got, want)
+		}
+	}
+	for _, i := range []int{-1, 0} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("At(%d) on an empty ring did not panic", i)
+				}
+			}()
+			r.At(i)
+		}()
+	}
+}

@@ -74,13 +74,16 @@ if ! echo "$out" | grep -q 'BenchmarkEngineEventThroughput.* 0 B/op.* 0 allocs/o
 fi
 
 # The packet path's contract: on a warm network a fabric Send→Deliver
-# round, and an IOTLB miss that inserts and evicts at capacity, allocate
-# nothing. npflint's noalloc Required entries (port.enqueue/kick,
-# iotlb.lookup/insert/invalidate) are the static side of the same gate.
+# round, an IOTLB miss that inserts and evicts at capacity, and a warm RC
+# send→ack round allocate nothing, and a faulting RC message stays within
+# its measured object budget. npflint's noalloc Required entries
+# (port.enqueue/kick, iotlb.lookup/insert/invalidate, PageTable.Get/Lookup,
+# AddressSpace.lruPush/lruRemove, HCA.send and the QP post/ack/data
+# handlers) are the static side of the same gate.
 echo "== packet-path allocation gate =="
-out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc' \
+out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestRCWarmRoundNoAlloc|TestIBFaultingMessageAllocBound' \
     -bench 'BenchmarkSendDeliver|BenchmarkIOTLBChurn' -benchtime 10000x \
-    ./internal/fabric/ ./internal/iommu/)
+    ./internal/fabric/ ./internal/iommu/ ./internal/rc/ ./internal/bench/)
 echo "$out"
 for bench in BenchmarkSendDeliver BenchmarkIOTLBChurn; do
     if ! echo "$out" | grep -q "$bench.* 0 B/op.* 0 allocs/op"; then
@@ -88,6 +91,14 @@ for bench in BenchmarkSendDeliver BenchmarkIOTLBChurn; do
         exit 1
     fi
 done
+
+# Native fuzz targets: the radix page table against a map model, and two
+# I/O page tables sharing one IOTLB against a map-plus-linear-LRU model.
+# Their committed seed corpora (testdata/fuzz) already replay in go test
+# above; this pass searches for new inputs.
+echo "== fuzz =="
+go test -run '^$' -fuzz '^FuzzPageTable$' -fuzztime 10s ./internal/mem/
+go test -run '^$' -fuzz '^FuzzDomainIOTLB$' -fuzztime 10s ./internal/iommu/
 
 # The sweep runner's determinism contract under the race detector: the
 # worker pool fans real figure jobs across 8 goroutines and must produce
