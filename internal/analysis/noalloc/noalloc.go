@@ -95,7 +95,6 @@ var Required = map[string][]string{
 		"Tracer.Begin", "Tracer.End", "Tracer.ArgInt",
 		"Tracer.FaultMinted", "Tracer.FaultStageAt", "Tracer.FaultDone",
 		"Tracer.FaultContext",
-		"Counter.Inc", "Counter.Add", "Gauge.Set", "LatencyHist.Observe",
 	},
 	"npf/internal/workload": {
 		"Source.NextOp", "Source.NextArrival",

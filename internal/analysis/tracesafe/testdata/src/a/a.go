@@ -38,20 +38,19 @@ func annotated(tr *trace.Tracer) {
 	tr.MaxSpans = 4 //npf:tracesafe — caller guarantees an enabled tracer
 }
 
-func badGauge(tr *trace.Tracer) {
-	g := tr.Gauge("x")
-	g.V = 3      // want `direct field access on \*trace\.Gauge panics when tracing is disabled`
-	if g.V > 1 { // want `direct field access on \*trace\.Gauge panics when tracing is disabled`
+func badCounter(tr *trace.Tracer) {
+	c := tr.Counter("x")
+	c.N = 3      // want `direct field access on \*trace\.Counter panics when tracing is disabled`
+	if c.N > 1 { // want `direct field access on \*trace\.Counter panics when tracing is disabled`
 		return
 	}
 }
 
-func goodGauge(tr *trace.Tracer) {
-	g := tr.Gauge("x")
-	g.Set(3) // nil-safe method: always fine
-	_ = g.Value()
+func goodCounter(tr *trace.Tracer) {
+	c := tr.Counter("x")
+	_ = c.Value() // nil-safe method: always fine
 	if tr.Enabled() {
-		g.V = 3 // guarded: the tracer (and thus the handle) is non-nil
+		c.N = 3 // guarded: the tracer (and thus the handle) is non-nil
 	}
 }
 

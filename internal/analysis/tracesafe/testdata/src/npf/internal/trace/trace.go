@@ -1,6 +1,6 @@
 // Package trace stands in for the telemetry package: a nil *Tracer is the
 // disabled state, methods are nil-safe, raw field access is not. The same
-// contract covers the handle types (Gauge, Sampler, ...) a tracer returns.
+// contract covers the handle types (Counter, Sampler) a tracer returns.
 package trace
 
 type Tracer struct {
@@ -16,11 +16,11 @@ func (t *Tracer) SetMaxSpans(n int) {
 	t.MaxSpans = n
 }
 
-func (t *Tracer) Gauge(name string) *Gauge {
+func (t *Tracer) Counter(name string) *Counter {
 	if t == nil {
 		return nil
 	}
-	return &Gauge{}
+	return &Counter{}
 }
 
 func (t *Tracer) StartSampler(interval int64) *Sampler {
@@ -30,21 +30,15 @@ func (t *Tracer) StartSampler(interval int64) *Sampler {
 	return &Sampler{}
 }
 
-type Gauge struct {
-	V float64
+type Counter struct {
+	N uint64
 }
 
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.V = v
-	}
-}
-
-func (g *Gauge) Value() float64 {
-	if g == nil {
+func (c *Counter) Value() uint64 {
+	if c == nil {
 		return 0
 	}
-	return g.V
+	return c.N
 }
 
 type Sampler struct {

@@ -3,9 +3,8 @@
 //
 // A disabled tracer is a nil *trace.Tracer: every method is nil-safe, so
 // instrumented hot paths cost one pointer comparison when tracing is off.
-// The same contract covers every handle type the tracer hands out — Counter,
-// Gauge, LatencyHist, and Sampler are all nil when obtained from a disabled
-// tracer. Direct field access (t.MaxSpans = ..., s.MaxSamples = ...) breaks
+// The same contract covers every handle type the tracer hands out — Counter
+// and Sampler are nil when obtained from a disabled tracer. Direct field access (t.MaxSpans = ..., s.MaxSamples = ...) breaks
 // that contract — it panics the moment tracing is disabled. Outside package
 // trace, fields of these types may only be touched under an Enabled() guard
 // (or an explicit //npf:tracesafe annotation); everything else goes through
@@ -29,7 +28,7 @@ const Doc = `require nil-safe tracer access outside package trace
 
 A nil *trace.Tracer is the disabled state; methods are nil-safe but raw
 field access panics. The same holds for every handle the tracer hands out
-(Counter, Gauge, LatencyHist, Sampler). Guard direct field access with
+(Counter, Sampler). Guard direct field access with
 Enabled() or annotate //npf:tracesafe.`
 
 var Analyzer = &analysis.Analyzer{
@@ -78,11 +77,9 @@ func run(pass *analysis.Pass) (interface{}, error) {
 // handleTypes is the set of trace types whose handles are nil when tracing
 // is disabled: raw field access on any of them panics on the nil-safe path.
 var handleTypes = map[string]bool{
-	"Tracer":      true,
-	"Counter":     true,
-	"Gauge":       true,
-	"LatencyHist": true,
-	"Sampler":     true,
+	"Tracer":  true,
+	"Counter": true,
+	"Sampler": true,
 }
 
 // traceHandle reports whether t is one of the trace handle types (or a

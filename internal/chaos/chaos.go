@@ -74,13 +74,15 @@ type Injector struct {
 	T   *Targets
 	rng *sim.Rand
 
-	tr        *trace.Tracer
-	cDrops    *trace.Counter
-	cStalls   *trace.Counter
-	cFlaps    *trace.Counter
-	cWaves    *trace.Counter
-	cTimeouts *trace.Counter
-	cInvDup   *trace.Counter
+	tr *trace.Tracer
+
+	// Counts of injected events, published as the chaos.* metrics.
+	InjectedDrops    sim.Counter
+	FirmwareStalls   sim.Counter
+	LinkFlaps        sim.Counter
+	PressureWaves    sim.Counter
+	ResolverTimeouts sim.Counter
+	InvDuplicates    sim.Counter
 }
 
 // Arm binds a plan to targets and schedules every fault. Call it once per
@@ -91,16 +93,16 @@ func Arm(p *Plan, t Targets) *Injector {
 		panic("chaos: Targets.Eng is required")
 	}
 	ij := &Injector{
-		T:         &t,
-		rng:       t.Eng.Rand().Split(),
-		tr:        t.Tracer,
-		cDrops:    t.Tracer.Counter("chaos.injected_drops"),
-		cStalls:   t.Tracer.Counter("chaos.firmware_stalls"),
-		cFlaps:    t.Tracer.Counter("chaos.link_flaps"),
-		cWaves:    t.Tracer.Counter("chaos.pressure_waves"),
-		cTimeouts: t.Tracer.Counter("chaos.resolver_timeouts"),
-		cInvDup:   t.Tracer.Counter("chaos.inv_duplicates"),
+		T:   &t,
+		rng: t.Eng.Rand().Split(),
+		tr:  t.Tracer,
 	}
+	ij.tr.Counter("chaos.injected_drops", &ij.InjectedDrops)
+	ij.tr.Counter("chaos.firmware_stalls", &ij.FirmwareStalls)
+	ij.tr.Counter("chaos.link_flaps", &ij.LinkFlaps)
+	ij.tr.Counter("chaos.pressure_waves", &ij.PressureWaves)
+	ij.tr.Counter("chaos.resolver_timeouts", &ij.ResolverTimeouts)
+	ij.tr.Counter("chaos.inv_duplicates", &ij.InvDuplicates)
 	if p != nil {
 		for _, f := range p.Faults {
 			f.Arm(ij)
@@ -162,7 +164,7 @@ func (f FirmwareStall) Arm(ij *Injector) {
 		mult = 1
 	}
 	hook := func(lat sim.Time) sim.Time {
-		ij.cStalls.Inc()
+		ij.FirmwareStalls.Inc()
 		return sim.Time(float64(lat)*mult) + f.Add
 	}
 	ij.T.Eng.At(f.At, func() {
@@ -214,7 +216,7 @@ func (f LossBurst) Arm(ij *Injector) {
 			armed = append(armed, nid)
 			ij.T.Net.SetLossFunc(nid, func(*fabric.Packet) bool {
 				if rng.Bernoulli(f.Prob) {
-					ij.cDrops.Inc()
+					ij.InjectedDrops.Inc()
 					return true
 				}
 				return false
@@ -253,7 +255,7 @@ func (f GilbertElliott) Arm(ij *Injector) {
 			armed = append(armed, nid)
 			ij.T.Net.SetLossFunc(nid, func(*fabric.Packet) bool {
 				if ge.Drop() {
-					ij.cDrops.Inc()
+					ij.InjectedDrops.Inc()
 					return true
 				}
 				return false
@@ -294,7 +296,7 @@ func (f LinkFlap) Arm(ij *Injector) {
 			if ij.T.Net == nil {
 				return
 			}
-			ij.cFlaps.Inc()
+			ij.LinkFlaps.Inc()
 			id := ij.span("link-flap", start, start+f.Down)
 			ij.arg(id, "node", int64(f.Node))
 			ij.T.Net.SetLinkDown(f.Node, true)
@@ -342,7 +344,7 @@ func (f MemoryPressure) Arm(ij *Injector) {
 			if len(gs) == 0 {
 				return
 			}
-			ij.cWaves.Inc()
+			ij.PressureWaves.Inc()
 			id := ij.span("pressure-wave", start, start+f.Period/2)
 			var evicted int64
 			for _, g := range gs {
@@ -391,7 +393,7 @@ func (v *invalInjector) OnInvalidate(first mem.PageNum, count int) (sim.Time, in
 		dups = 0
 	}
 	if dups > 0 {
-		v.ij.cInvDup.Add(uint64(dups))
+		v.ij.InvDuplicates.Add(uint64(dups))
 		id := v.ij.span("inv-duplicate", now, now+v.f.Extra)
 		v.ij.arg(id, "first", int64(first))
 		v.ij.arg(id, "count", int64(count))
@@ -438,7 +440,7 @@ func (r *resolverInjector) ResolveDelay(attempt, pages int) (sim.Time, bool) {
 		return 0, false
 	}
 	if r.f.TimeoutProb > 0 && r.rng.Bernoulli(r.f.TimeoutProb) {
-		r.ij.cTimeouts.Inc()
+		r.ij.ResolverTimeouts.Inc()
 		id := r.ij.span("resolver-timeout", now, now+r.f.Extra)
 		r.ij.arg(id, "attempt", int64(attempt))
 		r.ij.arg(id, "pages", int64(pages))

@@ -179,6 +179,9 @@ type Driver struct {
 	ResolverTimeouts sim.Counter
 	DegradedPins     sim.Counter
 	InvDuplicates    sim.Counter
+	// OOMBackoffs counts resolution rounds that hit out-of-memory even
+	// after reclaim and backed off to retry.
+	OOMBackoffs sim.Counter
 
 	// outstanding counts NPFs currently being serviced: incremented when a
 	// fault first enters serveFault, decremented when its pages commit.
@@ -189,35 +192,26 @@ type Driver struct {
 	resolver ResolverInjector
 	inval    InvalidationInjector
 
-	// Telemetry (nil-safe: a nil tracer and nil handles disable everything).
-	tr         *trace.Tracer
-	cNPF       *trace.Counter
-	cMajor     *trace.Counter
-	cRxReports *trace.Counter
-	cOOM       *trace.Counter
-	cInvFast   *trace.Counter
-	cInvMapped *trace.Counter
-	cResolveTO *trace.Counter
-	cDegraded  *trace.Counter
-	cInvDup    *trace.Counter
-	lInv       *trace.LatencyHist
+	// Telemetry (nil-safe: a nil tracer disables everything).
+	tr *trace.Tracer
 }
 
-// SetTracer wires telemetry into the driver: fault/invalidation counters,
-// the invalidation latency distribution, and the per-stage fault records
-// (the Figure 3a components) serveFault contributes. Safe to call with nil.
+// SetTracer publishes the driver's stats fields in the metrics registry
+// (fault and invalidation counts, the mapped-invalidation latencies) and
+// wires the per-stage fault records (the Figure 3a components) serveFault
+// contributes. Safe to call with nil.
 func (d *Driver) SetTracer(tr *trace.Tracer) {
 	d.tr = tr
-	d.cNPF = tr.Counter("core.npfs")
-	d.cMajor = tr.Counter("core.major_npfs")
-	d.cRxReports = tr.Counter("core.rx_reports")
-	d.cOOM = tr.Counter("core.oom_backoffs")
-	d.cInvFast = tr.Counter("core.inv_fastpath")
-	d.cInvMapped = tr.Counter("core.inv_mapped")
-	d.cResolveTO = tr.Counter("core.resolver_timeouts")
-	d.cDegraded = tr.Counter("core.degraded_pins")
-	d.cInvDup = tr.Counter("core.inv_duplicates")
-	d.lInv = tr.Latency("core.inv_mapped_us")
+	tr.Counter("core.npfs", &d.NPFs)
+	tr.Counter("core.major_npfs", &d.MajorNPFs)
+	tr.Counter("core.rx_reports", &d.RxReports)
+	tr.Counter("core.oom_backoffs", &d.OOMBackoffs)
+	tr.Counter("core.inv_fastpath", &d.Inv.FastPath)
+	tr.Counter("core.inv_mapped", &d.Inv.Mapped)
+	tr.Counter("core.resolver_timeouts", &d.ResolverTimeouts)
+	tr.Counter("core.degraded_pins", &d.DegradedPins)
+	tr.Counter("core.inv_duplicates", &d.InvDuplicates)
+	tr.Latency("core.inv_mapped_us", &d.Inv.Total)
 	tr.Probe("core.outstanding_npfs", func() float64 {
 		return float64(d.outstanding)
 	})
@@ -291,14 +285,11 @@ func (d *Driver) registerNotifier(as *mem.AddressSpace, dom *iommu.Domain) {
 		if removed == 0 {
 			// Lazily mapped pages are often absent (Figure 3b fast path).
 			d.Inv.FastPath.Inc()
-			d.cInvFast.Inc()
 			return cost
 		}
 		d.Inv.Mapped.Inc()
-		d.cInvMapped.Inc()
 		cost += unmapCost + d.Cfg.UpdateCost
 		d.Inv.Total.AddTime(cost)
-		d.lInv.Observe(cost)
 		d.tr.FaultContext(trace.FSInvalidate, d.Eng.Now(), cost, int64(first), int64(removed))
 		if d.tr.Enabled() {
 			now := d.Eng.Now()
@@ -318,7 +309,6 @@ func (d *Driver) registerNotifier(as *mem.AddressSpace, dom *iommu.Domain) {
 // coherence property duplicated notifier deliveries are meant to stress.
 func (d *Driver) replayInvalidate(dom *iommu.Domain, first mem.PageNum, count int) {
 	d.InvDuplicates.Inc()
-	d.cInvDup.Inc()
 	_, removed := dom.Unmap(first, count)
 	d.tr.FaultContext(trace.FSInvalidate, d.Eng.Now(), d.Cfg.CheckCost, int64(first), -int64(removed)-1)
 	if d.tr.Enabled() {
@@ -362,10 +352,8 @@ func (d *Driver) faultPrep(as *mem.AddressSpace, pages []mem.PageNum, write bool
 		run = 1
 	}
 	d.NPFs.Inc()
-	d.cNPF.Inc()
 	if major {
 		d.MajorNPFs.Inc()
-		d.cMajor.Inc()
 	}
 	return swCost, osCost, major, nil
 }
@@ -412,7 +400,6 @@ func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem
 			// exponential backoff. The device keeps the operation
 			// suspended/parked meanwhile.
 			d.ResolverTimeouts.Inc()
-			d.cResolveTO.Inc()
 			delay := d.Cfg.DispatchCost + extra + d.Cfg.RetryBackoff(attempt)
 			d.tr.FaultStageAt(fid, trace.FSResolverTimeout, now, delay, int64(attempt), int64(len(pages)))
 			d.Eng.After(delay, retry)
@@ -430,7 +417,7 @@ func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem
 		}
 		// OOM even after reclaim: back off and retry; the device keeps the
 		// operation suspended/parked meanwhile.
-		d.cOOM.Inc()
+		d.OOMBackoffs.Inc()
 		backoff := d.Cfg.RetryBackoff(attempt)
 		d.tr.FaultStageAt(fid, trace.FSOOMBackoff, now, sw+backoff, int64(attempt), int64(len(pages)))
 		d.Eng.After(sw+backoff, retry)
@@ -466,7 +453,6 @@ func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem
 		}
 		if pinned > 0 {
 			d.DegradedPins.Add(uint64(pinned))
-			d.cDegraded.Add(uint64(pinned))
 			d.tr.FaultStageAt(fid, trace.FSDegradePin, now+sw, pinCost, int64(pinned), int64(attempt))
 			sw += pinCost
 		}
@@ -536,7 +522,6 @@ func (d *Driver) handleTxNPF(ev nic.TxNPF, attempt int) {
 // demand-paging reports and backup-ring entries, demuxed per channel.
 func (d *Driver) HandleRxNPF(entries []nic.RxNPFEntry) {
 	d.RxReports.Add(uint64(len(entries)))
-	d.cRxReports.Add(uint64(len(entries)))
 	for _, e := range entries {
 		st, ok := d.chans[e.Channel]
 		if !ok {

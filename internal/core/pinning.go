@@ -70,20 +70,17 @@ type PinDownCache struct {
 	// LookupCost models the cache's own bookkeeping per operation.
 	LookupCost sim.Time
 
-	tr     *trace.Tracer
-	cHits  *trace.Counter
-	cMiss  *trace.Counter
-	cEvict *trace.Counter
+	tr *trace.Tracer
 }
 
-// SetTracer mirrors the cache's hit/miss/eviction counters into the metrics
-// registry and records a "pin" span per miss (the synchronous registration
-// work an operation stalls on).
+// SetTracer publishes the cache's hit/miss/eviction counters in the
+// metrics registry and records a "pin" span per miss (the synchronous
+// registration work an operation stalls on).
 func (c *PinDownCache) SetTracer(tr *trace.Tracer) {
 	c.tr = tr
-	c.cHits = tr.Counter("pin.cache_hits")
-	c.cMiss = tr.Counter("pin.cache_misses")
-	c.cEvict = tr.Counter("pin.cache_evictions")
+	tr.Counter("pin.cache_hits", &c.Hits)
+	tr.Counter("pin.cache_misses", &c.Misses)
+	tr.Counter("pin.cache_evictions", &c.Evictions)
 	//npf:probepure — PinnedBytes only reads list.Len (a pure field read the analyzer cannot see into container/list)
 	tr.Probe("pin.pinned_bytes", func() float64 {
 		return float64(c.PinnedBytes())
@@ -131,11 +128,9 @@ func (c *PinDownCache) Acquire(addr mem.VAddr, length int) (sim.Time, error) {
 	}
 	if len(toPin) == 0 {
 		c.Hits.Inc()
-		c.cHits.Inc()
 		return cost, nil
 	}
 	c.Misses.Inc()
-	c.cMiss.Inc()
 	// Make room first, evicting as one batch (one invalidation sync, the
 	// way real registration caches deregister whole regions).
 	var victims []mem.PageNum
@@ -148,7 +143,6 @@ func (c *PinDownCache) Acquire(addr mem.VAddr, length int) (sim.Time, error) {
 		c.lru.Remove(front)
 		delete(c.pages, pn)
 		c.Evictions.Inc()
-		c.cEvict.Inc()
 		cost += c.AS.Unpin(pn, 1)
 		victims = append(victims, pn)
 	}
@@ -183,7 +177,6 @@ func (c *PinDownCache) evictOne() (sim.Time, bool) {
 	c.lru.Remove(front)
 	delete(c.pages, pn)
 	c.Evictions.Inc()
-	c.cEvict.Inc()
 	cost := c.AS.Unpin(pn, 1)
 	uc, _ := c.Dom.Unmap(pn, 1)
 	return cost + uc, true

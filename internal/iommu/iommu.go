@@ -63,29 +63,33 @@ type Unit struct {
 
 	// Faults counts translation misses observed by devices.
 	Faults sim.Counter
-
-	// Metric handles (nil = disabled; nil handles are inert).
-	cHits       *trace.Counter
-	cMisses     *trace.Counter
-	cWalks      *trace.Counter
-	cFaults     *trace.Counter
-	cMapPages   *trace.Counter
-	cUnmapPages *trace.Counter
-	cMapBatch   *trace.Counter
-	cInvBatch   *trace.Counter
+	// Walks counts page-table walks (IOTLB misses, or every translated
+	// page without an IOTLB).
+	Walks sim.Counter
+	// MapPages counts PTEs installed or upgraded and MapBatches the map
+	// transactions; UnmapPages counts PTEs removed and InvBatches the
+	// invalidation transactions that removed at least one.
+	MapPages   sim.Counter
+	MapBatches sim.Counter
+	UnmapPages sim.Counter
+	InvBatches sim.Counter
 }
 
-// SetTracer mirrors the unit's IOTLB/walk/map/invalidate activity into the
+// SetTracer publishes the unit's IOTLB/walk/map/invalidate counters in the
 // metrics registry. Safe to call with nil.
 func (u *Unit) SetTracer(tr *trace.Tracer) {
-	u.cHits = tr.Counter("iommu.iotlb_hits")
-	u.cMisses = tr.Counter("iommu.iotlb_misses")
-	u.cWalks = tr.Counter("iommu.walks")
-	u.cFaults = tr.Counter("iommu.faults")
-	u.cMapPages = tr.Counter("iommu.map_pages")
-	u.cUnmapPages = tr.Counter("iommu.unmap_pages")
-	u.cMapBatch = tr.Counter("iommu.map_batches")
-	u.cInvBatch = tr.Counter("iommu.inv_batches")
+	var hits, misses *sim.Counter // nil without an IOTLB: published as 0
+	if u.iotlb != nil {
+		hits, misses = &u.iotlb.Hits, &u.iotlb.Misses
+	}
+	tr.Counter("iommu.iotlb_hits", hits)
+	tr.Counter("iommu.iotlb_misses", misses)
+	tr.Counter("iommu.walks", &u.Walks)
+	tr.Counter("iommu.faults", &u.Faults)
+	tr.Counter("iommu.map_pages", &u.MapPages)
+	tr.Counter("iommu.unmap_pages", &u.UnmapPages)
+	tr.Counter("iommu.map_batches", &u.MapBatches)
+	tr.Counter("iommu.inv_batches", &u.InvBatches)
 }
 
 // New returns a Unit with default costs and an IOTLB of the given capacity
@@ -143,7 +147,7 @@ func (d *Domain) Map(first mem.PageNum, count int) sim.Time {
 		return 0
 	}
 	cost := d.unit.Costs.MapSync
-	d.unit.cMapBatch.Inc()
+	d.unit.MapBatches.Inc()
 	for i := 0; i < count; i++ {
 		cost += d.mapOne(first+mem.PageNum(i), true)
 	}
@@ -152,7 +156,7 @@ func (d *Domain) Map(first mem.PageNum, count int) sim.Time {
 
 // mapOne installs or upgrades one PTE, returning the per-page increment.
 func (d *Domain) mapOne(pn mem.PageNum, writable bool) sim.Time {
-	d.unit.cMapPages.Inc()
+	d.unit.MapPages.Inc()
 	e := d.ptes.At(pn)
 	switch {
 	case *e == 0:
@@ -187,7 +191,7 @@ func (d *Domain) MapBatchPerm(pages []mem.PageNum, writable bool) sim.Time {
 		return 0
 	}
 	cost := d.unit.Costs.MapSync
-	d.unit.cMapBatch.Inc()
+	d.unit.MapBatches.Inc()
 	for _, pn := range pages {
 		cost += d.mapOne(pn, writable)
 	}
@@ -208,8 +212,8 @@ func (d *Domain) Unmap(first mem.PageNum, count int) (sim.Time, int) {
 	if removed == 0 {
 		return 0, 0
 	}
-	d.unit.cUnmapPages.Add(uint64(removed))
-	d.unit.cInvBatch.Inc()
+	d.unit.UnmapPages.Add(uint64(removed))
+	d.unit.InvBatches.Inc()
 	cost := d.unit.Costs.InvalidateSync + sim.Time(removed)*d.unit.Costs.InvalidatePerPage
 	return cost, removed
 }
@@ -226,8 +230,8 @@ func (d *Domain) UnmapBatch(pages []mem.PageNum) (sim.Time, int) {
 	if removed == 0 {
 		return 0, 0
 	}
-	d.unit.cUnmapPages.Add(uint64(removed))
-	d.unit.cInvBatch.Inc()
+	d.unit.UnmapPages.Add(uint64(removed))
+	d.unit.InvBatches.Inc()
 	return d.unit.Costs.InvalidateSync + sim.Time(removed)*d.unit.Costs.InvalidatePerPage, removed
 }
 
@@ -275,26 +279,22 @@ func (d *Domain) TranslateAccess(addr mem.VAddr, length int, write bool) (cost s
 				// IOTLB hit: translation cached with sufficient permission,
 				// and cached entries are always valid (invalidated on unmap
 				// and on permission upgrades).
-				d.unit.cHits.Inc()
 				continue
 			}
-			d.unit.cMisses.Inc()
-			d.unit.cWalks.Inc()
+			d.unit.Walks.Inc()
 			cost += walk
 			if e := d.ptes.Get(pn); e != 0 && (!write || e&pteWritable != 0) {
 				d.unit.iotlb.insert(d.ID, pn, e&pteWritable != 0)
 			} else {
 				d.unit.Faults.Inc()
-				d.unit.cFaults.Inc()
 				missing = append(missing, pn) //npf:allocok — only a faulting access grows the miss list
 			}
 			continue
 		}
 		cost += walk
-		d.unit.cWalks.Inc()
+		d.unit.Walks.Inc()
 		if e := d.ptes.Get(pn); e == 0 || (write && e&pteWritable == 0) {
 			d.unit.Faults.Inc()
-			d.unit.cFaults.Inc()
 			missing = append(missing, pn) //npf:allocok — only a faulting access grows the miss list
 		}
 	}

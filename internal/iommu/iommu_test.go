@@ -5,6 +5,8 @@ import (
 	"testing/quick"
 
 	"npf/internal/mem"
+	"npf/internal/sim"
+	"npf/internal/trace"
 )
 
 func TestMapTranslateUnmap(t *testing.T) {
@@ -77,6 +79,43 @@ func TestIOTLBHitSkipsWalk(t *testing.T) {
 	}
 	if u.iotlb.Hits.N != 1 || u.iotlb.Misses.N != 1 {
 		t.Fatalf("hits=%d misses=%d", u.iotlb.Hits.N, u.iotlb.Misses.N)
+	}
+}
+
+// TestSetTracerPublishesIOTLB checks that the unit's metrics read its own
+// counters, the private IOTLB's included, and that a unit without an IOTLB
+// still lists the IOTLB names at 0.
+func TestSetTracerPublishesIOTLB(t *testing.T) {
+	for _, entries := range []int{64, 0} {
+		u := New(entries)
+		tr := trace.New(sim.NewEngine(1))
+		u.SetTracer(tr)
+		d := u.NewDomain()
+		d.Map(5, 2)
+		d.Translate(mem.PageNum(5).Base(), 3*mem.PageSize) // 3 misses (page 7 faults), or 3 walks
+		d.Translate(mem.PageNum(5).Base(), 2*mem.PageSize) // 2 hits, or 2 walks
+		var hits, misses uint64
+		if u.iotlb != nil {
+			hits, misses = u.iotlb.Hits.N, u.iotlb.Misses.N
+		}
+		for name, want := range map[string]uint64{
+			"iommu.iotlb_hits":   hits,
+			"iommu.iotlb_misses": misses,
+			"iommu.walks":        u.Walks.N,
+			"iommu.faults":       u.Faults.N,
+			"iommu.map_pages":    u.MapPages.N,
+			"iommu.map_batches":  u.MapBatches.N,
+		} {
+			if got := tr.Counter(name).Value(); got != want {
+				t.Errorf("entries=%d: %s = %d, want %d", entries, name, got, want)
+			}
+		}
+		if entries > 0 && (hits != 2 || misses != 3) {
+			t.Errorf("hits=%d misses=%d, want 2/3", hits, misses)
+		}
+		if entries == 0 && u.Walks.N != 5 {
+			t.Errorf("walks=%d without an IOTLB, want 5", u.Walks.N)
+		}
 	}
 }
 

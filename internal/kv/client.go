@@ -33,10 +33,11 @@ type Workload struct {
 	// OnDone fires once when the workload completes.
 	OnDone func()
 
-	clients   []*wlClient
-	pending   map[uint64]*pendingReq
-	issued    int
-	completed int
+	clients []*wlClient
+	pending map[uint64]*pendingReq
+	issued  int
+	// completed counts finished ops; the tracer publishes it as kv.ops.
+	completed sim.Counter
 	started   bool
 }
 
@@ -96,7 +97,10 @@ func (s *Service) NewWorkload(cfg WorkloadConfig) *Workload {
 	tr.Probe("kv."+tenant+".p99_us", func() float64 { return w.Lat.Percentile(99) })
 	//npf:probepure — Histogram.Percentile's lazy sort is an internal cache, not observable state
 	tr.Probe("kv."+tenant+".p999_us", func() float64 { return w.Lat.Percentile(99.9) })
-	tr.Probe("kv."+tenant+".completed", func() float64 { return float64(w.completed) })
+	tr.Probe("kv."+tenant+".completed", func() float64 { return float64(w.completed.N) })
+	tr.Counter("kv.ops", &w.completed)
+	tr.Counter("kv.frontcache_hits", &w.FrontHits)
+	tr.Counter("kv.retries", &w.Retries)
 	s.workloads = append(s.workloads, w)
 	return w
 }
@@ -195,7 +199,6 @@ func (c *wlClient) issue() {
 		if c.host.frontCache.get(key) {
 			// Hot-key hit at the client tier: complete locally.
 			w.FrontHits.Inc()
-			s.cFrontHits.Add(1)
 			s.cliEng.After(frontCacheCost, func() {
 				if r, ok := w.pending[id]; ok {
 					delete(w.pending, id)
@@ -245,7 +248,6 @@ func (w *Workload) sendReq(id uint64, req *pendingReq) {
 			return
 		}
 		w.Retries.Inc()
-		s.cRetries.Add(1)
 		w.sendReq(id, req) // placement is re-read: a failover reroutes us
 	})
 }
@@ -286,9 +288,8 @@ func (w *Workload) handleReply(id uint64, req *pendingReq, m *rpcMsg) {
 func (w *Workload) complete(req *pendingReq) {
 	s := w.svc
 	w.Lat.AddTime(s.cliEng.Now() - req.start)
-	s.cOps.Add(1)
-	w.completed++
-	if w.completed == w.Cfg.TargetOps {
+	w.completed.Inc()
+	if w.completed.N == uint64(w.Cfg.TargetOps) {
 		w.DoneAt = s.cliEng.Now()
 		if w.OnDone != nil {
 			w.OnDone()
@@ -301,7 +302,7 @@ func (w *Workload) complete(req *pendingReq) {
 }
 
 // Completed reports ops finished so far.
-func (w *Workload) Completed() int { return w.completed }
+func (w *Workload) Completed() int { return int(w.completed.N) }
 
 // Issued reports ops issued so far.
 func (w *Workload) Issued() int { return w.issued }

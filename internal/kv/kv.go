@@ -266,23 +266,14 @@ type Service struct {
 	stoppedSrv bool
 	stoppedCli bool
 
-	// Counters (also mirrored into the tracer when one is attached).
-	// All of these are written from server-partition events only.
+	// Counters. All of these are written from server-partition events
+	// only.
 	Failovers    sim.Counter
 	Redirects    sim.Counter
 	ReplTimeouts sim.Counter
 	Resyncs      sim.Counter
 	Shed         sim.Counter
 	ArenaEvicts  sim.Counter
-
-	cOps       *trace.Counter // client tracer
-	cFailovers *trace.Counter
-	cReplTO    *trace.Counter
-	cResyncs   *trace.Counter
-	cShed      *trace.Counter
-	cRedirects *trace.Counter
-	cFrontHits *trace.Counter // client tracer
-	cRetries   *trace.Counter // client tracer
 }
 
 // ClientEngine returns the engine the client hosts run on: Eng on a
@@ -325,14 +316,16 @@ func New(eng *sim.Engine, net *fabric.Network, tr *trace.Tracer, cfg Config) *Se
 			s.TracerC = cfg.ClientTracer
 		}
 	}
-	s.cOps = s.TracerC.Counter("kv.ops")
-	s.cFailovers = tr.Counter("kv.failovers")
-	s.cReplTO = tr.Counter("kv.repl_timeouts")
-	s.cResyncs = tr.Counter("kv.resyncs")
-	s.cShed = tr.Counter("kv.shed")
-	s.cRedirects = tr.Counter("kv.redirects")
-	s.cFrontHits = s.TracerC.Counter("kv.frontcache_hits")
-	s.cRetries = s.TracerC.Counter("kv.retries")
+	// The per-workload counts are client-tier state: NewWorkload publishes
+	// each workload's fields under these names on the client tracer.
+	s.TracerC.Counter("kv.ops")
+	tr.Counter("kv.failovers", &s.Failovers)
+	tr.Counter("kv.repl_timeouts", &s.ReplTimeouts)
+	tr.Counter("kv.resyncs", &s.Resyncs)
+	tr.Counter("kv.shed", &s.Shed)
+	tr.Counter("kv.redirects", &s.Redirects)
+	s.TracerC.Counter("kv.frontcache_hits")
+	s.TracerC.Counter("kv.retries")
 	// Causal-recorder depth on the server tier: completed vs in-flight NPF
 	// lifecycle records (trace/fault.go), sampled per tick.
 	//npf:probepure — FaultRecordCount/PendingFaults only read recorder lengths
@@ -585,7 +578,6 @@ func (s *Service) detectorLoop(h *HostNode) {
 					s.Eng.Call(s.cliEng, func() { s.cliPrimary[shard] = idx })
 				}
 				s.Failovers.Inc()
-				s.cFailovers.Add(1)
 				r.promote()
 				break
 			}

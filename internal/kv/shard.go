@@ -95,7 +95,6 @@ func (r *replica) handleClientOp(m *rpcMsg) {
 	if s.place.PrimaryHost(r.shard) != r.host.Index {
 		// Stale client routing: redirect (the client re-reads placement).
 		s.Redirects.Inc()
-		s.cRedirects.Add(1)
 		reply := &rpcMsg{Kind: rpcReply, Shard: r.shard, ReqID: m.ReqID,
 			Client: m.Client, Redirect: true, Epoch: s.place.Epoch(r.shard)}
 		s.send(r.host, m.From, rpcHeader, reply)
@@ -156,7 +155,6 @@ func (r *replica) replicate(seq uint64, key string, size int, reply *rpcMsg, to 
 		}
 		delete(r.pending, seq)
 		s.ReplTimeouts.Inc()
-		s.cReplTO.Add(1)
 		// Complete the client op anyway: the write is exposed to loss
 		// until the lagging backup resyncs (async-replication semantics
 		// under partitions; the detector will fail the shard over if the
@@ -243,7 +241,6 @@ func (r *replica) requestResync(full bool) {
 	r.resyncAt = s.Eng.Now()
 	r.resyncFull = full
 	s.Resyncs.Inc()
-	s.cResyncs.Add(1)
 	s.send(r.host, ph, rpcHeader, &rpcMsg{
 		Kind: rpcResyncReq, Shard: r.shard, Seq: r.seq, Full: full,
 	})
@@ -399,7 +396,6 @@ func (r *replica) applySet(key string, size int) (sim.Time, bool) {
 		}
 		r.shed++
 		r.svc.Shed.Inc()
-		r.svc.cShed.Add(1)
 		return total, false
 	}
 }

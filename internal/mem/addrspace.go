@@ -92,7 +92,24 @@ func (m *Machine) NewAddressSpace(name string, cgroup *Group) *AddressSpace {
 		g.addMember(as)
 	}
 	m.spaces = append(m.spaces, as)
+	publishPaging(m.tr, as)
 	return as
+}
+
+// publishPaging publishes as's paging stats under the machine-wide metric
+// names, which sum over every space on the machine. A nil as only
+// registers the names. mem.invalidations is the same fact as
+// mem.evictions: every frame taken away (reclaim, EvictPages,
+// DiscardPages) is one MMU-notifier invalidation.
+func publishPaging(tr *trace.Tracer, as *AddressSpace) {
+	var minor, major, evicted *sim.Counter
+	if as != nil {
+		minor, major, evicted = &as.MinorFaults, &as.MajorFaults, &as.Evicted
+	}
+	tr.Counter("mem.minor_faults", minor)
+	tr.Counter("mem.major_faults", major)
+	tr.Counter("mem.evictions", evicted)
+	tr.Counter("mem.invalidations", evicted)
 }
 
 // Machine returns the host machine this space lives on.
@@ -292,17 +309,17 @@ func (as *AddressSpace) faultIn(p *pte) (cost sim.Time, major bool, err error) {
 		p.inSwap = false
 		major = true
 		as.MajorFaults.Inc()
-		as.m.cMajor.Inc()
 	} else {
 		as.MinorFaults.Inc()
-		as.m.cMinor.Inc()
 	}
 	if p.cowCopy {
 		// Materialising a forked page copies it from the parent.
 		cost += CowCopyCost
 		p.cowCopy = false
 	}
-	as.m.lFault.Observe(cost)
+	if h := as.m.faultLat; h != nil {
+		h.AddTime(cost)
+	}
 	p.present = true
 	p.access = as.m.Eng.Now()
 	as.lruPush(p)
@@ -418,7 +435,6 @@ func (as *AddressSpace) evictOldest() (int64, sim.Time, bool) {
 		p.dirty = false
 	}
 	as.Evicted.Inc()
-	as.m.cEvict.Inc()
 	// Reclaim context for the fault flight recorder: an eviction (and its
 	// invalidation sync) is exactly what tail-fault excerpts need to show.
 	as.m.tr.FaultContext(trace.FSReclaim, as.m.Eng.Now(), cost, int64(p.pn), 0)
@@ -430,7 +446,6 @@ func (as *AddressSpace) evictOldest() (int64, sim.Time, bool) {
 // IOVA), then the frame is freed.
 func (as *AddressSpace) invalidate(p *pte) sim.Time {
 	var cost sim.Time
-	as.m.cInval.Inc()
 	for _, n := range as.notifiers {
 		cost += n.InvalidatePages(p.pn, 1)
 	}

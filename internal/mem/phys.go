@@ -166,26 +166,28 @@ type Machine struct {
 	// creation order — the walk set for machine-wide residency probes.
 	spaces []*AddressSpace
 
-	// Metric handles (nil = disabled; nil handles are inert). tr feeds
-	// reclaim context events into the fault flight recorder.
-	tr     *trace.Tracer
-	cMinor *trace.Counter
-	cMajor *trace.Counter
-	cEvict *trace.Counter
-	cInval *trace.Counter
-	lFault *trace.LatencyHist
+	// tr feeds reclaim context events into the fault flight recorder.
+	// faultLat holds every fault-in cost (µs) on the machine; it exists
+	// only while a tracer is attached, so untraced runs keep no samples.
+	tr       *trace.Tracer
+	faultLat *sim.Histogram
 }
 
-// SetTracer mirrors machine-wide paging activity (across every address
-// space on the machine) into the metrics registry, and registers the
-// residency probes the sampler snapshots each tick. Safe to call with nil.
+// SetTracer publishes machine-wide paging activity (the stats fields of
+// every address space on the machine, and the fault-in latencies) in the
+// metrics registry, and registers the residency probes the sampler
+// snapshots each tick. Safe to call with nil.
 func (m *Machine) SetTracer(tr *trace.Tracer) {
 	m.tr = tr
-	m.cMinor = tr.Counter("mem.minor_faults")
-	m.cMajor = tr.Counter("mem.major_faults")
-	m.cEvict = tr.Counter("mem.evictions")
-	m.cInval = tr.Counter("mem.invalidations")
-	m.lFault = tr.Latency("mem.fault_us")
+	m.faultLat = nil
+	if tr.Enabled() {
+		m.faultLat = new(sim.Histogram)
+	}
+	publishPaging(tr, nil) // the names exist before the first space does
+	for _, as := range m.spaces {
+		publishPaging(tr, as)
+	}
+	tr.Latency("mem.fault_us", m.faultLat)
 	tr.Probe("mem.resident_pages", func() float64 {
 		sum := 0.0
 		for _, as := range m.spaces {

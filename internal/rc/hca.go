@@ -175,9 +175,6 @@ type HCA struct {
 
 	// Tracer records NPF fault records and RNR spans; nil disables tracing.
 	Tracer *trace.Tracer
-	cRNR   *trace.Counter
-	cRetx  *trace.Counter
-	cRwnd  *trace.Counter
 
 	// Counters.
 	PacketsSent  sim.Counter
@@ -209,14 +206,15 @@ func NewHCA(eng *sim.Engine, net *fabric.Network, cfg Config) *HCA {
 // SetFaultSink installs the driver's NPF handler.
 func (h *HCA) SetFaultSink(s FaultSink) { h.sink = s }
 
-// SetTracer wires telemetry into the adapter and its on-NIC IOMMU. Safe to
-// call with nil.
+// SetTracer wires telemetry into the adapter and its on-NIC IOMMU and
+// publishes the adapter's RNR/retransmit/rewind counters. Safe to call
+// with nil.
 func (h *HCA) SetTracer(tr *trace.Tracer) {
 	h.Tracer = tr
 	h.MMU.SetTracer(tr)
-	h.cRNR = tr.Counter("rc.rnr_nacks")
-	h.cRetx = tr.Counter("rc.retransmits")
-	h.cRwnd = tr.Counter("rc.read_rewinds")
+	tr.Counter("rc.rnr_nacks", &h.RNRNacks)
+	tr.Counter("rc.retransmits", &h.Retransmits)
+	tr.Counter("rc.read_rewinds", &h.ReadRewinds)
 	tr.Probe("rc.rnr_suspended_qps", func() float64 {
 		n := 0.0
 		//npf:orderinvariant — counting suspended QPs is commutative

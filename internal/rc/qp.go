@@ -321,7 +321,6 @@ func (qp *QP) retxTimeout() {
 	qp.retxArmed = false
 	if qp.inflight() > 0 && qp.sndUna == qp.retxSnap && !qp.rnrWait && !qp.sendPaused {
 		qp.hca.Retransmits.Inc()
-		qp.hca.cRetx.Inc()
 		qp.sndNxt = qp.sndUna
 		qp.sendLoop()
 	} else {
@@ -372,7 +371,6 @@ func (qp *QP) handleRNRNack(psn uint64) {
 		qp.handleAckOnly(psn)
 	}
 	qp.hca.Retransmits.Add(qp.sndNxt - psn)
-	qp.hca.cRetx.Add(qp.sndNxt - psn)
 	if qp.hca.Tracer.Enabled() {
 		now := qp.hca.Eng.Now()
 		id := qp.hca.Tracer.Span(0, "rc", "rnr-wait", now, now+qp.hca.Cfg.RNRTimeout)
@@ -401,7 +399,6 @@ func (qp *QP) handleSeqNack(psn uint64) {
 		psn = qp.sndUna // everything below is already acknowledged
 	}
 	qp.hca.Retransmits.Add(qp.sndNxt - psn)
-	qp.hca.cRetx.Add(qp.sndNxt - psn)
 	qp.sndNxt = psn
 	qp.sendLoop()
 }
@@ -566,7 +563,6 @@ func (qp *QP) sendAck() {
 
 func (qp *QP) sendRNRNack() {
 	qp.hca.RNRNacks.Inc()
-	qp.hca.cRNR.Inc()
 	qp.unacked = 0
 	qp.hca.send(fabricNode(qp.peerNode), packet{
 		Kind: pktRNRNack, SrcQPN: qp.QPN, DstQPN: qp.peerQPN, AckPSN: qp.expPSN,
@@ -736,7 +732,6 @@ func (qp *QP) handleReadResp(pkt *packet) {
 						return
 					}
 					qp.hca.ReadRewinds.Inc()
-					qp.hca.cRwnd.Inc()
 					// Baseline RC: no way to stop the responder; rewind by
 					// re-requesting the remainder.
 					qp.hca.send(fabricNode(qp.peerNode), packet{

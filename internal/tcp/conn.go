@@ -122,7 +122,6 @@ func (c *Conn) sendSyn() {
 		}
 		c.synRetries++
 		c.stack.Retransmits.Inc()
-		c.stack.cRetx.Inc()
 		if c.synRetries > c.stack.Cfg.SynMaxRetries {
 			c.fail()
 			return
@@ -145,7 +144,6 @@ func (c *Conn) fail() {
 	c.state = StateFailed
 	c.disarmTimer()
 	c.stack.Failures.Inc()
-	c.stack.cFail.Inc()
 	if c.retxSpan != 0 {
 		c.stack.tr.ArgStr(c.retxSpan, "result", "failed")
 		c.stack.tr.End(c.retxSpan)
@@ -266,9 +264,7 @@ func (c *Conn) handleAck(ack uint64) {
 		if c.dupAcks == 3 {
 			// Fast retransmit.
 			c.stack.FastRetx.Inc()
-			c.stack.cFastRetx.Inc()
 			c.stack.Retransmits.Inc()
-			c.stack.cRetx.Inc()
 			c.ssthresh = max(c.inflightBytes()/2, 2*cfg.MSS)
 			c.cwnd = c.ssthresh
 			c.rttValid = false
@@ -326,7 +322,6 @@ func (c *Conn) onRTO() {
 	}
 	cfg := c.stack.Cfg
 	c.stack.Timeouts.Inc()
-	c.stack.cTimeouts.Inc()
 	c.retries++
 	if c.retries > cfg.MaxRetries {
 		c.fail()
@@ -348,7 +343,6 @@ func (c *Conn) onRTO() {
 	c.inflight = nil
 	c.sndNxt = c.sndUna
 	c.stack.Retransmits.Inc()
-	c.stack.cRetx.Inc()
 	c.trySend()
 	// trySend arms the timer with the backed-off RTO.
 	if len(c.inflight) > 0 {

@@ -146,11 +146,7 @@ type Stack struct {
 
 	// Telemetry, inherited from the channel's device at construction (nil
 	// when the device is untraced).
-	tr        *trace.Tracer
-	cRetx     *trace.Counter
-	cTimeouts *trace.Counter
-	cFastRetx *trace.Counter
-	cFail     *trace.Counter
+	tr *trace.Tracer
 }
 
 // NewStack builds a stack over ch and posts the full receive ring. Buffers
@@ -163,10 +159,10 @@ func NewStack(ch *nic.Channel, cfg Config) *Stack {
 		conns: make(map[uint64]*Conn),
 	}
 	s.tr = ch.Dev.Tracer
-	s.cRetx = s.tr.Counter("tcp.retransmits")
-	s.cTimeouts = s.tr.Counter("tcp.timeouts")
-	s.cFastRetx = s.tr.Counter("tcp.fast_retx")
-	s.cFail = s.tr.Counter("tcp.failures")
+	s.tr.Counter("tcp.retransmits", &s.Retransmits)
+	s.tr.Counter("tcp.timeouts", &s.Timeouts)
+	s.tr.Counter("tcp.fast_retx", &s.FastRetx)
+	s.tr.Counter("tcp.failures", &s.Failures)
 	s.tr.Probe("tcp.inflight_segs", func() float64 {
 		sum := 0.0
 		//npf:orderinvariant — summing per-connection windows is commutative

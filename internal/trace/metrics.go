@@ -2,102 +2,39 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"npf/internal/sim"
 )
 
-// Counter is a monotonically increasing metric handle. A nil *Counter (as
-// returned by a disabled tracer) is inert, so call sites resolve handles
-// once at construction time and increment unconditionally.
+// Counter is the read-only view of one metric name: the sum of the
+// sim.Counter stats fields the layers published under it. The layers own
+// and increment those fields; the tracer only reads them, so every fact
+// has exactly one count. A nil *Counter (as returned by a disabled tracer)
+// reads 0.
 type Counter struct {
-	n uint64
+	srcs []*sim.Counter
 }
 
-// Inc adds one. Allocation-free on every path (nil handle or live).
-//
-//npf:noalloc
-func (c *Counter) Inc() {
-	if c != nil {
-		c.n++
-	}
-}
-
-// Add adds n. Allocation-free on every path.
-//
-//npf:noalloc
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.n += n
-	}
-}
-
-// Value returns the current count (0 for a nil handle).
+// Value returns the sum of the published sources (0 for a nil handle).
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.n
-}
-
-// Gauge is a last-value-wins metric handle.
-type Gauge struct {
-	v   float64
-	set bool
-}
-
-// Set records the current value. Allocation-free on every path.
-//
-//npf:noalloc
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v, g.set = v, true
+	var n uint64
+	for _, s := range c.srcs {
+		n += s.N
 	}
+	return n
 }
 
-// Value returns the last set value (0 for a nil handle).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
-
-// LatencyHist is a sim.Histogram-backed latency distribution recorded in
-// microseconds.
-type LatencyHist struct {
-	h sim.Histogram
-}
-
-// Observe records one virtual-time span. The disabled (nil-handle) path
-// is fenced allocation-free; a live histogram grows its sample slice.
-//
-//npf:noalloc
-func (l *LatencyHist) Observe(d sim.Time) {
-	if l != nil {
-		l.h.AddTime(d) //npf:allocok — enabled path; the sample slice grows by design
-	}
-}
-
-// ObserveVal records one raw sample (already in µs).
-func (l *LatencyHist) ObserveVal(v float64) {
-	if l != nil {
-		l.h.Add(v)
-	}
-}
-
-// Hist exposes the underlying histogram (nil-safe: returns an empty one).
-func (l *LatencyHist) Hist() *sim.Histogram {
-	if l == nil {
-		return &sim.Histogram{}
-	}
-	return &l.h
-}
-
-// Counter returns (creating if needed) the counter registered under name.
-// A disabled tracer returns a nil handle, which is safe to use.
-func (t *Tracer) Counter(name string) *Counter {
+// Counter registers name (if new), publishes srcs under it, and returns
+// its read-only handle. Sources published under one name sum, which keeps
+// aggregation across hosts commutative. Nil sources are skipped. A
+// disabled tracer returns a nil handle and keeps nothing.
+func (t *Tracer) Counter(name string, srcs ...*sim.Counter) *Counter {
 	if t == nil {
 		return nil
 	}
@@ -106,49 +43,36 @@ func (t *Tracer) Counter(name string) *Counter {
 		c = &Counter{}
 		t.counters[name] = c
 	}
+	c.srcs = publish(c.srcs, srcs)
 	return c
 }
 
-// Gauge returns (creating if needed) the gauge registered under name.
-func (t *Tracer) Gauge(name string) *Gauge {
-	if t == nil {
-		return nil
-	}
-	g, ok := t.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		t.gauges[name] = g
-	}
-	return g
-}
-
-// Latency returns (creating if needed) the latency distribution registered
-// under name.
-func (t *Tracer) Latency(name string) *LatencyHist {
-	if t == nil {
-		return nil
-	}
-	l, ok := t.lats[name]
-	if !ok {
-		l = &LatencyHist{}
-		t.lats[name] = l
-	}
-	return l
-}
-
-// Count is a convenience for one-off increments where keeping a handle is
-// not worth it (cold paths only: it pays a map lookup when enabled).
-func (t *Tracer) Count(name string, n uint64) {
+// Latency registers name (if new) and publishes srcs under it: the
+// snapshot reports the merge of every published histogram (µs samples).
+// Nil sources are skipped; a disabled tracer keeps nothing.
+func (t *Tracer) Latency(name string, srcs ...*sim.Histogram) {
 	if t == nil {
 		return
 	}
-	t.Counter(name).Add(n)
+	t.lats[name] = publish(t.lats[name], srcs)
+}
+
+// publish appends the non-nil srcs not already in list. Publishing a field
+// twice (a layer's SetTracer called again) must not count it twice.
+func publish[T any](list, srcs []*T) []*T {
+	for _, s := range srcs {
+		if s != nil && !slices.Contains(list, s) {
+			list = append(list, s)
+		}
+	}
+	return list
 }
 
 // MetricsSnapshot renders every registered metric as one line each, sorted
-// by kind then name — byte-reproducible given a seed. Counters that were
-// registered but never incremented still appear (value 0), so two runs of
-// the same scenario list identical metric sets.
+// by kind then name — byte-reproducible given a seed. Names registered
+// with nothing counted yet still appear (value 0), so two runs of the
+// same scenario list identical metric sets. Gauges are the probe sums of
+// the sampler's most recent tick (none without a sampler).
 func (t *Tracer) MetricsSnapshot() string {
 	if t == nil {
 		return ""
@@ -157,11 +81,16 @@ func (t *Tracer) MetricsSnapshot() string {
 	for _, name := range sortedKeys(t.counters) {
 		fmt.Fprintf(&b, "counter %-32s %d\n", name, t.counters[name].Value())
 	}
-	for _, name := range sortedKeys(t.gauges) {
-		fmt.Fprintf(&b, "gauge   %-32s %.3f\n", name, t.gauges[name].Value())
+	if s := t.sampler; s != nil {
+		for _, name := range sortedKeys(s.gauges) {
+			fmt.Fprintf(&b, "gauge   %-32s %.3f\n", name, s.gauges[name])
+		}
 	}
 	for _, name := range sortedKeys(t.lats) {
-		h := t.lats[name].Hist()
+		var h sim.Histogram
+		for _, src := range t.lats[name] {
+			h.Merge(src)
+		}
 		fmt.Fprintf(&b, "latency %-32s n=%d mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f\n",
 			name, h.Count(), h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.Max())
 	}

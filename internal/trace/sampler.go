@@ -8,10 +8,10 @@ import "npf/internal/sim"
 // SetMaxSamples) before the run for longer captures.
 const DefaultMaxSamples = 1 << 20
 
-// Sampler snapshots every registered counter and gauge into per-interval
-// columns, driven by the simulation clock: it schedules itself on the
-// tracer's engine, so two runs of the same seed sample at identical virtual
-// times and produce byte-identical series.
+// Sampler snapshots every registered counter and probe gauge into
+// per-interval columns, driven by the simulation clock: it schedules itself
+// on the tracer's engine, so two runs of the same seed sample at identical
+// virtual times and produce byte-identical series.
 //
 // Lifecycle: obtain one via Tracer.StartSampler. The sampler takes one
 // sample immediately, then re-arms every Interval. When a tick finds the
@@ -40,6 +40,7 @@ type Sampler struct {
 
 	times     []sim.Time
 	cols      map[string][]float64
+	gauges    map[string]float64 // each probe name's sum at the latest tick
 	truncated bool
 	parked    bool
 }
@@ -79,6 +80,7 @@ func (t *Tracer) StartSampler(interval sim.Time) *Sampler {
 		interval:   interval,
 		MaxSamples: DefaultMaxSamples,
 		cols:       make(map[string][]float64),
+		gauges:     make(map[string]float64),
 	}
 	s.tickFn = s.tick
 	t.sampler = s
@@ -142,8 +144,9 @@ func (s *Sampler) tick() {
 	s.tr.eng.After(s.interval, s.tickFn)
 }
 
-// sample evaluates probes and appends one row. Iteration over the probe and
-// metric maps is sorted, so row construction is deterministic.
+// sample evaluates probes and appends one row: every counter, then every
+// probe sum. Iteration over the probe and metric maps is sorted, so row
+// construction is deterministic.
 func (s *Sampler) sample() {
 	t := s.tr
 	if s.MaxSamples > 0 && len(s.times) >= s.MaxSamples {
@@ -155,15 +158,15 @@ func (s *Sampler) sample() {
 		for _, fn := range t.probes[name] {
 			sum += fn()
 		}
-		t.Gauge(name).Set(sum)
+		s.gauges[name] = sum
 	}
 	row := len(s.times)
 	s.times = append(s.times, t.eng.Now())
 	for _, name := range sortedKeys(t.counters) {
 		s.appendCell(name, row, float64(t.counters[name].Value()))
 	}
-	for _, name := range sortedKeys(t.gauges) {
-		s.appendCell(name, row, t.gauges[name].Value())
+	for _, name := range sortedKeys(s.gauges) {
+		s.appendCell(name, row, s.gauges[name])
 	}
 }
 
@@ -178,8 +181,8 @@ func (s *Sampler) appendCell(name string, row int, v float64) {
 	if len(col) == row {
 		col = append(col, v)
 	} else {
-		// A name registered as both counter and gauge: last write wins
-		// (gauges iterate second). Metric naming conventions keep the two
+		// A name registered as both counter and probe: last write wins
+		// (probes iterate second). Metric naming conventions keep the two
 		// namespaces disjoint in practice.
 		col[row] = v
 	}

@@ -9,20 +9,24 @@ import (
 )
 
 // buildSampledRun drives a small deterministic workload under a sampler:
-// a counter incremented at 3/7/12 µs, a probe mirroring a variable, and a
-// gauge registered late (after sampling starts) to exercise zero-backfill.
+// a published counter incremented at 3/7/12 µs, a probe mirroring a
+// variable, and a probe registered late (after sampling starts) to
+// exercise zero-backfill.
 func buildSampledRun(seed int64) (*Tracer, *Sampler) {
 	eng := sim.NewEngine(seed)
 	tr := New(eng)
-	c := tr.Counter("work.items")
+	var items sim.Counter
+	tr.Counter("work.items", &items)
 	depth := 0
 	tr.Probe("work.depth", func() float64 { return float64(depth) })
 	s := tr.StartSampler(5 * sim.Microsecond)
 	for _, at := range []sim.Time{us(3), us(7), us(12)} {
 		eng.At(at, func() {
-			c.Inc()
+			items.Inc()
 			depth++
-			tr.Gauge("work.late").Set(float64(depth) * 10)
+			if depth == 1 {
+				tr.Probe("work.late", func() float64 { return float64(depth) * 10 })
+			}
 		})
 	}
 	eng.Run()
@@ -93,7 +97,8 @@ func TestSamplerProbesSumUnderOneName(t *testing.T) {
 func TestSamplerMaxSamplesTruncates(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tr := New(eng)
-	tr.Counter("c").Inc()
+	c := sim.Counter{N: 1}
+	tr.Counter("c", &c)
 	s := tr.StartSampler(us(1))
 	s.MaxSamples = 3
 	// Keep the engine busy well past 3 samples.
@@ -220,7 +225,8 @@ func TestSamplingDoesNotPerturbWorkload(t *testing.T) {
 	run := func(sample bool) (uint64, string) {
 		eng := sim.NewEngine(42)
 		tr := New(eng)
-		c := tr.Counter("work.items")
+		var items sim.Counter
+		c := tr.Counter("work.items", &items)
 		if sample {
 			tr.Probe("work.probe", func() float64 { return 1 })
 			tr.StartSampler(us(5))
@@ -229,7 +235,7 @@ func TestSamplingDoesNotPerturbWorkload(t *testing.T) {
 			i := i
 			eng.At(us(3*i), func() {
 				id := tr.Begin(0, "npf", "op")
-				c.Inc()
+				items.Inc()
 				tr.EndAt(id, eng.Now()+us(2))
 			})
 		}

@@ -1,6 +1,7 @@
 // Package trace is the deterministic telemetry subsystem every layer of the
 // stack reports into: a span recorder keyed off virtual time (sim.Time), a
-// metrics registry (counters, gauges, latency histograms), and exporters —
+// metrics registry naming the stats fields the layers publish (counters,
+// latency histograms, sampled probe gauges), and exporters —
 // Chrome trace_event JSON (loadable in Perfetto / chrome://tracing) and text
 // summaries.
 //
@@ -109,9 +110,10 @@ type Tracer struct {
 	MaxFaultRecords int
 	fr              *flightRecorder
 
+	// counters and lats name the layers' published stats fields (see
+	// Counter and Latency); the tracer never increments them itself.
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	lats     map[string]*LatencyHist
+	lats     map[string][]*sim.Histogram
 
 	// probes are read-only gauge callbacks evaluated at every sampler tick
 	// (see Probe); sampler is the singleton started by StartSampler.
@@ -125,8 +127,7 @@ func New(eng *sim.Engine) *Tracer {
 		eng:      eng,
 		MaxSpans: DefaultMaxSpans,
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		lats:     make(map[string]*LatencyHist),
+		lats:     make(map[string][]*sim.Histogram),
 	}
 }
 

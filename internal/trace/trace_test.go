@@ -92,20 +92,17 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 	tr.End(id)
 	tr.ArgInt(id, "k", 1)
-	tr.Count("c", 3)
-	if c := tr.Counter("c"); c != nil {
+	src := sim.Counter{N: 3}
+	if c := tr.Counter("c", &src); c != nil {
 		t.Fatal("nil tracer returned non-nil counter")
 	}
 	var cnt *Counter
-	cnt.Inc()
-	cnt.Add(7)
 	if cnt.Value() != 0 {
 		t.Fatal("nil counter has a value")
 	}
-	var g *Gauge
-	g.Set(3)
-	var l *LatencyHist
-	l.Observe(us(5))
+	var h sim.Histogram
+	h.AddTime(us(5))
+	tr.Latency("l", &h)
 	if got := tr.MetricsSnapshot(); got != "" {
 		t.Fatalf("nil snapshot = %q", got)
 	}
@@ -126,9 +123,8 @@ func zeroProbe() float64 { return 0 }
 // surface, since SetTracer registers probes unconditionally.
 func TestTracerDisabledNoAlloc(t *testing.T) {
 	var tr *Tracer
-	c := tr.Counter("core.npfs")
-	g := tr.Gauge("nic.rx_ring_occupancy")
-	l := tr.Latency("core.npf_total_us")
+	var x sim.Counter
+	var h sim.Histogram
 	s := tr.StartSampler(us(10))
 	allocs := testing.AllocsPerRun(1000, func() {
 		if tr.Enabled() {
@@ -137,11 +133,11 @@ func TestTracerDisabledNoAlloc(t *testing.T) {
 		id := tr.Begin(0, "npf", "recv-rnpf")
 		tr.ArgInt(id, "pages", 4)
 		tr.End(id)
-		c.Inc()
-		c.Add(3)
-		g.Set(5)
-		l.Observe(us(7))
-		tr.Count("core.npfs", 1)
+		c := tr.Counter("core.npfs", &x)
+		if c.Value() != 0 {
+			t.Fatal("nil counter has a value")
+		}
+		tr.Latency("core.npf_total_us", &h)
 		tr.Probe("nic.rx_ring_occupancy", zeroProbe)
 		fid := MintFaultID(2, 7)
 		tr.FaultMinted(fid, "rx-drop", us(1), 1, 0, 4)
@@ -169,9 +165,8 @@ func TestTracerDisabledNoAlloc(t *testing.T) {
 
 func BenchmarkTracerDisabled(b *testing.B) {
 	var tr *Tracer
-	c := tr.Counter("core.npfs")
-	g := tr.Gauge("nic.rx_ring_occupancy")
-	l := tr.Latency("core.npf_total_us")
+	var x sim.Counter
+	var h sim.Histogram
 	s := tr.StartSampler(us(10))
 	b.ReportAllocs()
 	fid := MintFaultID(2, 7)
@@ -179,9 +174,8 @@ func BenchmarkTracerDisabled(b *testing.B) {
 		id := tr.Begin(0, "npf", "recv-rnpf")
 		tr.ArgInt(id, "pages", 4)
 		tr.End(id)
-		c.Inc()
-		g.Set(5)
-		l.Observe(us(7))
+		_ = tr.Counter("core.npfs", &x).Value()
+		tr.Latency("core.npf_total_us", &h)
 		tr.Probe("nic.rx_ring_occupancy", zeroProbe)
 		tr.FaultMinted(fid, "rx-drop", us(1), 1, 0, 4)
 		tr.FaultStageAt(fid, FSReport, us(1), us(2), 0, 0)
@@ -195,15 +189,15 @@ func BenchmarkTracerEnabled(b *testing.B) {
 	eng := sim.NewEngine(1)
 	tr := New(eng)
 	tr.MaxSpans = 0 // unlimited
-	c := tr.Counter("core.npfs")
-	l := tr.Latency("core.npf_total_us")
+	var npfs sim.Counter
+	c := tr.Counter("core.npfs", &npfs)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		id := tr.Begin(0, "npf", "recv-rnpf")
 		tr.ArgInt(id, "pages", 4)
 		tr.End(id)
-		c.Inc()
-		l.Observe(us(7))
+		npfs.Inc()
+		_ = c.Value()
 	}
 }
 
@@ -211,11 +205,15 @@ func TestMetricsSnapshotSortedAndStable(t *testing.T) {
 	eng := sim.NewEngine(1)
 	tr := New(eng)
 	// Register out of order; snapshot must sort within each kind.
-	tr.Counter("z.last").Add(2)
-	tr.Counter("a.first").Inc()
-	tr.Gauge("m.depth").Set(3.5)
-	tr.Latency("k.lat_us").Observe(us(10))
-	tr.Latency("k.lat_us").Observe(us(20))
+	last, first := sim.Counter{N: 2}, sim.Counter{N: 1}
+	tr.Counter("z.last", &last)
+	tr.Counter("a.first", &first)
+	tr.Probe("m.depth", func() float64 { return 3.5 })
+	tr.StartSampler(us(5))
+	var lat sim.Histogram
+	lat.AddTime(us(10))
+	lat.AddTime(us(20))
+	tr.Latency("k.lat_us", &lat)
 	s1 := tr.MetricsSnapshot()
 	s2 := tr.MetricsSnapshot()
 	if s1 != s2 {
@@ -229,12 +227,42 @@ func TestMetricsSnapshotSortedAndStable(t *testing.T) {
 		!strings.HasPrefix(lines[1], "counter z.last") {
 		t.Fatalf("counters not sorted:\n%s", s1)
 	}
+	if !strings.HasPrefix(lines[2], "gauge   m.depth") || !strings.Contains(lines[2], "3.500") {
+		t.Fatalf("gauge line wrong: %s", lines[2])
+	}
 	if !strings.Contains(lines[3], "n=2") || !strings.Contains(lines[3], "mean=15.000") {
 		t.Fatalf("latency line wrong: %s", lines[3])
 	}
-	// Same-name handles share state.
-	if tr.Counter("a.first").Value() != 1 {
+	// Same-name handles share state, and the handle reads the published
+	// field live.
+	first.Inc()
+	if tr.Counter("a.first").Value() != 2 {
 		t.Fatal("counter handle not shared")
+	}
+}
+
+// TestPublishedSourcesSum pins the registry's aggregation: fields published
+// under one name sum (counters) or merge (latencies), nil sources are
+// skipped, and publishing one field twice counts it once.
+func TestPublishedSourcesSum(t *testing.T) {
+	tr := New(sim.NewEngine(1))
+	a, b := sim.Counter{N: 2}, sim.Counter{N: 5}
+	tr.Counter("c", &a)
+	tr.Counter("c", &b, nil)
+	c := tr.Counter("c", &a)
+	if got := c.Value(); got != 7 {
+		t.Fatalf("summed counter = %d, want 7", got)
+	}
+	var h1, h2 sim.Histogram
+	h1.Add(10)
+	h2.Add(30)
+	tr.Latency("l_us", &h1)
+	tr.Latency("l_us", &h2, &h1, nil)
+	if snap := tr.MetricsSnapshot(); !strings.Contains(snap, "n=2 mean=20.000") {
+		t.Fatalf("merged latency wrong:\n%s", snap)
+	}
+	if h1.Count() != 1 || h2.Count() != 1 {
+		t.Fatal("snapshot modified a published histogram")
 	}
 }
 
@@ -244,6 +272,10 @@ func buildScenario(t *testing.T) *Tracer {
 	t.Helper()
 	eng := sim.NewEngine(42)
 	tr := New(eng)
+	var npfs sim.Counter
+	var inv sim.Histogram
+	tr.Counter("core.npfs", &npfs)
+	tr.Latency("core.inv_mapped_us", &inv)
 	for i := 0; i < 20; i++ {
 		base := us(int64(i * 300))
 		id := MintFaultID(1, uint64(i+1))
@@ -253,8 +285,8 @@ func buildScenario(t *testing.T) *Tracer {
 		tr.FaultStageAt(id, FSUpdate, base+us(138), us(35), 0, 0)
 		tr.FaultStageAt(id, FSResume, base+us(173), us(40), 0, 0)
 		tr.FaultDone(id, base+us(213))
-		tr.Counter("core.npfs").Inc()
-		tr.Latency("core.inv_mapped_us").Observe(us(48))
+		npfs.Inc()
+		inv.AddTime(us(48))
 	}
 	tr.Begin(0, "tcp", "retx-episode") // leave one open
 	return tr

@@ -82,8 +82,8 @@ func WithTracing() ClusterOption {
 }
 
 // WithSampling attaches a time-series Sampler ticking every `every` of
-// virtual time, snapshotting all registered counters and gauges (and the
-// per-subsystem probes every host registers) into deterministic series.
+// virtual time, snapshotting every published counter and the
+// per-subsystem probes every host registers into deterministic series.
 // Sampling implies tracing; the sampler is reachable as Cluster.Sampler.
 func WithSampling(every Time) ClusterOption {
 	return clusterOption(func(c *clusterConfig) {
