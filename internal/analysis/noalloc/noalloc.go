@@ -75,7 +75,7 @@ func (*Analyzed) AFact() {}
 // table.
 var Required = map[string][]string{
 	"npf/internal/sim": {
-		"Engine.At", "Engine.After", "Engine.Cancel",
+		"Engine.At", "Engine.After", "Engine.Cancel", "Engine.schedule",
 	},
 	"npf/internal/fabric": {
 		"port.enqueue", "port.kick",

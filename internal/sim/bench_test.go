@@ -71,6 +71,42 @@ func BenchmarkEngineTimerChurn(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineLargePending is the fleet's regime: 8,000 closed-loop
+// clients each complete an op every 3–5 ms and leave behind a retry timer
+// 37.5–62.5 ms out that fires as a no-op, so about 100k timers are pending
+// at any time. One op is one completion.
+func BenchmarkEngineLargePending(b *testing.B) {
+	b.ReportAllocs()
+	const clients = 8000
+	e := NewEngine(1)
+	rng := NewRand(1)
+	timer := func() {}
+	n, stopAt := 0, -1 // no Stop during warm-up
+	done := make([]func(), clients)
+	for c := range done {
+		done[c] = func() {
+			n++
+			if n == stopAt {
+				e.Stop()
+			}
+			e.After(37_500_000+Time(rng.Int63n(25_000_001)), timer)
+			e.After(3_000_000+Time(rng.Int63n(2_000_001)), done[c])
+		}
+	}
+	for c := range done {
+		e.After(Time(rng.Int63n(4_000_000)), done[c])
+	}
+	// Warm up until the timer population and every queue's capacity reach
+	// steady state.
+	e.RunUntil(200 * Millisecond)
+	if p := e.Pending(); p < 90_000 {
+		b.Fatalf("warm engine holds %d pending events, want about 100k", p)
+	}
+	n, stopAt = 0, b.N
+	b.ResetTimer()
+	e.Run()
+}
+
 func BenchmarkRandUint64(b *testing.B) {
 	r := NewRand(1)
 	var sink uint64
@@ -131,4 +167,33 @@ func TestEngineTimerChurnAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Fatalf("timer churn allocates %.1f per cycle, want 0", allocs)
 	}
+}
+
+// TestEngineFarCancelRetention re-arms far timers the way TCP re-arms its
+// RTO: each step cancels one of 1,000 timers 37.5–62.5 ms out and
+// schedules its replacement, 100k times. Lazy cancellation may keep dead
+// events, but compaction of the heap and the calendar tier bounds what the
+// queue retains to 2×live + compactMinDead at every step.
+func TestEngineFarCancelRetention(t *testing.T) {
+	e := NewEngine(1)
+	rng := NewRand(1)
+	fn := func() {}
+	var timers [1000]EventID
+	retained := func() int { return len(e.heap) + e.far + len(e.imm) - e.immHead }
+	worst := 0
+	for i := 0; i < 100_000; i++ {
+		slot := i % len(timers)
+		e.Cancel(timers[slot])
+		timers[slot] = e.After(37_500_000+Time(rng.Int63n(25_000_001)), fn)
+		e.After(10*Microsecond, fn)
+		e.RunUntil(e.Now() + 10*Microsecond)
+		r, live := retained(), e.Pending()
+		if r > 2*live+compactMinDead {
+			t.Fatalf("step %d: queue retains %d events for %d live, bound %d", i, r, live, 2*live+compactMinDead)
+		}
+		if r > worst {
+			worst = r
+		}
+	}
+	t.Logf("worst retention %d events for about %d live", worst, len(timers))
 }

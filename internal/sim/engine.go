@@ -9,13 +9,16 @@
 // The hot path is allocation-free in steady state: executed and cancelled
 // events return to a free list and are reused by later At/After calls, and
 // Cancel marks events dead in place (lazy deletion) instead of paying a
-// heap fix-up. Neither optimization can change the execution order — see
-// DESIGN.md §7 for the invariants.
+// heap fix-up. Events beyond the current epoch wait in a calendar tier of
+// per-epoch lists and reach the heap only when their epoch comes up. None
+// of these optimizations can change the execution order — see DESIGN.md §6
+// ("Engine hot path") for the invariants.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -70,14 +73,15 @@ func (t Time) String() string {
 // event is a scheduled callback. seq breaks ties between events scheduled
 // for the same instant, preserving scheduling order. The struct is pooled:
 // gen distinguishes the current tenancy from stale EventIDs that refer to
-// an earlier use of the same struct.
+// an earlier use of the same struct. It fits the 48-byte size class.
 type event struct {
 	at   Time
 	seq  uint64
 	fn   func()
 	gen  uint64
-	dead bool // cancelled; skipped (and recycled) when it surfaces
-	imm  bool // lives in the immediate FIFO, not the heap
+	next *event // calendar-tier list link; nil in the heap and the FIFO
+	dead bool   // cancelled; skipped (and recycled) when it surfaces
+	imm  bool   // lives in the immediate FIFO, not the heap
 }
 
 // EventID identifies a scheduled event so it can be cancelled. The zero
@@ -92,9 +96,23 @@ type EventID struct {
 // keeping every steady-state workload allocation-free.
 const maxFreeEvents = 1 << 16
 
-// compactMinDead is the floor below which Cancel never triggers heap
+// compactMinDead is the floor below which Cancel never triggers
 // compaction; tiny queues are cheaper to let pop-skip clean up.
 const compactMinDead = 64
+
+// Calendar tier geometry. An event's epoch is at>>epochShift (~131 µs).
+// The ring holds one list per epoch for the ringEpochs-1 epochs after the
+// current one (~134 ms); later epochs wait on the overflow list.
+const (
+	epochShift = 17
+	ringEpochs = 1 << 10
+	ringMask   = ringEpochs - 1
+	ringWords  = ringEpochs / 64
+	noEpoch    = math.MaxInt64
+)
+
+// epochOf returns the calendar epoch of t.
+func epochOf(t Time) int64 { return int64(t) >> epochShift }
 
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // one with NewEngine.
@@ -102,8 +120,22 @@ type Engine struct {
 	now Time
 	seq uint64
 	// heap is a manual binary min-heap ordered by (at, seq). It holds every
-	// scheduled event except those due at exactly the current instant.
+	// pending event of epoch <= cur except those due at exactly the current
+	// instant, so its top is the global (at, seq) minimum.
 	heap []*event
+	// The calendar tier holds every later event. ring[ep&ringMask] lists
+	// the events of epoch ep for cur < ep < cur+ringEpochs, and ringBits
+	// marks the non-empty lists. over lists later epochs and every event
+	// at Forever; overMin is a lower bound on its epochs, ignoring Forever
+	// (noEpoch when there are none). An epoch's lists move into the heap
+	// only once the heap is empty. far counts the tier's events, live or
+	// dead.
+	cur      int64
+	ring     [ringEpochs]*event
+	ringBits [ringWords]uint64
+	over     *event
+	overMin  int64
+	far      int
 	// imm is a FIFO of events scheduled for the current instant (After(0),
 	// At(Now())). Appending preserves seq order, and no heap event due now
 	// can have a larger seq (nothing enters the heap at the current time),
@@ -111,12 +143,13 @@ type Engine struct {
 	// the extremely common "run this next" pattern O(1).
 	imm     []*event
 	immHead int
-	// free is the event pool; live/heapDead drive Pending and compaction.
-	free     []*event
-	live     int
-	heapDead int
-	rng      *Rand
-	stopped  bool
+	// free is the event pool; live drives Pending, and dead (cancelled
+	// events still in the heap or the calendar tier) drives compaction.
+	free    []*event
+	live    int
+	dead    int
+	rng     *Rand
+	stopped bool
 	// executed counts events run, for diagnostics and runaway detection.
 	executed uint64
 	// MaxEvents aborts Run with a panic after this many events, guarding
@@ -134,7 +167,7 @@ type Engine struct {
 // NewEngine returns an engine whose clock reads zero and whose random source
 // is seeded with seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{rng: NewRand(seed)}
+	return &Engine{rng: NewRand(seed), overMin: noEpoch}
 }
 
 // Now returns the current virtual time.
@@ -189,6 +222,7 @@ func (e *Engine) alloc(t Time, fn func()) *event {
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
+	ev.next = nil
 	ev.dead = false
 	ev.imm = false
 	if len(e.free) < maxFreeEvents {
@@ -210,9 +244,34 @@ func (e *Engine) At(t Time, fn func()) EventID {
 		ev.imm = true
 		e.imm = append(e.imm, ev) //npf:allocok — FIFO backing reaches steady-state capacity
 	} else {
-		e.pushHeap(ev)
+		e.schedule(ev)
 	}
 	return EventID{ev, ev.gen}
+}
+
+// schedule files a future event by epoch: the heap for epochs up to cur,
+// the epoch's ring list for the next ringEpochs-1, overflow beyond that.
+//
+//npf:noalloc
+func (e *Engine) schedule(ev *event) {
+	ep := epochOf(ev.at)
+	switch {
+	case ep <= e.cur:
+		e.pushHeap(ev)
+		return
+	case ep < e.cur+ringEpochs && ev.at != Forever:
+		slot := ep & ringMask
+		ev.next = e.ring[slot]
+		e.ring[slot] = ev
+		e.ringBits[slot>>6] |= 1 << (slot & 63)
+	default:
+		ev.next = e.over
+		e.over = ev
+		if ev.at != Forever && ep < e.overMin {
+			e.overMin = ep
+		}
+	}
+	e.far++
 }
 
 // After schedules fn to run d nanoseconds from now. The target time
@@ -230,8 +289,9 @@ func (e *Engine) After(d Time, fn func()) EventID {
 // Cancel removes a scheduled event. Cancelling an event that already ran or
 // was already cancelled is a no-op; Cancel reports whether the event was
 // actually removed. Removal is lazy: the event is marked dead and skipped
-// (and its struct recycled) when it reaches the front of its queue, with a
-// full compaction once dead events outnumber live ones.
+// (and its struct recycled) when it reaches the front of its queue or its
+// epoch moves into the heap, with a full compaction of the heap and the
+// calendar tier once dead events outnumber live ones there.
 //
 //npf:noalloc
 func (e *Engine) Cancel(id EventID) bool {
@@ -243,18 +303,35 @@ func (e *Engine) Cancel(id EventID) bool {
 	ev.fn = nil
 	e.live--
 	if !ev.imm {
-		e.heapDead++
-		if e.heapDead >= compactMinDead && e.heapDead*2 > len(e.heap) {
+		e.dead++
+		if e.dead >= compactMinDead && e.dead*2 > len(e.heap)+e.far {
 			e.compact()
 		}
 	}
 	return true
 }
 
-// compact drops every dead event from the heap and restores the heap
-// property. Order is unaffected: (at, seq) is a total order, so any valid
-// heap over the same live set pops in the same sequence.
+// compact drops every dead event from the heap and the calendar tier and
+// restores the heap property. Order is unaffected: (at, seq) is a total
+// order, so any valid heap over the same live set pops in the same
+// sequence, and no live event changes tier.
 func (e *Engine) compact() {
+	for w, word := range e.ringBits {
+		for word != 0 {
+			slot := w<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if e.ring[slot] = e.sweep(e.ring[slot]); e.ring[slot] == nil {
+				e.ringBits[w] &^= 1 << (slot & 63)
+			}
+		}
+	}
+	e.over = e.sweep(e.over)
+	e.overMin = noEpoch
+	for ev := e.over; ev != nil; ev = ev.next {
+		if ep := epochOf(ev.at); ev.at != Forever && ep < e.overMin {
+			e.overMin = ep
+		}
+	}
 	kept := e.heap[:0]
 	for _, ev := range e.heap {
 		if ev.dead {
@@ -267,9 +344,101 @@ func (e *Engine) compact() {
 		e.heap[i] = nil
 	}
 	e.heap = kept
-	e.heapDead = 0
-	for i := len(kept)/2 - 1; i >= 0; i-- {
-		e.siftDown(i)
+	e.dead = 0
+	e.heapify()
+}
+
+// sweep unlinks and recycles the dead events of one calendar list and
+// returns its new head.
+func (e *Engine) sweep(head *event) *event {
+	link := &head
+	for ev := *link; ev != nil; ev = *link {
+		if ev.dead {
+			*link = ev.next
+			e.far--
+			e.recycle(ev)
+		} else {
+			link = &ev.next
+		}
+	}
+	return head
+}
+
+// refill runs when the heap is empty: it advances cur to the earliest
+// epoch the calendar tier holds and moves that epoch's events into the
+// heap, recycling dead ones, until the heap holds a live event or only
+// Forever events remain. Moving one whole epoch preserves the invariant
+// that the heap holds every pending event of epoch <= cur.
+func (e *Engine) refill() {
+	for len(e.heap) == 0 {
+		next := e.overMin
+		if d := e.ringNext(); d != 0 && e.cur+d < next {
+			next = e.cur + d
+		}
+		if next == noEpoch {
+			return
+		}
+		e.cur = next
+		if e.overMin <= next {
+			e.spill()
+		}
+		slot := next & ringMask
+		for ev := e.ring[slot]; ev != nil; {
+			nx := ev.next
+			ev.next = nil
+			e.far--
+			if ev.dead {
+				e.dead--
+				e.recycle(ev)
+			} else {
+				e.heap = append(e.heap, ev) //npf:allocok — heap backing reaches steady-state capacity
+			}
+			ev = nx
+		}
+		e.ring[slot] = nil
+		e.ringBits[slot>>6] &^= 1 << (slot & 63)
+		e.heapify()
+	}
+}
+
+// ringNext returns the distance from cur to the earliest non-empty ring
+// epoch (1 to ringEpochs-1), or 0 when the ring is empty. The bitmap
+// search costs at most ringWords+1 word tests, however long the idle gap.
+func (e *Engine) ringNext() int64 {
+	start := (e.cur + 1) & ringMask
+	w := start >> 6
+	if m := e.ringBits[w] >> (start & 63); m != 0 {
+		return int64(bits.TrailingZeros64(m)) + 1
+	}
+	for i := int64(1); i <= ringWords; i++ {
+		wi := (w + i) & (ringWords - 1)
+		if m := e.ringBits[wi]; m != 0 {
+			slot := wi<<6 + int64(bits.TrailingZeros64(m))
+			return (slot-start)&ringMask + 1
+		}
+	}
+	return 0
+}
+
+// spill refiles the overflow list against the current epoch: events now
+// within the ring's reach move to the heap or their ring list, dead ones
+// are recycled, and overMin is recomputed over the rest. Every event left
+// behind is at least ringEpochs past cur, so cur advances a full ring
+// between spills.
+func (e *Engine) spill() {
+	ev := e.over
+	e.over, e.overMin = nil, noEpoch
+	for ev != nil {
+		nx := ev.next
+		ev.next = nil
+		e.far--
+		if ev.dead {
+			e.dead--
+			e.recycle(ev)
+		} else {
+			e.schedule(ev)
+		}
+		ev = nx
 	}
 }
 
@@ -293,8 +462,11 @@ func (e *Engine) peek() (ev *event, fromHeap bool) {
 		e.immHead = 0
 	}
 	for len(e.heap) > 0 && e.heap[0].dead {
-		e.heapDead--
+		e.dead--
 		e.recycle(e.popHeap())
+	}
+	if len(e.heap) == 0 && e.far != 0 {
+		e.refill()
 	}
 	switch {
 	case len(e.heap) == 0 && e.immHead == len(e.imm):
@@ -309,11 +481,12 @@ func (e *Engine) peek() (ev *event, fromHeap bool) {
 	}
 }
 
-// flushImm migrates pending immediate events into the heap. Called before
-// the clock jumps to a deadline, so the FIFO's invariant (every entry is due
-// at the current instant) survives Stop-then-RunUntil sequences; the moved
-// events keep their (at, seq) keys, so order is unchanged. In the common
-// case the FIFO is already empty and this is a no-op.
+// flushImm migrates pending immediate events into the heap or the calendar
+// tier. Called before the clock jumps to a deadline, so the FIFO's
+// invariant (every entry is due at the current instant) survives
+// Stop-then-RunUntil sequences; the moved events keep their (at, seq) keys,
+// so order is unchanged. In the common case the FIFO is already empty and
+// this is a no-op.
 func (e *Engine) flushImm() {
 	for e.immHead < len(e.imm) {
 		ev := e.imm[e.immHead]
@@ -324,7 +497,7 @@ func (e *Engine) flushImm() {
 			continue
 		}
 		ev.imm = false
-		e.pushHeap(ev)
+		e.schedule(ev)
 	}
 	e.imm = e.imm[:0]
 	e.immHead = 0
@@ -402,6 +575,13 @@ func (e *Engine) popHeap() *event {
 		e.siftDown(0)
 	}
 	return top
+}
+
+// heapify restores the heap property over the whole slice in O(n).
+func (e *Engine) heapify() {
+	for i := len(e.heap)/2 - 1; i >= 0; i-- {
+		e.siftDown(i)
+	}
 }
 
 func (e *Engine) siftUp(i int) {

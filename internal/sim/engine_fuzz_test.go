@@ -1,0 +1,248 @@
+package sim
+
+import (
+	"slices"
+	"sort"
+	"testing"
+)
+
+// refEngine is the reference model FuzzEngineOrder checks the Engine
+// against: every pending event in one slice sorted by (at, seq). It has no
+// tiers, no FIFO, no pool and no lazy deletion, so it states the engine's
+// contract directly.
+type refEngine struct {
+	now      Time
+	seq      uint64
+	pend     []refEvent
+	queued   []bool // by id: in pend
+	executed uint64
+	stopped  bool
+	run      func(id int) // executes event id's script against the model
+}
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	id  int
+}
+
+func (r *refEngine) at(t Time, id int) {
+	// seq only grows, so the new event goes after every event at or
+	// before t.
+	i := sort.Search(len(r.pend), func(i int) bool { return r.pend[i].at > t })
+	r.pend = slices.Insert(r.pend, i, refEvent{t, r.seq, id})
+	r.seq++
+	for len(r.queued) <= id {
+		r.queued = append(r.queued, false)
+	}
+	r.queued[id] = true
+}
+
+func (r *refEngine) cancel(id int) bool {
+	if id >= len(r.queued) || !r.queued[id] {
+		return false
+	}
+	r.queued[id] = false
+	for i, ev := range r.pend {
+		if ev.id == id {
+			r.pend = slices.Delete(r.pend, i, i+1)
+			return true
+		}
+	}
+	return false
+}
+
+func (r *refEngine) nextEventTime() Time {
+	if len(r.pend) > 0 {
+		return r.pend[0].at
+	}
+	return Forever
+}
+
+// behind reports whether a pending event is due before now. Only a Stop
+// inside RunUntil does that: the clock still jumps to the deadline, past
+// events the Stop left queued. Those events later run with the clock
+// moving backwards, outside the (at, seq) contract this model states.
+func (r *refEngine) behind() bool {
+	return len(r.pend) > 0 && r.pend[0].at < r.now
+}
+
+func (r *refEngine) runUntil(deadline Time) Time {
+	r.stopped = false
+	for !r.stopped && len(r.pend) > 0 {
+		ev := r.pend[0]
+		if ev.at > deadline || ev.at == Forever {
+			break
+		}
+		r.pend = r.pend[1:]
+		r.queued[ev.id] = false
+		r.now = ev.at
+		r.executed++
+		r.run(ev.id)
+	}
+	if deadline != Forever && r.now < deadline {
+		r.now = deadline
+	}
+	return r.now
+}
+
+// fuzzScript is what an event does when it runs: log its id, optionally
+// schedule its child (an event with no script of its own, whose id is
+// reserved up front so both engines agree on it) and optionally Stop.
+type fuzzScript struct {
+	child      int // 0: none
+	class, arg byte
+	stop       bool
+}
+
+// fuzzOffset maps an offset class and argument to a time at or after now
+// in a chosen calendar region: the current instant, less than one epoch
+// ahead, a few epochs ahead, anywhere in the ring, past the ring, next to
+// an epoch boundary, or Forever.
+func fuzzOffset(now Time, class, arg byte) Time {
+	const epoch = Time(1) << epochShift
+	switch class % 7 {
+	case 0:
+		return now
+	case 1:
+		return now + Time(arg)*500
+	case 2:
+		return now + Time(1+arg%8)*epoch + Time(arg)*37
+	case 3:
+		return now + Time(arg)*4*epoch + Time(arg)
+	case 4:
+		return now + (ringEpochs+Time(arg)*8)*epoch + Time(arg)
+	case 5:
+		return (now/epoch+1+Time(arg%3))*epoch - 1 + Time(arg%3)
+	default:
+		return Forever
+	}
+}
+
+// fuzzMaxEvents and fuzzMaxSteps bound the events one input schedules and
+// the operations it runs, keeping every input fast enough for the fuzzer
+// to make progress.
+const (
+	fuzzMaxEvents = 4096
+	fuzzMaxSteps  = 1024
+)
+
+// FuzzEngineOrder drives the Engine and refEngine with the same decoded
+// operation stream — At in every calendar region, Cancel of live, fired
+// and stale IDs (singly and in bursts large enough to compact), RunUntil
+// and Run, NextEventTime, and Stop from inside events — and requires the
+// same execution order, Now, Pending and Executed after every operation
+// and the same NextEventTime wherever the stream asks for it.
+func FuzzEngineOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 5, 0, 0, 2, 9, 1, 0, 4, 3, 3, 0, 6, 200, 0, 4, 2, 1})
+	f.Add([]byte{0, 6, 0, 2, 6, 0, 0, 0, 3, 3, 7, 5, 3, 7, 1, 4, 0, 5})
+	f.Add([]byte{2, 3, 90, 2, 4, 100, 2, 2, 120, 3, 2, 1, 4, 6, 0, 6, 3, 0, 1, 5})
+	f.Add([]byte{0, 2, 9, 0x71, 1, 0, 1, 1, 0, 4, 3, 4, 8, 5, 0, 0, 7, 0x15, 4, 2, 3, 5})
+	f.Add([]byte{2, 5, 255, 2, 2, 80, 3, 0, 2, 6, 0, 4, 0, 3, 4, 5, 2, 3, 1, 7, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		e := NewEngine(1)
+		ref := &refEngine{}
+		scripts := []fuzzScript{{}} // id 0 is never scheduled
+		ids := []EventID{{}}
+		var got, want []int
+		var fn func(id int) func()
+		fn = func(id int) func() {
+			return func() {
+				got = append(got, id)
+				s := scripts[id]
+				if s.child != 0 {
+					ids[s.child] = e.At(fuzzOffset(e.Now(), s.class, s.arg), fn(s.child))
+				}
+				if s.stop {
+					e.Stop()
+				}
+			}
+		}
+		ref.run = func(id int) {
+			want = append(want, id)
+			s := scripts[id]
+			if s.child != 0 {
+				ref.at(fuzzOffset(ref.now, s.class, s.arg), s.child)
+			}
+			if s.stop {
+				ref.stopped = true
+			}
+		}
+		// add schedules a new event with script s at the offset class/arg
+		// names, reserving an id for its child when it has one.
+		add := func(class, arg byte, s fuzzScript) {
+			if len(scripts) >= fuzzMaxEvents {
+				return
+			}
+			id := len(scripts)
+			scripts = append(scripts, s)
+			ids = append(ids, EventID{})
+			if s.child != 0 {
+				scripts[id].child = id + 1
+				scripts = append(scripts, fuzzScript{})
+				ids = append(ids, EventID{})
+			}
+			at := fuzzOffset(e.Now(), class, arg)
+			ids[id] = e.At(at, fn(id))
+			ref.at(at, id)
+		}
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		checked := 0
+		for step := 0; len(data) > 0 && step < fuzzMaxSteps; step++ {
+			switch op := next(); op % 7 {
+			case 0: // one event; flags pick a child, its region, and Stop
+				class, arg, flags := next(), next(), next()
+				add(class, arg, fuzzScript{child: int(flags & 1), class: flags >> 4, arg: arg ^ flags, stop: flags&2 != 0})
+			case 1: // cancel one id: live, fired, stale, or never scheduled
+				id := int(next()) % len(ids)
+				if g, w := e.Cancel(ids[id]), ref.cancel(id); g != w {
+					t.Fatalf("step %d: Cancel(%d) = %v, model %v", step, id, g, w)
+				}
+			case 2: // a burst of events across one region
+				class, arg, n := next(), next(), int(next())%160+1
+				for i := 0; i < n; i++ {
+					add(class, arg+byte(i), fuzzScript{})
+				}
+			case 3: // cancel every id in one residue class
+				m := int(next())%4 + 2
+				r := int(next()) % m
+				for id := r; id < len(ids); id += m {
+					if g, w := e.Cancel(ids[id]), ref.cancel(id); g != w {
+						t.Fatalf("step %d: Cancel(%d) = %v, model %v", step, id, g, w)
+					}
+				}
+			case 4:
+				deadline := fuzzOffset(e.Now(), next(), next())
+				if g, w := e.RunUntil(deadline), ref.runUntil(deadline); g != w {
+					t.Fatalf("step %d: RunUntil(%v) = %v, model %v", step, deadline, g, w)
+				}
+			case 5:
+				if g, w := e.Run(), ref.runUntil(Forever); g != w {
+					t.Fatalf("step %d: Run() = %v, model %v", step, g, w)
+				}
+			case 6:
+				if g, w := e.NextEventTime(), ref.nextEventTime(); g != w {
+					t.Fatalf("step %d: NextEventTime() = %v, model %v", step, g, w)
+				}
+			}
+			if !slices.Equal(got[checked:], want[checked:]) {
+				t.Fatalf("step %d: ran %v, model ran %v", step, got[checked:], want[checked:])
+			}
+			checked = len(got)
+			if e.Now() != ref.now || e.Pending() != len(ref.pend) || e.Executed() != ref.executed {
+				t.Fatalf("step %d: Now/Pending/Executed = %v/%d/%d, model %v/%d/%d",
+					step, e.Now(), e.Pending(), e.Executed(), ref.now, len(ref.pend), ref.executed)
+			}
+			if ref.behind() {
+				return
+			}
+		}
+	})
+}

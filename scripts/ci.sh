@@ -63,15 +63,20 @@ if ! echo "$out" | grep -q 'BenchmarkTracerDisabled.* 0 B/op.* 0 allocs/op'; the
 fi
 
 # The sim engine's free-list contract: steady-state scheduling must not
-# allocate, and the event-throughput hot path must report 0 allocs/op.
+# allocate, and the event-throughput hot path and the fleet-regime
+# large-pending queue (about 100k far timers in the calendar tier) must
+# report 0 allocs/op. TestEngineFarCancelRetention bounds what cancelled
+# far timers may keep queued.
 echo "== engine allocation gate =="
-out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineTimerChurnAllocs' \
-    -bench 'BenchmarkEngineEventThroughput' -benchtime 10000x ./internal/sim/)
+out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineTimerChurnAllocs|TestEngineFarCancelRetention' \
+    -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineLargePending' -benchtime 10000x ./internal/sim/)
 echo "$out"
-if ! echo "$out" | grep -q 'BenchmarkEngineEventThroughput.* 0 B/op.* 0 allocs/op'; then
-    echo "BenchmarkEngineEventThroughput is not allocation-free" >&2
-    exit 1
-fi
+for bench in BenchmarkEngineEventThroughput BenchmarkEngineLargePending; do
+    if ! echo "$out" | grep -q "$bench.* 0 B/op.* 0 allocs/op"; then
+        echo "$bench is not allocation-free" >&2
+        exit 1
+    fi
+done
 
 # The packet path's contract: on a warm network a fabric Send→Deliver
 # round, an IOTLB miss that inserts and evicts at capacity, and a warm RC
@@ -92,13 +97,15 @@ for bench in BenchmarkSendDeliver BenchmarkIOTLBChurn; do
     fi
 done
 
-# Native fuzz targets: the radix page table against a map model, and two
-# I/O page tables sharing one IOTLB against a map-plus-linear-LRU model.
-# Their committed seed corpora (testdata/fuzz) already replay in go test
-# above; this pass searches for new inputs.
+# Native fuzz targets: the radix page table against a map model, two
+# I/O page tables sharing one IOTLB against a map-plus-linear-LRU model,
+# and the event engine's heap and calendar tier against a sorted-slice
+# model. Their committed seed corpora (testdata/fuzz) already replay in go
+# test above; this pass searches for new inputs.
 echo "== fuzz =="
 go test -run '^$' -fuzz '^FuzzPageTable$' -fuzztime 10s ./internal/mem/
 go test -run '^$' -fuzz '^FuzzDomainIOTLB$' -fuzztime 10s ./internal/iommu/
+go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime 10s ./internal/sim/
 
 # The sweep runner's determinism contract under the race detector: the
 # worker pool fans real figure jobs across 8 goroutines and must produce
