@@ -87,9 +87,16 @@ var Required = map[string][]string{
 		"PageTable.Get", "PageTable.Lookup",
 		"AddressSpace.lruPush", "AddressSpace.lruRemove",
 	},
+	"npf/internal/nic": {
+		"TxQueue.kick",
+	},
 	"npf/internal/rc": {
 		"HCA.send",
 		"QP.PostSend", "QP.PostRecv", "QP.handleAck", "QP.handleData",
+	},
+	"npf/internal/tcp": {
+		"Stack.transmit",
+		"Conn.Send", "Conn.trySend", "Conn.handleAck",
 	},
 	"npf/internal/trace": {
 		"Tracer.Begin", "Tracer.End", "Tracer.ArgInt",

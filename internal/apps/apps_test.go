@@ -2,6 +2,7 @@ package apps
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"npf/internal/core"
@@ -195,6 +196,35 @@ func TestMemaslapWorkingSetFlip(t *testing.T) {
 	if e.server.Store.Items() <= before {
 		t.Fatalf("working set flip had no effect: %d -> %d", before, e.server.Store.Items())
 	}
+}
+
+// TestMemaslapKeyTable: the cached key table names key i exactly as
+// formatting it would, grows only as far as the indexes drawn, and keeps
+// doing both after a working-set change.
+func TestMemaslapKeyTable(t *testing.T) {
+	e := newMemcachedEnv(t, nic.PolicyPinned, 50*sim.Microsecond)
+	check := func(keys int) {
+		t.Helper()
+		if len(e.slap.keys) > keys {
+			t.Fatalf("key table holds %d keys, working set is %d", len(e.slap.keys), keys)
+		}
+		for i := 0; i < keys; i++ {
+			if got, want := e.slap.key(i), fmt.Sprintf("%s-%d", e.slap.Cfg.KeyPrefix, i); got != want {
+				t.Fatalf("key(%d) = %q, want %q", i, got, want)
+			}
+		}
+		if len(e.slap.keys) != keys {
+			t.Fatalf("key table holds %d keys after reading %d", len(e.slap.keys), keys)
+		}
+	}
+	e.slap.Start(e.sstack.Channel().Dev.Node, e.sstack.Channel().Flow)
+	e.eng.RunUntil(sim.Second)
+	check(200)
+	e.slap.SetWorkingSet(400)
+	e.eng.RunUntil(2 * sim.Second)
+	check(400)
+	e.slap.Stop()
+	e.eng.Run()
 }
 
 // --------------------------------------------------------------------------

@@ -119,6 +119,9 @@ type Memaslap struct {
 	HitsTS    *sim.TimeSeries
 	OnDone    func()
 	latencies sim.Histogram
+	// keys caches key(i) for every index drawn so far, so a steady-state
+	// op formats no string.
+	keys []string
 }
 
 // NewMemaslap builds a generator on the client stack, bucketing its time
@@ -205,5 +208,8 @@ func (m *Memaslap) issue(c *tcp.Conn) {
 }
 
 func (m *Memaslap) key(i int) string {
-	return fmt.Sprintf("%s-%d", m.Cfg.KeyPrefix, i)
+	for len(m.keys) <= i {
+		m.keys = append(m.keys, fmt.Sprintf("%s-%d", m.Cfg.KeyPrefix, len(m.keys)))
+	}
+	return m.keys[i]
 }

@@ -19,11 +19,12 @@ type pendingRx struct {
 // chanState is the per-IOuser driver state of §5: the software queue q of
 // faulting packets and the resolver thread T that merges them back into the
 // IOuser's ring. T is modelled as a sequential event chain — one packet in
-// service at a time, like a kernel thread.
+// service at a time, like a kernel thread. The entry in service (busy) stays
+// at the head of q until it resolves; a retry bumps its attempt in place.
 type chanState struct {
 	d    *Driver
 	ch   *nic.Channel
-	q    []pendingRx
+	q    sim.Ring[pendingRx]
 	busy bool
 	// waiting marks that T is blocked until the IOuser posts descriptors
 	// (the tail interrupt the paper's T asks the NIC for).
@@ -34,10 +35,10 @@ type chanState struct {
 // and parks on the ring's tail watch when the IOuser has not yet posted the
 // target descriptor.
 func (st *chanState) pump() {
-	if st.busy || st.waiting || len(st.q) == 0 {
+	if st.busy || st.waiting || st.q.Len() == 0 {
 		return
 	}
-	p := st.q[0]
+	p := st.q.Peek()
 	e := p.e
 	ring := st.ch.Rx
 
@@ -52,7 +53,6 @@ func (st *chanState) pump() {
 		return
 	}
 	st.busy = true
-	st.q = st.q[1:]
 
 	// Ensure the descriptor and buffer(s) are present and the IOMMU page
 	// tables reflect that. Re-translate now: an earlier resolution may
@@ -83,9 +83,7 @@ func (st *chanState) pump() {
 				// worked (its copy would refault): resolve once more.
 				if desc, ok := ring.DescriptorAt(e.Index); ok {
 					if _, missing := st.ch.Domain.TranslateAccess(desc.Buffer, desc.Len, true); len(missing) > 0 {
-						st.busy = false
-						st.q = append([]pendingRx{{e: e, attempt: p.attempt + 1}}, st.q...)
-						st.pump()
+						st.retry()
 						return
 					}
 				}
@@ -96,6 +94,7 @@ func (st *chanState) pump() {
 			}
 			// The receive flow is unblocked now: close the causal record.
 			st.d.tr.FaultDone(e.Fault, st.d.Eng.Now())
+			st.q.Pop()
 			st.busy = false
 			st.pump()
 		},
@@ -104,8 +103,14 @@ func (st *chanState) pump() {
 			// an injected resolver timeout): requeue and retry with a bumped
 			// attempt count; the packet stays parked (bounded by the backup
 			// ring, as in hardware).
-			st.busy = false
-			st.q = append([]pendingRx{{e: e, attempt: p.attempt + 1}}, st.q...)
-			st.pump()
+			st.retry()
 		})
+}
+
+// retry puts the entry in service back at the head of q with its attempt
+// count bumped, and serves it again.
+func (st *chanState) retry() {
+	st.q.At(0).attempt++
+	st.busy = false
+	st.pump()
 }

@@ -527,7 +527,7 @@ func (d *Driver) HandleRxNPF(entries []nic.RxNPFEntry) {
 		if !ok {
 			panic("core: rNPF on channel without ODP enabled: " + e.Channel.Name)
 		}
-		st.q = append(st.q, pendingRx{e: e})
+		st.q.Push(pendingRx{e: e})
 	}
 	for _, e := range entries {
 		d.chans[e.Channel].pump()
@@ -541,10 +541,7 @@ func (d *Driver) PendingBackupWork() int {
 	n := 0
 	//npf:orderinvariant — counting queued work is commutative
 	for _, st := range d.chans {
-		n += len(st.q)
-		if st.busy {
-			n++
-		}
+		n += st.q.Len() // the entry in service stays queued until it resolves
 	}
 	return n
 }

@@ -316,8 +316,8 @@ func (w *Workload) Issued() int { return w.issued }
 
 type frontCache struct {
 	cap   int
-	items map[string]int // key -> stamp
-	order []string       // insertion ring for eviction
+	items map[string]int   // key -> stamp
+	order sim.Ring[string] // insertion order for eviction
 	clock int
 }
 
@@ -348,10 +348,9 @@ func (f *frontCache) add(key string) {
 	}
 	f.clock++
 	f.items[key] = f.clock
-	f.order = append(f.order, key)
-	for len(f.items) > f.cap && len(f.order) > 0 {
-		victim := f.order[0]
-		f.order = f.order[1:]
+	f.order.Push(key)
+	for len(f.items) > f.cap && f.order.Len() > 0 {
+		victim := f.order.Pop()
 		if _, ok := f.items[victim]; ok {
 			delete(f.items, victim)
 		}

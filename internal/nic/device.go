@@ -57,7 +57,9 @@ type RxCompletion struct {
 
 // RxHandler is the IOuser-side completion callback (the channel's network
 // stack). Invoked from interrupt context (an engine event), once per
-// interrupt with all newly visible completions.
+// interrupt with all newly visible completions. The completions slice is
+// valid only during the call: the device reuses its backing array for every
+// channel's next batch, so a handler that keeps completions must copy them.
 type RxHandler interface {
 	RxComplete(ch *Channel, completions []RxCompletion)
 }
@@ -159,6 +161,9 @@ type Device struct {
 	sink      NPFSink
 	faultHook func(sim.Time) sim.Time
 	faultSeq  uint64 // per-device FaultID sequence (fault.go)
+	// rxBatch is the RX completion buffer every channel's interrupt builds
+	// its batch in (RxRing.interrupt).
+	rxBatch []RxCompletion
 
 	// Tracer records NPF fault records; nil disables tracing.
 	Tracer *trace.Tracer
@@ -312,9 +317,9 @@ func (d *Device) Deliver(pkt *fabric.Packet) {
 // translate, so they must be resident; a fault here means the driver broke
 // the notifier/unmap invariant.
 func (ch *Channel) dmaTouch(addr mem.VAddr, length int, write bool) {
-	res, err := ch.AS.Touch(addr, length, write)
+	res, err := ch.AS.Touch(addr, length, write) //npf:allocok — translated pages are resident: no fault, no reclaim, no error
 	if err != nil || res.Kind() != mem.NoFault {
-		panic(fmt.Sprintf("nic: DMA to non-resident memory on %s (res=%+v err=%v): IOMMU/OS invariant broken",
+		panic(fmt.Sprintf("nic: DMA to non-resident memory on %s (res=%+v err=%v): IOMMU/OS invariant broken", //npf:allocok — invariant violation
 			ch.Name, res, err))
 	}
 }

@@ -400,8 +400,8 @@ func TestTxFaultSuspendsAndResumes(t *testing.T) {
 	}
 
 	srcCh.Tx.Post(
-		TxDesc{Buffer: 0, Len: 2000, Dst: dst.Node, DstFlow: dstCh.Flow, Payload: "one"},
-		TxDesc{Buffer: mem.PageNum(4).Base(), Len: 2000, Dst: dst.Node, DstFlow: dstCh.Flow, Payload: "two"},
+		TxDesc{Buffer: 0, Len: 2000, Frame: &fabric.Packet{Dst: dst.Node, Flow: dstCh.Flow, Payload: "one"}},
+		TxDesc{Buffer: mem.PageNum(4).Base(), Len: 2000, Frame: &fabric.Packet{Dst: dst.Node, Flow: dstCh.Flow, Payload: "two"}},
 	)
 	if !srcCh.Tx.Suspended() {
 		t.Fatal("cold TX buffer did not suspend the queue")
@@ -437,7 +437,7 @@ func TestTxWarmNoFault(t *testing.T) {
 	}
 
 	e.prefault(0, 1)
-	e.ch.Tx.Post(TxDesc{Buffer: 0, Len: 1500, Dst: peer.Node, DstFlow: peerCh.Flow, Payload: "hi", Cookie: 7})
+	e.ch.Tx.Post(TxDesc{Buffer: 0, Len: 1500, Frame: &fabric.Packet{Dst: peer.Node, Flow: peerCh.Flow, Payload: "hi"}, Cookie: 7})
 	e.eng.Run()
 	if e.dev.TxFaults.N != 0 {
 		t.Fatal("warm TX faulted")

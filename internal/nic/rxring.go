@@ -48,6 +48,9 @@ type RxRing struct {
 
 	reported   int64
 	intPending bool
+	// intr is the RX interrupt (interrupt), bound once so raising it
+	// creates no closure.
+	intr func()
 
 	// inflight tracks descriptor indexes whose fault was already reported
 	// and not yet resolved — the firmware bitmap optimization (§4) that
@@ -59,7 +62,7 @@ type RxRing struct {
 }
 
 func newRxRing(ch *Channel, size, bmSize int, policy FaultPolicy) *RxRing {
-	return &RxRing{
+	r := &RxRing{
 		ch:       ch,
 		size:     size,
 		bmSize:   bmSize,
@@ -68,6 +71,8 @@ func newRxRing(ch *Channel, size, bmSize int, policy FaultPolicy) *RxRing {
 		bitmap:   make([]bool, bmSize),
 		inflight: make(map[int64]bool),
 	}
+	r.intr = r.interrupt
+	return r
 }
 
 // Policy returns the ring's fault policy.
@@ -253,21 +258,28 @@ func (r *RxRing) raiseRxInterrupt() {
 		return
 	}
 	r.intPending = true
+	r.ch.Dev.Eng.After(r.ch.Dev.Cfg.IntLatency, r.intr)
+}
+
+// interrupt is the coalesced RX interrupt. The batch is built in the
+// device's one completion buffer, which every channel's interrupt reuses:
+// interrupts on one engine never nest.
+func (r *RxRing) interrupt() {
+	r.intPending = false
 	dev := r.ch.Dev
-	dev.Eng.After(dev.Cfg.IntLatency, func() {
-		r.intPending = false
-		var comps []RxCompletion
-		for r.reported < r.head {
-			s := r.slot(r.reported)
-			if !s.filled {
-				panic(fmt.Sprintf("nic: reporting unfilled slot %d on %s", r.reported, r.ch.Name))
-			}
-			comps = append(comps, RxCompletion{Index: r.reported, Size: s.size, Payload: s.payload})
-			*s = rxSlot{}
-			r.reported++
+	comps := dev.rxBatch[:0]
+	for r.reported < r.head {
+		s := r.slot(r.reported)
+		if !s.filled {
+			panic(fmt.Sprintf("nic: reporting unfilled slot %d on %s", r.reported, r.ch.Name))
 		}
-		if r.ch.rxHandler != nil {
-			r.ch.rxHandler.RxComplete(r.ch, comps)
-		}
-	})
+		comps = append(comps, RxCompletion{Index: r.reported, Size: s.size, Payload: s.payload})
+		*s = rxSlot{}
+		r.reported++
+	}
+	dev.rxBatch = comps
+	if r.ch.rxHandler != nil {
+		r.ch.rxHandler.RxComplete(r.ch, comps)
+	}
+	clear(comps) // drop the payloads until the buffer is reused
 }

@@ -7,15 +7,15 @@ import (
 )
 
 // TxDesc is one send descriptor: read Len bytes from Buffer and transmit
-// them to (Dst, DstFlow). Payload is the simulated wire content; Cookie is
-// returned in the TX completion so the stack can recycle the buffer.
+// them as Frame. The stack owns Frame and sets its Dst, Flow and Payload
+// (the simulated wire content); the queue stamps Src and Size when it
+// sends. Cookie is returned in the TX completion so the stack can recycle
+// the buffer.
 type TxDesc struct {
-	Buffer  mem.VAddr
-	Len     int
-	Dst     fabric.NodeID
-	DstFlow fabric.FlowID
-	Payload any
-	Cookie  any
+	Buffer mem.VAddr
+	Len    int
+	Frame  *fabric.Packet
+	Cookie any
 }
 
 // TxQueue is the send side of an IOchannel. Descriptors are processed in
@@ -57,6 +57,8 @@ func (q *TxQueue) Post(descs ...TxDesc) {
 }
 
 // kick drains the queue until it is empty or a fault suspends it.
+//
+//npf:noalloc
 func (q *TxQueue) kick() {
 	dev := q.ch.Dev
 	for !q.suspended && q.queue.Len() > 0 {
@@ -71,51 +73,55 @@ func (q *TxQueue) kick() {
 		_, missing := q.ch.Domain.Translate(d.Buffer, d.Len)
 		if len(missing) > 0 {
 			if q.ch.Rx.policy == PolicyPinned {
-				panic("nic: TX NPF on pinned channel " + q.ch.Name)
+				panic("nic: TX NPF on pinned channel " + q.ch.Name) //npf:allocok — invariant violation
 			}
 			q.suspended = true
 			dev.TxFaults.Inc()
-			ev := TxNPF{
-				Channel: q.ch,
-				Missing: missing,
-				Start:   dev.Eng.Now(),
-				Resume: func() {
-					// Figure 3a component (v): the NIC notices the
-					// page-table update and resumes.
-					dev.Eng.After(dev.Cfg.FirmwareResume, func() {
-						q.suspended = false
-						q.kick()
-					})
-				},
-			}
-			// Firmware detects the fault and raises the NPF interrupt
-			// (components i–ii).
-			ev.Fault = dev.mintFault()
-			lat := dev.firmwareFaultLatency() + dev.Cfg.IntLatency
-			dev.Tracer.FaultMinted(ev.Fault, "tx", ev.Start, -1, int64(d.Dst), len(missing))
-			dev.Eng.After(lat, func() {
-				dev.sink.HandleTxNPF(ev)
-			})
+			q.txFault(missing, d.Frame.Dst) //npf:allocok — fault path: one NPF per faulting descriptor, not per packet
 			return
 		}
 		q.queue.Pop()
 		q.ch.dmaTouch(d.Buffer, d.Len, false)
-		dev.Net.Send(&fabric.Packet{
-			Src:     dev.Node,
-			Dst:     d.Dst,
-			Flow:    d.DstFlow,
-			Size:    d.Len,
-			Payload: d.Payload,
-		})
+		f := d.Frame
+		f.Src = dev.Node
+		f.Size = d.Len
+		dev.Net.Send(f)
 		dev.TxSent.Inc()
 		q.complete(TxCompletion{Cookie: d.Cookie})
 	}
 }
 
+// txFault reports a send-side NPF on the descriptor at the head of the
+// queue, which stays suspended until the driver calls Resume.
+func (q *TxQueue) txFault(missing []mem.PageNum, dst fabric.NodeID) {
+	dev := q.ch.Dev
+	ev := TxNPF{
+		Channel: q.ch,
+		Missing: missing,
+		Start:   dev.Eng.Now(),
+		Resume: func() {
+			// Figure 3a component (v): the NIC notices the
+			// page-table update and resumes.
+			dev.Eng.After(dev.Cfg.FirmwareResume, func() {
+				q.suspended = false
+				q.kick()
+			})
+		},
+	}
+	// Firmware detects the fault and raises the NPF interrupt
+	// (components i–ii).
+	ev.Fault = dev.mintFault()
+	lat := dev.firmwareFaultLatency() + dev.Cfg.IntLatency
+	dev.Tracer.FaultMinted(ev.Fault, "tx", ev.Start, -1, int64(dst), len(missing))
+	dev.Eng.After(lat, func() {
+		dev.sink.HandleTxNPF(ev)
+	})
+}
+
 // complete queues a TX completion, delivered coalesced after the interrupt
 // latency.
 func (q *TxQueue) complete(c TxCompletion) {
-	q.completions = append(q.completions, c)
+	q.completions = append(q.completions, c) //npf:allocok — batch growth, up to the largest batch
 	if q.compPending {
 		return
 	}

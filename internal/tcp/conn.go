@@ -28,9 +28,12 @@ type Conn struct {
 	written  uint64
 	cwnd     int
 	ssthresh int
-	sendQ    []*segment // segmented at Send() time, not yet transmitted
-	inflight []*segment
-	dupAcks  int
+	// q holds every unacknowledged segment in sequence order, segmented at
+	// Send time; the first sent of them are on the wire, the rest wait for
+	// the window. An RTO rewind sets sent back to zero (go-back-N).
+	q       sim.Ring[segment]
+	sent    int
+	dupAcks int
 
 	// RTO state.
 	srtt, rttvar sim.Time
@@ -39,6 +42,9 @@ type Conn struct {
 	synRetries   int
 	timer        sim.EventID
 	timerArmed   bool
+	// fire is the timer callback (onTimer), bound once so arming the timer
+	// creates no closure.
+	fire func()
 	// rttSeq/rttSentAt sample one segment per window for RTT estimation
 	// (Karn's algorithm: never sample retransmitted data).
 	rttSeq    uint64
@@ -47,7 +53,7 @@ type Conn struct {
 
 	// Receiver state.
 	rcvNxt uint64
-	ooo    map[uint64]*segment
+	ooo    map[uint64]segment
 
 	// retxSpan covers one retransmission episode: opened at the first RTO,
 	// closed when new data is finally acknowledged (or the connection
@@ -58,7 +64,7 @@ type Conn struct {
 }
 
 func newConn(s *Stack, id uint64, peerNode fabric.NodeID, peerFlow fabric.FlowID, st ConnState) *Conn {
-	return &Conn{
+	c := &Conn{
 		stack:    s,
 		id:       id,
 		peerNode: peerNode,
@@ -67,8 +73,10 @@ func newConn(s *Stack, id uint64, peerNode fabric.NodeID, peerFlow fabric.FlowID
 		cwnd:     s.Cfg.InitialCwndSegs * s.Cfg.MSS,
 		ssthresh: s.Cfg.RWndBytes,
 		rto:      s.Cfg.InitRTO,
-		ooo:      make(map[uint64]*segment),
+		ooo:      make(map[uint64]segment),
 	}
+	c.fire = c.onTimer
+	return c
 }
 
 // State returns the connection state.
@@ -87,6 +95,8 @@ func (c *Conn) Close() {
 // Send writes one framed application message of length bytes. The payload
 // travels with the segment carrying the message's final byte and is
 // delivered to the peer's OnMessage once the stream is contiguous there.
+//
+//npf:noalloc
 func (c *Conn) Send(length int, payload any) {
 	if c.state == StateFailed || c.state == StateClosed {
 		return
@@ -98,13 +108,13 @@ func (c *Conn) Send(length int, payload any) {
 		if chunk > mss {
 			chunk = mss
 		}
-		seg := &segment{Conn: c.id, Kind: segData, Seq: c.written, Len: chunk}
+		seg := segment{Conn: c.id, Kind: segData, Seq: c.written, Len: chunk}
 		c.written += uint64(chunk)
 		remaining -= chunk
 		if remaining == 0 {
-			seg.Msgs = []msgEnd{{EndOff: c.written, Len: length, Payload: payload}}
+			seg.Msg = msgEnd{EndOff: c.written, Len: length, Payload: payload}
 		}
-		c.sendQ = append(c.sendQ, seg)
+		c.q.Push(seg)
 	}
 	if c.state == StateEstablished {
 		c.trySend()
@@ -115,19 +125,19 @@ func (c *Conn) Send(length int, payload any) {
 // Handshake.
 
 func (c *Conn) sendSyn() {
-	c.sendSegment(&segment{Conn: c.id, Kind: segSyn})
-	c.armTimer(c.backoff(c.stack.Cfg.SynRTO, c.synRetries), func() {
-		if c.state != StateSynSent {
-			return
-		}
-		c.synRetries++
-		c.stack.Retransmits.Inc()
-		if c.synRetries > c.stack.Cfg.SynMaxRetries {
-			c.fail()
-			return
-		}
-		c.sendSyn()
-	})
+	c.sendSegment(segment{Conn: c.id, Kind: segSyn})
+	c.armTimer(c.backoff(c.stack.Cfg.SynRTO, c.synRetries))
+}
+
+// onSynTimeout retries the SYN with backoff, or gives up.
+func (c *Conn) onSynTimeout() {
+	c.synRetries++
+	c.stack.Retransmits.Inc()
+	if c.synRetries > c.stack.Cfg.SynMaxRetries {
+		c.fail()
+		return
+	}
+	c.sendSyn()
 }
 
 func (c *Conn) establish() {
@@ -164,25 +174,21 @@ func (c *Conn) inflightBytes() int {
 }
 
 // trySend transmits queued segments within min(cwnd, rwnd).
+//
+//npf:noalloc
 func (c *Conn) trySend() {
-	cfg := c.stack.Cfg
+	cfg := &c.stack.Cfg
 	wnd := c.cwnd
 	if wnd > cfg.RWndBytes {
 		wnd = cfg.RWndBytes
 	}
-	sent := false
-	for len(c.sendQ) > 0 {
-		seg := c.sendQ[0]
-		// A rewind may have requeued data that a late ACK then covered.
-		if seg.Seq+uint64(seg.Len) <= c.sndUna {
-			c.sendQ = c.sendQ[1:]
-			continue
-		}
+	moved := false
+	for c.sent < c.q.Len() {
+		seg := *c.q.At(c.sent)
 		if c.inflightBytes()+seg.Len > wnd {
 			break
 		}
-		c.sendQ = c.sendQ[1:]
-		c.inflight = append(c.inflight, seg)
+		c.sent++
 		c.sndNxt = seg.Seq + uint64(seg.Len)
 		if c.sndNxt > c.sndMax {
 			c.sndMax = c.sndNxt
@@ -192,31 +198,30 @@ func (c *Conn) trySend() {
 			c.rttSentAt = c.stack.eng.Now()
 			c.rttValid = true
 		}
-		c.sendDataSegment(seg)
-		sent = true
+		c.sendSegment(seg)
+		moved = true
 	}
-	if sent {
+	if moved {
 		c.ensureRTOTimer()
 	}
 }
 
-func (c *Conn) sendDataSegment(seg *segment) {
-	seg.Ack = c.rcvNxt
-	c.stack.transmit(c.peerNode, c.peerFlow, seg)
-}
-
-func (c *Conn) sendSegment(seg *segment) {
+// sendSegment stamps the current cumulative ACK on a copy of seg and puts
+// it on the wire; a queued segment keeps no trace of earlier sends.
+func (c *Conn) sendSegment(seg segment) {
 	seg.Ack = c.rcvNxt
 	c.stack.transmit(c.peerNode, c.peerFlow, seg)
 }
 
 func (c *Conn) sendAck() {
-	c.sendSegment(&segment{Conn: c.id, Kind: segData, Seq: c.sndNxt, Len: 0})
+	c.sendSegment(segment{Conn: c.id, Kind: segData, Seq: c.sndNxt, Len: 0})
 }
 
 // handleAck processes the cumulative acknowledgment on an incoming segment.
+//
+//npf:noalloc
 func (c *Conn) handleAck(ack uint64) {
-	cfg := c.stack.Cfg
+	cfg := &c.stack.Cfg
 	if ack > c.sndMax {
 		return // acking data we never sent; ignore
 	}
@@ -236,8 +241,16 @@ func (c *Conn) handleAck(ack uint64) {
 			c.retxSpan = 0
 		}
 		c.retries = 0
-		for len(c.inflight) > 0 && c.inflight[0].Seq+uint64(c.inflight[0].Len) <= ack {
-			c.inflight = c.inflight[1:]
+		// Drop every covered segment, including any a rewind requeued
+		// that this late ACK now covers: those are never sent again.
+		for c.q.Len() > 0 {
+			if seg := c.q.At(0); seg.Seq+uint64(seg.Len) > ack {
+				break
+			}
+			c.q.Pop()
+			if c.sent > 0 {
+				c.sent--
+			}
 		}
 		// RTT sample (Karn: only if the sampled range is fully acked and
 		// was never retransmitted; retransmission invalidates the sample).
@@ -251,7 +264,7 @@ func (c *Conn) handleAck(ack uint64) {
 		} else {
 			c.cwnd += cfg.MSS * cfg.MSS / c.cwnd // congestion avoidance
 		}
-		if len(c.inflight) == 0 {
+		if c.sent == 0 {
 			c.disarmTimer()
 		} else {
 			c.restartRTOTimer()
@@ -259,7 +272,7 @@ func (c *Conn) handleAck(ack uint64) {
 		c.trySend()
 		return
 	}
-	if ack == c.sndUna && len(c.inflight) > 0 {
+	if ack == c.sndUna && c.sent > 0 {
 		c.dupAcks++
 		if c.dupAcks == 3 {
 			// Fast retransmit.
@@ -268,7 +281,7 @@ func (c *Conn) handleAck(ack uint64) {
 			c.ssthresh = max(c.inflightBytes()/2, 2*cfg.MSS)
 			c.cwnd = c.ssthresh
 			c.rttValid = false
-			c.sendDataSegment(c.inflight[0])
+			c.sendSegment(*c.q.At(0))
 			c.restartRTOTimer()
 		}
 	}
@@ -313,11 +326,22 @@ func (c *Conn) ensureRTOTimer() {
 }
 
 func (c *Conn) restartRTOTimer() {
-	c.armTimer(c.backoff(c.rto, c.retries), c.onRTO)
+	c.armTimer(c.backoff(c.rto, c.retries))
+}
+
+// onTimer is the connection's one timer callback: a SYN retry while the
+// handshake is open, the retransmission timeout after it.
+func (c *Conn) onTimer() {
+	c.timerArmed = false
+	if c.state == StateSynSent {
+		c.onSynTimeout()
+		return
+	}
+	c.onRTO()
 }
 
 func (c *Conn) onRTO() {
-	if c.state != StateEstablished || len(c.inflight) == 0 {
+	if c.state != StateEstablished || c.sent == 0 {
 		return
 	}
 	cfg := c.stack.Cfg
@@ -338,25 +362,21 @@ func (c *Conn) onRTO() {
 	c.cwnd = cfg.MSS
 	c.dupAcks = 0
 	c.rttValid = false
-	// Requeue all inflight segments ahead of unsent data.
-	c.sendQ = append(append([]*segment{}, c.inflight...), c.sendQ...)
-	c.inflight = nil
+	// Every segment on the wire counts as unsent again.
+	c.sent = 0
 	c.sndNxt = c.sndUna
 	c.stack.Retransmits.Inc()
 	c.trySend()
 	// trySend arms the timer with the backed-off RTO.
-	if len(c.inflight) > 0 {
+	if c.sent > 0 {
 		c.restartRTOTimer()
 	}
 }
 
-func (c *Conn) armTimer(d sim.Time, fn func()) {
+func (c *Conn) armTimer(d sim.Time) {
 	c.disarmTimer()
 	c.timerArmed = true
-	c.timer = c.stack.eng.After(d, func() {
-		c.timerArmed = false
-		fn()
-	})
+	c.timer = c.stack.eng.After(d, c.fire)
 }
 
 func (c *Conn) disarmTimer() {
@@ -384,12 +404,12 @@ func (c *Conn) handleData(seg *segment) {
 				break
 			}
 			delete(c.ooo, c.rcvNxt)
-			c.consume(next)
+			c.consume(&next)
 		}
 		c.sendAck()
 	case seg.Seq > c.rcvNxt:
 		// Hole: buffer and send a duplicate ACK.
-		c.ooo[seg.Seq] = seg
+		c.ooo[seg.Seq] = *seg
 		c.sendAck()
 	default:
 		// Already received (retransmission overlap): re-ack.
@@ -399,10 +419,8 @@ func (c *Conn) handleData(seg *segment) {
 
 func (c *Conn) consume(seg *segment) {
 	c.rcvNxt = seg.Seq + uint64(seg.Len)
-	if c.OnMessage != nil {
-		for _, m := range seg.Msgs {
-			c.OnMessage(m.Payload, m.Len)
-		}
+	if c.OnMessage != nil && seg.Msg.Len > 0 {
+		c.OnMessage(seg.Msg.Payload, seg.Msg.Len)
 	}
 }
 

@@ -75,24 +75,34 @@ const (
 
 // msgEnd marks an application message whose last byte is at stream offset
 // EndOff-1; its payload is delivered when the receiver's in-order point
-// passes EndOff.
+// passes EndOff. Len is zero on a segment that ends no message.
 type msgEnd struct {
 	EndOff  uint64
 	Len     int
 	Payload any
 }
 
-// segment is the wire unit.
+// segment is the wire unit. Send attaches a message only to the chunk that
+// carries its last byte, so a segment ends at most one message.
 type segment struct {
-	Conn     uint64
-	Kind     segKind
-	Seq      uint64
-	Len      int
-	Ack      uint64
-	Msgs     []msgEnd
-	SrcNode  fabric.NodeID
-	SrcFlow  fabric.FlowID
-	ListenID uint64 // SYN: which listener on the peer stack
+	Conn    uint64
+	Kind    segKind
+	Seq     uint64
+	Len     int
+	Ack     uint64
+	Msg     msgEnd
+	SrcNode fabric.NodeID
+	SrcFlow fabric.FlowID
+}
+
+// frame is one segment on the wire: the fabric packet that carries it, with
+// Payload pointing back at the frame, so each wire segment is one object.
+// Frames come from the sending stack's free list (Stack.transmit) and
+// return to it once the receiving stack has handled them (Stack.RxComplete).
+type frame struct {
+	fabric.Packet
+	seg  segment
+	from *Stack // the sending stack, whose free list the frame returns to
 }
 
 // ConnState is the connection lifecycle state.
@@ -135,6 +145,9 @@ type Stack struct {
 	rxBufBase mem.VAddr
 	txBufBase mem.VAddr
 	txNext    int
+	// free holds frames this stack sent that have been delivered and
+	// handled on this stack's engine, ready for reuse by transmit.
+	free []*frame
 
 	// Stats.
 	SegsSent    sim.Counter
@@ -167,7 +180,7 @@ func NewStack(ch *nic.Channel, cfg Config) *Stack {
 		sum := 0.0
 		//npf:orderinvariant — summing per-connection windows is commutative
 		for _, c := range s.conns {
-			sum += float64(len(c.inflight))
+			sum += float64(c.sent)
 		}
 		return sum
 	})
@@ -218,14 +231,24 @@ func (s *Stack) Dial(peerNode fabric.NodeID, peerFlow fabric.FlowID) *Conn {
 	return c
 }
 
-// RxComplete implements nic.RxHandler.
+// RxComplete implements nic.RxHandler. Once a segment is handled, its frame
+// goes back to the sender's free list — but only when the sender runs on
+// this stack's engine. A frame that crossed partitions is left to the
+// garbage collector, so no free list is ever touched from two engines'
+// goroutines.
 func (s *Stack) RxComplete(ch *nic.Channel, comps []nic.RxCompletion) {
 	for _, comp := range comps {
 		s.SegsRecv.Inc()
-		seg := comp.Payload.(*segment)
-		s.handleSegment(seg)
+		f := comp.Payload.(*frame)
+		s.handleSegment(&f.seg)
 		// lwIP-style fixed buffers: recycle the completed buffer.
 		ch.Rx.PostRx(nic.Descriptor{Buffer: s.rxBuf(comp.Index), Len: mem.PageSize})
+		if from := f.from; from.eng == s.eng {
+			// Zeroed, so a handler that kept a field past its return reads
+			// garbage at once rather than a later segment's value by chance.
+			*f = frame{Packet: fabric.Packet{Payload: comp.Payload}}
+			from.free = append(from.free, f)
+		}
 	}
 }
 
@@ -247,7 +270,7 @@ func (s *Stack) handleSegment(seg *segment) {
 		}
 		// Respond to every SYN, including duplicates: the client may have
 		// lost our SYN-ACK to a cold ring.
-		c.sendSegment(&segment{Conn: c.id, Kind: segSynAck})
+		c.sendSegment(segment{Conn: c.id, Kind: segSynAck})
 	case segSynAck:
 		c, ok := s.conns[seg.Conn]
 		if !ok || c.state != StateSynSent {
@@ -263,21 +286,40 @@ func (s *Stack) handleSegment(seg *segment) {
 	}
 }
 
-// transmit posts one segment to the NIC. The TX buffer may fault (send-side
-// NPF) under ODP; the NIC suspends and the driver resolves it.
-func (s *Stack) transmit(peerNode fabric.NodeID, peerFlow fabric.FlowID, seg *segment) {
+// transmit posts one segment to the NIC, copied into a frame drawn from
+// the free list. The TX buffer may fault (send-side NPF) under ODP; the NIC
+// suspends and the driver resolves it.
+//
+//npf:noalloc
+func (s *Stack) transmit(peerNode fabric.NodeID, peerFlow fabric.FlowID, seg segment) {
 	s.SegsSent.Inc()
+	var f *frame
+	if n := len(s.free); n > 0 {
+		f = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		f = newFrame() //npf:allocok — pool refill, up to the number of frames in flight
+	}
 	seg.SrcNode = s.ch.Dev.Node
 	seg.SrcFlow = s.ch.Flow
+	f.seg = seg
+	f.Dst = peerNode
+	f.Flow = peerFlow
+	f.from = s
 	buf := s.txBufBase + mem.VAddr(s.txNext%s.Cfg.TxRingEntries)*mem.PageSize
 	s.txNext++
 	s.ch.Tx.Post(nic.TxDesc{
-		Buffer:  buf,
-		Len:     seg.Len + s.Cfg.HeaderBytes,
-		Dst:     peerNode,
-		DstFlow: peerFlow,
-		Payload: seg,
+		Buffer: buf,
+		Len:    seg.Len + s.Cfg.HeaderBytes,
+		Frame:  &f.Packet,
 	})
+}
+
+// newFrame allocates a frame whose packet payload points back at it.
+func newFrame() *frame {
+	f := new(frame)
+	f.Payload = f
+	return f
 }
 
 func (s *Stack) String() string { return fmt.Sprintf("tcp-stack(%s)", s.ch.Name) }

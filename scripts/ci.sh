@@ -79,16 +79,18 @@ for bench in BenchmarkEngineEventThroughput BenchmarkEngineLargePending; do
 done
 
 # The packet path's contract: on a warm network a fabric Send→Deliver
-# round, an IOTLB miss that inserts and evicts at capacity, and a warm RC
-# send→ack round allocate nothing, and a faulting RC message stays within
-# its measured object budget. npflint's noalloc Required entries
-# (port.enqueue/kick, iotlb.lookup/insert/invalidate, PageTable.Get/Lookup,
-# AddressSpace.lruPush/lruRemove, HCA.send and the QP post/ack/data
-# handlers) are the static side of the same gate.
+# round, an IOTLB miss that inserts and evicts at capacity, a warm RC
+# send→ack round and a warm TCP request→response round allocate nothing;
+# RC packets and TCP frames recycle only within one engine; and a faulting
+# RC message stays within its measured object budget. npflint's noalloc
+# Required entries (port.enqueue/kick, iotlb.lookup/insert/invalidate,
+# PageTable.Get/Lookup, AddressSpace.lruPush/lruRemove, HCA.send and the QP
+# post/ack/data handlers, Stack.transmit and the Conn send/ack path,
+# TxQueue.kick) are the static side of the same gate.
 echo "== packet-path allocation gate =="
-out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestRCWarmRoundNoAlloc|TestIBFaultingMessageAllocBound' \
+out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestRCWarmRoundNoAlloc|TestIBFaultingMessageAllocBound|TestTCPWarmRoundNoAlloc|TestFramePoolSameEngineOnly' \
     -bench 'BenchmarkSendDeliver|BenchmarkIOTLBChurn' -benchtime 10000x \
-    ./internal/fabric/ ./internal/iommu/ ./internal/rc/ ./internal/bench/)
+    ./internal/fabric/ ./internal/iommu/ ./internal/rc/ ./internal/tcp/ ./internal/bench/)
 echo "$out"
 for bench in BenchmarkSendDeliver BenchmarkIOTLBChurn; do
     if ! echo "$out" | grep -q "$bench.* 0 B/op.* 0 allocs/op"; then
