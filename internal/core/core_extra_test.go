@@ -113,3 +113,35 @@ func TestStaticPinCost(t *testing.T) {
 func newTestDomain(eng *sim.Engine, m *mem.Machine) *iommu.Domain {
 	return iommu.New(0).NewDomain()
 }
+
+// TestFaultPrepAnyPageOrder: faultPrep uses an ascending miss list in
+// place and copies and sorts any other, so both orders cost the same and
+// the caller's list is left as it was.
+func TestFaultPrepAnyPageOrder(t *testing.T) {
+	prep := func(pages []mem.PageNum) (sim.Time, sim.Time, bool) {
+		eng := sim.NewEngine(1)
+		m := mem.NewMachine(eng, 1<<30)
+		as := m.NewAddressSpace("p", nil)
+		as.MapBytes(1 << 20)
+		d := NewDriver(eng, DefaultConfig())
+		sw, os, major, err := d.faultPrep(as, pages, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sw, os, major
+	}
+	ascending := []mem.PageNum{1, 2, 3, 7, 8, 12}
+	shuffled := []mem.PageNum{8, 3, 12, 1, 7, 2}
+	keep := append([]mem.PageNum(nil), shuffled...)
+	sw1, os1, major1 := prep(ascending)
+	sw2, os2, major2 := prep(shuffled)
+	if sw1 != sw2 || os1 != os2 || major1 != major2 {
+		t.Fatalf("ascending: sw=%v os=%v major=%v; shuffled: sw=%v os=%v major=%v",
+			sw1, os1, major1, sw2, os2, major2)
+	}
+	for i := range keep {
+		if shuffled[i] != keep[i] {
+			t.Fatalf("faultPrep reordered its input: %v, was %v", shuffled, keep)
+		}
+	}
+}

@@ -21,7 +21,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"npf/internal/iommu"
 	"npf/internal/mem"
@@ -332,8 +332,13 @@ func (d *Driver) faultPrep(as *mem.AddressSpace, pages []mem.PageNum, write bool
 	if len(pages) == 0 {
 		return swCost, 0, false, nil
 	}
-	sorted := append([]mem.PageNum(nil), pages...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	// Domain.TranslateAccess reports misses in ascending order, so the copy
+	// is only for callers that hand over pages in another order.
+	sorted := pages
+	if !slices.IsSorted(sorted) {
+		sorted = slices.Clone(pages)
+		slices.Sort(sorted)
+	}
 	run := 1
 	for i := 1; i <= len(sorted); i++ {
 		if i < len(sorted) && sorted[i] == sorted[i-1]+1 {

@@ -287,7 +287,10 @@ func (d *Domain) TranslateAccess(addr mem.VAddr, length int, write bool) (cost s
 				d.unit.iotlb.insert(d.ID, pn, e&pteWritable != 0)
 			} else {
 				d.unit.Faults.Inc()
-				missing = append(missing, pn) //npf:allocok — only a faulting access grows the miss list
+				if missing == nil {
+					missing = make([]mem.PageNum, 0, n-i) //npf:allocok — only a faulting access allocates the miss list, once, with room for every page left
+				}
+				missing = append(missing, pn) //npf:allocok — sized at the first miss, so it never grows
 			}
 			continue
 		}
@@ -295,7 +298,10 @@ func (d *Domain) TranslateAccess(addr mem.VAddr, length int, write bool) (cost s
 		d.unit.Walks.Inc()
 		if e := d.ptes.Get(pn); e == 0 || (write && e&pteWritable == 0) {
 			d.unit.Faults.Inc()
-			missing = append(missing, pn) //npf:allocok — only a faulting access grows the miss list
+			if missing == nil {
+				missing = make([]mem.PageNum, 0, n-i) //npf:allocok — only a faulting access allocates the miss list, once, with room for every page left
+			}
+			missing = append(missing, pn) //npf:allocok — sized at the first miss, so it never grows
 		}
 	}
 	return cost, missing

@@ -123,6 +123,60 @@ func BenchmarkHistogramAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkHistogramAddRepeat is the driver's Inv.Total pattern: every
+// invalidation costs the same, so every sample repeats the last one.
+func BenchmarkHistogramAddRepeat(b *testing.B) {
+	var h Histogram
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Add(48.04)
+	}
+}
+
+// BenchmarkHistogramAddDistinct adds samples that never repeat, so no run
+// forms: the raw-slice case, which must not get slower than a plain append.
+// Every 64Ki samples it restarts from empty, so memory stays bounded and
+// each op pays its share of growing the slice, as a fresh histogram does.
+func BenchmarkHistogramAddDistinct(b *testing.B) {
+	var h Histogram
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i&(1<<16-1) == 0 {
+			h = Histogram{}
+		}
+		h.Add(float64(i) * 0.5)
+	}
+}
+
+// BenchmarkHistogramAddThenP99 is kv's probe pattern: each op is one sample
+// period, 32 latency samples followed by the p50/p99/p99.9 probes, on a
+// histogram restarted every 256 periods so that ns/op does not grow with
+// b.N. Like kv's latencies, values repeat only in runs of one to three,
+// too short to fold.
+func BenchmarkHistogramAddThenP99(b *testing.B) {
+	r := NewRand(1)
+	vals := make([]float64, 0, 1<<12)
+	for len(vals) < cap(vals) {
+		v := 50 + float64(r.Intn(256))*0.25
+		for k := 1 + r.Intn(3); k > 0 && len(vals) < cap(vals); k-- {
+			vals = append(vals, v)
+		}
+	}
+	var h Histogram
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%256 == 0 {
+			h = Histogram{}
+		}
+		for k := 0; k < 32; k++ {
+			h.Add(vals[(i*32+k)&(len(vals)-1)])
+		}
+		histSink = h.Percentile(50) + h.Percentile(99) + h.Percentile(99.9)
+	}
+}
+
+var histSink float64
+
 // TestEngineSteadyStateAllocs gates the free-list contract the same way
 // TestTracerDisabledNoAlloc gates the tracer: once the pool and queue slices
 // are warm, scheduling, cancelling, and running events must not allocate.

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestHistogramPercentiles(t *testing.T) {
@@ -150,19 +152,19 @@ func TestHistogramMonotoneProperty(t *testing.T) {
 func TestHistogramLazySortInterleaved(t *testing.T) {
 	r := NewRand(99)
 	var h Histogram
-	var oracle Histogram
+	var oracle []float64
 	feed := func(n int) {
 		for i := 0; i < n; i++ {
 			v := r.Float64() * 1e4
 			h.Add(v)
-			oracle.Add(v)
+			oracle = append(oracle, v)
 		}
 	}
 	check := func(step string) {
 		t.Helper()
 		// A fresh copy of the oracle's samples, sorted exactly once.
 		var once Histogram
-		for _, v := range append([]float64(nil), oracle.samples...) {
+		for _, v := range oracle {
 			once.Add(v)
 		}
 		once.sort()
@@ -186,7 +188,7 @@ func TestHistogramLazySortInterleaved(t *testing.T) {
 	for i := 0; i < 31; i++ {
 		v := r.Float64() * 1e4
 		side.Add(v)
-		oracle.Add(v)
+		oracle = append(oracle, v)
 	}
 	_ = side.Percentile(50) // side is pre-sorted when merged
 	h.Merge(&side)
@@ -195,6 +197,105 @@ func TestHistogramLazySortInterleaved(t *testing.T) {
 	check("repeat query")
 	feed(1)
 	check("single trailing add")
+}
+
+// histFootprint is the heap a histogram holds beyond its own struct, in
+// bytes.
+func histFootprint(h *Histogram) int {
+	n := 8 * cap(h.samples)
+	if h.st != nil {
+		n += int(unsafe.Sizeof(histState{})) + int(unsafe.Sizeof(histRun{}))*cap(h.st.runs)
+	}
+	return n
+}
+
+// stateSize is the fixed run bookkeeping a histogram of five or more
+// samples allocates once.
+const stateSize = int(unsafe.Sizeof(histState{}))
+
+// TestHistogramSize: a Histogram is as small as a raw slice and a sum plus
+// one pointer, so the structs that embed one do not grow.
+func TestHistogramSize(t *testing.T) {
+	if got := unsafe.Sizeof(Histogram{}); got > 40 {
+		t.Fatalf("Histogram is %d B, want ≤ 40", got)
+	}
+}
+
+// TestHistogramRepeatsStayCompact gates the run storage: a million equal
+// samples retain O(1) memory, and distinct samples, or samples repeated in
+// runs shorter than minRun, retain no more than the raw []float64 that the
+// same appends would grow, one 8-byte entry each.
+func TestHistogramRepeatsStayCompact(t *testing.T) {
+	var rep Histogram
+	for i := 0; i < 1_000_000; i++ {
+		rep.Add(48.04)
+	}
+	if got := histFootprint(&rep); got > 256 {
+		t.Errorf("1e6 equal samples retain %d B, want O(1) (≤ 256 B)", got)
+	}
+	if rep.Count() != 1_000_000 || rep.Percentile(99) != 48.04 {
+		t.Errorf("repeat histogram: n=%d p99=%v", rep.Count(), rep.Percentile(99))
+	}
+
+	const n = 100_000
+	var dist Histogram
+	var raw []float64
+	for i := 0; i < n; i++ {
+		v := float64(i) * 0.5
+		dist.Add(v)
+		raw = append(raw, v)
+	}
+	if len(dist.samples) != n || cap(dist.st.runs) != 0 {
+		t.Errorf("distinct samples: %d entries and %d run slots, want %d and 0",
+			len(dist.samples), cap(dist.st.runs), n)
+	}
+	if got, want := histFootprint(&dist), 8*cap(raw)+stateSize; got > want {
+		t.Errorf("1e5 distinct samples retain %d B, want ≤ %d B (a raw []float64 and the state)", got, want)
+	}
+	_ = dist.Percentile(50)
+	if got := histFootprint(&dist); got > 8*cap(raw)+stateSize {
+		t.Errorf("a query grew the footprint to %d B", got)
+	}
+
+	var short Histogram
+	for i := 0; i < n; i++ {
+		short.Add(float64(i / (minRun - 1)))
+	}
+	if got, want := histFootprint(&short), 8*cap(raw)+stateSize; got > want {
+		t.Errorf("1e5 samples in runs of %d retain %d B, want ≤ %d B (a raw []float64 and the state)", minRun-1, got, want)
+	}
+}
+
+// TestHistogramQueryNoAlloc: once warm, adding samples and re-sorting for
+// a query allocates nothing, with or without runs. kv's per-tenant
+// percentile probes query after every sample period.
+func TestHistogramQueryNoAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		val  func(i int) float64
+	}{
+		{"distinct", func(i int) float64 { return float64(i%977) * 1.25 }},
+		{"runs", func(i int) float64 { return float64(i / 3 % 41) }},
+	} {
+		var h Histogram
+		i := 0
+		period := func() {
+			for k := 0; k < 32; k++ {
+				h.Add(tc.val(i))
+				i++
+			}
+			_ = h.Percentile(99)
+		}
+		// Warm: let every slice reach the capacity the measured periods need.
+		for k := 0; k < 100; k++ {
+			period()
+		}
+		h.samples = slices.Grow(h.samples, 64*32)
+		h.st.runs = slices.Grow(h.st.runs, 64*32)
+		if allocs := testing.AllocsPerRun(50, period); allocs != 0 {
+			t.Errorf("%s: a sample period allocates %.1f, want 0", tc.name, allocs)
+		}
+	}
 }
 
 func TestRandDeterminism(t *testing.T) {

@@ -66,12 +66,14 @@ fi
 # allocate, and the event-throughput hot path and the fleet-regime
 # large-pending queue (about 100k far timers in the calendar tier) must
 # report 0 allocs/op. TestEngineFarCancelRetention bounds what cancelled
-# far timers may keep queued.
+# far timers may keep queued. A histogram stores a run of repeated samples
+# once: repeats add at 0 allocs/op and retain O(1) memory, and a warm
+# add-then-query period allocates nothing.
 echo "== engine allocation gate =="
-out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineTimerChurnAllocs|TestEngineFarCancelRetention' \
-    -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineLargePending' -benchtime 10000x ./internal/sim/)
+out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineTimerChurnAllocs|TestEngineFarCancelRetention|TestHistogramRepeatsStayCompact|TestHistogramQueryNoAlloc' \
+    -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineLargePending|BenchmarkHistogramAddRepeat' -benchtime 10000x ./internal/sim/)
 echo "$out"
-for bench in BenchmarkEngineEventThroughput BenchmarkEngineLargePending; do
+for bench in BenchmarkEngineEventThroughput BenchmarkEngineLargePending BenchmarkHistogramAddRepeat; do
     if ! echo "$out" | grep -q "$bench.* 0 B/op.* 0 allocs/op"; then
         echo "$bench is not allocation-free" >&2
         exit 1
@@ -82,7 +84,7 @@ done
 # round, an IOTLB miss that inserts and evicts at capacity, a warm RC
 # send→ack round and a warm TCP request→response round allocate nothing;
 # RC packets and TCP frames recycle only within one engine; and a faulting
-# RC message stays within its measured object budget. npflint's noalloc
+# RC message stays within its measured object and byte budgets. npflint's noalloc
 # Required entries (port.enqueue/kick, iotlb.lookup/insert/invalidate,
 # PageTable.Get/Lookup, AddressSpace.lruPush/lruRemove, HCA.send and the QP
 # post/ack/data handlers, Stack.transmit and the Conn send/ack path,
@@ -101,13 +103,15 @@ done
 
 # Native fuzz targets: the radix page table against a map model, two
 # I/O page tables sharing one IOTLB against a map-plus-linear-LRU model,
-# and the event engine's heap and calendar tier against a sorted-slice
-# model. Their committed seed corpora (testdata/fuzz) already replay in go
-# test above; this pass searches for new inputs.
+# the event engine's heap and calendar tier against a sorted-slice model,
+# and the run-storing histogram against a raw-sample model. Their committed
+# seed corpora (testdata/fuzz) already replay in go test above; this pass
+# searches for new inputs.
 echo "== fuzz =="
 go test -run '^$' -fuzz '^FuzzPageTable$' -fuzztime 10s ./internal/mem/
 go test -run '^$' -fuzz '^FuzzDomainIOTLB$' -fuzztime 10s ./internal/iommu/
 go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime 10s ./internal/sim/
+go test -run '^$' -fuzz '^FuzzHistogram$' -fuzztime 10s ./internal/sim/
 
 # The sweep runner's determinism contract under the race detector: the
 # worker pool fans real figure jobs across 8 goroutines and must produce
