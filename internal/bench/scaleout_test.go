@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 
+	"npf/internal/fabric"
 	"npf/internal/sim"
+	"npf/internal/topo"
 	"npf/internal/workload"
 )
 
@@ -47,6 +50,51 @@ func TestScaleoutDeterminism(t *testing.T) {
 		}
 		if res.BytesPerHost <= 0 || res.BytesPerHost > 1<<20 {
 			t.Errorf("[%s] bytes/host = %d, outside the cheap-per-host budget", res.Transport, res.BytesPerHost)
+		}
+	}
+}
+
+// TestGroupStatsAcrossThreads pins the group's counters on the quick
+// fleet, both transports: per-partition events, delivered mail and the
+// posted-mail matrix are a function of the seed, identical at thread
+// budgets 1, 2 and 8. Mailbox high-water marks and the batch count depend
+// on how the driver slices batches; they are logged at budget 1 only.
+func TestGroupStatsAcrossThreads(t *testing.T) {
+	for _, tr := range scaleoutTransports {
+		stats := func(threads int) sim.GroupStats {
+			fcfg := fabric.DefaultEthernet()
+			if tr == topo.TransportUD {
+				fcfg = fabric.DefaultInfiniBand()
+			}
+			g := sim.NewGroup(scaleoutSeed, scaleoutParts, fcfg.Lookahead())
+			g.SetThreads(threads)
+			s, err := topo.New(g.Engine(0), fabric.NewOnGroup(g, fcfg), ScaleoutConfig(tr, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Run()
+			return g.Stats()
+		}
+		ref := stats(1)
+		var mail uint64
+		for p, ps := range ref.Parts {
+			mail += ps.Mail
+			t.Logf("[%s] partition %d: %d events, %d mail, posted %v, box high-water %d",
+				tr, p, ps.Events, ps.Mail, ps.Posted, ps.BoxHigh)
+		}
+		t.Logf("[%s] %d batches at one thread", tr, ref.Batches)
+		if mail == 0 || ref.Batches == 0 {
+			t.Fatalf("[%s] quick fleet delivered %d mail in %d batches", tr, mail, ref.Batches)
+		}
+		for _, n := range []int{2, 8} {
+			got := stats(n)
+			for p := range ref.Parts {
+				r, g := ref.Parts[p], got.Parts[p]
+				if r.Events != g.Events || r.Mail != g.Mail || !reflect.DeepEqual(r.Posted, g.Posted) {
+					t.Errorf("[%s] partition %d at %d threads: events %d, mail %d, posted %v; want %d, %d, %v",
+						tr, p, n, g.Events, g.Mail, g.Posted, r.Events, r.Mail, r.Posted)
+				}
+			}
 		}
 	}
 }

@@ -133,6 +133,31 @@ func TestEnginesFig4aDeterminism(t *testing.T) {
 	}
 }
 
+// TestEnginesTable5Determinism covers table5's partitioned runs (one to
+// four memcached instances per server, NPF and pinning): budgets 1 and 8,
+// which run the one-thread driver and the threaded protocol, must render
+// byte-identically and execute the same number of events.
+func TestEnginesTable5Determinism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heavy experiment; skipped in -short mode")
+	}
+	outs := map[int]string{}
+	events := map[int]uint64{}
+	for _, n := range []int{1, 8} {
+		withEngines(n, func() {
+			StartEngineStats()
+			outs[n] = RunTable5().Render()
+			_, events[n] = StopEngineStats()
+		})
+	}
+	if outs[8] != outs[1] {
+		t.Fatalf("table5 output depends on Engines:\n--- engines=1 ---\n%s\n--- engines=8 ---\n%s", outs[1], outs[8])
+	}
+	if events[1] == 0 || events[8] != events[1] {
+		t.Fatalf("table5 executed %d events at engines=1, %d at engines=8", events[1], events[8])
+	}
+}
+
 // captureSeriesUnder runs a sweep with a sampling trace factory installed
 // (wrapped by the caller-supplied budget setter) and returns the rendered
 // WriteSeriesSet stream — the byte string the determinism pins compare.

@@ -249,7 +249,7 @@ func (n *Network) hop(src *node, p *Packet) {
 	dst := n.nodes[p.Dst]
 	if n.group != nil && dst.eng != src.eng {
 		src.seq++
-		n.group.Post(dst.part, src.eng.Now().Add(n.cfg.Propagation),
+		n.group.Post(src.part, dst.part, src.eng.Now().Add(n.cfg.Propagation),
 			uint64(src.id), src.seq, func() { n.arrive(dst, p) })
 		return
 	}

@@ -107,6 +107,47 @@ func BenchmarkEngineLargePending(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkGroupMail is the one-thread driver's cost per delivered mail: 8
+// partitions pass 64 tokens around, each hop a pre-bound func posted to a
+// random other partition one lookahead plus a jitter ahead, so mail is the
+// group's only work. One op is one delivered mail.
+func BenchmarkGroupMail(b *testing.B) {
+	b.ReportAllocs()
+	const (
+		parts  = 8
+		tokens = 64
+		look   = Microsecond
+	)
+	g := NewGroup(1, parts, look)
+	var seqs [parts]uint64
+	var hops [parts]func()
+	n, limit := 0, 0
+	post := func(p int) {
+		e := g.Engine(p)
+		q := (p + 1 + e.Rand().Intn(parts-1)) % parts
+		seqs[p]++
+		g.Post(p, q, e.Now()+look+Time(e.Rand().Intn(int(look))), uint64(p), seqs[p], hops[q])
+	}
+	for p := range hops {
+		hops[p] = func() {
+			if n++; n < limit {
+				post(p)
+			}
+		}
+	}
+	run := func(mails int) {
+		n, limit = 0, mails
+		for i := 0; i < tokens; i++ {
+			post(i % parts)
+		}
+		g.Run()
+	}
+	// Warm up until every mailbox's backing array reaches capacity.
+	run(16 * tokens)
+	b.ResetTimer()
+	run(b.N)
+}
+
 func BenchmarkRandUint64(b *testing.B) {
 	r := NewRand(1)
 	var sink uint64

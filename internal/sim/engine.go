@@ -507,18 +507,36 @@ func (e *Engine) flushImm() {
 // after the deadline remain queued; the clock is advanced to the deadline if
 // it is reached (and the deadline is not Forever).
 func (e *Engine) RunUntil(deadline Time) Time {
+	if e.runThrough(deadline) && e.group != nil {
+		// Grouped engines must report the stopping event's own time so the
+		// coordinator can shrink the shared horizon deterministically.
+		return e.now
+	}
+	e.park(deadline)
+	return e.now
+}
+
+// park advances the clock to t when t is ahead of it and not Forever. The
+// caller has run every event <= t, so the immediate FIFO is normally
+// empty; flushing it keeps the FIFO's invariant (every entry is due now)
+// after a Stop left some behind.
+func (e *Engine) park(t Time) {
+	if t != Forever && e.now < t {
+		e.flushImm()
+		e.now = t
+	}
+}
+
+// runThrough is the engine's one event loop: it executes events with
+// timestamps <= target, in (at, seq) order, until none is left or an
+// event calls Stop, and reports whether one did. Unlike RunUntil it never
+// moves the clock past the last executed event.
+func (e *Engine) runThrough(target Time) (stopped bool) {
 	e.stopped = false
 	for !e.stopped {
 		next, fromHeap := e.peek()
-		if next == nil {
-			break
-		}
-		if next.at > deadline || next.at == Forever {
-			if deadline != Forever && deadline > e.now {
-				e.flushImm()
-				e.now = deadline
-			}
-			return e.now
+		if next == nil || next.at > target || next.at == Forever {
+			return false
 		}
 		if fromHeap {
 			e.popHeap()
@@ -536,16 +554,7 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		e.recycle(next)
 		fn()
 	}
-	if e.stopped && e.group != nil {
-		// Grouped engines must report the stopping event's own time so the
-		// coordinator can shrink the shared horizon deterministically.
-		return e.now
-	}
-	if deadline != Forever && e.now < deadline {
-		e.flushImm()
-		e.now = deadline
-	}
-	return e.now
+	return true
 }
 
 // ---------------------------------------------------------------------------

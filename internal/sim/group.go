@@ -8,10 +8,11 @@
 // # Protocol
 //
 // Cross-partition interactions go through per-partition mailboxes: a
-// timestamped closure posted with Post(to, at, src, seq, fn) executes on
-// the destination partition's engine at virtual time at, ordered by
-// (at, src, seq) against other mail and after local events with the same
-// timestamp. The sender promises that every post it issues satisfies
+// timestamped closure posted with Post(from, to, at, src, seq, fn)
+// executes on the destination partition's engine at virtual time at,
+// ordered by (at, src, seq) against other mail and after local events with
+// the same timestamp. The sender promises that every post it issues
+// satisfies
 //
 //	at >= clock_sender + lookahead
 //
@@ -19,7 +20,39 @@
 // send. That promise is exactly what fabric propagation latency provides:
 // a message sent while executing an event at time t arrives at t+L.
 //
-// Each partition i repeatedly:
+// Every driver executes a partition in batches below an exclusive bound
+// B. Within a batch, mail below B is delivered in (at, src, seq) order:
+// first the local events at or before m.at run (a same-instant local
+// event always predates injected mail), then the clock is set to m.at and
+// the mail runs. The local tail below B follows. A Stop shrinks the
+// horizon mid-batch: nothing past it runs, and mail past it stays in the
+// box for a later RunUntil. The engine clock never parks at B itself: B
+// is a property of the driver's slicing, not of the simulation, so final
+// Now() values would otherwise depend on it.
+//
+// # One thread
+//
+// With one thread (SetThreads(1), the default) a sequential driver runs
+// the partitions lowest-timestamp-first, with no atomics, locks or sync
+// rounds. Each round takes the partition p whose next action
+// T_p = min(next local event, mailbox head) is lowest (lowest index on
+// ties), and runs it strictly below
+//
+//	B = min(T_second, T_p + L) + L, clamped to horizon+1,
+//
+// where T_second is the lowest next action among the other partitions.
+// Safety: while p's batch runs, no other partition runs. Afterwards, a
+// partition q can act no earlier than min(T_q, T_p + L) — its own next
+// action, or mail from p, which was sent at T_p or later — and the same
+// bound holds for anything q's or a third partition's mail then wakes.
+// Mail to p lands L after its sender acts, so none can land below B after
+// the batch: the set of mail below B is fixed before the batch starts,
+// exactly as in the threaded protocol below. The driver therefore
+// executes the same per-engine event sequence as any thread count.
+//
+// # Threads
+//
+// With two or more threads each partition i repeatedly:
 //
 //  1. publishes raw_i = min(next local event, earliest mail in box);
 //  2. reads a consistent floor M = min_j min(raw_j, box_j head) (see
@@ -30,10 +63,7 @@
 //     execute before M, so nothing can send mail arriving before M+L.
 //  3. computes the exclusive execution bound
 //     B = min( min_{j≠i} clock_j + L , horizon+1 )
-//     and executes everything below it: mail below B is popped in
-//     (at, src, seq) order, running local events first via
-//     RunUntil(m.at) before each injection, then the local tail via
-//     RunUntil(B-1).
+//     and executes the batch below it.
 //
 // Safety: no mail can arrive below a receiver's executed frontier.
 // Mail sent after partition i read clock_j carries a timestamp
@@ -95,17 +125,22 @@ func mailLess(a, b mail) bool {
 // mutations — take the lock; headAt is updated before the lock is
 // released, so a reader that has observed any later atomic write by the
 // pushing thread (e.g. its republished raw) is guaranteed to observe the
-// new head too.
+// new head too. The one-thread driver pops without the lock: every
+// access is then on one goroutine.
 type mailbox struct {
 	mu     sync.Mutex
 	h      []mail
 	headAt atomic.Int64 // b.h[0].at, or Forever when empty
+	high   int          // high-water mark of len(h)
 }
 
 func (b *mailbox) push(m mail) {
 	b.mu.Lock()
 	b.h = append(b.h, m)
 	i := len(b.h) - 1
+	if len(b.h) > b.high {
+		b.high = len(b.h)
+	}
 	for i > 0 {
 		p := (i - 1) / 2
 		if !mailLess(b.h[i], b.h[p]) {
@@ -123,22 +158,9 @@ func (b *mailbox) head() Time {
 	return Time(b.headAt.Load())
 }
 
-// popBelow removes and returns the earliest mail with at < bound from the
-// partition's box. The mail stays covered by a published lower bound the
-// whole time: raw drops to its timestamp before it leaves the box, and
-// uncovers is bumped so a concurrent floor snapshot retries.
-func (ps *partState) popBelow(bound Time, uncovers *atomic.Uint64) (mail, bool) {
-	b := &ps.box
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.h) == 0 || b.h[0].at >= bound {
-		return mail{}, false
-	}
-	top := b.h[0]
-	if top.at < Time(ps.raw.Load()) {
-		ps.raw.Store(int64(top.at))
-	}
-	uncovers.Add(1)
+// pop removes the earliest mail from a non-empty box. The caller holds mu,
+// or is the one-thread driver.
+func (b *mailbox) pop() {
 	n := len(b.h) - 1
 	b.h[0] = b.h[n]
 	b.h[n] = mail{}
@@ -164,15 +186,40 @@ func (ps *partState) popBelow(bound Time, uncovers *atomic.Uint64) (mail, bool) 
 	} else {
 		b.headAt.Store(int64(Forever))
 	}
+}
+
+// popBelow removes and returns the earliest mail with at < bound from the
+// partition's box. The mail stays covered by a published lower bound the
+// whole time: raw drops to its timestamp before it leaves the box, and
+// uncovers is bumped so a concurrent floor snapshot retries.
+func (ps *partState) popBelow(bound Time, uncovers *atomic.Uint64) (mail, bool) {
+	b := &ps.box
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.h) == 0 || b.h[0].at >= bound {
+		return mail{}, false
+	}
+	top := b.h[0]
+	if top.at < Time(ps.raw.Load()) {
+		ps.raw.Store(int64(top.at))
+	}
+	uncovers.Add(1)
+	b.pop()
 	return top, true
 }
 
 // partState is the per-partition synchronization state. raw and clock are
-// written only by the partition's owning worker thread and read by all.
+// written only by the partition's owning worker thread and read by all;
+// the counters are written only by the owning thread.
 type partState struct {
 	box   mailbox
 	raw   atomic.Int64 // min(next local event, earliest mail): next action
 	clock atomic.Int64 // conservative promise: no future send arrives < clock+L
+	// delivered counts mail executed here; posted[q] counts mail this
+	// partition posted to partition q. Mail runs between engine events,
+	// so Executed folds delivered in for cross-mode accounting.
+	delivered uint64
+	posted    []uint64
 }
 
 // Group runs one simulation sharded across several engines. Create one
@@ -185,9 +232,8 @@ type Group struct {
 	look    Time
 	horizon atomic.Int64 // inclusive execution horizon for the current run
 	threads int
-	// injected counts mailbox closures executed; they are not engine
-	// events, so Executed() folds them in for cross-mode accounting.
-	injected atomic.Uint64
+	// batches counts the one-thread driver's batches.
+	batches uint64
 	// uncovers counts withdrawals of a published lower bound — a raw
 	// raised, a mail popped — so floor can detect a torn snapshot.
 	uncovers atomic.Uint64
@@ -225,7 +271,7 @@ func NewGroup(seed int64, parts int, lookahead Time) *Group {
 		e := NewEngine(s)
 		e.group, e.part = g, i
 		g.engines = append(g.engines, e)
-		ps := &partState{}
+		ps := &partState{posted: make([]uint64, parts)}
 		ps.box.headAt.Store(int64(Forever)) // empty box: no pending mail
 		g.parts = append(g.parts, ps)
 	}
@@ -245,8 +291,10 @@ func (g *Group) Engines() []*Engine { return g.engines }
 func (g *Group) Lookahead() Time { return g.look }
 
 // SetThreads sets the number of worker goroutines used by Run/RunUntil.
-// Values are clamped to [1, Parts()]. Results are byte-identical for any
-// setting; threads only change wall-clock speed.
+// Values below 1 mean 1, and RunUntil uses at most Parts() of them. One
+// thread selects the sequential driver, more the threaded protocol.
+// Results are byte-identical for any setting; threads only change
+// wall-clock speed.
 func (g *Group) SetThreads(n int) {
 	if n < 1 {
 		n = 1
@@ -258,28 +306,66 @@ func (g *Group) SetThreads(n int) {
 // partitions plus injected mailbox closures. The total is deterministic
 // and identical for any thread count.
 func (g *Group) Executed() uint64 {
-	total := g.injected.Load()
-	for _, e := range g.engines {
-		total += e.Executed()
+	var total uint64
+	for i, e := range g.engines {
+		total += e.Executed() + g.parts[i].delivered
 	}
 	return total
 }
 
+// PartStats counts one partition's share of a group's work.
+type PartStats struct {
+	Events  uint64   // engine events executed
+	Mail    uint64   // mail delivered to this partition
+	Posted  []uint64 // mail this partition posted, by destination partition
+	BoxHigh int      // most mail this partition's box has held at once
+}
+
+// GroupStats is a snapshot of a group's counters. Events, Mail and Posted
+// are a function of the simulation alone, identical for any thread count.
+// BoxHigh and Batches depend on how the driver slices its batches: exact
+// and deterministic at one thread, timing-dependent beyond it.
+type GroupStats struct {
+	Parts   []PartStats
+	Batches uint64 // batches run by the one-thread driver
+}
+
+// Stats returns the group's counters. Call it between runs, not from an
+// event.
+func (g *Group) Stats() GroupStats {
+	s := GroupStats{Parts: make([]PartStats, len(g.engines)), Batches: g.batches}
+	for i, ps := range g.parts {
+		s.Parts[i] = PartStats{
+			Events:  g.engines[i].Executed(),
+			Mail:    ps.delivered,
+			Posted:  append([]uint64(nil), ps.posted...),
+			BoxHigh: ps.box.high,
+		}
+	}
+	return s
+}
+
 // Post schedules fn to run on partition to's engine at absolute virtual
-// time at. (src, seq) break timestamp ties deterministically, so each
-// source must number its posts from a counter owned by its own
-// partition. The caller must guarantee at >= its clock + lookahead,
-// which holds for any message that traverses a fabric link.
+// time at, on behalf of partition from, which must be the partition whose
+// event is executing (or any partition before the group runs). (src, seq)
+// break timestamp ties deterministically, so each source must number its
+// posts from a counter owned by its own partition. The caller must
+// guarantee at >= its clock + lookahead, which holds for any message that
+// traverses a fabric link.
 //
-// Post is for cross-partition mail only. A partition must never post to
-// itself: its execution bound is derived from the other partitions'
-// clocks, so the local tail can legally run past a self-posted timestamp
-// and execute out of order. Same-partition work belongs on the engine's
-// own queue (After/At), where it is ordered exactly.
-func (g *Group) Post(to int, at Time, src, seq uint64, fn func()) {
+// Post is for cross-partition mail only, and it panics when from == to:
+// a partition's execution bound is derived from the other partitions'
+// actions, so its local tail could legally run past a self-posted
+// timestamp and execute out of order. Same-partition work belongs on the
+// engine's own queue (After/At), where it is ordered exactly.
+func (g *Group) Post(from, to int, at Time, src, seq uint64, fn func()) {
 	if at < 0 {
 		panic(fmt.Sprintf("sim: group post at negative time %d", at))
 	}
+	if from == to {
+		panic(fmt.Sprintf("sim: partition %d posted to itself", from))
+	}
+	g.parts[from].posted[to]++
 	g.parts[to].box.push(mail{at: at, src: src, seq: seq, fn: fn})
 }
 
@@ -301,7 +387,7 @@ func (e *Engine) Call(target *Engine, fn func()) {
 		return
 	}
 	e.callSeq++
-	e.group.Post(target.part, e.now.Add(e.group.look), callSrc|uint64(e.part), e.callSeq, fn)
+	e.group.Post(e.part, target.part, e.now.Add(e.group.look), callSrc|uint64(e.part), e.callSeq, fn)
 }
 
 // Run executes the whole group until every partition is quiescent.
@@ -316,6 +402,82 @@ func (g *Group) RunUntil(until Time) Time {
 		panic("sim: group horizon must be nonnegative")
 	}
 	g.horizon.Store(int64(until))
+	threads := g.threads
+	if threads > len(g.engines) {
+		threads = len(g.engines)
+	}
+	if threads <= 1 {
+		g.runSequential()
+	} else {
+		g.runThreaded(threads)
+	}
+	final := Time(g.horizon.Load())
+	if final != Forever {
+		for _, e := range g.engines {
+			if e.now < final {
+				e.RunUntil(final) // no events remain <= final; advances the clock
+			}
+		}
+	}
+	return final
+}
+
+// runSequential is the one-thread driver: lowest-timestamp-first batches,
+// each bounded as the package doc's "One thread" section derives.
+func (g *Group) runSequential() {
+	for {
+		p, first, second := 0, Forever, Forever
+		for i, e := range g.engines {
+			t := e.NextEventTime()
+			if h := g.parts[i].box.head(); h < t {
+				t = h
+			}
+			if t < first {
+				p, first, second = i, t, first
+			} else if t < second {
+				second = t
+			}
+		}
+		horizon := Time(g.horizon.Load())
+		if first == Forever || first > horizon {
+			return
+		}
+		w := first.Add(g.look)
+		if second < w {
+			w = second
+		}
+		bound := w.Add(g.look)
+		if h1 := horizon.Add(1); h1 < bound {
+			bound = h1
+		}
+		g.batches++
+		g.runBatch(p, bound)
+	}
+}
+
+// runBatch executes partition p's mail and local events strictly below
+// bound, for the one-thread driver. No other partition runs meanwhile, so
+// p's box changes only by its own pops and needs no lock.
+func (g *Group) runBatch(p int, bound Time) {
+	e, ps := g.engines[p], g.parts[p]
+	b := &ps.box
+	for len(b.h) > 0 {
+		if h1 := Time(g.horizon.Load()).Add(1); h1 < bound {
+			bound = h1
+		}
+		m := b.h[0]
+		if m.at >= bound || !g.runLocal(e, m.at) {
+			break
+		}
+		b.pop()
+		m.fn()
+		ps.delivered++
+	}
+	g.runTail(e, bound)
+}
+
+// runThreaded runs the threaded protocol on threads goroutines.
+func (g *Group) runThreaded(threads int) {
 	g.done.Store(false)
 	// Re-seed the synchronization state single-threaded: nothing is
 	// executing, so each partition's next action is exact and clocks may
@@ -345,33 +507,16 @@ func (g *Group) RunUntil(until Time) Time {
 		}
 		ps.clock.Store(int64(clock))
 	}
-	threads := g.threads
-	if threads > len(g.engines) {
-		threads = len(g.engines)
+	var wg sync.WaitGroup
+	for tid := 1; tid < threads; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			g.runThread(tid, threads)
+		}(tid)
 	}
-	if threads <= 1 {
-		g.runThread(0, 1)
-	} else {
-		var wg sync.WaitGroup
-		for tid := 1; tid < threads; tid++ {
-			wg.Add(1)
-			go func(tid int) {
-				defer wg.Done()
-				g.runThread(tid, threads)
-			}(tid)
-		}
-		g.runThread(0, threads)
-		wg.Wait()
-	}
-	final := Time(g.horizon.Load())
-	if final != Forever {
-		for _, e := range g.engines {
-			if e.now < final {
-				e.RunUntil(final) // no events remain <= final; advances the clock
-			}
-		}
-	}
-	return final
+	g.runThread(0, threads)
+	wg.Wait()
 }
 
 // runThread services partitions tid, tid+T, tid+2T, ... until the whole
@@ -497,7 +642,7 @@ func (g *Group) runPartition(p int) bool {
 		bound = h1
 	}
 
-	progressed := false
+	executed, delivered := e.executed, ps.delivered
 	for {
 		if h1 := Time(g.horizon.Load()).Add(1); h1 < bound {
 			bound = h1
@@ -506,66 +651,56 @@ func (g *Group) runPartition(p int) bool {
 		if !ok {
 			break
 		}
-		// Local events at or before the mail's timestamp run first; a
-		// same-instant local event always predates injected mail. A Stop
-		// issued by one of those events shrinks the horizon and execution
-		// resumes toward the mail's timestamp.
-		if g.runLocal(e, m.at) {
-			progressed = true
-		}
-		if m.at > Time(g.horizon.Load()) {
+		if !g.runLocal(e, m.at) {
 			// A Stop moved the horizon below this mail; requeue it so a
 			// later RunUntil with a larger horizon can still deliver it.
 			ps.box.push(m)
 			break
 		}
 		m.fn()
-		g.injected.Add(1)
-		progressed = true
+		ps.delivered++
 	}
-	// Local tail: run events up to the batch bound (or the horizon, when
-	// this partition is unconstrained), re-clamping after any Stop. The
-	// engine advances only to event timestamps, never to the bound itself:
-	// the bound depends on the other partitions' momentary clocks, so
-	// parking the engine clock there would make final Now() values vary
-	// with thread timing even though the event sequence does not.
+	g.runTail(e, bound)
+	return e.executed != executed || ps.delivered != delivered
+}
+
+// runLocal runs e's local events at or before at, the timestamp of the
+// mail about to be delivered, folding any Stop they issue into the group
+// horizon and never running past that horizon. It reports whether the
+// mail is still within the horizon; if so, the clock is set to at for the
+// mail to run.
+func (g *Group) runLocal(e *Engine, at Time) bool {
+	for {
+		target := at
+		if h := Time(g.horizon.Load()); h < target {
+			target = h
+		}
+		if !e.runThrough(target) {
+			break
+		}
+		g.StopFrom(e)
+	}
+	if at > Time(g.horizon.Load()) {
+		return false
+	}
+	e.park(at)
+	return true
+}
+
+// runTail runs e's local events strictly below bound, re-clamping to the
+// horizon after any Stop. The clock stays at the last executed event.
+func (g *Group) runTail(e *Engine, bound Time) {
 	for {
 		target := bound - 1
 		if bound == Forever {
-			target = horizon
+			target = Forever
 		}
 		if h := Time(g.horizon.Load()); h < target {
 			target = h
 		}
-		nt := e.NextEventTime()
-		if nt == Forever || nt > target || nt < e.now {
-			break
+		if !e.runThrough(target) {
+			return
 		}
-		before := e.executed
-		e.RunUntil(nt)
-		if e.executed != before {
-			progressed = true
-		}
-		if e.stopped {
-			e.stopped = false
-			g.StopFrom(e)
-		}
-	}
-	return progressed
-}
-
-// runLocal advances e to at, executing every local event with timestamp
-// <= at (including same-instant events, which predate injected mail) and
-// folding any Stop() issued along the way into the group horizon. It
-// reports whether any events ran.
-func (g *Group) runLocal(e *Engine, at Time) bool {
-	before := e.executed
-	for {
-		e.RunUntil(at)
-		if !e.stopped {
-			return e.executed != before
-		}
-		e.stopped = false
 		g.StopFrom(e)
 	}
 }
@@ -574,8 +709,11 @@ func (g *Group) runLocal(e *Engine, at Time) bool {
 // calling event: the horizon shrinks to e.Now() + lookahead - 1, which
 // every partition's frontier is provably still below, so every run
 // executes exactly the same event set regardless of thread count. e must
-// be the engine the calling event is executing on.
+// be the engine the calling event is executing on; like Stop, StopFrom
+// ends e's current event loop, so the driver re-reads the horizon before
+// e runs another event.
 func (g *Group) StopFrom(e *Engine) {
+	e.stopped = true
 	newH := int64(e.now.Add(g.look) - 1)
 	for {
 		cur := g.horizon.Load()

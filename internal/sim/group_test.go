@@ -36,7 +36,7 @@ func runTokenRing(t *testing.T, threads int, until Time) ([][]string, uint64) {
 	send = func(from, to int) {
 		at := g.Engine(from).Now().Add(lookahead)
 		seqs[from]++
-		g.Post(to, at, uint64(from), seqs[from], func() {
+		g.Post(from, to, at, uint64(from), seqs[from], func() {
 			logs[to] = append(logs[to], fmt.Sprintf("mail %d->%d t=%d", from, to, g.Engine(to).Now()))
 			hops++
 			if hops < 200 {
@@ -99,15 +99,27 @@ func TestGroupMailOrdering(t *testing.T) {
 	g := NewGroup(7, 2, Microsecond)
 	var got []string
 	at := 5 * Microsecond
-	g.Post(1, at, 9, 2, func() { got = append(got, "src9.seq2") })
-	g.Post(1, at, 9, 1, func() { got = append(got, "src9.seq1") })
-	g.Post(1, at, 3, 7, func() { got = append(got, "src3.seq7") })
-	g.Post(1, at+Microsecond, 1, 1, func() { got = append(got, "late") })
+	g.Post(0, 1, at, 9, 2, func() { got = append(got, "src9.seq2") })
+	g.Post(0, 1, at, 9, 1, func() { got = append(got, "src9.seq1") })
+	g.Post(0, 1, at, 3, 7, func() { got = append(got, "src3.seq7") })
+	g.Post(0, 1, at+Microsecond, 1, 1, func() { got = append(got, "late") })
 	g.Engine(1).At(at, func() { got = append(got, "local") })
 	g.Run()
 	want := []string{"local", "src3.seq7", "src9.seq1", "src9.seq2", "late"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("drain order %v, want %v", got, want)
+	}
+	// Partition 0 never acts, so the one-thread driver runs all of
+	// partition 1 in one batch, below 5µs + 2L.
+	wantStats := GroupStats{Parts: []PartStats{
+		{Posted: []uint64{0, 4}},
+		{Events: 1, Mail: 4, Posted: []uint64{0, 0}, BoxHigh: 4},
+	}, Batches: 1}
+	if s := g.Stats(); !reflect.DeepEqual(s, wantStats) {
+		t.Fatalf("stats %+v, want %+v", s, wantStats)
+	}
+	if g.Executed() != 5 {
+		t.Fatalf("Executed() = %d, want 5", g.Executed())
 	}
 }
 
@@ -154,7 +166,7 @@ func TestGroupStopDeterministic(t *testing.T) {
 func TestGroupRepeatedRunUntil(t *testing.T) {
 	g := NewGroup(3, 2, Microsecond)
 	var got []string
-	g.Post(1, 50*Microsecond, 1, 1, func() { got = append(got, "late-mail") })
+	g.Post(0, 1, 50*Microsecond, 1, 1, func() { got = append(got, "late-mail") })
 	g.Engine(0).After(5*Microsecond, func() { got = append(got, "early") })
 	g.RunUntil(10 * Microsecond)
 	if !reflect.DeepEqual(got, []string{"early"}) {

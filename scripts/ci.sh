@@ -68,12 +68,13 @@ fi
 # report 0 allocs/op. TestEngineFarCancelRetention bounds what cancelled
 # far timers may keep queued. A histogram stores a run of repeated samples
 # once: repeats add at 0 allocs/op and retain O(1) memory, and a warm
-# add-then-query period allocates nothing.
+# add-then-query period allocates nothing. A sim.Group at one thread
+# delivers pre-bound mail at 0 allocs/op.
 echo "== engine allocation gate =="
 out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineTimerChurnAllocs|TestEngineFarCancelRetention|TestHistogramRepeatsStayCompact|TestHistogramQueryNoAlloc' \
-    -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineLargePending|BenchmarkHistogramAddRepeat' -benchtime 10000x ./internal/sim/)
+    -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineLargePending|BenchmarkGroupMail|BenchmarkHistogramAddRepeat' -benchtime 10000x ./internal/sim/)
 echo "$out"
-for bench in BenchmarkEngineEventThroughput BenchmarkEngineLargePending BenchmarkHistogramAddRepeat; do
+for bench in BenchmarkEngineEventThroughput BenchmarkEngineLargePending BenchmarkGroupMail BenchmarkHistogramAddRepeat; do
     if ! echo "$out" | grep -q "$bench.* 0 B/op.* 0 allocs/op"; then
         echo "$bench is not allocation-free" >&2
         exit 1
@@ -104,13 +105,15 @@ done
 # Native fuzz targets: the radix page table against a map model, two
 # I/O page tables sharing one IOTLB against a map-plus-linear-LRU model,
 # the event engine's heap and calendar tier against a sorted-slice model,
-# and the run-storing histogram against a raw-sample model. Their committed
-# seed corpora (testdata/fuzz) already replay in go test above; this pass
+# sim.Group's one-thread driver against its threaded protocol, and the
+# run-storing histogram against a raw-sample model. Their committed seed
+# corpora (testdata/fuzz) already replay in go test above; this pass
 # searches for new inputs.
 echo "== fuzz =="
 go test -run '^$' -fuzz '^FuzzPageTable$' -fuzztime 10s ./internal/mem/
 go test -run '^$' -fuzz '^FuzzDomainIOTLB$' -fuzztime 10s ./internal/iommu/
 go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime 10s ./internal/sim/
+go test -run '^$' -fuzz '^FuzzGroupOrder$' -fuzztime 10s ./internal/sim/
 go test -run '^$' -fuzz '^FuzzHistogram$' -fuzztime 10s ./internal/sim/
 
 # The sweep runner's determinism contract under the race detector: the
@@ -131,7 +134,8 @@ done
 
 # PDES engines determinism matrix: the same partitioned run must produce
 # byte-identical reports — trace digests included — whether it gets 1 or 4
-# engine worker threads. Covers every chaos scenario (server tier and
+# engine worker threads, that is under sim.Group's one-thread driver and
+# under its threaded protocol. Covers every chaos scenario (server tier and
 # client tier in separate partitions) and the KV registration ablation.
 # npfbench prints no wall clock, so the raw outputs must match.
 echo "== engines determinism matrix =="
