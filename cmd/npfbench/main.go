@@ -4,18 +4,13 @@
 //
 //	npfbench fig3 table4 fig4a fig4b table5 fig7 fig8a fig8b fig9 table6 fig10 ablate loc kv
 //
-// The extra "scale" experiment (not in the default set) runs fig4a and
-// table5 as partitioned PDES runs at engine-thread budgets 1 and 8, fails
-// unless both budgets execute the same events, and records the count in
-// the -json artifact's "scaling" section.
-//
 // The extra "anatomy" experiment (not in the default set) runs the fault
 // profiler: the distributed-KV deployment per registration policy with the
 // causal fault recorder always on, landing the per-policy anatomy rows in
 // the -json artifact's "fault_anatomy" section (also rendered standalone by
 // `npftrace anatomy`). When any tracers were built (-trace/-series), the
 // artifact additionally carries a "trace_drops" section summing dropped
-// spans and flight-recorder events/records. The artifact's types and their
+// flight-recorder events and fault records. The artifact's types and their
 // npfstat gates are declared in internal/artifact.
 //
 // The extra "scaleout" experiment (also not in the default set) runs the
@@ -67,7 +62,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
@@ -108,47 +102,6 @@ func runChaos(name string, seed int64) int {
 		}
 	}
 	return code
-}
-
-// runScale runs fig4a and table5 as partitioned PDES runs at engine-thread
-// budgets 1 and 8, hard-failing if the event counts differ: they are the
-// same simulation, and the budget may only change how its windows are
-// scheduled. The rows land in the artifact's "scaling" section.
-func runScale(quick bool) ([]artifact.ScalingRow, string) {
-	dur := 80 * sim.Second
-	if quick {
-		dur = 30 * sim.Second
-	}
-	exps := []struct {
-		name string
-		run  func()
-	}{
-		{"fig4a", func() { bench.RunFig4a(dur) }},
-		{"table5", func() { bench.RunTable5() }},
-	}
-	saved := bench.Engines
-	defer func() { bench.Engines = saved }()
-	var rows []artifact.ScalingRow
-	var b strings.Builder
-	b.WriteString("PDES scaling: identical partitioned run, engine-thread budget 1 vs 8\n")
-	for _, ex := range exps {
-		var events [2]uint64
-		for i, n := range []int{1, 8} {
-			bench.Engines = n
-			bench.StartEngineStats()
-			ex.run()
-			_, events[i] = bench.StopEngineStats()
-		}
-		if events[0] != events[1] {
-			fmt.Fprintf(os.Stderr,
-				"scale: %s event count diverged across thread budgets: %d vs %d\n",
-				ex.name, events[0], events[1])
-			os.Exit(1)
-		}
-		rows = append(rows, artifact.ScalingRow{Name: ex.name, Events: events[0]})
-		fmt.Fprintf(&b, "  %-8s %d events at both budgets\n", ex.name, events[0])
-	}
-	return rows, b.String()
 }
 
 func main() {
@@ -296,11 +249,6 @@ func main() {
 			r := bench.RunScaleout(*quick)
 			doc.ScaleOut = r.Rows()
 			out = r.Render()
-		case "scale":
-			// runScale drives its own engine-stats windows (one per
-			// budget), so the enclosing window reports zero engines/events
-			// for the "scale" row itself — deterministically.
-			doc.Scaling, out = runScale(*quick)
 		case "loc":
 			r, err := bench.RunLOC(*root)
 			if err != nil {
@@ -322,16 +270,15 @@ func main() {
 	if len(tracers) > 0 {
 		td := &artifact.TraceDrops{Tracers: len(tracers)}
 		for _, tr := range tracers {
-			td.Spans += tr.DroppedSpans()
 			td.FaultEvents += tr.DroppedFaultEvents()
 			td.FaultRecords += tr.DroppedFaultRecords()
 			td.PendingFaults += tr.PendingFaults()
 			td.CompletedFault += tr.FaultRecordCount()
 		}
 		doc.TraceDrops = td
-		if td.Spans+td.FaultEvents+td.FaultRecords > 0 {
-			fmt.Printf("trace drops: %d spans, %d fault events, %d fault records across %d tracers\n",
-				td.Spans, td.FaultEvents, td.FaultRecords, td.Tracers)
+		if td.FaultEvents+td.FaultRecords > 0 {
+			fmt.Printf("trace drops: %d fault events, %d fault records across %d tracers\n",
+				td.FaultEvents, td.FaultRecords, td.Tracers)
 		}
 	}
 
@@ -410,11 +357,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
-		spans, faults := 0, 0
+		ctx, npfs := 0, 0
 		for _, tr := range tracers {
-			spans += tr.SpanCount()
-			faults += tr.FaultRecordCount()
+			ctx += len(trace.ContextSpans(tr.FaultEvents()))
+			npfs += len(trace.FaultSpans(tr.FaultRecords()))
 		}
-		fmt.Printf("trace: wrote %d spans and %d NPF tracks from %d engines to %s\n", spans, faults, len(tracers), *traceOut)
+		fmt.Printf("trace: wrote %d context and %d NPF spans from %d engines to %s\n", ctx, npfs, len(tracers), *traceOut)
 	}
 }

@@ -68,29 +68,6 @@ func TestDiffEventsGateExactly(t *testing.T) {
 	}
 }
 
-func mkScaleArtifact(events uint64) *artifact.Artifact {
-	a := mkArtifact(1000, 3, 0)
-	a.Scaling = []artifact.ScalingRow{{Name: "fig4a", Events: events}}
-	return a
-}
-
-func TestDiffScalingGate(t *testing.T) {
-	base := mkScaleArtifact(5_000_000)
-	if _, pass := diff(base, mkScaleArtifact(5_000_000), tol); !pass {
-		t.Fatal("identical scaling rows failed the gate")
-	}
-	// The event count is the same simulation at two thread budgets: exact.
-	if _, pass := diff(base, mkScaleArtifact(5_000_001), tol); pass {
-		t.Fatal("scaling event drift passed the gate")
-	}
-	// A scaling row the baseline has never seen is structural drift.
-	cur := mkScaleArtifact(5_000_000)
-	cur.Scaling[0].Name = "table9"
-	if _, pass := diff(base, cur, tol); pass {
-		t.Fatal("unknown scaling row passed the gate")
-	}
-}
-
 func mkKVArtifact(ops int, npfs, evicts, failovers uint64) *artifact.Artifact {
 	a := mkArtifact(1000, 3, 0)
 	a.KV = []artifact.KVRow{{
@@ -292,8 +269,8 @@ func TestDiffMissingRowsFail(t *testing.T) {
 	}
 
 	subset := load()
-	subset.Experiments = subset.Experiments[:len(subset.Experiments)-1] // CI skips "scale"
-	subset.Scaling = nil
+	subset.Experiments = subset.Experiments[:len(subset.Experiments)-1] // drop "anatomy"
+	subset.FaultAnatomy = nil
 	if rows, pass := diff(base, subset, tol); !pass {
 		t.Fatalf("omitted experiment or baseline-only section failed the gate:\n%+v", rows)
 	}

@@ -1,6 +1,7 @@
 // Command npftrace runs small, seeded NPF scenarios with tracing enabled
 // and prints what the telemetry subsystem recorded: the NPF tree derived
-// from the fault records followed by the recorded span tree, the slowest
+// from the fault records followed by the context span tree derived from
+// the flight recorder's context events, the slowest
 // NPFs, a per-stage latency breakdown of the fault records (the measured
 // equivalent of the paper's Figure 3a, with fault-report as the
 // detect-and-report stage), and the metrics snapshot.
@@ -10,7 +11,8 @@
 //	single   one cold receive on an IB QP → a single recv-side rNPF
 //	fig3     repeated minor rNPFs (Figure 3a conditions, 4KB messages)
 //	backup   TCP into a cold 16-entry server ring under the backup-ring
-//	         policy (§5) — parked faults plus TCP retransmission spans
+//	         policy (§5) — parked faults; parked packets are replayed,
+//	         not dropped, so TCP never retransmits
 //
 // Flags:
 //
@@ -76,10 +78,11 @@ func main() {
 
 	recs := tr.FaultRecords()
 	npfs := trace.FaultSpans(recs)
+	ctx := trace.ContextSpans(tr.FaultEvents())
 	if *scenario == "single" {
 		fmt.Println("== span tree ==")
 		trace.WriteTree(os.Stdout, npfs)
-		trace.WriteTree(os.Stdout, tr.Spans())
+		trace.WriteTree(os.Stdout, ctx)
 		fmt.Println()
 	}
 
@@ -113,7 +116,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "npftrace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nwrote %d recorded and %d derived NPF spans to %s\n", tr.SpanCount(), len(npfs), *out)
+		fmt.Printf("\nwrote %d context and %d NPF spans to %s\n", len(ctx), len(npfs), *out)
 	}
 }
 
@@ -184,8 +187,9 @@ func runIB(seed int64, trials, size int) *trace.Tracer {
 
 // runBackup drives TCP traffic into a cold 16-entry server ring under the
 // backup-ring policy: faulting packets are parked and replayed, so the
-// trace shows rx-backup roots with long "parked" stages alongside the TCP
-// sender's retransmission episodes.
+// trace shows rx-backup roots with long "parked" stages. Parked packets
+// are replayed, not dropped, so the TCP sender never retransmits and the
+// trace has no retransmission episodes.
 func runBackup(seed int64) *trace.Tracer {
 	e := bench.NewEthEnv(bench.EthOpts{Seed: seed, Policy: nic.PolicyBackup, RingSize: 16, Trace: true})
 	store := apps.NewKVStore(e.Server.AS, 0)

@@ -99,7 +99,6 @@ var Required = map[string][]string{
 		"Conn.Send", "Conn.trySend", "Conn.handleAck",
 	},
 	"npf/internal/trace": {
-		"Tracer.Begin", "Tracer.End", "Tracer.ArgInt",
 		"Tracer.FaultMinted", "Tracer.FaultStageAt", "Tracer.FaultDone",
 		"Tracer.FaultContext",
 	},

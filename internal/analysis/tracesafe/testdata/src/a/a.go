@@ -5,8 +5,8 @@ package a
 import "npf/internal/trace"
 
 func bad(tr *trace.Tracer) {
-	tr.MaxSpans = 4      // want `direct field access on \*trace\.Tracer panics when tracing is disabled`
-	if tr.MaxSpans > 0 { // want `direct field access on \*trace\.Tracer panics when tracing is disabled`
+	tr.MaxFaultEvents = 4      // want `direct field access on \*trace\.Tracer panics when tracing is disabled`
+	if tr.MaxFaultEvents > 0 { // want `direct field access on \*trace\.Tracer panics when tracing is disabled`
 		return
 	}
 }
@@ -15,27 +15,27 @@ func badElse(tr *trace.Tracer) {
 	if tr.Enabled() {
 		return
 	} else if true {
-		tr.MaxSpans = 4 // want `direct field access on \*trace\.Tracer panics when tracing is disabled`
+		tr.MaxFaultEvents = 4 // want `direct field access on \*trace\.Tracer panics when tracing is disabled`
 	}
 }
 
 func guarded(tr *trace.Tracer) {
 	if tr.Enabled() {
-		tr.MaxSpans = 4
+		tr.MaxFaultEvents = 4
 	}
 	if tr != nil && tr.Enabled() {
-		if tr.MaxSpans == 0 {
-			tr.MaxSpans = 8
+		if tr.MaxFaultEvents == 0 {
+			tr.MaxFaultEvents = 8
 		}
 	}
 }
 
 func viaMethod(tr *trace.Tracer) {
-	tr.SetMaxSpans(4) // nil-safe wrapper: always fine
+	tr.SetMaxFaultEvents(4) // nil-safe wrapper: always fine
 }
 
 func annotated(tr *trace.Tracer) {
-	tr.MaxSpans = 4 //npf:tracesafe — caller guarantees an enabled tracer
+	tr.MaxFaultEvents = 4 //npf:tracesafe — caller guarantees an enabled tracer
 }
 
 func badCounter(tr *trace.Tracer) {

@@ -4,16 +4,16 @@
 package trace
 
 type Tracer struct {
-	MaxSpans int
+	MaxFaultEvents int
 }
 
 func (t *Tracer) Enabled() bool { return t != nil }
 
-func (t *Tracer) SetMaxSpans(n int) {
+func (t *Tracer) SetMaxFaultEvents(n int) {
 	if t == nil {
 		return
 	}
-	t.MaxSpans = n
+	t.MaxFaultEvents = n
 }
 
 func (t *Tracer) Counter(name string) *Counter {

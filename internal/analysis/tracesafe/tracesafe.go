@@ -4,7 +4,7 @@
 // A disabled tracer is a nil *trace.Tracer: every method is nil-safe, so
 // instrumented hot paths cost one pointer comparison when tracing is off.
 // The same contract covers every handle type the tracer hands out — Counter
-// and Sampler are nil when obtained from a disabled tracer. Direct field access (t.MaxSpans = ..., s.MaxSamples = ...) breaks
+// and Sampler are nil when obtained from a disabled tracer. Direct field access (t.MaxFaultEvents = ..., s.MaxSamples = ...) breaks
 // that contract — it panics the moment tracing is disabled. Outside package
 // trace, fields of these types may only be touched under an Enabled() guard
 // (or an explicit //npf:tracesafe annotation); everything else goes through

@@ -36,7 +36,6 @@ type Artifact struct {
 	KV           []KVRow       `json:"kv,omitempty"`
 	FaultAnatomy []AnatomyRow  `json:"fault_anatomy,omitempty"`
 	ScaleOut     []ScaleOutRow `json:"scale_out,omitempty"`
-	Scaling      []ScalingRow  `json:"scaling,omitempty"`
 	TraceDrops   *TraceDrops   `json:"trace_drops,omitempty"`
 	// Experiments is a selection: CI's quick run gates a subset of the
 	// baseline's experiments.
@@ -100,7 +99,6 @@ type AnatomyRow struct {
 	CritShare      float64 `json:"crit_share"` // mean share of tail-fault totals
 	DroppedEvents  uint64  `json:"dropped_fault_events" gate:"warn"`
 	DroppedRecords uint64  `json:"dropped_fault_records" gate:"warn"`
-	DroppedSpans   uint64  `json:"dropped_spans" gate:"warn"`
 }
 
 // ScaleOutRow is one transport's cluster-sweep fleet. The fleet shape,
@@ -134,22 +132,12 @@ type TenantRow struct {
 	P99Us    float64 `json:"p99_us" gate:"tol"`
 }
 
-// ScalingRow is one experiment's PDES identity record: the same partitioned
-// run under a 1-thread and an 8-thread engine budget. The partition
-// structure is fixed by the env shape, so both budgets execute the same
-// events and the count is exact.
-type ScalingRow struct {
-	Name   string `json:"name" gate:"key"`
-	Events uint64 `json:"events" gate:"exact"`
-}
-
-// TraceDrops sums telemetry loss across every tracer the run built: spans
-// dropped at MaxSpans plus fault lifecycle events/records dropped at the
-// flight-recorder bounds. Loss means the capture was partial, never that
-// the simulation changed, so it only warns.
+// TraceDrops sums telemetry loss across every tracer the run built: fault
+// and context events overwritten in the flight-recorder ring and fault
+// records dropped at their bound. Loss means the capture was partial,
+// never that the simulation changed, so it only warns.
 type TraceDrops struct {
 	Tracers        int    `json:"tracers"`
-	Spans          uint64 `json:"dropped_spans" gate:"warn"`
 	FaultEvents    uint64 `json:"dropped_fault_events" gate:"warn"`
 	FaultRecords   uint64 `json:"dropped_fault_records" gate:"warn"`
 	PendingFaults  int    `json:"pending_faults"`

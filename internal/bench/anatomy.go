@@ -26,8 +26,11 @@ type AnatomyResult struct {
 	NPFs     []uint64                    // driver NPF count, for cross-checking
 	EvDrop   []uint64                    // flight-ring events overwritten
 	RecDrop  []uint64                    // records dropped at the cap
-	SpanDrop []uint64                    // spans dropped at MaxSpans
 }
+
+// newAnatomyTracer builds the anatomy runs' tracers; tests wrap it to see
+// what a run recorded.
+var newAnatomyTracer = trace.New
 
 // RunAnatomy profiles the NPF lifecycle per registration policy. Each
 // policy is an independent, seed-isolated job through the sweep runner and
@@ -51,7 +54,6 @@ func RunAnatomy(quick bool) *AnatomyResult {
 		NPFs:     make([]uint64, n),
 		EvDrop:   make([]uint64, n),
 		RecDrop:  make([]uint64, n),
-		SpanDrop: make([]uint64, n),
 	}
 	var jobs []func()
 	for i, pol := range policies {
@@ -81,14 +83,14 @@ func anatomyJob(res *AnatomyResult, i int, pol kv.RegPolicy, ops int) {
 	if Engines >= 1 {
 		g = newBenchGroup(47, 2, fcfg.Lookahead())
 		eng = g.Engine(0)
-		tr = trace.New(eng)
+		tr = newAnatomyTracer(eng)
 		// The client tier records on its own partition's clock; its spans
 		// never enter the anatomy (faults are a server-tier phenomenon).
-		cfg.ClientTracer = trace.New(g.Engine(1))
+		cfg.ClientTracer = newAnatomyTracer(g.Engine(1))
 		net = fabric.NewOnGroup(g, fcfg)
 	} else {
 		eng = newBenchEngine(47)
-		tr = trace.New(eng)
+		tr = newAnatomyTracer(eng)
 		net = fabric.New(eng, fcfg)
 	}
 	svc := kv.New(eng, net, tr, cfg)
@@ -132,7 +134,6 @@ func anatomyJob(res *AnatomyResult, i int, pol kv.RegPolicy, ops int) {
 	res.NPFs[i] = svc.NPFs()
 	res.EvDrop[i] = tr.DroppedFaultEvents()
 	res.RecDrop[i] = tr.DroppedFaultRecords()
-	res.SpanDrop[i] = tr.DroppedSpans()
 }
 
 // Rows flattens the result into the fault_anatomy artifact section.
@@ -144,7 +145,6 @@ func (r *AnatomyResult) Rows() []artifact.AnatomyRow {
 			NPFs:      r.NPFs[i],
 			CritStage: "-", CritLayer: "-", CritHost: -1,
 			DroppedEvents: r.EvDrop[i], DroppedRecords: r.RecDrop[i],
-			DroppedSpans: r.SpanDrop[i],
 		}
 		if tot := r.Stages[i]["total"]; tot != nil && tot.Count() > 0 {
 			row.TotalP50Us = tot.Percentile(50)
@@ -180,9 +180,9 @@ func (r *AnatomyResult) Render() string {
 			}
 			b.WriteString("\n")
 		}
-		if r.EvDrop[i]+r.RecDrop[i]+r.SpanDrop[i] > 0 {
-			fmt.Fprintf(&b, "dropped: %d flight events, %d records, %d spans\n",
-				r.EvDrop[i], r.RecDrop[i], r.SpanDrop[i])
+		if r.EvDrop[i]+r.RecDrop[i] > 0 {
+			fmt.Fprintf(&b, "dropped: %d flight events, %d records\n",
+				r.EvDrop[i], r.RecDrop[i])
 		}
 		if r.Faults[i] == 0 {
 			b.WriteString("(no faults: nothing to dissect)\n")

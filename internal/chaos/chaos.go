@@ -116,20 +116,10 @@ func Arm(p *Plan, t Targets) *Injector {
 // the other faults do during the run.
 func (ij *Injector) split() *sim.Rand { return ij.rng.Split() }
 
-// span records one chaos event window.
-func (ij *Injector) span(name string, start, end sim.Time) trace.SpanID {
-	if !ij.tr.Enabled() {
-		return 0
-	}
-	return ij.tr.Span(0, "chaos", name, start, end)
-}
-
-// arg attaches an integer argument to a chaos span (no-op when tracing is
-// off).
-func (ij *Injector) arg(id trace.SpanID, key string, v int64) {
-	if ij.tr.Enabled() {
-		ij.tr.ArgInt(id, key, v)
-	}
+// record records one injected fault window [start, end) with its kind's
+// arguments a and b (trace.ChaosKind names them).
+func (ij *Injector) record(kind trace.ChaosKind, start, end sim.Time, a, b int64) {
+	ij.tr.FaultContext(trace.FSChaos, start, end-start, a, b, int32(kind))
 }
 
 // nodes resolves a fault's target node list: nil means every attached node.
@@ -168,7 +158,7 @@ func (f FirmwareStall) Arm(ij *Injector) {
 		return sim.Time(float64(lat)*mult) + f.Add
 	}
 	ij.T.Eng.At(f.At, func() {
-		ij.span("firmware-stall", f.At, f.At+f.Duration)
+		ij.record(trace.ChaosFirmwareStall, f.At, f.At+f.Duration, 0, 0)
 		for _, d := range ij.T.Devs {
 			d.SetFaultDelayHook(hook)
 		}
@@ -209,8 +199,7 @@ func (f LossBurst) Arm(ij *Injector) {
 		if ij.T.Net == nil {
 			return
 		}
-		id := ij.span("loss-burst", f.At, f.At+f.Duration)
-		ij.arg(id, "prob_ppm", int64(f.Prob*1e6))
+		ij.record(trace.ChaosLossBurst, f.At, f.At+f.Duration, int64(f.Prob*1e6), 0)
 		for _, nid := range ij.nodes(f.Nodes) {
 			rng := ij.split()
 			armed = append(armed, nid)
@@ -249,7 +238,7 @@ func (f GilbertElliott) Arm(ij *Injector) {
 		if ij.T.Net == nil {
 			return
 		}
-		ij.span("gilbert-elliott", f.At, f.At+f.Duration)
+		ij.record(trace.ChaosGilbertElliott, f.At, f.At+f.Duration, 0, 0)
 		for _, nid := range ij.nodes(f.Nodes) {
 			ge := NewGEChain(f.Model, ij.split())
 			armed = append(armed, nid)
@@ -297,8 +286,7 @@ func (f LinkFlap) Arm(ij *Injector) {
 				return
 			}
 			ij.LinkFlaps.Inc()
-			id := ij.span("link-flap", start, start+f.Down)
-			ij.arg(id, "node", int64(f.Node))
+			ij.record(trace.ChaosLinkFlap, start, start+f.Down, int64(f.Node), 0)
 			ij.T.Net.SetLinkDown(f.Node, true)
 		})
 		ij.T.Eng.At(start+f.Down, func() {
@@ -345,16 +333,13 @@ func (f MemoryPressure) Arm(ij *Injector) {
 				return
 			}
 			ij.PressureWaves.Inc()
-			id := ij.span("pressure-wave", start, start+f.Period/2)
 			var evicted int64
 			for _, g := range gs {
 				before := g.Used()
 				g.SetLimit(f.LowBytes)
 				evicted += before - g.Used()
 			}
-			if ij.tr.Enabled() {
-				ij.tr.ArgInt(id, "evicted_bytes", evicted)
-			}
+			ij.record(trace.ChaosPressureWave, start, start+f.Period/2, evicted, 0)
 		})
 		ij.T.Eng.At(start+f.Period/2, func() {
 			for _, g := range groups() {
@@ -394,9 +379,7 @@ func (v *invalInjector) OnInvalidate(first mem.PageNum, count int) (sim.Time, in
 	}
 	if dups > 0 {
 		v.ij.InvDuplicates.Add(uint64(dups))
-		id := v.ij.span("inv-duplicate", now, now+v.f.Extra)
-		v.ij.arg(id, "first", int64(first))
-		v.ij.arg(id, "count", int64(count))
+		v.ij.record(trace.ChaosInvDuplicate, now, now+v.f.Extra, int64(first), int64(count))
 	}
 	return v.f.Extra, dups
 }
@@ -441,9 +424,7 @@ func (r *resolverInjector) ResolveDelay(attempt, pages int) (sim.Time, bool) {
 	}
 	if r.f.TimeoutProb > 0 && r.rng.Bernoulli(r.f.TimeoutProb) {
 		r.ij.ResolverTimeouts.Inc()
-		id := r.ij.span("resolver-timeout", now, now+r.f.Extra)
-		r.ij.arg(id, "attempt", int64(attempt))
-		r.ij.arg(id, "pages", int64(pages))
+		r.ij.record(trace.ChaosResolverTimeout, now, now+r.f.Extra, int64(attempt), int64(pages))
 		return r.f.Extra, true
 	}
 	return r.f.Extra, false
@@ -474,7 +455,7 @@ type Callback struct {
 // Arm implements Fault.
 func (f Callback) Arm(ij *Injector) {
 	ij.T.Eng.At(f.At, func() {
-		ij.span("callback", f.At, f.At)
+		ij.record(trace.ChaosCallback, f.At, f.At, 0, 0)
 		f.Fn(ij)
 	})
 }

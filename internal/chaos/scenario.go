@@ -35,6 +35,10 @@ var SampleEvery sim.Time
 // single engine regardless (both of its hosts are fault targets).
 var Engines = 0
 
+// newTracer builds every scenario testbed's tracer; tests wrap it to see
+// what a scenario recorded.
+var newTracer = trace.New
+
 // seriesCSV renders a tracer's sampled series (empty when sampling is off).
 func seriesCSV(tr *trace.Tracer) string {
 	s := tr.Sampler().Series()
@@ -267,13 +271,13 @@ func newEthEnv(seed int64, ringSize int, dcfg core.Config, cgroupLimit int64) *e
 			en.MaxEvents = maxScenarioEvents
 		}
 		e.eng, e.engC = e.g.Engine(0), e.g.Engine(1)
-		e.tr = trace.New(e.eng)
+		e.tr = newTracer(e.eng)
 		e.net = fabric.NewOnGroup(e.g, fcfg)
 	} else {
 		eng := sim.NewEngine(seed)
 		eng.MaxEvents = maxScenarioEvents
 		e.eng, e.engC = eng, eng
-		e.tr = trace.New(eng)
+		e.tr = newTracer(eng)
 		e.net = fabric.New(eng, fcfg)
 	}
 	e.m = mem.NewMachine(e.eng, 8<<30)
@@ -485,7 +489,7 @@ func runLinkFlap(seed int64) *Report {
 	r := &Report{Scenario: "link-flap", Seed: seed}
 	eng := sim.NewEngine(seed)
 	eng.MaxEvents = maxScenarioEvents
-	tr := trace.New(eng)
+	tr := newTracer(eng)
 	net := fabric.New(eng, fabric.DefaultInfiniBand())
 	cfg := rc.DefaultConfig()
 	ma, mb := mem.NewMachine(eng, 8<<30), mem.NewMachine(eng, 8<<30)

@@ -41,14 +41,14 @@ func newKVEnv(seed int64, cfg kv.Config) *kvEnv {
 			en.MaxEvents = maxScenarioEvents
 		}
 		e.eng = e.g.Engine(0)
-		e.tr = trace.New(e.eng)
-		e.trC = trace.New(e.g.Engine(1))
+		e.tr = newTracer(e.eng)
+		e.trC = newTracer(e.g.Engine(1))
 		cfg.ClientTracer = e.trC
 		net = fabric.NewOnGroup(e.g, fcfg)
 	} else {
 		e.eng = sim.NewEngine(seed)
 		e.eng.MaxEvents = maxScenarioEvents
-		e.tr = trace.New(e.eng)
+		e.tr = newTracer(e.eng)
 		e.trC = e.tr
 		net = fabric.New(e.eng, fcfg)
 	}

@@ -290,14 +290,7 @@ func (d *Driver) registerNotifier(as *mem.AddressSpace, dom *iommu.Domain) {
 		d.Inv.Mapped.Inc()
 		cost += unmapCost + d.Cfg.UpdateCost
 		d.Inv.Total.AddTime(cost)
-		d.tr.FaultContext(trace.FSInvalidate, d.Eng.Now(), cost, int64(first), int64(removed))
-		if d.tr.Enabled() {
-			now := d.Eng.Now()
-			id := d.tr.Span(0, "inv", "invalidate", now, now+cost)
-			d.tr.ArgInt(id, "first", int64(first))
-			d.tr.ArgInt(id, "count", int64(count))
-			d.tr.ArgInt(id, "removed", int64(removed))
-		}
+		d.tr.FaultContext(trace.FSInvalidate, d.Eng.Now(), cost, int64(first), int64(removed), int32(count))
 		return cost
 	}))
 }
@@ -310,14 +303,7 @@ func (d *Driver) registerNotifier(as *mem.AddressSpace, dom *iommu.Domain) {
 func (d *Driver) replayInvalidate(dom *iommu.Domain, first mem.PageNum, count int) {
 	d.InvDuplicates.Inc()
 	_, removed := dom.Unmap(first, count)
-	d.tr.FaultContext(trace.FSInvalidate, d.Eng.Now(), d.Cfg.CheckCost, int64(first), -int64(removed)-1)
-	if d.tr.Enabled() {
-		now := d.Eng.Now()
-		id := d.tr.Span(0, "inv", "invalidate-dup", now, now+d.Cfg.CheckCost)
-		d.tr.ArgInt(id, "first", int64(first))
-		d.tr.ArgInt(id, "count", int64(count))
-		d.tr.ArgInt(id, "removed", int64(removed))
-	}
+	d.tr.FaultContext(trace.FSInvalidate, d.Eng.Now(), d.Cfg.CheckCost, int64(first), -int64(removed)-1, int32(count))
 }
 
 // faultPrep performs Figure 2 step 3: the OS faults the missing pages in

@@ -159,12 +159,7 @@ func (c *PinDownCache) Acquire(addr mem.VAddr, length int) (sim.Time, error) {
 		c.pages[pn] = c.lru.PushBack(pn)
 	}
 	cost += c.Dom.MapBatch(toPin)
-	if c.tr.Enabled() {
-		now := c.tr.Now()
-		id := c.tr.Span(0, "pin", "acquire", now, now+cost)
-		c.tr.ArgInt(id, "pages", int64(len(toPin)))
-		c.tr.ArgInt(id, "evicted", int64(len(victims)))
-	}
+	c.tr.FaultContext(trace.FSPinAcquire, c.tr.Now(), cost, int64(len(toPin)), int64(len(victims)), 0)
 	return cost, nil
 }
 

@@ -437,7 +437,7 @@ func (as *AddressSpace) evictOldest() (int64, sim.Time, bool) {
 	as.Evicted.Inc()
 	// Reclaim context for the fault flight recorder: an eviction (and its
 	// invalidation sync) is exactly what tail-fault excerpts need to show.
-	as.m.tr.FaultContext(trace.FSReclaim, as.m.Eng.Now(), cost, int64(p.pn), 0)
+	as.m.tr.FaultContext(trace.FSReclaim, as.m.Eng.Now(), cost, int64(p.pn), 0, 0)
 	return PageSize, cost, true
 }
 

@@ -127,9 +127,6 @@ type readState struct {
 	placedOff  int
 	faulted    bool
 	uncredited int // chunks placed since the last credit grant
-	// dropSpan covers the window in which incoming response packets are
-	// dropped because the initiator faulted (§4's rewind case).
-	dropSpan trace.SpanID
 }
 
 // respStream is the responder's view: it streams read-response chunks
@@ -144,8 +141,9 @@ type respStream struct {
 	paused  bool
 	credits int
 	pumping bool // a paced emission event is scheduled
-	// pauseSpan covers a ReadRNR-extension suspension window.
-	pauseSpan trace.SpanID
+	// pauseStart is the start of the open ReadRNR-extension suspension
+	// window, -1 when none is open.
+	pauseStart sim.Time
 }
 
 // NewQP allocates a queue pair on h bound to address space as, with its own
@@ -371,12 +369,7 @@ func (qp *QP) handleRNRNack(psn uint64) {
 		qp.handleAckOnly(psn)
 	}
 	qp.hca.Retransmits.Add(qp.sndNxt - psn)
-	if qp.hca.Tracer.Enabled() {
-		now := qp.hca.Eng.Now()
-		id := qp.hca.Tracer.Span(0, "rc", "rnr-wait", now, now+qp.hca.Cfg.RNRTimeout)
-		qp.hca.Tracer.ArgInt(id, "qpn", int64(qp.QPN))
-		qp.hca.Tracer.ArgInt(id, "rewound", int64(qp.sndNxt-psn))
-	}
+	qp.hca.Tracer.FaultContext(trace.FSRNRWait, qp.hca.Eng.Now(), qp.hca.Cfg.RNRTimeout, int64(qp.QPN), int64(qp.sndNxt-psn), 0)
 	qp.sndNxt = psn
 	qp.rnrWait = true
 	qp.hca.Eng.After(qp.hca.Cfg.RNRTimeout, func() {
@@ -578,13 +571,14 @@ func (qp *QP) handleReadReq(pkt *packet) {
 	// initiator drops the stale offsets), then starves - bounded waste,
 	// exactly like the hardware it models.
 	st := &respStream{
-		reqID:   pkt.ReqID,
-		dstQPN:  pkt.SrcQPN,
-		dstNode: qp.peerNode,
-		src:     pkt.Raddr,
-		length:  pkt.MsgLen,
-		off:     pkt.ReadOff,
-		credits: qp.hca.Cfg.ReadWindow,
+		reqID:      pkt.ReqID,
+		dstQPN:     pkt.SrcQPN,
+		dstNode:    qp.peerNode,
+		src:        pkt.Raddr,
+		length:     pkt.MsgLen,
+		off:        pkt.ReadOff,
+		credits:    qp.hca.Cfg.ReadWindow,
+		pauseStart: -1,
 	}
 	qp.respStreams[pkt.ReqID] = st
 	qp.pumpReadResp(st)
@@ -606,9 +600,8 @@ func (qp *QP) handleReadCredit(pkt *packet) {
 func (qp *QP) handleReadRNR(pkt *packet) {
 	if st, ok := qp.respStreams[pkt.ReqID]; ok {
 		st.paused = true
-		if qp.hca.Tracer.Enabled() && st.pauseSpan == 0 {
-			st.pauseSpan = qp.hca.Tracer.Begin(0, "rc", "read-rnr-pause")
-			qp.hca.Tracer.ArgInt(st.pauseSpan, "req", pkt.ReqID)
+		if st.pauseStart < 0 {
+			st.pauseStart = qp.hca.Eng.Now()
 		}
 	}
 }
@@ -623,8 +616,10 @@ func (qp *QP) handleReadResume(pkt *packet) {
 	st.off = pkt.ReadOff
 	st.paused = false
 	st.credits = qp.hca.Cfg.ReadWindow
-	qp.hca.Tracer.End(st.pauseSpan)
-	st.pauseSpan = 0
+	if st.pauseStart >= 0 {
+		qp.hca.Tracer.FaultContext(trace.FSReadPause, st.pauseStart, qp.hca.Eng.Now()-st.pauseStart, st.reqID, 0, 0)
+		st.pauseStart = -1
+	}
 	qp.pumpReadResp(st)
 }
 
@@ -698,11 +693,9 @@ func (qp *QP) handleReadResp(pkt *packet) {
 	if len(missing) > 0 {
 		st.faulted = true
 		qp.hca.DroppedRNPF.Inc()
-		if qp.hca.Tracer.Enabled() {
-			st.dropSpan = qp.hca.Tracer.Begin(0, "rc", "read-drop-window")
-			qp.hca.Tracer.ArgInt(st.dropSpan, "req", reqID)
-			qp.hca.Tracer.ArgInt(st.dropSpan, "off", int64(st.placedOff))
-		}
+		// Incoming response packets are dropped from now until the fault
+		// resolves (§4's rewind case).
+		dropStart := qp.hca.Eng.Now()
 		resumeOff := st.placedOff
 		ext := qp.hca.Cfg.ReadRNRExtension
 		if ext {
@@ -721,8 +714,7 @@ func (qp *QP) handleReadResp(pkt *packet) {
 			Resolved: func() {
 				qp.hca.Eng.After(qp.hca.Cfg.FirmwareResume, func() {
 					st.faulted = false
-					qp.hca.Tracer.End(st.dropSpan)
-					st.dropSpan = 0
+					qp.hca.Tracer.FaultContext(trace.FSReadDrop, dropStart, qp.hca.Eng.Now()-dropStart, reqID, int64(resumeOff), 0)
 					if ext {
 						// Resume the suspended stream where we left off.
 						qp.hca.send(fabricNode(qp.peerNode), packet{

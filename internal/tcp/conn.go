@@ -55,25 +55,25 @@ type Conn struct {
 	rcvNxt uint64
 	ooo    map[uint64]segment
 
-	// retxSpan covers one retransmission episode: opened at the first RTO,
-	// closed when new data is finally acknowledged (or the connection
-	// fails). Under the cold-ring problem these stretch to seconds.
-	// retxStart is its open time, for the flight-recorder context event.
-	retxSpan  trace.SpanID
+	// retxStart is the start of the open retransmission episode, -1 when
+	// none is open. An episode opens at the first RTO and closes when new
+	// data is finally acknowledged (or the connection fails); under the
+	// cold-ring problem these stretch to seconds.
 	retxStart sim.Time
 }
 
 func newConn(s *Stack, id uint64, peerNode fabric.NodeID, peerFlow fabric.FlowID, st ConnState) *Conn {
 	c := &Conn{
-		stack:    s,
-		id:       id,
-		peerNode: peerNode,
-		peerFlow: peerFlow,
-		state:    st,
-		cwnd:     s.Cfg.InitialCwndSegs * s.Cfg.MSS,
-		ssthresh: s.Cfg.RWndBytes,
-		rto:      s.Cfg.InitRTO,
-		ooo:      make(map[uint64]segment),
+		stack:     s,
+		id:        id,
+		peerNode:  peerNode,
+		peerFlow:  peerFlow,
+		state:     st,
+		cwnd:      s.Cfg.InitialCwndSegs * s.Cfg.MSS,
+		ssthresh:  s.Cfg.RWndBytes,
+		rto:       s.Cfg.InitRTO,
+		ooo:       make(map[uint64]segment),
+		retxStart: -1,
 	}
 	c.fire = c.onTimer
 	return c
@@ -154,12 +154,10 @@ func (c *Conn) fail() {
 	c.state = StateFailed
 	c.disarmTimer()
 	c.stack.Failures.Inc()
-	if c.retxSpan != 0 {
-		c.stack.tr.ArgStr(c.retxSpan, "result", "failed")
-		c.stack.tr.End(c.retxSpan)
-		// Context event: a failed retx episode (B = -1 marks failure).
-		c.stack.tr.FaultContext(trace.FSRetx, c.retxStart, c.stack.tr.Now()-c.retxStart, int64(c.id), -1)
-		c.retxSpan = 0
+	if c.retxStart >= 0 {
+		// A failed retx episode (B = -1 marks failure).
+		c.stack.tr.FaultContext(trace.FSRetx, c.retxStart, c.stack.eng.Now()-c.retxStart, int64(c.id), -1, 0)
+		c.retxStart = -1
 	}
 	if c.OnFail != nil {
 		c.OnFail(ErrTooManyRetries)
@@ -233,12 +231,10 @@ func (c *Conn) handleAck(ack uint64) {
 			c.sndNxt = ack
 		}
 		c.dupAcks = 0
-		if c.retxSpan != 0 {
+		if c.retxStart >= 0 {
 			// The episode ends when the peer finally acknowledges new data.
-			c.stack.tr.ArgInt(c.retxSpan, "retries", int64(c.retries))
-			c.stack.tr.End(c.retxSpan)
-			c.stack.tr.FaultContext(trace.FSRetx, c.retxStart, c.stack.tr.Now()-c.retxStart, int64(c.id), int64(c.retries))
-			c.retxSpan = 0
+			c.stack.tr.FaultContext(trace.FSRetx, c.retxStart, c.stack.eng.Now()-c.retxStart, int64(c.id), int64(c.retries), 0)
+			c.retxStart = -1
 		}
 		c.retries = 0
 		// Drop every covered segment, including any a rewind requeued
@@ -351,10 +347,8 @@ func (c *Conn) onRTO() {
 		c.fail()
 		return
 	}
-	if c.stack.tr.Enabled() && c.retxSpan == 0 {
-		c.retxSpan = c.stack.tr.Begin(0, "tcp", "retx-episode")
-		c.stack.tr.ArgInt(c.retxSpan, "conn", int64(c.id))
-		c.retxStart = c.stack.tr.Now()
+	if c.retxStart < 0 {
+		c.retxStart = c.stack.eng.Now()
 	}
 	// Loss is taken as congestion: collapse the window, go back to the
 	// first unacked segment (go-back-N), and back the timer off.

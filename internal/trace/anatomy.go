@@ -22,7 +22,7 @@ func FaultStageBreakdown(records []FaultRecord) map[string]*sim.Histogram {
 	for i := range records {
 		r := &records[i]
 		out["total"].AddTime(r.Total())
-		for s := FaultStage(0); s < numFaultStages; s++ {
+		for s := FaultStage(0); s < numRecordStages; s++ {
 			if r.Stage[s] <= 0 {
 				continue
 			}

@@ -12,10 +12,10 @@ import (
 //
 // Layout: each root span becomes one "thread" (track) whose tid is the
 // root's SpanID, and every span in that tree renders as a complete ("X")
-// event on the track. NPF tracks are derived from the fault records
-// (FaultSpans) and follow the recorded spans, their IDs continuing after
-// the recorded ones; the stages of one NPF nest visually inside it, which
-// is exactly the Figure 3a decomposition. With multiple tracers (one
+// event on the track. The context tracks (ContextSpans) come first; the
+// NPF tracks (FaultSpans) follow, their IDs continuing after the context
+// ones; the stages of one NPF nest visually inside it, which is exactly
+// the Figure 3a decomposition. With multiple tracers (one
 // engine per experiment), each tracer becomes a separate "process".
 
 // chromeEvent is one trace_event entry. Field order and json.Marshal's
@@ -36,8 +36,8 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace exports this tracer's spans, recorded and derived from
-// its fault records, as Chrome trace_event JSON.
+// WriteChromeTrace exports this tracer's span views as Chrome trace_event
+// JSON.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	return ExportChromeTrace(w, []*Tracer{t})
 }
@@ -57,12 +57,13 @@ func ExportChromeTrace(w io.Writer, tracers []*Tracer) error {
 			Name: "process_name", Ph: "M", Pid: pid, Tid: 0,
 			Args: map[string]string{"name": "npf-sim engine " + itoa(int64(pid))},
 		})
-		clamp := t.eng.Now()
-		spans := append(t.spans[:len(t.spans):len(t.spans)], FaultSpans(t.FaultRecords())...)
-		for i := len(t.spans); i < len(spans); i++ {
-			spans[i].ID += SpanID(len(t.spans))
+		spans := ContextSpans(t.FaultEvents())
+		n := SpanID(len(spans))
+		spans = append(spans, FaultSpans(t.FaultRecords())...)
+		for i := int(n); i < len(spans); i++ {
+			spans[i].ID += n
 			if spans[i].Parent != 0 {
-				spans[i].Parent += SpanID(len(t.spans))
+				spans[i].Parent += n
 			}
 		}
 		// Resolve each span's root so the whole tree shares one track.
@@ -87,14 +88,7 @@ func ExportChromeTrace(w io.Writer, tracers []*Tracer) error {
 					Args: map[string]string{"name": r.Cat + ":" + r.Name + " #" + itoa(int64(root))},
 				})
 			}
-			end := s.End
-			if end < s.Start {
-				end = clamp // open span: clamp to export time
-				if end < s.Start {
-					end = s.Start
-				}
-			}
-			dur := float64(end-s.Start) / 1e3
+			dur := float64(s.Dur()) / 1e3
 			ev := chromeEvent{
 				Name: s.Name, Cat: s.Cat, Ph: "X",
 				Ts: float64(s.Start) / 1e3, Dur: &dur,

@@ -1,29 +1,17 @@
 package trace
 
-// Digest condenses everything a tracer recorded — every span field, every
-// argument, every field of every completed fault record, the pending-fault
-// count, and the full metrics snapshot — into one FNV-1a hash. Two runs of
-// the same seeded scenario must produce the same digest; the chaos
-// scenario runner uses this as its byte-identical-replay check without
-// holding two full span sets in memory.
+// Digest condenses everything a tracer recorded — every field of every
+// flight-recorder event (fault stages and context events alike), every
+// field of every completed fault record, the pending-fault count, and the
+// full metrics snapshot — into one FNV-1a hash. Two runs of the same
+// seeded scenario must produce the same digest; the chaos scenario runner
+// uses this as its byte-identical-replay check without holding two full
+// captures in memory.
 func (t *Tracer) Digest() uint64 {
 	if t == nil {
 		return 0
 	}
-	h := fnvOffset
-	for i := range t.spans {
-		s := &t.spans[i]
-		h = fnvInt(h, int64(s.ID))
-		h = fnvInt(h, int64(s.Parent))
-		h = fnvStr(h, s.Cat)
-		h = fnvStr(h, s.Name)
-		h = fnvInt(h, int64(s.Start))
-		h = fnvInt(h, int64(s.End))
-		for _, a := range s.Args {
-			h = fnvStr(h, a.Key)
-			h = fnvStr(h, a.Val)
-		}
-	}
+	h := fnvInt(fnvOffset, int64(DigestFaultEvents(t.FaultEvents())))
 	if t.fr != nil {
 		for i := range t.fr.records {
 			r := &t.fr.records[i]

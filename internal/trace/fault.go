@@ -12,22 +12,23 @@ import (
 // a FaultID minted at the device that detected it (NIC or HCA), and the
 // stages of its lifecycle — firmware report, backup-ring residency, driver
 // service, IOMMU update, resume — are recorded as causally-linked events in
-// a bounded ring (a flight recorder). Unlike spans, which describe one
-// host's intervals, fault events carry the cross-host edge: the origin node
-// of the packet or verb that tripped the fault rides in the record, so a
-// post-processing pass (anatomy.go) can answer "which stage, host and layer
-// dominated the p99 fault" per registration policy.
+// a bounded ring (a flight recorder). Fault events carry the cross-host
+// edge: the origin node of the packet or verb that tripped the fault rides
+// in the record, so a post-processing pass (anatomy.go) can answer "which
+// stage, host and layer dominated the p99 fault" per registration policy.
+// The same ring holds the context events around the faults, from which
+// ContextSpans derives the non-NPF spans at export time.
 //
-// The same determinism and cost contracts as spans apply: a nil tracer
-// records nothing at zero allocations (//npf:noalloc fences below), event
-// order is virtual-time order on one engine, and every export is sorted so
-// output is byte-identical for any -parallel/-engines budget.
+// A nil tracer records nothing at zero allocations (//npf:noalloc fences
+// below), event order is virtual-time order on one engine, and every
+// export is sorted so output is byte-identical for any -parallel/-engines
+// budget.
 
 // FaultID identifies one network page fault end to end. It is minted at the
 // detecting device from (node, per-device sequence), so IDs are unique
 // across hosts and deterministic given a seed. Zero means "no fault": every
 // recording method accepts it and does nothing, so IDs thread through event
-// structs unconditionally, exactly like SpanID.
+// structs unconditionally.
 type FaultID uint64
 
 // faultSeqBits is the per-device sequence width; 24 bits of node above it
@@ -49,9 +50,10 @@ func (f FaultID) Seq() uint64 { return uint64(f) & (1<<faultSeqBits - 1) }
 // FaultStage enumerates the lifecycle points a fault event can describe.
 // The order mirrors the paper's fault anatomy (Figure 2 / Table 2): detect
 // and report, park, software service, IOMMU update, resume. The trailing
-// context stages (invalidate, reclaim, tcp-retx) are environment events
-// recorded with FaultID 0 — they are not part of one fault's path but are
-// exactly what a flight-recorder excerpt needs to explain a tail.
+// context stages (invalidate onward) are environment events recorded with
+// FaultID 0 — they are not part of one fault's path but are exactly what a
+// flight-recorder excerpt needs to explain a tail. Each context stage but
+// reclaim is one span of the ContextSpans view.
 type FaultStage uint8
 
 const (
@@ -67,16 +69,26 @@ const (
 	FSUpdate
 	FSResume
 	FSDone
-	FSInvalidate
-	FSReclaim
-	FSRetx
+	FSInvalidate // A first page, B pages removed (−removed−1: a duplicate), C count
+	FSReclaim    // A evicted page
+	FSRetx       // A conn, B retries (−1: the connection failed)
+	FSPinAcquire // A pages pinned, B pages evicted
+	FSRNRWait    // A QPN, B packets rewound
+	FSReadPause  // A read request ID
+	FSReadDrop   // A read request ID, B placement offset
+	FSChaos      // C the ChaosKind, A and B its arguments
 	numFaultStages
 )
+
+// numRecordStages bounds the stages a FaultRecord accrues: the context
+// stages never belong to one fault.
+const numRecordStages = FSInvalidate
 
 var faultStageNames = [numFaultStages]string{
 	"minted", "fault-report", "parked", "resolver-timeout", "oom-backoff",
 	"driver", "page-resolve", "copy", "degrade-pin", "update", "resume",
-	"done", "invalidate", "reclaim", "tcp-retx",
+	"done", "invalidate", "reclaim", "tcp-retx", "pin-acquire", "rnr-wait",
+	"read-rnr-pause", "read-drop-window", "chaos",
 }
 
 func (s FaultStage) String() string {
@@ -88,11 +100,13 @@ func (s FaultStage) String() string {
 
 // FaultEvent is one entry in the flight recorder: a stage of a fault's
 // lifecycle (or, with ID 0, a context event such as an invalidation batch,
-// a reclaim eviction, or a TCP retransmission episode). A and B are
-// stage-specific integer annotations (pages, attempt, descriptor index...).
+// a reclaim eviction, or a TCP retransmission episode). A, B and C are
+// stage-specific integer annotations (pages, attempt, descriptor index...);
+// C sits in Stage's padding, so an event stays 48 bytes.
 type FaultEvent struct {
 	ID    FaultID
 	Stage FaultStage
+	C     int32
 	At    sim.Time
 	Dur   sim.Time
 	A, B  int64
@@ -115,7 +129,7 @@ type FaultRecord struct {
 	// Stage holds the summed duration recorded per lifecycle stage. Entries
 	// overlap by construction (fault-report contains parked; driver contains
 	// page-resolve and copy) — anatomy.go does the disjoint attribution.
-	Stage [numFaultStages]sim.Time
+	Stage [numRecordStages]sim.Time
 }
 
 // Total is the detect-to-resume latency (0 while pending).
@@ -128,14 +142,14 @@ func (r *FaultRecord) Total() sim.Time {
 
 // Bounds for the lazily-created recorder. The event ring overwrites oldest
 // (flight-recorder semantics: the recent past survives); the completed
-// record store drops newest beyond the cap, counted, like spans.
+// record store drops newest beyond the cap, counted.
 const (
 	DefaultMaxFaultEvents  = 1 << 16
 	DefaultMaxFaultRecords = 1 << 20
 )
 
-// flightRecorder is the fault-event side of a tracer, created on first use
-// so span-only tracers pay nothing.
+// flightRecorder is the event side of a tracer, created on first use so
+// metrics-only tracers pay nothing.
 type flightRecorder struct {
 	maxEvents int
 	events    []FaultEvent
@@ -179,7 +193,7 @@ func (fr *flightRecorder) add(e FaultEvent) {
 
 // FaultMinted records a fault's birth at the detecting device and opens its
 // record. start is the device's detection time (known before the handler
-// runs, like BeginAt); origin is the remote node whose op tripped the fault
+// runs); origin is the remote node whose op tripped the fault
 // (-1 for local); op is a transport-specific identity annotation.
 //
 // The fence covers the disabled (nil-tracer) path; the enabled path may
@@ -252,17 +266,121 @@ func (t *Tracer) faultDone(id FaultID, at sim.Time) {
 }
 
 // FaultContext records an environment event (FaultID 0) in the flight
-// recorder: IOMMU invalidation batches, reclaim evictions, TCP retx
-// episodes. These never accrue to a record but show up in excerpts, which
-// is what makes a tail explainable ("the p99 fault sat behind an
-// invalidation storm").
+// recorder: the interval [at, at+dur) of one context stage, annotated per
+// the stage's comment. These never accrue to a record but show up in
+// excerpts, which is what makes a tail explainable ("the p99 fault sat
+// behind an invalidation storm"), and in ContextSpans. A site that learns
+// an interval's annotations only at its end records it then, with at the
+// interval's start.
 //
 //npf:noalloc
-func (t *Tracer) FaultContext(stage FaultStage, at, dur sim.Time, a, b int64) {
+func (t *Tracer) FaultContext(stage FaultStage, at, dur sim.Time, a, b int64, c int32) {
 	if t == nil {
 		return
 	}
-	t.rec().add(FaultEvent{Stage: stage, At: at, Dur: dur, A: a, B: b}) //npf:allocok — enabled path; recorder growth is the tracer's job
+	t.rec().add(FaultEvent{Stage: stage, C: c, At: at, Dur: dur, A: a, B: b}) //npf:allocok — enabled path; recorder growth is the tracer's job
+}
+
+// ChaosKind names the injected fault window an FSChaos event records;
+// chaosKinds gives each kind's span name and the keys of its A and B.
+type ChaosKind int32
+
+const (
+	ChaosFirmwareStall ChaosKind = iota
+	ChaosLossBurst
+	ChaosGilbertElliott
+	ChaosLinkFlap
+	ChaosPressureWave
+	ChaosInvDuplicate
+	ChaosResolverTimeout
+	ChaosCallback
+	numChaosKinds
+)
+
+// chaosKinds names each kind's span and its A and B argument keys.
+var chaosKinds = [numChaosKinds]struct {
+	name string
+	args []string
+}{
+	{"firmware-stall", nil},
+	{"loss-burst", []string{"prob_ppm"}},
+	{"gilbert-elliott", nil},
+	{"link-flap", []string{"node"}},
+	{"pressure-wave", []string{"evicted_bytes"}},
+	{"inv-duplicate", []string{"first", "count"}},
+	{"resolver-timeout", []string{"attempt", "pages"}},
+	{"callback", nil},
+}
+
+// ContextSpans derives the span view of the context events in ev (a
+// FaultEvents ring, oldest first): one root span per event of every
+// context stage but reclaim, in start order (ties in ring order), with
+// IDs from 1. Each span is [At, At+Dur] with its annotations as args:
+//
+//	inv/invalidate, inv/invalidate-dup   first, count, removed
+//	tcp/retx-episode                     conn, then retries or result=failed
+//	pin/acquire                          pages, evicted
+//	rc/rnr-wait                          qpn, rewound
+//	rc/read-rnr-pause                    req
+//	rc/read-drop-window                  req, off
+//	chaos/<kind>                         the kind's keys (chaosKinds)
+func ContextSpans(ev []FaultEvent) []Span {
+	var out []Span
+	for _, e := range ev {
+		if e.ID != 0 {
+			continue
+		}
+		s := Span{Start: e.At, End: e.At + e.Dur}
+		arg := func(key string, v int64) { s.Args = append(s.Args, Arg{Key: key, Val: itoa(v)}) }
+		switch e.Stage {
+		case FSInvalidate:
+			s.Cat, s.Name = "inv", "invalidate"
+			removed := e.B
+			if removed < 0 {
+				s.Name, removed = "invalidate-dup", -removed-1
+			}
+			arg("first", e.A)
+			arg("count", int64(e.C))
+			arg("removed", removed)
+		case FSRetx:
+			s.Cat, s.Name = "tcp", "retx-episode"
+			arg("conn", e.A)
+			if e.B < 0 {
+				s.Args = append(s.Args, Arg{Key: "result", Val: "failed"})
+			} else {
+				arg("retries", e.B)
+			}
+		case FSPinAcquire:
+			s.Cat, s.Name = "pin", "acquire"
+			arg("pages", e.A)
+			arg("evicted", e.B)
+		case FSRNRWait:
+			s.Cat, s.Name = "rc", "rnr-wait"
+			arg("qpn", e.A)
+			arg("rewound", e.B)
+		case FSReadPause:
+			s.Cat, s.Name = "rc", "read-rnr-pause"
+			arg("req", e.A)
+		case FSReadDrop:
+			s.Cat, s.Name = "rc", "read-drop-window"
+			arg("req", e.A)
+			arg("off", e.B)
+		case FSChaos:
+			k := chaosKinds[e.C]
+			s.Cat, s.Name = "chaos", k.name
+			for i, key := range k.args {
+				arg(key, [2]int64{e.A, e.B}[i])
+			}
+		default:
+			continue
+		}
+		out = append(out, s)
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	for i := range out {
+		out[i].ID = SpanID(i + 1)
+	}
+	return out
 }
 
 // FaultRecords returns a copy of the completed fault records, in completion
@@ -297,7 +415,7 @@ func (t *Tracer) FaultEvents() []FaultEvent {
 }
 
 // FlightExcerpt returns the last n flight-recorder events sorted by
-// (At, ID, Stage, A, B) — the dump attached to failing chaos reports.
+// (At, ID, Stage, A, B, C) — the dump attached to failing chaos reports.
 func (t *Tracer) FlightExcerpt(n int) []FaultEvent {
 	ev := t.FaultEvents()
 	if len(ev) > n {
@@ -307,8 +425,8 @@ func (t *Tracer) FlightExcerpt(n int) []FaultEvent {
 	return ev
 }
 
-// SortFaultEvents orders events by (At, ID, Stage, A, B) — a total order,
-// so sorted output is byte-identical across engine budgets.
+// SortFaultEvents orders events by (At, ID, Stage, A, B, C) — a total
+// order, so sorted output is byte-identical across engine budgets.
 func SortFaultEvents(ev []FaultEvent) {
 	sort.Slice(ev, func(i, j int) bool {
 		a, b := ev[i], ev[j]
@@ -324,7 +442,10 @@ func SortFaultEvents(ev []FaultEvent) {
 		if a.A != b.A {
 			return a.A < b.A
 		}
-		return a.B < b.B
+		if a.B != b.B {
+			return a.B < b.B
+		}
+		return a.C < b.C
 	})
 }
 
@@ -372,20 +493,21 @@ func DigestFaultEvents(ev []FaultEvent) uint64 {
 		h = fnvInt(h, int64(e.Dur))
 		h = fnvInt(h, e.A)
 		h = fnvInt(h, e.B)
+		h = fnvInt(h, int64(e.C))
 	}
 	return h
 }
 
 // WriteFlightRecorder renders events one per line:
 //
-//	@    1234.5us  fault 3:17       driver            dur=     56.0us a=4 b=0
+//	@    1234.5us  fault 3:17       driver            dur=     56.0us a=4 b=0 c=0
 func WriteFlightRecorder(w io.Writer, ev []FaultEvent) {
 	for _, e := range ev {
 		id := "-"
 		if e.ID != 0 {
 			id = fmt.Sprintf("%d:%d", e.ID.Node(), e.ID.Seq())
 		}
-		fmt.Fprintf(w, "@%10.1fus  fault %-10s %-16s dur=%10.1fus a=%d b=%d\n",
-			float64(e.At)/1e3, id, e.Stage.String(), float64(e.Dur)/1e3, e.A, e.B)
+		fmt.Fprintf(w, "@%10.1fus  fault %-10s %-16s dur=%10.1fus a=%d b=%d c=%d\n",
+			float64(e.At)/1e3, id, e.Stage.String(), float64(e.Dur)/1e3, e.A, e.B, e.C)
 	}
 }

@@ -108,9 +108,9 @@ func TestFaultRingOverwriteAndRecordCap(t *testing.T) {
 func TestFlightExcerptSortedAndBounded(t *testing.T) {
 	tr := newTestTracer()
 	// Record out of time order (two devices interleaving).
-	tr.FaultContext(FSReclaim, us(30), us(1), 7, 0)
-	tr.FaultContext(FSInvalidate, us(10), us(2), 3, 4)
-	tr.FaultContext(FSRetx, us(20), us(5), 1, -1)
+	tr.FaultContext(FSReclaim, us(30), us(1), 7, 0, 0)
+	tr.FaultContext(FSInvalidate, us(10), us(2), 3, 4, 1)
+	tr.FaultContext(FSRetx, us(20), us(5), 1, -1, 0)
 	ev := tr.FlightExcerpt(2)
 	if len(ev) != 2 {
 		t.Fatalf("excerpt len %d, want 2", len(ev))
@@ -292,7 +292,7 @@ func TestFaultSpans(t *testing.T) {
 }
 
 // TestDigestFoldsFaultRecords pins that the replay digest sees the fault
-// records, the only record of the NPF lifecycle.
+// records, the only record of the NPF lifecycle, and the context events.
 func TestDigestFoldsFaultRecords(t *testing.T) {
 	digest := func(driver sim.Time, pending bool) uint64 {
 		tr := newTestTracer()
@@ -316,6 +316,15 @@ func TestDigestFoldsFaultRecords(t *testing.T) {
 	}
 	if digest(us(5), true) == base {
 		t.Fatal("a pending fault left the digest unchanged")
+	}
+	// Context events count too, down to the chaos kind in C.
+	chaos := func(k ChaosKind) uint64 {
+		tr := newTestTracer()
+		tr.FaultContext(FSChaos, us(1), us(2), 3, 0, int32(k))
+		return tr.Digest()
+	}
+	if chaos(ChaosLinkFlap) == chaos(ChaosLossBurst) || chaos(ChaosLinkFlap) == newTestTracer().Digest() {
+		t.Fatal("the digest ignores context events")
 	}
 }
 

@@ -33,7 +33,7 @@ type Sampler struct {
 	tickFn   func() // pre-bound so re-arming allocates nothing per tick
 
 	// MaxSamples caps stored rows (DefaultMaxSamples unless changed before
-	// the cap is hit). <= 0 means unlimited. Like Tracer.MaxSpans, direct
+	// the cap is hit). <= 0 means unlimited. Like Tracer.MaxFaultEvents, direct
 	// field access panics on a nil handle; use SetMaxSamples from code that
 	// may hold a disabled tracer's sampler.
 	MaxSamples int

@@ -234,19 +234,14 @@ func TestSamplingDoesNotPerturbWorkload(t *testing.T) {
 		for i := int64(1); i <= 20; i++ {
 			i := i
 			eng.At(us(3*i), func() {
-				id := tr.Begin(0, "npf", "op")
 				items.Inc()
-				tr.EndAt(id, eng.Now()+us(2))
+				tr.FaultContext(FSRNRWait, eng.Now(), us(2), i, 0, 0)
 			})
 		}
 		eng.Run()
 		var spans strings.Builder
-		for _, sp := range tr.Spans() {
-			if sp.Cat == "npf" { // skip nothing today, but be explicit
-				spans.WriteString(sp.Name)
-				spans.WriteString(sp.Start.String())
-				spans.WriteString(sp.End.String())
-			}
+		for _, sp := range ContextSpans(tr.FaultEvents()) {
+			spans.WriteString(spanLine(sp))
 		}
 		return c.Value(), spans.String()
 	}
@@ -256,6 +251,6 @@ func TestSamplingDoesNotPerturbWorkload(t *testing.T) {
 		t.Fatalf("counter perturbed by sampling: %d vs %d", cOff, cOn)
 	}
 	if spansOff != spansOn {
-		t.Fatal("span stream perturbed by sampling")
+		t.Fatal("event stream perturbed by sampling")
 	}
 }

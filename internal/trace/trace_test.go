@@ -5,80 +5,118 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"npf/internal/sim"
 )
 
 func us(n int64) sim.Time { return sim.Time(n) * sim.Microsecond }
 
-func TestSpanLifecycle(t *testing.T) {
-	eng := sim.NewEngine(1)
-	tr := New(eng)
-	var root, child SpanID
-	eng.After(us(10), func() {
-		root = tr.Begin(0, "npf", "recv-rnpf")
-		tr.ArgInt(root, "pages", 4)
-	})
-	eng.After(us(15), func() {
-		child = tr.Begin(root, "npf.stage", "driver")
-	})
-	eng.After(us(20), func() { tr.End(child) })
-	eng.After(us(30), func() { tr.End(root) })
-	eng.Run()
+// spanLine renders a span as "cat/name start-end k=v ..." in µs.
+func spanLine(s Span) string {
+	line := s.Cat + "/" + s.Name + " " + itoa(int64(s.Start/sim.Microsecond)) + "-" + itoa(int64(s.End/sim.Microsecond))
+	for _, a := range s.Args {
+		line += " " + a.Key + "=" + a.Val
+	}
+	return line
+}
 
-	spans := tr.Spans()
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
+// TestContextSpans pins the derivation of the non-NPF spans from the
+// flight recorder's context events: one row per context stage, plus the
+// encodings a stage folds into its annotations and the view's order.
+func TestContextSpans(t *testing.T) {
+	rows := []struct {
+		name   string
+		max    int // MaxFaultEvents; 0 = default
+		record func(tr *Tracer)
+		want   []string
+	}{
+		{"invalidate", 0, func(tr *Tracer) {
+			tr.FaultContext(FSInvalidate, us(10), us(2), 100, 3, 4)
+		}, []string{"inv/invalidate 10-12 first=100 count=4 removed=3"}},
+		{"invalidate-dup", 0, func(tr *Tracer) {
+			tr.FaultContext(FSInvalidate, us(10), us(1), 100, -3-1, 4)
+		}, []string{"inv/invalidate-dup 10-11 first=100 count=4 removed=3"}},
+		{"retx-episode", 0, func(tr *Tracer) {
+			tr.FaultContext(FSRetx, us(20), us(300), 5, 2, 0)
+		}, []string{"tcp/retx-episode 20-320 conn=5 retries=2"}},
+		{"retx-failed", 0, func(tr *Tracer) {
+			tr.FaultContext(FSRetx, us(20), us(900), 5, -1, 0)
+		}, []string{"tcp/retx-episode 20-920 conn=5 result=failed"}},
+		{"pin-acquire", 0, func(tr *Tracer) {
+			tr.FaultContext(FSPinAcquire, us(1), us(7), 8, 2, 0)
+		}, []string{"pin/acquire 1-8 pages=8 evicted=2"}},
+		{"rnr-wait", 0, func(tr *Tracer) {
+			tr.FaultContext(FSRNRWait, us(4), us(10), 17, 3, 0)
+		}, []string{"rc/rnr-wait 4-14 qpn=17 rewound=3"}},
+		{"read-rnr-pause", 0, func(tr *Tracer) {
+			tr.FaultContext(FSReadPause, us(4), us(6), 9, 0, 0)
+		}, []string{"rc/read-rnr-pause 4-10 req=9"}},
+		{"read-drop-window", 0, func(tr *Tracer) {
+			tr.FaultContext(FSReadDrop, us(4), us(6), 9, 8192, 0)
+		}, []string{"rc/read-drop-window 4-10 req=9 off=8192"}},
+		{"chaos", 0, func(tr *Tracer) {
+			for k := ChaosFirmwareStall; k < numChaosKinds; k++ {
+				tr.FaultContext(FSChaos, us(int64(k)), us(1), 11, 22, int32(k))
+			}
+		}, []string{
+			"chaos/firmware-stall 0-1",
+			"chaos/loss-burst 1-2 prob_ppm=11",
+			"chaos/gilbert-elliott 2-3",
+			"chaos/link-flap 3-4 node=11",
+			"chaos/pressure-wave 4-5 evicted_bytes=11",
+			"chaos/inv-duplicate 5-6 first=11 count=22",
+			"chaos/resolver-timeout 6-7 attempt=11 pages=22",
+			"chaos/callback 7-8",
+		}},
+		{"no-span-events", 0, func(tr *Tracer) {
+			tr.FaultContext(FSReclaim, us(1), us(1), 7, 0, 0)
+			id := MintFaultID(1, 1)
+			tr.FaultMinted(id, "tx", us(1), -1, 0, 1)
+			tr.FaultStageAt(id, FSDriver, us(1), us(2), 1, 0)
+			tr.FaultDone(id, us(3))
+		}, nil},
+		// Intervals recorded at their end (retx, read windows) carry their
+		// start, so the view sorts by start; the ring keeps its newest
+		// three events after wrapping.
+		{"ascending-after-wrap", 3, func(tr *Tracer) {
+			tr.FaultContext(FSRNRWait, us(1), us(1), 1, 0, 0)
+			tr.FaultContext(FSRNRWait, us(5), us(1), 2, 0, 0)
+			tr.FaultContext(FSInvalidate, us(9), us(1), 3, 0, 1)
+			tr.FaultContext(FSReadPause, us(2), us(20), 4, 0, 0)
+			tr.FaultContext(FSRNRWait, us(9), us(1), 5, 0, 0)
+		}, []string{
+			"rc/read-rnr-pause 2-22 req=4",
+			"inv/invalidate 9-10 first=3 count=1 removed=0",
+			"rc/rnr-wait 9-10 qpn=5 rewound=0",
+		}},
 	}
-	r, c := spans[0], spans[1]
-	if r.ID != root || r.Parent != 0 || r.Cat != "npf" || r.Name != "recv-rnpf" {
-		t.Errorf("bad root span: %+v", r)
-	}
-	if r.Start != us(10) || r.End != us(30) || r.Dur() != us(20) {
-		t.Errorf("root times: start=%v end=%v", r.Start, r.End)
-	}
-	if len(r.Args) != 1 || r.Args[0].Key != "pages" || r.Args[0].Val != "4" {
-		t.Errorf("root args: %+v", r.Args)
-	}
-	if c.Parent != root || c.Start != us(15) || c.End != us(20) {
-		t.Errorf("bad child span: %+v", c)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			tr := New(sim.NewEngine(1))
+			tr.MaxFaultEvents = row.max
+			row.record(tr)
+			spans := ContextSpans(tr.FaultEvents())
+			var got []string
+			for i, s := range spans {
+				if s.ID != SpanID(i+1) || s.Parent != 0 {
+					t.Errorf("span %d: ID %d parent %d, want ID %d root", i, s.ID, s.Parent, i+1)
+				}
+				got = append(got, spanLine(s))
+			}
+			if strings.Join(got, "\n") != strings.Join(row.want, "\n") {
+				t.Errorf("ContextSpans:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(row.want, "\n"))
+			}
+		})
 	}
 }
 
-func TestRetrospectiveSpanAndOpenSpans(t *testing.T) {
-	eng := sim.NewEngine(1)
-	tr := New(eng)
-	id := tr.Span(0, "inv", "invalidate", us(5), us(9))
-	s := tr.Spans()[0]
-	if s.ID != id || s.Start != us(5) || s.End != us(9) {
-		t.Fatalf("retrospective span: %+v", s)
+// TestFaultEventSize pins the flight-recorder entry at 48 bytes: the ring
+// is a long capture's largest live object, and C fits in Stage's padding.
+func TestFaultEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(FaultEvent{}); got != 48 {
+		t.Fatalf("FaultEvent is %d bytes, want 48", got)
 	}
-	open := tr.Begin(0, "tcp", "retx-episode")
-	if got := tr.Spans()[1]; !got.Open() {
-		t.Fatalf("span %d should be open: %+v", open, got)
-	}
-}
-
-func TestSpanCapDrops(t *testing.T) {
-	eng := sim.NewEngine(1)
-	tr := New(eng)
-	tr.MaxSpans = 2
-	a := tr.Begin(0, "x", "a")
-	b := tr.Begin(0, "x", "b")
-	c := tr.Begin(0, "x", "c")
-	if a == 0 || b == 0 {
-		t.Fatalf("first two spans should record: %d %d", a, b)
-	}
-	if c != 0 {
-		t.Fatalf("over-cap Begin should return 0, got %d", c)
-	}
-	if tr.DroppedSpans() != 1 {
-		t.Fatalf("dropped = %d, want 1", tr.DroppedSpans())
-	}
-	// Operations on the zero ID are no-ops, not panics.
-	tr.End(c)
-	tr.ArgInt(c, "k", 1)
-	tr.ArgStr(c, "k", "v")
 }
 
 func TestNilTracerIsInert(t *testing.T) {
@@ -86,12 +124,8 @@ func TestNilTracerIsInert(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("nil tracer reports enabled")
 	}
-	id := tr.Begin(0, "npf", "x")
-	if id != 0 {
-		t.Fatalf("nil Begin returned %d", id)
-	}
-	tr.End(id)
-	tr.ArgInt(id, "k", 1)
+	tr.FaultContext(FSPinAcquire, us(1), us(2), 8, 0, 0)
+	tr.FaultContext(FSChaos, us(1), us(2), 0, 0, int32(ChaosLinkFlap))
 	src := sim.Counter{N: 3}
 	if c := tr.Counter("c", &src); c != nil {
 		t.Fatal("nil tracer returned non-nil counter")
@@ -106,8 +140,8 @@ func TestNilTracerIsInert(t *testing.T) {
 	if got := tr.MetricsSnapshot(); got != "" {
 		t.Fatalf("nil snapshot = %q", got)
 	}
-	if tr.Spans() != nil || tr.SpanCount() != 0 {
-		t.Fatal("nil tracer has spans")
+	if tr.FaultEvents() != nil || ContextSpans(tr.FaultEvents()) != nil {
+		t.Fatal("nil tracer has events")
 	}
 	if err := tr.WriteChromeTrace(&bytes.Buffer{}); err != nil {
 		t.Fatalf("nil WriteChromeTrace: %v", err)
@@ -130,9 +164,6 @@ func TestTracerDisabledNoAlloc(t *testing.T) {
 		if tr.Enabled() {
 			t.Fatal("enabled")
 		}
-		id := tr.Begin(0, "npf", "recv-rnpf")
-		tr.ArgInt(id, "pages", 4)
-		tr.End(id)
 		c := tr.Counter("core.npfs", &x)
 		if c.Value() != 0 {
 			t.Fatal("nil counter has a value")
@@ -142,7 +173,10 @@ func TestTracerDisabledNoAlloc(t *testing.T) {
 		fid := MintFaultID(2, 7)
 		tr.FaultMinted(fid, "rx-drop", us(1), 1, 0, 4)
 		tr.FaultStageAt(fid, FSReport, us(1), us(2), 0, 0)
-		tr.FaultContext(FSInvalidate, us(3), us(1), 0, 0)
+		tr.FaultContext(FSInvalidate, us(3), us(1), 0, 0, 1)
+		tr.FaultContext(FSPinAcquire, us(3), us(1), 4, 0, 0)
+		tr.FaultContext(FSReadDrop, us(3), us(1), 9, 4096, 0)
+		tr.FaultContext(FSChaos, us(3), us(1), 0, 0, int32(ChaosPressureWave))
 		tr.FaultDone(fid, us(9))
 		if tr.FaultRecordCount() != 0 || tr.PendingFaults() != 0 {
 			t.Fatal("nil tracer recorded a fault")
@@ -171,15 +205,15 @@ func BenchmarkTracerDisabled(b *testing.B) {
 	b.ReportAllocs()
 	fid := MintFaultID(2, 7)
 	for i := 0; i < b.N; i++ {
-		id := tr.Begin(0, "npf", "recv-rnpf")
-		tr.ArgInt(id, "pages", 4)
-		tr.End(id)
 		_ = tr.Counter("core.npfs", &x).Value()
 		tr.Latency("core.npf_total_us", &h)
 		tr.Probe("nic.rx_ring_occupancy", zeroProbe)
 		tr.FaultMinted(fid, "rx-drop", us(1), 1, 0, 4)
 		tr.FaultStageAt(fid, FSReport, us(1), us(2), 0, 0)
-		tr.FaultContext(FSInvalidate, us(3), us(1), 0, 0)
+		tr.FaultContext(FSInvalidate, us(3), us(1), 0, 0, 1)
+		tr.FaultContext(FSPinAcquire, us(3), us(1), 4, 0, 0)
+		tr.FaultContext(FSReadDrop, us(3), us(1), 9, 4096, 0)
+		tr.FaultContext(FSChaos, us(3), us(1), 0, 0, int32(ChaosPressureWave))
 		tr.FaultDone(fid, us(9))
 		s.SetMaxSamples(4)
 	}
@@ -188,14 +222,11 @@ func BenchmarkTracerDisabled(b *testing.B) {
 func BenchmarkTracerEnabled(b *testing.B) {
 	eng := sim.NewEngine(1)
 	tr := New(eng)
-	tr.MaxSpans = 0 // unlimited
 	var npfs sim.Counter
 	c := tr.Counter("core.npfs", &npfs)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		id := tr.Begin(0, "npf", "recv-rnpf")
-		tr.ArgInt(id, "pages", 4)
-		tr.End(id)
+		tr.FaultContext(FSPinAcquire, eng.Now(), us(1), 4, 0, 0)
 		npfs.Inc()
 		_ = c.Value()
 	}
@@ -288,7 +319,7 @@ func buildScenario(t *testing.T) *Tracer {
 		npfs.Inc()
 		inv.AddTime(us(48))
 	}
-	tr.Begin(0, "tcp", "retx-episode") // leave one open
+	tr.FaultContext(FSRetx, us(100), us(5800), 1, 3, 0)
 	return tr
 }
 
@@ -313,8 +344,8 @@ func TestExportsByteIdentical(t *testing.T) {
 	if err := json.Unmarshal(ja.Bytes(), &decoded); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
-	// 20 derived NPF trees × 5 spans + 1 recorded open span + process meta
-	// + 21 thread metas.
+	// 20 derived NPF trees × 5 spans + 1 context span + process meta + 21
+	// thread metas.
 	if len(decoded.TraceEvents) == 0 {
 		t.Fatal("no events exported")
 	}
@@ -369,12 +400,12 @@ func TestReportHelpers(t *testing.T) {
 
 	var tree bytes.Buffer
 	WriteTree(&tree, spans)
-	WriteTree(&tree, tr.Spans())
+	WriteTree(&tree, ContextSpans(tr.FaultEvents()))
 	out := tree.String()
 	if !strings.Contains(out, "recv-rnpf") || !strings.Contains(out, "fault-report") {
 		t.Fatalf("tree missing spans:\n%s", out)
 	}
-	if !strings.Contains(out, "open") {
-		t.Fatalf("tree should mark the open span:\n%s", out)
+	if !strings.Contains(out, "retx-episode") || !strings.Contains(out, "retries=3") {
+		t.Fatalf("tree missing the context span:\n%s", out)
 	}
 }

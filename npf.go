@@ -247,12 +247,13 @@ func NewPinDownCache(as *AddressSpace, dom *IOMMUDomain, capacity int64) *PinDow
 
 // Telemetry.
 type (
-	// Tracer records spans, counters, and latency histograms on the
-	// engine's virtual clock. A nil *Tracer is inert, so call sites never
-	// guard.
+	// Tracer records fault and context events and publishes counters and
+	// latency histograms on the engine's virtual clock. A nil *Tracer is
+	// inert, so call sites never guard.
 	Tracer = trace.Tracer
-	// Span is one recorded interval; SpanID names it; Arg is an attached
-	// key/value.
+	// Span is one interval of a view derived from the recorded events
+	// (trace.FaultSpans, trace.ContextSpans); SpanID names it within its
+	// view; Arg is an attached key/value.
 	Span   = trace.Span
 	SpanID = trace.SpanID
 	Arg    = trace.Arg
