@@ -21,14 +21,15 @@ import (
 //
 //	cluster := npf.NewCluster(npf.WithSeed(42), npf.WithFabric(npf.EthernetFabric()))
 type Cluster struct {
-	// Eng is the cluster's engine — with WithEngines(n>1), partition 0's
-	// engine, where chaos plans and the KV server tier live.
+	// Eng is partition 0's engine, where chaos plans and the KV server
+	// tier live; on a single-engine cluster it is the only engine.
 	Eng *Engine
 	Net *Network
-	// Group is non-nil when the cluster was built with WithEngines(n>1):
-	// the conservative-lookahead PDES group the partitions run under. Use
-	// Run/RunUntil (or Group.Run directly) to drive a partitioned cluster;
-	// Eng.Run would advance partition 0 alone.
+	// Group is the conservative-lookahead PDES group the cluster runs
+	// under: WithEngines(n) partitions for n > 1, one partition (the
+	// single-engine mode) otherwise. Use Run/RunUntil (or Group.Run
+	// directly) to drive the cluster; on a partitioned cluster Eng.Run
+	// would advance partition 0 alone.
 	Group *EngineGroup
 	// Tracer is non-nil when the cluster was built with WithTracing or
 	// WithChaos; it is wired through every host built afterwards. On a
@@ -55,28 +56,20 @@ type Cluster struct {
 	nextPart int
 }
 
-// NewCluster creates an engine and fabric in one call. Defaults: seed 1,
-// Ethernet fabric, one sequential engine, no tracing, no chaos.
+// NewCluster creates an engine group and fabric in one call. Defaults:
+// seed 1, Ethernet fabric, one partition (a single engine), no tracing,
+// no chaos.
 func NewCluster(opts ...ClusterOption) *Cluster {
 	cfg := clusterConfig{seed: 1, fabric: EthernetFabric()}
 	for _, o := range opts {
 		o.applyCluster(&cfg)
 	}
-	c := &Cluster{}
-	if cfg.engines > 1 {
-		c.Group = sim.NewGroup(cfg.seed, cfg.engines, cfg.fabric.Lookahead())
-		c.Group.SetThreads(cfg.engines)
-		c.Eng = c.Group.Engine(0)
-		c.Net = fabric.NewOnGroup(c.Group, cfg.fabric)
-	} else {
-		c.Eng = sim.NewEngine(cfg.seed)
-		c.Net = fabric.New(c.Eng, cfg.fabric)
-	}
+	c := &Cluster{Group: sim.NewGroup(cfg.seed, max(cfg.engines, 1), cfg.fabric.Lookahead())}
+	c.Group.SetThreads(cfg.engines)
+	c.Eng = c.Group.Engine(0)
+	c.Net = fabric.NewOnGroup(c.Group, cfg.fabric)
 	if cfg.trace || cfg.plan != nil {
-		for _, e := range c.engines() {
-			c.Tracers = append(c.Tracers, trace.New(e))
-		}
-		c.Tracer = c.Tracers[0]
+		c.startTracers()
 	}
 	if cfg.sampleEvery > 0 {
 		c.Sampler = c.Tracer.StartSampler(cfg.sampleEvery)
@@ -90,12 +83,12 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 	}
 	if cfg.kv != nil {
 		kcfg := *cfg.kv
-		if c.Group != nil && len(c.Tracers) > 1 {
+		if len(c.Tracers) > 1 {
 			kcfg.ClientTracer = c.Tracers[1]
 		}
 		c.KV = kv.New(c.Eng, c.Net, c.Tracer, kcfg)
 		if ij := c.injector; ij != nil {
-			if c.Group != nil {
+			if c.Group.Parts() > 1 {
 				// Partitioned: the client tier lives on partition 1, out of
 				// the injector's reach — register the server tier only.
 				ij.T.Devs = append(ij.T.Devs, c.KV.ServerDevices()...)
@@ -123,46 +116,29 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 	return c
 }
 
-// engines lists every engine: the group's partitions, or the single one.
-func (c *Cluster) engines() []*Engine {
-	if c.Group != nil {
-		return c.Group.Engines()
+// startTracers gives every partition its own tracer.
+func (c *Cluster) startTracers() {
+	for _, e := range c.Group.Engines() {
+		c.Tracers = append(c.Tracers, trace.New(e))
 	}
-	return []*Engine{c.Eng}
+	c.Tracer = c.Tracers[0]
 }
 
 // EngineFor returns partition part's engine — the engine to schedule work
-// against a host placed there. On a single-engine cluster every partition
-// maps to the one engine.
-func (c *Cluster) EngineFor(part int) *Engine {
-	if c.Group != nil {
-		return c.Group.Engine(part)
-	}
-	return c.Eng
-}
+// against a host placed there.
+func (c *Cluster) EngineFor(part int) *Engine { return c.Group.Engine(part) }
 
 // tracerFor returns the partition's tracer (nil when tracing is off).
 func (c *Cluster) tracerFor(part int) *Tracer {
 	if len(c.Tracers) == 0 {
 		return nil
 	}
-	if c.Group != nil {
-		return c.Tracers[part]
-	}
-	return c.Tracer
+	return c.Tracers[part]
 }
 
 // Run drives the whole cluster — every partition — to quiescence and
 // returns the final virtual time. A WithSwarm sweep is started first.
-func (c *Cluster) Run() Time {
-	if c.Swarm != nil {
-		c.Swarm.Start()
-	}
-	if c.Group != nil {
-		return c.Group.Run()
-	}
-	return c.Eng.Run()
-}
+func (c *Cluster) Run() Time { return c.RunUntil(sim.Forever) }
 
 // RunUntil drives the whole cluster to the horizon (or quiescence,
 // whichever comes first) and returns the final virtual time. A WithSwarm
@@ -171,10 +147,7 @@ func (c *Cluster) RunUntil(until Time) Time {
 	if c.Swarm != nil {
 		c.Swarm.Start()
 	}
-	if c.Group != nil {
-		return c.Group.RunUntil(until)
-	}
-	return c.Eng.RunUntil(until)
+	return c.Group.RunUntil(until)
 }
 
 // Digest condenses every partition's trace into one value; same-seed runs
@@ -243,12 +216,12 @@ func (c *Cluster) TryNewHost(name string, opts ...HostOption) (*Host, error) {
 		if part < 0 {
 			return nil, fmt.Errorf("host %q: WithPartition(%d) is negative", name, part)
 		}
-		if c.Group != nil && part >= c.Group.Parts() {
+		if c.Group.Parts() > 1 && part >= c.Group.Parts() {
 			return nil, fmt.Errorf("host %q: WithPartition(%d) out of range: cluster has %d engines",
 				name, part, c.Group.Parts())
 		}
 	}
-	if c.Group == nil {
+	if c.Group.Parts() == 1 {
 		part = 0
 	} else if part < 0 {
 		part = c.nextPart % c.Group.Parts()
@@ -383,10 +356,7 @@ func (h *Host) OpenChannel(as *AddressSpace, opts ...ChannelOption) *Channel {
 	}
 	if cfg.plan != nil {
 		if h.cluster.Tracer == nil {
-			for _, e := range h.cluster.engines() {
-				h.cluster.Tracers = append(h.cluster.Tracers, trace.New(e))
-			}
-			h.cluster.Tracer = h.cluster.Tracers[0]
+			h.cluster.startTracers()
 		}
 		// A per-channel plan targets this host only, so it arms on the
 		// host's own engine — on a partitioned cluster its activations run

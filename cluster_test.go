@@ -71,13 +71,27 @@ func TestWithPartitionValidation(t *testing.T) {
 
 func TestWithPartitionSingleEngineIgnored(t *testing.T) {
 	cluster := NewCluster(WithSeed(1))
-	// Documented behaviour: a non-negative pin is ignored without a group.
+	// Documented behaviour: a non-negative pin is ignored on a single engine.
 	h, err := cluster.TryNewHost("h", WithPartition(3))
 	if err != nil || h.Part != 0 {
 		t.Fatalf("single-engine pin: %v, part %d", err, h.Part)
 	}
 	if _, err := cluster.TryNewHost("h", WithPartition(-2)); err == nil {
 		t.Fatal("negative pin must be rejected even single-engine")
+	}
+}
+
+// A single-engine cluster accepts a fabric with no propagation latency:
+// its one partition has no lookahead to respect.
+func TestSingleEngineZeroPropagationFabric(t *testing.T) {
+	cluster := NewCluster(WithFabric(FabricConfig{RateBps: 8e9}))
+	if cluster.Group.Parts() != 1 {
+		t.Fatalf("%d partitions, want 1", cluster.Group.Parts())
+	}
+	fired := Time(-1)
+	cluster.NewHost("h").Eng.After(Microsecond, func() { fired = cluster.Eng.Now() })
+	if cluster.Run(); fired != Microsecond {
+		t.Fatalf("event ran at %v, want %v", fired, Microsecond)
 	}
 }
 

@@ -74,26 +74,14 @@ func anatomyJob(res *AnatomyResult, i int, pol kv.RegPolicy, ops int) {
 		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
 		Reg: pol, ExpectedKeys: 1024,
 	}
-	var (
-		eng *sim.Engine
-		g   *sim.Group
-		net *fabric.Network
-		tr  *trace.Tracer
-	)
-	if Engines >= 1 {
-		g = newBenchGroup(47, 2, fcfg.Lookahead())
-		eng = g.Engine(0)
-		tr = newAnatomyTracer(eng)
-		// The client tier records on its own partition's clock; its spans
-		// never enter the anatomy (faults are a server-tier phenomenon).
-		cfg.ClientTracer = newAnatomyTracer(g.Engine(1))
-		net = fabric.NewOnGroup(g, fcfg)
-	} else {
-		eng = newBenchEngine(47)
-		tr = newAnatomyTracer(eng)
-		net = fabric.New(eng, fcfg)
-	}
-	svc := kv.New(eng, net, tr, cfg)
+	g := newEnvGroup(47, fcfg.Lookahead())
+	eng := g.Engine(0)
+	// The client tier records on its own partition's clock; its spans
+	// never enter the anatomy (faults are a server-tier phenomenon).
+	trs := partTracers(g, newAnatomyTracer)
+	tr := trs[0]
+	cfg.ClientTracer = trs[len(trs)-1]
+	svc := kv.New(eng, fabric.NewOnGroup(g, fcfg), tr, cfg)
 	for _, h := range svc.Hosts {
 		h.M.Swap.ReadLatency = 200 * sim.Microsecond
 	}
@@ -119,11 +107,7 @@ func anatomyJob(res *AnatomyResult, i int, pol kv.RegPolicy, ops int) {
 		svc.ClientEngine().After(300*sim.Millisecond, func() { svc.Stop() })
 	}
 	wl.Start()
-	if g != nil {
-		g.RunUntil(120 * sim.Second)
-	} else {
-		eng.RunUntil(120 * sim.Second)
-	}
+	g.RunUntil(120 * sim.Second)
 
 	recs := tr.FaultRecords()
 	res.Stages[i] = trace.FaultStageBreakdown(recs)

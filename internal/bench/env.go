@@ -26,22 +26,40 @@ import (
 // converges) trips the engine's diagnostic panic instead of hanging CI.
 const MaxEngineEvents = 2_000_000_000
 
-// TraceFactory, when non-nil, is called for every engine the env
-// constructors build and its tracer is wired through the whole stack
-// (drivers, machines, devices/HCAs). cmd/npfbench sets this for -trace so
-// experiments whose envs are built deep inside Run functions get traced;
-// direct env users pass EthOpts.Trace/IBOpts.Trace instead. With Workers >
-// 1 envs are built from worker goroutines, so the factory must be safe for
-// concurrent calls.
+// TraceFactory, when non-nil, is called for every traced partition engine
+// the env constructors build, and its tracer is wired through the whole
+// stack (drivers, machines, devices/HCAs). cmd/npfbench sets this for
+// -trace so experiments whose envs are built deep inside Run functions
+// get traced; direct env users pass EthOpts.Trace/IBOpts.Trace instead.
+// With Workers > 1 envs are built from worker goroutines, so the factory
+// must be safe for concurrent calls.
 var TraceFactory func(*sim.Engine) *trace.Tracer
 
-func newEnvEngine(seed int64) (*sim.Engine, *trace.Tracer) {
-	eng := newBenchEngine(seed)
+// envTracer is the tracer an env puts on eng: the TraceFactory's when one
+// is set, else a fresh one when force is set, else none.
+func envTracer(eng *sim.Engine, force bool) *trace.Tracer {
 	var tr *trace.Tracer
 	if TraceFactory != nil {
 		tr = TraceFactory(eng)
 	}
-	return eng, tr
+	if force && tr == nil {
+		tr = trace.New(eng)
+	}
+	return tr
+}
+
+// partTracers returns one tracer per partition of g, each made by mk on
+// that partition's engine; all nil when mk is nil. A tracer is driven by
+// its own engine only, so a one-partition group has exactly one, shared
+// by every side of the env.
+func partTracers(g *sim.Group, mk func(*sim.Engine) *trace.Tracer) []*trace.Tracer {
+	trs := make([]*trace.Tracer, g.Parts())
+	if mk != nil {
+		for i, eng := range g.Engines() {
+			trs[i] = mk(eng)
+		}
+	}
+	return trs
 }
 
 // EthHost bundles one Ethernet endpoint: device, channel, stack, driver.
@@ -62,35 +80,24 @@ type EthEnv struct {
 	Drv     *core.Driver
 	Server  *EthHost
 	Client  *EthHost
-	// G is the PDES group when the env was built with Engines >= 1
-	// (server = partition 0, client = partition 1); nil in single-engine
-	// mode. ClientEng/ClientDrv are the client host's engine and driver;
-	// in single-engine mode they alias Eng/Drv, so callers can address
-	// the client side unconditionally.
+	// G is the env's engine group (see newEnvGroup): the server lives on
+	// partition 0 (Eng) and the client on the last partition (ClientEng),
+	// which with one partition is Eng itself. ClientDrv is the client
+	// host's own driver.
 	G         *sim.Group
 	ClientEng *sim.Engine
 	ClientDrv *core.Driver
 	// Tracer is non-nil when the env was built with EthOpts.Trace or a
 	// TraceFactory. It lives on the server engine; the client host runs
-	// untraced, exactly as in the single-engine env.
+	// untraced.
 	Tracer *trace.Tracer
 }
 
 // Run drives the env to quiescence and returns the end time.
-func (e *EthEnv) Run() sim.Time {
-	if e.G != nil {
-		return e.G.Run()
-	}
-	return e.Eng.Run()
-}
+func (e *EthEnv) Run() sim.Time { return e.G.Run() }
 
 // RunUntil advances every host of the env to t.
-func (e *EthEnv) RunUntil(t sim.Time) sim.Time {
-	if e.G != nil {
-		return e.G.RunUntil(t)
-	}
-	return e.Eng.RunUntil(t)
-}
+func (e *EthEnv) RunUntil(t sim.Time) sim.Time { return e.G.RunUntil(t) }
 
 // EthOpts configures the testbed.
 type EthOpts struct {
@@ -115,40 +122,19 @@ func NewEthEnv(o EthOpts) *EthEnv {
 	}
 	dcfg := core.DefaultConfig()
 	dcfg.PrefaultRing = o.PrefaultRing
-	var e *EthEnv
-	if Engines >= 1 {
-		fcfg := fabric.DefaultEthernet()
-		g := newBenchGroup(o.Seed+1, 2, fcfg.Lookahead())
-		eng, ceng := g.Engine(0), g.Engine(1)
-		var tr *trace.Tracer
-		if TraceFactory != nil {
-			tr = TraceFactory(eng)
-		}
-		if o.Trace && tr == nil {
-			tr = trace.New(eng)
-		}
-		net := fabric.NewOnGroup(g, fcfg)
-		// One spec stamps out both substrates (machines and drivers don't
-		// split RNGs, so the per-host grouping preserves seeded results).
-		spec := topo.HostSpec{RAM: o.ServerRAM, Driver: dcfg}
-		srv := spec.Build(eng, net, tr, "server")
-		spec.RAM = 8 << 30
-		cli := spec.Build(ceng, net, nil, "client")
-		e = &EthEnv{Eng: eng, G: g, ClientEng: ceng, Net: net, M: srv.M,
-			ClientM: cli.M, Drv: srv.Drv, ClientDrv: cli.Drv, Tracer: tr}
-	} else {
-		eng, tr := newEnvEngine(o.Seed + 1)
-		if o.Trace && tr == nil {
-			tr = trace.New(eng)
-		}
-		net := fabric.New(eng, fabric.DefaultEthernet())
-		srv := topo.HostSpec{RAM: o.ServerRAM, Driver: dcfg}.Build(eng, net, tr, "server")
-		// Single-engine mode shares the server driver with the client host
-		// (two devices, one driver) — only the client machine is separate.
-		cm := mem.NewMachine(eng, 8<<30)
-		e = &EthEnv{Eng: eng, ClientEng: eng, Net: net, M: srv.M,
-			ClientM: cm, Drv: srv.Drv, ClientDrv: srv.Drv, Tracer: tr}
-	}
+	fcfg := fabric.DefaultEthernet()
+	g := newEnvGroup(o.Seed+1, fcfg.Lookahead())
+	eng, ceng := g.Engine(0), g.Engine(g.Parts()-1)
+	tr := envTracer(eng, o.Trace)
+	net := fabric.NewOnGroup(g, fcfg)
+	// One spec stamps out both substrates (machines and drivers don't
+	// split RNGs, so the per-host grouping preserves seeded results).
+	spec := topo.HostSpec{RAM: o.ServerRAM, Driver: dcfg}
+	srv := spec.Build(eng, net, tr, "server")
+	spec.RAM = 8 << 30
+	cli := spec.Build(ceng, net, nil, "client")
+	e := &EthEnv{Eng: eng, G: g, ClientEng: ceng, Net: net, M: srv.M,
+		ClientM: cli.M, Drv: srv.Drv, ClientDrv: cli.Drv, Tracer: tr}
 	e.Server = e.newHost(e.Eng, e.Drv, e.M, "server", o.Policy, o.RingSize, o.ServerCgroup, o.Jitter)
 	e.Client = e.newHost(e.ClientEng, e.ClientDrv, e.ClientM, "client", nic.PolicyPinned, 256, nil, o.Jitter)
 	return e
@@ -249,36 +235,23 @@ type IBEnv struct {
 	HCAA, HCAB *rc.HCA
 	ASA, ASB   *mem.AddressSpace
 	QPA, QPB   *rc.QP
-	// G is the PDES group when the env was built with Engines >= 1
-	// (side A = partition 0, side B = partition 1); nil in single-engine
-	// mode. EngB is side B's engine; in single-engine mode it aliases
-	// Eng, so side-B callbacks can stop/inspect their own engine
-	// unconditionally.
+	// G is the env's engine group (see newEnvGroup): side A lives on
+	// partition 0 (Eng) and side B on the last partition (EngB), which
+	// with one partition is Eng itself.
 	G    *sim.Group
 	EngB *sim.Engine
 	// Tracer is non-nil when the env was built with IBOpts.Trace or a
-	// TraceFactory; in partitioned mode it belongs to side A and TracerB
-	// to side B (single-engine mode shares one tracer, TracerB aliases
-	// it).
+	// TraceFactory. Each side's tracer is its partition's: Tracer belongs
+	// to side A and TracerB to side B, the same tracer with one partition.
 	Tracer  *trace.Tracer
 	TracerB *trace.Tracer
 }
 
 // Run drives the env to quiescence and returns the end time.
-func (e *IBEnv) Run() sim.Time {
-	if e.G != nil {
-		return e.G.Run()
-	}
-	return e.Eng.Run()
-}
+func (e *IBEnv) Run() sim.Time { return e.G.Run() }
 
 // RunUntil advances both sides of the env to t.
-func (e *IBEnv) RunUntil(t sim.Time) sim.Time {
-	if e.G != nil {
-		return e.G.RunUntil(t)
-	}
-	return e.Eng.RunUntil(t)
-}
+func (e *IBEnv) RunUntil(t sim.Time) sim.Time { return e.G.RunUntil(t) }
 
 // IBOpts configures the IB testbed.
 type IBOpts struct {
@@ -302,40 +275,18 @@ func NewIBEnv(o IBOpts) *IBEnv {
 	if o.Tweak != nil {
 		o.Tweak(&cfg)
 	}
-	var e *IBEnv
-	if Engines >= 1 {
-		fcfg := fabric.DefaultInfiniBand()
-		g := newBenchGroup(o.Seed+1, 2, fcfg.Lookahead())
-		eng, engB := g.Engine(0), g.Engine(1)
-		var tr, trB *trace.Tracer
-		if TraceFactory != nil {
-			tr, trB = TraceFactory(eng), TraceFactory(engB)
-		}
-		if o.Trace && tr == nil {
-			tr, trB = trace.New(eng), trace.New(engB)
-		}
-		net := fabric.NewOnGroup(g, fcfg)
-		e = &IBEnv{Eng: eng, G: g, EngB: engB, Net: net, Tracer: tr, TracerB: trB}
-		spec := topo.HostSpec{RAM: 128 << 30, HCA: &cfg}
-		a, b := spec.Build(eng, net, tr, "a"), spec.Build(engB, net, trB, "b")
-		e.MA, e.MB = a.M, b.M
-		e.DrvA, e.DrvB = a.Drv, b.Drv
-		e.HCAA, e.HCAB = a.HCA, b.HCA
-	} else {
-		eng, tr := newEnvEngine(o.Seed + 1)
-		if o.Trace && tr == nil {
-			tr = trace.New(eng)
-		}
-		net := fabric.New(eng, fabric.DefaultInfiniBand())
-		e = &IBEnv{Eng: eng, EngB: eng, Net: net, Tracer: tr, TracerB: tr}
-		// Both sides share one engine: the spec builds them back to back in
-		// the historical order (HCA A's RNG splits before HCA B's).
-		spec := topo.HostSpec{RAM: 128 << 30, HCA: &cfg}
-		a, b := spec.Build(eng, net, tr, "a"), spec.Build(eng, net, tr, "b")
-		e.MA, e.MB = a.M, b.M
-		e.DrvA, e.DrvB = a.Drv, b.Drv
-		e.HCAA, e.HCAB = a.HCA, b.HCA
-	}
+	fcfg := fabric.DefaultInfiniBand()
+	g := newEnvGroup(o.Seed+1, fcfg.Lookahead())
+	trs := partTracers(g, func(eng *sim.Engine) *trace.Tracer { return envTracer(eng, o.Trace) })
+	e := &IBEnv{Eng: g.Engine(0), G: g, EngB: g.Engine(g.Parts() - 1),
+		Net: fabric.NewOnGroup(g, fcfg), Tracer: trs[0], TracerB: trs[len(trs)-1]}
+	// The spec builds the sides back to back, A first, so HCA A's RNG
+	// splits before HCA B's on a shared engine.
+	spec := topo.HostSpec{RAM: 128 << 30, HCA: &cfg}
+	a, b := spec.Build(e.Eng, e.Net, e.Tracer, "a"), spec.Build(e.EngB, e.Net, e.TracerB, "b")
+	e.MA, e.MB = a.M, b.M
+	e.DrvA, e.DrvB = a.Drv, b.Drv
+	e.HCAA, e.HCAB = a.HCA, b.HCA
 	e.ASA = e.MA.NewAddressSpace("a", nil)
 	e.ASA.MapBytes(8 << 30)
 	e.ASB = e.MB.NewAddressSpace("b", nil)

@@ -8,7 +8,6 @@ import (
 	"npf/internal/fabric"
 	"npf/internal/kv"
 	"npf/internal/sim"
-	"npf/internal/trace"
 )
 
 // KVResult is the distributed-KV registration ablation: the same deployment
@@ -73,33 +72,20 @@ func RunKV(quick bool) *KVResult {
 
 // kvSweepJob runs one policy's deployment to completion and fills row i.
 // With Engines >= 1 the cluster is partitioned server-tier/client-tier
-// across a two-engine PDES group; the partition count is fixed, so results
-// are byte-identical for every Engines value.
+// across a two-engine PDES group (newEnvGroup); the partition count is
+// fixed, so results are byte-identical for every Engines value.
 func kvSweepJob(res *KVResult, i int, pol kv.RegPolicy, ops int) {
 	fcfg := fabric.DefaultEthernet()
 	cfg := kv.Config{
 		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
 		Reg: pol, ExpectedKeys: 1024,
 	}
-	var (
-		eng *sim.Engine
-		g   *sim.Group
-		tr  *trace.Tracer
-		net *fabric.Network
-	)
-	if Engines >= 1 {
-		g = newBenchGroup(43, 2, fcfg.Lookahead())
-		eng = g.Engine(0)
-		if TraceFactory != nil {
-			tr = TraceFactory(eng)
-			cfg.ClientTracer = TraceFactory(g.Engine(1))
-		}
-		net = fabric.NewOnGroup(g, fcfg)
-	} else {
-		eng, tr = newEnvEngine(43)
-		net = fabric.New(eng, fcfg)
-	}
-	svc := kv.New(eng, net, tr, cfg)
+	g := newEnvGroup(43, fcfg.Lookahead())
+	eng := g.Engine(0)
+	trs := partTracers(g, TraceFactory)
+	tr := trs[0]
+	cfg.ClientTracer = trs[len(trs)-1]
+	svc := kv.New(eng, fabric.NewOnGroup(g, fcfg), tr, cfg)
 	// NVMe-class swap: the sweep measures reclaim racing the data path in
 	// the tail, not disk seek times drowning everything.
 	for _, h := range svc.Hosts {
@@ -129,11 +115,7 @@ func kvSweepJob(res *KVResult, i int, pol kv.RegPolicy, ops int) {
 		svc.ClientEngine().After(300*sim.Millisecond, func() { svc.Stop() })
 	}
 	wl.Start()
-	if g != nil {
-		g.RunUntil(120 * sim.Second)
-	} else {
-		eng.RunUntil(120 * sim.Second)
-	}
+	g.RunUntil(120 * sim.Second)
 
 	res.Ops[i] = wl.Completed()
 	res.P50Us[i] = wl.Lat.Percentile(50)

@@ -98,7 +98,7 @@ func TestRCStreamAcrossPartitions(t *testing.T) {
 			e := NewIBEnv(IBOpts{Seed: 5})
 			s = newRCStream(e, msgs, msgs, sizes)
 			e.Run()
-			if engines > 0 && e.G == nil {
+			if engines > 0 && e.G.Parts() != 2 {
 				t.Fatal("IBEnv did not partition")
 			}
 		})

@@ -19,12 +19,13 @@ import (
 // output is byte-identical for any Workers value.
 var Workers = 1
 
-// Engines selects the engine topology the env constructors build. 0 (the
-// default) is the historical single-engine mode: one sim.Engine carries
-// every host of an env. Any value >= 1 switches the constructors to
-// partitioned PDES mode — each env becomes a sim.Group with one engine
-// per host side, synchronized conservatively through the fabric's
-// propagation-latency lookahead — and is the TOTAL worker-thread budget
+// Engines selects the engine topology the env constructors build (see
+// newEnvGroup). 0 (the default) is the single-engine mode: a
+// one-partition sim.Group whose one engine carries every host of an env.
+// Any value >= 1 switches the constructors to partitioned PDES mode —
+// each env becomes a two-partition sim.Group, one engine per host side,
+// synchronized conservatively through the fabric's propagation-latency
+// lookahead — and is the TOTAL worker-thread budget
 // for a sweep: runJobs fans jobs across min(len(jobs), Engines)
 // goroutines and gives each env's group the remaining budget,
 // max(1, Engines/workers) threads (capped at GOMAXPROCS — see
@@ -201,4 +202,16 @@ func newBenchGroup(seed int64, parts int, lookahead sim.Time) *sim.Group {
 	g.SetThreads(pdesThreads())
 	registerGroup(g)
 	return g
+}
+
+// newEnvGroup builds the engine group of a two-sided testbed — server and
+// client, or IB sides A and B — and is where Engines picks the topology:
+// one partition carrying both sides at Engines == 0, two partitions (side
+// one on partition 0, side two on partition 1) at Engines >= 1.
+func newEnvGroup(seed int64, lookahead sim.Time) *sim.Group {
+	parts := 1
+	if Engines >= 1 {
+		parts = 2
+	}
+	return newBenchGroup(seed, parts, lookahead)
 }

@@ -11,6 +11,7 @@ import (
 	"npf/internal/rc"
 	"npf/internal/sim"
 	"npf/internal/tcp"
+	"npf/internal/topo"
 	"npf/internal/trace"
 )
 
@@ -24,16 +25,33 @@ const maxScenarioEvents = 200_000_000
 // process-wide knob set before running scenarios, not per-run state.
 var SampleEvery sim.Time
 
-// Engines selects the engine topology scenario testbeds build, mirroring
-// bench.Engines: 0 (the default) keeps the classic single sequential
-// engine; any value >= 1 shards each testbed across a two-partition PDES
-// group — fault-target tier (servers) on partition 0, workload tier
-// (clients) on partition 1 — with Engines worker threads. The partition
-// structure is fixed, so reports and digests are byte-identical for every
-// Engines >= 1; only wall-clock changes. Chaos plans arm on partition 0,
-// where every registered target lives. The IB link-flap scenario keeps a
-// single engine regardless (both of its hosts are fault targets).
+// Engines selects the engine topology scenario testbeds build (see
+// newGroup), mirroring bench.Engines: 0 (the default) builds each testbed
+// on a one-partition group, the single-engine mode; any value >= 1 shards
+// it across a two-partition PDES group — fault-target tier (servers) on
+// partition 0, workload tier (clients) on partition 1 — with Engines
+// worker threads. The partition structure is fixed, so reports and
+// digests are byte-identical for every Engines >= 1; only wall-clock
+// changes. Chaos plans arm on partition 0, where every registered target
+// lives. The IB link-flap scenario keeps a single engine regardless (both
+// of its hosts are fault targets).
 var Engines = 0
+
+// newGroup builds a scenario testbed's engine group: one partition at
+// Engines == 0, two at Engines >= 1, run on Engines worker threads, with
+// the runaway guard on every engine.
+func newGroup(seed int64, lookahead sim.Time) *sim.Group {
+	parts := 1
+	if Engines >= 1 {
+		parts = 2
+	}
+	g := sim.NewGroup(seed, parts, lookahead)
+	g.SetThreads(Engines)
+	for _, eng := range g.Engines() {
+		eng.MaxEvents = maxScenarioEvents
+	}
+	return g
+}
 
 // newTracer builds every scenario testbed's tracer; tests wrap it to see
 // what a scenario recorded.
@@ -242,17 +260,18 @@ func RunScenario(name string, seed int64) (*Report, error) {
 
 // ethEnv is a compact two-host Ethernet testbed: an ODP server with a
 // backup ring (cold — nothing prefaulted) and a warm, unmodified client.
-// It mirrors internal/bench's env but stays dependency-free so the root
-// npf package can re-export this package. With Engines >= 1 the server
-// lives on partition 0 of a two-engine PDES group (with the tracer and
-// every chaos target) and the client on partition 1.
+// It mirrors internal/bench's env without importing it, so the root
+// npf package can re-export this package. The server lives on partition 0
+// of the testbed's group (with the tracer and every chaos target) and the
+// client on its last partition: partition 1 at Engines >= 1, else the
+// same one engine.
 type ethEnv struct {
-	eng      *sim.Engine // server engine (partition 0, or the only one)
-	engC     *sim.Engine // client engine (== eng when single-engine)
-	g        *sim.Group  // nil when single-engine
+	eng      *sim.Engine // server engine (partition 0)
+	engC     *sim.Engine // client engine (the last partition)
+	g        *sim.Group
 	tr       *trace.Tracer
 	net      *fabric.Network
-	m, cm    *mem.Machine
+	m        *mem.Machine
 	group    *mem.Group
 	drv      *core.Driver
 	sDev     *nic.Device
@@ -264,45 +283,25 @@ type ethEnv struct {
 func newEthEnv(seed int64, ringSize int, dcfg core.Config, cgroupLimit int64) *ethEnv {
 	e := &ethEnv{}
 	fcfg := fabric.DefaultEthernet()
-	if Engines >= 1 {
-		e.g = sim.NewGroup(seed, 2, fcfg.Lookahead())
-		e.g.SetThreads(Engines)
-		for _, en := range e.g.Engines() {
-			en.MaxEvents = maxScenarioEvents
-		}
-		e.eng, e.engC = e.g.Engine(0), e.g.Engine(1)
-		e.tr = newTracer(e.eng)
-		e.net = fabric.NewOnGroup(e.g, fcfg)
-	} else {
-		eng := sim.NewEngine(seed)
-		eng.MaxEvents = maxScenarioEvents
-		e.eng, e.engC = eng, eng
-		e.tr = newTracer(eng)
-		e.net = fabric.New(eng, fcfg)
-	}
-	e.m = mem.NewMachine(e.eng, 8<<30)
-	e.m.SetTracer(e.tr)
-	e.cm = mem.NewMachine(e.engC, 8<<30)
+	e.g = newGroup(seed, fcfg.Lookahead())
+	e.eng, e.engC = e.g.Engine(0), e.g.Engine(e.g.Parts()-1)
+	e.tr = newTracer(e.eng)
+	e.net = fabric.NewOnGroup(e.g, fcfg)
+	ncfg := nic.DefaultConfig()
+	srv := topo.HostSpec{Driver: dcfg, NIC: &ncfg}.Build(e.eng, e.net, e.tr, "server")
+	e.m, e.drv, e.sDev = srv.M, srv.Drv, srv.Dev
 	if cgroupLimit > 0 {
 		e.group = mem.NewGroup("chaos-cgroup", cgroupLimit)
 	}
-	e.drv = core.NewDriver(e.eng, dcfg)
-	e.drv.SetTracer(e.tr)
-
-	e.sDev = nic.NewDevice(e.eng, e.net, nic.DefaultConfig())
-	e.sDev.SetTracer(e.tr)
-	e.drv.AttachDevice(e.sDev)
 	e.serverAS = e.m.NewAddressSpace("server", e.group)
 	sch := e.sDev.NewChannel("server", e.serverAS, ringSize, nic.PolicyBackup, ringSize)
 	e.drv.EnableODP(sch)
 	e.server = tcp.NewStack(sch, tcp.DefaultConfig())
 
-	// The client is warm and fully pinned, so its NPF sink can never fire;
-	// pointing it at the server's driver is safe even across partitions.
-	cDev := nic.NewDevice(e.engC, e.net, nic.DefaultConfig())
-	cDev.SetNPFSink(e.drv)
-	cAS := e.cm.NewAddressSpace("client", nil)
-	cch := cDev.NewChannel("client", cAS, 256, nic.PolicyPinned, 256)
+	// The client is warm, fully pinned and untraced.
+	cli := topo.HostSpec{NIC: &ncfg}.Build(e.engC, e.net, nil, "client")
+	cAS := cli.M.NewAddressSpace("client", nil)
+	cch := cli.Dev.NewChannel("client", cAS, 256, nic.PolicyPinned, 256)
 	e.client = tcp.NewStack(cch, tcp.DefaultConfig())
 	warmStack(e.client)
 	if SampleEvery > 0 {
@@ -312,12 +311,7 @@ func newEthEnv(seed int64, ringSize int, dcfg core.Config, cgroupLimit int64) *e
 }
 
 // run drives the testbed — every partition — to the horizon.
-func (e *ethEnv) run(horizon sim.Time) sim.Time {
-	if e.g != nil {
-		return e.g.RunUntil(horizon)
-	}
-	return e.eng.RunUntil(horizon)
-}
+func (e *ethEnv) run(horizon sim.Time) sim.Time { return e.g.RunUntil(horizon) }
 
 func warmStack(st *tcp.Stack) {
 	ch := st.Channel()
@@ -492,19 +486,15 @@ func runLinkFlap(seed int64) *Report {
 	tr := newTracer(eng)
 	net := fabric.New(eng, fabric.DefaultInfiniBand())
 	cfg := rc.DefaultConfig()
-	ma, mb := mem.NewMachine(eng, 8<<30), mem.NewMachine(eng, 8<<30)
-	mb.SetTracer(tr)
-	hcaA, hcaB := rc.NewHCA(eng, net, cfg), rc.NewHCA(eng, net, cfg)
-	hcaB.SetTracer(tr)
-	drvA := core.NewDriver(eng, core.DefaultConfig())
-	drvB := core.NewDriver(eng, core.DefaultConfig())
-	drvB.SetTracer(tr)
-	drvA.AttachHCA(hcaA)
-	drvB.AttachHCA(hcaB)
+	// Both hosts are fault targets, so both stay on the one engine; only
+	// the receiver, B, is traced.
+	spec := topo.HostSpec{HCA: &cfg}
+	a, b := spec.Build(eng, net, nil, "a"), spec.Build(eng, net, tr, "b")
+	hcaA, hcaB, drvA, drvB := a.HCA, b.HCA, a.Drv, b.Drv
 	if SampleEvery > 0 {
 		tr.StartSampler(SampleEvery)
 	}
-	asA, asB := ma.NewAddressSpace("a", nil), mb.NewAddressSpace("b", nil)
+	asA, asB := a.M.NewAddressSpace("a", nil), b.M.NewAddressSpace("b", nil)
 	asA.MapBytes(64 << 20)
 	asB.MapBytes(64 << 20)
 	qpA, qpB := hcaA.NewQP(asA), hcaB.NewQP(asB)

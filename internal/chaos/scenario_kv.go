@@ -15,44 +15,33 @@ import (
 // (CheckConsistency) layered on top of the usual no-lost-work checks.
 
 // kvEnv is one KV scenario testbed: the service plus the engines and
-// tracers it runs on. With Engines >= 1 the server tier (and every chaos
-// target) lives on partition 0 of a two-engine PDES group and the client
-// tier on partition 1, each with its own tracer.
+// tracers it runs on. The server tier (and every chaos target) lives on
+// partition 0 of the testbed's group; with Engines >= 1 the client tier
+// lives on partition 1, with its own tracer.
 type kvEnv struct {
 	eng *sim.Engine   // server-tier engine; chaos plans arm here
-	g   *sim.Group    // nil when single-engine
+	g   *sim.Group    // the testbed's group (newGroup)
 	tr  *trace.Tracer // server-tier tracer
-	trC *trace.Tracer // client-tier tracer (== tr when single-engine)
+	trC *trace.Tracer // client-tier tracer (== tr on one partition)
 	svc *kv.Service
 }
 
-// newKVEnv builds a KV deployment on a fresh engine (or engine group).
+// newKVEnv builds a KV deployment on a fresh engine group.
 func newKVEnv(seed int64, cfg kv.Config) *kvEnv {
 	e := &kvEnv{}
 	fcfg := fabric.DefaultEthernet()
 	if cfg.Transport == kv.TransportRC {
 		fcfg = fabric.DefaultInfiniBand()
 	}
-	var net *fabric.Network
-	if Engines >= 1 {
-		e.g = sim.NewGroup(seed, 2, fcfg.Lookahead())
-		e.g.SetThreads(Engines)
-		for _, en := range e.g.Engines() {
-			en.MaxEvents = maxScenarioEvents
-		}
-		e.eng = e.g.Engine(0)
-		e.tr = newTracer(e.eng)
+	e.g = newGroup(seed, fcfg.Lookahead())
+	e.eng = e.g.Engine(0)
+	e.tr = newTracer(e.eng)
+	e.trC = e.tr
+	if e.g.Parts() > 1 {
 		e.trC = newTracer(e.g.Engine(1))
-		cfg.ClientTracer = e.trC
-		net = fabric.NewOnGroup(e.g, fcfg)
-	} else {
-		e.eng = sim.NewEngine(seed)
-		e.eng.MaxEvents = maxScenarioEvents
-		e.tr = newTracer(e.eng)
-		e.trC = e.tr
-		net = fabric.New(e.eng, fcfg)
 	}
-	e.svc = kv.New(e.eng, net, e.tr, cfg)
+	cfg.ClientTracer = e.trC
+	e.svc = kv.New(e.eng, fabric.NewOnGroup(e.g, fcfg), e.tr, cfg)
 	if SampleEvery > 0 {
 		e.tr.StartSampler(SampleEvery)
 	}
@@ -70,7 +59,7 @@ func (e *kvEnv) targets() Targets {
 		Spaces: e.svc.Spaces(),
 		Tracer: e.tr,
 	}
-	if e.g != nil {
+	if e.g.Parts() > 1 {
 		t.Devs = e.svc.ServerDevices()
 		t.HCAs = e.svc.ServerHCAs()
 		t.Drivers = e.svc.ServerDrivers()
@@ -102,12 +91,7 @@ func runKVWorkload(r *Report, e *kvEnv, wl *kv.Workload) {
 		svc.ClientEngine().After(300*sim.Millisecond, func() { svc.Stop() })
 	}
 	wl.Start()
-	var end sim.Time
-	if e.g != nil {
-		end = e.g.RunUntil(120 * sim.Second)
-	} else {
-		end = e.eng.RunUntil(120 * sim.Second)
-	}
+	end := e.g.RunUntil(120 * sim.Second)
 
 	r.Series = seriesCSV(e.tr)
 	r.Digest = e.digest()

@@ -481,48 +481,23 @@ func (e *Engine) peek() (ev *event, fromHeap bool) {
 	}
 }
 
-// flushImm migrates pending immediate events into the heap or the calendar
-// tier. Called before the clock jumps to a deadline, so the FIFO's
-// invariant (every entry is due at the current instant) survives
-// Stop-then-RunUntil sequences; the moved events keep their (at, seq) keys,
-// so order is unchanged. In the common case the FIFO is already empty and
-// this is a no-op.
-func (e *Engine) flushImm() {
-	for e.immHead < len(e.imm) {
-		ev := e.imm[e.immHead]
-		e.imm[e.immHead] = nil
-		e.immHead++
-		if ev.dead {
-			e.recycle(ev)
-			continue
-		}
-		ev.imm = false
-		e.schedule(ev)
-	}
-	e.imm = e.imm[:0]
-	e.immHead = 0
-}
-
 // RunUntil executes events with timestamps <= deadline. Events scheduled
-// after the deadline remain queued; the clock is advanced to the deadline if
-// it is reached (and the deadline is not Forever).
+// after the deadline remain queued. When every such event has run, the
+// clock advances to the deadline (unless it is Forever); when an event
+// calls Stop, the clock stays at that event, so the events the Stop left
+// queued still run later in (time, seq) order.
 func (e *Engine) RunUntil(deadline Time) Time {
-	if e.runThrough(deadline) && e.group != nil {
-		// Grouped engines must report the stopping event's own time so the
-		// coordinator can shrink the shared horizon deterministically.
-		return e.now
+	if !e.runThrough(deadline) {
+		e.park(deadline)
 	}
-	e.park(deadline)
 	return e.now
 }
 
 // park advances the clock to t when t is ahead of it and not Forever. The
-// caller has run every event <= t, so the immediate FIFO is normally
-// empty; flushing it keeps the FIFO's invariant (every entry is due now)
-// after a Stop left some behind.
+// caller has run every event <= t, so the immediate FIFO, whose entries
+// are all due at the current instant, is empty and stays valid.
 func (e *Engine) park(t Time) {
 	if t != Forever && e.now < t {
-		e.flushImm()
 		e.now = t
 	}
 }

@@ -59,14 +59,9 @@ func (r *refEngine) nextEventTime() Time {
 	return Forever
 }
 
-// behind reports whether a pending event is due before now. Only a Stop
-// inside RunUntil does that: the clock still jumps to the deadline, past
-// events the Stop left queued. Those events later run with the clock
-// moving backwards, outside the (at, seq) contract this model states.
-func (r *refEngine) behind() bool {
-	return len(r.pend) > 0 && r.pend[0].at < r.now
-}
-
+// runUntil runs every event due by deadline and then moves the clock to
+// it, unless an event stopped the run: the clock then stays at that
+// event, so the events the Stop left queued are never behind it.
 func (r *refEngine) runUntil(deadline Time) Time {
 	r.stopped = false
 	for !r.stopped && len(r.pend) > 0 {
@@ -80,7 +75,7 @@ func (r *refEngine) runUntil(deadline Time) Time {
 		r.executed++
 		r.run(ev.id)
 	}
-	if deadline != Forever && r.now < deadline {
+	if !r.stopped && deadline != Forever && r.now < deadline {
 		r.now = deadline
 	}
 	return r.now
@@ -132,7 +127,9 @@ const (
 // and stale IDs (singly and in bursts large enough to compact), RunUntil
 // and Run, NextEventTime, and Stop from inside events — and requires the
 // same execution order, Now, Pending and Executed after every operation
-// and the same NextEventTime wherever the stream asks for it.
+// and the same NextEventTime wherever the stream asks for it. Each stream
+// runs twice: on a standalone engine, and on the engine of a one-partition
+// Group driven through Group.RunUntil and Group.Run.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 0, 0, 2, 9, 1, 0, 4, 3, 3, 0, 6, 200, 0, 4, 2, 1})
 	f.Add([]byte{0, 6, 0, 2, 6, 0, 0, 0, 3, 3, 7, 5, 3, 7, 1, 4, 0, 5})
@@ -141,108 +138,114 @@ func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{2, 5, 255, 2, 2, 80, 3, 0, 2, 6, 0, 4, 0, 3, 4, 5, 2, 3, 1, 7, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := NewEngine(1)
-		ref := &refEngine{}
-		scripts := []fuzzScript{{}} // id 0 is never scheduled
-		ids := []EventID{{}}
-		var got, want []int
-		var fn func(id int) func()
-		fn = func(id int) func() {
-			return func() {
-				got = append(got, id)
-				s := scripts[id]
-				if s.child != 0 {
-					ids[s.child] = e.At(fuzzOffset(e.Now(), s.class, s.arg), fn(s.child))
-				}
-				if s.stop {
-					e.Stop()
-				}
-			}
-		}
-		ref.run = func(id int) {
-			want = append(want, id)
+		fuzzEngineStream(t, "engine", data, e, e.RunUntil, e.Run)
+		g := NewGroup(1, 1, Microsecond)
+		fuzzEngineStream(t, "group", data, g.Engine(0), g.RunUntil, g.Run)
+	})
+}
+
+// fuzzEngineStream runs one FuzzEngineOrder stream on e against a fresh
+// model, driving the run operations through runUntil and run.
+func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUntil func(Time) Time, run func() Time) {
+	t.Helper()
+	ref := &refEngine{}
+	scripts := []fuzzScript{{}} // id 0 is never scheduled
+	ids := []EventID{{}}
+	var got, want []int
+	var fn func(id int) func()
+	fn = func(id int) func() {
+		return func() {
+			got = append(got, id)
 			s := scripts[id]
 			if s.child != 0 {
-				ref.at(fuzzOffset(ref.now, s.class, s.arg), s.child)
+				ids[s.child] = e.At(fuzzOffset(e.Now(), s.class, s.arg), fn(s.child))
 			}
 			if s.stop {
-				ref.stopped = true
+				e.Stop()
 			}
 		}
-		// add schedules a new event with script s at the offset class/arg
-		// names, reserving an id for its child when it has one.
-		add := func(class, arg byte, s fuzzScript) {
-			if len(scripts) >= fuzzMaxEvents {
-				return
-			}
-			id := len(scripts)
-			scripts = append(scripts, s)
+	}
+	ref.run = func(id int) {
+		want = append(want, id)
+		s := scripts[id]
+		if s.child != 0 {
+			ref.at(fuzzOffset(ref.now, s.class, s.arg), s.child)
+		}
+		if s.stop {
+			ref.stopped = true
+		}
+	}
+	// add schedules a new event with script s at the offset class/arg
+	// names, reserving an id for its child when it has one.
+	add := func(class, arg byte, s fuzzScript) {
+		if len(scripts) >= fuzzMaxEvents {
+			return
+		}
+		id := len(scripts)
+		scripts = append(scripts, s)
+		ids = append(ids, EventID{})
+		if s.child != 0 {
+			scripts[id].child = id + 1
+			scripts = append(scripts, fuzzScript{})
 			ids = append(ids, EventID{})
-			if s.child != 0 {
-				scripts[id].child = id + 1
-				scripts = append(scripts, fuzzScript{})
-				ids = append(ids, EventID{})
-			}
-			at := fuzzOffset(e.Now(), class, arg)
-			ids[id] = e.At(at, fn(id))
-			ref.at(at, id)
 		}
-		next := func() byte {
-			if len(data) == 0 {
-				return 0
-			}
-			b := data[0]
-			data = data[1:]
-			return b
+		at := fuzzOffset(e.Now(), class, arg)
+		ids[id] = e.At(at, fn(id))
+		ref.at(at, id)
+	}
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
 		}
-		checked := 0
-		for step := 0; len(data) > 0 && step < fuzzMaxSteps; step++ {
-			switch op := next(); op % 7 {
-			case 0: // one event; flags pick a child, its region, and Stop
-				class, arg, flags := next(), next(), next()
-				add(class, arg, fuzzScript{child: int(flags & 1), class: flags >> 4, arg: arg ^ flags, stop: flags&2 != 0})
-			case 1: // cancel one id: live, fired, stale, or never scheduled
-				id := int(next()) % len(ids)
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	checked := 0
+	for step := 0; len(data) > 0 && step < fuzzMaxSteps; step++ {
+		switch op := next(); op % 7 {
+		case 0: // one event; flags pick a child, its region, and Stop
+			class, arg, flags := next(), next(), next()
+			add(class, arg, fuzzScript{child: int(flags & 1), class: flags >> 4, arg: arg ^ flags, stop: flags&2 != 0})
+		case 1: // cancel one id: live, fired, stale, or never scheduled
+			id := int(next()) % len(ids)
+			if g, w := e.Cancel(ids[id]), ref.cancel(id); g != w {
+				t.Fatalf("%s step %d: Cancel(%d) = %v, model %v", name, step, id, g, w)
+			}
+		case 2: // a burst of events across one region
+			class, arg, n := next(), next(), int(next())%160+1
+			for i := 0; i < n; i++ {
+				add(class, arg+byte(i), fuzzScript{})
+			}
+		case 3: // cancel every id in one residue class
+			m := int(next())%4 + 2
+			r := int(next()) % m
+			for id := r; id < len(ids); id += m {
 				if g, w := e.Cancel(ids[id]), ref.cancel(id); g != w {
-					t.Fatalf("step %d: Cancel(%d) = %v, model %v", step, id, g, w)
-				}
-			case 2: // a burst of events across one region
-				class, arg, n := next(), next(), int(next())%160+1
-				for i := 0; i < n; i++ {
-					add(class, arg+byte(i), fuzzScript{})
-				}
-			case 3: // cancel every id in one residue class
-				m := int(next())%4 + 2
-				r := int(next()) % m
-				for id := r; id < len(ids); id += m {
-					if g, w := e.Cancel(ids[id]), ref.cancel(id); g != w {
-						t.Fatalf("step %d: Cancel(%d) = %v, model %v", step, id, g, w)
-					}
-				}
-			case 4:
-				deadline := fuzzOffset(e.Now(), next(), next())
-				if g, w := e.RunUntil(deadline), ref.runUntil(deadline); g != w {
-					t.Fatalf("step %d: RunUntil(%v) = %v, model %v", step, deadline, g, w)
-				}
-			case 5:
-				if g, w := e.Run(), ref.runUntil(Forever); g != w {
-					t.Fatalf("step %d: Run() = %v, model %v", step, g, w)
-				}
-			case 6:
-				if g, w := e.NextEventTime(), ref.nextEventTime(); g != w {
-					t.Fatalf("step %d: NextEventTime() = %v, model %v", step, g, w)
+					t.Fatalf("%s step %d: Cancel(%d) = %v, model %v", name, step, id, g, w)
 				}
 			}
-			if !slices.Equal(got[checked:], want[checked:]) {
-				t.Fatalf("step %d: ran %v, model ran %v", step, got[checked:], want[checked:])
+		case 4:
+			deadline := fuzzOffset(e.Now(), next(), next())
+			if g, w := runUntil(deadline), ref.runUntil(deadline); g != w {
+				t.Fatalf("%s step %d: RunUntil(%v) = %v, model %v", name, step, deadline, g, w)
 			}
-			checked = len(got)
-			if e.Now() != ref.now || e.Pending() != len(ref.pend) || e.Executed() != ref.executed {
-				t.Fatalf("step %d: Now/Pending/Executed = %v/%d/%d, model %v/%d/%d",
-					step, e.Now(), e.Pending(), e.Executed(), ref.now, len(ref.pend), ref.executed)
+		case 5:
+			if g, w := run(), ref.runUntil(Forever); g != w {
+				t.Fatalf("%s step %d: Run() = %v, model %v", name, step, g, w)
 			}
-			if ref.behind() {
-				return
+		case 6:
+			if g, w := e.NextEventTime(), ref.nextEventTime(); g != w {
+				t.Fatalf("%s step %d: NextEventTime() = %v, model %v", name, step, g, w)
 			}
 		}
-	})
+		if !slices.Equal(got[checked:], want[checked:]) {
+			t.Fatalf("%s step %d: ran %v, model ran %v", name, step, got[checked:], want[checked:])
+		}
+		checked = len(got)
+		if e.Now() != ref.now || e.Pending() != len(ref.pend) || e.Executed() != ref.executed {
+			t.Fatalf("%s step %d: Now/Pending/Executed = %v/%d/%d, model %v/%d/%d",
+				name, step, e.Now(), e.Pending(), e.Executed(), ref.now, len(ref.pend), ref.executed)
+		}
+	}
 }

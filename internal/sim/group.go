@@ -83,8 +83,9 @@
 // published raw and mailbox head exceed the horizon (or are Forever), no
 // partition can ever create work at or below the horizon.
 //
-// Stop is deterministic too: stopping from an event executing at time s
-// shrinks the shared horizon to s+L-1 with an atomic min. Every
+// Stop is deterministic too: with two or more partitions, stopping from
+// an event executing at time s shrinks the shared horizon to s+L-1 with
+// an atomic min. Every
 // partition's frontier is provably below s+L at that moment, so every
 // run — any thread count — executes exactly the events with timestamps
 // <= s+L-1. See DESIGN.md §S19 for the full argument.
@@ -254,12 +255,14 @@ func splitmix64(x uint64) uint64 {
 // NewGroup creates a group of parts engines. Partition 0 is seeded with
 // seed itself (matching a single-engine run of the same build recipe);
 // the rest get splitmix64-derived seeds. lookahead is the minimum
-// cross-partition latency every Post must respect and must be positive.
+// cross-partition latency every Post must respect; with two or more
+// partitions it must be positive. One partition is the single-engine
+// mode (see RunUntil).
 func NewGroup(seed int64, parts int, lookahead Time) *Group {
 	if parts < 1 {
 		panic("sim: group needs at least one partition")
 	}
-	if lookahead <= 0 {
+	if lookahead <= 0 && parts > 1 {
 		panic("sim: group lookahead must be positive")
 	}
 	g := &Group{look: lookahead, threads: 1}
@@ -397,9 +400,16 @@ func (g *Group) Run() Time { return g.RunUntil(Forever) }
 // partitions, then advances every engine's clock to the final horizon
 // (which Stop may have shrunk below until). It returns that horizon.
 // RunUntil may be called repeatedly with nondecreasing horizons.
+//
+// A one-partition group is the single-engine mode: RunUntil is that
+// engine's own RunUntil, so a Stop ends the run at the stopping event,
+// exactly as on a standalone engine.
 func (g *Group) RunUntil(until Time) Time {
 	if until < 0 {
 		panic("sim: group horizon must be nonnegative")
+	}
+	if len(g.engines) == 1 {
+		return g.engines[0].RunUntil(until)
 	}
 	g.horizon.Store(int64(until))
 	threads := g.threads
@@ -711,7 +721,8 @@ func (g *Group) runTail(e *Engine, bound Time) {
 // executes exactly the same event set regardless of thread count. e must
 // be the engine the calling event is executing on; like Stop, StopFrom
 // ends e's current event loop, so the driver re-reads the horizon before
-// e runs another event.
+// e runs another event. On a one-partition group it is Stop: the run
+// ends at the calling event.
 func (g *Group) StopFrom(e *Engine) {
 	e.stopped = true
 	newH := int64(e.now.Add(g.look) - 1)

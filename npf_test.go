@@ -93,8 +93,8 @@ func TestPinDownCacheFacade(t *testing.T) {
 }
 
 func TestDeterminismAcrossRuns(t *testing.T) {
-	run := func() (uint64, Time) {
-		cluster := NewCluster(WithSeed(99), WithFabric(InfiniBandFabric()))
+	run := func() (uint64, Time, uint64) {
+		cluster := NewCluster(WithSeed(99), WithFabric(InfiniBandFabric()), WithTracing())
 		a := cluster.NewHost("a")
 		b := cluster.NewHost("b")
 		src := a.NewProcess("src", nil)
@@ -110,12 +110,17 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 			qpA.PostSend(SendWQE{ID: int64(i), Laddr: VAddr(i%4) * 65536, Len: 64 << 10})
 		}
 		cluster.Eng.Run()
-		return cluster.Eng.Executed(), last
+		return cluster.Eng.Executed(), last, cluster.Digest()
 	}
-	e1, t1 := run()
-	e2, t2 := run()
-	if e1 != e2 || t1 != t2 {
-		t.Fatalf("non-deterministic: (%d,%v) vs (%d,%v)", e1, t1, e2, t2)
+	e1, t1, d1 := run()
+	e2, t2, d2 := run()
+	if e1 != e2 || t1 != t2 || d1 != d2 {
+		t.Fatalf("non-deterministic: (%d,%v,%016x) vs (%d,%v,%016x)", e1, t1, d1, e2, t2, d2)
+	}
+	// The digest is pinned across commits: a change to how the cluster is
+	// built or run that moves a traced event fails here.
+	if d1 != 0xaa76268da7733b79 {
+		t.Fatalf("digest %016x (%d events, last receive %v), pinned aa76268da7733b79", d1, e1, t1)
 	}
 }
 
@@ -304,6 +309,9 @@ func TestClusterWithEnginesDeterminism(t *testing.T) {
 	if e1 != e2 || d1 != d2 || t1 != t2 {
 		t.Fatalf("thread counts diverged: (%d,%016x,%v) vs (%d,%016x,%v)",
 			e1, d1, t1, e2, d2, t2)
+	}
+	if d1 != 0x76b255ad778a3496 {
+		t.Fatalf("digest %016x (%d events, end %v), pinned 76b255ad778a3496", d1, e1, t1)
 	}
 }
 

@@ -59,8 +59,9 @@ func WithSeed(seed int64) ClusterOption {
 // the group's timestamped mailboxes, so results — trace digests, sampler
 // series, final clocks — are byte-identical to any other engine/thread
 // count for the same partition layout. n also sets the group's worker
-// thread budget (Cluster.Group.SetThreads adjusts it). n <= 1 keeps the
-// classic single sequential engine.
+// thread budget (Cluster.Group.SetThreads adjusts it). n <= 1 builds a
+// one-partition group, the single-engine mode: one engine carries every
+// host and runs its own event loop, with no batching.
 //
 // With WithKV, the service splits server tier (partition 0) from client
 // tier (partition 1). A WithChaos plan is armed on partition 0, so only

@@ -136,7 +136,9 @@ done
 # byte-identical reports — trace digests included — whether it gets 1 or 4
 # engine worker threads, that is under sim.Group's one-thread driver and
 # under its threaded protocol. Covers every chaos scenario (server tier and
-# client tier in separate partitions) and the KV registration ablation.
+# client tier in separate partitions, except link-flap, whose two hosts are
+# both fault targets and share one engine), the KV registration ablation,
+# the scale-out sweep and the fault anatomy.
 # npfbench prints no wall clock, so the raw outputs must match.
 echo "== engines determinism matrix =="
 tmp1=$(mktemp)
