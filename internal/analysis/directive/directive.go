@@ -11,8 +11,9 @@
 //	                      intentional (host-side tooling, not sim state)
 //	//npf:realtime        simtime: this signature intentionally carries a
 //	                      wall-clock type (e.g. the sim.Duration converter)
-//	//npf:tracesafe       tracesafe: this raw tracer field access is known
-//	                      nil-safe
+//	//npf:xengine         xengine: this host-concurrency construct in a
+//	                      sim layer is reviewed (it does not bypass the
+//	                      cross-engine mailbox)
 //	//npf:noalloc         noalloc: this function (and everything it
 //	                      transitively calls) must contain no allocating
 //	                      construct — the static allocation fence

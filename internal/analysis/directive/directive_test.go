@@ -15,7 +15,7 @@ func f() {
 	a := 1 //npf:orderinvariant
 	//npf:wallclock — reviewed
 	b := 2
-	c := 3 // npf:tracesafe (not a directive: space after //)
+	c := 3 // npf:xengine (not a directive: space after //)
 	//npf: (empty name, ignored)
 	d := 4
 	_, _, _, _ = a, b, c, d
@@ -51,8 +51,8 @@ func TestDirectives(t *testing.T) {
 		{"orderinvariant", 6, false}, // but not two lines down
 		{"wallclock", 6, true},       // preceding placement
 		{"wallclock", 4, false},
-		{"tracesafe", 7, false}, // space after // is not a directive
-		{"realtime", 4, false},  // different name
+		{"xengine", 7, false},  // space after // is not a directive
+		{"realtime", 4, false}, // different name
 	}
 	for _, c := range cases {
 		if got := m.Allows(fset, c.name, posOnLine(fset, f, c.line)); got != c.want {

@@ -39,9 +39,9 @@ Functions annotated //npf:noalloc, and everything they transitively call,
 are rejected if they contain allocating constructs (make/new, growing
 append, closure capture, interface boxing, string concat, fmt, map
 literals). Annotate reviewed lines //npf:allocok. The registry of
-runtime-gated hot paths (sim.Engine scheduling, the trace disabled path,
-workload.Source draws) must keep their annotations: removing one is
-itself a finding.`
+runtime-gated hot paths (sim.Engine scheduling, the packet paths, the
+trace fault-record methods, workload.Source draws) must keep their
+annotations: removing one is itself a finding.`
 
 var Analyzer = &analysis.Analyzer{
 	Name:      "noalloc",

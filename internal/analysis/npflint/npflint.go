@@ -12,7 +12,6 @@ import (
 	"npf/internal/analysis/noalloc"
 	"npf/internal/analysis/probepure"
 	"npf/internal/analysis/simtime"
-	"npf/internal/analysis/tracesafe"
 	"npf/internal/analysis/xengine"
 )
 
@@ -26,7 +25,6 @@ func Analyzers() []*analysis.Analyzer {
 		noalloc.Analyzer,
 		probepure.Analyzer,
 		simtime.Analyzer,
-		tracesafe.Analyzer,
 		xengine.Analyzer,
 	}
 }

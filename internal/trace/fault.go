@@ -144,8 +144,8 @@ func (r *FaultRecord) Total() sim.Time {
 // (flight-recorder semantics: the recent past survives); the completed
 // record store drops newest beyond the cap, counted.
 const (
-	DefaultMaxFaultEvents  = 1 << 16
-	DefaultMaxFaultRecords = 1 << 20
+	maxFaultEvents  = 1 << 16
+	maxFaultRecords = 1 << 20
 )
 
 // flightRecorder is the event side of a tracer, created on first use so
@@ -165,16 +165,9 @@ type flightRecorder struct {
 
 func (t *Tracer) rec() *flightRecorder {
 	if t.fr == nil {
-		me, mr := t.MaxFaultEvents, t.MaxFaultRecords
-		if me == 0 {
-			me = DefaultMaxFaultEvents
-		}
-		if mr == 0 {
-			mr = DefaultMaxFaultRecords
-		}
 		t.fr = &flightRecorder{
-			maxEvents:  me,
-			maxRecords: mr,
+			maxEvents:  t.maxFaultEvents,
+			maxRecords: t.maxFaultRecords,
 			pending:    make(map[FaultID]int),
 		}
 	}
@@ -182,7 +175,7 @@ func (t *Tracer) rec() *flightRecorder {
 }
 
 func (fr *flightRecorder) add(e FaultEvent) {
-	if fr.maxEvents > 0 && len(fr.events) >= fr.maxEvents {
+	if len(fr.events) >= fr.maxEvents {
 		fr.events[fr.next] = e
 		fr.next = (fr.next + 1) % fr.maxEvents
 		fr.evDropped++
@@ -210,7 +203,7 @@ func (t *Tracer) FaultMinted(id FaultID, name string, start sim.Time, origin, op
 func (t *Tracer) faultMinted(id FaultID, name string, start sim.Time, origin, op int64, pages int) {
 	fr := t.rec()
 	fr.add(FaultEvent{ID: id, Stage: FSMinted, At: start, A: origin, B: int64(pages)})
-	if fr.maxRecords > 0 && len(fr.records) >= fr.maxRecords {
+	if len(fr.records) >= fr.maxRecords {
 		fr.recDropped++
 		return
 	}
@@ -273,6 +266,12 @@ func (t *Tracer) faultDone(id FaultID, at sim.Time) {
 // an interval's annotations only at its end records it then, with at the
 // interval's start.
 //
+// FaultContext stays out of line, so the eviction, invalidation and
+// retransmission sites that call it carry a call, not the enabled path's
+// event copy and ring append; inlined there, it slowed the traced
+// kv-reclaim workload in paired npfperf runs.
+//
+//go:noinline
 //npf:noalloc
 func (t *Tracer) FaultContext(stage FaultStage, at, dur sim.Time, a, b int64, c int32) {
 	if t == nil {
@@ -405,7 +404,7 @@ func (t *Tracer) FaultEvents() []FaultEvent {
 	}
 	fr := t.fr
 	out := make([]FaultEvent, 0, len(fr.events))
-	if len(fr.events) >= fr.maxEvents && fr.maxEvents > 0 {
+	if len(fr.events) >= fr.maxEvents {
 		out = append(out, fr.events[fr.next:]...)
 		out = append(out, fr.events[:fr.next]...)
 	} else {
@@ -474,7 +473,7 @@ func (t *Tracer) DroppedFaultEvents() uint64 {
 }
 
 // DroppedFaultRecords reports faults whose records were not stored because
-// MaxFaultRecords was reached (their ring events still exist).
+// the record cap was reached (their ring events still exist).
 func (t *Tracer) DroppedFaultRecords() uint64 {
 	if t == nil || t.fr == nil {
 		return 0

@@ -76,8 +76,8 @@ func TestFaultRecordLifecycle(t *testing.T) {
 
 func TestFaultRingOverwriteAndRecordCap(t *testing.T) {
 	tr := newTestTracer()
-	tr.MaxFaultEvents = 4
-	tr.MaxFaultRecords = 2
+	tr.maxFaultEvents = 4
+	tr.maxFaultRecords = 2
 	for i := 0; i < 3; i++ {
 		id := MintFaultID(1, uint64(i+1))
 		tr.FaultMinted(id, "tx", us(int64(10*i)), -1, 0, 1)
@@ -96,7 +96,7 @@ func TestFaultRingOverwriteAndRecordCap(t *testing.T) {
 			t.Fatalf("ring not oldest-first: %+v", ev)
 		}
 	}
-	// Third mint exceeded MaxFaultRecords: dropped, and its Done is inert.
+	// Third mint exceeded maxFaultRecords: dropped, and its Done is inert.
 	if got := tr.DroppedFaultRecords(); got != 1 {
 		t.Fatalf("DroppedFaultRecords = %d, want 1", got)
 	}

@@ -2,11 +2,10 @@ package trace
 
 import "npf/internal/sim"
 
-// DefaultMaxSamples bounds the rows a Sampler stores so a forgotten sampler
-// on a very long run cannot exhaust memory. At the default 10ms interval
-// this covers ~3 virtual hours. Raise Sampler.MaxSamples (or call
-// SetMaxSamples) before the run for longer captures.
-const DefaultMaxSamples = 1 << 20
+// maxSamples bounds the rows a Sampler stores so a forgotten sampler on a
+// very long run cannot exhaust memory. At the default 10ms interval this
+// covers ~3 virtual hours.
+const maxSamples = 1 << 20
 
 // Sampler snapshots every registered counter and probe gauge into
 // per-interval columns, driven by the simulation clock: it schedules itself
@@ -32,11 +31,9 @@ type Sampler struct {
 	interval sim.Time
 	tickFn   func() // pre-bound so re-arming allocates nothing per tick
 
-	// MaxSamples caps stored rows (DefaultMaxSamples unless changed before
-	// the cap is hit). <= 0 means unlimited. Like Tracer.MaxFaultEvents, direct
-	// field access panics on a nil handle; use SetMaxSamples from code that
-	// may hold a disabled tracer's sampler.
-	MaxSamples int
+	// maxSamples caps stored rows: the package constant, lowered only by
+	// this package's tests.
+	maxSamples int
 
 	times     []sim.Time
 	cols      map[string][]float64
@@ -78,7 +75,7 @@ func (t *Tracer) StartSampler(interval sim.Time) *Sampler {
 	s := &Sampler{
 		tr:         t,
 		interval:   interval,
-		MaxSamples: DefaultMaxSamples,
+		maxSamples: maxSamples,
 		cols:       make(map[string][]float64),
 		gauges:     make(map[string]float64),
 	}
@@ -98,14 +95,6 @@ func (t *Tracer) Sampler() *Sampler {
 	return t.sampler
 }
 
-// SetMaxSamples is the nil-safe way to change MaxSamples.
-func (s *Sampler) SetMaxSamples(n int) {
-	if s == nil {
-		return
-	}
-	s.MaxSamples = n
-}
-
 // Interval returns the sampling interval (0 for a nil sampler).
 func (s *Sampler) Interval() sim.Time {
 	if s == nil {
@@ -122,7 +111,7 @@ func (s *Sampler) Len() int {
 	return len(s.times)
 }
 
-// Truncated reports whether rows were dropped because MaxSamples was hit.
+// Truncated reports whether rows were dropped because the row cap was hit.
 func (s *Sampler) Truncated() bool {
 	if s == nil {
 		return false
@@ -149,7 +138,7 @@ func (s *Sampler) tick() {
 // construction is deterministic.
 func (s *Sampler) sample() {
 	t := s.tr
-	if s.MaxSamples > 0 && len(s.times) >= s.MaxSamples {
+	if len(s.times) >= s.maxSamples {
 		s.truncated = true
 		return
 	}

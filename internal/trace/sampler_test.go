@@ -100,7 +100,7 @@ func TestSamplerMaxSamplesTruncates(t *testing.T) {
 	c := sim.Counter{N: 1}
 	tr.Counter("c", &c)
 	s := tr.StartSampler(us(1))
-	s.MaxSamples = 3
+	s.maxSamples = 3
 	// Keep the engine busy well past 3 samples.
 	for i := 1; i <= 10; i++ {
 		eng.At(us(int64(i)), func() {})

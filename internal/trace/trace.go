@@ -16,6 +16,9 @@
 //     paths pay one pointer comparison. Metric handles obtained from a nil
 //     tracer are nil and equally inert. BenchmarkTracerDisabled and
 //     TestTracerDisabledNoAlloc enforce the no-allocation property.
+//   - Tracer, Sampler and Counter export no fields, so code outside this
+//     package reaches them only through the nil-safe methods; a direct
+//     field access does not compile. TestHandlesExportNoFields keeps it so.
 //   - Hardware/driver layering is preserved: devices (internal/nic,
 //     internal/rc) mint a FaultID when they detect a fault and hand it to
 //     the driver inside the fault event, mirroring how the real firmware
@@ -93,11 +96,12 @@ func (s *Span) Dur() sim.Time {
 type Tracer struct {
 	eng *sim.Engine
 
-	// MaxFaultEvents / MaxFaultRecords bound the fault flight recorder
-	// (fault.go); 0 means the defaults, < 0 unlimited. fr is created on
-	// first event so metrics-only tracers pay nothing.
-	MaxFaultEvents  int
-	MaxFaultRecords int
+	// maxFaultEvents / maxFaultRecords bound the fault flight recorder
+	// (fault.go); New sets them to the package constants, and only this
+	// package's tests lower them. fr is created on first event so
+	// metrics-only tracers pay nothing.
+	maxFaultEvents  int
+	maxFaultRecords int
 	fr              *flightRecorder
 
 	// counters and lats name the layers' published stats fields (see
@@ -114,9 +118,11 @@ type Tracer struct {
 // New returns an enabled tracer recording against eng's clock.
 func New(eng *sim.Engine) *Tracer {
 	return &Tracer{
-		eng:      eng,
-		counters: make(map[string]*Counter),
-		lats:     make(map[string][]*sim.Histogram),
+		eng:             eng,
+		maxFaultEvents:  maxFaultEvents,
+		maxFaultRecords: maxFaultRecords,
+		counters:        make(map[string]*Counter),
+		lats:            make(map[string][]*sim.Histogram),
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -27,7 +28,7 @@ func spanLine(s Span) string {
 func TestContextSpans(t *testing.T) {
 	rows := []struct {
 		name   string
-		max    int // MaxFaultEvents; 0 = default
+		max    int // maxFaultEvents; 0 = default
 		record func(tr *Tracer)
 		want   []string
 	}{
@@ -94,7 +95,9 @@ func TestContextSpans(t *testing.T) {
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			tr := New(sim.NewEngine(1))
-			tr.MaxFaultEvents = row.max
+			if row.max > 0 {
+				tr.maxFaultEvents = row.max
+			}
 			row.record(tr)
 			spans := ContextSpans(tr.FaultEvents())
 			var got []string
@@ -148,6 +151,24 @@ func TestNilTracerIsInert(t *testing.T) {
 	}
 }
 
+// TestHandlesExportNoFields keeps the nil-handle contract a compile-time
+// property: a disabled tracer hands out nil *Tracer, *Sampler and *Counter,
+// so an exported field would let a caller outside this package dereference
+// nil where every method is nil-safe.
+func TestHandlesExportNoFields(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[Tracer](),
+		reflect.TypeFor[Sampler](),
+		reflect.TypeFor[Counter](),
+	} {
+		for _, f := range reflect.VisibleFields(typ) {
+			if f.IsExported() {
+				t.Errorf("%s exports field %s", typ, f.Name)
+			}
+		}
+	}
+}
+
 // zeroProbe is a package-level probe fn so the alloc tests below measure
 // the nil tracer's Probe path, not closure construction at the call site.
 func zeroProbe() float64 { return 0 }
@@ -184,7 +205,6 @@ func TestTracerDisabledNoAlloc(t *testing.T) {
 		if tr.DroppedFaultEvents() != 0 || tr.DroppedFaultRecords() != 0 || tr.DroppedSpans() != 0 {
 			t.Fatal("nil tracer dropped something")
 		}
-		s.SetMaxSamples(4)
 		if s.Len() != 0 || s.Truncated() || s.Interval() != 0 || s.Series() != nil {
 			t.Fatal("nil sampler is not inert")
 		}
@@ -215,7 +235,7 @@ func BenchmarkTracerDisabled(b *testing.B) {
 		tr.FaultContext(FSReadDrop, us(3), us(1), 9, 4096, 0)
 		tr.FaultContext(FSChaos, us(3), us(1), 0, 0, int32(ChaosPressureWave))
 		tr.FaultDone(fid, us(9))
-		s.SetMaxSamples(4)
+		_ = s.Len()
 	}
 }
 

@@ -162,10 +162,12 @@ rm -f "$tmp1" "$tmp4"
 echo "engines matrix ok (chaos + kv + scaleout + anatomy, -engines 1 vs 4)"
 
 # npflint: the determinism contracts (no wall clock in sim layers, no
-# order-dependent map walks, sim.Time-only signatures, nil-safe tracer
-# access, no host concurrency bypassing the cross-engine mailbox protocol)
-# as a hard machine-checked gate. xengine fences the sim layers from
-# sync/channel/go constructs that would race partitions. The v2
+# order-dependent map walks, sim.Time-only signatures, no host concurrency
+# bypassing the cross-engine mailbox protocol) as a hard machine-checked
+# gate. Nil-safe tracer access needs no analyzer: the trace handles export
+# no field, so the compiler rejects a direct access and
+# TestHandlesExportNoFields keeps it that way. xengine fences the sim
+# layers from sync/channel/go constructs that would race partitions. The v2
 # interprocedural analyzers ride the same invocation: detflow (direct
 # nondeterminism reads plus transitive reach via facts), noalloc (the
 # //npf:noalloc allocation fence — removing a registered hot-path
