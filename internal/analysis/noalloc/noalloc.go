@@ -81,17 +81,17 @@ var Required = map[string][]string{
 		"port.enqueue", "port.kick",
 	},
 	"npf/internal/iommu": {
-		"iotlb.lookup", "iotlb.insert", "iotlb.invalidate",
+		"iotlb.hit", "iotlb.install", "iotlb.invalidate",
 	},
 	"npf/internal/mem": {
-		"PageTable.Get", "PageTable.Lookup",
-		"AddressSpace.lruPush", "AddressSpace.lruRemove",
+		"PageTable.Get", "PageTable.Lookup", "PageTable.Span",
+		"AddressSpace.lruPush", "AddressSpace.lruRemove", "AddressSpace.TouchResident",
 	},
 	"npf/internal/nic": {
 		"TxQueue.kick",
 	},
 	"npf/internal/rc": {
-		"HCA.send",
+		"HCA.take", "HCA.post",
 		"QP.PostSend", "QP.PostRecv", "QP.handleAck", "QP.handleData",
 	},
 	"npf/internal/tcp": {

@@ -50,3 +50,24 @@ func BenchmarkMapBatch64(b *testing.B) {
 		d.MapBatch(pages)
 	}
 }
+
+// BenchmarkTranslateMissInstall times a one-page translate that misses the
+// IOTLB, walks and installs, evicting at capacity.
+func BenchmarkTranslateMissInstall(b *testing.B) {
+	b.ReportAllocs()
+	_, translate := missInstallDomain()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		translate()
+	}
+}
+
+// BenchmarkTranslateFaulting4MB times the translate that reports a
+// faulting RC message's misses: 1,024 unmapped pages, one miss list.
+func BenchmarkTranslateFaulting4MB(b *testing.B) {
+	b.ReportAllocs()
+	d := New(1024).NewDomain()
+	for i := 0; i < b.N; i++ {
+		d.TranslateAccess(0, 4<<20, true)
+	}
+}

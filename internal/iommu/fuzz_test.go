@@ -77,12 +77,42 @@ func (r *refDomains) translate(dom DomainID, addr mem.VAddr, length int, write b
 }
 
 // fuzzPage maps one input byte to a page: mostly a small set, so
-// operations collide, with the top values spread over distant leaves.
-func fuzzPage(b byte) mem.PageNum {
-	if b >= 200 {
+// operations collide, with the top values spread over distant leaves. A
+// wide input also maps 160–199 to pages 508–517 of leaves 0–3, so ranges
+// from them straddle the 512-page leaf boundaries.
+func fuzzPage(b byte, wide bool) mem.PageNum {
+	switch {
+	case b >= 200:
 		return mem.PageNum(b) * 600
+	case wide && b >= 160:
+		return mem.PageNum((b-160)%4)*512 + 508 + mem.PageNum((b-160)/4)
 	}
 	return mem.PageNum(b % 40)
+}
+
+// fuzzCount maps one input byte to a page count of 0–5. A wide input maps
+// the top values to 300–1,800 pages instead, a range over several leaves.
+func fuzzCount(c byte, wide bool) int {
+	if wide && c >= 250 {
+		return int(c-249) * 300
+	}
+	return int(c % 6)
+}
+
+// batchPages is a MapBatchPerm/UnmapBatch page list: first, then count
+// pages from the input in any order, or for a count over 5 (wide inputs
+// only) the ascending run of count pages after first, which crosses
+// leaves.
+func batchPages(first mem.PageNum, count int, wide bool, next func() (byte, bool)) []mem.PageNum {
+	pages := []mem.PageNum{first}
+	for i := 1; i <= count; i++ {
+		if count > 5 {
+			pages = append(pages, first+mem.PageNum(i))
+		} else if b, ok := next(); ok {
+			pages = append(pages, fuzzPage(b, wide))
+		}
+	}
+	return pages
 }
 
 // FuzzDomainIOTLB drives two domains sharing one Unit (and so one IOTLB)
@@ -91,15 +121,25 @@ func fuzzPage(b byte) mem.PageNum {
 // model: the same costs, misses, faults and hits; Mapped equal to the
 // present page count; every cached translation present in its domain with
 // the same writable bit; and the IOTLB's LRU order equal to the
-// reference's.
+// reference's. The first byte picks the IOTLB capacity (its low three
+// bits) and, with its top bit set, the wide decoding of fuzzPage and
+// fuzzCount: ranges that start just below leaf boundaries and run over
+// several 512-page leaves.
 func FuzzDomainIOTLB(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 4, 20, 0, 1, 0x30, 2, 7, 5, 1, 2, 3, 4, 5, 1, 0, 3})
 	f.Add([]byte{0, 2, 0, 9, 4, 1, 0, 9, 0x40, 7, 0, 1, 9, 3, 1, 1, 0, 9, 2, 2, 9, 8})
+	// Wide: leaf-straddling ranges in a 3-entry IOTLB: map 300 pages from page
+	// 511 and translate them for read and write; map 300 pages from page
+	// 1,020 read-only, fault a write on them, upgrade them and write
+	// again; unmap 600 pages from 1,020; translate 1,500 pages from 508;
+	// then the same map and translate in the second domain.
+	f.Add([]byte{0x82, 0, 172, 250, 14, 172, 250, 74, 172, 250, 1, 161, 250, 74, 161, 250,
+		81, 161, 250, 74, 161, 250, 2, 161, 251, 14, 160, 254, 5, 160, 251, 19, 160, 254})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		capacity := 1 + int(data[0]%8)
+		capacity, wide := 1+int(data[0]%8), data[0] >= 0x80
 		data = data[1:]
 		u := New(capacity)
 		doms := []*Domain{u.NewDomain(), u.NewDomain()}
@@ -125,41 +165,31 @@ func FuzzDomainIOTLB(f *testing.F) {
 			}
 			d := doms[(op/5)%2]
 			writable := op&0x40 != 0
-			count := int(c % 6)
+			count := fuzzCount(c, wide)
 			var gotCost, wantCost sim.Time
 			switch op % 5 {
 			case 0: // Map
 				pages := make([]mem.PageNum, count)
 				for i := range pages {
-					pages[i] = fuzzPage(a) + mem.PageNum(i)
+					pages[i] = fuzzPage(a, wide) + mem.PageNum(i)
 				}
-				gotCost, wantCost = d.Map(fuzzPage(a), count), ref.mapPages(d.ID, pages, true)
+				gotCost, wantCost = d.Map(fuzzPage(a, wide), count), ref.mapPages(d.ID, pages, true)
 			case 1: // MapBatchPerm
-				pages := []mem.PageNum{fuzzPage(a)}
-				for i := 0; i < count; i++ {
-					if b, ok := next(); ok {
-						pages = append(pages, fuzzPage(b))
-					}
-				}
+				pages := batchPages(fuzzPage(a, wide), count, wide, next)
 				gotCost, wantCost = d.MapBatchPerm(pages, writable), ref.mapPages(d.ID, pages, writable)
 			case 2: // Unmap
 				pages := make([]mem.PageNum, count)
 				for i := range pages {
-					pages[i] = fuzzPage(a) + mem.PageNum(i)
+					pages[i] = fuzzPage(a, wide) + mem.PageNum(i)
 				}
 				var got, want int
-				gotCost, got = d.Unmap(fuzzPage(a), count)
+				gotCost, got = d.Unmap(fuzzPage(a, wide), count)
 				wantCost, want = ref.unmapPages(d.ID, pages)
 				if got != want {
 					t.Fatalf("step %d: Unmap removed %d, model %d", step, got, want)
 				}
 			case 3: // UnmapBatch
-				pages := []mem.PageNum{fuzzPage(a)}
-				for i := 0; i < count; i++ {
-					if b, ok := next(); ok {
-						pages = append(pages, fuzzPage(b))
-					}
-				}
+				pages := batchPages(fuzzPage(a, wide), count, wide, next)
 				var got, want int
 				gotCost, got = d.UnmapBatch(pages)
 				wantCost, want = ref.unmapPages(d.ID, pages)
@@ -167,8 +197,11 @@ func FuzzDomainIOTLB(f *testing.F) {
 					t.Fatalf("step %d: UnmapBatch removed %d, model %d", step, got, want)
 				}
 			default: // TranslateAccess
-				addr := fuzzPage(a).Base() + mem.VAddr(c)*16
+				addr := fuzzPage(a, wide).Base() + mem.VAddr(c)*16
 				length := int(op>>3) * 700
+				if count > 5 {
+					length = count*mem.PageSize - int(c)
+				}
 				var gotMiss, wantMiss []mem.PageNum
 				gotCost, gotMiss = d.TranslateAccess(addr, length, writable)
 				wantCost, wantMiss = ref.translate(d.ID, addr, length, writable)

@@ -209,13 +209,7 @@ func (d *Domain) Unmap(first mem.PageNum, count int) (sim.Time, int) {
 			removed++
 		}
 	}
-	if removed == 0 {
-		return 0, 0
-	}
-	d.unit.UnmapPages.Add(uint64(removed))
-	d.unit.InvBatches.Inc()
-	cost := d.unit.Costs.InvalidateSync + sim.Time(removed)*d.unit.Costs.InvalidatePerPage
-	return cost, removed
+	return d.unmapCost(removed)
 }
 
 // UnmapBatch removes an arbitrary set of translations in one invalidation
@@ -227,12 +221,7 @@ func (d *Domain) UnmapBatch(pages []mem.PageNum) (sim.Time, int) {
 			removed++
 		}
 	}
-	if removed == 0 {
-		return 0, 0
-	}
-	d.unit.UnmapPages.Add(uint64(removed))
-	d.unit.InvBatches.Inc()
-	return d.unit.Costs.InvalidateSync + sim.Time(removed)*d.unit.Costs.InvalidatePerPage, removed
+	return d.unmapCost(removed)
 }
 
 // unmapOne clears one PTE and its IOTLB entry, reporting whether it was
@@ -250,6 +239,17 @@ func (d *Domain) unmapOne(pn mem.PageNum) bool {
 	return true
 }
 
+// unmapCost counts one invalidation transaction that removed removed PTEs
+// and returns its cost; removing nothing is free and uncounted.
+func (d *Domain) unmapCost(removed int) (sim.Time, int) {
+	if removed == 0 {
+		return 0, 0
+	}
+	d.unit.UnmapPages.Add(uint64(removed))
+	d.unit.InvBatches.Inc()
+	return d.unit.Costs.InvalidateSync + sim.Time(removed)*d.unit.Costs.InvalidatePerPage, removed
+}
+
 // Translate checks translations for the byte range [addr, addr+length) on
 // behalf of a device access. It returns the device-side lookup cost and the
 // page numbers that failed to translate (in order, deduplicated). A
@@ -261,7 +261,8 @@ func (d *Domain) Translate(addr mem.VAddr, length int) (cost sim.Time, missing [
 // TranslateAccess checks translations for a device access with the given
 // intent: with write=true, present-but-read-only pages count as missing (a
 // permission fault — indistinguishable from a presence fault at the device,
-// both are NPFs).
+// both are NPFs). Each page takes one IOTLB index lookup, which a miss's
+// install reuses, and on a miss one PTE read.
 func (d *Domain) TranslateAccess(addr mem.VAddr, length int, write bool) (cost sim.Time, missing []mem.PageNum) {
 	if length <= 0 {
 		return 0, nil
@@ -272,37 +273,31 @@ func (d *Domain) TranslateAccess(addr mem.VAddr, length int, write bool) (cost s
 	if d.guest != nil {
 		walk *= 2 // two-dimensional translation: both levels walked
 	}
+	tlb := d.unit.iotlb
 	for i := 0; i < n; i++ {
 		pn := first + mem.PageNum(i)
-		if d.unit.iotlb != nil {
-			if d.unit.iotlb.lookup(d.ID, pn, write) {
+		var ref *int32
+		if tlb != nil {
+			if ref = tlb.ref(d.ID, pn); tlb.hit(ref, write) {
 				// IOTLB hit: translation cached with sufficient permission,
 				// and cached entries are always valid (invalidated on unmap
 				// and on permission upgrades).
 				continue
 			}
-			d.unit.Walks.Inc()
-			cost += walk
-			if e := d.ptes.Get(pn); e != 0 && (!write || e&pteWritable != 0) {
-				d.unit.iotlb.insert(d.ID, pn, e&pteWritable != 0)
-			} else {
-				d.unit.Faults.Inc()
-				if missing == nil {
-					missing = make([]mem.PageNum, 0, n-i) //npf:allocok — only a faulting access allocates the miss list, once, with room for every page left
-				}
-				missing = append(missing, pn) //npf:allocok — sized at the first miss, so it never grows
+		}
+		d.unit.Walks.Inc()
+		cost += walk
+		if e := d.ptes.Get(pn); e != 0 && (!write || e&pteWritable != 0) {
+			if tlb != nil {
+				tlb.install(ref, d.ID, pn, e&pteWritable != 0) // through the index entry the miss found
 			}
 			continue
 		}
-		cost += walk
-		d.unit.Walks.Inc()
-		if e := d.ptes.Get(pn); e == 0 || (write && e&pteWritable == 0) {
-			d.unit.Faults.Inc()
-			if missing == nil {
-				missing = make([]mem.PageNum, 0, n-i) //npf:allocok — only a faulting access allocates the miss list, once, with room for every page left
-			}
-			missing = append(missing, pn) //npf:allocok — sized at the first miss, so it never grows
+		d.unit.Faults.Inc()
+		if missing == nil {
+			missing = make([]mem.PageNum, 0, n-i) //npf:allocok — only a faulting access allocates the miss list, once, with room for every page left
 		}
+		missing = append(missing, pn) //npf:allocok — sized at the first miss, so it never grows
 	}
 	return cost, missing
 }

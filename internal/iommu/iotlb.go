@@ -24,7 +24,7 @@ type iotlbEntry struct {
 // set-associative, but for fault-behaviour studies only capacity misses and
 // invalidations matter.
 //
-// The LRU list is intrusive over a slot array, so a miss, an insert or an
+// The LRU list is intrusive over a slot array, so a miss, an install or an
 // eviction allocates nothing once the array has grown: entries grows on
 // demand (never past capacity; most units never fill their cache). index
 // finds each cached key's slot: one radix table per domain (domain IDs are
@@ -53,31 +53,35 @@ func newIOTLB(capacity int) *iotlb {
 	}
 }
 
-// lookup reports whether the translation is cached with sufficient
-// permission, refreshing its LRU position on a hit.
+// hit reports whether the index entry ref caches a translation with
+// sufficient permission, refreshing its LRU position on a hit. ref is nil
+// when the entry's index leaf was never allocated: a miss.
 //
 //npf:noalloc
-func (t *iotlb) lookup(dom DomainID, pn mem.PageNum, write bool) bool {
-	if i := t.find(dom, pn); i >= 0 && (!write || t.entries[i].writable) {
-		if i != t.tail {
-			t.unlink(i)
-			t.pushBack(i)
+func (t *iotlb) hit(ref *int32, write bool) bool {
+	if ref != nil {
+		if i := *ref - 1; i >= 0 && (!write || t.entries[i].writable) {
+			if i != t.tail {
+				t.unlink(i)
+				t.pushBack(i)
+			}
+			t.Hits.Inc()
+			return true
 		}
-		t.Hits.Inc()
-		return true
 	}
 	t.Misses.Inc()
 	return false
 }
 
-// insert caches a translation, evicting the LRU entry at capacity. An
-// already-cached translation only takes the new permission; its LRU
-// position is unchanged.
+// install caches (dom, pn), whose index entry is ref (nil: not yet
+// allocated), evicting the LRU entry at capacity. An already-cached
+// translation only takes the new permission; its LRU position is
+// unchanged.
 //
 //npf:noalloc
-func (t *iotlb) insert(dom DomainID, pn mem.PageNum, writable bool) {
-	if i := t.find(dom, pn); i >= 0 {
-		t.entries[i].writable = writable
+func (t *iotlb) install(ref *int32, dom DomainID, pn mem.PageNum, writable bool) {
+	if ref != nil && *ref > 0 {
+		t.entries[*ref-1].writable = writable
 		return
 	}
 	var i int32
@@ -97,7 +101,10 @@ func (t *iotlb) insert(dom DomainID, pn mem.PageNum, writable bool) {
 	}
 	t.entries[i] = iotlbEntry{key: iotlbKey{dom, pn}, writable: writable}
 	t.pushBack(i)
-	*t.slot(dom, pn) = i + 1 //npf:allocok — a domain's first insert and each new 512-page range allocate an index leaf, once
+	if ref == nil {
+		ref = t.slot(dom, pn) //npf:allocok — a domain's first install and each new 512-page range allocate an index leaf, once
+	}
+	*ref = i + 1
 	t.cached++
 }
 
@@ -105,21 +112,23 @@ func (t *iotlb) insert(dom DomainID, pn mem.PageNum, writable bool) {
 //
 //npf:noalloc
 func (t *iotlb) invalidate(dom DomainID, pn mem.PageNum) {
-	if i := t.find(dom, pn); i >= 0 {
+	if ref := t.ref(dom, pn); ref != nil && *ref > 0 {
+		i := *ref - 1
 		t.unlink(i)
-		*t.index[dom].Lookup(pn) = 0
+		*ref = 0
 		t.cached--
 		t.entries[i].next = t.free
 		t.free = i
 	}
 }
 
-// find returns the slot caching (dom, pn), or -1.
-func (t *iotlb) find(dom DomainID, pn mem.PageNum) int32 {
+// ref returns (dom, pn)'s index entry, or nil if its leaf was never
+// allocated.
+func (t *iotlb) ref(dom DomainID, pn mem.PageNum) *int32 {
 	if int(dom) >= len(t.index) {
-		return -1
+		return nil
 	}
-	return t.index[dom].Get(pn) - 1
+	return t.index[dom].Lookup(pn)
 }
 
 // slot returns (dom, pn)'s index entry, growing the index to dom and

@@ -56,6 +56,14 @@ func (r *refLRU) invalidate(k iotlbKey) {
 	}
 }
 
+// find returns the slot caching (dom, pn), or -1.
+func (t *iotlb) find(dom DomainID, pn mem.PageNum) int32 {
+	if ref := t.ref(dom, pn); ref != nil {
+		return *ref - 1
+	}
+	return -1
+}
+
 // checkSameLRU walks the IOTLB's list from least to most recently used and
 // compares it, key and permission, with the reference.
 func checkSameLRU(t *testing.T, step int, tl *iotlb, ref *refLRU) {
@@ -101,9 +109,9 @@ func TestIOTLBMatchesReferenceLRU(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 4: // lookup, one in four with write intent
 				write := op == 0
-				got, want := tl.lookup(k.dom, k.pn, write), ref.lookup(k, write)
+				got, want := tl.hit(tl.ref(k.dom, k.pn), write), ref.lookup(k, write)
 				if got != want {
-					t.Fatalf("cap %d step %d: lookup(%v, write=%v) hit=%v, reference %v", capacity, step, k, write, got, want)
+					t.Fatalf("cap %d step %d: hit(%v, write=%v) hit=%v, reference %v", capacity, step, k, write, got, want)
 				}
 				if got {
 					hits++
@@ -115,10 +123,10 @@ func TestIOTLBMatchesReferenceLRU(t *testing.T) {
 				if full {
 					victim = tl.entries[tl.head].key
 				}
-				tl.insert(k.dom, k.pn, op < 6)
+				tl.install(tl.ref(k.dom, k.pn), k.dom, k.pn, op < 6)
 				refVictim, evicted := ref.insert(k, op < 6)
 				if full != evicted || victim != refVictim {
-					t.Fatalf("cap %d step %d: insert(%v) evicted %v (%v), reference %v (%v)", capacity, step, k, victim, full, refVictim, evicted)
+					t.Fatalf("cap %d step %d: install(%v) evicted %v (%v), reference %v (%v)", capacity, step, k, victim, full, refVictim, evicted)
 				}
 				if evicted {
 					evictions++
@@ -131,7 +139,7 @@ func TestIOTLBMatchesReferenceLRU(t *testing.T) {
 					continue
 				}
 				k = ref.ents[rng.Intn(len(ref.ents))].key
-				tl.insert(k.dom, k.pn, true)
+				tl.install(tl.ref(k.dom, k.pn), k.dom, k.pn, true)
 				ref.insert(k, true)
 			}
 			checkSameLRU(t, step, tl, ref)
@@ -151,10 +159,10 @@ func churnIOTLB(capacity int) (tl *iotlb, churn func()) {
 	tl = newIOTLB(capacity)
 	pn := mem.PageNum(0)
 	churn = func() {
-		if tl.lookup(1, pn, false) {
+		if tl.hit(tl.ref(1, pn), false) {
 			panic("churn: unexpected IOTLB hit")
 		}
-		tl.insert(1, pn, true)
+		tl.install(tl.ref(1, pn), 1, pn, true)
 		pn = (pn + 1) % mem.PageNum(2*capacity)
 	}
 	for i := 0; i < 4*capacity; i++ {
@@ -176,7 +184,7 @@ func TestIOTLBChurnNoAlloc(t *testing.T) {
 	}
 	refill := func() {
 		tl.invalidate(1, 3)
-		tl.insert(1, 3, false)
+		tl.install(tl.ref(1, 3), 1, 3, false)
 	}
 	if allocs := testing.AllocsPerRun(1000, refill); allocs != 0 {
 		t.Fatalf("IOTLB invalidate/refill allocates %.2f per op, want 0", allocs)
@@ -191,5 +199,49 @@ func BenchmarkIOTLBChurn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		churn()
+	}
+}
+
+// missInstallDomain returns a domain with 256 mapped pages behind a
+// 64-entry IOTLB, and a one-page translate that cycles through them, so
+// every call misses, walks, installs and evicts.
+func missInstallDomain() (d *Domain, translate func()) {
+	d = New(64).NewDomain()
+	d.Map(0, 256)
+	pn := mem.PageNum(0)
+	translate = func() {
+		if _, missing := d.TranslateAccess(pn.Base(), mem.PageSize, true); missing != nil {
+			panic("translate: unexpected fault")
+		}
+		pn = (pn + 1) % 256
+	}
+	for i := 0; i < 512; i++ {
+		translate()
+	}
+	return d, translate
+}
+
+// TestTranslateAllocs: a one-page translate that misses the IOTLB and
+// installs (evicting at capacity) allocates nothing, and a 1,024-page
+// translate of unmapped memory — the 4 MB receive buffer of a faulting RC
+// message — allocates exactly one object, its miss list.
+func TestTranslateAllocs(t *testing.T) {
+	d, translate := missInstallDomain()
+	misses := d.unit.iotlb.Misses.N
+	if allocs := testing.AllocsPerRun(1000, translate); allocs != 0 {
+		t.Fatalf("one-page miss-then-install translate allocates %.2f objects, want 0", allocs)
+	}
+	if d.unit.iotlb.Misses.N-misses != 1001 || d.unit.iotlb.Hits.N != 0 {
+		t.Fatalf("%d misses, %d hits over 1001 translates; want every one a miss", d.unit.iotlb.Misses.N-misses, d.unit.iotlb.Hits.N)
+	}
+	cold := New(1024).NewDomain()
+	cold.Map(4096, 1) // the domain has a page table and an IOTLB index
+	fault := func() {
+		if _, missing := cold.TranslateAccess(0, 4<<20, true); len(missing) != 1024 {
+			panic("fault: want 1,024 missing pages")
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, fault); allocs != 1 {
+		t.Fatalf("faulting 1,024-page translate allocates %.2f objects, want 1 (the miss list)", allocs)
 	}
 }

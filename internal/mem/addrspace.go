@@ -296,6 +296,33 @@ func (as *AddressSpace) FaultInRange(first PageNum, count int, write bool) (Touc
 	return res, nil
 }
 
+// TouchResident is a device DMA's access to pages the IOMMU has just
+// translated: every page of [addr, addr+length) is marked accessed (and
+// dirty for a write) and becomes the most recently used, as Touch does for
+// resident pages. A DMA can neither fault a page in nor break COW, so if
+// any page is not resident, or is write-protected for a write, it reports
+// false and changes nothing.
+//
+//npf:noalloc
+func (as *AddressSpace) TouchResident(addr VAddr, length int, write bool) bool {
+	first, count := addr.Page(), PagesSpanned(addr, length)
+	for i := 0; i < count; i++ {
+		if p := as.pages.Get(first + PageNum(i)); p == nil || !p.present || write && p.wp {
+			return false
+		}
+	}
+	now := as.m.Eng.Now()
+	for i := 0; i < count; i++ {
+		p := as.pages.Get(first + PageNum(i))
+		p.access = now
+		if write {
+			p.dirty = true
+		}
+		as.lruTouch(p)
+	}
+	return true
+}
+
 // faultIn makes page p resident, charging groups (which may reclaim) and
 // reading swap if needed. The page ends up unpinned and on the LRU.
 func (as *AddressSpace) faultIn(p *pte) (cost sim.Time, major bool, err error) {
@@ -464,41 +491,41 @@ func (as *AddressSpace) invalidate(p *pte) sim.Time {
 // like page migration or COW breaking that leave content reconstructible
 // without device I/O.
 func (as *AddressSpace) DiscardPages(first PageNum, count int) (int, sim.Time) {
-	discarded := 0
-	var cost sim.Time
-	for i := 0; i < count; i++ {
-		p := as.pages.Get(first + PageNum(i))
-		if p == nil || !p.present || p.pinned {
-			continue
-		}
-		cost += as.invalidate(p)
-		p.dirty = false
-		p.inSwap = false
-		as.Evicted.Inc()
-		discarded++
-	}
-	return discarded, cost
+	return as.dropPages(first, count, false)
 }
 
 // EvictPages forcibly reclaims count resident unpinned pages starting at
 // first (used to construct cold-memory scenarios and by tests). It returns
 // how many were evicted and the notifier cost.
 func (as *AddressSpace) EvictPages(first PageNum, count int) (int, sim.Time) {
-	evicted := 0
+	return as.dropPages(first, count, true)
+}
+
+// dropPages takes the frames of count resident unpinned pages starting at
+// first, one page-table leaf at a time: EvictPages with swap (dirty
+// content goes to the swap device), DiscardPages without (content is
+// dropped). It returns how many pages it dropped and the notifier cost.
+func (as *AddressSpace) dropPages(first PageNum, count int, swap bool) (int, sim.Time) {
+	dropped := 0
 	var cost sim.Time
-	for i := 0; i < count; i++ {
-		p := as.pages.Get(first + PageNum(i))
-		if p == nil || !p.present || p.pinned {
-			continue
-		}
-		cost += as.invalidate(p)
-		if p.dirty {
-			as.m.Swap.WriteCost(PageSize)
-			p.inSwap = true
+	for pn := first; count > 0; {
+		s, k := as.pages.Span(pn, count)
+		for _, p := range s {
+			if p == nil || !p.present || p.pinned {
+				continue
+			}
+			cost += as.invalidate(p)
+			if !swap {
+				p.inSwap = false
+			} else if p.dirty {
+				as.m.Swap.WriteCost(PageSize)
+				p.inSwap = true
+			}
 			p.dirty = false
+			as.Evicted.Inc()
+			dropped++
 		}
-		as.Evicted.Inc()
-		evicted++
+		pn, count = pn+PageNum(k), count-k
 	}
-	return evicted, cost
+	return dropped, cost
 }

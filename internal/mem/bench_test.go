@@ -54,3 +54,19 @@ func BenchmarkPageCacheHit(b *testing.B) {
 		pc.Read(int64(i & 63))
 	}
 }
+
+// BenchmarkTouchResident times the DMA touch of one resident page, the
+// RC and NIC data path's access after each translated chunk.
+func BenchmarkTouchResident(b *testing.B) {
+	b.ReportAllocs()
+	m := NewMachine(sim.NewEngine(1), 1<<30)
+	as := m.NewAddressSpace("p", nil)
+	as.MapBytes(1 << 22)
+	as.TouchPages(0, 1024, true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !as.TouchResident(VAddr(i&1023)*PageSize, PageSize, i&1 == 0) {
+			b.Fatal("resident page refused")
+		}
+	}
+}

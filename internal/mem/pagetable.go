@@ -64,6 +64,38 @@ func (t *PageTable[T]) Lookup(pn PageNum) *T {
 	return nil
 }
 
+// Span returns the entries of the pages [pn, pn+k) (n >= 1): pn's entry
+// and those after it in pn's leaf, at most n of them. s is nil if no entry
+// of the leaf was ever written (including for negative pages), else s has
+// length k and aliases the table, so writes through it land and later
+// writes show in it. A range walk takes one Span per 512-page leaf instead
+// of one Lookup per page:
+//
+//	for count > 0 {
+//		s, k := t.Span(pn, count)
+//		... // s[j] is page pn+j's entry
+//		pn, count = pn+PageNum(k), count-k
+//	}
+//
+//npf:noalloc
+func (t *PageTable[T]) Span(pn PageNum, n int) (s []T, k int) {
+	off := int(pn & (ptLeafSize - 1))
+	k = min(n, ptLeafSize-off)
+	var leaf *[ptLeafSize]T
+	switch i := uint64(pn) >> ptLeafBits; { // a negative pn wraps far out of range
+	case i < uint64(len(t.dir)):
+		leaf = t.dir[i]
+	case i >= ptDenseLeaves && pn >= 0:
+		if j := t.farIndex(i); j < len(t.far) && t.far[j].idx == i {
+			leaf = t.far[j].leaf
+		}
+	}
+	if leaf == nil {
+		return nil, k
+	}
+	return leaf[off : off+k], k
+}
+
 // At returns a pointer to pn's entry, allocating its leaf on first use. The
 // pointer stays valid for the table's lifetime. Page numbers are never
 // negative; a negative pn is an invariant violation and panics.

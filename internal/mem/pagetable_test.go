@@ -100,10 +100,18 @@ func fuzzPN(mode byte, data []byte) (PageNum, []byte, bool) {
 }
 
 // FuzzPageTable runs arbitrary Get/Lookup/At sequences against a map
-// model. The only panic allowed is At on a negative page number.
+// model. The only panic allowed is At on a negative page number. After each
+// operation it checks Span from the operation's page against the model;
+// the span's length comes from the operation byte's high bits (op/15),
+// which choose nothing else.
 func FuzzPageTable(f *testing.F) {
 	f.Add([]byte{2, 5, 0, 5, 1, 5})
 	f.Add([]byte{5, 0xff, 0xff, 3, 1, 0, 8, 0, 0, 0x10, 0, 0, 0, 0, 0x40, 12, 1})
+	// At in a dense and an overflow leaf, then Spans of 630 pages over the
+	// dense leaf from page 0 and from page 10 (to the leaf's end), of 593
+	// from the overflow page, of 593 from page 200, and of 75 from a
+	// negative page.
+	f.Add([]byte{2, 10, 255, 0, 255, 10, 8, 3, 0, 246, 3, 0, 240, 200, 40, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var pt PageTable[int64]
 		model := make(map[PageNum]int64)
@@ -157,6 +165,7 @@ func FuzzPageTable(f *testing.F) {
 				model[pn] = next
 				next++
 			}
+			checkSpan(t, &pt, pn, 1+37*int(op/15), model, leaves, ptrs)
 		}
 		seen := 0
 		last := PageNum(-1)
@@ -176,4 +185,35 @@ func FuzzPageTable(f *testing.F) {
 			t.Fatalf("Walk saw %d written entries, model has %d", seen, len(model))
 		}
 	})
+}
+
+// checkSpan checks Span(pn, n) against the FuzzPageTable model: its length,
+// nil exactly when pn's leaf was never allocated, entries equal to the
+// model's, and entries aliasing At's pointers.
+func checkSpan(t *testing.T, pt *PageTable[int64], pn PageNum, n int, model map[PageNum]int64, leaves map[uint64]bool, ptrs map[PageNum]*int64) {
+	t.Helper()
+	s, k := pt.Span(pn, n)
+	want := min(n, ptLeafSize-int(uint64(pn)%ptLeafSize))
+	if k != want {
+		t.Fatalf("Span(%d, %d) covers %d pages, want %d", pn, n, k, want)
+	}
+	hasLeaf := pn >= 0 && leaves[uint64(pn)>>ptLeafBits]
+	if (s != nil) != hasLeaf {
+		t.Fatalf("Span(%d, %d) = %v, leaf allocated %v", pn, n, s != nil, hasLeaf)
+	}
+	if s == nil {
+		return
+	}
+	if len(s) != k {
+		t.Fatalf("Span(%d, %d) has %d entries, covers %d pages", pn, n, len(s), k)
+	}
+	for j := range s {
+		q := pn + PageNum(j)
+		if s[j] != model[q] {
+			t.Fatalf("Span(%d, %d)[%d] reads %d, model %d", pn, n, j, s[j], model[q])
+		}
+		if p, seen := ptrs[q]; seen && p != &s[j] {
+			t.Fatalf("Span(%d, %d)[%d] does not alias At(%d)", pn, n, j, q)
+		}
+	}
 }

@@ -316,10 +316,11 @@ func (d *Device) Deliver(pkt *fabric.Packet) {
 // dmaTouch marks pages as accessed by device DMA. The IOMMU said the pages
 // translate, so they must be resident; a fault here means the driver broke
 // the notifier/unmap invariant.
+//
+//npf:noalloc
 func (ch *Channel) dmaTouch(addr mem.VAddr, length int, write bool) {
-	res, err := ch.AS.Touch(addr, length, write) //npf:allocok — translated pages are resident: no fault, no reclaim, no error
-	if err != nil || res.Kind() != mem.NoFault {
-		panic(fmt.Sprintf("nic: DMA to non-resident memory on %s (res=%+v err=%v): IOMMU/OS invariant broken", //npf:allocok — invariant violation
-			ch.Name, res, err))
+	if !ch.AS.TouchResident(addr, length, write) {
+		panic(fmt.Sprintf("nic: DMA to non-resident memory on %s (addr=%#x len=%d write=%v): IOMMU/OS invariant broken", //npf:allocok — invariant violation
+			ch.Name, addr, length, write))
 	}
 }

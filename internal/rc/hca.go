@@ -288,13 +288,14 @@ func (h *HCA) Deliver(p *fabric.Packet) {
 	}
 }
 
-// send puts one protocol packet on the wire: v's fields in a packet object
-// drawn from the free list. Handlers must copy out any field a closure
-// reads later, since the object is reused once they return.
+// take hands out a packet for one protocol message: drawn from the free
+// list, zeroed but for its frame's back-pointer, with its kind and queue
+// pair numbers set. The caller fills the other fields in place and posts
+// it. Handlers must copy out any field a closure reads later, since the
+// object is reused once they return.
 //
 //npf:noalloc
-func (h *HCA) send(dst fabric.NodeID, v packet, payloadBytes int) {
-	h.PacketsSent.Inc()
+func (h *HCA) take(kind pktKind, src, dst QPN) *packet {
 	var pkt *packet
 	if n := len(h.free); n > 0 {
 		pkt = h.free[n-1]
@@ -302,15 +303,19 @@ func (h *HCA) send(dst fabric.NodeID, v packet, payloadBytes int) {
 	} else {
 		pkt = h.newPacket() //npf:allocok — pool refill, up to the number of packets in flight
 	}
-	self := pkt.Payload
-	*pkt = v
-	pkt.Packet = fabric.Packet{
-		Src:     h.Node,
-		Dst:     dst,
-		Flow:    fabric.FlowID(v.DstQPN),
-		Size:    payloadBytes + h.Cfg.HeaderBytes,
-		Payload: self,
-	}
+	pkt.Kind, pkt.SrcQPN, pkt.DstQPN = kind, src, dst
+	return pkt
+}
+
+// post puts pkt, filled since take, on the wire to dst with payloadBytes
+// of data.
+//
+//npf:noalloc
+func (h *HCA) post(pkt *packet, dst fabric.NodeID, payloadBytes int) {
+	h.PacketsSent.Inc()
+	pkt.Src, pkt.Dst = h.Node, dst
+	pkt.Flow = fabric.FlowID(pkt.DstQPN)
+	pkt.Size = payloadBytes + h.Cfg.HeaderBytes
 	pkt.from = h
 	h.Net.Send(&pkt.Packet)
 }

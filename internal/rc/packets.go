@@ -36,7 +36,7 @@ const (
 //
 // A packet embeds the fabric frame that carries it, and the frame's Payload
 // points back at the packet, so each wire packet is one object. Packets
-// come from the sending HCA's free list (HCA.send) and return to it once
+// come from the sending HCA's free list (HCA.take) and return to it once
 // the receiving HCA has handled them (HCA.Deliver).
 type packet struct {
 	fabric.Packet

@@ -216,10 +216,9 @@ func (qp *QP) PostRead(wqe ReadWQE) {
 	qp.nextReqID++
 	id := qp.nextReqID
 	qp.reads[id] = &readState{wqe: wqe}
-	qp.hca.send(fabricNode(qp.peerNode), packet{
-		Kind: pktReadReq, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
-		ReqID: id, Raddr: wqe.Raddr, MsgLen: wqe.Len, ReadOff: 0,
-	}, 0)
+	pkt := qp.peerPacket(pktReadReq)
+	pkt.ReqID, pkt.Raddr, pkt.MsgLen = id, wqe.Raddr, wqe.Len
+	qp.toPeer(pkt, 0)
 }
 
 // RecvQueueLen reports posted, unconsumed receive WQEs.
@@ -267,20 +266,17 @@ func (qp *QP) sendLoop() {
 			return
 		}
 		qp.dmaTouch(w.Laddr+mem.VAddr(off), chunk, false)
-		last := off+chunk >= w.Len
-		pkt := packet{
-			Kind: pktData, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
-			PSN: qp.sndNxt, ChunkLen: chunk, MsgLen: w.Len, MsgOff: off,
-			Last: last,
-		}
+		pkt := qp.peerPacket(pktData)
+		pkt.PSN, pkt.ChunkLen, pkt.MsgLen, pkt.MsgOff = qp.sndNxt, chunk, w.Len, off
+		pkt.Last = off+chunk >= w.Len
 		if w.Write {
 			pkt.Op = opWrite
 			pkt.Raddr = w.Raddr + mem.VAddr(off)
 			pkt.App = w.Payload
-		} else if last {
+		} else if pkt.Last {
 			pkt.App = w.Payload
 		}
-		qp.hca.send(fabricNode(qp.peerNode), pkt, chunk)
+		qp.toPeer(pkt, chunk)
 		qp.sndNxt++
 	}
 	qp.armRetxTimer()
@@ -465,10 +461,7 @@ func (qp *QP) handleData(pkt *packet) {
 			if qp.seqNacked != qp.expPSN+1 {
 				qp.seqNacked = qp.expPSN + 1
 				qp.unacked = 0
-				qp.hca.send(fabricNode(qp.peerNode), packet{
-					Kind: pktSeqNack, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
-					AckPSN: qp.expPSN,
-				}, 0)
+				qp.sendAckKind(pktSeqNack)
 			}
 		}
 		return
@@ -533,7 +526,7 @@ func (qp *QP) recvFault(missing []mem.PageNum, wqe *RecvWQE, pkt *packet) {
 	if wqe != nil {
 		miss = qp.faultPages(missing, wqe.Addr, wqe.Len, true)
 	} else {
-		miss = qp.faultPagesRange(missing, pkt.Raddr, pkt.MsgLen-pkt.MsgOff, true)
+		miss = qp.faultPages(missing, pkt.Raddr, pkt.MsgLen-pkt.MsgOff, true)
 	}
 	qp.hca.raiseFault(QPFault{
 		QP:      qp,
@@ -549,17 +542,21 @@ func (qp *QP) recvFault(missing []mem.PageNum, wqe *RecvWQE, pkt *packet) {
 
 func (qp *QP) sendAck() {
 	qp.unacked = 0
-	qp.hca.send(fabricNode(qp.peerNode), packet{
-		Kind: pktAck, SrcQPN: qp.QPN, DstQPN: qp.peerQPN, AckPSN: qp.expPSN,
-	}, 0)
+	qp.sendAckKind(pktAck)
 }
 
 func (qp *QP) sendRNRNack() {
 	qp.hca.RNRNacks.Inc()
 	qp.unacked = 0
-	qp.hca.send(fabricNode(qp.peerNode), packet{
-		Kind: pktRNRNack, SrcQPN: qp.QPN, DstQPN: qp.peerQPN, AckPSN: qp.expPSN,
-	}, 0)
+	qp.sendAckKind(pktRNRNack)
+}
+
+// sendAckKind sends the peer an acknowledgment-class packet (ACK, RNR NACK
+// or sequence NAK) carrying expPSN.
+func (qp *QP) sendAckKind(kind pktKind) {
+	pkt := qp.peerPacket(kind)
+	pkt.AckPSN = qp.expPSN
+	qp.toPeer(pkt, 0)
 }
 
 // ---------------------------------------------------------------------------
@@ -648,7 +645,7 @@ func (qp *QP) pumpReadResp(st *respStream) {
 		qp.hca.raiseFault(QPFault{
 			QP:      qp,
 			Class:   FaultReadResponder,
-			Missing: qp.faultPagesRange(missing, addr, st.length-st.off, false),
+			Missing: qp.faultPages(missing, addr, st.length-st.off, false),
 			Resolved: func() {
 				qp.hca.Eng.After(cfg.FirmwareResume, func() {
 					st.paused = false
@@ -659,11 +656,10 @@ func (qp *QP) pumpReadResp(st *respStream) {
 		return
 	}
 	qp.dmaTouch(addr, chunk, false)
-	last := st.off+chunk >= st.length
-	qp.hca.send(fabricNode(st.dstNode), packet{
-		Kind: pktReadResp, SrcQPN: qp.QPN, DstQPN: st.dstQPN,
-		ReqID: st.reqID, ReadOff: st.off, ChunkLen: chunk, Last: last,
-	}, chunk)
+	pkt := qp.hca.take(pktReadResp, qp.QPN, st.dstQPN)
+	pkt.ReqID, pkt.ReadOff, pkt.ChunkLen = st.reqID, st.off, chunk
+	pkt.Last = st.off+chunk >= st.length
+	qp.hca.post(pkt, fabricNode(st.dstNode), chunk)
 	st.off += chunk
 	st.credits--
 	if st.off < st.length {
@@ -702,35 +698,31 @@ func (qp *QP) handleReadResp(pkt *packet) {
 			// §4 future-work extension: suspend the responder immediately,
 			// exactly like an RNR NACK on the send/receive path.
 			qp.hca.RNRNacks.Inc()
-			qp.hca.send(fabricNode(qp.peerNode), packet{
-				Kind: pktReadRNR, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
-				ReqID: reqID,
-			}, 0)
+			rnr := qp.peerPacket(pktReadRNR)
+			rnr.ReqID = reqID
+			qp.toPeer(rnr, 0)
 		}
 		qp.hca.raiseFault(QPFault{
 			QP:      qp,
 			Class:   FaultReadInitiator,
-			Missing: qp.faultPagesRange(missing, dst, st.wqe.Len-st.placedOff, true),
+			Missing: qp.faultPages(missing, dst, st.wqe.Len-st.placedOff, true),
 			Resolved: func() {
 				qp.hca.Eng.After(qp.hca.Cfg.FirmwareResume, func() {
 					st.faulted = false
 					qp.hca.Tracer.FaultContext(trace.FSReadDrop, dropStart, qp.hca.Eng.Now()-dropStart, reqID, int64(resumeOff), 0)
 					if ext {
 						// Resume the suspended stream where we left off.
-						qp.hca.send(fabricNode(qp.peerNode), packet{
-							Kind: pktReadResume, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
-							ReqID: reqID, ReadOff: resumeOff,
-						}, 0)
+						resume := qp.peerPacket(pktReadResume)
+						resume.ReqID, resume.ReadOff = reqID, resumeOff
+						qp.toPeer(resume, 0)
 						return
 					}
 					qp.hca.ReadRewinds.Inc()
 					// Baseline RC: no way to stop the responder; rewind by
 					// re-requesting the remainder.
-					qp.hca.send(fabricNode(qp.peerNode), packet{
-						Kind: pktReadReq, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
-						ReqID: reqID, Raddr: st.wqe.Raddr, MsgLen: st.wqe.Len,
-						ReadOff: resumeOff,
-					}, 0)
+					req := qp.peerPacket(pktReadReq)
+					req.ReqID, req.Raddr, req.MsgLen, req.ReadOff = reqID, st.wqe.Raddr, st.wqe.Len, resumeOff
+					qp.toPeer(req, 0)
 				})
 			},
 		})
@@ -741,9 +733,9 @@ func (qp *QP) handleReadResp(pkt *packet) {
 	st.uncredited++
 	if st.placedOff >= st.wqe.Len {
 		delete(qp.reads, reqID)
-		qp.hca.send(fabricNode(qp.peerNode), packet{
-			Kind: pktReadDone, SrcQPN: qp.QPN, DstQPN: qp.peerQPN, ReqID: reqID,
-		}, 0)
+		done := qp.peerPacket(pktReadDone)
+		done.ReqID = reqID
+		qp.toPeer(done, 0)
 		if qp.OnReadComplete != nil {
 			qp.complete(cqEntry{kind: cqRead, id: st.wqe.ID})
 		}
@@ -751,10 +743,9 @@ func (qp *QP) handleReadResp(pkt *packet) {
 	}
 	// Grant credits in half-window batches.
 	if st.uncredited >= qp.hca.Cfg.ReadWindow/2 {
-		qp.hca.send(fabricNode(qp.peerNode), packet{
-			Kind: pktReadCredit, SrcQPN: qp.QPN, DstQPN: qp.peerQPN,
-			ReqID: reqID, ChunkLen: st.uncredited,
-		}, 0)
+		credit := qp.peerPacket(pktReadCredit)
+		credit.ReqID, credit.ChunkLen = reqID, st.uncredited
+		qp.toPeer(credit, 0)
 		st.uncredited = 0
 	}
 }
@@ -804,10 +795,9 @@ func (qp *QP) PostSendUDTo(dst UDRemote, wqe SendWQE) {
 		return
 	}
 	qp.dmaTouch(wqe.Laddr, wqe.Len, false)
-	qp.hca.send(dst.Node, packet{
-		Kind: pktUD, SrcQPN: qp.QPN, SrcNode: int(qp.hca.Node), DstQPN: dst.QPN,
-		ChunkLen: wqe.Len, MsgLen: wqe.Len, Last: true, App: wqe.Payload,
-	}, wqe.Len)
+	pkt := qp.hca.take(pktUD, qp.QPN, dst.QPN)
+	pkt.SrcNode, pkt.ChunkLen, pkt.MsgLen, pkt.Last, pkt.App = int(qp.hca.Node), wqe.Len, wqe.Len, true, wqe.Payload
+	qp.hca.post(pkt, dst.Node, wqe.Len)
 }
 
 func (qp *QP) handleUD(pkt *packet) {
@@ -846,9 +836,19 @@ func (qp *QP) handleUD(pkt *packet) {
 // ---------------------------------------------------------------------------
 // Shared helpers.
 
+// peerPacket takes a packet of the given kind from this QP to its
+// connected peer; fill it in place and send it with toPeer.
+func (qp *QP) peerPacket(kind pktKind) *packet { return qp.hca.take(kind, qp.QPN, qp.peerQPN) }
+
+// toPeer sends pkt, taken with peerPacket, to the connected peer.
+func (qp *QP) toPeer(pkt *packet, payloadBytes int) {
+	qp.hca.post(pkt, fabricNode(qp.peerNode), payloadBytes)
+}
+
 // faultPages reports which pages to request from the driver: with
-// PrefetchWQE (the paper's batching optimization) every missing page of the
-// whole buffer, else only the pages that actually faulted.
+// PrefetchWQE (the paper's batching optimization) every missing page of
+// [bufAddr, bufAddr+bufLen) — the whole buffer, or the rest of the message
+// from the faulting chunk on — else only the pages that actually faulted.
 func (qp *QP) faultPages(chunkMissing []mem.PageNum, bufAddr mem.VAddr, bufLen int, write bool) []mem.PageNum {
 	if !qp.hca.Cfg.PrefetchWQE {
 		return chunkMissing
@@ -857,19 +857,12 @@ func (qp *QP) faultPages(chunkMissing []mem.PageNum, bufAddr mem.VAddr, bufLen i
 	return all
 }
 
-func (qp *QP) faultPagesRange(chunkMissing []mem.PageNum, addr mem.VAddr, remaining int, write bool) []mem.PageNum {
-	if !qp.hca.Cfg.PrefetchWQE {
-		return chunkMissing
-	}
-	_, all := qp.Domain.TranslateAccess(addr, remaining, write)
-	return all
-}
-
 // dmaTouch is the device access to memory the IOMMU just translated: the
-// pages are resident, so Touch only refreshes their LRU position.
+// pages are resident, so the access only refreshes their LRU position.
+//
+//npf:noalloc
 func (qp *QP) dmaTouch(addr mem.VAddr, length int, write bool) {
-	res, err := qp.AS.Touch(addr, length, write) //npf:allocok — translated pages are resident: no fault, no reclaim, no error
-	if err != nil || res.Kind() != mem.NoFault {
-		panic(fmt.Sprintf("rc: DMA to non-resident memory on QP %d (res=%+v err=%v)", qp.QPN, res, err)) //npf:allocok — invariant violation
+	if !qp.AS.TouchResident(addr, length, write) {
+		panic(fmt.Sprintf("rc: DMA to non-resident memory on QP %d (addr=%#x len=%d write=%v)", qp.QPN, addr, length, write)) //npf:allocok — invariant violation
 	}
 }

@@ -103,9 +103,8 @@ func TestReadUnknownReqIgnored(t *testing.T) {
 	e := newRCEnv(t, nil)
 	warm(e.b, 0, 1)
 	// A stray read response must not crash or corrupt state.
-	e.b.hca.send(fabricNode(int(e.a.hca.Node)), packet{
-		Kind: pktReadResp, SrcQPN: e.b.QPN, DstQPN: e.a.QPN,
-		ReqID: 1234, ChunkLen: 100,
-	}, 100)
+	pkt := e.b.hca.take(pktReadResp, e.b.QPN, e.a.QPN)
+	pkt.ReqID, pkt.ChunkLen = 1234, 100
+	e.b.hca.post(pkt, e.a.hca.Node, 100)
 	e.eng.Run()
 }

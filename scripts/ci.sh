@@ -82,35 +82,39 @@ for bench in BenchmarkEngineEventThroughput BenchmarkEngineLargePending Benchmar
 done
 
 # The packet path's contract: on a warm network a fabric Send→Deliver
-# round, an IOTLB miss that inserts and evicts at capacity, a warm RC
-# send→ack round and a warm TCP request→response round allocate nothing;
+# round, an IOTLB miss that inserts and evicts at capacity, a one-page
+# translate that misses and installs, a DMA touch of resident pages, a
+# warm RC send→ack round and a warm TCP request→response round allocate
+# nothing; a faulting 1,024-page translate allocates only its miss list;
 # RC packets and TCP frames recycle only within one engine; and a faulting
-# RC message stays within its measured object and byte budgets. npflint's noalloc
-# Required entries (port.enqueue/kick, iotlb.lookup/insert/invalidate,
-# PageTable.Get/Lookup, AddressSpace.lruPush/lruRemove, HCA.send and the QP
-# post/ack/data handlers, Stack.transmit and the Conn send/ack path,
-# TxQueue.kick) are the static side of the same gate.
+# RC message stays within its measured object and byte budgets. npflint's
+# noalloc Required entries (port.enqueue/kick, iotlb.hit/install/invalidate,
+# PageTable.Get/Lookup/Span, AddressSpace.lruPush/lruRemove/TouchResident,
+# HCA.take/post and the QP post/ack/data handlers, Stack.transmit and the
+# Conn send/ack path, TxQueue.kick) are the static side of the same gate.
 echo "== packet-path allocation gate =="
-out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestRCWarmRoundNoAlloc|TestIBFaultingMessageAllocBound|TestTCPWarmRoundNoAlloc|TestFramePoolSameEngineOnly' \
-    -bench 'BenchmarkSendDeliver|BenchmarkIOTLBChurn' -benchtime 10000x \
-    ./internal/fabric/ ./internal/iommu/ ./internal/rc/ ./internal/tcp/ ./internal/bench/)
+out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestTranslateAllocs|TestTouchResidentNoAlloc|TestRCWarmRoundNoAlloc|TestIBFaultingMessageAllocBound|TestTCPWarmRoundNoAlloc|TestFramePoolSameEngineOnly' \
+    -bench 'BenchmarkSendDeliver|BenchmarkIOTLBChurn|BenchmarkTranslateMissInstall' -benchtime 10000x \
+    ./internal/fabric/ ./internal/iommu/ ./internal/mem/ ./internal/rc/ ./internal/tcp/ ./internal/bench/)
 echo "$out"
-for bench in BenchmarkSendDeliver BenchmarkIOTLBChurn; do
+for bench in BenchmarkSendDeliver BenchmarkIOTLBChurn BenchmarkTranslateMissInstall; do
     if ! echo "$out" | grep -q "$bench.* 0 B/op.* 0 allocs/op"; then
         echo "$bench is not allocation-free" >&2
         exit 1
     fi
 done
 
-# Native fuzz targets: the radix page table against a map model, two
-# I/O page tables sharing one IOTLB against a map-plus-linear-LRU model,
-# the event engine's heap and calendar tier against a sorted-slice model,
-# sim.Group's one-thread driver against its threaded protocol, and the
-# run-storing histogram against a raw-sample model. Their committed seed
-# corpora (testdata/fuzz) already replay in go test above; this pass
-# searches for new inputs.
+# Native fuzz targets: the radix page table against a map model, an
+# address space's range operations across leaf boundaries against the same
+# operations page by page, two I/O page tables sharing one IOTLB against a
+# map-plus-linear-LRU model, the event engine's heap and calendar tier
+# against a sorted-slice model, sim.Group's one-thread driver against its
+# threaded protocol, and the run-storing histogram against a raw-sample
+# model. Their committed seed corpora (testdata/fuzz) already replay in go
+# test above; this pass searches for new inputs.
 echo "== fuzz =="
 go test -run '^$' -fuzz '^FuzzPageTable$' -fuzztime 10s ./internal/mem/
+go test -run '^$' -fuzz '^FuzzAddressSpaceRanges$' -fuzztime 10s ./internal/mem/
 go test -run '^$' -fuzz '^FuzzDomainIOTLB$' -fuzztime 10s ./internal/iommu/
 go test -run '^$' -fuzz '^FuzzEngineOrder$' -fuzztime 10s ./internal/sim/
 go test -run '^$' -fuzz '^FuzzGroupOrder$' -fuzztime 10s ./internal/sim/
