@@ -2,6 +2,7 @@ package bench
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"npf/internal/fabric"
@@ -117,5 +118,53 @@ func TestScaleoutClientHotPathAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("per-client steady-state hot path allocates %.1f/op; want 0", allocs)
+	}
+}
+
+// scaleoutMallocsPerOp bounds the heap objects the quick fleet allocates
+// per completed op while it runs (construction and Start excluded): the
+// request message, which the server turns into the reply in place, the
+// retry timer's and the service delay's closures, on UD the RC packets
+// that cross partitions, and the amortized growth of histograms, mailboxes
+// and rings. Measured: 6.2 objects (494 B) on Eth and 10.4 (996 B) on
+// UD; the budgets leave 13% and 6% headroom, less than one object on
+// each. A fresh reply object, a frame per message or a closure per
+// cross-partition hop each add about one, so either transport catches it.
+var scaleoutMallocsPerOp = map[topo.Transport]float64{
+	topo.TransportEth: 7,
+	topo.TransportUD:  11,
+}
+
+// TestScaleoutRoundTripAllocBound runs the quick fleet on both transports
+// at one thread and gates the mallocs per completed op.
+func TestScaleoutRoundTripAllocBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts are gated in the full pass, not under -short -race")
+	}
+	for _, tr := range scaleoutTransports {
+		fcfg := fabric.DefaultEthernet()
+		if tr == topo.TransportUD {
+			fcfg = fabric.DefaultInfiniBand()
+		}
+		g := sim.NewGroup(scaleoutSeed, scaleoutParts, fcfg.Lookahead())
+		s, err := topo.New(g.Engine(0), fabric.NewOnGroup(g, fcfg), ScaleoutConfig(tr, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Start()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Run()
+		runtime.ReadMemStats(&after)
+		r := s.Result()
+		if r.Ops == 0 {
+			t.Fatalf("[%s] quick fleet completed no ops", tr)
+		}
+		per := float64(after.Mallocs-before.Mallocs) / float64(r.Ops)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(r.Ops)
+		t.Logf("[%s] %.2f heap objects, %.0f B per completed op (%d ops)", tr, per, bytes, r.Ops)
+		if per > scaleoutMallocsPerOp[tr] {
+			t.Errorf("[%s] the quick fleet allocates %.2f objects per op, budget %.1f", tr, per, scaleoutMallocsPerOp[tr])
+		}
 	}
 }

@@ -84,6 +84,9 @@ type Network struct {
 
 	// nodes is indexed by NodeID. IDs are dense from 1, so slot 0 is nil.
 	nodes []*node
+	// arriveMail is the cross-partition hop's mail, bound once: it takes
+	// the packet as its argument, so a hop posts no closure.
+	arriveMail func(any)
 }
 
 type node struct {
@@ -122,12 +125,17 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.IngressBufferBytes == 0 {
 		cfg.IngressBufferBytes = 512 << 10
 	}
-	return &Network{
+	n := &Network{
 		eng:   eng,
 		cfg:   cfg,
 		rng:   eng.Rand().Split(),
 		nodes: make([]*node, 1),
 	}
+	n.arriveMail = func(arg any) {
+		p := arg.(*Packet)
+		n.arrive(n.nodes[p.Dst], p)
+	}
+	return n
 }
 
 // NewOnGroup creates a partitioned network spanning a PDES group. Nodes
@@ -239,7 +247,9 @@ func (n *Network) Send(pkt *Packet) {
 // reaches the destination's ingress port. In partitioned mode a
 // cross-partition hop rides the group mailbox — (src node id, per-node seq)
 // is the deterministic tiebreak for same-instant arrivals from different
-// senders. A hop between nodes of the same partition must NOT use the
+// senders; the packet itself is the mail's argument, so the hop allocates
+// nothing, and it belongs to the destination partition from then on. A
+// hop between nodes of the same partition must NOT use the
 // mailbox: a partition's execution bound is derived from the other
 // partitions' clocks only, so its local tail could run past a self-posted
 // mail and execute events out of timestamp order. The engine's own queue
@@ -250,7 +260,7 @@ func (n *Network) hop(src *node, p *Packet) {
 	if n.group != nil && dst.eng != src.eng {
 		src.seq++
 		n.group.Post(src.part, dst.part, src.eng.Now().Add(n.cfg.Propagation),
-			uint64(src.id), src.seq, func() { n.arrive(dst, p) })
+			uint64(src.id), src.seq, n.arriveMail, p)
 		return
 	}
 	src.prop.Push(p)

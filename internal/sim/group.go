@@ -8,8 +8,8 @@
 // # Protocol
 //
 // Cross-partition interactions go through per-partition mailboxes: a
-// timestamped closure posted with Post(from, to, at, src, seq, fn)
-// executes on the destination partition's engine at virtual time at,
+// timestamped call posted with Post(from, to, at, src, seq, fn, arg) runs
+// fn(arg) on the destination partition's engine at virtual time at,
 // ordered by (at, src, seq) against other mail and after local events with
 // the same timestamp. The sender promises that every post it issues
 // satisfies
@@ -75,7 +75,7 @@
 //
 // Determinism: each engine therefore executes an identical event
 // sequence regardless of how batches are sliced, i.e. regardless of the
-// number of worker threads (SetThreads). Injected closures run between
+// number of worker threads (SetThreads). Injected mail runs between
 // engine events and consume no engine sequence numbers, so seq
 // assignment of the events they schedule is also timing-independent.
 //
@@ -98,16 +98,19 @@ import (
 	"sync/atomic"
 )
 
-// mail is one cross-partition injection: run fn on the destination
+// mail is one cross-partition injection: run fn(arg) on the destination
 // engine at virtual time at, ordered by (at, src, seq).
 type mail struct {
 	at  Time
 	src uint64
 	seq uint64
-	fn  func()
+	fn  func(any)
+	arg any
 }
 
-func mailLess(a, b mail) bool {
+// mailLess compares two box entries in place: a mail is six words, and
+// the heap compares on every sift step.
+func mailLess(a, b *mail) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -144,7 +147,7 @@ func (b *mailbox) push(m mail) {
 	}
 	for i > 0 {
 		p := (i - 1) / 2
-		if !mailLess(b.h[i], b.h[p]) {
+		if !mailLess(&b.h[i], &b.h[p]) {
 			break
 		}
 		b.h[i], b.h[p] = b.h[p], b.h[i]
@@ -173,10 +176,10 @@ func (b *mailbox) pop() {
 			break
 		}
 		m := l
-		if r := l + 1; r < n && mailLess(b.h[r], b.h[l]) {
+		if r := l + 1; r < n && mailLess(&b.h[r], &b.h[l]) {
 			m = r
 		}
-		if !mailLess(b.h[m], b.h[i]) {
+		if !mailLess(&b.h[m], &b.h[i]) {
 			break
 		}
 		b.h[i], b.h[m] = b.h[m], b.h[i]
@@ -306,8 +309,8 @@ func (g *Group) SetThreads(n int) {
 }
 
 // Executed reports the total work done: engine events across all
-// partitions plus injected mailbox closures. The total is deterministic
-// and identical for any thread count.
+// partitions plus delivered mail. The total is deterministic and identical
+// for any thread count.
 func (g *Group) Executed() uint64 {
 	var total uint64
 	for i, e := range g.engines {
@@ -348,20 +351,26 @@ func (g *Group) Stats() GroupStats {
 	return s
 }
 
-// Post schedules fn to run on partition to's engine at absolute virtual
-// time at, on behalf of partition from, which must be the partition whose
-// event is executing (or any partition before the group runs). (src, seq)
-// break timestamp ties deterministically, so each source must number its
-// posts from a counter owned by its own partition. The caller must
-// guarantee at >= its clock + lookahead, which holds for any message that
-// traverses a fabric link.
+// Post schedules fn(arg) to run on partition to's engine at absolute
+// virtual time at, on behalf of partition from, which must be the
+// partition whose event is executing (or any partition before the group
+// runs). (src, seq) break timestamp ties deterministically, so each source
+// must number its posts from a counter owned by its own partition. The
+// caller must guarantee at >= its clock + lookahead, which holds for any
+// message that traverses a fabric link.
 //
 // Post is for cross-partition mail only, and it panics when from == to:
 // a partition's execution bound is derived from the other partitions'
 // actions, so its local tail could legally run past a self-posted
 // timestamp and execute out of order. Same-partition work belongs on the
 // engine's own queue (After/At), where it is ordered exactly.
-func (g *Group) Post(from, to int, at Time, src, seq uint64, fn func()) {
+//
+// Mail is allocation-free when fn is bound once and arg is a pointer (or
+// another pointer-shaped value, a func included): the box stores both as
+// they are. Whatever arg points at changes partition with the mail; the
+// box's lock orders the sender's writes before the receiver's reads, so
+// the sender must not touch it after Post.
+func (g *Group) Post(from, to int, at Time, src, seq uint64, fn func(any), arg any) {
 	if at < 0 {
 		panic(fmt.Sprintf("sim: group post at negative time %d", at))
 	}
@@ -369,12 +378,16 @@ func (g *Group) Post(from, to int, at Time, src, seq uint64, fn func()) {
 		panic(fmt.Sprintf("sim: partition %d posted to itself", from))
 	}
 	g.parts[from].posted[to]++
-	g.parts[to].box.push(mail{at: at, src: src, seq: seq, fn: fn})
+	g.parts[to].box.push(mail{at: at, src: src, seq: seq, fn: fn, arg: arg})
 }
 
 // callSrc tags Engine.Call mail sources so they can never collide with a
 // model-layer source id (fabric node ids and the like are small ints).
 const callSrc = uint64(1) << 63
+
+// callMail runs an Engine.Call closure delivered as mail. A func value is
+// pointer-shaped, so boxing it into the mail's arg does not allocate.
+func callMail(fn any) { fn.(func())() }
 
 // Call executes fn in target's partition. When both engines share a
 // partition — in particular when they are the same engine, the
@@ -390,7 +403,7 @@ func (e *Engine) Call(target *Engine, fn func()) {
 		return
 	}
 	e.callSeq++
-	e.group.Post(e.part, target.part, e.now.Add(e.group.look), callSrc|uint64(e.part), e.callSeq, fn)
+	e.group.Post(e.part, target.part, e.now.Add(e.group.look), callSrc|uint64(e.part), e.callSeq, callMail, fn)
 }
 
 // Run executes the whole group until every partition is quiescent.
@@ -480,7 +493,7 @@ func (g *Group) runBatch(p int, bound Time) {
 			break
 		}
 		b.pop()
-		m.fn()
+		m.fn(m.arg)
 		ps.delivered++
 	}
 	g.runTail(e, bound)
@@ -667,7 +680,7 @@ func (g *Group) runPartition(p int) bool {
 			ps.box.push(m)
 			break
 		}
-		m.fn()
+		m.fn(m.arg)
 		ps.delivered++
 	}
 	g.runTail(e, bound)

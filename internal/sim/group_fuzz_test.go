@@ -58,6 +58,9 @@ func runGroupFuzz(data []byte, threads int) groupFuzzRun {
 	for p := range budget {
 		budget[p] = groupFuzzBudget
 	}
+	// Mail carries its node as the argument of one bound func, the
+	// allocation-free shape model layers post.
+	deliver := func(n any) { n.(func())() }
 	var node func(p, i int) func()
 	node = func(p, i int) func() {
 		return func() {
@@ -72,7 +75,7 @@ func runGroupFuzz(data []byte, threads int) groupFuzzRun {
 			q := (p + 1 + int(arg)%(parts-1)) % parts
 			post := func(child int) {
 				seqs[p]++
-				g.Post(p, q, e.Now().Add(look+Time(arg%4)*look/2), uint64(p), seqs[p], node(q, child))
+				g.Post(p, q, e.Now().Add(look+Time(arg%4)*look/2), uint64(p), seqs[p], deliver, node(q, child))
 			}
 			switch kind % 6 {
 			case 0:
@@ -101,7 +104,7 @@ func runGroupFuzz(data []byte, threads int) groupFuzzRun {
 		g.Engine(p).At(Time(at(2+p%3)%8), node(p, 3*p))
 		q := (p + 1) % parts
 		seqs[p]++
-		g.Post(p, q, look+Time(at(p)%4), uint64(p), seqs[p], node(q, 3*p+1))
+		g.Post(p, q, look+Time(at(p)%4), uint64(p), seqs[p], deliver, node(q, 3*p+1))
 	}
 
 	if threads == 0 {

@@ -36,13 +36,13 @@ func runTokenRing(t *testing.T, threads int, until Time) ([][]string, uint64) {
 	send = func(from, to int) {
 		at := g.Engine(from).Now().Add(lookahead)
 		seqs[from]++
-		g.Post(from, to, at, uint64(from), seqs[from], func() {
+		g.Post(from, to, at, uint64(from), seqs[from], func(any) {
 			logs[to] = append(logs[to], fmt.Sprintf("mail %d->%d t=%d", from, to, g.Engine(to).Now()))
 			hops++
 			if hops < 200 {
 				send(to, (to+1)%3)
 			}
-		})
+		}, nil)
 	}
 	g.Engine(0).After(0, func() { send(0, 1) })
 
@@ -94,15 +94,18 @@ func TestGroupFiniteHorizonDeterministic(t *testing.T) {
 }
 
 // TestGroupMailOrdering pins the deterministic drain order: local events
-// first at a shared instant, then mail by (at, src, seq).
+// first at a shared instant, then mail by (at, src, seq). Every mail runs
+// one bound func, so the log also checks that each arg reaches its own
+// delivery.
 func TestGroupMailOrdering(t *testing.T) {
 	g := NewGroup(7, 2, Microsecond)
 	var got []string
+	record := func(arg any) { got = append(got, arg.(string)) }
 	at := 5 * Microsecond
-	g.Post(0, 1, at, 9, 2, func() { got = append(got, "src9.seq2") })
-	g.Post(0, 1, at, 9, 1, func() { got = append(got, "src9.seq1") })
-	g.Post(0, 1, at, 3, 7, func() { got = append(got, "src3.seq7") })
-	g.Post(0, 1, at+Microsecond, 1, 1, func() { got = append(got, "late") })
+	g.Post(0, 1, at, 9, 2, record, "src9.seq2")
+	g.Post(0, 1, at, 9, 1, record, "src9.seq1")
+	g.Post(0, 1, at, 3, 7, record, "src3.seq7")
+	g.Post(0, 1, at+Microsecond, 1, 1, record, "late")
 	g.Engine(1).At(at, func() { got = append(got, "local") })
 	g.Run()
 	want := []string{"local", "src3.seq7", "src9.seq1", "src9.seq2", "late"}
@@ -166,7 +169,7 @@ func TestGroupStopDeterministic(t *testing.T) {
 func TestGroupRepeatedRunUntil(t *testing.T) {
 	g := NewGroup(3, 2, Microsecond)
 	var got []string
-	g.Post(0, 1, 50*Microsecond, 1, 1, func() { got = append(got, "late-mail") })
+	g.Post(0, 1, 50*Microsecond, 1, 1, func(any) { got = append(got, "late-mail") }, nil)
 	g.Engine(0).After(5*Microsecond, func() { got = append(got, "early") })
 	g.RunUntil(10 * Microsecond)
 	if !reflect.DeepEqual(got, []string{"early"}) {

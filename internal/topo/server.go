@@ -222,7 +222,7 @@ func (st *serverTenant) post(idx int64) {
 func (st *serverTenant) RxComplete(_ *nic.Channel, comps []nic.RxCompletion) {
 	for _, c := range comps {
 		st.post(c.Index)
-		st.handle(c.Payload.(*reqMsg))
+		st.handle(c.Payload.(*msg))
 	}
 }
 
@@ -230,12 +230,13 @@ func (st *serverTenant) RxComplete(_ *nic.Channel, comps []nic.RxCompletion) {
 func (st *serverTenant) udRecv(c rc.RecvCompletion) {
 	st.udHead++
 	st.post(st.udHead)
-	st.handle(c.Payload.(*reqMsg))
+	st.handle(c.Payload.(*msg))
 }
 
 // handle runs one op: service time plus the registration-policy memory
-// cost (pin-down acquire and/or the arena touch), then the reply.
-func (st *serverTenant) handle(req *reqMsg) {
+// cost (pin-down acquire and/or the arena touch), then the reply, which is
+// req itself rewritten in place.
+func (st *serverTenant) handle(req *msg) {
 	s := st.srv.sweep
 	cost := s.cfg.ServiceTime
 	slot := st.tenant.slotOf(req.key, st.slots)
@@ -269,24 +270,25 @@ func (st *serverTenant) handle(req *reqMsg) {
 	} else {
 		st.shed.Inc()
 	}
-	rep := &repMsg{id: req.id, client: req.client, hit: ok && hit}
-	size := repHeaderBytes
-	if req.get && rep.hit {
-		size += s.cfg.ValueBytes
-	}
-	swarm := req.swarm
-	st.srv.host.Eng.After(cost, func() { st.reply(swarm, rep, size) })
+	req.hit = ok && hit
+	st.srv.host.Eng.After(cost, func() { st.reply(req) })
 }
 
-// reply sends the response back to the swarm host that issued the request.
-func (st *serverTenant) reply(swarm int32, rep *repMsg, size int) {
+// reply sends rep, the request turned into its response, back to the swarm
+// host that issued it. The swarm host owns rep from here on.
+func (st *serverTenant) reply(rep *msg) {
 	s := st.srv.sweep
-	sh := s.swarms[swarm]
+	sh := s.swarms[rep.swarm]
+	size := repHeaderBytes
+	if rep.get && rep.hit {
+		size += s.cfg.ValueBytes
+	}
 	if st.qp != nil {
 		st.qp.PostSendUDTo(sh.udAddr, rc.SendWQE{Laddr: st.replyBuf, Len: size, Payload: rep})
 		return
 	}
-	s.net.Send(&fabric.Packet{Src: st.srv.node(), Dst: sh.node, Size: size, Payload: rep})
+	rep.Packet = fabric.Packet{Src: st.srv.node(), Dst: sh.node, Size: size, Payload: rep}
+	s.net.Send(&rep.Packet)
 }
 
 // scheduleWaves arms this host's reclaim waves: wave k at k*every squeezes

@@ -20,8 +20,8 @@ import (
 // than a connection mesh.
 //
 // Clients are value structs in one slice; each embeds a workload.Source
-// (its split RNG and distribution parameters), so 10^5 clients cost one
-// allocation plus their RNG states.
+// (its split RNG state and distribution parameters) by value, so 10^5
+// clients cost one allocation.
 type SwarmHost struct {
 	sweep *Sweep
 	idx   int32
@@ -46,7 +46,9 @@ type SwarmHost struct {
 }
 
 // swarmClient is one logical client. Closed-loop op state is inline so the
-// steady-state path allocates nothing per client.
+// steady-state path allocates nothing per client. It holds no pointer
+// (TestSwarmClientPointerFree): a fleet's client slice is the largest
+// object on the heap, and a pointer-free slice is never scanned.
 type swarmClient struct {
 	src      workload.Source
 	tenant   int32
@@ -83,7 +85,7 @@ type swStats struct {
 type swarmPort struct{ sh *SwarmHost }
 
 func (p *swarmPort) Deliver(pkt *fabric.Packet) {
-	p.sh.deliverReply(pkt.Payload.(*repMsg))
+	p.sh.deliverReply(pkt.Payload.(*msg))
 }
 
 func (s *Sweep) newSwarmHost(idx int32, eng *sim.Engine) *SwarmHost {
@@ -120,7 +122,7 @@ func (s *Sweep) newSwarmHost(idx int32, eng *sim.Engine) *SwarmHost {
 	sh.qp.OnRecv = func(c rc.RecvCompletion) {
 		sh.udHead++
 		sh.postUD(sh.udHead)
-		sh.deliverReply(c.Payload.(*repMsg))
+		sh.deliverReply(c.Payload.(*msg))
 	}
 	return sh
 }
@@ -178,8 +180,9 @@ func (sh *SwarmHost) retryDelay(src *workload.Source, tenant int32, attempts int
 }
 
 // send puts one request on the wire (Ethernet frame into the server
-// tenant's ring, or a UD datagram via the address handle).
-func (sh *SwarmHost) send(req *reqMsg, server int32) {
+// tenant's ring, or a UD datagram via the address handle). The server owns
+// req from here on.
+func (sh *SwarmHost) send(req *msg, server int32) {
 	s := sh.sweep
 	size := reqHeaderBytes
 	if !req.get {
@@ -190,11 +193,12 @@ func (sh *SwarmHost) send(req *reqMsg, server int32) {
 			rc.SendWQE{Laddr: sh.sendBuf, Len: size, Payload: req})
 		return
 	}
-	s.net.Send(&fabric.Packet{
+	req.Packet = fabric.Packet{
 		Src: sh.node, Dst: s.serverNode[server],
 		Flow: s.serverFlow[server][req.tenant],
 		Size: size, Payload: req,
-	})
+	}
+	s.net.Send(&req.Packet)
 }
 
 // --- closed loop -----------------------------------------------------------
@@ -215,7 +219,7 @@ func (sh *SwarmHost) issueClosed(ci int32) {
 func (sh *SwarmHost) sendClosed(ci int32) {
 	c := &sh.clients[ci]
 	c.attempts++
-	sh.send(&reqMsg{
+	sh.send(&msg{
 		id: c.curID, swarm: sh.idx, client: ci,
 		tenant: c.tenant, key: c.key, get: c.get,
 	}, c.server)
@@ -284,7 +288,7 @@ func (sh *SwarmHost) sendOpen(id uint64) {
 	p.attempts++
 	sh.pending[id] = p
 	c := &sh.clients[p.client]
-	sh.send(&reqMsg{
+	sh.send(&msg{
 		id: id, swarm: sh.idx, client: p.client,
 		tenant: c.tenant, key: p.key, get: p.get,
 	}, p.server)
@@ -311,7 +315,7 @@ func (sh *SwarmHost) timeoutOpen(id uint64) {
 
 // --- replies ---------------------------------------------------------------
 
-func (sh *SwarmHost) deliverReply(rep *repMsg) {
+func (sh *SwarmHost) deliverReply(rep *msg) {
 	c := &sh.clients[rep.client]
 	if sh.sweep.tenants[c.tenant].cfg.OpenLoop {
 		p, ok := sh.pending[rep.id]

@@ -165,23 +165,28 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	return c
 }
 
-// reqMsg is one request on the wire. It is immutable once sent: the server
-// reads it and replies with a fresh repMsg, so no struct is ever written
-// from two partitions.
-type reqMsg struct {
+// msg is one request attempt on the wire and, rewritten in place, its
+// reply: the server turns the request it received into the reply and sends
+// the same object back, so a round trip allocates one message. On Ethernet
+// msg embeds the frame that carries it, and the frame's Payload points back
+// at it; on UD it rides as the datagram's payload and the frame is unused.
+//
+// A message has one owner at a time. The swarm host builds it and sends
+// it; the server owns it from delivery until it sends the reply; the swarm
+// host owns the reply. It changes hands only through the fabric, whose
+// partition mailbox (or, within one partition, the engine's queue) orders
+// every write before a handoff ahead of every read after it, and no sender
+// keeps a reference after Send. So no message is touched from two
+// partitions at once.
+type msg struct {
+	fabric.Packet
 	id     uint64 // swarm-host-local op id (reissue guard)
 	swarm  int32  // swarm host index, the reply address
 	client int32  // client index on that host
 	tenant int32
 	key    int32
 	get    bool
-}
-
-// repMsg is one reply on the wire (immutable once sent).
-type repMsg struct {
-	id     uint64
-	client int32
-	hit    bool
+	hit    bool // set by the server: the op succeeded and found its key
 }
 
 // tenantState is the fleet-wide view of one tenant.

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -211,4 +212,37 @@ func TestSwarmClientFootprint(t *testing.T) {
 	if sz := unsafe.Sizeof(swarmClient{}); sz > 128 {
 		t.Fatalf("swarmClient grew to %d bytes; 10^6 clients = %d MB", sz, sz*1_000_000/1_000_000)
 	}
+}
+
+// TestSwarmClientPointerFree pins the garbage collector's side of the
+// per-client cost: the fleet's clients live in one []swarmClient, and a
+// slice whose element holds no pointer is never scanned. A pointer field —
+// a *sim.Rand, a back-pointer, a string — puts every client back on the
+// mark queue.
+func TestSwarmClientPointerFree(t *testing.T) {
+	for _, p := range pointerFields(reflect.TypeOf(swarmClient{}), "swarmClient") {
+		t.Errorf("swarm client holds a pointer: %s", p)
+	}
+}
+
+// pointerFields lists the path to every pointer-holding field inside t.
+func pointerFields(t reflect.Type, path string) []string {
+	switch t.Kind() {
+	case reflect.Struct:
+		var out []string
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			out = append(out, pointerFields(f.Type, path+"."+f.Name)...)
+		}
+		return out
+	case reflect.Array:
+		if t.Len() == 0 {
+			return nil
+		}
+		return pointerFields(t.Elem(), path+"[0]")
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+		reflect.String, reflect.Interface, reflect.Func, reflect.Chan:
+		return []string{path + " (" + t.String() + ")"}
+	}
+	return nil
 }

@@ -95,11 +95,12 @@ func (c Config) WithDefaults(defaultKeys int) Config {
 }
 
 // Source is one logical client's deterministic draw stream: op mix, key
-// popularity, and open-loop arrival gaps. It holds only a split RNG and
-// the distribution parameters, so it embeds by value in per-client structs
-// and its methods never allocate.
+// popularity, and open-loop arrival gaps. It holds its split RNG's state
+// and the distribution parameters by value, so it embeds in per-client
+// structs without a pointer (a slice of 10^5 clients is then one object
+// the garbage collector never scans) and its methods never allocate.
 type Source struct {
-	rng      *sim.Rand
+	rng      sim.Rand
 	getRatio float64
 	keys     int
 	zipfS    float64
@@ -108,11 +109,12 @@ type Source struct {
 }
 
 // NewSource builds a Source drawing from rng (split one RNG per client, in
-// construction order, so clients are order-independent). cfg must already
-// have defaults applied.
+// construction order, so clients are order-independent). The Source copies
+// rng's state and draws from its own copy. cfg must already have defaults
+// applied.
 func NewSource(cfg Config, rng *sim.Rand) Source {
 	return Source{
-		rng:      rng,
+		rng:      *rng,
 		getRatio: cfg.GetRatio,
 		keys:     cfg.Keys,
 		zipfS:    cfg.ZipfS,
@@ -148,4 +150,5 @@ func (s *Source) NextArrival(now sim.Time) sim.Time {
 
 // Rand exposes the source's RNG for draws beyond the canned ones (e.g.
 // value-size jitter). Deterministic: the RNG is the client's split stream.
-func (s *Source) Rand() *sim.Rand { return s.rng }
+// The pointer is into s, so it is valid as long as s stays where it is.
+func (s *Source) Rand() *sim.Rand { return &s.rng }

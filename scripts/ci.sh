@@ -50,7 +50,12 @@ go -C cmd/npfperf test -short ./...
 # tests honour -short, so the race pass runs in short mode and still
 # exercises every package's fast paths under the detector. This pass also
 # covers the analyzer unit tests (internal/analysis/...): the fixture
-# harness and the shared fact store run under the detector here.
+# harness and the shared fact store run under the detector here. It also
+# runs the threaded quick fleet on both transports (topo's
+# TestSweepDeterminism at 2 and 4 threads, bench's
+# TestGroupStatsAcrossThreads at 2 and 8), so the detector checks that a
+# fleet message, handed between partitions through the mailbox, is never
+# touched by two partitions at once.
 echo "== go test -race -short =="
 go test -race -short -timeout 10m ./...
 
@@ -69,7 +74,7 @@ fi
 # far timers may keep queued. A histogram stores a run of repeated samples
 # once: repeats add at 0 allocs/op and retain O(1) memory, and a warm
 # add-then-query period allocates nothing. A sim.Group at one thread
-# delivers pre-bound mail at 0 allocs/op.
+# delivers mail with a pre-bound func and a pointer argument at 0 allocs/op.
 echo "== engine allocation gate =="
 out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineTimerChurnAllocs|TestEngineFarCancelRetention|TestHistogramRepeatsStayCompact|TestHistogramQueryNoAlloc' \
     -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineLargePending|BenchmarkGroupMail|BenchmarkHistogramAddRepeat' -benchtime 10000x ./internal/sim/)
@@ -86,14 +91,16 @@ done
 # translate that misses and installs, a DMA touch of resident pages, a
 # warm RC send→ack round and a warm TCP request→response round allocate
 # nothing; a faulting 1,024-page translate allocates only its miss list;
-# RC packets and TCP frames recycle only within one engine; and a faulting
-# RC message stays within its measured object and byte budgets. npflint's
+# RC packets and TCP frames recycle only within one engine; a faulting
+# RC message stays within its measured object and byte budgets; and the
+# quick fleet stays within its measured objects per completed op on both
+# transports (one message per request round trip). npflint's
 # noalloc Required entries (port.enqueue/kick, iotlb.hit/install/invalidate,
 # PageTable.Get/Lookup/Span, AddressSpace.lruPush/lruRemove/TouchResident,
 # HCA.take/post and the QP post/ack/data handlers, Stack.transmit and the
 # Conn send/ack path, TxQueue.kick) are the static side of the same gate.
 echo "== packet-path allocation gate =="
-out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestTranslateAllocs|TestTouchResidentNoAlloc|TestRCWarmRoundNoAlloc|TestIBFaultingMessageAllocBound|TestTCPWarmRoundNoAlloc|TestFramePoolSameEngineOnly' \
+out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestTranslateAllocs|TestTouchResidentNoAlloc|TestRCWarmRoundNoAlloc|TestIBFaultingMessageAllocBound|TestScaleoutRoundTripAllocBound|TestTCPWarmRoundNoAlloc|TestFramePoolSameEngineOnly' \
     -bench 'BenchmarkSendDeliver|BenchmarkIOTLBChurn|BenchmarkTranslateMissInstall' -benchtime 10000x \
     ./internal/fabric/ ./internal/iommu/ ./internal/mem/ ./internal/rc/ ./internal/tcp/ ./internal/bench/)
 echo "$out"
