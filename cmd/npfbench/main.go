@@ -1,33 +1,27 @@
 // Command npfbench regenerates the paper's evaluation tables and figures on
-// the simulated stack. Run with no arguments for the full suite, or name
-// specific experiments:
+// the simulated stack. Its experiments are the entries of bench.Experiments:
+// run with no arguments for the default list, or name experiments:
 //
 //	npfbench fig3 table4 fig4a fig4b table5 fig7 fig8a fig8b fig9 table6 fig10 ablate loc kv
 //
-// The extra "anatomy" experiment (not in the default set) runs the fault
-// profiler: the distributed-KV deployment per registration policy with the
-// causal fault recorder always on, landing the per-policy anatomy rows in
-// the -json artifact's "fault_anatomy" section (also rendered standalone by
-// `npftrace anatomy`). When any tracers were built (-trace/-series), the
-// artifact additionally carries a "trace_drops" section summing dropped
-// flight-recorder events and fault records. The artifact's types and their
-// npfstat gates are declared in internal/artifact.
-//
-// The extra "scaleout" experiment (also not in the default set) runs the
-// million-user cluster sweep — 1,008 hosts and 101,000 logical clients per
-// transport on one fixed 8-partition group — and records the fleet shape,
-// per-tenant tails, bytes-per-host, and the run fingerprint in the -json
-// artifact's "scale_out" section. The partition count is fixed by the
-// fleet, so the section is byte-identical for every -engines and -parallel
-// value; -quick shrinks the fleet for smokes.
+// Every name is checked before anything runs (an unknown one exits 2); an
+// experiment that fails, such as loc run outside the repository root,
+// exits 1 without writing -json. Three experiments are not in the default
+// list: kv (the distributed-KV registration ablation), anatomy (the causal
+// fault profiler over the same deployment, also `npftrace anatomy`) and
+// scaleout (the 1,008-host, 101,000-client cluster sweep on one fixed
+// 8-partition group, byte-identical for every -engines and -parallel
+// value). Their rows land in the -json artifact's kv, fault_anatomy and
+// scale_out sections; with -trace or -series the artifact also sums
+// dropped flight-recorder events and fault records in trace_drops. The
+// artifact's types and their npfstat gates are declared in
+// internal/artifact.
 //
 // Flags:
 //
-//	-quick      smaller trial counts / shorter runs (CI-friendly)
-//	-kv         append the distributed-KV registration ablation (the "kv"
-//	            experiment) to the selected set
-//	-scaleout   append the million-user cluster sweep (the "scaleout"
-//	            experiment) to the selected set
+//	-quick      run every experiment at its quick sizing (CI-friendly)
+//	-kv         append kv unless it is named
+//	-scaleout   append scaleout unless it is named
 //	-root       repository root for the loc experiment (default ".")
 //	-parallel   fan independent sweep jobs across N worker goroutines
 //	            (0 = one per CPU); results are byte-identical to -parallel 1
@@ -61,7 +55,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -74,10 +70,10 @@ import (
 
 // runChaos runs one named chaos scenario (or all of them) and returns the
 // process exit code: 0 when every invariant held, 1 otherwise.
-func runChaos(name string, seed int64) int {
+func runChaos(name string, seed int64, stdout, stderr io.Writer) int {
 	if name == "list" {
 		for _, s := range chaos.Scenarios() {
-			fmt.Printf("  %-24s %s\n", s.Name, s.Desc)
+			fmt.Fprintf(stdout, "  %-24s %s\n", s.Name, s.Desc)
 		}
 		return 0
 	}
@@ -93,10 +89,10 @@ func runChaos(name string, seed int64) int {
 	for _, n := range names {
 		rep, err := chaos.RunScenario(n, seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
+			fmt.Fprintf(stderr, "chaos: %v\n", err)
 			return 2
 		}
-		fmt.Printf("==== chaos %s ====\n%s\n", n, rep.Render())
+		fmt.Fprintf(stdout, "==== chaos %s ====\n%s\n", n, rep.Render())
 		if !rep.Pass {
 			code = 1
 		}
@@ -104,34 +100,91 @@ func runChaos(name string, seed int64) int {
 	return code
 }
 
-func main() {
-	quick := flag.Bool("quick", false, "run reduced-size experiments")
-	kvExp := flag.Bool("kv", false, "append the distributed-KV ablation to the selected experiments")
-	scaleoutExp := flag.Bool("scaleout", false, "append the million-user cluster sweep (the \"scaleout\" experiment) to the selected experiments")
-	root := flag.String("root", ".", "repository root (for the loc experiment)")
-	parallel := flag.Int("parallel", 1, "sweep worker goroutines (0 = one per CPU)")
-	engines := flag.Int("engines", 0, "partitioned PDES engine-thread budget (0 = single-engine mode)")
-	jsonOut := flag.String("json", "", "write machine-readable results to this file")
-	traceOut := flag.String("trace", "", "write Chrome trace JSON to this file")
-	seriesOut := flag.String("series", "", "write sampled metric time-series CSV to this file")
-	sampleEvery := flag.Duration("sample-every", 10*time.Millisecond, "virtual-time sampling interval for -series")
-	chaosName := flag.String("chaos", "", "run a fault-injection scenario (name, \"all\", or \"list\")")
-	seed := flag.Int64("seed", 1, "RNG seed for -chaos runs")
-	flag.Parse()
+// selectExperiments resolves the named experiments (the default list when
+// none is named, kv and scaleout appended when their flags ask and they
+// are not named) against bench.Experiments.
+func selectExperiments(names []string, kv, scaleout bool) ([]bench.Experiment, error) {
+	if len(names) == 0 {
+		for _, e := range bench.Experiments {
+			if e.Default {
+				names = append(names, e.Name)
+			}
+		}
+	}
+	if kv && !slices.Contains(names, "kv") {
+		names = append(names, "kv")
+	}
+	if scaleout && !slices.Contains(names, "scaleout") {
+		names = append(names, "scaleout")
+	}
+	exps := make([]bench.Experiment, len(names))
+	for i, n := range names {
+		e, ok := bench.Lookup(n)
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q", n)
+		}
+		exps[i] = e
+	}
+	return exps, nil
+}
+
+// writeFile creates path and fills it.
+func writeFile(path string, fill func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fill(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is npfbench with its arguments and output streams; it returns the
+// process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("npfbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "run reduced-size experiments")
+	kvExp := fs.Bool("kv", false, "append the distributed-KV ablation to the selected experiments")
+	scaleoutExp := fs.Bool("scaleout", false, "append the million-user cluster sweep (the \"scaleout\" experiment) to the selected experiments")
+	root := fs.String("root", ".", "repository root (for the loc experiment)")
+	parallel := fs.Int("parallel", 1, "sweep worker goroutines (0 = one per CPU)")
+	engines := fs.Int("engines", 0, "partitioned PDES engine-thread budget (0 = single-engine mode)")
+	jsonOut := fs.String("json", "", "write machine-readable results to this file")
+	traceOut := fs.String("trace", "", "write Chrome trace JSON to this file")
+	seriesOut := fs.String("series", "", "write sampled metric time-series CSV to this file")
+	sampleEvery := fs.Duration("sample-every", 10*time.Millisecond, "virtual-time sampling interval for -series")
+	chaosName := fs.String("chaos", "", "run a fault-injection scenario (name, \"all\", or \"list\")")
+	seed := fs.Int64("seed", 1, "RNG seed for -chaos runs")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if *seriesOut != "" && *sampleEvery <= 0 {
-		fmt.Fprintln(os.Stderr, "-sample-every must be positive")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "-sample-every must be positive")
+		return 2
 	}
 
 	if *engines < 0 {
-		fmt.Fprintln(os.Stderr, "-engines must be >= 0")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "-engines must be >= 0")
+		return 2
 	}
 	chaos.Engines = *engines
 
 	if *chaosName != "" {
-		os.Exit(runChaos(*chaosName, *seed))
+		return runChaos(*chaosName, *seed, stdout, stderr)
+	}
+
+	exps, err := selectExperiments(fs.Args(), *kvExp, *scaleoutExp)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	if *parallel <= 0 {
@@ -139,6 +192,7 @@ func main() {
 	}
 	bench.Workers = *parallel
 	bench.Engines = *engines
+	bench.LOCRoot = *root
 
 	var tracers []*trace.Tracer
 	if *traceOut != "" || *seriesOut != "" {
@@ -159,112 +213,25 @@ func main() {
 		}
 	}
 
-	experiments := flag.Args()
-	if len(experiments) == 0 {
-		experiments = []string{"fig3", "table4", "fig4a", "fig4b", "table5",
-			"fig7", "fig8a", "fig8b", "fig9", "table6", "fig10", "ablate", "loc"}
+	size := bench.Full
+	if *quick {
+		size = bench.Quick
 	}
-	if *kvExp {
-		seen := false
-		for _, e := range experiments {
-			seen = seen || e == "kv"
-		}
-		if !seen {
-			experiments = append(experiments, "kv")
-		}
-	}
-	if *scaleoutExp {
-		seen := false
-		for _, e := range experiments {
-			seen = seen || e == "scaleout"
-		}
-		if !seen {
-			experiments = append(experiments, "scaleout")
-		}
-	}
-
 	doc := &artifact.Artifact{Engines: *engines, Quick: *quick}
-
-	for _, exp := range experiments {
+	for _, e := range exps {
 		bench.StartEngineStats()
-		var out string
-		switch exp {
-		case "fig3":
-			trials := 200
-			if *quick {
-				trials = 30
-			}
-			out = bench.RunFig3(trials).Render()
-		case "table4":
-			trials := 5000
-			if *quick {
-				trials = 500
-			}
-			out = bench.RunTable4(trials).Render()
-		case "fig4a":
-			dur := 80 * sim.Second
-			if *quick {
-				dur = 30 * sim.Second
-			}
-			out = bench.RunFig4a(dur).Render()
-		case "fig4b":
-			ops, rings, timeout := 10000, []int(nil), 600*sim.Second
-			if *quick {
-				ops, rings, timeout = 2000, []int{16, 64, 256, 1024}, 200*sim.Second
-			}
-			out = bench.RunFig4b(ops, rings, timeout).Render()
-		case "table5":
-			out = bench.RunTable5().Render()
-		case "fig7":
-			out = bench.RunFig7().Render()
-		case "fig8a":
-			out = bench.RunFig8a().Render()
-		case "fig8b":
-			out = bench.RunFig8b().Render()
-		case "fig9":
-			ranks, iters := 8, 100
-			if *quick {
-				ranks, iters = 4, 30
-			}
-			out = bench.RunFig9(ranks, iters).Render()
-		case "table6":
-			ranks := 8
-			if *quick {
-				ranks = 4
-			}
-			out = bench.RunTable6(ranks).Render()
-		case "fig10":
-			out = bench.RunFig10().Render()
-		case "ablate":
-			out = bench.RunAblate().Render()
-		case "kv":
-			r := bench.RunKV(*quick)
-			doc.KV = r.Rows()
-			out = r.Render()
-		case "anatomy":
-			r := bench.RunAnatomy(*quick)
-			doc.FaultAnatomy = r.Rows()
-			out = r.Render()
-		case "scaleout":
-			r := bench.RunScaleout(*quick)
-			doc.ScaleOut = r.Rows()
-			out = r.Render()
-		case "loc":
-			r, err := bench.RunLOC(*root)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "loc: %v\n", err)
-				bench.StopEngineStats()
-				continue
-			}
-			out = r.Render()
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", exp)
-			os.Exit(2)
-		}
+		r, err := e.Run(size)
 		engines, events := bench.StopEngineStats()
+		if err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
+			return 1
+		}
+		if rec, ok := r.(bench.Recorder); ok {
+			rec.Record(doc)
+		}
 		doc.Experiments = append(doc.Experiments,
-			artifact.Experiment{Name: exp, Engines: engines, Events: events})
-		fmt.Printf("==== %s ====\n%s\n", exp, out)
+			artifact.Experiment{Name: e.Name, Engines: engines, Events: events})
+		fmt.Fprintf(stdout, "==== %s ====\n%s\n", e.Name, r.Render())
 	}
 
 	if len(tracers) > 0 {
@@ -277,7 +244,7 @@ func main() {
 		}
 		doc.TraceDrops = td
 		if td.FaultEvents+td.FaultRecords > 0 {
-			fmt.Printf("trace drops: %d fault events, %d fault records across %d tracers\n",
+			fmt.Fprintf(stdout, "trace drops: %d fault events, %d fault records across %d tracers\n",
 				td.FaultEvents, td.FaultRecords, td.Tracers)
 		}
 	}
@@ -291,18 +258,9 @@ func main() {
 				set = append(set, s)
 			}
 		}
-		f, err := os.Create(*seriesOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "series: %v\n", err)
-			os.Exit(1)
-		}
-		if err := trace.WriteSeriesSet(f, set); err != nil {
-			fmt.Fprintf(os.Stderr, "series: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "series: %v\n", err)
-			os.Exit(1)
+		if err := writeFile(*seriesOut, func(w io.Writer) error { return trace.WriteSeriesSet(w, set) }); err != nil {
+			fmt.Fprintf(stderr, "series: %v\n", err)
+			return 1
 		}
 		samples, names := 0, map[string]bool{}
 		for _, s := range set {
@@ -318,50 +276,36 @@ func main() {
 			IntervalNs: int64(sim.Duration(*sampleEvery)),
 			Digest:     fmt.Sprintf("%016x", trace.DigestSeries(set)),
 		}
-		fmt.Printf("series: wrote %d samples across %d engines (%d metrics) to %s\n",
+		fmt.Fprintf(stdout, "series: wrote %d samples across %d engines (%d metrics) to %s\n",
 			samples, len(set), len(names), *seriesOut)
 	}
 
 	if *jsonOut != "" {
 		doc.EngineBench = bench.EngineMicrobench()
-		f, err := os.Create(*jsonOut)
+		err := writeFile(*jsonOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(doc)
+		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "json: %v\n", err)
+			return 1
 		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("json: wrote %d experiment rows to %s (engine bench: %d allocs/op)\n",
+		fmt.Fprintf(stdout, "json: wrote %d experiment rows to %s (engine bench: %d allocs/op)\n",
 			len(doc.Experiments), *jsonOut, doc.EngineBench.AllocsPerOp)
 	}
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := trace.ExportChromeTrace(f, tracers); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
+		if err := writeFile(*traceOut, func(w io.Writer) error { return trace.ExportChromeTrace(w, tracers) }); err != nil {
+			fmt.Fprintf(stderr, "trace: %v\n", err)
+			return 1
 		}
 		ctx, npfs := 0, 0
 		for _, tr := range tracers {
 			ctx += len(trace.ContextSpans(tr.FaultEvents()))
 			npfs += len(trace.FaultSpans(tr.FaultRecords()))
 		}
-		fmt.Printf("trace: wrote %d context and %d NPF spans from %d engines to %s\n", ctx, npfs, len(tracers), *traceOut)
+		fmt.Fprintf(stdout, "trace: wrote %d context and %d NPF spans from %d engines to %s\n", ctx, npfs, len(tracers), *traceOut)
 	}
+	return 0
 }

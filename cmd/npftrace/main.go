@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -76,31 +77,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	recs := tr.FaultRecords()
-	npfs := trace.FaultSpans(recs)
-	ctx := trace.ContextSpans(tr.FaultEvents())
-	if *scenario == "single" {
-		fmt.Println("== span tree ==")
-		trace.WriteTree(os.Stdout, npfs)
-		trace.WriteTree(os.Stdout, ctx)
-		fmt.Println()
-	}
-
-	fmt.Printf("== top %d slowest NPFs ==\n", *topK)
-	for _, r := range trace.TopSlowest(npfs, "npf", *topK) {
-		fmt.Printf("  #%-6d %-14s %8.1fus  @%.1fus\n",
-			r.Span.ID, r.Span.Name, r.Dur.Micros(), r.Span.Start.Micros())
-	}
-	fmt.Println()
-
-	stages := trace.FaultStageBreakdown(recs)
-	fmt.Println("== NPF stage breakdown (µs, fault records, Fig. 3a) ==")
-	trace.WriteStageTable(os.Stdout, stages)
-	fmt.Printf("hardware share (fault-report-parked+update+resume): %.1f%%  (paper: ~90%% at 4KB)\n\n",
-		trace.HardwareShare(stages)*100)
-
-	fmt.Println("== metrics ==")
-	fmt.Print(tr.MetricsSnapshot())
+	report(os.Stdout, *scenario, tr, *topK)
 
 	if *out != "" {
 		f, err := os.Create(*out)
@@ -116,8 +93,38 @@ func main() {
 			fmt.Fprintf(os.Stderr, "npftrace: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nwrote %d context and %d NPF spans to %s\n", len(ctx), len(npfs), *out)
+		fmt.Printf("\nwrote %d context and %d NPF spans to %s\n",
+			len(trace.ContextSpans(tr.FaultEvents())), len(trace.FaultSpans(tr.FaultRecords())), *out)
 	}
+}
+
+// report prints what the scenario's tracer recorded: the span trees (single
+// only), the topK slowest NPFs, the stage breakdown and the metrics.
+func report(w io.Writer, scenario string, tr *trace.Tracer, topK int) {
+	recs := tr.FaultRecords()
+	npfs := trace.FaultSpans(recs)
+	if scenario == "single" {
+		fmt.Fprintln(w, "== span tree ==")
+		trace.WriteTree(w, npfs)
+		trace.WriteTree(w, trace.ContextSpans(tr.FaultEvents()))
+		fmt.Fprintln(w)
+	}
+
+	fmt.Fprintf(w, "== top %d slowest NPFs ==\n", topK)
+	for _, r := range trace.TopSlowest(npfs, "npf", topK) {
+		fmt.Fprintf(w, "  #%-6d %-14s %8.1fus  @%.1fus\n",
+			r.Span.ID, r.Span.Name, r.Dur.Micros(), r.Span.Start.Micros())
+	}
+	fmt.Fprintln(w)
+
+	stages := trace.FaultStageBreakdown(recs)
+	fmt.Fprintln(w, "== NPF stage breakdown (µs, fault records, Fig. 3a) ==")
+	trace.WriteStageTable(w, stages)
+	fmt.Fprintf(w, "hardware share (fault-report-parked+update+resume): %.1f%%  (paper: ~90%% at 4KB)\n\n",
+		trace.HardwareShare(stages)*100)
+
+	fmt.Fprintln(w, "== metrics ==")
+	fmt.Fprint(w, tr.MetricsSnapshot())
 }
 
 // runAnatomyCmd runs the fault-anatomy profiler (bench.RunAnatomy) and

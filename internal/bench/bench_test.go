@@ -3,16 +3,15 @@ package bench
 import (
 	"strings"
 	"testing"
-
-	"npf/internal/sim"
 )
 
-// These tests run every experiment at reduced size and assert the paper's
-// qualitative results — the shapes EXPERIMENTS.md documents — so the
-// reproduction cannot silently regress.
+// These tests run every entry of Experiments at its Test sizing and assert
+// the paper's qualitative results — the shapes EXPERIMENTS.md documents —
+// so the reproduction cannot silently regress. Each run's output is also
+// pinned in the output manifest (outputs_test.go).
 
 func TestFig3Shapes(t *testing.T) {
-	r := RunFig3(40)
+	r := runOutput(t, "fig3", Test).(*Fig3Result)
 	k4, m4 := r.NPF["4KB"], r.NPF["4MB"]
 	if k4.Total < 160 || k4.Total > 280 {
 		t.Errorf("4KB NPF = %.1f µs, want ≈220", k4.Total)
@@ -38,7 +37,7 @@ func TestFig3Shapes(t *testing.T) {
 }
 
 func TestTable4Shapes(t *testing.T) {
-	r := RunTable4(800)
+	r := runOutput(t, "table4", Test).(*Table4Result)
 	for _, size := range []string{"4KB", "4MB"} {
 		row := r.Rows[size]
 		if !(row.P50 < row.P95 && row.P95 < row.P99 && row.P99 < row.Max) {
@@ -57,7 +56,7 @@ func TestFig4aShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := RunFig4a(20 * sim.Second)
+	r := runOutput(t, "fig4a", Test).(*Fig4aResult)
 	early := func(name string) float64 {
 		total := 0.0
 		for _, p := range r.Series[name] {
@@ -80,7 +79,7 @@ func TestFig4bShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := RunFig4b(1000, []int{16, 256}, 300*sim.Second)
+	r := runOutput(t, "fig4b", Test).(*Fig4bResult)
 	d16, d256 := r.Seconds["drop"][0], r.Seconds["drop"][1]
 	b16, b256 := r.Seconds["backup"][0], r.Seconds["backup"][1]
 	if d16 > 0 && d256 > 0 && d256 < d16 {
@@ -98,7 +97,7 @@ func TestTable5Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := RunTable5()
+	r := runOutput(t, "table5", Test).(*Table5Result)
 	npf := r.KTPS["NPF"]
 	pin := r.KTPS["pinning"]
 	for n := 0; n < 4; n++ {
@@ -122,7 +121,7 @@ func TestFig8aShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := RunFig8a()
+	r := runOutput(t, "fig8a", Test).(*Fig8aResult)
 	if r.NPF[0] <= 0 {
 		t.Fatal("NPF should run at the smallest memory point")
 	}
@@ -145,7 +144,7 @@ func TestFig8bShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := RunFig8b()
+	r := runOutput(t, "fig8b", Test).(*Fig8bResult)
 	last := len(r.Sessions) - 1
 	if r.Pin[0] < 0.99 || r.Pin[last] < 0.99 {
 		t.Errorf("pin not flat at 1GB: %v", r.Pin)
@@ -163,7 +162,7 @@ func TestFig8bShapes(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
-	r := RunFig9(4, 40)
+	r := runOutput(t, "fig9", Test).(*Fig9Result)
 	for _, bench := range r.Benchmarks {
 		last := len(r.SizesKB) - 1
 		cp := r.Seconds[bench]["copy"]
@@ -185,7 +184,7 @@ func TestFig9Shapes(t *testing.T) {
 }
 
 func TestTable6Shapes(t *testing.T) {
-	r := RunTable6(4)
+	r := runOutput(t, "table6", Test).(*Table6Result)
 	if r.MBps["npf"] < 0.9*r.MBps["pin"] || r.MBps["npf"] > 1.1*r.MBps["pin"] {
 		t.Errorf("npf %.0f should match pin %.0f", r.MBps["npf"], r.MBps["pin"])
 	}
@@ -198,7 +197,7 @@ func TestFig10Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := RunFig10()
+	r := runOutput(t, "fig10", Test).(*Fig10Result)
 	for i := range r.Exps {
 		if r.MinorBrng[i] < r.MinorDrop[i] {
 			t.Errorf("freq 2^-%d: backup %.2f below drop %.2f",
@@ -226,7 +225,7 @@ func TestFig10Shapes(t *testing.T) {
 }
 
 func TestAblateShapes(t *testing.T) {
-	r := RunAblate()
+	r := runOutput(t, "ablate", Test).(*AblateResult)
 	if r.PagewiseMs < 5*r.BatchedMs {
 		t.Errorf("page-wise %.2fms should dwarf batched %.2fms", r.PagewiseMs, r.BatchedMs)
 	}
@@ -275,7 +274,7 @@ func TestFig7Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := RunFig7()
+	r := runOutput(t, "fig7", Test).(*Fig7Result)
 	// Compare combined steady-state throughput after the flip.
 	tail := func(mode string) float64 {
 		pair := r.Series[mode]

@@ -11,7 +11,7 @@ import (
 // shape: every policy completes the workload, the reclaim waves actually
 // evict on reclaimable arenas, and pinned arenas are untouched by them.
 func TestRunKVQuick(t *testing.T) {
-	r := RunKV(true)
+	r := runOutput(t, "kv", Test).(*KVResult)
 	for i, pol := range r.Policies {
 		if r.Ops[i] != 1200 {
 			t.Errorf("%s: completed %d of 1200 ops", pol, r.Ops[i])

@@ -18,12 +18,15 @@ import (
 // the 1,008-host / 101,000-client fleet; -short (the CI race pass) shrinks
 // it to the quick fleet with the same shape.
 func TestScaleoutDeterminism(t *testing.T) {
-	quick := testing.Short()
+	quick, size := testing.Short(), Test
+	if quick {
+		size = Quick
+	}
 	var ref *ScaleoutResult
 	outs := map[int]string{}
 	for _, n := range []int{1, 2, 8} {
 		withEngines(n, func() {
-			r := RunScaleout(quick)
+			r := runOutput(t, "scaleout", size).(*ScaleoutResult)
 			if ref == nil {
 				ref = r
 			}

@@ -12,7 +12,7 @@ import (
 
 // TestQuickRunSpanSets pins the context spans (invalidations, RC windows,
 // pin acquisitions) every tracer of the quick fig3, ablate and anatomy
-// runs derives from its flight recorder.
+// runs derives from its flight recorder, and the runs' outputs.
 func TestQuickRunSpanSets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs three quick experiments")
@@ -30,18 +30,11 @@ func TestQuickRunSpanSets(t *testing.T) {
 	TraceFactory, newAnatomyTracer = record, record
 	defer func() { TraceFactory, newAnatomyTracer = oldFactory, trace.New }()
 	var got []string
-	for _, exp := range []struct {
-		name string
-		run  func()
-	}{
-		{"fig3", func() { RunFig3(30) }},
-		{"ablate", func() { RunAblate() }},
-		{"anatomy", func() { RunAnatomy(true) }},
-	} {
+	for _, name := range []string{"fig3", "ablate", "anatomy"} {
 		tracers = nil
-		exp.run()
+		runOutput(t, name, Quick)
 		for i, tr := range tracers {
-			got = append(got, fmt.Sprintf("%s/%d %s", exp.name, i,
+			got = append(got, fmt.Sprintf("%s/%d %s", name, i,
 				tracetest.SpanSet(trace.ContextSpans(tr.FaultEvents()))))
 		}
 	}

@@ -109,7 +109,9 @@ func TestEnginesFig3Determinism(t *testing.T) {
 	opts := Fig3Opts{Trials: 6, Replicas: 2}
 	outs := map[int]string{}
 	for _, n := range []int{1, 2, 8} {
-		withEngines(n, func() { outs[n] = RunFig3Opts(opts).Render() })
+		withEngines(n, func() {
+			outs[n] = checkOutput(t, "fig3", "t6r2", func() Result { return RunFig3Opts(opts) }).Render
+		})
 	}
 	for _, n := range []int{2, 8} {
 		if outs[n] != outs[1] {
@@ -124,7 +126,9 @@ func TestEnginesFig3Determinism(t *testing.T) {
 func TestEnginesFig4aDeterminism(t *testing.T) {
 	outs := map[int]string{}
 	for _, n := range []int{1, 2, 8} {
-		withEngines(n, func() { outs[n] = RunFig4a(sim.Second).Render() })
+		withEngines(n, func() {
+			outs[n] = checkOutput(t, "fig4a", "1s", func() Result { return RunFig4a(sim.Second) }).Render
+		})
 	}
 	for _, n := range []int{2, 8} {
 		if outs[n] != outs[1] {
@@ -145,9 +149,8 @@ func TestEnginesTable5Determinism(t *testing.T) {
 	events := map[int]uint64{}
 	for _, n := range []int{1, 8} {
 		withEngines(n, func() {
-			StartEngineStats()
-			outs[n] = RunTable5().Render()
-			_, events[n] = StopEngineStats()
+			o := checkOutput(t, "table5", Test.String(), tableRun(t, "table5", Test))
+			outs[n], events[n] = o.Render, o.Events
 		})
 	}
 	if outs[8] != outs[1] {
@@ -158,10 +161,10 @@ func TestEnginesTable5Determinism(t *testing.T) {
 	}
 }
 
-// captureSeriesUnder runs a sweep with a sampling trace factory installed
-// (wrapped by the caller-supplied budget setter) and returns the rendered
-// WriteSeriesSet stream — the byte string the determinism pins compare.
-func captureSeriesUnder(t *testing.T, wrap func(func()), run func()) string {
+// captureSeries runs a sweep with a sampling trace factory installed and
+// returns the rendered WriteSeriesSet stream — the byte string the
+// determinism pins compare.
+func captureSeries(t *testing.T, run func()) string {
 	t.Helper()
 	old := TraceFactory
 	defer func() { TraceFactory = old }()
@@ -175,7 +178,7 @@ func captureSeriesUnder(t *testing.T, wrap func(func()), run func()) string {
 		mu.Unlock()
 		return tr
 	}
-	wrap(run)
+	run()
 	var set []*trace.Series
 	for _, tr := range tracers {
 		if s := tr.Sampler().Series(); s != nil && len(s.Names) > 0 {
@@ -192,20 +195,15 @@ func captureSeriesUnder(t *testing.T, wrap func(func()), run func()) string {
 	return b.String()
 }
 
-// captureSeries is captureSeriesUnder with a Workers budget.
-func captureSeries(t *testing.T, workers int, run func()) string {
-	t.Helper()
-	return captureSeriesUnder(t, func(f func()) { withWorkers(workers, f) }, run)
-}
-
 // TestRunParallelSeriesDeterminism extends the sweep runner's byte-identity
 // promise to time-series output: the content-sorted WriteSeriesSet stream
 // (and its order-invariant digest) must not depend on the worker count,
 // even though engines — and thus samplers — register in scheduling order.
 func TestRunParallelSeriesDeterminism(t *testing.T) {
 	opts := Fig3Opts{Trials: 6, Replicas: 2}
-	serial := captureSeries(t, 1, func() { RunFig3Opts(opts) })
-	fanned := captureSeries(t, 8, func() { RunFig3Opts(opts) })
+	var serial, fanned string
+	withWorkers(1, func() { serial = captureSeries(t, func() { RunFig3Opts(opts) }) })
+	withWorkers(8, func() { fanned = captureSeries(t, func() { RunFig3Opts(opts) }) })
 	if serial != fanned {
 		t.Fatalf("series output depends on Workers:\n--- workers=1 ---\n%.2000s\n--- workers=8 ---\n%.2000s", serial, fanned)
 	}
@@ -219,9 +217,11 @@ func TestEnginesSeriesDeterminism(t *testing.T) {
 	opts := Fig3Opts{Trials: 4, Replicas: 2}
 	outs := map[int]string{}
 	for _, n := range []int{1, 2, 8} {
-		outs[n] = captureSeriesUnder(t,
-			func(f func()) { withEngines(n, f) },
-			func() { RunFig3Opts(opts) })
+		withEngines(n, func() {
+			outs[n] = checkOutput(t, "fig3-series", "t4r2", func() Result {
+				return text(captureSeries(t, func() { RunFig3Opts(opts) }))
+			}).Render
+		})
 	}
 	for _, n := range []int{2, 8} {
 		if outs[n] != outs[1] {

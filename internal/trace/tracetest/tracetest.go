@@ -1,6 +1,6 @@
-// Package tracetest pins span views against golden files: a test renders
-// each traced source's spans as one SpanSet line and compares the lines
-// with a file under its testdata directory.
+// Package tracetest pins deterministic outputs against golden files under
+// a package's testdata directory: span views as one SpanSet line per
+// traced source, and rendered experiment outputs as one Output line each.
 package tracetest
 
 import (
@@ -58,11 +58,7 @@ func Check(t testing.TB, path string, got []string, update bool) {
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	wl := readLines(t, path)
 	if len(wl) != len(got) {
 		t.Errorf("%d sources, golden %s has %d", len(got), path, len(wl))
 	}
@@ -71,4 +67,85 @@ func Check(t testing.TB, path string, got []string, update bool) {
 			t.Errorf("span set changed:\n got  %s\n want %s", got[i], wl[i])
 		}
 	}
+}
+
+// readLines returns the lines of the golden file at path.
+func readLines(t testing.TB, path string) []string {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+}
+
+// Output is one run of an experiment, scenario or command as one line of
+// an output manifest.
+type Output struct {
+	Name    string // what ran
+	Sizing  string // how big: a sizing name, a seed or a run's parameters
+	Flag    int    // the -engines setting it ran under
+	Engines int    // engines the run built
+	Events  uint64 // events they executed
+	Render  string // the text the run prints
+	Rows    []byte // its -json artifact rows, nil when it has none
+}
+
+// line formats o as "name/sizing/eN engines=E events=V render=R rows=W",
+// with R and W FNV-64a digests ("-" for no rows). Its first field is the
+// key CheckOutputs matches by.
+func (o Output) line() string {
+	rows := "-"
+	if o.Rows != nil {
+		rows = fmt.Sprintf("%016x", fnv64(o.Rows))
+	}
+	return fmt.Sprintf("%s/%s/e%d engines=%d events=%d render=%016x rows=%s",
+		o.Name, o.Sizing, o.Flag, o.Engines, o.Events, fnv64([]byte(o.Render)), rows)
+}
+
+func fnv64(b []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
+}
+
+// CheckOutputs compares each output's line with the manifest line of the
+// same key (its first field), so tests can share one manifest and a
+// skipped test leaves its lines unchecked. A changed or missing line fails
+// naming its key. With update it rewrites those lines instead, keeping the
+// others, in key order.
+func CheckOutputs(t testing.TB, path string, update bool, outs ...Output) {
+	t.Helper()
+	lines := map[string]string{}
+	if _, err := os.Stat(path); err == nil || !update {
+		for _, l := range readLines(t, path) {
+			lines[key(l)] = l
+		}
+	}
+	for _, o := range outs {
+		got := o.line()
+		switch want, ok := lines[key(got)]; {
+		case update:
+			lines[key(got)] = got
+		case !ok:
+			t.Errorf("%s: output %s has no line; rerun with -update to add it", path, key(got))
+		case want != got:
+			t.Errorf("%s: output %s changed:\n got  %s\n want %s", path, key(got), got, want)
+		}
+	}
+	if update {
+		var all []string
+		for _, l := range lines {
+			all = append(all, l)
+		}
+		sort.Strings(all)
+		if err := os.WriteFile(path, []byte(strings.Join(all, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func key(line string) string {
+	k, _, _ := strings.Cut(line, " ")
+	return k
 }

@@ -29,6 +29,15 @@ if ! git diff --quiet go.mod go.sum vendor/; then
     exit 1
 fi
 
+# EXPERIMENTS.md is generated: regenerating it from the committed
+# experiments_full.txt must leave it unchanged.
+echo "== EXPERIMENTS.md drift =="
+python3 scripts/mkexperiments.py > /dev/null
+if ! git --no-pager diff --exit-code EXPERIMENTS.md >&2; then
+    echo "EXPERIMENTS.md drift: run python3 scripts/mkexperiments.py" >&2
+    exit 1
+fi
+
 echo "== go vet =="
 go vet ./...
 

@@ -174,24 +174,19 @@ COMMENTARY = {
     ),
 }
 
-ORDER = ["fig3", "table4", "fig4a", "fig4b", "table5", "fig7",
-         "fig8a", "fig8b", "fig9", "table6", "fig10", "ablate", "loc"]
-
 
 def main():
     text = open(RUN).read()
-    blocks = {}
+    out = [HEADER]
+    # Blocks render in the order the run printed them.
     for m in re.finditer(r"^==== (\w+) ====\n(.*?)(?=^==== |\Z)",
                          text, re.M | re.S):
-        blocks[m.group(1)] = m.group(2).strip("\n")
-
-    out = [HEADER]
-    for key in ORDER:
-        if key not in blocks:
-            print(f"warning: {key} missing from run", file=sys.stderr)
+        key, body = m.group(1), m.group(2).strip("\n")
+        if key not in COMMENTARY:
+            print(f"warning: {key} has no commentary; not rendered",
+                  file=sys.stderr)
             continue
         title, paper, verdict = COMMENTARY[key]
-        body = blocks[key]
         # Figure 4a's series is long; keep only every 4th sample line.
         if key == "fig4a":
             kept, i = [], 0
