@@ -91,12 +91,10 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 			if c.Group.Parts() > 1 {
 				// Partitioned: the client tier lives on partition 1, out of
 				// the injector's reach — register the server tier only.
-				ij.T.Devs = append(ij.T.Devs, c.KV.ServerDevices()...)
-				ij.T.HCAs = append(ij.T.HCAs, c.KV.ServerHCAs()...)
+				ij.T.Firmware = append(ij.T.Firmware, c.KV.ServerFirmware()...)
 				ij.T.Drivers = append(ij.T.Drivers, c.KV.ServerDrivers()...)
 			} else {
-				ij.T.Devs = append(ij.T.Devs, c.KV.Devices()...)
-				ij.T.HCAs = append(ij.T.HCAs, c.KV.HCAs()...)
+				ij.T.Firmware = append(ij.T.Firmware, c.KV.Firmware()...)
 				ij.T.Drivers = append(ij.T.Drivers, c.KV.Drivers()...)
 			}
 			// Shard groups, value arenas, and transport buffers are all
@@ -304,7 +302,7 @@ func (h *Host) AttachNIC() *Device {
 	h.NIC.SetTracer(h.cluster.tracerFor(h.Part))
 	h.Driver.AttachDevice(h.NIC)
 	if ij := h.cluster.injector; ij != nil && h.Part == 0 {
-		ij.T.Devs = append(ij.T.Devs, h.NIC)
+		ij.T.Firmware = append(ij.T.Firmware, &h.NIC.Firmware)
 	}
 	return h.NIC
 }
@@ -315,7 +313,7 @@ func (h *Host) AttachHCA() *HCA {
 	h.HCA.SetTracer(h.cluster.tracerFor(h.Part))
 	h.Driver.AttachHCA(h.HCA)
 	if ij := h.cluster.injector; ij != nil && h.Part == 0 {
-		ij.T.HCAs = append(ij.T.HCAs, h.HCA)
+		ij.T.Firmware = append(ij.T.Firmware, &h.HCA.Firmware)
 	}
 	return h.HCA
 }
@@ -362,12 +360,12 @@ func (h *Host) OpenChannel(as *AddressSpace, opts ...ChannelOption) *Channel {
 		// host's own engine — on a partitioned cluster its activations run
 		// on the host's partition, wherever that is.
 		chaos.Arm(cfg.plan, chaos.Targets{
-			Eng:     h.Eng,
-			Net:     h.cluster.Net,
-			Devs:    []*Device{h.NIC},
-			Drivers: []*Driver{h.Driver},
-			Spaces:  []*AddressSpace{as},
-			Tracer:  h.cluster.tracerFor(h.Part),
+			Eng:      h.Eng,
+			Net:      h.cluster.Net,
+			Firmware: []*Firmware{&h.NIC.Firmware},
+			Drivers:  []*Driver{h.Driver},
+			Spaces:   []*AddressSpace{as},
+			Tracer:   h.cluster.tracerFor(h.Part),
 		})
 	}
 	return ch

@@ -45,9 +45,7 @@ import (
 
 	"npf/internal/apps"
 	"npf/internal/bench"
-	"npf/internal/mem"
 	"npf/internal/nic"
-	"npf/internal/rc"
 	"npf/internal/sim"
 	"npf/internal/trace"
 )
@@ -167,28 +165,7 @@ func runAnatomyCmd(cmd string, args []string) int {
 // minor rNPF on the responder.
 func runIB(seed int64, trials, size int) *trace.Tracer {
 	e := bench.NewIBEnv(bench.IBOpts{Seed: seed, Trace: true})
-	pages := (size + mem.PageSize - 1) / mem.PageSize
-	bench.Warm(e.QPA, 0, pages*2)
-	const window = 8
-	done := 0
-	var runTrial func()
-	runTrial = func() {
-		if done >= trials {
-			e.Eng.Stop()
-			return
-		}
-		base := mem.VAddr(done%window*pages) * mem.PageSize
-		e.QPB.PostRecv(rc.RecvWQE{ID: int64(done), Addr: base, Len: size})
-		e.QPA.PostSend(rc.SendWQE{ID: int64(done), Laddr: 0, Len: size})
-	}
-	e.QPB.OnRecv = func(rc.RecvCompletion) {
-		base := mem.PageNum(done % window * pages)
-		e.ASB.DiscardPages(base, pages)
-		done++
-		runTrial()
-	}
-	runTrial()
-	e.Eng.Run()
+	bench.MinorNPFs(e, size, trials)
 	return e.Tracer
 }
 

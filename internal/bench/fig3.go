@@ -53,13 +53,13 @@ func RunFig3(trials int) *Fig3Result {
 	return RunFig3Opts(Fig3Opts{Trials: trials})
 }
 
-// fig3Replica measures `trials` minor NPFs of one message size on a private
-// engine and returns the driver's execution breakdown.
-func fig3Replica(seed int64, bytes, trials int) *core.Breakdown {
-	e := NewIBEnv(IBOpts{Seed: seed})
+// MinorNPFs runs the Figure 3a trial loop on e, a fresh IB env: a warm sender
+// posts trials messages of bytes each, one at a time, into receive buffers
+// that cycle through an 8-slot window and are discarded after each receive,
+// so every receive takes a cold minor rNPF on side B. It runs e until the
+// last receive completes; the faults land in e.DrvB.Hist (and e's tracers).
+func MinorNPFs(e *IBEnv, bytes, trials int) {
 	pages := (bytes + mem.PageSize - 1) / mem.PageSize
-	// Sender warm; receive buffers cycle through a window, discarded
-	// after each trial so every receive faults cold (minor).
 	Warm(e.QPA, 0, pages*2)
 	const window = 8
 	done := 0
@@ -80,14 +80,12 @@ func fig3Replica(seed int64, bytes, trials int) *core.Breakdown {
 		})
 	}
 	e.QPB.OnRecv = func(rc.RecvCompletion) {
-		base := mem.PageNum(done % window * pages)
-		e.ASB.DiscardPages(base, pages)
+		e.ASB.DiscardPages(mem.PageNum(done%window*pages), pages)
 		done++
 		runTrial()
 	}
 	runTrial()
 	e.Run()
-	return &e.DrvB.Hist
 }
 
 // RunFig3Opts is RunFig3 with explicit seeding and replica fan-out. Every
@@ -115,7 +113,9 @@ func RunFig3Opts(o Fig3Opts) *Fig3Result {
 				trials++
 			}
 			jobs = append(jobs, func() {
-				hists[si][rep] = fig3Replica(o.Seed+int64(rep), size.bytes, trials)
+				e := NewIBEnv(IBOpts{Seed: o.Seed + int64(rep)})
+				MinorNPFs(e, size.bytes, trials)
+				hists[si][rep] = &e.DrvB.Hist
 			})
 		}
 	}
@@ -204,31 +204,7 @@ func RunTable4(trials int) *Table4Result {
 		si, size := si, size
 		jobs[si] = func() {
 			e := NewIBEnv(IBOpts{Seed: 11, Jitter: true})
-			pages := (size.bytes + mem.PageSize - 1) / mem.PageSize
-			Warm(e.QPA, 0, pages*2)
-			const window = 8
-			done := 0
-			var runTrial func()
-			runTrial = func() {
-				if done >= trials {
-					e.EngB.Stop()
-					return
-				}
-				id := int64(done)
-				base := mem.VAddr(done%window*pages) * mem.PageSize
-				e.QPB.PostRecv(rc.RecvWQE{ID: id, Addr: base, Len: size.bytes})
-				e.EngB.Call(e.Eng, func() {
-					e.QPA.PostSend(rc.SendWQE{ID: id, Laddr: 0, Len: size.bytes})
-				})
-			}
-			e.QPB.OnRecv = func(rc.RecvCompletion) {
-				base := mem.PageNum(done % window * pages)
-				e.ASB.DiscardPages(base, pages)
-				done++
-				runTrial()
-			}
-			runTrial()
-			e.Run()
+			MinorNPFs(e, size.bytes, trials)
 			h := &e.DrvB.Hist.Total
 			rows[si] = Table4Row{
 				P50: h.Percentile(50), P95: h.Percentile(95),

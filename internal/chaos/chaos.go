@@ -21,7 +21,6 @@ import (
 	"npf/internal/fabric"
 	"npf/internal/mem"
 	"npf/internal/nic"
-	"npf/internal/rc"
 	"npf/internal/sim"
 	"npf/internal/trace"
 )
@@ -30,13 +29,14 @@ import (
 // nil/empty; faults that need an absent target arm as no-ops. Eng is
 // required.
 type Targets struct {
-	Eng     *sim.Engine
-	Net     *fabric.Network
-	Devs    []*nic.Device
-	HCAs    []*rc.HCA
-	Drivers []*core.Driver
-	Groups  []*mem.Group
-	Spaces  []*mem.AddressSpace
+	Eng *sim.Engine
+	Net *fabric.Network
+	// Firmware is the fault path of every targeted adapter, Ethernet NIC
+	// or RC HCA alike (FirmwareStall).
+	Firmware []*nic.Firmware
+	Drivers  []*core.Driver
+	Groups   []*mem.Group
+	Spaces   []*mem.AddressSpace
 	// Tracer receives the "chaos" spans and counters (nil disables, as
 	// everywhere else in the stack).
 	Tracer *trace.Tracer
@@ -134,7 +134,7 @@ func (ij *Injector) nodes(explicit []fabric.NodeID) []fabric.NodeID {
 }
 
 // ---------------------------------------------------------------------------
-// Firmware faults (internal/nic, internal/rc).
+// Firmware faults (internal/nic's Firmware, shared by NICs and HCAs).
 
 // FirmwareStall stretches the firmware fault-path latency of every NIC and
 // HCA during [At, At+Duration): sampled latency becomes lat*Mult + Add.
@@ -159,19 +159,13 @@ func (f FirmwareStall) Arm(ij *Injector) {
 	}
 	ij.T.Eng.At(f.At, func() {
 		ij.record(trace.ChaosFirmwareStall, f.At, f.At+f.Duration, 0, 0)
-		for _, d := range ij.T.Devs {
-			d.SetFaultDelayHook(hook)
-		}
-		for _, h := range ij.T.HCAs {
-			h.SetFaultDelayHook(hook)
+		for _, fw := range ij.T.Firmware {
+			fw.SetFaultDelayHook(hook)
 		}
 	})
 	ij.T.Eng.At(f.At+f.Duration, func() {
-		for _, d := range ij.T.Devs {
-			d.SetFaultDelayHook(nil)
-		}
-		for _, h := range ij.T.HCAs {
-			h.SetFaultDelayHook(nil)
+		for _, fw := range ij.T.Firmware {
+			fw.SetFaultDelayHook(nil)
 		}
 	})
 }

@@ -331,12 +331,12 @@ func warmStack(st *tcp.Stack) {
 
 func (e *ethEnv) targets() Targets {
 	t := Targets{
-		Eng:     e.eng,
-		Net:     e.net,
-		Devs:    []*nic.Device{e.sDev},
-		Drivers: []*core.Driver{e.drv},
-		Spaces:  []*mem.AddressSpace{e.serverAS},
-		Tracer:  e.tr,
+		Eng:      e.eng,
+		Net:      e.net,
+		Firmware: []*nic.Firmware{&e.sDev.Firmware},
+		Drivers:  []*core.Driver{e.drv},
+		Spaces:   []*mem.AddressSpace{e.serverAS},
+		Tracer:   e.tr,
 	}
 	if e.group != nil {
 		t.Groups = []*mem.Group{e.group}
@@ -526,7 +526,7 @@ func runLinkFlap(seed int64) *Report {
 	ij := Arm(NewPlan(LinkFlap{
 		Node: hcaB.Node, At: sim.Millisecond, Down: 500 * sim.Microsecond,
 		Period: 1500 * sim.Microsecond, Times: 3,
-	}), Targets{Eng: eng, Net: net, HCAs: []*rc.HCA{hcaA, hcaB},
+	}), Targets{Eng: eng, Net: net, Firmware: []*nic.Firmware{&hcaA.Firmware, &hcaB.Firmware},
 		Drivers: []*core.Driver{drvA, drvB}, Tracer: tr})
 	_ = ij
 

@@ -60,12 +60,10 @@ func (e *kvEnv) targets() Targets {
 		Tracer: e.tr,
 	}
 	if e.g.Parts() > 1 {
-		t.Devs = e.svc.ServerDevices()
-		t.HCAs = e.svc.ServerHCAs()
+		t.Firmware = e.svc.ServerFirmware()
 		t.Drivers = e.svc.ServerDrivers()
 	} else {
-		t.Devs = e.svc.Devices()
-		t.HCAs = e.svc.HCAs()
+		t.Firmware = e.svc.Firmware()
 		t.Drivers = e.svc.Drivers()
 	}
 	return t

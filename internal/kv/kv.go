@@ -694,28 +694,11 @@ func (s *Service) ServerDrivers() []*core.Driver {
 	return out
 }
 
-// ServerDevices returns the server-tier Ethernet NICs (empty under
-// TransportRC); see ServerDrivers for why chaos targets stop here.
-func (s *Service) ServerDevices() []*nic.Device {
-	var out []*nic.Device
-	for _, h := range s.Hosts[:s.Cfg.ServerHosts] {
-		if h.Dev != nil {
-			out = append(out, h.Dev)
-		}
-	}
-	return out
-}
-
-// ServerHCAs returns the server-tier HCAs (empty under TransportTCP); see
-// ServerDrivers for why chaos targets stop here.
-func (s *Service) ServerHCAs() []*rc.HCA {
-	var out []*rc.HCA
-	for _, h := range s.Hosts[:s.Cfg.ServerHosts] {
-		if h.HCA != nil {
-			out = append(out, h.HCA)
-		}
-	}
-	return out
+// ServerFirmware returns the firmware of the server-tier adapters (NICs
+// under TransportTCP, HCAs under TransportRC); see ServerDrivers for why
+// chaos targets stop here.
+func (s *Service) ServerFirmware() []*nic.Firmware {
+	return firmware(s.Hosts[:s.Cfg.ServerHosts])
 }
 
 // Drivers returns every host's NPF driver.
@@ -738,12 +721,18 @@ func (s *Service) Devices() []*nic.Device {
 	return out
 }
 
-// HCAs returns every HCA (empty under TransportTCP).
-func (s *Service) HCAs() []*rc.HCA {
-	var out []*rc.HCA
-	for _, h := range s.Hosts {
+// Firmware returns the firmware of every host's adapter.
+func (s *Service) Firmware() []*nic.Firmware { return firmware(s.Hosts) }
+
+// firmware collects the adapter firmware of hosts, in host order.
+func firmware(hosts []*HostNode) []*nic.Firmware {
+	var out []*nic.Firmware
+	for _, h := range hosts {
+		if h.Dev != nil {
+			out = append(out, &h.Dev.Firmware)
+		}
 		if h.HCA != nil {
-			out = append(out, h.HCA)
+			out = append(out, &h.HCA.Firmware)
 		}
 	}
 	return out

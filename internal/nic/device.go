@@ -111,24 +111,10 @@ type NPFSink interface {
 	HandleTxNPF(ev TxNPF)
 }
 
-// Config holds device latency parameters.
+// Config holds device latency parameters: the shared firmware fault path
+// plus the Ethernet-only knobs.
 type Config struct {
-	// IntLatency is interrupt delivery latency (MSI-X write + handler
-	// dispatch).
-	IntLatency sim.Time
-	// FirmwareFault is the firmware-side cost of detecting an NPF and
-	// raising the fault interrupt — the dominant hardware component of the
-	// paper's Figure 3a ("this duration is typical for Mellanox NIC
-	// firmware activity").
-	FirmwareFault sim.Time
-	// FirmwareResume is the hardware cost from page-table update to the
-	// NIC resuming the faulted operation (Figure 3a component v).
-	FirmwareResume sim.Time
-	// FirmwareJitterSigma adds log-normal jitter to FirmwareFault,
-	// producing Table 4's tail. Zero disables jitter.
-	FirmwareJitterSigma float64
-	// IOTLBEntries sizes the device IOTLB (0 = no IOTLB model).
-	IOTLBEntries int
+	FirmwareConfig
 	// DisableInflightBitmap turns off the firmware optimization that
 	// suppresses duplicate fault reports for descriptors already being
 	// resolved (§4 "Optimizations"; ablation).
@@ -137,36 +123,21 @@ type Config struct {
 
 // DefaultConfig returns parameters calibrated to Figure 3/Table 4.
 func DefaultConfig() Config {
-	return Config{
-		IntLatency:          3 * sim.Microsecond,
-		FirmwareFault:       130 * sim.Microsecond,
-		FirmwareResume:      40 * sim.Microsecond,
-		FirmwareJitterSigma: 0.12,
-		IOTLBEntries:        1024,
-	}
+	return Config{FirmwareConfig: DefaultFirmware()}
 }
 
 // Device is one NIC. It implements fabric.Endpoint.
 type Device struct {
-	Eng  *sim.Engine
-	Net  *fabric.Network
-	Node fabric.NodeID
-	MMU  *iommu.Unit
-	Cfg  Config
+	Firmware
+	Cfg Config
 
-	rng       *sim.Rand
-	channels  map[fabric.FlowID]*Channel
-	nextFlow  fabric.FlowID
-	Backup    *BackupRing
-	sink      NPFSink
-	faultHook func(sim.Time) sim.Time
-	faultSeq  uint64 // per-device FaultID sequence (fault.go)
+	channels map[fabric.FlowID]*Channel
+	nextFlow fabric.FlowID
+	Backup   *BackupRing
+	sink     NPFSink
 	// rxBatch is the RX completion buffer every channel's interrupt builds
 	// its batch in (RxRing.interrupt).
 	rxBatch []RxCompletion
-
-	// Tracer records NPF fault records; nil disables tracing.
-	Tracer *trace.Tracer
 
 	// Counters.
 	RxDelivered      sim.Counter
@@ -181,15 +152,8 @@ type Device struct {
 
 // NewDevice creates a NIC on eng, attaches it to net, and returns it.
 func NewDevice(eng *sim.Engine, net *fabric.Network, cfg Config) *Device {
-	d := &Device{
-		Eng:      eng,
-		Net:      net,
-		MMU:      iommu.New(cfg.IOTLBEntries),
-		Cfg:      cfg,
-		rng:      eng.Rand().Split(),
-		channels: make(map[fabric.FlowID]*Channel),
-	}
-	d.Node = net.AttachOn(d, eng)
+	d := &Device{Cfg: cfg, channels: make(map[fabric.FlowID]*Channel)}
+	d.Attach(eng, net, &d.Cfg.FirmwareConfig, d)
 	d.Backup = newBackupRing(d, defaultBackupEntries)
 	return d
 }
@@ -226,38 +190,6 @@ func (d *Device) SetTracer(tr *trace.Tracer) {
 		}
 		return sum
 	})
-}
-
-// SetFaultDelayHook installs a transformation on the sampled firmware
-// fault-path latency — the injection point fault injectors (internal/chaos)
-// use to model firmware stalls. nil removes it.
-func (d *Device) SetFaultDelayHook(fn func(sim.Time) sim.Time) { d.faultHook = fn }
-
-// mintFault issues the next causal FaultID for this device. Minting is
-// unconditional (a shift and an add) so IDs are identical whether or not a
-// tracer is attached — determinism does not depend on observability.
-func (d *Device) mintFault() trace.FaultID {
-	d.faultSeq++
-	return trace.MintFaultID(int64(d.Node), d.faultSeq)
-}
-
-// firmwareFaultLatency samples the firmware fault-path latency, with the
-// long-tailed jitter that produces Table 4.
-func (d *Device) firmwareFaultLatency() sim.Time {
-	lat := d.Cfg.FirmwareFault
-	if d.Cfg.FirmwareJitterSigma > 0 {
-		f := d.rng.LogNormal(0, d.Cfg.FirmwareJitterSigma)
-		// Occasional scheduling hiccup in the firmware's slow error path: a
-		// heavy tail reaching ~2x the median, as in Table 4's max column.
-		if d.rng.Bernoulli(0.003) {
-			f *= 1.7 + 1.3*d.rng.Float64()
-		}
-		lat = sim.Time(float64(lat) * f)
-	}
-	if d.faultHook != nil {
-		lat = d.faultHook(lat)
-	}
-	return lat
 }
 
 // Channel is one hardware-provided virtual NIC instance (the paper's

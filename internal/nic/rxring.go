@@ -169,9 +169,9 @@ func (r *RxRing) recv(pkt *fabric.Packet) {
 				return // firmware already reported this descriptor's fault
 			}
 			r.inflight[idx] = true
-			entry := RxNPFEntry{Channel: r.ch, Index: idx, Missing: missing, Start: dev.Eng.Now(), Fault: dev.mintFault()}
+			entry := RxNPFEntry{Channel: r.ch, Index: idx, Missing: missing, Start: dev.Eng.Now(), Fault: dev.MintFault()}
 			// The drop path goes through the slow firmware error path.
-			lat := dev.firmwareFaultLatency() + dev.Cfg.IntLatency
+			lat := dev.FaultLatency()
 			dev.Tracer.FaultMinted(entry.Fault, "rx-drop", entry.Start, int64(pkt.Src), idx, len(missing))
 			dev.Eng.After(lat, func() {
 				dev.sink.HandleRxNPF([]RxNPFEntry{entry})
@@ -210,7 +210,7 @@ func (r *RxRing) parkInBackup(pkt *fabric.Packet, idx int64, missing []mem.PageN
 		Missing:  missing,
 		Packet:   pkt,
 		Start:    dev.Eng.Now(),
-		Fault:    dev.mintFault(),
+		Fault:    dev.MintFault(),
 	}
 	name := "rx-backup"
 	if missing == nil {

@@ -110,8 +110,8 @@ func (q *TxQueue) txFault(missing []mem.PageNum, dst fabric.NodeID) {
 	}
 	// Firmware detects the fault and raises the NPF interrupt
 	// (components i–ii).
-	ev.Fault = dev.mintFault()
-	lat := dev.firmwareFaultLatency() + dev.Cfg.IntLatency
+	ev.Fault = dev.MintFault()
+	lat := dev.FaultLatency()
 	dev.Tracer.FaultMinted(ev.Fault, "tx", ev.Start, -1, int64(dst), len(missing))
 	dev.Eng.After(lat, func() {
 		dev.sink.HandleTxNPF(ev)

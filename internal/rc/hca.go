@@ -16,8 +16,8 @@ import (
 	"fmt"
 
 	"npf/internal/fabric"
-	"npf/internal/iommu"
 	"npf/internal/mem"
+	"npf/internal/nic"
 	"npf/internal/sim"
 	"npf/internal/trace"
 )
@@ -77,8 +77,11 @@ type FaultSink interface {
 	HandleQPFault(ev QPFault)
 }
 
-// Config holds HCA latency and protocol parameters.
+// Config holds HCA latency and protocol parameters: the firmware fault
+// path the adapter shares with the Ethernet NIC (internal/nic), plus RC's
+// own.
 type Config struct {
+	nic.FirmwareConfig
 	// MTU is the packet payload size.
 	MTU int
 	// HeaderBytes is per-packet wire overhead.
@@ -92,17 +95,6 @@ type Config struct {
 	RNRTimeout sim.Time
 	// RetxTimeout is the local-ACK timeout safety net.
 	RetxTimeout sim.Time
-	// IntLatency is interrupt/completion delivery latency.
-	IntLatency sim.Time
-	// FirmwareFault is the firmware cost of detecting an NPF and raising
-	// the interrupt (Figure 3a, components i–ii; ~90% of NPF time).
-	FirmwareFault sim.Time
-	// FirmwareResume is the cost from page-table update to resumed
-	// operation (component v).
-	FirmwareResume sim.Time
-	// FirmwareJitterSigma adds log-normal jitter to FirmwareFault
-	// (Table 4's tail). Zero disables.
-	FirmwareJitterSigma float64
 	// PrefetchWQE enables the paper's batching optimization: a fault
 	// reports every missing page of the whole work request, not just the
 	// faulting packet's pages (§4, third optimization; ATS/PRI would force
@@ -120,28 +112,22 @@ type Config struct {
 	// faults placing response data suspend the responder (like RNR NACK)
 	// instead of dropping the stream and rewinding after resolution.
 	ReadRNRExtension bool
-	// IOTLBEntries sizes the device IOTLB.
-	IOTLBEntries int
 }
 
 // DefaultConfig returns parameters calibrated to the Connect-IB testbed and
 // Figure 3 / Table 4.
 func DefaultConfig() Config {
 	return Config{
-		MTU:                 4096,
-		HeaderBytes:         48,
-		Window:              128,
-		AckEvery:            4,
-		RNRTimeout:          280 * sim.Microsecond,
-		RetxTimeout:         10 * sim.Millisecond,
-		IntLatency:          3 * sim.Microsecond,
-		FirmwareFault:       130 * sim.Microsecond,
-		FirmwareResume:      40 * sim.Microsecond,
-		FirmwareJitterSigma: 0.12,
-		PrefetchWQE:         true,
-		ReadWindow:          64,
-		LineRateBps:         56e9,
-		IOTLBEntries:        1024,
+		FirmwareConfig: nic.DefaultFirmware(),
+		MTU:            4096,
+		HeaderBytes:    48,
+		Window:         128,
+		AckEvery:       4,
+		RNRTimeout:     280 * sim.Microsecond,
+		RetxTimeout:    10 * sim.Millisecond,
+		PrefetchWQE:    true,
+		ReadWindow:     64,
+		LineRateBps:    56e9,
 	}
 }
 
@@ -157,24 +143,15 @@ func DefaultRoCEConfig() Config {
 
 // HCA is one InfiniBand adapter. It implements fabric.Endpoint.
 type HCA struct {
-	Eng  *sim.Engine
-	Net  *fabric.Network
-	Node fabric.NodeID
-	MMU  *iommu.Unit
-	Cfg  Config
+	nic.Firmware
+	Cfg Config
 
-	rng       *sim.Rand
-	qps       map[QPN]*QP
-	nextQP    QPN
-	sink      FaultSink
-	faultHook func(sim.Time) sim.Time
-	faultSeq  uint64 // per-adapter FaultID sequence (trace/fault.go)
+	qps    map[QPN]*QP
+	nextQP QPN
+	sink   FaultSink
 	// free holds packets this adapter sent that have been delivered and
 	// handled on this adapter's engine, ready for reuse by send.
 	free []*packet
-
-	// Tracer records NPF fault records and RNR spans; nil disables tracing.
-	Tracer *trace.Tracer
 
 	// Counters.
 	PacketsSent  sim.Counter
@@ -191,15 +168,8 @@ type HCA struct {
 
 // NewHCA creates an adapter on eng attached to net.
 func NewHCA(eng *sim.Engine, net *fabric.Network, cfg Config) *HCA {
-	h := &HCA{
-		Eng: eng,
-		Net: net,
-		MMU: iommu.New(cfg.IOTLBEntries),
-		Cfg: cfg,
-		rng: eng.Rand().Split(),
-		qps: make(map[QPN]*QP),
-	}
-	h.Node = net.AttachOn(h, eng)
+	h := &HCA{Cfg: cfg, qps: make(map[QPN]*QP)}
+	h.Attach(eng, net, &h.Cfg.FirmwareConfig, h)
 	return h
 }
 
@@ -227,26 +197,6 @@ func (h *HCA) SetTracer(tr *trace.Tracer) {
 	})
 }
 
-// SetFaultDelayHook installs a transformation on the sampled firmware
-// fault-path latency — the injection point fault injectors (internal/chaos)
-// use to model firmware stalls. nil removes it.
-func (h *HCA) SetFaultDelayHook(fn func(sim.Time) sim.Time) { h.faultHook = fn }
-
-func (h *HCA) firmwareFaultLatency() sim.Time {
-	lat := h.Cfg.FirmwareFault
-	if h.Cfg.FirmwareJitterSigma > 0 {
-		f := h.rng.LogNormal(0, h.Cfg.FirmwareJitterSigma)
-		if h.rng.Bernoulli(0.003) {
-			f *= 1.7 + 1.3*h.rng.Float64()
-		}
-		lat = sim.Time(float64(lat) * f)
-	}
-	if h.faultHook != nil {
-		lat = h.faultHook(lat)
-	}
-	return lat
-}
-
 // raiseFault reports an NPF to the driver after the firmware fault path.
 func (h *HCA) raiseFault(ev QPFault) {
 	h.Faults.Inc()
@@ -254,15 +204,14 @@ func (h *HCA) raiseFault(ev QPFault) {
 	if h.sink == nil {
 		panic("rc: NPF with no fault sink attached (ODP used without a driver)")
 	}
-	h.faultSeq++
-	ev.Fault = trace.MintFaultID(int64(h.Node), h.faultSeq)
+	ev.Fault = h.MintFault()
 	// The cross-host edge: every class but send-local was tripped by the
 	// connected peer's op.
 	origin := int64(-1)
 	if ev.Class != FaultSendLocal {
 		origin = int64(ev.QP.peerNode)
 	}
-	lat := h.firmwareFaultLatency() + h.Cfg.IntLatency
+	lat := h.FaultLatency()
 	h.Tracer.FaultMinted(ev.Fault, ev.Class.String(), ev.Start, origin, int64(ev.QP.QPN), len(ev.Missing))
 	h.Eng.After(lat, func() {
 		h.sink.HandleQPFault(ev)

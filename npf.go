@@ -146,6 +146,9 @@ type (
 	Channel = nic.Channel
 	// NICConfig holds device latencies.
 	NICConfig = nic.Config
+	// Firmware is an adapter's NPF fault path, shared by Device and HCA
+	// (ChaosTargets lists it).
+	Firmware = nic.Firmware
 	// FaultPolicy selects pinned / drop / backup-ring receive behaviour.
 	FaultPolicy = nic.FaultPolicy
 )

@@ -231,7 +231,7 @@ func TestClusterWithKV(t *testing.T) {
 		t.Fatal("WithKV left Cluster.KV nil")
 	}
 	ij := cluster.Injector()
-	if len(ij.T.Groups) == 0 || len(ij.T.Drivers) == 0 || len(ij.T.Devs) == 0 {
+	if len(ij.T.Groups) == 0 || len(ij.T.Drivers) == 0 || len(ij.T.Firmware) == 0 {
 		t.Fatal("KV layers did not join the chaos target set")
 	}
 	wl := cluster.KV.NewWorkload(WorkloadConfig{
