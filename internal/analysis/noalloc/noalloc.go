@@ -75,7 +75,8 @@ func (*Analyzed) AFact() {}
 // table.
 var Required = map[string][]string{
 	"npf/internal/sim": {
-		"Engine.At", "Engine.After", "Engine.Cancel", "Engine.schedule",
+		"Engine.At", "Engine.After", "Engine.AtArg", "Engine.AfterArg",
+		"Engine.Cancel", "Engine.schedule",
 	},
 	"npf/internal/fabric": {
 		"port.enqueue", "port.kick",

@@ -126,16 +126,18 @@ func TestScaleoutClientHotPathAllocs(t *testing.T) {
 
 // scaleoutMallocsPerOp bounds the heap objects the quick fleet allocates
 // per completed op while it runs (construction and Start excluded): the
-// request message, which the server turns into the reply in place, the
-// retry timer's and the service delay's closures, on UD the RC packets
-// that cross partitions, and the amortized growth of histograms, mailboxes
-// and rings. Measured: 6.2 objects (494 B) on Eth and 10.4 (996 B) on
-// UD; the budgets leave 13% and 6% headroom, less than one object on
-// each. A fresh reply object, a frame per message or a closure per
-// cross-partition hop each add about one, so either transport catches it.
+// request message, which the server turns into the reply in place, on UD
+// the RC packets that cross partitions, and the amortized growth of
+// histograms, mailboxes and rings. The retry timer and the service delay
+// are argument events with handlers bound once per fleet, so they
+// allocate nothing. Measured: 4.09 objects (435 B) on Eth and 7.60
+// (913 B) on UD; the budgets leave 10% and 5% headroom, less than one
+// object on each. A fresh reply object, a frame per message, or a closure
+// per timer or per cross-partition hop each add about one, so either
+// transport catches it.
 var scaleoutMallocsPerOp = map[topo.Transport]float64{
-	topo.TransportEth: 7,
-	topo.TransportUD:  11,
+	topo.TransportEth: 4.5,
+	topo.TransportUD:  8,
 }
 
 // TestScaleoutRoundTripAllocBound runs the quick fleet on both transports

@@ -35,6 +35,7 @@ type Workload struct {
 
 	clients []*wlClient
 	pending map[uint64]*pendingReq
+	retryFn func(any) // w.retry, bound once
 	issued  int
 	// completed counts finished ops; the tracer publishes it as kv.ops.
 	completed sim.Counter
@@ -50,6 +51,7 @@ type wlClient struct {
 }
 
 type pendingReq struct {
+	id       uint64 // key in Workload.pending
 	c        *wlClient
 	key      string
 	shard    int
@@ -66,6 +68,7 @@ type pendingReq struct {
 func (s *Service) NewWorkload(cfg WorkloadConfig) *Workload {
 	cfg = cfg.WithDefaults(s.Cfg.ExpectedKeys)
 	w := &Workload{svc: s, Cfg: cfg, pending: make(map[uint64]*pendingReq)}
+	w.retryFn = w.retry
 	per := cfg.TargetOps / cfg.Clients
 	extra := cfg.TargetOps % cfg.Clients
 	clientHosts := s.Hosts[s.Cfg.ServerHosts:]
@@ -188,7 +191,7 @@ func (c *wlClient) issue() {
 	s.nextReq++
 	id := s.nextReq
 	req := &pendingReq{
-		c: c, key: key, shard: shard, isGet: isGet,
+		id: id, c: c, key: key, shard: shard, isGet: isGet,
 		size:  s.Cfg.ValueBytes,
 		start: s.cliEng.Now(),
 	}
@@ -212,7 +215,7 @@ func (c *wlClient) issue() {
 		w.Sets.Inc()
 		c.host.frontCache.invalidate(key)
 	}
-	w.sendReq(id, req)
+	w.sendReq(req)
 }
 
 // frontCacheCost is the client-local cost of a front-cache hit.
@@ -230,7 +233,7 @@ func (s *Service) clientPrimary(shard int) int {
 
 // sendReq (re)sends a pending op to the shard's current primary and arms
 // the retry timer.
-func (w *Workload) sendReq(id uint64, req *pendingReq) {
+func (w *Workload) sendReq(req *pendingReq) {
 	s := w.svc
 	req.attempts++
 	kind := rpcGet
@@ -241,38 +244,43 @@ func (w *Workload) sendReq(id uint64, req *pendingReq) {
 	}
 	s.send(req.c.host, s.clientPrimary(req.shard), wire, &rpcMsg{
 		Kind: kind, Shard: req.shard, Key: req.key, Size: req.size,
-		ReqID: id, Client: req.c.id,
+		ReqID: req.id, Client: req.c.id,
 	})
-	req.timer = s.cliEng.After(w.Cfg.RequestTimeout, func() {
-		if w.pending[id] != req {
-			return
-		}
-		w.Retries.Inc()
-		w.sendReq(id, req) // placement is re-read: a failover reroutes us
-	})
+	req.timer = s.cliEng.AfterArg(w.Cfg.RequestTimeout, w.retryFn, req)
+}
+
+// retry is the retry timer of a pending op, bound once as w.retryFn: it
+// resends the op unless it has completed since.
+func (w *Workload) retry(arg any) {
+	req := arg.(*pendingReq)
+	if w.pending[req.id] != req {
+		return
+	}
+	w.Retries.Inc()
+	w.sendReq(req) // placement is re-read: a failover reroutes us
 }
 
 // deliverReply routes a reply arriving at client host h.
 func (s *Service) deliverReply(h *HostNode, m *rpcMsg) {
 	for _, w := range s.workloads {
 		if req, ok := w.pending[m.ReqID]; ok && req.c.host == h {
-			w.handleReply(m.ReqID, req, m)
+			w.handleReply(req, m)
 			return
 		}
 	}
 }
 
-func (w *Workload) handleReply(id uint64, req *pendingReq, m *rpcMsg) {
+func (w *Workload) handleReply(req *pendingReq, m *rpcMsg) {
 	s := w.svc
 	if m.Redirect && req.attempts < 64 {
 		// The replica we asked is no longer primary. Retry immediately
 		// against the current placement table.
 		s.cliEng.Cancel(req.timer)
-		w.sendReq(id, req)
+		w.sendReq(req)
 		return
 	}
 	s.cliEng.Cancel(req.timer)
-	delete(w.pending, id)
+	delete(w.pending, req.id)
 	if req.isGet {
 		if m.Hit {
 			w.Hits.Inc()

@@ -201,6 +201,11 @@ type HostNode struct {
 	netAS *mem.AddressSpace // transport buffer address space
 	mgmt  fabric.NodeID     // management-network port (heartbeats)
 
+	// sendReplyFn sends a get reply once its service delay ends (servers
+	// only). Its argument is the reply, whose From names the client host
+	// until send stamps the sender.
+	sendReplyFn func(any)
+
 	// Replicas hosted here, ordered by shard ID (servers only).
 	replicas       []*replica
 	replicaByShard map[int]*replica
@@ -369,6 +374,11 @@ func (s *Service) newHost(i int) *HostNode {
 	h.eng, h.tr = s.Eng, s.Tracer
 	if !server {
 		h.eng, h.tr = s.cliEng, s.TracerC
+	} else {
+		h.sendReplyFn = func(reply any) {
+			m := reply.(*rpcMsg)
+			s.send(h, m.From, rpcHeader+m.Size, m)
+		}
 	}
 	// The substrate comes from a shared topo.HostSpec; Build's construction
 	// order (machine, driver, adapter) is the historical kv order, so RNG

@@ -103,12 +103,9 @@ func (r *replica) handleClientOp(m *rpcMsg) {
 	if m.Kind == rpcGet {
 		hit, size, storeCost, _ := r.store.Get(m.Key)
 		cost := r.opCost(m.Key, storeCost)
-		reply := &rpcMsg{Kind: rpcReply, Shard: r.shard, ReqID: m.ReqID,
+		reply := &rpcMsg{Kind: rpcReply, From: m.From, Shard: r.shard, ReqID: m.ReqID,
 			Client: m.Client, Hit: hit, OK: true, Size: size}
-		from := m.From
-		s.Eng.After(cost, func() {
-			s.send(r.host, from, rpcHeader+size, reply)
-		})
+		s.Eng.AfterArg(cost, r.host.sendReplyFn, reply)
 		return
 	}
 	// Set: apply locally, then replicate synchronously.

@@ -18,6 +18,25 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineArgThroughput is BenchmarkEngineEventThroughput through
+// AfterArg: one handler bound once, a pointer argument, no closure per
+// event.
+func BenchmarkEngineArgThroughput(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	n := 0
+	var step func(any)
+	step = func(arg any) {
+		n++
+		if n < b.N {
+			e.AfterArg(10, step, arg)
+		}
+	}
+	b.ResetTimer()
+	e.AfterArg(1, step, &n)
+	e.Run()
+}
+
 // BenchmarkEngineImmediate measures the After(0) fast path: run-this-next
 // scheduling bypasses the heap entirely.
 func BenchmarkEngineImmediate(b *testing.B) {
@@ -252,6 +271,34 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 		t.Fatalf("steady-state schedule/cancel/run allocates %.1f per cycle, want 0", allocs)
+	}
+}
+
+// TestEngineAfterArgSteadyStateAllocs is TestEngineSteadyStateAllocs for
+// argument events: a handler bound once and a pointer argument schedule,
+// cancel and run without allocating, whether the event is immediate, in
+// the heap or in the calendar tier.
+func TestEngineAfterArgSteadyStateAllocs(t *testing.T) {
+	e := NewEngine(1)
+	type client struct{ n int }
+	var c client
+	fn := func(arg any) { arg.(*client).n++ }
+	cycle := func() {
+		e.AfterArg(5, fn, &c)
+		e.AfterArg(0, fn, &c)
+		e.AfterArg(Time(1)<<(epochShift+1), fn, &c)
+		id := e.AfterArg(100, fn, &c)
+		e.Cancel(id)
+		e.Run()
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
+		t.Fatalf("steady-state AfterArg schedule/cancel/run allocates %.1f per cycle, want 0", allocs)
+	}
+	if want := 3 * (100 + 1000 + 1); c.n != want {
+		t.Fatalf("handler ran %d times, want %d", c.n, want)
 	}
 }
 

@@ -2,7 +2,8 @@
 // that every other subsystem in this repository runs on.
 //
 // A single Engine owns a virtual clock and a priority queue of events.
-// Components schedule callbacks with At/After; Run drains the queue in
+// Components schedule callbacks with At/After (or a bound func and its
+// argument with AtArg/AfterArg); Run drains the queue in
 // (time, sequence) order, so two runs with the same seed and the same
 // schedule produce byte-identical results.
 //
@@ -70,26 +71,47 @@ func (t Time) String() string {
 	return time.Duration(t).String()
 }
 
-// event is a scheduled callback. seq breaks ties between events scheduled
-// for the same instant, preserving scheduling order. The struct is pooled:
-// gen distinguishes the current tenancy from stale EventIDs that refer to
-// an earlier use of the same struct. It fits the 48-byte size class.
+// event is a scheduled callback: fn(arg) at time at. seq breaks ties
+// between events scheduled for the same instant, preserving scheduling
+// order, and is unique per engine, so it doubles as the generation of the
+// pooled struct: an EventID names (event, seq), and a struct reused by a
+// later At carries a new seq. fn == nil marks an event that was cancelled
+// or has already run. next links the calendar-tier lists; it is nil in
+// the heap and &immMark in the immediate FIFO. The struct is exactly 48
+// bytes, one size class (TestEventSize).
 type event struct {
 	at   Time
 	seq  uint64
-	fn   func()
-	gen  uint64
-	next *event // calendar-tier list link; nil in the heap and the FIFO
-	dead bool   // cancelled; skipped (and recycled) when it surfaces
-	imm  bool   // lives in the immediate FIFO, not the heap
+	fn   func(any)
+	arg  any
+	next *event
 }
+
+// immMark's address is the next link of every event in the immediate FIFO,
+// which tells Cancel not to count it against the heap and the calendar
+// tier.
+var immMark event
+
+// plain is a func() carried as an argument: pointer-shaped, so boxing it
+// allocates nothing. It is the arg of an At/After event.
+type plain func()
+
+// callPlain runs a plain argument. It is the fn of an At/After event and
+// of an Engine.Call delivered as mail.
+func callPlain(arg any) { arg.(plain)() }
 
 // EventID identifies a scheduled event so it can be cancelled. The zero
 // value is valid and never cancels anything.
 type EventID struct {
 	ev  *event
-	gen uint64
+	seq uint64
 }
+
+// Seq returns the scheduling sequence number of the event id names: its
+// tie-break among events due at the same instant, unique per engine. An
+// event can compare it with Engine.EventSeq to learn whether it is the
+// event id names.
+func (id EventID) Seq() uint64 { return id.seq }
 
 // maxFreeEvents caps the free list; beyond it, recycled events are left to
 // the garbage collector. The cap bounds pool memory after a burst while
@@ -143,6 +165,9 @@ type Engine struct {
 	// the extremely common "run this next" pattern O(1).
 	imm     []*event
 	immHead int
+	// running is the seq of the event executing now, or of the last one
+	// to have run.
+	running uint64
 	// free is the event pool; live drives Pending, and dead (cancelled
 	// events still in the heap or the calendar tier) drives compaction.
 	free    []*event
@@ -203,7 +228,7 @@ func (e *Engine) Pending() int { return e.live }
 
 // alloc takes an event from the pool, or allocates one when the pool is
 // empty, and stamps it with the next sequence number.
-func (e *Engine) alloc(t Time, fn func()) *event {
+func (e *Engine) alloc(t Time, fn func(any), arg any) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -212,19 +237,18 @@ func (e *Engine) alloc(t Time, fn func()) *event {
 	} else {
 		ev = &event{} //npf:allocok — pool miss; amortized away once the pool warms up
 	}
-	ev.at, ev.seq, ev.fn = t, e.seq, fn
+	ev.at, ev.seq, ev.fn, ev.arg = t, e.seq, fn, arg
 	e.seq++
 	return ev
 }
 
-// recycle returns an event to the pool. Bumping gen invalidates every
-// EventID that still points at this struct.
+// recycle returns an event to the pool. Its seq stays until the next
+// alloc stamps a new one, and fn == nil already makes every EventID that
+// still names it a no-op.
 func (e *Engine) recycle(ev *event) {
-	ev.gen++
 	ev.fn = nil
+	ev.arg = nil
 	ev.next = nil
-	ev.dead = false
-	ev.imm = false
 	if len(e.free) < maxFreeEvents {
 		e.free = append(e.free, ev) //npf:allocok — pool refill; capacity reaches steady state
 	}
@@ -235,18 +259,33 @@ func (e *Engine) recycle(ev *event) {
 //
 //npf:noalloc
 func (e *Engine) At(t Time, fn func()) EventID {
+	return e.AtArg(t, callPlain, plain(fn)) //npf:allocok — a func value is pointer-shaped; boxing it does not allocate
+}
+
+// AtArg schedules fn(arg) to run at absolute virtual time t, in the same
+// (time, seq) order as At. It is allocation-free when fn is bound once
+// (a method value or closure built ahead of time, not per call) and arg
+// is pointer-shaped (a pointer, a map, a chan or a func): an interface
+// stores those as they are, where any other value is boxed on the heap.
+// fn must not be nil.
+//
+//npf:noalloc
+func (e *Engine) AtArg(t Time, fn func(any), arg any) EventID {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now)) //npf:allocok — dying anyway
 	}
-	ev := e.alloc(t, fn)
+	if fn == nil {
+		panic("sim: AtArg with a nil fn")
+	}
+	ev := e.alloc(t, fn, arg)
 	e.live++
 	if t == e.now {
-		ev.imm = true
+		ev.next = &immMark
 		e.imm = append(e.imm, ev) //npf:allocok — FIFO backing reaches steady-state capacity
 	} else {
 		e.schedule(ev)
 	}
-	return EventID{ev, ev.gen}
+	return EventID{ev, ev.seq}
 }
 
 // schedule files a future event by epoch: the heap for epochs up to cur,
@@ -283,26 +322,45 @@ func (e *Engine) After(d Time, fn func()) EventID {
 	if d < 0 {
 		d = 0
 	}
-	return e.At(e.now.Add(d), fn)
+	return e.AtArg(e.now.Add(d), callPlain, plain(fn)) //npf:allocok — a func value is pointer-shaped; boxing it does not allocate
 }
+
+// AfterArg schedules fn(arg) to run d nanoseconds from now, with After's
+// saturation and AtArg's allocation contract.
+//
+//npf:noalloc
+func (e *Engine) AfterArg(d Time, fn func(any), arg any) EventID {
+	if d < 0 {
+		d = 0
+	}
+	return e.AtArg(e.now.Add(d), fn, arg)
+}
+
+// EventSeq returns the seq of the event executing now (EventID.Seq of the
+// ID its At or AtArg returned). Group mail is not an event and leaves it
+// as the last event set it. A handler bound once for many timers compares
+// it with the seq its owner recorded when arming, to tell the current
+// timer from stale ones.
+func (e *Engine) EventSeq() uint64 { return e.running }
 
 // Cancel removes a scheduled event. Cancelling an event that already ran or
 // was already cancelled is a no-op; Cancel reports whether the event was
-// actually removed. Removal is lazy: the event is marked dead and skipped
-// (and its struct recycled) when it reaches the front of its queue or its
-// epoch moves into the heap, with a full compaction of the heap and the
-// calendar tier once dead events outnumber live ones there.
+// actually removed. An ID never cancels a later event that reuses its
+// struct: the seqs differ. Removal is lazy: the event is marked dead and
+// skipped (and its struct recycled) when it reaches the front of its queue
+// or its epoch moves into the heap, with a full compaction of the heap and
+// the calendar tier once dead events outnumber live ones there.
 //
 //npf:noalloc
 func (e *Engine) Cancel(id EventID) bool {
 	ev := id.ev
-	if ev == nil || ev.gen != id.gen || ev.dead {
+	if ev == nil || ev.seq != id.seq || ev.fn == nil {
 		return false
 	}
-	ev.dead = true
 	ev.fn = nil
+	ev.arg = nil
 	e.live--
-	if !ev.imm {
+	if ev.next != &immMark {
 		e.dead++
 		if e.dead >= compactMinDead && e.dead*2 > len(e.heap)+e.far {
 			e.compact()
@@ -334,7 +392,7 @@ func (e *Engine) compact() {
 	}
 	kept := e.heap[:0]
 	for _, ev := range e.heap {
-		if ev.dead {
+		if ev.fn == nil {
 			e.recycle(ev)
 		} else {
 			kept = append(kept, ev) //npf:allocok — appends into e.heap's own backing (kept = e.heap[:0]); never grows
@@ -353,7 +411,7 @@ func (e *Engine) compact() {
 func (e *Engine) sweep(head *event) *event {
 	link := &head
 	for ev := *link; ev != nil; ev = *link {
-		if ev.dead {
+		if ev.fn == nil {
 			*link = ev.next
 			e.far--
 			e.recycle(ev)
@@ -387,7 +445,7 @@ func (e *Engine) refill() {
 			nx := ev.next
 			ev.next = nil
 			e.far--
-			if ev.dead {
+			if ev.fn == nil {
 				e.dead--
 				e.recycle(ev)
 			} else {
@@ -432,7 +490,7 @@ func (e *Engine) spill() {
 		nx := ev.next
 		ev.next = nil
 		e.far--
-		if ev.dead {
+		if ev.fn == nil {
 			e.dead--
 			e.recycle(ev)
 		} else {
@@ -452,7 +510,7 @@ func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 // peek returns the next live event and which queue it heads, discarding any
 // dead events that have surfaced. It returns nil when nothing is scheduled.
 func (e *Engine) peek() (ev *event, fromHeap bool) {
-	for e.immHead < len(e.imm) && e.imm[e.immHead].dead {
+	for e.immHead < len(e.imm) && e.imm[e.immHead].fn == nil {
 		e.recycle(e.imm[e.immHead])
 		e.imm[e.immHead] = nil
 		e.immHead++
@@ -461,7 +519,7 @@ func (e *Engine) peek() (ev *event, fromHeap bool) {
 		e.imm = e.imm[:0]
 		e.immHead = 0
 	}
-	for len(e.heap) > 0 && e.heap[0].dead {
+	for len(e.heap) > 0 && e.heap[0].fn == nil {
 		e.dead--
 		e.recycle(e.popHeap())
 	}
@@ -525,9 +583,10 @@ func (e *Engine) runThrough(target Time) (stopped bool) {
 		if e.MaxEvents != 0 && e.executed > e.MaxEvents {
 			panic(fmt.Sprintf("sim: exceeded MaxEvents=%d at t=%v", e.MaxEvents, e.now))
 		}
-		fn := next.fn
+		fn, arg := next.fn, next.arg
+		e.running = next.seq
 		e.recycle(next)
-		fn()
+		fn(arg)
 	}
 	return true
 }

@@ -84,9 +84,12 @@ func (r *refEngine) runUntil(deadline Time) Time {
 // fuzzScript is what an event does when it runs: log its id, optionally
 // schedule its child (an event with no script of its own, whose id is
 // reserved up front so both engines agree on it) and optionally Stop.
+// mode picks the call that schedules the child: At, AtArg, After or
+// AfterArg.
 type fuzzScript struct {
 	child      int // 0: none
 	class, arg byte
+	mode       byte
 	stop       bool
 }
 
@@ -123,19 +126,25 @@ const (
 )
 
 // FuzzEngineOrder drives the Engine and refEngine with the same decoded
-// operation stream — At in every calendar region, Cancel of live, fired
-// and stale IDs (singly and in bursts large enough to compact), RunUntil
-// and Run, NextEventTime, and Stop from inside events — and requires the
-// same execution order, Now, Pending and Executed after every operation
-// and the same NextEventTime wherever the stream asks for it. Each stream
-// runs twice: on a standalone engine, and on the engine of a one-partition
-// Group driven through Group.RunUntil and Group.Run.
+// operation stream — At, AtArg, After and AfterArg in every calendar
+// region, Cancel of live, fired and stale IDs (singly and in bursts large
+// enough to compact), RunUntil and Run, NextEventTime, and Stop from
+// inside events — and requires the same execution order, Now, Pending and
+// Executed after every operation and the same NextEventTime wherever the
+// stream asks for it. Whenever a new event takes the pooled struct of the
+// event that ran last, the old ID must cancel nothing. Each stream runs
+// twice: on a standalone engine, and on the engine of a one-partition
+// Group driven through Group.RunUntil and Group.Run. The call an event is
+// scheduled with (At, AtArg, After or AfterArg) is read from input bits
+// the older decoding ignored, so the committed corpus entries replay the
+// sequences they were found with.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 0, 0, 2, 9, 1, 0, 4, 3, 3, 0, 6, 200, 0, 4, 2, 1})
 	f.Add([]byte{0, 6, 0, 2, 6, 0, 0, 0, 3, 3, 7, 5, 3, 7, 1, 4, 0, 5})
 	f.Add([]byte{2, 3, 90, 2, 4, 100, 2, 2, 120, 3, 2, 1, 4, 6, 0, 6, 3, 0, 1, 5})
 	f.Add([]byte{0, 2, 9, 0x71, 1, 0, 1, 1, 0, 4, 3, 4, 8, 5, 0, 0, 7, 0x15, 4, 2, 3, 5})
 	f.Add([]byte{2, 5, 255, 2, 2, 80, 3, 0, 2, 6, 0, 4, 0, 3, 4, 5, 2, 3, 1, 7, 5})
+	f.Add([]byte{0, 0x09, 5, 0x05, 0, 0x0a, 9, 0x0d, 4, 3, 3, 0, 0x10, 0, 0x08, 1, 2, 0, 0x18, 3, 0x0c, 5, 1, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		e := NewEngine(1)
 		fuzzEngineStream(t, "engine", data, e, e.RunUntil, e.Run)
@@ -153,18 +162,33 @@ func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUnti
 	ids := []EventID{{}}
 	var got, want []int
 	var fn func(id int) func()
-	fn = func(id int) func() {
-		return func() {
-			got = append(got, id)
-			s := scripts[id]
-			if s.child != 0 {
-				ids[s.child] = e.At(fuzzOffset(e.Now(), s.class, s.arg), fn(s.child))
-			}
-			if s.stop {
-				e.Stop()
-			}
+	var argFn func(any)
+	// reused requires that when event id has taken the pooled struct of
+	// the event that ran last, that event's ID cancels nothing.
+	reused := func(id int) {
+		if len(got) == 0 {
+			return
+		}
+		last := got[len(got)-1]
+		if old := ids[last]; old.ev == ids[id].ev && e.Cancel(old) {
+			t.Fatalf("%s: Cancel of the ID of event %d, which ran, cancelled event %d in its reused struct", name, last, id)
 		}
 	}
+	// script runs event id's script; the plain and the argument forms
+	// share it.
+	script := func(id int) {
+		got = append(got, id)
+		s := scripts[id]
+		if s.child != 0 {
+			ids[s.child] = schedule(e, s.mode, fuzzOffset(e.Now(), s.class, s.arg), s.child, fn, argFn)
+			reused(s.child)
+		}
+		if s.stop {
+			e.Stop()
+		}
+	}
+	fn = func(id int) func() { return func() { script(id) } }
+	argFn = func(arg any) { script(*arg.(*int)) }
 	ref.run = func(id int) {
 		want = append(want, id)
 		s := scripts[id]
@@ -190,8 +214,9 @@ func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUnti
 			ids = append(ids, EventID{})
 		}
 		at := fuzzOffset(e.Now(), class, arg)
-		ids[id] = e.At(at, fn(id))
+		ids[id] = schedule(e, class>>3, at, id, fn, argFn)
 		ref.at(at, id)
+		reused(id)
 	}
 	next := func() byte {
 		if len(data) == 0 {
@@ -204,9 +229,9 @@ func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUnti
 	checked := 0
 	for step := 0; len(data) > 0 && step < fuzzMaxSteps; step++ {
 		switch op := next(); op % 7 {
-		case 0: // one event; flags pick a child, its region, and Stop
+		case 0: // one event; flags pick a child, its region, its call, and Stop
 			class, arg, flags := next(), next(), next()
-			add(class, arg, fuzzScript{child: int(flags & 1), class: flags >> 4, arg: arg ^ flags, stop: flags&2 != 0})
+			add(class, arg, fuzzScript{child: int(flags & 1), class: flags >> 4, arg: arg ^ flags, mode: flags >> 2, stop: flags&2 != 0})
 		case 1: // cancel one id: live, fired, stale, or never scheduled
 			id := int(next()) % len(ids)
 			if g, w := e.Cancel(ids[id]), ref.cancel(id); g != w {
@@ -247,5 +272,23 @@ func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUnti
 			t.Fatalf("%s step %d: Now/Pending/Executed = %v/%d/%d, model %v/%d/%d",
 				name, step, e.Now(), e.Pending(), e.Executed(), ref.now, len(ref.pend), ref.executed)
 		}
+	}
+}
+
+// schedule puts event id on e at time at through the call mode picks: At,
+// AtArg, After or AfterArg. The Arg forms carry id behind a pointer and
+// share one bound argFn, as allocation-free callers do.
+func schedule(e *Engine, mode byte, at Time, id int, fn func(int) func(), argFn func(any)) EventID {
+	arg := new(int)
+	*arg = id
+	switch mode % 4 {
+	case 0:
+		return e.At(at, fn(id))
+	case 1:
+		return e.AtArg(at, argFn, arg)
+	case 2:
+		return e.After(at-e.Now(), fn(id))
+	default:
+		return e.AfterArg(at-e.Now(), argFn, arg)
 	}
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -208,21 +210,71 @@ func TestEngineCancelLazyOrdering(t *testing.T) {
 	}
 }
 
-// EventIDs must go stale when their event runs, even though the underlying
-// struct is pooled and reused by later events.
+// EventIDs must go stale when their event runs or is cancelled, even
+// though the underlying struct is pooled and reused by later events: seq,
+// unique per engine, is the struct's generation, so an ID names one
+// scheduling and never a later one.
 func TestEngineEventIDReuseSafety(t *testing.T) {
 	e := NewEngine(1)
 	ran := 0
 	id := e.At(1, func() { ran++ })
 	e.Run()
-	// The struct behind id is now in the free list; this At likely reuses it.
-	e.At(e.Now()+1, func() { ran++ })
+	// The struct behind id is now on top of the free list; this At reuses it.
+	reused := e.At(e.Now()+1, func() { ran++ })
+	if reused.ev != id.ev || reused.Seq() == id.Seq() {
+		t.Fatalf("reuse: struct %p seq %d after %p seq %d; want the same struct under a new seq",
+			reused.ev, reused.Seq(), id.ev, id.Seq())
+	}
 	if e.Cancel(id) {
 		t.Fatal("Cancel of an already-run event reported true")
 	}
 	e.Run()
 	if ran != 2 {
 		t.Fatalf("ran = %d, want 2 (stale Cancel must not hit the reused event)", ran)
+	}
+
+	// A cancelled event's ID goes stale the same way, and cancelling it
+	// twice is a no-op, for heap, calendar and immediate events alike.
+	for _, d := range []Time{0, 10, Time(1) << (epochShift + 2)} {
+		victim := e.After(d, func() { t.Fatalf("cancelled event (delay %v) ran", d) })
+		if !e.Cancel(victim) || e.Cancel(victim) {
+			t.Fatalf("delay %v: Cancel, Cancel = want true, false", d)
+		}
+		e.Run() // recycles the dead struct
+		next := e.AfterArg(d, func(any) { ran++ }, nil)
+		if e.Cancel(victim) {
+			t.Fatalf("delay %v: stale Cancel of a cancelled event hit seq %d", d, next.Seq())
+		}
+		e.Run()
+	}
+	if ran != 5 {
+		t.Fatalf("ran = %d, want 5", ran)
+	}
+}
+
+// TestEventSize pins the event struct at 48 bytes, one allocation size
+// class: an argument event fits fn and arg by folding the generation into
+// seq, the cancelled flag into fn and the immediate flag into next.
+func TestEventSize(t *testing.T) {
+	if sz := unsafe.Sizeof(event{}); sz != 48 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 48", sz)
+	}
+}
+
+// EventSeq reads, inside a running event, the seq its EventID carries:
+// the check a once-bound timer handler uses to skip stale timers.
+func TestEngineEventSeq(t *testing.T) {
+	e := NewEngine(1)
+	var ids [3]EventID
+	var seen []uint64
+	h := func(any) { seen = append(seen, e.EventSeq()) }
+	ids[0] = e.AfterArg(5, h, nil)
+	ids[1] = e.AfterArg(0, h, nil)
+	ids[2] = e.AtArg(5, h, nil)
+	e.Run()
+	want := []uint64{ids[1].Seq(), ids[0].Seq(), ids[2].Seq()}
+	if !slices.Equal(seen, want) {
+		t.Fatalf("EventSeq in order = %v, want %v", seen, want)
 	}
 }
 

@@ -385,10 +385,6 @@ func (g *Group) Post(from, to int, at Time, src, seq uint64, fn func(any), arg a
 // model-layer source id (fabric node ids and the like are small ints).
 const callSrc = uint64(1) << 63
 
-// callMail runs an Engine.Call closure delivered as mail. A func value is
-// pointer-shaped, so boxing it into the mail's arg does not allocate.
-func callMail(fn any) { fn.(func())() }
-
 // Call executes fn in target's partition. When both engines share a
 // partition — in particular when they are the same engine, the
 // single-engine case — fn runs immediately, the historical synchronous
@@ -403,7 +399,7 @@ func (e *Engine) Call(target *Engine, fn func()) {
 		return
 	}
 	e.callSeq++
-	e.group.Post(e.part, target.part, e.now.Add(e.group.look), callSrc|uint64(e.part), e.callSeq, callMail, fn)
+	e.group.Post(e.part, target.part, e.now.Add(e.group.look), callSrc|uint64(e.part), e.callSeq, callPlain, plain(fn))
 }
 
 // Run executes the whole group until every partition is quiescent.

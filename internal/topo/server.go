@@ -271,7 +271,7 @@ func (st *serverTenant) handle(req *msg) {
 		st.shed.Inc()
 	}
 	req.hit = ok && hit
-	st.srv.host.Eng.After(cost, func() { st.reply(req) })
+	st.srv.host.Eng.AfterArg(cost, s.replyFn, req)
 }
 
 // reply sends rep, the request turned into its response, back to the swarm

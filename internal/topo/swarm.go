@@ -2,6 +2,8 @@ package topo
 
 import (
 	"fmt"
+	"math"
+	"unsafe"
 
 	"npf/internal/core"
 	"npf/internal/fabric"
@@ -48,16 +50,22 @@ type SwarmHost struct {
 // swarmClient is one logical client. Closed-loop op state is inline so the
 // steady-state path allocates nothing per client. It holds no pointer
 // (TestSwarmClientPointerFree): a fleet's client slice is the largest
-// object on the heap, and a pointer-free slice is never scanned.
+// object on the heap, and a pointer-free slice is never scanned. Its 128
+// bytes (TestSwarmClientFootprint) enter StateBytes, and so the fleet
+// fingerprint.
 type swarmClient struct {
-	src      workload.Source
-	tenant   int32
-	quota    int32 // ops left to complete (closed) or to issue (open)
-	curID    uint64
+	src    workload.Source
+	tenant int32
+	quota  int32  // ops left to complete (closed) or to issue (open)
+	curID  uint32 // the open closed-loop op's host-local id; 0: none
+	key    int32
+	server int32
+	// attempts counts the open op's sends; timer is the EventID.Seq of
+	// the retry timer its last send armed, the only one that is current.
 	attempts int8
 	get      bool
-	key      int32
-	server   int32
+	host     uint16 // the SwarmHost's index in Sweep.swarms
+	timer    uint64
 	start    sim.Time
 }
 
@@ -142,27 +150,64 @@ func (sh *SwarmHost) addClient(t *tenantState, quota int32) {
 		src:    workload.NewSource(t.cfg, sh.eng.Rand().Split()),
 		tenant: t.idx,
 		quota:  quota,
+		host:   uint16(sh.idx),
 	})
 	if t.cfg.OpenLoop && sh.pending == nil {
 		sh.pending = make(map[uint64]pendingOp)
 	}
 }
 
+// bindEvents binds the fleet's per-op event handlers once. A client
+// event's argument is its client, a *swarmClient into its host's client
+// slice, and a service delay's is the request: scheduling either
+// allocates nothing. An open-loop retry's argument is its openTimer key.
+func (s *Sweep) bindEvents() {
+	s.issueFn = func(c any) { sh, ci := s.client(c); sh.issueClosed(ci) }
+	s.arriveFn = func(c any) { sh, ci := s.client(c); sh.arriveOpen(ci) }
+	s.timeoutFn = func(c any) { sh, ci := s.client(c); sh.timeoutClosed(ci) }
+	s.timeoutOpenFn = func(k any) {
+		key := k.(uint64)
+		s.swarms[key>>32].timeoutOpen(key & math.MaxUint32)
+	}
+	s.replyFn = func(req any) {
+		m := req.(*msg)
+		s.servers[m.server].tenants[m.tenant].reply(m)
+	}
+}
+
+// client returns the swarm host of c, a per-client event's argument, and
+// c's index in that host's client slice.
+func (s *Sweep) client(c any) (*SwarmHost, int32) {
+	p := c.(*swarmClient)
+	sh := s.swarms[p.host]
+	off := uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(unsafe.SliceData(sh.clients)))
+	return sh, int32(off / unsafe.Sizeof(swarmClient{}))
+}
+
 // start arms every client: closed-loop clients stagger in 3 µs apart (the
 // historical kv ramp), open-loop clients draw their first arrival gap.
 func (sh *SwarmHost) start() {
 	for i := range sh.clients {
-		ci := int32(i)
 		c := &sh.clients[i]
 		if c.quota <= 0 {
 			continue
 		}
 		if sh.sweep.tenants[c.tenant].cfg.OpenLoop {
-			sh.armArrival(ci)
+			sh.armArrival(int32(i))
 		} else {
-			sh.eng.After(sim.Time(i+1)*3*sim.Microsecond, func() { sh.issueClosed(ci) })
+			sh.eng.AfterArg(sim.Time(i+1)*3*sim.Microsecond, sh.sweep.issueFn, c)
 		}
 	}
+}
+
+// newOpID returns the host's next op id. Closed-loop clients keep theirs
+// in 32 bits, so the count must not pass math.MaxUint32.
+func (sh *SwarmHost) newOpID() uint64 {
+	if sh.nextID == math.MaxUint32 {
+		panic(fmt.Sprintf("topo: swarm host %d ran out of op ids", sh.idx))
+	}
+	sh.nextID++
+	return sh.nextID
 }
 
 // retryDelay is the timeout for attempt number attempts (1-based):
@@ -179,11 +224,11 @@ func (sh *SwarmHost) retryDelay(src *workload.Source, tenant int32, attempts int
 	return sim.Time(float64(d) * (0.75 + 0.5*src.Rand().Float64()))
 }
 
-// send puts one request on the wire (Ethernet frame into the server
-// tenant's ring, or a UD datagram via the address handle). The server owns
-// req from here on.
-func (sh *SwarmHost) send(req *msg, server int32) {
-	s := sh.sweep
+// send puts one request on the wire to req.server (Ethernet frame into the
+// server tenant's ring, or a UD datagram via the address handle). The
+// server owns req from here on.
+func (sh *SwarmHost) send(req *msg) {
+	s, server := sh.sweep, req.server
 	size := reqHeaderBytes
 	if !req.get {
 		size += s.cfg.ValueBytes
@@ -207,8 +252,7 @@ func (sh *SwarmHost) issueClosed(ci int32) {
 	c := &sh.clients[ci]
 	t := sh.sweep.tenants[c.tenant]
 	get, key := c.src.NextOp()
-	sh.nextID++
-	c.curID = sh.nextID
+	c.curID = uint32(sh.newOpID())
 	c.get, c.key = get, int32(key)
 	c.server = sh.sweep.pickServer(t, c.key)
 	c.start = sh.eng.Now()
@@ -220,16 +264,18 @@ func (sh *SwarmHost) sendClosed(ci int32) {
 	c := &sh.clients[ci]
 	c.attempts++
 	sh.send(&msg{
-		id: c.curID, swarm: sh.idx, client: ci,
+		id: uint64(c.curID), swarm: sh.idx, client: ci, server: c.server,
 		tenant: c.tenant, key: c.key, get: c.get,
-	}, c.server)
-	id := c.curID
-	sh.eng.After(sh.retryDelay(&c.src, c.tenant, c.attempts), func() { sh.timeoutClosed(ci, id) })
+	})
+	c.timer = sh.eng.AfterArg(sh.retryDelay(&c.src, c.tenant, c.attempts), sh.sweep.timeoutFn, c).Seq()
 }
 
-func (sh *SwarmHost) timeoutClosed(ci int32, id uint64) {
+// timeoutClosed runs when a retry timer of client ci fires. Only the timer
+// its last send armed is current, and only while the op is open; every
+// other one belongs to a completed op and is a no-op.
+func (sh *SwarmHost) timeoutClosed(ci int32) {
 	c := &sh.clients[ci]
-	if c.curID != id {
+	if c.curID == 0 || c.timer != sh.eng.EventSeq() {
 		return // completed; stale timer
 	}
 	st := &sh.stats[c.tenant]
@@ -264,7 +310,7 @@ func (sh *SwarmHost) armArrival(ci int32) {
 	if c.quota <= 0 {
 		return
 	}
-	sh.eng.After(c.src.NextArrival(sh.eng.Now()), func() { sh.arriveOpen(ci) })
+	sh.eng.AfterArg(c.src.NextArrival(sh.eng.Now()), sh.sweep.arriveFn, c)
 }
 
 func (sh *SwarmHost) arriveOpen(ci int32) {
@@ -272,8 +318,7 @@ func (sh *SwarmHost) arriveOpen(ci int32) {
 	c.quota--
 	t := sh.sweep.tenants[c.tenant]
 	get, key := c.src.NextOp()
-	sh.nextID++
-	id := sh.nextID
+	id := sh.newOpID()
 	sh.pending[id] = pendingOp{
 		client: ci, key: int32(key), get: get,
 		server: sh.sweep.pickServer(t, int32(key)),
@@ -289,11 +334,16 @@ func (sh *SwarmHost) sendOpen(id uint64) {
 	sh.pending[id] = p
 	c := &sh.clients[p.client]
 	sh.send(&msg{
-		id: id, swarm: sh.idx, client: p.client,
+		id: id, swarm: sh.idx, client: p.client, server: p.server,
 		tenant: c.tenant, key: p.key, get: p.get,
-	}, p.server)
-	sh.eng.After(sh.retryDelay(&c.src, c.tenant, p.attempts), func() { sh.timeoutOpen(id) })
+	})
+	sh.eng.AfterArg(sh.retryDelay(&c.src, c.tenant, p.attempts), sh.sweep.timeoutOpenFn, sh.openTimer(id))
 }
+
+// openTimer is the argument of op id's retry timer: the host index and
+// the op id, both within 32 bits, in one word. Boxing it allocates 8
+// bytes; the open loop is off the fleet's path.
+func (sh *SwarmHost) openTimer(id uint64) any { return uint64(sh.idx)<<32 | id }
 
 func (sh *SwarmHost) timeoutOpen(id uint64) {
 	p, ok := sh.pending[id]
@@ -331,7 +381,7 @@ func (sh *SwarmHost) deliverReply(rep *msg) {
 		st.lat.AddTime(sh.eng.Now() - p.start)
 		return
 	}
-	if rep.id != c.curID {
+	if rep.id != uint64(c.curID) {
 		return // duplicate or stale reply
 	}
 	sh.completeClosed(rep.client, rep.hit)

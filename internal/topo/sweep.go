@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"math"
 
 	"npf/internal/fabric"
 	"npf/internal/mem"
@@ -186,7 +187,8 @@ type msg struct {
 	tenant int32
 	key    int32
 	get    bool
-	hit    bool // set by the server: the op succeeded and found its key
+	hit    bool  // set by the server: the op succeeded and found its key
+	server int32 // the server the request goes to
 }
 
 // tenantState is the fleet-wide view of one tenant.
@@ -220,6 +222,9 @@ type Sweep struct {
 	serverFlow [][]fabric.FlowID
 	serverUD   [][]rc.UDRemote
 
+	// The per-op event handlers (bindEvents).
+	issueFn, arriveFn, timeoutFn, timeoutOpenFn, replyFn func(any)
+
 	started bool
 }
 
@@ -238,6 +243,7 @@ func New(eng *sim.Engine, net *fabric.Network, cfg SweepConfig) (*Sweep, error) 
 	total := cfg.Servers + cfg.SwarmHosts
 	s.topo = Topology{Hosts: total, HostsPerRack: cfg.HostsPerRack}
 
+	s.bindEvents()
 	s.buildTenants()
 	s.buildHosts()
 	s.buildServerTenants()
@@ -248,6 +254,9 @@ func New(eng *sim.Engine, net *fabric.Network, cfg SweepConfig) (*Sweep, error) 
 func (c SweepConfig) validate() error {
 	if c.Servers < 1 || c.SwarmHosts < 1 {
 		return fmt.Errorf("topo: need at least one server and one swarm host (got %d/%d)", c.Servers, c.SwarmHosts)
+	}
+	if c.SwarmHosts > math.MaxUint16+1 {
+		return fmt.Errorf("topo: %d swarm hosts; a swarm client addresses at most %d", c.SwarmHosts, math.MaxUint16+1)
 	}
 	if c.ValueBytes < 0 || repHeaderBytes+c.ValueBytes > mem.PageSize {
 		return fmt.Errorf("topo: ValueBytes %d does not fit a one-page datagram buffer", c.ValueBytes)

@@ -207,10 +207,14 @@ func TestTopologyPartition(t *testing.T) {
 
 // TestSwarmClientFootprint pins the per-client cost: one swarm client is a
 // value struct and must stay small enough that 10^6 clients fit in tens of
-// megabytes.
+// megabytes. The sizes of swarmClient and serverTenant also enter
+// StateBytes, and so every fleet fingerprint: they are pinned exactly.
 func TestSwarmClientFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(swarmClient{}); sz > 128 {
-		t.Fatalf("swarmClient grew to %d bytes; 10^6 clients = %d MB", sz, sz*1_000_000/1_000_000)
+	if sz := unsafe.Sizeof(swarmClient{}); sz != 128 {
+		t.Fatalf("swarmClient is %d bytes, want 128; 10^6 clients = %d MB", sz, sz*1_000_000/1_000_000)
+	}
+	if sz := unsafe.Sizeof(serverTenant{}); sz != 160 {
+		t.Fatalf("serverTenant is %d bytes, want 160", sz)
 	}
 }
 

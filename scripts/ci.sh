@@ -71,7 +71,7 @@ go test -race -short -timeout 10m ./...
 echo "== tracer disabled-path allocation check =="
 out=$(go test -run 'TestTracerDisabledNoAlloc' -bench 'BenchmarkTracerDisabled' -benchtime 1000x ./internal/trace/)
 echo "$out"
-if ! echo "$out" | grep -q 'BenchmarkTracerDisabled.* 0 B/op.* 0 allocs/op'; then
+if ! grep -q 'BenchmarkTracerDisabled.* 0 B/op.* 0 allocs/op' <<< "$out"; then
     echo "BenchmarkTracerDisabled is not allocation-free" >&2
     exit 1
 fi
@@ -79,17 +79,19 @@ fi
 # The sim engine's free-list contract: steady-state scheduling must not
 # allocate, and the event-throughput hot path and the fleet-regime
 # large-pending queue (about 100k far timers in the calendar tier) must
-# report 0 allocs/op. TestEngineFarCancelRetention bounds what cancelled
+# report 0 allocs/op. Argument events (AtArg/AfterArg with a pre-bound
+# func and a pointer argument) schedule, cancel and run at 0 allocs/op
+# too. TestEngineFarCancelRetention bounds what cancelled
 # far timers may keep queued. A histogram stores a run of repeated samples
 # once: repeats add at 0 allocs/op and retain O(1) memory, and a warm
 # add-then-query period allocates nothing. A sim.Group at one thread
 # delivers mail with a pre-bound func and a pointer argument at 0 allocs/op.
 echo "== engine allocation gate =="
-out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineTimerChurnAllocs|TestEngineFarCancelRetention|TestHistogramRepeatsStayCompact|TestHistogramQueryNoAlloc' \
-    -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineLargePending|BenchmarkGroupMail|BenchmarkHistogramAddRepeat' -benchtime 10000x ./internal/sim/)
+out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineAfterArgSteadyStateAllocs|TestEngineTimerChurnAllocs|TestEngineFarCancelRetention|TestHistogramRepeatsStayCompact|TestHistogramQueryNoAlloc' \
+    -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineArgThroughput|BenchmarkEngineLargePending|BenchmarkGroupMail|BenchmarkHistogramAddRepeat' -benchtime 10000x ./internal/sim/)
 echo "$out"
-for bench in BenchmarkEngineEventThroughput BenchmarkEngineLargePending BenchmarkGroupMail BenchmarkHistogramAddRepeat; do
-    if ! echo "$out" | grep -q "$bench.* 0 B/op.* 0 allocs/op"; then
+for bench in BenchmarkEngineEventThroughput BenchmarkEngineArgThroughput BenchmarkEngineLargePending BenchmarkGroupMail BenchmarkHistogramAddRepeat; do
+    if ! grep -q "$bench.* 0 B/op.* 0 allocs/op" <<< "$out"; then
         echo "$bench is not allocation-free" >&2
         exit 1
     fi
@@ -114,7 +116,7 @@ out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestTranslateAl
     ./internal/fabric/ ./internal/iommu/ ./internal/mem/ ./internal/rc/ ./internal/tcp/ ./internal/bench/)
 echo "$out"
 for bench in BenchmarkSendDeliver BenchmarkIOTLBChurn BenchmarkTranslateMissInstall; do
-    if ! echo "$out" | grep -q "$bench.* 0 B/op.* 0 allocs/op"; then
+    if ! grep -q "$bench.* 0 B/op.* 0 allocs/op" <<< "$out"; then
         echo "$bench is not allocation-free" >&2
         exit 1
     fi
