@@ -40,8 +40,8 @@ are rejected if they contain allocating constructs (make/new, growing
 append, closure capture, interface boxing, string concat, fmt, map
 literals). Annotate reviewed lines //npf:allocok. The registry of
 runtime-gated hot paths (sim.Engine scheduling, the packet paths, the
-trace fault-record methods, workload.Source draws) must keep their
-annotations: removing one is itself a finding.`
+memcached handlers, the trace fault-record methods, workload.Source draws)
+must keep their annotations: removing one is itself a finding.`
 
 var Analyzer = &analysis.Analyzer{
 	Name:      "noalloc",
@@ -94,6 +94,9 @@ var Required = map[string][]string{
 	"npf/internal/rc": {
 		"HCA.take", "HCA.post",
 		"QP.PostSend", "QP.PostRecv", "QP.handleAck", "QP.handleData",
+	},
+	"npf/internal/apps": {
+		"KVServer.handle", "sendReply", "slapConn.onReply",
 	},
 	"npf/internal/tcp": {
 		"Stack.transmit",

@@ -227,6 +227,71 @@ func TestMemaslapKeyTable(t *testing.T) {
 	e.eng.Run()
 }
 
+// TestMemcachedWarmOpNoAlloc: once the keys are stored and the pools
+// have grown, memcached ops between two pinned stacks allocate nothing.
+// Each connection's one KVRequest carries every op there and back, the
+// server's reply is an argument event, and each TCP segment is copied once
+// into a recycled frame.
+func TestMemcachedWarmOpNoAlloc(t *testing.T) {
+	e := newMemcachedEnv(t, nic.PolicyPinned, 50*sim.Microsecond)
+	e.slap.Start(e.sstack.Channel().Dev.Node, e.sstack.Channel().Flow)
+	batch := func() { e.eng.RunUntil(e.eng.Now() + 10*sim.Millisecond) }
+	e.eng.RunUntil(sim.Second)
+	before := e.slap.Ops.N
+	const runs = 100
+	if allocs := testing.AllocsPerRun(runs, batch); allocs != 0 {
+		t.Fatalf("a warm batch of memcached ops allocates %.2f objects, want 0", allocs)
+	}
+	// AllocsPerRun runs the batch once more to warm up.
+	if ops := e.slap.Ops.N - before; ops < 100*(runs+1) {
+		t.Fatalf("%d ops in %d batches, want at least 100 per batch", ops, runs+1)
+	}
+	if n := e.sstack.Retransmits.N; n != 0 {
+		t.Fatalf("the server retransmitted %d segments", n)
+	}
+}
+
+// TestKVServerPipelinedReplies: one connection carries a get hit and a
+// get miss at once, and each reply is its own request object with its own
+// result. The server writes a result into the request it answers, never
+// into state shared by the connection.
+func TestKVServerPipelinedReplies(t *testing.T) {
+	e := newMemcachedEnv(t, nic.PolicyPinned, 50*sim.Microsecond)
+	if _, err := e.server.Store.Set("stored", 1024); err != nil {
+		t.Fatal(err)
+	}
+	type reply struct {
+		req  *KVRequest
+		hit  bool
+		size int
+		n    int
+	}
+	var got []reply
+	c := e.slap.stack.Dial(e.sstack.Channel().Dev.Node, e.sstack.Channel().Flow)
+	c.OnMessage = func(payload any, n int) {
+		req := payload.(*KVRequest)
+		got = append(got, reply{req, req.Hit, req.Size, n})
+	}
+	hit := &KVRequest{Op: OpGet, Key: "stored"}
+	miss := &KVRequest{Op: OpGet, Key: "absent"}
+	c.Send(kvHeader, hit)
+	c.Send(kvHeader, miss)
+	e.eng.Run()
+
+	want := []reply{{hit, true, 1024, kvHeader + 1024}, {miss, false, 0, kvHeader}}
+	if len(got) != len(want) {
+		t.Fatalf("%d replies, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("reply %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if n := e.server.Requests.N; n != 2 {
+		t.Fatalf("server handled %d requests, want 2", n)
+	}
+}
+
 // --------------------------------------------------------------------------
 // Storage.
 

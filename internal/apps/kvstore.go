@@ -89,11 +89,11 @@ func (kv *KVStore) Get(key string) (hit bool, size int, cost sim.Time, err error
 		kv.Misses.Inc()
 		return false, 0, 0, nil
 	}
-	res, err := kv.as.Touch(it.addr, it.size, false)
+	res, err := kv.as.Touch(it.addr, it.size, false) //npf:allocok — only a page fault allocates; a resident value does not
 	if err != nil {
 		return false, 0, res.Cost, err
 	}
-	kv.lru.MoveToBack(it.lruElem)
+	kv.lru.MoveToBack(it.lruElem) //npf:allocok — relinks an existing element
 	kv.Hits.Inc()
 	return true, it.size, res.Cost, nil
 }
@@ -102,12 +102,19 @@ func (kv *KVStore) Get(key string) (hit bool, size int, cost sim.Time, err error
 func (kv *KVStore) Set(key string, size int) (cost sim.Time, err error) {
 	kv.Sets.Inc()
 	if it, ok := kv.items[key]; ok && it.size == size {
-		res, err := kv.as.Touch(it.addr, it.size, true)
-		kv.lru.MoveToBack(it.lruElem)
+		res, err := kv.as.Touch(it.addr, it.size, true) //npf:allocok — only a page fault allocates; a resident value does not
+		kv.lru.MoveToBack(it.lruElem)                   //npf:allocok — relinks an existing element
 		return res.Cost, err
 	} else if ok {
-		kv.removeItem(it)
+		kv.removeItem(it) //npf:allocok — a value that changes size gives its slot back
 	}
+	return kv.insert(key, size)
+}
+
+// insert stores a key the store does not hold.
+//
+//npf:allocok — first use of a key: its item, LRU element and table entry
+func (kv *KVStore) insert(key string, size int) (cost sim.Time, err error) {
 	for kv.Capacity > 0 && kv.used+int64(size) > kv.Capacity {
 		front := kv.lru.Front()
 		if front == nil {

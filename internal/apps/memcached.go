@@ -16,17 +16,25 @@ const (
 	OpSet
 )
 
-// KVRequest is the wire request of the memcached-style protocol.
+// KVRequest is the one wire object of a memcached round trip: the client
+// sends it, the server writes the result into it and sends the same object
+// back as the reply.
+//
+// Ownership: a request belongs to the side that last received it. The
+// client must not touch it between Send and the reply's arrival, and the
+// server must not touch it after sending the reply. Memaslap's closed loop
+// keeps exactly one request outstanding per connection, so it reuses one
+// KVRequest per connection for every op.
 type KVRequest struct {
-	Op   KVOp
-	Key  string
-	Size int // value size for sets
-}
-
-// KVReply is the wire response.
-type KVReply struct {
-	Hit  bool
+	Op  KVOp
+	Key string
+	// Size is the value size in bytes: a set carries it to the server, and
+	// a get hit carries the stored value's size back.
 	Size int
+	// Hit is the result: the key was found (always true for a set).
+	Hit bool
+
+	conn *tcp.Conn // the server-side connection the request arrived on
 }
 
 const kvHeader = 60 // request/response framing overhead in bytes
@@ -56,33 +64,44 @@ func NewKVServer(stack *tcp.Stack, store *KVStore, service sim.Time) *KVServer {
 	return s
 }
 
+// handle serves one request that arrived on c: it writes the result into
+// req and schedules the reply after the request's CPU and memory cost.
+//
+//npf:noalloc
 func (s *KVServer) handle(c *tcp.Conn, req *KVRequest) {
 	s.Requests.Inc()
+	req.conn = c
 	cost := s.ServiceTime
-	reply := &KVReply{}
 	switch req.Op {
 	case OpGet:
 		hit, size, memCost, err := s.Store.Get(req.Key)
 		if err != nil {
-			panic(fmt.Sprintf("kvserver: get %q: %v", req.Key, err))
+			panic(fmt.Sprintf("kvserver: get %q: %v", req.Key, err)) //npf:allocok — invariant violation
 		}
 		cost += memCost
-		reply.Hit, reply.Size = hit, size
+		req.Hit, req.Size = hit, size
 	case OpSet:
 		memCost, err := s.Store.Set(req.Key, req.Size)
 		if err != nil {
-			panic(fmt.Sprintf("kvserver: set %q: %v", req.Key, err))
+			panic(fmt.Sprintf("kvserver: set %q: %v", req.Key, err)) //npf:allocok — invariant violation
 		}
 		cost += memCost
-		reply.Hit = true
+		req.Hit = true
 	}
-	s.eng.After(cost, func() {
-		size := kvHeader
-		if req.Op == OpGet && reply.Hit {
-			size += reply.Size
-		}
-		c.Send(size, reply)
-	})
+	s.eng.AfterArg(cost, sendReply, req) //npf:allocok — a *KVRequest is pointer-shaped; boxing it does not allocate
+}
+
+// sendReply sends a served request back on the connection it arrived on.
+// It is a plain function, so scheduling it creates no closure.
+//
+//npf:noalloc
+func sendReply(arg any) {
+	req := arg.(*KVRequest)
+	size := kvHeader
+	if req.Op == OpGet && req.Hit {
+		size += req.Size
+	}
+	req.conn.Send(size, req) //npf:allocok — a *KVRequest is pointer-shaped; boxing it does not allocate
 }
 
 // MemaslapConfig parameterises the load generator.
@@ -106,7 +125,6 @@ type Memaslap struct {
 	stack *tcp.Stack
 	eng   *sim.Engine
 	rng   *sim.Rand
-	conns []*tcp.Conn
 
 	issued    int
 	prepIdx   int
@@ -122,6 +140,15 @@ type Memaslap struct {
 	// keys caches key(i) for every index drawn so far, so a steady-state
 	// op formats no string.
 	keys []string
+}
+
+// slapConn is one closed-loop connection: the request object it reuses for
+// every op and when the outstanding op was issued.
+type slapConn struct {
+	m        *Memaslap
+	c        *tcp.Conn
+	req      KVRequest
+	issuedAt sim.Time
 }
 
 // NewMemaslap builds a generator on the client stack, bucketing its time
@@ -149,40 +176,47 @@ func (m *Memaslap) SetWorkingSet(keys int) { m.Cfg.Keys = keys }
 func (m *Memaslap) Start(serverNode fabric.NodeID, serverFlow fabric.FlowID) {
 	for i := 0; i < m.Cfg.Conns; i++ {
 		c := m.stack.Dial(serverNode, serverFlow)
-		m.conns = append(m.conns, c)
-		conn := c
-		issuedAt := sim.Time(0)
-		c.OnConnect = func() { issuedAt = m.eng.Now(); m.issue(conn) }
+		sc := &slapConn{m: m, c: c}
+		c.OnConnect = sc.issue
 		c.OnFail = func(err error) { m.Failed = true }
-		c.OnMessage = func(payload any, n int) {
-			reply := payload.(*KVReply)
-			m.Ops.Inc()
-			m.OpsTS.Observe(m.eng.Now(), 1)
-			if reply.Hit {
-				m.Hits.Inc()
-				m.HitsTS.Observe(m.eng.Now(), 1)
-			}
-			m.latencies.AddTime(m.eng.Now() - issuedAt)
-			if m.Cfg.TargetOps > 0 && int(m.Ops.N) >= m.Cfg.TargetOps {
-				if m.DoneAt == 0 {
-					m.DoneAt = m.eng.Now()
-					m.stopped = true
-					if m.OnDone != nil {
-						m.OnDone()
-					}
-				}
-				return
-			}
-			issuedAt = m.eng.Now()
-			m.issue(conn)
-		}
+		c.OnMessage = sc.onReply
 	}
 }
 
 // Stop halts issuing (outstanding requests drain).
 func (m *Memaslap) Stop() { m.stopped = true }
 
-func (m *Memaslap) issue(c *tcp.Conn) {
+// onReply completes the connection's outstanding op and issues the next.
+//
+//npf:noalloc
+func (sc *slapConn) onReply(payload any, n int) {
+	m := sc.m
+	req := payload.(*KVRequest)
+	now := m.eng.Now()
+	m.Ops.Inc()
+	m.OpsTS.Observe(now, 1) //npf:allocok — a new bucket, once per interval
+	if req.Hit {
+		m.Hits.Inc()
+		m.HitsTS.Observe(now, 1) //npf:allocok — a new bucket, once per interval
+	}
+	m.latencies.AddTime(now - sc.issuedAt) //npf:allocok — amortized: the sample slice doubles
+	if m.Cfg.TargetOps > 0 && int(m.Ops.N) >= m.Cfg.TargetOps {
+		if m.DoneAt == 0 {
+			m.DoneAt = now
+			m.stopped = true
+			if m.OnDone != nil {
+				m.OnDone() //npf:allocok — once, when TargetOps completes
+			}
+		}
+		return
+	}
+	sc.issue()
+}
+
+// issue fills the connection's request with the next op and sends it.
+func (sc *slapConn) issue() {
+	m := sc.m
+	sc.issuedAt = m.eng.Now()
 	if m.stopped {
 		return
 	}
@@ -190,26 +224,23 @@ func (m *Memaslap) issue(c *tcp.Conn) {
 		return
 	}
 	m.issued++
-	var req *KVRequest
+	op, k, size := OpSet, m.prepIdx, m.Cfg.ValueSize
 	switch {
 	case m.Cfg.Prepopulate && m.prepIdx < m.Cfg.Keys:
-		req = &KVRequest{Op: OpSet, Key: m.key(m.prepIdx), Size: m.Cfg.ValueSize}
 		m.prepIdx++
 	case m.rng.Float64() < m.Cfg.GetRatio:
-		req = &KVRequest{Op: OpGet, Key: m.key(m.rng.Intn(m.Cfg.Keys))}
+		op, k, size = OpGet, m.rng.Intn(m.Cfg.Keys), 0
 	default:
-		req = &KVRequest{Op: OpSet, Key: m.key(m.rng.Intn(m.Cfg.Keys)), Size: m.Cfg.ValueSize}
+		k = m.rng.Intn(m.Cfg.Keys)
 	}
-	size := kvHeader
-	if req.Op == OpSet {
-		size += req.Size
-	}
-	c.Send(size, req)
+	sc.req = KVRequest{Op: op, Key: m.key(k), Size: size}
+	// A set carries its value; a get carries only the header.
+	sc.c.Send(kvHeader+size, &sc.req) //npf:allocok — a *KVRequest is pointer-shaped; boxing it does not allocate
 }
 
 func (m *Memaslap) key(i int) string {
 	for len(m.keys) <= i {
-		m.keys = append(m.keys, fmt.Sprintf("%s-%d", m.Cfg.KeyPrefix, len(m.keys)))
+		m.keys = append(m.keys, fmt.Sprintf("%s-%d", m.Cfg.KeyPrefix, len(m.keys))) //npf:allocok — first use of each key index; warm ops reuse the cached string
 	}
 	return m.keys[i]
 }

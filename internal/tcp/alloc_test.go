@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"testing"
+	"unsafe"
 
 	"npf/internal/fabric"
 	"npf/internal/mem"
@@ -60,6 +61,20 @@ func TestTCPWarmRoundNoAlloc(t *testing.T) {
 	}
 	if c.sent != 0 || c.q.Len() != 0 {
 		t.Fatalf("after the last round %d segments are unacknowledged (%d sent), want none", c.q.Len(), c.sent)
+	}
+}
+
+// TestSegmentFootprint pins the wire structs that every send copies: a
+// segment is 72 B and a frame (packet, segment, sending stack) 128 B, one
+// allocation size class. The sender's node rides in the frame's
+// Packet.Src, and a message's end is the end of the segment carrying it,
+// so neither is stored in the segment.
+func TestSegmentFootprint(t *testing.T) {
+	if sz := unsafe.Sizeof(segment{}); sz != 72 {
+		t.Fatalf("unsafe.Sizeof(segment{}) = %d, want 72", sz)
+	}
+	if sz := unsafe.Sizeof(frame{}); sz != 128 {
+		t.Fatalf("unsafe.Sizeof(frame{}) = %d, want 128", sz)
 	}
 }
 

@@ -108,13 +108,12 @@ func (c *Conn) Send(length int, payload any) {
 		if chunk > mss {
 			chunk = mss
 		}
-		seg := segment{Conn: c.id, Kind: segData, Seq: c.written, Len: chunk}
+		c.q.Push(segment{Conn: c.id, Kind: segData, Seq: c.written, Len: chunk})
 		c.written += uint64(chunk)
 		remaining -= chunk
-		if remaining == 0 {
-			seg.Msg = msgEnd{EndOff: c.written, Len: length, Payload: payload}
-		}
-		c.q.Push(seg)
+	}
+	if length > 0 {
+		c.q.At(c.q.Len() - 1).Msg = msgEnd{Len: length, Payload: payload}
 	}
 	if c.state == StateEstablished {
 		c.trySend()
@@ -125,7 +124,7 @@ func (c *Conn) Send(length int, payload any) {
 // Handshake.
 
 func (c *Conn) sendSyn() {
-	c.sendSegment(segment{Conn: c.id, Kind: segSyn})
+	c.sendSegment(&segment{Conn: c.id, Kind: segSyn})
 	c.armTimer(c.backoff(c.stack.Cfg.SynRTO, c.synRetries))
 }
 
@@ -182,7 +181,7 @@ func (c *Conn) trySend() {
 	}
 	moved := false
 	for c.sent < c.q.Len() {
-		seg := *c.q.At(c.sent)
+		seg := c.q.At(c.sent)
 		if c.inflightBytes()+seg.Len > wnd {
 			break
 		}
@@ -204,15 +203,15 @@ func (c *Conn) trySend() {
 	}
 }
 
-// sendSegment stamps the current cumulative ACK on a copy of seg and puts
-// it on the wire; a queued segment keeps no trace of earlier sends.
-func (c *Conn) sendSegment(seg segment) {
-	seg.Ack = c.rcvNxt
-	c.stack.transmit(c.peerNode, c.peerFlow, seg)
+// sendSegment puts seg on the wire with the current cumulative ACK. The
+// frame gets its own copy, so a queued segment keeps no trace of earlier
+// sends.
+func (c *Conn) sendSegment(seg *segment) {
+	c.stack.transmit(c.peerNode, c.peerFlow, seg, c.rcvNxt)
 }
 
 func (c *Conn) sendAck() {
-	c.sendSegment(segment{Conn: c.id, Kind: segData, Seq: c.sndNxt, Len: 0})
+	c.sendSegment(&segment{Conn: c.id, Kind: segData, Seq: c.sndNxt, Len: 0})
 }
 
 // handleAck processes the cumulative acknowledgment on an incoming segment.
@@ -277,7 +276,7 @@ func (c *Conn) handleAck(ack uint64) {
 			c.ssthresh = max(c.inflightBytes()/2, 2*cfg.MSS)
 			c.cwnd = c.ssthresh
 			c.rttValid = false
-			c.sendSegment(*c.q.At(0))
+			c.sendSegment(c.q.At(0))
 			c.restartRTOTimer()
 		}
 	}
@@ -392,7 +391,7 @@ func (c *Conn) handleData(seg *segment) {
 	case seg.Seq == c.rcvNxt:
 		c.consume(seg)
 		// Drain any out-of-order segments that are now contiguous.
-		for {
+		for len(c.ooo) > 0 {
 			next, ok := c.ooo[c.rcvNxt]
 			if !ok {
 				break
@@ -416,11 +415,4 @@ func (c *Conn) consume(seg *segment) {
 	if c.OnMessage != nil && seg.Msg.Len > 0 {
 		c.OnMessage(seg.Msg.Payload, seg.Msg.Len)
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

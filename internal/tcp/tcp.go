@@ -73,17 +73,17 @@ const (
 	segData // carries Len payload bytes (Len may be 0 for a pure ACK)
 )
 
-// msgEnd marks an application message whose last byte is at stream offset
-// EndOff-1; its payload is delivered when the receiver's in-order point
-// passes EndOff. Len is zero on a segment that ends no message.
+// msgEnd marks the application message whose last byte the segment
+// carries; its payload is delivered when the receiver consumes the
+// segment in order. Len is zero on a segment that ends no message.
 type msgEnd struct {
-	EndOff  uint64
 	Len     int
 	Payload any
 }
 
 // segment is the wire unit. Send attaches a message only to the chunk that
-// carries its last byte, so a segment ends at most one message.
+// carries its last byte, so a segment ends at most one message. The
+// sender's node is the frame's Packet.Src, which the NIC stamps.
 type segment struct {
 	Conn    uint64
 	Kind    segKind
@@ -91,7 +91,6 @@ type segment struct {
 	Len     int
 	Ack     uint64
 	Msg     msgEnd
-	SrcNode fabric.NodeID
 	SrcFlow fabric.FlowID
 }
 
@@ -240,7 +239,7 @@ func (s *Stack) RxComplete(ch *nic.Channel, comps []nic.RxCompletion) {
 	for _, comp := range comps {
 		s.SegsRecv.Inc()
 		f := comp.Payload.(*frame)
-		s.handleSegment(&f.seg)
+		s.handleSegment(f)
 		// lwIP-style fixed buffers: recycle the completed buffer.
 		ch.Rx.PostRx(nic.Descriptor{Buffer: s.rxBuf(comp.Index), Len: mem.PageSize})
 		if from := f.from; from.eng == s.eng {
@@ -256,7 +255,10 @@ func (s *Stack) RxComplete(ch *nic.Channel, comps []nic.RxCompletion) {
 // nothing to do.
 func (s *Stack) TxComplete(ch *nic.Channel, comps []nic.TxCompletion) {}
 
-func (s *Stack) handleSegment(seg *segment) {
+// handleSegment handles the segment f carries; a SYN's sender is the
+// frame's Packet.Src.
+func (s *Stack) handleSegment(f *frame) {
+	seg := &f.seg
 	switch seg.Kind {
 	case segSyn:
 		c, ok := s.conns[seg.Conn]
@@ -264,13 +266,13 @@ func (s *Stack) handleSegment(seg *segment) {
 			if s.listen == nil {
 				return
 			}
-			c = newConn(s, seg.Conn, seg.SrcNode, seg.SrcFlow, StateEstablished)
+			c = newConn(s, seg.Conn, f.Src, seg.SrcFlow, StateEstablished)
 			s.conns[seg.Conn] = c
 			s.listen(c)
 		}
 		// Respond to every SYN, including duplicates: the client may have
 		// lost our SYN-ACK to a cold ring.
-		c.sendSegment(segment{Conn: c.id, Kind: segSynAck})
+		c.sendSegment(&segment{Conn: c.id, Kind: segSynAck})
 	case segSynAck:
 		c, ok := s.conns[seg.Conn]
 		if !ok || c.state != StateSynSent {
@@ -286,12 +288,13 @@ func (s *Stack) handleSegment(seg *segment) {
 	}
 }
 
-// transmit posts one segment to the NIC, copied into a frame drawn from
-// the free list. The TX buffer may fault (send-side NPF) under ODP; the NIC
-// suspends and the driver resolves it.
+// transmit posts one segment to the NIC, copied once into a frame drawn
+// from the free list and stamped with ack and the sender's flow. The TX
+// buffer may fault (send-side NPF) under ODP; the NIC suspends and the
+// driver resolves it.
 //
 //npf:noalloc
-func (s *Stack) transmit(peerNode fabric.NodeID, peerFlow fabric.FlowID, seg segment) {
+func (s *Stack) transmit(peerNode fabric.NodeID, peerFlow fabric.FlowID, seg *segment, ack uint64) {
 	s.SegsSent.Inc()
 	var f *frame
 	if n := len(s.free); n > 0 {
@@ -300,9 +303,9 @@ func (s *Stack) transmit(peerNode fabric.NodeID, peerFlow fabric.FlowID, seg seg
 	} else {
 		f = newFrame() //npf:allocok — pool refill, up to the number of frames in flight
 	}
-	seg.SrcNode = s.ch.Dev.Node
-	seg.SrcFlow = s.ch.Flow
-	f.seg = seg
+	f.seg = *seg
+	f.seg.Ack = ack
+	f.seg.SrcFlow = s.ch.Flow
 	f.Dst = peerNode
 	f.Flow = peerFlow
 	f.from = s

@@ -3,6 +3,7 @@ package tcp
 import (
 	"testing"
 
+	"npf/internal/fabric"
 	"npf/internal/nic"
 	"npf/internal/sim"
 )
@@ -139,4 +140,42 @@ func TestSimMaxEventsGuard(t *testing.T) {
 		}
 	}()
 	eng.Run()
+}
+
+// TestListenerAnswersSynFromFrame: a listener takes the dialer's node from
+// the SYN frame's Packet.Src, which the sending NIC stamps, and its flow
+// from the segment, and answers there. A bystander device between the two
+// keeps the client's node apart from the server's.
+func TestListenerAnswersSynFromFrame(t *testing.T) {
+	eng := sim.NewEngine(1)
+	net := fabric.New(eng, fabric.DefaultEthernet())
+	server := pinnedStack(eng, net, "server", nil)
+	pinnedStack(eng, net, "bystander", nil)
+	client := pinnedStack(eng, net, "client", nil)
+	var accepted *Conn
+	server.Listen(func(c *Conn) { accepted = c })
+	var synAcks []fabric.Packet
+	net.SetLossFunc(client.ch.Dev.Node, func(p *fabric.Packet) bool {
+		if p.Payload.(*frame).seg.Kind == segSynAck {
+			synAcks = append(synAcks, *p)
+		}
+		return false
+	})
+	c := client.Dial(server.ch.Dev.Node, server.ch.Flow)
+	eng.Run()
+
+	node, flow := client.ch.Dev.Node, client.ch.Flow
+	if accepted == nil {
+		t.Fatal("the listener accepted no connection")
+	}
+	if accepted.peerNode != node || accepted.peerFlow != flow {
+		t.Fatalf("accepted peer (node %d, flow %d), want the dialer's (node %d, flow %d)",
+			accepted.peerNode, accepted.peerFlow, node, flow)
+	}
+	if len(synAcks) != 1 || synAcks[0].Src != server.ch.Dev.Node || synAcks[0].Flow != flow {
+		t.Fatalf("SYN-ACKs reaching the dialer: %+v, want one from node %d on flow %d", synAcks, server.ch.Dev.Node, flow)
+	}
+	if c.State() != StateEstablished {
+		t.Fatalf("dialer state %v, want established", c.State())
+	}
 }

@@ -100,20 +100,23 @@ done
 # The packet path's contract: on a warm network a fabric Send→Deliver
 # round, an IOTLB miss that inserts and evicts at capacity, a one-page
 # translate that misses and installs, a DMA touch of resident pages, a
-# warm RC send→ack round and a warm TCP request→response round allocate
-# nothing; a faulting 1,024-page translate allocates only its miss list;
-# RC packets and TCP frames recycle only within one engine; a faulting
-# RC message stays within its measured object and byte budgets; and the
-# quick fleet stays within its measured objects per completed op on both
-# transports (one message per request round trip). npflint's
-# noalloc Required entries (port.enqueue/kick, iotlb.hit/install/invalidate,
+# warm RC send→ack round, a warm TCP request→response round and a batch
+# of warm memcached ops (one request object per connection, carried there
+# and back) allocate nothing; a faulting 1,024-page translate allocates
+# only its miss list; RC packets and TCP frames recycle only within one
+# engine; a faulting RC message stays within its measured object and byte
+# budgets; and the quick fleet stays within its measured objects per
+# completed op on both transports (one message per request round trip).
+# npflint's noalloc Required entries (port.enqueue/kick, iotlb.hit/install/invalidate,
 # PageTable.Get/Lookup/Span, AddressSpace.lruPush/lruRemove/TouchResident,
 # HCA.take/post and the QP post/ack/data handlers, Stack.transmit and the
-# Conn send/ack path, TxQueue.kick) are the static side of the same gate.
+# Conn send/ack path, TxQueue.kick, the memcached server's request and
+# reply handlers and memaslap's reply handler) are the static side of the
+# same gate.
 echo "== packet-path allocation gate =="
-out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestTranslateAllocs|TestTouchResidentNoAlloc|TestRCWarmRoundNoAlloc|TestIBFaultingMessageAllocBound|TestScaleoutRoundTripAllocBound|TestTCPWarmRoundNoAlloc|TestFramePoolSameEngineOnly' \
+out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestTranslateAllocs|TestTouchResidentNoAlloc|TestRCWarmRoundNoAlloc|TestIBFaultingMessageAllocBound|TestScaleoutRoundTripAllocBound|TestTCPWarmRoundNoAlloc|TestFramePoolSameEngineOnly|TestMemcachedWarmOpNoAlloc' \
     -bench 'BenchmarkSendDeliver|BenchmarkIOTLBChurn|BenchmarkTranslateMissInstall' -benchtime 10000x \
-    ./internal/fabric/ ./internal/iommu/ ./internal/mem/ ./internal/rc/ ./internal/tcp/ ./internal/bench/)
+    ./internal/fabric/ ./internal/iommu/ ./internal/mem/ ./internal/rc/ ./internal/tcp/ ./internal/apps/ ./internal/bench/)
 echo "$out"
 for bench in BenchmarkSendDeliver BenchmarkIOTLBChurn BenchmarkTranslateMissInstall; do
     if ! grep -q "$bench.* 0 B/op.* 0 allocs/op" <<< "$out"; then
