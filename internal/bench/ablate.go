@@ -67,7 +67,7 @@ func RunAblate() *AblateResult {
 	for i, mb := range res.PinCapsMB {
 		i, mb := i, mb
 		jobs = append(jobs, func() {
-			eng := newBenchEngine(29)
+			eng := newBenchGroup(29, 1, 0).Engine(0)
 			net := fabric.New(eng, fabric.DefaultInfiniBand())
 			job := apps.NewMPIJob(eng, mkMPIHosts(eng, net), apps.MPIConfig{
 				Ranks: 4, Mode: apps.RegPin, OffCacheBuffers: 16,
@@ -156,7 +156,7 @@ func ablateColdSend(prefetch bool) (events float64, ms float64) {
 // ablateDropBurst counts driver fault reports for one cold-ring burst under
 // the drop policy, with the in-flight bitmap on or off.
 func ablateDropBurst(disable bool) float64 {
-	eng := newBenchEngine(31)
+	eng := newBenchGroup(31, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultEthernet())
 	m := mem.NewMachine(eng, 8<<30)
 	drv := core.NewDriver(eng, core.DefaultConfig())

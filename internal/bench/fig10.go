@@ -56,7 +56,7 @@ func RunFig10() *Fig10Result {
 
 // runEthStream measures one Ethernet stream configuration (Gb/s).
 func runEthStream(freqPerByte float64, major, backup bool) float64 {
-	eng := newBenchEngine(41)
+	eng := newBenchGroup(41, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultEthernet())
 	m := mem.NewMachine(eng, 8<<30)
 	drv := core.NewDriver(eng, core.DefaultConfig())
@@ -91,7 +91,7 @@ func runEthStream(freqPerByte float64, major, backup bool) float64 {
 
 // runIBStream measures the ib_send_bw-style configuration (Gb/s).
 func runIBStream(freqPerByte float64) float64 {
-	eng := newBenchEngine(43)
+	eng := newBenchGroup(43, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultInfiniBand())
 	m := mem.NewMachine(eng, 8<<30)
 	cfg := rc.DefaultConfig()

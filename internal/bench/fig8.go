@@ -35,7 +35,7 @@ type storageRig struct {
 // buildStorageRig assembles the testbed; returns an error when the pinned
 // configuration is refused.
 func buildStorageRig(seed int64, ramBytes int64, pinned bool, blockSize int, sessions, iodepth int, targetBytes int64) (*storageRig, error) {
-	eng := newBenchEngine(seed)
+	eng := newBenchGroup(seed, 1, 0).Engine(0)
 	cfg := rc.DefaultConfig()
 	cfg.FirmwareJitterSigma = 0
 	cfg.MTU = 64 << 10 // jumbo IB MTU keeps event counts tractable

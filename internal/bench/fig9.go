@@ -34,7 +34,7 @@ var fig9Modes = []apps.RegMode{apps.RegCopy, apps.RegPin, apps.RegODP}
 // virtual time. Like IMB, a warm-up pass runs untimed first (the paper's
 // registration caches and ODP mappings are warm in steady state).
 func runIMB(kind string, mode apps.RegMode, ranks, msgSize, iters int) sim.Time {
-	eng := newBenchEngine(19)
+	eng := newBenchGroup(19, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultInfiniBand())
 	job := apps.NewMPIJob(eng, mkMPIHosts(eng, net), apps.MPIConfig{
 		Ranks: ranks, Mode: mode,
@@ -139,7 +139,7 @@ func RunTable6(ranks int) *Table6Result {
 	sizes := []int{64 << 10, 256 << 10, 1 << 20}
 	iters := 30
 	for _, mode := range fig9Modes {
-		eng := newBenchEngine(23)
+		eng := newBenchGroup(23, 1, 0).Engine(0)
 		net := fabric.New(eng, fabric.DefaultInfiniBand())
 		job := apps.NewMPIJob(eng, mkMPIHosts(eng, net), apps.MPIConfig{
 			Ranks: ranks, Mode: mode, OffCacheBuffers: 16, PinCacheBytes: 512 << 20,

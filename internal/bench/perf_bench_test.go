@@ -36,7 +36,7 @@ func BenchmarkFaultPath(b *testing.B) {
 // into the original buffer once the driver resolves the fault. Each
 // iteration discards the buffer page so the next packet diverts again.
 func BenchmarkBackupReplay(b *testing.B) {
-	eng := newBenchEngine(2)
+	eng := newBenchGroup(2, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultEthernet())
 	m := mem.NewMachine(eng, 8<<30)
 	drv := core.NewDriver(eng, core.DefaultConfig())

@@ -126,16 +126,14 @@ func runJobs(jobs []func()) {
 var engineReg struct {
 	mu      sync.Mutex
 	enabled bool
-	engines []*sim.Engine
 	groups  []*sim.Group
 }
 
-// StartEngineStats begins collecting every engine built through the bench
-// package's constructors.
+// StartEngineStats begins collecting every engine group built through
+// newBenchGroup.
 func StartEngineStats() {
 	engineReg.mu.Lock()
 	engineReg.enabled = true
-	engineReg.engines = nil
 	engineReg.groups = nil
 	engineReg.mu.Unlock()
 }
@@ -147,10 +145,6 @@ func StartEngineStats() {
 func StopEngineStats() (engines int, events uint64) {
 	engineReg.mu.Lock()
 	defer engineReg.mu.Unlock()
-	for _, e := range engineReg.engines {
-		events += e.Executed()
-	}
-	engines = len(engineReg.engines)
 	for _, g := range engineReg.groups {
 		// Group.Executed folds in cross-partition mail injections, which
 		// are not engine events, so the total is stable across thread
@@ -159,48 +153,26 @@ func StopEngineStats() (engines int, events uint64) {
 		engines += g.Parts()
 	}
 	engineReg.enabled = false
-	engineReg.engines = nil
 	engineReg.groups = nil
 	return engines, events
 }
 
-func registerEngine(eng *sim.Engine) {
-	engineReg.mu.Lock()
-	if engineReg.enabled {
-		engineReg.engines = append(engineReg.engines, eng)
-	}
-	engineReg.mu.Unlock()
-}
-
-func registerGroup(g *sim.Group) {
-	engineReg.mu.Lock()
-	if engineReg.enabled {
-		engineReg.groups = append(engineReg.groups, g)
-	}
-	engineReg.mu.Unlock()
-}
-
-// newBenchEngine is the constructor every experiment engine goes through:
-// it applies the runaway-event guard and registers the engine for -json
-// statistics. Env constructors layer the trace factory on top.
-func newBenchEngine(seed int64) *sim.Engine {
-	eng := sim.NewEngine(seed)
-	eng.MaxEvents = MaxEngineEvents
-	registerEngine(eng)
-	return eng
-}
-
-// newBenchGroup is newBenchEngine's PDES counterpart: a conservative-sync
-// group of `parts` engines with the runaway guard applied per engine, the
-// current thread budget installed, and the whole group registered once
-// for -json statistics.
+// newBenchGroup is the constructor every experiment engine goes through:
+// a conservative-sync group of `parts` engines with the runaway-event
+// guard applied per engine, the current thread budget installed, and the
+// whole group registered once for -json statistics. A single-engine
+// experiment runs on newBenchGroup(seed, 1, 0).Engine(0).
 func newBenchGroup(seed int64, parts int, lookahead sim.Time) *sim.Group {
 	g := sim.NewGroup(seed, parts, lookahead)
 	for _, e := range g.Engines() {
 		e.MaxEvents = MaxEngineEvents
 	}
 	g.SetThreads(pdesThreads())
-	registerGroup(g)
+	engineReg.mu.Lock()
+	if engineReg.enabled {
+		engineReg.groups = append(engineReg.groups, g)
+	}
+	engineReg.mu.Unlock()
 	return g
 }
 

@@ -57,12 +57,7 @@ func TestScenarioSpanSets(t *testing.T) {
 func testbedSize(engs []*sim.Engine) (engines int, events uint64) {
 	seen := map[*sim.Group]bool{}
 	for _, eng := range engs {
-		g := eng.Group()
-		switch {
-		case g == nil:
-			engines++
-			events += eng.Executed()
-		case !seen[g]:
+		if g := eng.Group(); !seen[g] {
 			seen[g] = true
 			engines += g.Parts()
 			events += g.Executed()

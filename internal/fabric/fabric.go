@@ -72,10 +72,11 @@ func DefaultInfiniBand() Config {
 // (internal/chaos); nil means no injected loss.
 type LossFunc func(pkt *Packet) bool
 
-// Network is the fabric instance. All hosts attach to the same Network.
-// In partitioned (PDES) mode — NewOnGroup — each node lives on the engine
-// it was attached with, and propagation between nodes crosses partition
-// boundaries through the group's deterministic mailboxes.
+// Network is the fabric instance. All hosts attach to the same Network,
+// which spans the PDES group of the engine it was built on. Each node
+// lives on the partition engine it was attached with, and propagation
+// between nodes on different partitions crosses through the group's
+// deterministic mailboxes.
 type Network struct {
 	eng   *sim.Engine
 	group *sim.Group
@@ -120,13 +121,22 @@ type node struct {
 	injectedDrops  sim.Counter
 }
 
-// New creates a network on eng with the given configuration.
+// New creates a network on eng with the given configuration. It spans
+// eng's group: Attach places nodes on eng, AttachOn on any partition, and
+// cross-partition propagation rides the group mailboxes with
+// cfg.Propagation as the conservative lookahead (Lookahead reports it for
+// group construction).
 func New(eng *sim.Engine, cfg Config) *Network {
+	g := eng.Group()
+	if cfg.Propagation < g.Lookahead() {
+		panic("fabric: propagation below group lookahead")
+	}
 	if cfg.IngressBufferBytes == 0 {
 		cfg.IngressBufferBytes = 512 << 10
 	}
 	n := &Network{
 		eng:   eng,
+		group: g,
 		cfg:   cfg,
 		rng:   eng.Rand().Split(),
 		nodes: make([]*node, 1),
@@ -138,26 +148,15 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	return n
 }
 
-// NewOnGroup creates a partitioned network spanning a PDES group. Nodes
-// are placed on partitions via AttachOn; cross-node propagation rides the
-// group mailboxes with cfg.Propagation as the conservative lookahead
-// (Lookahead reports it for group construction).
-func NewOnGroup(g *sim.Group, cfg Config) *Network {
-	n := New(g.Engine(0), cfg)
-	n.group = g
-	if cfg.Propagation < g.Lookahead() {
-		panic("fabric: propagation below group lookahead")
-	}
-	return n
-}
+// NewOnGroup creates a network spanning g, built on its partition 0.
+func NewOnGroup(g *sim.Group, cfg Config) *Network { return New(g.Engine(0), cfg) }
 
 // Lookahead is the minimum cross-partition latency this fabric guarantees:
 // its per-hop propagation delay.
 func (cfg Config) Lookahead() sim.Time { return cfg.Propagation }
 
-// Group returns the PDES group this fabric spans, or nil when it runs on a
-// single standalone engine. Layers built on top (e.g. kv) use it to decide
-// whether to place hosts on per-partition engines.
+// Group returns the PDES group this fabric spans. Layers built on top
+// (e.g. kv) read its partition count to decide where to place hosts.
 func (n *Network) Group() *sim.Group { return n.group }
 
 // Attach adds an endpoint to the fabric and returns its node id. Each node
@@ -167,10 +166,14 @@ func (n *Network) Attach(ep Endpoint) NodeID {
 	return n.AttachOn(ep, n.eng)
 }
 
-// AttachOn adds an endpoint that lives on eng — in partitioned mode, the
-// per-partition engine of the host that owns it. Attachment must happen
-// before the group runs (construction is single-threaded).
+// AttachOn adds an endpoint that lives on eng, the partition engine of
+// the host that owns it; eng must be a partition of the network's group.
+// Attachment must happen before the group runs (construction is
+// single-threaded).
 func (n *Network) AttachOn(ep Endpoint, eng *sim.Engine) NodeID {
+	if eng.Group() != n.group {
+		panic("fabric: attach on an engine outside the network's group")
+	}
 	id := NodeID(len(n.nodes))
 	nd := &node{id: id, endpoint: ep, eng: eng, part: eng.Partition(), rng: n.rng.Split()}
 	nd.egress.init(nd, n.cfg.RateBps, 1<<30, true, func(p *Packet) { n.hop(nd, p) })
@@ -244,20 +247,19 @@ func (n *Network) Send(pkt *Packet) {
 }
 
 // hop runs when a packet leaves src's egress port: after propagation it
-// reaches the destination's ingress port. In partitioned mode a
-// cross-partition hop rides the group mailbox — (src node id, per-node seq)
-// is the deterministic tiebreak for same-instant arrivals from different
-// senders; the packet itself is the mail's argument, so the hop allocates
-// nothing, and it belongs to the destination partition from then on. A
-// hop between nodes of the same partition must NOT use the
-// mailbox: a partition's execution bound is derived from the other
-// partitions' clocks only, so its local tail could run past a self-posted
-// mail and execute events out of timestamp order. The engine's own queue
-// orders it correctly (and local events deterministically precede
-// same-instant cross-partition mail).
+// reaches the destination's ingress port. A cross-partition hop rides the
+// group mailbox — (src node id, per-node seq) is the deterministic
+// tiebreak for same-instant arrivals from different senders; the packet
+// itself is the mail's argument, so the hop allocates nothing, and it
+// belongs to the destination partition from then on. A hop between nodes
+// of the same partition must NOT use the mailbox: a partition's execution
+// bound is derived from the other partitions' clocks only, so its local
+// tail could run past a self-posted mail and execute events out of
+// timestamp order. The engine's own queue orders it correctly (and local
+// events deterministically precede same-instant cross-partition mail).
 func (n *Network) hop(src *node, p *Packet) {
 	dst := n.nodes[p.Dst]
-	if n.group != nil && dst.eng != src.eng {
+	if dst.eng != src.eng {
 		src.seq++
 		n.group.Post(src.part, dst.part, src.eng.Now().Add(n.cfg.Propagation),
 			uint64(src.id), src.seq, n.arriveMail, p)

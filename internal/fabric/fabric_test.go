@@ -356,6 +356,47 @@ func TestSendToUnattachedNodePanics(t *testing.T) {
 	}
 }
 
+// TestAttachOnForeignEnginePanics: a node attached on an engine outside
+// the network's group would schedule its events on another clock, or post
+// mail under a foreign partition index, so AttachOn refuses it. A
+// partition of the network's own group is accepted.
+func TestAttachOnForeignEnginePanics(t *testing.T) {
+	const msg = "fabric: attach on an engine outside the network's group"
+	g := sim.NewGroup(1, 2, sim.Microsecond)
+	for _, c := range []struct {
+		name string
+		net  *Network
+		eng  *sim.Engine
+	}{
+		{"one-partition network, another engine", New(sim.NewEngine(1), DefaultEthernet()), sim.NewEngine(1)},
+		{"group network, another group's partition 1", NewOnGroup(g, DefaultEthernet()), sim.NewGroup(1, 2, sim.Microsecond).Engine(1)},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != msg {
+					t.Errorf("%s: AttachOn panicked with %v, want %q", c.name, r, msg)
+				}
+			}()
+			c.net.AttachOn(&countSink{}, c.eng)
+		}()
+	}
+	if id := NewOnGroup(g, DefaultEthernet()).AttachOn(&countSink{}, g.Engine(1)); id != 1 {
+		t.Fatalf("AttachOn on the group's partition 1 = node %d, want 1", id)
+	}
+}
+
+// TestPropagationBelowLookaheadPanics: a fabric hop shorter than its
+// group's lookahead would break the conservative protocol's promise.
+func TestPropagationBelowLookaheadPanics(t *testing.T) {
+	g := sim.NewGroup(1, 2, 2*sim.Microsecond)
+	defer func() {
+		if r := recover(); r != "fabric: propagation below group lookahead" {
+			t.Errorf("New panicked with %v, want the lookahead panic", r)
+		}
+	}()
+	New(g.Engine(0), DefaultInfiniBand()) // 1 µs propagation
+}
+
 // countSink counts deliveries without retaining packets.
 type countSink struct{ n int }
 

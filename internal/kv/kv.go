@@ -301,8 +301,8 @@ func (s *Service) ConnFailures() uint64 {
 // groups and arenas, and the registration policy's pinning state. tr may
 // be nil (telemetry off).
 //
-// When net spans a PDES group (fabric.NewOnGroup), eng must be partition
-// 0's engine: the server hosts are placed there and every client host on
+// When net's group has two or more partitions, eng must be partition 0's
+// engine: the server hosts are placed there and every client host on
 // partition 1, so one cluster executes on two engine threads while staying
 // byte-identical to the single-engine run of the same seed. Construction,
 // Start, and prepopulation are single-threaded (pre-run), so they may
@@ -312,7 +312,7 @@ func New(eng *sim.Engine, net *fabric.Network, tr *trace.Tracer, cfg Config) *Se
 	s := &Service{Eng: eng, Net: net, Tracer: tr, Cfg: cfg}
 	s.cliEng = eng
 	s.TracerC = tr
-	if g := net.Group(); g != nil && g.Parts() > 1 {
+	if g := net.Group(); g.Parts() > 1 {
 		if eng != g.Engine(0) {
 			panic("kv: partitioned service must be built on the group's partition-0 engine")
 		}

@@ -180,18 +180,22 @@ type Engine struct {
 	// MaxEvents aborts Run with a panic after this many events, guarding
 	// against accidental infinite simulations. Zero means no limit.
 	MaxEvents uint64
-	// group/part link the engine to its PDES coordinator when it is one
-	// partition of a sim.Group; nil for standalone engines. callSeq
-	// numbers this engine's cross-partition Calls for deterministic
-	// timestamp tie-breaks.
+	// group/part name the PDES group the engine is a partition of, and
+	// its index there; every engine has one. callSeq numbers this
+	// engine's cross-partition Calls for deterministic timestamp
+	// tie-breaks.
 	group   *Group
 	part    int
 	callSeq uint64
 }
 
-// NewEngine returns an engine whose clock reads zero and whose random source
-// is seeded with seed.
-func NewEngine(seed int64) *Engine {
+// NewEngine returns partition 0 of a new one-partition group: its clock
+// reads zero and its random source is seeded with seed, exactly as
+// NewGroup(seed, 1, L).Engine(0).
+func NewEngine(seed int64) *Engine { return NewGroup(seed, 1, 0).Engine(0) }
+
+// newEngine returns a partition's engine, before NewGroup links it.
+func newEngine(seed int64) *Engine {
 	return &Engine{rng: NewRand(seed), overMin: noEpoch}
 }
 
@@ -201,12 +205,11 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *Rand { return e.rng }
 
-// Group returns the PDES group this engine is a partition of, or nil for
-// a standalone engine.
+// Group returns the PDES group this engine is a partition of. It is never
+// nil: NewEngine builds a one-partition group.
 func (e *Engine) Group() *Group { return e.group }
 
-// Partition returns the engine's partition index within its group, or 0
-// for a standalone engine.
+// Partition returns the engine's partition index within its group.
 func (e *Engine) Partition() int { return e.part }
 
 // NextEventTime returns the timestamp of the earliest scheduled event, or

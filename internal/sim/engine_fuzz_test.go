@@ -133,8 +133,9 @@ const (
 // Executed after every operation and the same NextEventTime wherever the
 // stream asks for it. Whenever a new event takes the pooled struct of the
 // event that ran last, the old ID must cancel nothing. Each stream runs
-// twice: on a standalone engine, and on the engine of a one-partition
-// Group driven through Group.RunUntil and Group.Run. The call an event is
+// twice: on NewEngine's engine driven by its own RunUntil and Run, and on
+// the engine of a NewGroup one-partition group driven through
+// Group.RunUntil and Group.Run. The call an event is
 // scheduled with (At, AtArg, After or AfterArg) is read from input bits
 // the older decoding ignored, so the committed corpus entries replay the
 // sequences they were found with.

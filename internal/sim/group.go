@@ -256,8 +256,8 @@ func splitmix64(x uint64) uint64 {
 }
 
 // NewGroup creates a group of parts engines. Partition 0 is seeded with
-// seed itself (matching a single-engine run of the same build recipe);
-// the rest get splitmix64-derived seeds. lookahead is the minimum
+// seed itself (NewEngine(seed) is NewGroup(seed, 1, 0).Engine(0)); the
+// rest get splitmix64-derived seeds. lookahead is the minimum
 // cross-partition latency every Post must respect; with two or more
 // partitions it must be positive. One partition is the single-engine
 // mode (see RunUntil).
@@ -274,7 +274,7 @@ func NewGroup(seed int64, parts int, lookahead Time) *Group {
 		if i > 0 {
 			s = int64(splitmix64(uint64(seed) ^ uint64(i)*0x9E3779B97F4A7C15))
 		}
-		e := NewEngine(s)
+		e := newEngine(s)
 		e.group, e.part = g, i
 		g.engines = append(g.engines, e)
 		ps := &partState{posted: make([]uint64, parts)}
@@ -385,16 +385,16 @@ func (g *Group) Post(from, to int, at Time, src, seq uint64, fn func(any), arg a
 // model-layer source id (fabric node ids and the like are small ints).
 const callSrc = uint64(1) << 63
 
-// Call executes fn in target's partition. When both engines share a
-// partition — in particular when they are the same engine, the
-// single-engine case — fn runs immediately, the historical synchronous
-// behaviour. Across partitions, fn is delivered through the group
-// mailbox one lookahead ahead of e's clock, the earliest instant the
-// conservative protocol can order deterministically; delivery order
+// Call executes fn in target's partition. When both engines are one
+// partition — in particular on a one-partition group — or belong to
+// different groups, fn runs immediately, the historical synchronous
+// behaviour. Across partitions of one group, fn is delivered through the
+// group mailbox one lookahead ahead of e's clock, the earliest instant
+// the conservative protocol can order deterministically; delivery order
 // among Calls from the same engine follows call order. Call must be
 // invoked either from an event running on e or before the group starts.
 func (e *Engine) Call(target *Engine, fn func()) {
-	if e.group == nil || e.group != target.group || e.part == target.part {
+	if e.group != target.group || e.part == target.part {
 		fn()
 		return
 	}
@@ -411,8 +411,8 @@ func (g *Group) Run() Time { return g.RunUntil(Forever) }
 // RunUntil may be called repeatedly with nondecreasing horizons.
 //
 // A one-partition group is the single-engine mode: RunUntil is that
-// engine's own RunUntil, so a Stop ends the run at the stopping event,
-// exactly as on a standalone engine.
+// engine's own RunUntil, so a Stop ends the run at the stopping event and
+// Run on the group and on its engine are the same call.
 func (g *Group) RunUntil(until Time) Time {
 	if until < 0 {
 		panic("sim: group horizon must be nonnegative")

@@ -181,6 +181,42 @@ func TestGroupRepeatedRunUntil(t *testing.T) {
 	}
 }
 
+// TestNewEngineIsOnePartitionGroup pins the one kind of engine: NewEngine
+// returns partition 0 of a one-partition group, and that engine draws the
+// same random stream and runs the same events in the same order as the
+// engine of a one-partition group built with NewGroup and driven by it.
+func TestNewEngineIsOnePartitionGroup(t *testing.T) {
+	const seed = 17
+	e := NewEngine(seed)
+	if e.Group() == nil {
+		t.Fatal("NewEngine: Group() is nil")
+	}
+	if g := e.Group(); g.Parts() != 1 || e.Partition() != 0 || g.Engine(0) != e {
+		t.Fatalf("NewEngine: partition %d of %d; want partition 0 of a one-partition group", e.Partition(), g.Parts())
+	}
+	// trace schedules a jittered fan-out off the engine's own stream and
+	// logs every event it runs: its time, its seq and one more draw.
+	trace := func(e *Engine, run func() Time) []string {
+		var log []string
+		var fire func()
+		fire = func() {
+			log = append(log, fmt.Sprintf("t=%d seq=%d r=%d", e.Now(), e.EventSeq(), e.Rand().Uint64()))
+			if len(log) < 400 {
+				for i := 0; i < 2; i++ {
+					e.After(Time(e.Rand().Intn(3))*Microsecond, fire)
+				}
+			}
+		}
+		e.After(0, fire)
+		run()
+		return append(log, fmt.Sprintf("end now=%d executed=%d", e.Now(), e.Executed()))
+	}
+	want := NewGroup(seed, 1, Microsecond)
+	if got, ref := trace(e, e.Run), trace(want.Engine(0), want.Run); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("NewEngine and NewGroup(seed, 1, L).Engine(0) diverge:\n%v\nvs\n%v", got, ref)
+	}
+}
+
 // TestTimeAddSaturates pins the overflow clamp on scheduling arithmetic.
 func TestTimeAddSaturates(t *testing.T) {
 	if got := Time(1).Add(Forever); got != Forever {

@@ -127,12 +127,10 @@ func (s *Sweep) Result() Result {
 }
 
 func (s *Sweep) finalTime() sim.Time {
-	t := s.eng.Now()
-	if s.group != nil {
-		for _, e := range s.group.Engines() {
-			if e.Now() > t {
-				t = e.Now()
-			}
+	var t sim.Time
+	for _, e := range s.group.Engines() {
+		if e.Now() > t {
+			t = e.Now()
 		}
 	}
 	return t

@@ -203,13 +203,12 @@ type tenantState struct {
 }
 
 // Sweep is one instantiated ClusterSweep: the fleet, its tenants, and the
-// run's counters. Build with New, arm with Start, drive the engine(s), then
+// run's counters. Build with New, arm with Start, drive the group, then
 // read Result.
 type Sweep struct {
 	cfg   SweepConfig
-	eng   *sim.Engine // partition-0 engine
 	net   *fabric.Network
-	group *sim.Group // nil single-engine
+	group *sim.Group // the fabric's group
 	topo  Topology
 
 	tenants []*tenantState
@@ -228,16 +227,16 @@ type Sweep struct {
 	started bool
 }
 
-// New builds the fleet on net. eng must be the engine hosts on partition 0
-// run on (the group's engine 0 in PDES mode). It returns a configuration
+// New builds the fleet on net. eng must be partition 0 of net's group,
+// the engine hosts on partition 0 run on. It returns a configuration
 // error — not a mid-run panic — for inconsistent sizing.
 func New(eng *sim.Engine, net *fabric.Network, cfg SweepConfig) (*Sweep, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Sweep{cfg: cfg, eng: eng, net: net, group: net.Group()}
-	if s.group != nil && s.group.Engine(0) != eng {
+	s := &Sweep{cfg: cfg, net: net, group: net.Group()}
+	if s.group.Engine(0) != eng {
 		return nil, fmt.Errorf("topo: eng must be the group's partition-0 engine")
 	}
 	total := cfg.Servers + cfg.SwarmHosts
@@ -278,21 +277,6 @@ func (c SweepConfig) validate() error {
 	return nil
 }
 
-// engFor returns the engine hosting partition p.
-func (s *Sweep) engFor(p int) *sim.Engine {
-	if s.group == nil {
-		return s.eng
-	}
-	return s.group.Engine(p)
-}
-
-func (s *Sweep) parts() int {
-	if s.group == nil {
-		return 1
-	}
-	return s.group.Parts()
-}
-
 // buildTenants resolves each tenant's server placement: a strided subset so
 // tenants spread across racks, computed before any host exists because
 // construction must not depend on map or arrival order.
@@ -322,12 +306,12 @@ func (s *Sweep) buildHosts() {
 	for i := 0; i < s.cfg.Servers; i++ {
 		isServer[i*total/s.cfg.Servers] = true
 	}
-	parts := s.parts()
+	parts := s.group.Parts()
 	s.serverNode = make([]fabric.NodeID, s.cfg.Servers)
 	s.serverFlow = make([][]fabric.FlowID, s.cfg.Servers)
 	s.serverUD = make([][]rc.UDRemote, s.cfg.Servers)
 	for h := 0; h < total; h++ {
-		eng := s.engFor(s.topo.Partition(h, parts))
+		eng := s.group.Engine(s.topo.Partition(h, parts))
 		if isServer[h] {
 			idx := len(s.servers)
 			srv := s.newServerHost(idx, eng)
@@ -411,10 +395,7 @@ func (s *Sweep) Run() sim.Time {
 	if !s.started {
 		s.Start()
 	}
-	if s.group != nil {
-		return s.group.Run()
-	}
-	return s.eng.Run()
+	return s.group.Run()
 }
 
 // Hosts reports the fleet size.

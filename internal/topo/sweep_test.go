@@ -33,8 +33,9 @@ func fabricFor(tr Transport) fabric.Config {
 	return fabric.DefaultEthernet()
 }
 
-// runSweep builds and runs one sweep on a fixed-partition group with the
-// given thread budget (0 = plain single engine, no group).
+// runSweep builds and runs one sweep with the given thread budget: 0 is
+// the single-engine topology (NewEngine's one-partition group), any other
+// value a fixed four-partition group run on that many threads.
 func runSweep(t *testing.T, tr Transport, seed int64, threads int) Result {
 	t.Helper()
 	var s *Sweep
@@ -174,6 +175,14 @@ func TestSweepValidation(t *testing.T) {
 	bad.ValueBytes = 1 << 20
 	if _, err := New(eng, net, bad); err == nil {
 		t.Fatal("page-overflowing ValueBytes accepted")
+	}
+	// eng must be partition 0 of the fabric's group.
+	if _, err := New(sim.NewEngine(1), net, smallConfig(TransportEth)); err == nil {
+		t.Fatal("an engine outside the fabric's group accepted")
+	}
+	g := sim.NewGroup(1, 2, fabric.DefaultEthernet().Lookahead())
+	if _, err := New(g.Engine(1), fabric.NewOnGroup(g, fabric.DefaultEthernet()), smallConfig(TransportEth)); err == nil {
+		t.Fatal("partition 1's engine accepted as partition 0")
 	}
 }
 

@@ -45,8 +45,8 @@
 //	)
 //	cluster := npf.NewCluster(npf.WithSeed(42), npf.WithChaos(plan))
 //
-// Canned adversarial scenarios with pass/fail invariants live behind
-// ChaosScenarios / RunChaosScenario (also `npfbench -chaos NAME`).
+// Canned adversarial scenarios with pass/fail invariants live in
+// npf/internal/chaos and run with `npfbench -chaos NAME`.
 //
 // See examples/ for runnable programs and cmd/npfbench for the paper's
 // evaluation.
@@ -89,9 +89,6 @@ const (
 	Second      = sim.Second
 )
 
-// NewEngine returns a deterministic engine seeded with seed.
-func NewEngine(seed int64) *Engine { return sim.NewEngine(seed) }
-
 // Memory subsystem.
 type (
 	// Machine is one host's memory substrate.
@@ -109,10 +106,6 @@ type (
 
 // PageSize is the simulated page size (4 KiB).
 const PageSize = mem.PageSize
-
-// NewMachine creates a host memory substrate with ramBytes of physical
-// memory.
-func NewMachine(eng *Engine, ramBytes int64) *Machine { return mem.NewMachine(eng, ramBytes) }
 
 // NewMemGroup creates a memory-accounting group (cgroup) with a byte limit.
 func NewMemGroup(name string, limit int64) *MemGroup { return mem.NewGroup(name, limit) }
@@ -135,19 +128,13 @@ func EthernetFabric() FabricConfig { return fabric.DefaultEthernet() }
 // InfiniBandFabric returns the 56 Gb/s lossless Connect-IB config.
 func InfiniBandFabric() FabricConfig { return fabric.DefaultInfiniBand() }
 
-// NewNetwork creates a fabric on eng.
-func NewNetwork(eng *Engine, cfg FabricConfig) *Network { return fabric.New(eng, cfg) }
-
 // Ethernet NIC.
 type (
 	// Device is an Ethernet NIC with NPF support.
 	Device = nic.Device
 	// Channel is a direct I/O channel (the paper's IOchannel).
 	Channel = nic.Channel
-	// NICConfig holds device latencies.
-	NICConfig = nic.Config
-	// Firmware is an adapter's NPF fault path, shared by Device and HCA
-	// (ChaosTargets lists it).
+	// Firmware is an adapter's NPF fault path, shared by Device and HCA.
 	Firmware = nic.Firmware
 	// FaultPolicy selects pinned / drop / backup-ring receive behaviour.
 	FaultPolicy = nic.FaultPolicy
@@ -160,20 +147,12 @@ const (
 	PolicyBackup = nic.PolicyBackup
 )
 
-// NewDevice creates an Ethernet NIC attached to net.
-func NewDevice(eng *Engine, net *Network, cfg NICConfig) *Device { return nic.NewDevice(eng, net, cfg) }
-
-// DefaultNICConfig returns latencies calibrated to the paper's Figure 3.
-func DefaultNICConfig() NICConfig { return nic.DefaultConfig() }
-
 // InfiniBand.
 type (
 	// HCA is an InfiniBand adapter with ODP firmware support.
 	HCA = rc.HCA
 	// QP is a reliable-connection queue pair.
 	QP = rc.QP
-	// HCAConfig holds adapter parameters.
-	HCAConfig = rc.Config
 	// SendWQE / RecvWQE / ReadWQE are work requests.
 	SendWQE = rc.SendWQE
 	RecvWQE = rc.RecvWQE
@@ -181,17 +160,6 @@ type (
 	// RecvCompletion reports an incoming message.
 	RecvCompletion = rc.RecvCompletion
 )
-
-// NewHCA creates an InfiniBand adapter attached to net.
-func NewHCA(eng *Engine, net *Network, cfg HCAConfig) *HCA { return rc.NewHCA(eng, net, cfg) }
-
-// DefaultHCAConfig returns Connect-IB-calibrated parameters.
-func DefaultHCAConfig() HCAConfig { return rc.DefaultConfig() }
-
-// DefaultRoCEConfig returns parameters for RDMA over Converged Ethernet
-// (§4 "Applicability"): the same NPF machinery over a lossy fabric, with a
-// tighter retransmission timeout backing the out-of-sequence NAKs.
-func DefaultRoCEConfig() HCAConfig { return rc.DefaultRoCEConfig() }
 
 // ConnectQPs wires two queue pairs into a reliable connection.
 func ConnectQPs(a, b *QP) { rc.Connect(a, b) }
@@ -222,17 +190,7 @@ type (
 	PinDownCache = core.PinDownCache
 	// IOMMUDomain is a device translation domain.
 	IOMMUDomain = iommu.Domain
-	// GuestTable is the IOuser-managed first level of a 2D IOMMU
-	// translation (§2.4): strict protection orthogonal to ODP.
-	GuestTable = iommu.GuestTable
 )
-
-// NewGuestTable returns an empty (all-blocking) guest table; install it
-// with Domain.SetGuestTable and grant ranges with Allow.
-func NewGuestTable() *GuestTable { return iommu.NewGuestTable() }
-
-// NewDriver creates an NPF driver for one host.
-func NewDriver(eng *Engine, cfg DriverConfig) *Driver { return core.NewDriver(eng, cfg) }
 
 // DefaultDriverConfig returns Figure-3-calibrated driver costs.
 func DefaultDriverConfig() DriverConfig { return core.DefaultConfig() }
@@ -267,16 +225,10 @@ type (
 	Series  = trace.Series
 )
 
-// NewTracer creates a tracer on eng. Components accept it via their
-// SetTracer methods; the Cluster facade wires it everywhere when built
-// WithTracing (or WithChaos, which implies tracing).
-func NewTracer(eng *Engine) *Tracer { return trace.New(eng) }
-
 // Distributed key-value service (internal/kv).
 type (
 	// KVService is a sharded, replicated key-value store deployed across
-	// simulated hosts on the cluster fabric; deploy one with WithKV (or
-	// NewKVService for simulations assembled without the facade).
+	// simulated hosts on the cluster fabric; deploy one with WithKV.
 	KVService = kv.Service
 	// KVConfig sizes a deployment; a zero value is a small but fully
 	// functional one.
@@ -304,12 +256,6 @@ const (
 	KVTransportRC  = kv.TransportRC
 )
 
-// NewKVService deploys a KV service on an explicitly assembled engine and
-// fabric; tr may be nil. Most users deploy through NewCluster(WithKV(cfg)).
-func NewKVService(eng *Engine, net *Network, tr *Tracer, cfg KVConfig) *KVService {
-	return kv.New(eng, net, tr, cfg)
-}
-
 // Shared workload shaping (internal/workload) and the scale-out sweep
 // (internal/topo).
 type (
@@ -324,7 +270,7 @@ type (
 
 	// ClusterSweep is a scale-out experiment: O(10^3) hosts and
 	// O(10^5..10^6) logical clients on one deterministic simulation, built
-	// by WithSwarm (or NewSweep for explicitly assembled fabrics).
+	// by WithSwarm.
 	ClusterSweep = topo.Sweep
 	// SweepConfig sizes the fleet: servers, swarm hosts, transport, and
 	// the tenants with their registration policies.
@@ -354,25 +300,13 @@ const (
 	SweepRegPinned  = topo.RegPinned
 )
 
-// NewSweep builds a scale-out sweep on an explicitly assembled engine and
-// fabric (most users deploy through NewCluster(WithSwarm(cfg))). On a PDES
-// group's fabric, eng must be partition 0's engine; hosts are placed on
-// partitions rack-by-rack via Topology, independent of the thread budget.
-func NewSweep(eng *Engine, net *Network, cfg SweepConfig) (*ClusterSweep, error) {
-	return topo.New(eng, net, cfg)
-}
-
 // Fault injection (internal/chaos).
 type (
 	// ChaosPlan is an ordered list of faults to inject; ChaosFault is one
-	// configured perturbation.
+	// configured perturbation. WithChaos arms a plan against the cluster
+	// or channel.
 	ChaosPlan  = chaos.Plan
 	ChaosFault = chaos.Fault
-	// ChaosTargets names the stack objects a plan may perturb;
-	// ChaosInjector is an armed plan. Most users never touch either —
-	// WithChaos arms plans against the cluster or channel automatically.
-	ChaosTargets  = chaos.Targets
-	ChaosInjector = chaos.Injector
 
 	// The fault types a plan can carry.
 	FirmwareStall     = chaos.FirmwareStall
@@ -384,26 +318,7 @@ type (
 	InvalidationChaos = chaos.InvalidationChaos
 	ResolverSlowdown  = chaos.ResolverSlowdown
 	ChaosCallback     = chaos.Callback
-
-	// ChaosScenario is a canned adversarial run with pass/fail invariants;
-	// ChaosReport is its outcome.
-	ChaosScenario = chaos.Scenario
-	ChaosReport   = chaos.Report
 )
 
 // NewChaosPlan builds a fault-injection plan; pass it to WithChaos.
 func NewChaosPlan(faults ...ChaosFault) *ChaosPlan { return chaos.NewPlan(faults...) }
-
-// ArmChaos binds a plan to explicit targets, for simulations assembled
-// without the Cluster facade. Arming is deterministic: one RNG split per
-// fault, in plan order.
-func ArmChaos(p *ChaosPlan, t ChaosTargets) *ChaosInjector { return chaos.Arm(p, t) }
-
-// ChaosScenarios lists the canned adversarial scenarios.
-func ChaosScenarios() []ChaosScenario { return chaos.Scenarios() }
-
-// RunChaosScenario runs one scenario by name with the given seed and
-// returns its report (also reachable as `npfbench -chaos NAME`).
-func RunChaosScenario(name string, seed int64) (*ChaosReport, error) {
-	return chaos.RunScenario(name, seed)
-}
