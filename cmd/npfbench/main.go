@@ -8,7 +8,8 @@
 // experiment that fails, such as loc run outside the repository root,
 // exits 1 without writing -json. Three experiments are not in the default
 // list: kv (the distributed-KV registration ablation), anatomy (the causal
-// fault profiler over the same deployment, also `npftrace anatomy`) and
+// fault profiler over the same deployment: each registration policy's
+// per-stage NPF latency table and the critical path of its p99 tail) and
 // scaleout (the 1,008-host, 101,000-client cluster sweep on one fixed
 // 8-partition group, byte-identical for every -engines and -parallel
 // value). Their rows land in the -json artifact's kv, fault_anatomy and
@@ -68,9 +69,10 @@ import (
 	"npf/internal/trace"
 )
 
-// runChaos runs one named chaos scenario (or all of them) and returns the
-// process exit code: 0 when every invariant held, 1 otherwise.
-func runChaos(name string, seed int64, stdout, stderr io.Writer) int {
+// runChaos runs one named chaos scenario (or all of them) with options o
+// and returns the process exit code: 0 when every invariant held, 1
+// otherwise.
+func runChaos(name string, seed int64, o chaos.Options, stdout, stderr io.Writer) int {
 	if name == "list" {
 		for _, s := range chaos.Scenarios() {
 			fmt.Fprintf(stdout, "  %-24s %s\n", s.Name, s.Desc)
@@ -87,7 +89,7 @@ func runChaos(name string, seed int64, stdout, stderr io.Writer) int {
 	}
 	code := 0
 	for _, n := range names {
-		rep, err := chaos.RunScenario(n, seed)
+		rep, err := chaos.RunScenario(n, seed, o)
 		if err != nil {
 			fmt.Fprintf(stderr, "chaos: %v\n", err)
 			return 2
@@ -175,10 +177,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "-engines must be >= 0")
 		return 2
 	}
-	chaos.Engines = *engines
 
 	if *chaosName != "" {
-		return runChaos(*chaosName, *seed, stdout, stderr)
+		return runChaos(*chaosName, *seed, chaos.Options{Engines: *engines}, stdout, stderr)
 	}
 
 	exps, err := selectExperiments(fs.Args(), *kvExp, *scaleoutExp)
@@ -190,18 +191,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *parallel <= 0 {
 		*parallel = bench.DefaultWorkers()
 	}
-	bench.Workers = *parallel
-	bench.Engines = *engines
-	bench.LOCRoot = *root
 
 	var tracers []*trace.Tracer
+	var factory func(*sim.Engine) *trace.Tracer
 	if *traceOut != "" || *seriesOut != "" {
 		// Engines are built on worker goroutines under -parallel, so the
 		// factory must be safe for concurrent calls.
 		interval := sim.Duration(*sampleEvery)
 		withSeries := *seriesOut != ""
 		var mu sync.Mutex
-		bench.TraceFactory = func(eng *sim.Engine) *trace.Tracer {
+		factory = func(eng *sim.Engine) *trace.Tracer {
 			tr := trace.New(eng)
 			if withSeries {
 				tr.StartSampler(interval)
@@ -219,9 +218,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	doc := &artifact.Artifact{Engines: *engines, Quick: *quick}
 	for _, e := range exps {
-		bench.StartEngineStats()
-		r, err := e.Run(size)
-		engines, events := bench.StopEngineStats()
+		// Each experiment runs on its own scope, so its statistics count
+		// only the engines it built.
+		scope := &bench.Scope{Workers: *parallel, Engines: *engines, Trace: factory, Root: *root}
+		r, err := e.Run(scope, size)
+		engines, events := scope.Stats()
 		if err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
 			return 1

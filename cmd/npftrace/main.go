@@ -23,25 +23,16 @@
 //	-size      message bytes for single/fig3 (default 4096)
 //	-o         also write a Chrome trace_event JSON (Perfetto-loadable)
 //
-// Subcommands (the causal fault profiler; see internal/trace/fault.go):
-//
-//	npftrace anatomy  [-quick] [-parallel N] [-engines N] [-json]
-//	    the per-stage NPF latency breakdown per registration policy,
-//	    from the distributed-KV deployment under reclaim waves
-//	npftrace critpath [-quick] [-parallel N] [-engines N] [-json]
-//	    only the critical-path extraction for the p99 tail
-//
-// Both renderings contain no wall-clock time and are byte-identical for
-// every -parallel and -engines value.
+// The causal fault profiler over the distributed-KV deployment (per-stage
+// NPF latency and the p99 critical path per registration policy) is
+// `npfbench anatomy`.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"npf/internal/apps"
 	"npf/internal/bench"
@@ -51,9 +42,6 @@ import (
 )
 
 func main() {
-	if len(os.Args) > 1 && (os.Args[1] == "anatomy" || os.Args[1] == "critpath") {
-		os.Exit(runAnatomyCmd(os.Args[1], os.Args[2:]))
-	}
 	scenario := flag.String("scenario", "single", "scenario: single, fig3, backup")
 	seed := flag.Int64("seed", 7, "engine seed")
 	trials := flag.Int("trials", 50, "NPF count for the fig3 scenario")
@@ -65,11 +53,11 @@ func main() {
 	var tr *trace.Tracer
 	switch *scenario {
 	case "single":
-		tr = runIB(*seed, 1, *size)
+		tr = runIB(nil, *seed, 1, *size)
 	case "fig3":
-		tr = runIB(*seed, *trials, *size)
+		tr = runIB(nil, *seed, *trials, *size)
 	case "backup":
-		tr = runBackup(*seed)
+		tr = runBackup(nil, *seed)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
 		os.Exit(2)
@@ -125,46 +113,12 @@ func report(w io.Writer, scenario string, tr *trace.Tracer, topK int) {
 	fmt.Fprint(w, tr.MetricsSnapshot())
 }
 
-// runAnatomyCmd runs the fault-anatomy profiler (bench.RunAnatomy) and
-// renders it as text or JSON. The -parallel/-engines knobs mirror
-// npfbench's: they change only wall-clock time, never a byte of output.
-func runAnatomyCmd(cmd string, args []string) int {
-	fs := flag.NewFlagSet("npftrace "+cmd, flag.ExitOnError)
-	quick := fs.Bool("quick", false, "reduced op count")
-	parallel := fs.Int("parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
-	engines := fs.Int("engines", 0, "PDES engine budget (0 = single-engine jobs)")
-	jsonOut := fs.Bool("json", false, "emit the fault_anatomy rows as JSON")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *parallel <= 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
-	bench.Workers = *parallel
-	bench.Engines = *engines
-	r := bench.RunAnatomy(*quick)
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(r.Rows()); err != nil {
-			fmt.Fprintf(os.Stderr, "npftrace: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if cmd == "critpath" {
-		fmt.Print(r.RenderCritPath())
-	} else {
-		fmt.Print(r.Render())
-	}
-	return 0
-}
-
 // runIB reproduces the Figure 3a conditions: a warm sender posting
 // size-byte messages into cold receive buffers, each receive raising a
-// minor rNPF on the responder.
-func runIB(seed int64, trials, size int) *trace.Tracer {
-	e := bench.NewIBEnv(bench.IBOpts{Seed: seed, Trace: true})
+// minor rNPF on the responder. The env is built on scope s (nil: the
+// default run).
+func runIB(s *bench.Scope, seed int64, trials, size int) *trace.Tracer {
+	e := bench.NewIBEnv(bench.IBOpts{Seed: seed, Trace: true, Scope: s})
 	bench.MinorNPFs(e, size, trials)
 	return e.Tracer
 }
@@ -173,9 +127,10 @@ func runIB(seed int64, trials, size int) *trace.Tracer {
 // backup-ring policy: faulting packets are parked and replayed, so the
 // trace shows rx-backup roots with long "parked" stages. Parked packets
 // are replayed, not dropped, so the TCP sender never retransmits and the
-// trace has no retransmission episodes.
-func runBackup(seed int64) *trace.Tracer {
-	e := bench.NewEthEnv(bench.EthOpts{Seed: seed, Policy: nic.PolicyBackup, RingSize: 16, Trace: true})
+// trace has no retransmission episodes. The env is built on scope s (nil:
+// the default run).
+func runBackup(s *bench.Scope, seed int64) *trace.Tracer {
+	e := bench.NewEthEnv(bench.EthOpts{Seed: seed, Policy: nic.PolicyBackup, RingSize: 16, Trace: true, Scope: s})
 	store := apps.NewKVStore(e.Server.AS, 0)
 	apps.NewKVServer(e.Server.Stack, store, 50*sim.Microsecond)
 	slap := apps.NewMemaslap(e.Client.Stack, apps.MemaslapConfig{

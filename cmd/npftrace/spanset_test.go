@@ -22,15 +22,15 @@ func TestScenarioSpanSets(t *testing.T) {
 	for _, seed := range []int64{1, 7} {
 		for _, sc := range []struct {
 			name string
-			run  func() *trace.Tracer
+			run  func(*bench.Scope) *trace.Tracer
 		}{
-			{"single", func() *trace.Tracer { return runIB(seed, 1, 4096) }},
-			{"fig3", func() *trace.Tracer { return runIB(seed, 50, 4096) }},
-			{"backup", func() *trace.Tracer { return runBackup(seed) }},
+			{"single", func(s *bench.Scope) *trace.Tracer { return runIB(s, seed, 1, 4096) }},
+			{"fig3", func(s *bench.Scope) *trace.Tracer { return runIB(s, seed, 50, 4096) }},
+			{"backup", func(s *bench.Scope) *trace.Tracer { return runBackup(s, seed) }},
 		} {
-			bench.StartEngineStats()
-			tr := sc.run()
-			engines, events := bench.StopEngineStats()
+			scope := &bench.Scope{}
+			tr := sc.run(scope)
+			engines, events := scope.Stats()
 			got = append(got, fmt.Sprintf("%s/seed%d %s", sc.name, seed,
 				tracetest.SpanSet(trace.ContextSpans(tr.FaultEvents()))))
 			var b strings.Builder

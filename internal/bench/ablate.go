@@ -45,7 +45,7 @@ type AblateResult struct {
 // RunAblate runs the ablations. Every sub-measurement is an independent,
 // seed-isolated job executed through the sweep runner; each writes only its
 // own result fields, so output does not depend on the Workers fan-out.
-func RunAblate() *AblateResult {
+func RunAblate(s *Scope) *AblateResult {
 	res := &AblateResult{}
 	res.PinCapsMB = []int{1, 4, 16, 64}
 	res.PinMs = make([]float64, len(res.PinCapsMB))
@@ -57,8 +57,8 @@ func RunAblate() *AblateResult {
 	// "minor page fault overhead induced by sending a cold 4MB message
 	// would have been prohibitive").
 	jobs = append(jobs,
-		func() { res.BatchedEvents, res.BatchedMs = ablateColdSend(true) },
-		func() { res.PagewiseEvents, res.PagewiseMs = ablateColdSend(false) },
+		func() { res.BatchedEvents, res.BatchedMs = ablateColdSend(s, true) },
+		func() { res.PagewiseEvents, res.PagewiseMs = ablateColdSend(s, false) },
 	)
 
 	// 2. Pin-down cache capacity: shrink it below the off-cache working
@@ -67,7 +67,7 @@ func RunAblate() *AblateResult {
 	for i, mb := range res.PinCapsMB {
 		i, mb := i, mb
 		jobs = append(jobs, func() {
-			eng := newBenchGroup(29, 1, 0).Engine(0)
+			eng := s.newBenchGroup(29, 1, 0).Engine(0)
 			net := fabric.New(eng, fabric.DefaultInfiniBand())
 			job := apps.NewMPIJob(eng, mkMPIHosts(eng, net), apps.MPIConfig{
 				Ranks: 4, Mode: apps.RegPin, OffCacheBuffers: 16,
@@ -84,7 +84,7 @@ func RunAblate() *AblateResult {
 	for i, us := range res.RNRTimeoutsUs {
 		i, us := i, us
 		jobs = append(jobs, func() {
-			e := NewIBEnv(IBOpts{Seed: 5, Tweak: func(c *rc.Config) {
+			e := NewIBEnv(IBOpts{Seed: 5, Scope: s, Tweak: func(c *rc.Config) {
 				c.RNRTimeout = sim.Time(us) * sim.Microsecond
 			}})
 			const msg = 64 << 10
@@ -115,34 +115,34 @@ func RunAblate() *AblateResult {
 	// descriptor's resolution is pending (drop policy makes duplicates
 	// visible: a burst repeatedly hits the same faulting descriptor).
 	jobs = append(jobs,
-		func() { res.BitmapOnReports = ablateDropBurst(false) },
-		func() { res.BitmapOffReports = ablateDropBurst(true) },
+		func() { res.BitmapOnReports = ablateDropBurst(s, false) },
+		func() { res.BitmapOffReports = ablateDropBurst(s, true) },
 	)
 
 	// 5. 2D translation overhead: a warm IB stream with and without a
 	// guest table (strict protection costs a second-level walk, nothing
 	// else).
 	jobs = append(jobs,
-		func() { res.FlatGbps = ablateStream(false) },
-		func() { res.NestedGbps = ablateStream(true) },
+		func() { res.FlatGbps = ablateStream(s, false) },
+		func() { res.NestedGbps = ablateStream(s, true) },
 	)
 
 	// 6. The paper's §4 recommendation: extend RC end-to-end flow control
 	// to remote reads. Cold-destination reads with the extension suspend
 	// the responder; the baseline drops the in-flight stream and rewinds.
 	jobs = append(jobs,
-		func() { res.ReadBaseDrops, res.ReadBaseMs = ablateReadRNR(false) },
-		func() { res.ReadExtDrops, res.ReadExtMs = ablateReadRNR(true) },
+		func() { res.ReadBaseDrops, res.ReadBaseMs = ablateReadRNR(s, false) },
+		func() { res.ReadExtDrops, res.ReadExtMs = ablateReadRNR(s, true) },
 	)
 
-	runJobs(jobs)
+	s.runJobs(jobs)
 	return res
 }
 
 // ablateColdSend measures a cold 4MB receive with and without scatter-gather
 // prefetch, returning fault events and delivery time.
-func ablateColdSend(prefetch bool) (events float64, ms float64) {
-	e := NewIBEnv(IBOpts{Seed: 3, Tweak: func(c *rc.Config) { c.PrefetchWQE = prefetch }})
+func ablateColdSend(s *Scope, prefetch bool) (events float64, ms float64) {
+	e := NewIBEnv(IBOpts{Seed: 3, Scope: s, Tweak: func(c *rc.Config) { c.PrefetchWQE = prefetch }})
 	const msg = 4 << 20
 	Warm(e.QPA, 0, msg/mem.PageSize) // sender warm; receiver cold
 	var doneAt sim.Time
@@ -155,8 +155,8 @@ func ablateColdSend(prefetch bool) (events float64, ms float64) {
 
 // ablateDropBurst counts driver fault reports for one cold-ring burst under
 // the drop policy, with the in-flight bitmap on or off.
-func ablateDropBurst(disable bool) float64 {
-	eng := newBenchGroup(31, 1, 0).Engine(0)
+func ablateDropBurst(s *Scope, disable bool) float64 {
+	eng := s.newBenchGroup(31, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultEthernet())
 	m := mem.NewMachine(eng, 8<<30)
 	drv := core.NewDriver(eng, core.DefaultConfig())
@@ -182,8 +182,8 @@ func ablateDropBurst(disable bool) float64 {
 }
 
 // ablateReadRNR measures repeated 512KB RDMA reads into cold destinations.
-func ablateReadRNR(ext bool) (drops, ms float64) {
-	e := NewIBEnv(IBOpts{Seed: 13, Tweak: func(c *rc.Config) {
+func ablateReadRNR(s *Scope, ext bool) (drops, ms float64) {
+	e := NewIBEnv(IBOpts{Seed: 13, Scope: s, Tweak: func(c *rc.Config) {
 		c.ReadRNRExtension = ext
 		c.ReadWindow = 128
 	}})
@@ -213,8 +213,8 @@ func ablateReadRNR(ext bool) (drops, ms float64) {
 
 // ablateStream measures a warm 64KB IB stream, optionally behind a
 // permissive guest table.
-func ablateStream(nested bool) float64 {
-	e := NewIBEnv(IBOpts{Seed: 9})
+func ablateStream(s *Scope, nested bool) float64 {
+	e := NewIBEnv(IBOpts{Seed: 9, Scope: s})
 	if nested {
 		g := iommu.NewGuestTable()
 		g.Allow(0, 4096)

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"npf/internal/artifact"
-	"npf/internal/fabric"
 	"npf/internal/kv"
 	"npf/internal/sim"
 	"npf/internal/trace"
@@ -15,7 +14,8 @@ import (
 // of RunKV re-run per registration policy with the causal fault recorder
 // always on, post-processed into the paper's per-stage anatomy table and a
 // critical-path extraction for the tail. Unlike the other experiments it
-// does not depend on TraceFactory — the recorder is the experiment.
+// does not use the scope's Trace factory — the recorder is the experiment,
+// so its tracers stay out of -trace and -series.
 type AnatomyResult struct {
 	Policies []kv.RegPolicy
 	Stages   []map[string]*sim.Histogram // per-policy stage -> latency (µs)
@@ -26,18 +26,18 @@ type AnatomyResult struct {
 	NPFs     []uint64                    // driver NPF count, for cross-checking
 	EvDrop   []uint64                    // flight-ring events overwritten
 	RecDrop  []uint64                    // records dropped at the cap
-}
 
-// newAnatomyTracer builds the anatomy runs' tracers; tests wrap it to see
-// what a run recorded.
-var newAnatomyTracer = trace.New
+	// tracers holds each policy's per-partition tracers: what the run
+	// recorded.
+	tracers [][]*trace.Tracer
+}
 
 // RunAnatomy profiles the NPF lifecycle per registration policy. Each
 // policy is an independent, seed-isolated job through the sweep runner and
 // writes only its own row, so output is byte-identical for any Workers
 // fan-out; in PDES mode the partition count is fixed at two, so it is also
 // byte-identical for every Engines value.
-func RunAnatomy(quick bool) *AnatomyResult {
+func RunAnatomy(s *Scope, quick bool) *AnatomyResult {
 	ops := 4000
 	if quick {
 		ops = 1200
@@ -54,61 +54,26 @@ func RunAnatomy(quick bool) *AnatomyResult {
 		NPFs:     make([]uint64, n),
 		EvDrop:   make([]uint64, n),
 		RecDrop:  make([]uint64, n),
+		tracers:  make([][]*trace.Tracer, n),
 	}
 	var jobs []func()
 	for i, pol := range policies {
 		i, pol := i, pol
-		jobs = append(jobs, func() { anatomyJob(res, i, pol, ops) })
+		jobs = append(jobs, func() { anatomyJob(s, res, i, pol, ops) })
 	}
-	runJobs(jobs)
+	s.runJobs(jobs)
 	return res
 }
 
-// anatomyJob is kvSweepJob with the recorder on: same deployment, same
-// reclaim waves, a different seed, and a server-tier tracer created
-// unconditionally. All fault lifecycle events land on the server partition
-// in every engine mode, which is what keeps the extraction identical.
-func anatomyJob(res *AnatomyResult, i int, pol kv.RegPolicy, ops int) {
-	fcfg := fabric.DefaultEthernet()
-	cfg := kv.Config{
-		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
-		Reg: pol, ExpectedKeys: 1024,
-	}
-	g := newEnvGroup(47, fcfg.Lookahead())
-	eng := g.Engine(0)
-	// The client tier records on its own partition's clock; its spans
-	// never enter the anatomy (faults are a server-tier phenomenon).
-	trs := partTracers(g, newAnatomyTracer)
+// anatomyJob is kv's deployment with the recorder on: a different seed and
+// tracers created unconditionally. The client tier records on its own
+// partition's clock; its spans never enter the anatomy (faults are a
+// server-tier phenomenon). All fault lifecycle events land on the server
+// partition in every engine mode, which is what keeps the extraction
+// identical.
+func anatomyJob(s *Scope, res *AnatomyResult, i int, pol kv.RegPolicy, ops int) {
+	svc, _, trs := s.runKVDeployment(47, pol, ops, trace.New)
 	tr := trs[0]
-	cfg.ClientTracer = trs[len(trs)-1]
-	svc := kv.New(eng, fabric.NewOnGroup(g, fcfg), tr, cfg)
-	for _, h := range svc.Hosts {
-		h.M.Swap.ReadLatency = 200 * sim.Microsecond
-	}
-	groups := svc.Groups()
-	for w := 0; w < kvWaves; w++ {
-		at := kvWaveStart + sim.Time(w)*kvWavePeriod
-		eng.At(at, func() {
-			for _, g := range groups {
-				g.SetLimit(kvWaveFloor)
-			}
-		})
-		eng.At(at+kvWaveHold, func() {
-			for _, g := range groups {
-				g.SetLimit(0)
-			}
-		})
-	}
-	wl := svc.NewWorkload(kv.WorkloadConfig{
-		TargetOps: ops, Keys: 1024, ZipfS: 1.1, GetRatio: 0.9,
-		Prepopulate: true, FrontCacheEntries: 32,
-	})
-	wl.OnDone = func() {
-		svc.ClientEngine().After(300*sim.Millisecond, func() { svc.Stop() })
-	}
-	wl.Start()
-	g.RunUntil(120 * sim.Second)
-
 	recs := tr.FaultRecords()
 	res.Stages[i] = trace.FaultStageBreakdown(recs)
 	res.Paths[i] = trace.FaultPathCounts(recs)
@@ -118,6 +83,7 @@ func anatomyJob(res *AnatomyResult, i int, pol kv.RegPolicy, ops int) {
 	res.NPFs[i] = svc.NPFs()
 	res.EvDrop[i] = tr.DroppedFaultEvents()
 	res.RecDrop[i] = tr.DroppedFaultRecords()
+	res.tracers[i] = trs
 }
 
 // Rows flattens the result into the fault_anatomy artifact section.
@@ -147,7 +113,7 @@ func (r *AnatomyResult) Rows() []artifact.AnatomyRow {
 
 // Render prints the per-policy anatomy tables and critical paths. No wall
 // clock, no map order: the output is byte-identical for any -parallel and
-// -engines budget (the acceptance bar npftrace anatomy is gated on).
+// -engines budget.
 func (r *AnatomyResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Fault anatomy: causal NPF lifecycle per registration policy\n")
@@ -173,22 +139,6 @@ func (r *AnatomyResult) Render() string {
 			continue
 		}
 		trace.WriteStageTable(&b, r.Stages[i])
-		r.Crit[i].Write(&b)
-	}
-	return b.String()
-}
-
-// RenderCritPath prints only the per-policy critical paths (npftrace
-// critpath).
-func (r *AnatomyResult) RenderCritPath() string {
-	var b strings.Builder
-	b.WriteString("Critical path of tail faults per registration policy\n")
-	for i, pol := range r.Policies {
-		fmt.Fprintf(&b, "\n== policy %s ==\n", pol)
-		if r.Crit[i] == nil {
-			b.WriteString("(no faults: nothing to dissect)\n")
-			continue
-		}
 		r.Crit[i].Write(&b)
 	}
 	return b.String()

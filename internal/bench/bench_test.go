@@ -11,7 +11,7 @@ import (
 // pinned in the output manifest (outputs_test.go).
 
 func TestFig3Shapes(t *testing.T) {
-	r := runOutput(t, "fig3", Test).(*Fig3Result)
+	r := runOutput(t, &Scope{}, "fig3", Test).(*Fig3Result)
 	k4, m4 := r.NPF["4KB"], r.NPF["4MB"]
 	if k4.Total < 160 || k4.Total > 280 {
 		t.Errorf("4KB NPF = %.1f µs, want ≈220", k4.Total)
@@ -37,7 +37,7 @@ func TestFig3Shapes(t *testing.T) {
 }
 
 func TestTable4Shapes(t *testing.T) {
-	r := runOutput(t, "table4", Test).(*Table4Result)
+	r := runOutput(t, &Scope{}, "table4", Test).(*Table4Result)
 	for _, size := range []string{"4KB", "4MB"} {
 		row := r.Rows[size]
 		if !(row.P50 < row.P95 && row.P95 < row.P99 && row.P99 < row.Max) {
@@ -56,7 +56,8 @@ func TestFig4aShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := runOutput(t, "fig4a", Test).(*Fig4aResult)
+	t.Parallel()
+	r := runOutput(t, &Scope{}, "fig4a", Test).(*Fig4aResult)
 	early := func(name string) float64 {
 		total := 0.0
 		for _, p := range r.Series[name] {
@@ -79,7 +80,7 @@ func TestFig4bShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := runOutput(t, "fig4b", Test).(*Fig4bResult)
+	r := runOutput(t, &Scope{}, "fig4b", Test).(*Fig4bResult)
 	d16, d256 := r.Seconds["drop"][0], r.Seconds["drop"][1]
 	b16, b256 := r.Seconds["backup"][0], r.Seconds["backup"][1]
 	if d16 > 0 && d256 > 0 && d256 < d16 {
@@ -97,7 +98,8 @@ func TestTable5Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := runOutput(t, "table5", Test).(*Table5Result)
+	t.Parallel()
+	r := runOutput(t, &Scope{}, "table5", Test).(*Table5Result)
 	npf := r.KTPS["NPF"]
 	pin := r.KTPS["pinning"]
 	for n := 0; n < 4; n++ {
@@ -121,7 +123,8 @@ func TestFig8aShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := runOutput(t, "fig8a", Test).(*Fig8aResult)
+	t.Parallel()
+	r := runOutput(t, &Scope{}, "fig8a", Test).(*Fig8aResult)
 	if r.NPF[0] <= 0 {
 		t.Fatal("NPF should run at the smallest memory point")
 	}
@@ -144,7 +147,8 @@ func TestFig8bShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := runOutput(t, "fig8b", Test).(*Fig8bResult)
+	t.Parallel()
+	r := runOutput(t, &Scope{}, "fig8b", Test).(*Fig8bResult)
 	last := len(r.Sessions) - 1
 	if r.Pin[0] < 0.99 || r.Pin[last] < 0.99 {
 		t.Errorf("pin not flat at 1GB: %v", r.Pin)
@@ -162,7 +166,7 @@ func TestFig8bShapes(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
-	r := runOutput(t, "fig9", Test).(*Fig9Result)
+	r := runOutput(t, &Scope{}, "fig9", Test).(*Fig9Result)
 	for _, bench := range r.Benchmarks {
 		last := len(r.SizesKB) - 1
 		cp := r.Seconds[bench]["copy"]
@@ -184,7 +188,7 @@ func TestFig9Shapes(t *testing.T) {
 }
 
 func TestTable6Shapes(t *testing.T) {
-	r := runOutput(t, "table6", Test).(*Table6Result)
+	r := runOutput(t, &Scope{}, "table6", Test).(*Table6Result)
 	if r.MBps["npf"] < 0.9*r.MBps["pin"] || r.MBps["npf"] > 1.1*r.MBps["pin"] {
 		t.Errorf("npf %.0f should match pin %.0f", r.MBps["npf"], r.MBps["pin"])
 	}
@@ -197,7 +201,7 @@ func TestFig10Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := runOutput(t, "fig10", Test).(*Fig10Result)
+	r := runOutput(t, &Scope{}, "fig10", Test).(*Fig10Result)
 	for i := range r.Exps {
 		if r.MinorBrng[i] < r.MinorDrop[i] {
 			t.Errorf("freq 2^-%d: backup %.2f below drop %.2f",
@@ -225,7 +229,7 @@ func TestFig10Shapes(t *testing.T) {
 }
 
 func TestAblateShapes(t *testing.T) {
-	r := runOutput(t, "ablate", Test).(*AblateResult)
+	r := runOutput(t, &Scope{}, "ablate", Test).(*AblateResult)
 	if r.PagewiseMs < 5*r.BatchedMs {
 		t.Errorf("page-wise %.2fms should dwarf batched %.2fms", r.PagewiseMs, r.BatchedMs)
 	}
@@ -274,7 +278,8 @@ func TestFig7Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
-	r := runOutput(t, "fig7", Test).(*Fig7Result)
+	t.Parallel()
+	r := runOutput(t, &Scope{}, "fig7", Test).(*Fig7Result)
 	// Compare combined steady-state throughput after the flip.
 	tail := func(mode string) float64 {
 		pair := r.Series[mode]

@@ -95,7 +95,7 @@ func TestFig3ClosedForm(t *testing.T) {
 		}
 	}
 	for _, seed := range []int64{fig3DefaultSeed, 3, 13} {
-		r := RunFig3Opts(Fig3Opts{Trials: 16, Seed: seed})
+		r := RunFig3Opts(nil, Fig3Opts{Trials: 16, Seed: seed})
 		for _, g := range groups {
 			for i, v := range g.got(r) {
 				if c := g.forms[i]; ns(v) != c.want {
@@ -111,7 +111,7 @@ func TestFig3ClosedForm(t *testing.T) {
 // the firmware jitter off: with no random term left, every NPF costs the
 // same, so p50, p99 and max all equal the Figure 3 total.
 func TestTable4CollapsesAtZeroSigma(t *testing.T) {
-	fig3 := RunFig3Opts(Fig3Opts{Trials: 16})
+	fig3 := RunFig3Opts(nil, Fig3Opts{Trials: 16})
 	for _, size := range fig3Sizes {
 		e := NewIBEnv(IBOpts{Seed: 11})
 		MinorNPFs(e, size.bytes, 64)

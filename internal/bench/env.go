@@ -26,28 +26,6 @@ import (
 // converges) trips the engine's diagnostic panic instead of hanging CI.
 const MaxEngineEvents = 2_000_000_000
 
-// TraceFactory, when non-nil, is called for every traced partition engine
-// the env constructors build, and its tracer is wired through the whole
-// stack (drivers, machines, devices/HCAs). cmd/npfbench sets this for
-// -trace so experiments whose envs are built deep inside Run functions
-// get traced; direct env users pass EthOpts.Trace/IBOpts.Trace instead.
-// With Workers > 1 envs are built from worker goroutines, so the factory
-// must be safe for concurrent calls.
-var TraceFactory func(*sim.Engine) *trace.Tracer
-
-// envTracer is the tracer an env puts on eng: the TraceFactory's when one
-// is set, else a fresh one when force is set, else none.
-func envTracer(eng *sim.Engine, force bool) *trace.Tracer {
-	var tr *trace.Tracer
-	if TraceFactory != nil {
-		tr = TraceFactory(eng)
-	}
-	if force && tr == nil {
-		tr = trace.New(eng)
-	}
-	return tr
-}
-
 // partTracers returns one tracer per partition of g, each made by mk on
 // that partition's engine; all nil when mk is nil. A tracer is driven by
 // its own engine only, so a one-partition group has exactly one, shared
@@ -87,9 +65,9 @@ type EthEnv struct {
 	G         *sim.Group
 	ClientEng *sim.Engine
 	ClientDrv *core.Driver
-	// Tracer is non-nil when the env was built with EthOpts.Trace or a
-	// TraceFactory. It lives on the server engine; the client host runs
-	// untraced.
+	// Tracer is non-nil when the env was built with EthOpts.Trace or on a
+	// scope with a Trace factory. It lives on the server engine; the client
+	// host runs untraced.
 	Tracer *trace.Tracer
 }
 
@@ -108,7 +86,9 @@ type EthOpts struct {
 	ServerCgroup *mem.Group
 	PrefaultRing bool
 	Jitter       bool
-	Trace        bool // attach a trace.Tracer even without a TraceFactory
+	Trace        bool // attach a trace.Tracer even without a Trace factory
+	// Scope is the run the env belongs to (nil: the default run).
+	Scope *Scope
 }
 
 // NewEthEnv builds the testbed. The client is always statically pinned
@@ -123,9 +103,9 @@ func NewEthEnv(o EthOpts) *EthEnv {
 	dcfg := core.DefaultConfig()
 	dcfg.PrefaultRing = o.PrefaultRing
 	fcfg := fabric.DefaultEthernet()
-	g := newEnvGroup(o.Seed+1, fcfg.Lookahead())
+	g := o.Scope.newEnvGroup(o.Seed+1, fcfg.Lookahead())
 	eng, ceng := g.Engine(0), g.Engine(g.Parts()-1)
-	tr := envTracer(eng, o.Trace)
+	tr := o.Scope.tracer(eng, o.Trace)
 	net := fabric.NewOnGroup(g, fcfg)
 	// One spec stamps out both substrates (machines and drivers don't
 	// split RNGs, so the per-host grouping preserves seeded results).
@@ -203,29 +183,6 @@ func (e *EthEnv) newHost(eng *sim.Engine, drv *core.Driver, m *mem.Machine, name
 	return h
 }
 
-// WarmStack pre-faults and maps a stack's RX and TX buffer regions (used
-// for ODP stacks that must start warm).
-func WarmStack(st *tcp.Stack) {
-	ch := st.Channel()
-	for _, r := range [][2]int64{rxRange(st), txRange(st)} {
-		base, pages := mem.PageNum(r[0]), int(r[1])
-		if _, err := ch.AS.TouchPages(base, pages, true); err != nil {
-			panic(err)
-		}
-		ch.Domain.Map(base, pages)
-	}
-}
-
-func rxRange(st *tcp.Stack) [2]int64 {
-	base, n := st.RxBuffers()
-	return [2]int64{int64(base.Page()), n / mem.PageSize}
-}
-
-func txRange(st *tcp.Stack) [2]int64 {
-	base, n := st.TxBuffers()
-	return [2]int64{int64(base.Page()), n / mem.PageSize}
-}
-
 // IBEnv is a pair of InfiniBand hosts with ODP drivers.
 type IBEnv struct {
 	Eng        *sim.Engine
@@ -240,9 +197,10 @@ type IBEnv struct {
 	// with one partition is Eng itself.
 	G    *sim.Group
 	EngB *sim.Engine
-	// Tracer is non-nil when the env was built with IBOpts.Trace or a
-	// TraceFactory. Each side's tracer is its partition's: Tracer belongs
-	// to side A and TracerB to side B, the same tracer with one partition.
+	// Tracer is non-nil when the env was built with IBOpts.Trace or on a
+	// scope with a Trace factory. Each side's tracer is its partition's:
+	// Tracer belongs to side A and TracerB to side B, the same tracer with
+	// one partition.
 	Tracer  *trace.Tracer
 	TracerB *trace.Tracer
 }
@@ -259,7 +217,9 @@ type IBOpts struct {
 	Jitter bool
 	MTU    int
 	Tweak  func(*rc.Config)
-	Trace  bool // attach a trace.Tracer even without a TraceFactory
+	Trace  bool // attach a trace.Tracer even without a Trace factory
+	// Scope is the run the env belongs to (nil: the default run).
+	Scope *Scope
 }
 
 // NewIBEnv builds a two-node IB testbed with a connected, ODP-enabled QP
@@ -276,8 +236,8 @@ func NewIBEnv(o IBOpts) *IBEnv {
 		o.Tweak(&cfg)
 	}
 	fcfg := fabric.DefaultInfiniBand()
-	g := newEnvGroup(o.Seed+1, fcfg.Lookahead())
-	trs := partTracers(g, func(eng *sim.Engine) *trace.Tracer { return envTracer(eng, o.Trace) })
+	g := o.Scope.newEnvGroup(o.Seed+1, fcfg.Lookahead())
+	trs := partTracers(g, func(eng *sim.Engine) *trace.Tracer { return o.Scope.tracer(eng, o.Trace) })
 	e := &IBEnv{Eng: g.Engine(0), G: g, EngB: g.Engine(g.Parts() - 1),
 		Net: fabric.NewOnGroup(g, fcfg), Tracer: trs[0], TracerB: trs[len(trs)-1]}
 	// The spec builds the sides back to back, A first, so HCA A's RNG

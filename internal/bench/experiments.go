@@ -34,49 +34,45 @@ type Experiment struct {
 	Name string
 	// Default marks the experiments npfbench runs when none is named.
 	Default bool
-	// Run runs the experiment at one sizing. Only loc can fail: it reads
-	// source files under LOCRoot.
-	Run func(Sizing) (Result, error)
+	// Run runs the experiment at one sizing on scope s, which must not be
+	// nil. Only loc can fail: it reads source files under s.Root.
+	Run func(s *Scope, size Sizing) (Result, error)
 }
-
-// LOCRoot is the repository root the loc experiment reads; cmd/npfbench
-// sets it from -root.
-var LOCRoot = "."
 
 // Experiments is every experiment npfbench can run, in the order its
 // default list runs them. Experiments without a size parameter run the same
 // way at every sizing.
 var Experiments = []Experiment{
-	{"fig3", true, func(s Sizing) (Result, error) { return RunFig3(pick(s, 200, 30, 40)), nil }},
-	{"table4", true, func(s Sizing) (Result, error) { return RunTable4(pick(s, 5000, 500, 800)), nil }},
-	{"fig4a", true, func(s Sizing) (Result, error) {
-		return RunFig4a(pick(s, 80*sim.Second, 30*sim.Second, 20*sim.Second)), nil
+	{"fig3", true, func(s *Scope, z Sizing) (Result, error) { return RunFig3(s, pick(z, 200, 30, 40)), nil }},
+	{"table4", true, func(s *Scope, z Sizing) (Result, error) { return RunTable4(s, pick(z, 5000, 500, 800)), nil }},
+	{"fig4a", true, func(s *Scope, z Sizing) (Result, error) {
+		return RunFig4a(s, pick(z, 80*sim.Second, 30*sim.Second, 20*sim.Second)), nil
 	}},
-	{"fig4b", true, func(s Sizing) (Result, error) {
-		return RunFig4b(pick(s, 10000, 2000, 1000),
-			pick(s, nil, []int{16, 64, 256, 1024}, []int{16, 256}),
-			pick(s, 600*sim.Second, 200*sim.Second, 300*sim.Second)), nil
+	{"fig4b", true, func(s *Scope, z Sizing) (Result, error) {
+		return RunFig4b(s, pick(z, 10000, 2000, 1000),
+			pick(z, nil, []int{16, 64, 256, 1024}, []int{16, 256}),
+			pick(z, 600*sim.Second, 200*sim.Second, 300*sim.Second)), nil
 	}},
-	{"table5", true, func(Sizing) (Result, error) { return RunTable5(), nil }},
-	{"fig7", true, func(Sizing) (Result, error) { return RunFig7(), nil }},
-	{"fig8a", true, func(Sizing) (Result, error) { return RunFig8a(), nil }},
-	{"fig8b", true, func(Sizing) (Result, error) { return RunFig8b(), nil }},
-	{"fig9", true, func(s Sizing) (Result, error) {
-		return RunFig9(pick(s, 8, 4, 4), pick(s, 100, 30, 40)), nil
+	{"table5", true, func(s *Scope, _ Sizing) (Result, error) { return RunTable5(s), nil }},
+	{"fig7", true, func(s *Scope, _ Sizing) (Result, error) { return RunFig7(s), nil }},
+	{"fig8a", true, func(s *Scope, _ Sizing) (Result, error) { return RunFig8a(s), nil }},
+	{"fig8b", true, func(s *Scope, _ Sizing) (Result, error) { return RunFig8b(s), nil }},
+	{"fig9", true, func(s *Scope, z Sizing) (Result, error) {
+		return RunFig9(s, pick(z, 8, 4, 4), pick(z, 100, 30, 40)), nil
 	}},
-	{"table6", true, func(s Sizing) (Result, error) { return RunTable6(pick(s, 8, 4, 4)), nil }},
-	{"fig10", true, func(Sizing) (Result, error) { return RunFig10(), nil }},
-	{"ablate", true, func(Sizing) (Result, error) { return RunAblate(), nil }},
-	{"loc", true, func(Sizing) (Result, error) {
-		r, err := RunLOC(LOCRoot)
+	{"table6", true, func(s *Scope, z Sizing) (Result, error) { return RunTable6(s, pick(z, 8, 4, 4)), nil }},
+	{"fig10", true, func(s *Scope, _ Sizing) (Result, error) { return RunFig10(s), nil }},
+	{"ablate", true, func(s *Scope, _ Sizing) (Result, error) { return RunAblate(s), nil }},
+	{"loc", true, func(s *Scope, _ Sizing) (Result, error) {
+		r, err := RunLOC(s.Root)
 		if err != nil {
 			return nil, err
 		}
 		return r, nil
 	}},
-	{"kv", false, func(s Sizing) (Result, error) { return RunKV(s != Full), nil }},
-	{"anatomy", false, func(s Sizing) (Result, error) { return RunAnatomy(s != Full), nil }},
-	{"scaleout", false, func(s Sizing) (Result, error) { return RunScaleout(s == Quick), nil }},
+	{"kv", false, func(s *Scope, z Sizing) (Result, error) { return RunKV(s, z != Full), nil }},
+	{"anatomy", false, func(s *Scope, z Sizing) (Result, error) { return RunAnatomy(s, z != Full), nil }},
+	{"scaleout", false, func(s *Scope, z Sizing) (Result, error) { return RunScaleout(s, z == Quick), nil }},
 }
 
 // Lookup returns the experiment named name.

@@ -29,7 +29,7 @@ type Fig10Result struct {
 // RunFig10 reproduces Figure 10: the what-if analysis under synthetic rNPFs.
 // Every (frequency, configuration) stream is an independent job on its own
 // engine.
-func RunFig10() *Fig10Result {
+func RunFig10(s *Scope) *Fig10Result {
 	res := &Fig10Result{Exps: []int{8, 10, 12, 14, 16, 18, 20}}
 	n := len(res.Exps)
 	res.MinorBrng = make([]float64, n)
@@ -42,21 +42,21 @@ func RunFig10() *Fig10Result {
 		i := i
 		perByte := math.Pow(2, -float64(exp)) / float64(mem.PageSize)
 		jobs = append(jobs,
-			func() { res.MinorBrng[i] = runEthStream(perByte, false, true) },
-			func() { res.MajorBrng[i] = runEthStream(perByte, true, true) },
-			func() { res.MinorDrop[i] = runEthStream(perByte, false, false) },
-			func() { res.MajorDrop[i] = runEthStream(perByte, true, false) },
-			func() { res.IBMinor[i] = runIBStream(perByte) },
+			func() { res.MinorBrng[i] = runEthStream(s, perByte, false, true) },
+			func() { res.MajorBrng[i] = runEthStream(s, perByte, true, true) },
+			func() { res.MinorDrop[i] = runEthStream(s, perByte, false, false) },
+			func() { res.MajorDrop[i] = runEthStream(s, perByte, true, false) },
+			func() { res.IBMinor[i] = runIBStream(s, perByte) },
 		)
 	}
-	jobs = append(jobs, func() { res.IBOptimum = runIBStream(0) })
-	runJobs(jobs)
+	jobs = append(jobs, func() { res.IBOptimum = runIBStream(s, 0) })
+	s.runJobs(jobs)
 	return res
 }
 
 // runEthStream measures one Ethernet stream configuration (Gb/s).
-func runEthStream(freqPerByte float64, major, backup bool) float64 {
-	eng := newBenchGroup(41, 1, 0).Engine(0)
+func runEthStream(s *Scope, freqPerByte float64, major, backup bool) float64 {
+	eng := s.newBenchGroup(41, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultEthernet())
 	m := mem.NewMachine(eng, 8<<30)
 	drv := core.NewDriver(eng, core.DefaultConfig())
@@ -69,7 +69,7 @@ func runEthStream(freqPerByte float64, major, backup bool) float64 {
 		ch := dev.NewChannel(name, as, 256, pol, 256)
 		drv.EnableODP(ch)
 		st := tcp.NewStack(ch, tcp.DefaultConfig())
-		WarmStack(st) // pre-fault the ring: no cold-ring effects here
+		st.WarmBuffers() // pre-fault the ring: no cold-ring effects here
 		return st
 	}
 	pol := nic.PolicyDrop
@@ -78,20 +78,20 @@ func runEthStream(freqPerByte float64, major, backup bool) float64 {
 	}
 	recv := mkStack("recv", pol)
 	send := mkStack("send", nic.PolicyBackup)
-	s := apps.NewEthStream(send, recv, 64<<10, 64<<20)
+	strm := apps.NewEthStream(send, recv, 64<<10, 64<<20)
 	if freqPerByte > 0 {
 		rxBase, rxLen := recv.RxBuffers()
-		s.Injector = apps.NewFaultInjector(recv.Channel().AS, rxBase.Page(),
+		strm.Injector = apps.NewFaultInjector(recv.Channel().AS, rxBase.Page(),
 			int(rxLen/mem.PageSize), freqPerByte, major)
 	}
-	s.Start()
+	strm.Start()
 	eng.RunUntil(120 * sim.Second)
-	return s.ThroughputGbps(eng.Now())
+	return strm.ThroughputGbps(eng.Now())
 }
 
 // runIBStream measures the ib_send_bw-style configuration (Gb/s).
-func runIBStream(freqPerByte float64) float64 {
-	eng := newBenchGroup(43, 1, 0).Engine(0)
+func runIBStream(s *Scope, freqPerByte float64) float64 {
+	eng := s.newBenchGroup(43, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultInfiniBand())
 	m := mem.NewMachine(eng, 8<<30)
 	cfg := rc.DefaultConfig()
@@ -106,14 +106,14 @@ func runIBStream(freqPerByte float64) float64 {
 	rc.Connect(snd, rcv)
 	drv.EnableODPQP(snd)
 	drv.EnableODPQP(rcv)
-	s := apps.NewIBStream(snd, rcv, 64<<10, 128<<20)
+	strm := apps.NewIBStream(snd, rcv, 64<<10, 128<<20)
 	if freqPerByte > 0 {
-		base, pages := s.RecvRegion()
-		s.Injector = apps.NewFaultInjector(asR, base, pages, freqPerByte, false)
+		base, pages := strm.RecvRegion()
+		strm.Injector = apps.NewFaultInjector(asR, base, pages, freqPerByte, false)
 	}
-	s.Start()
+	strm.Start()
 	eng.RunUntil(120 * sim.Second)
-	return s.ThroughputGbps(eng.Now())
+	return strm.ThroughputGbps(eng.Now())
 }
 
 // Render prints both panels.

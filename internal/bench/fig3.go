@@ -49,8 +49,8 @@ var fig3Sizes = []struct {
 
 // RunFig3 reproduces Figure 3: repeated minor NPFs on 4KB and 4MB messages,
 // plus the invalidation flow.
-func RunFig3(trials int) *Fig3Result {
-	return RunFig3Opts(Fig3Opts{Trials: trials})
+func RunFig3(s *Scope, trials int) *Fig3Result {
+	return RunFig3Opts(s, Fig3Opts{Trials: trials})
 }
 
 // MinorNPFs runs the Figure 3a trial loop on e, a fresh IB env: a warm sender
@@ -92,7 +92,7 @@ func MinorNPFs(e *IBEnv, bytes, trials int) {
 // (size, replica) pair and the invalidation flow is an independent job on
 // its own engine, executed through the sweep runner; results are merged in
 // job order, so output does not depend on Workers.
-func RunFig3Opts(o Fig3Opts) *Fig3Result {
+func RunFig3Opts(s *Scope, o Fig3Opts) *Fig3Result {
 	if o.Seed == 0 {
 		o.Seed = fig3DefaultSeed
 	}
@@ -113,7 +113,7 @@ func RunFig3Opts(o Fig3Opts) *Fig3Result {
 				trials++
 			}
 			jobs = append(jobs, func() {
-				e := NewIBEnv(IBOpts{Seed: o.Seed + int64(rep)})
+				e := NewIBEnv(IBOpts{Seed: o.Seed + int64(rep), Scope: s})
 				MinorNPFs(e, size.bytes, trials)
 				hists[si][rep] = &e.DrvB.Hist
 			})
@@ -123,7 +123,7 @@ func RunFig3Opts(o Fig3Opts) *Fig3Result {
 	// Figure 3b: invalidations of mapped pages (evicting DMA-mapped
 	// buffers) vs the unmapped fast path.
 	jobs = append(jobs, func() {
-		e := NewIBEnv(IBOpts{Seed: o.Seed})
+		e := NewIBEnv(IBOpts{Seed: o.Seed, Scope: s})
 		Warm(e.QPB, 0, 256)
 		var mappedCost, fastCost sim.Time
 		for i := 0; i < 256; i++ {
@@ -140,7 +140,7 @@ func RunFig3Opts(o Fig3Opts) *Fig3Result {
 		res.InvalidationFast = (fastCost / 256).Micros()
 	})
 
-	runJobs(jobs)
+	s.runJobs(jobs)
 
 	for si, size := range fig3Sizes {
 		var h core.Breakdown
@@ -196,14 +196,14 @@ type Table4Row struct {
 
 // RunTable4 reproduces Table 4: NPF latency percentiles with firmware
 // jitter enabled. Each message size runs as an independent job.
-func RunTable4(trials int) *Table4Result {
+func RunTable4(s *Scope, trials int) *Table4Result {
 	res := &Table4Result{Rows: make(map[string]Table4Row)}
 	rows := make([]Table4Row, len(fig3Sizes))
 	jobs := make([]func(), len(fig3Sizes))
 	for si, size := range fig3Sizes {
 		si, size := si, size
 		jobs[si] = func() {
-			e := NewIBEnv(IBOpts{Seed: 11, Jitter: true})
+			e := NewIBEnv(IBOpts{Seed: 11, Jitter: true, Scope: s})
 			MinorNPFs(e, size.bytes, trials)
 			h := &e.DrvB.Hist.Total
 			rows[si] = Table4Row{
@@ -212,7 +212,7 @@ func RunTable4(trials int) *Table4Result {
 			}
 		}
 	}
-	runJobs(jobs)
+	s.runJobs(jobs)
 	for si, size := range fig3Sizes {
 		res.Rows[size.name] = rows[si]
 	}

@@ -26,14 +26,14 @@ type Fig4aResult struct {
 // RunFig4a reproduces Figure 4(a): memcached startup with a 64-entry cold
 // receive ring under drop/backup/pin. Each policy runs as an independent
 // job on its own engine.
-func RunFig4a(duration sim.Time) *Fig4aResult {
+func RunFig4a(s *Scope, duration sim.Time) *Fig4aResult {
 	res := &Fig4aResult{Series: make(map[string][][2]float64)}
 	series := make([][][2]float64, len(fig4Policies))
 	jobs := make([]func(), len(fig4Policies))
 	for pi, pol := range fig4Policies {
 		pi, pol := pi, pol
 		jobs[pi] = func() {
-			e := NewEthEnv(EthOpts{Seed: 3, Policy: pol, RingSize: 64})
+			e := NewEthEnv(EthOpts{Seed: 3, Policy: pol, RingSize: 64, Scope: s})
 			store := apps.NewKVStore(e.Server.AS, 0)
 			apps.NewKVServer(e.Server.Stack, store, memcachedService)
 			slap := apps.NewMemaslap(e.Client.Stack, apps.MemaslapConfig{
@@ -50,7 +50,7 @@ func RunFig4a(duration sim.Time) *Fig4aResult {
 			series[pi] = pts
 		}
 	}
-	runJobs(jobs)
+	s.runJobs(jobs)
 	for pi, pol := range fig4Policies {
 		res.Series[pol.String()] = series[pi]
 	}
@@ -96,7 +96,7 @@ type Fig4bResult struct {
 
 // RunFig4b reproduces Figure 4(b): time to perform 10 000 operations as a
 // function of receive ring size.
-func RunFig4b(ops int, ringSizes []int, timeout sim.Time) *Fig4bResult {
+func RunFig4b(s *Scope, ops int, ringSizes []int, timeout sim.Time) *Fig4bResult {
 	if len(ringSizes) == 0 {
 		ringSizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096}
 	}
@@ -110,7 +110,7 @@ func RunFig4b(ops int, ringSizes []int, timeout sim.Time) *Fig4bResult {
 		for ri, ring := range ringSizes {
 			ri, ring := ri, ring
 			jobs = append(jobs, func() {
-				e := NewEthEnv(EthOpts{Seed: 5, Policy: pol, RingSize: ring})
+				e := NewEthEnv(EthOpts{Seed: 5, Policy: pol, RingSize: ring, Scope: s})
 				store := apps.NewKVStore(e.Server.AS, 0)
 				apps.NewKVServer(e.Server.Stack, store, memcachedService)
 				slap := apps.NewMemaslap(e.Client.Stack, apps.MemaslapConfig{
@@ -133,7 +133,7 @@ func RunFig4b(ops int, ringSizes []int, timeout sim.Time) *Fig4bResult {
 			})
 		}
 	}
-	runJobs(jobs)
+	s.runJobs(jobs)
 	for pi, pol := range fig4Policies {
 		res.Seconds[pol.String()] = cols[pi]
 	}

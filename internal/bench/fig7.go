@@ -38,16 +38,16 @@ type Fig7Result struct {
 // RunFig7 reproduces Figure 7: two memcached instances whose working sets
 // flip at t=20s (paper: t=50s), under NPF (shared physical budget, demand
 // paged) vs pinning (static 50/50 split).
-func RunFig7() *Fig7Result {
+func RunFig7(s *Scope) *Fig7Result {
 	res := &Fig7Result{Series: make(map[string][2][][2]float64)}
 	modes := []string{"npf", "pin"}
 	pairs := make([][2][][2]float64, len(modes))
 	jobs := make([]func(), len(modes))
 	for mi, mode := range modes {
 		mi, mode := mi, mode
-		jobs[mi] = func() { pairs[mi] = runFig7Mode(mode) }
+		jobs[mi] = func() { pairs[mi] = runFig7Mode(s, mode) }
 	}
-	runJobs(jobs)
+	s.runJobs(jobs)
 	for mi, mode := range modes {
 		res.Series[mode] = pairs[mi]
 	}
@@ -56,8 +56,8 @@ func RunFig7() *Fig7Result {
 
 // runFig7Mode runs one configuration (shared-budget NPF or static pinning)
 // on a private engine and returns the two instances' hit-rate series.
-func runFig7Mode(mode string) [2][][2]float64 {
-	e := NewEthEnv(EthOpts{Seed: 17, ServerRAM: 1 << 30, Policy: nic.PolicyBackup, RingSize: 64})
+func runFig7Mode(s *Scope, mode string) [2][][2]float64 {
+	e := NewEthEnv(EthOpts{Seed: 17, ServerRAM: 1 << 30, Policy: nic.PolicyBackup, RingSize: 64, Scope: s})
 	var cgroup *mem.Group
 	if mode == "npf" {
 		// One shared budget: memory moves to whoever needs it.

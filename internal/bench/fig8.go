@@ -34,8 +34,8 @@ type storageRig struct {
 
 // buildStorageRig assembles the testbed; returns an error when the pinned
 // configuration is refused.
-func buildStorageRig(seed int64, ramBytes int64, pinned bool, blockSize int, sessions, iodepth int, targetBytes int64) (*storageRig, error) {
-	eng := newBenchGroup(seed, 1, 0).Engine(0)
+func buildStorageRig(s *Scope, seed int64, ramBytes int64, pinned bool, blockSize int, sessions, iodepth int, targetBytes int64) (*storageRig, error) {
+	eng := s.newBenchGroup(seed, 1, 0).Engine(0)
 	cfg := rc.DefaultConfig()
 	cfg.FirmwareJitterSigma = 0
 	cfg.MTU = 64 << 10 // jumbo IB MTU keeps event counts tractable
@@ -95,7 +95,7 @@ type Fig8aResult struct {
 
 // RunFig8a reproduces Figure 8(a): random 512 KB read bandwidth vs memory.
 // Each (memory size, pinned) point is an independent job on its own rig.
-func RunFig8a() *Fig8aResult {
+func RunFig8a(s *Scope) *Fig8aResult {
 	res := &Fig8aResult{}
 	var rams []int64
 	for ram := int64(512 << 20); ram <= 1024<<20; ram += 64 << 20 {
@@ -110,7 +110,7 @@ func RunFig8a() *Fig8aResult {
 		for _, pinned := range []bool{false, true} {
 			pinned := pinned
 			jobs = append(jobs, func() {
-				rig, err := buildStorageRig(31, ram, pinned, 512<<10, 1, 16, 0)
+				rig, err := buildStorageRig(s, 31, ram, pinned, 512<<10, 1, 16, 0)
 				bw := -1.0
 				if err == nil {
 					rig.fios[0].Start()
@@ -130,7 +130,7 @@ func RunFig8a() *Fig8aResult {
 			})
 		}
 	}
-	runJobs(jobs)
+	s.runJobs(jobs)
 	return res
 }
 
@@ -167,7 +167,7 @@ type Fig8bResult struct {
 
 // RunFig8b reproduces Figure 8(b): tgt memory usage vs #initiators at a
 // fixed memory limit, 64 KB vs 512 KB blocks.
-func RunFig8b() *Fig8bResult {
+func RunFig8b(s *Scope) *Fig8bResult {
 	res := &Fig8bResult{Sessions: []int{1, 10, 20, 40, 60, 80}}
 	ram := int64((6 << 30) / f8Scale)
 	res.Pin = make([]float64, len(res.Sessions))
@@ -187,7 +187,7 @@ func RunFig8b() *Fig8bResult {
 		} {
 			cfg := cfg
 			jobs = append(jobs, func() {
-				rig, err := buildStorageRig(37, ram, cfg.pinned, cfg.block, sessions, 4,
+				rig, err := buildStorageRig(s, 37, ram, cfg.pinned, cfg.block, sessions, 4,
 					int64(sessions)*8<<20)
 				if err != nil {
 					// Pinned at 6 GB (scaled 768 MB): 128 MB < 20% → loads.
@@ -201,7 +201,7 @@ func RunFig8b() *Fig8bResult {
 			})
 		}
 	}
-	runJobs(jobs)
+	s.runJobs(jobs)
 	return res
 }
 

@@ -33,8 +33,8 @@ var fig9Modes = []apps.RegMode{apps.RegCopy, apps.RegPin, apps.RegODP}
 // runIMB runs one IMB-style benchmark and returns the measured elapsed
 // virtual time. Like IMB, a warm-up pass runs untimed first (the paper's
 // registration caches and ODP mappings are warm in steady state).
-func runIMB(kind string, mode apps.RegMode, ranks, msgSize, iters int) sim.Time {
-	eng := newBenchGroup(19, 1, 0).Engine(0)
+func runIMB(s *Scope, kind string, mode apps.RegMode, ranks, msgSize, iters int) sim.Time {
+	eng := s.newBenchGroup(19, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultInfiniBand())
 	job := apps.NewMPIJob(eng, mkMPIHosts(eng, net), apps.MPIConfig{
 		Ranks: ranks, Mode: mode,
@@ -73,7 +73,7 @@ type Fig9Result struct {
 
 // RunFig9 reproduces Figure 9: IMB sendrecv/bcast/alltoall runtime vs
 // message size for copy, pin-down cache, and NPF.
-func RunFig9(ranks, iters int) *Fig9Result {
+func RunFig9(s *Scope, ranks, iters int) *Fig9Result {
 	res := &Fig9Result{
 		Benchmarks: []string{"sendrecv", "bcast", "alltoall"},
 		SizesKB:    []int{16, 32, 64, 128},
@@ -91,12 +91,12 @@ func RunFig9(ranks, iters int) *Fig9Result {
 			for ki, kb := range res.SizesKB {
 				ki, kb := ki, kb
 				jobs = append(jobs, func() {
-					col[ki] = runIMB(bench, mode, ranks, kb<<10, iters).Seconds()
+					col[ki] = runIMB(s, bench, mode, ranks, kb<<10, iters).Seconds()
 				})
 			}
 		}
 	}
-	runJobs(jobs)
+	s.runJobs(jobs)
 	return res
 }
 
@@ -134,12 +134,12 @@ type Table6Result struct {
 
 // RunTable6 reproduces Table 6: a beff-style mixed sweep (several message
 // sizes and patterns) reporting accumulated bandwidth.
-func RunTable6(ranks int) *Table6Result {
+func RunTable6(s *Scope, ranks int) *Table6Result {
 	res := &Table6Result{MBps: make(map[string]float64)}
 	sizes := []int{64 << 10, 256 << 10, 1 << 20}
 	iters := 30
 	for _, mode := range fig9Modes {
-		eng := newBenchGroup(23, 1, 0).Engine(0)
+		eng := s.newBenchGroup(23, 1, 0).Engine(0)
 		net := fabric.New(eng, fabric.DefaultInfiniBand())
 		job := apps.NewMPIJob(eng, mkMPIHosts(eng, net), apps.MPIConfig{
 			Ranks: ranks, Mode: mode, OffCacheBuffers: 16, PinCacheBytes: 512 << 20,

@@ -8,6 +8,7 @@ import (
 	"npf/internal/fabric"
 	"npf/internal/kv"
 	"npf/internal/sim"
+	"npf/internal/trace"
 )
 
 // KVResult is the distributed-KV registration ablation: the same deployment
@@ -43,7 +44,7 @@ const (
 // RunKV runs the tail-latency ablation. Each policy is an independent,
 // seed-isolated job through the sweep runner; each writes only its own row,
 // so output is byte-identical for any Workers fan-out.
-func RunKV(quick bool) *KVResult {
+func RunKV(s *Scope, quick bool) *KVResult {
 	ops := 4000
 	if quick {
 		ops = 1200
@@ -61,31 +62,47 @@ func RunKV(quick bool) *KVResult {
 		Shed:     make([]uint64, len(policies)),
 		Failover: make([]uint64, len(policies)),
 	}
+	traced := func(eng *sim.Engine) *trace.Tracer { return s.tracer(eng, false) }
 	var jobs []func()
 	for i, pol := range policies {
 		i, pol := i, pol
-		jobs = append(jobs, func() { kvSweepJob(res, i, pol, ops) })
+		jobs = append(jobs, func() {
+			svc, wl, _ := s.runKVDeployment(43, pol, ops, traced)
+			res.Ops[i] = wl.Completed()
+			res.P50Us[i] = wl.Lat.Percentile(50)
+			res.P99Us[i] = wl.Lat.Percentile(99)
+			res.P999Us[i] = wl.Lat.Percentile(99.9)
+			res.NPFs[i] = svc.NPFs()
+			res.Evicts[i] = svc.GroupEvictions()
+			res.Majors[i] = svc.MajorFaults()
+			res.Shed[i] = svc.Shed.N
+			res.Failover[i] = svc.Failovers.N
+		})
 	}
-	runJobs(jobs)
+	s.runJobs(jobs)
 	return res
 }
 
-// kvSweepJob runs one policy's deployment to completion and fills row i.
-// With Engines >= 1 the cluster is partitioned server-tier/client-tier
-// across a two-engine PDES group (newEnvGroup); the partition count is
-// fixed, so results are byte-identical for every Engines value.
-func kvSweepJob(res *KVResult, i int, pol kv.RegPolicy, ops int) {
+// runKVDeployment is the deployment kv and anatomy share: one policy's
+// service (3 servers x 4 shards x 2 replicas, NVMe-class swap) under the
+// reclaim waves, running ops Zipf-skewed operations to completion on a
+// group seeded seed. mk makes each partition's tracer (none when nil); the
+// server tier records on partition 0's, the client tier on the last
+// partition's, which is the same one on a one-partition group. With
+// Engines >= 1 the cluster is partitioned server-tier/client-tier across a
+// two-engine PDES group (newEnvGroup); the partition count is fixed, so
+// results are byte-identical for every Engines value.
+func (s *Scope) runKVDeployment(seed int64, pol kv.RegPolicy, ops int, mk func(*sim.Engine) *trace.Tracer) (*kv.Service, *kv.Workload, []*trace.Tracer) {
 	fcfg := fabric.DefaultEthernet()
 	cfg := kv.Config{
 		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
 		Reg: pol, ExpectedKeys: 1024,
 	}
-	g := newEnvGroup(43, fcfg.Lookahead())
+	g := s.newEnvGroup(seed, fcfg.Lookahead())
 	eng := g.Engine(0)
-	trs := partTracers(g, TraceFactory)
-	tr := trs[0]
+	trs := partTracers(g, mk)
 	cfg.ClientTracer = trs[len(trs)-1]
-	svc := kv.New(eng, fabric.NewOnGroup(g, fcfg), tr, cfg)
+	svc := kv.New(eng, fabric.NewOnGroup(g, fcfg), trs[0], cfg)
 	// NVMe-class swap: the sweep measures reclaim racing the data path in
 	// the tail, not disk seek times drowning everything.
 	for _, h := range svc.Hosts {
@@ -116,16 +133,7 @@ func kvSweepJob(res *KVResult, i int, pol kv.RegPolicy, ops int) {
 	}
 	wl.Start()
 	g.RunUntil(120 * sim.Second)
-
-	res.Ops[i] = wl.Completed()
-	res.P50Us[i] = wl.Lat.Percentile(50)
-	res.P99Us[i] = wl.Lat.Percentile(99)
-	res.P999Us[i] = wl.Lat.Percentile(99.9)
-	res.NPFs[i] = svc.NPFs()
-	res.Evicts[i] = svc.GroupEvictions()
-	res.Majors[i] = svc.MajorFaults()
-	res.Shed[i] = svc.Shed.N
-	res.Failover[i] = svc.Failovers.N
+	return svc, wl, trs
 }
 
 // Rows flattens the result into the kv artifact section.

@@ -11,7 +11,7 @@ import (
 // shape: every policy completes the workload, the reclaim waves actually
 // evict on reclaimable arenas, and pinned arenas are untouched by them.
 func TestRunKVQuick(t *testing.T) {
-	r := runOutput(t, "kv", Test).(*KVResult)
+	r := runOutput(t, &Scope{}, "kv", Test).(*KVResult)
 	for i, pol := range r.Policies {
 		if r.Ops[i] != 1200 {
 			t.Errorf("%s: completed %d of 1200 ops", pol, r.Ops[i])
@@ -43,9 +43,8 @@ func TestRunKVQuick(t *testing.T) {
 // promise to the KV ablation: three whole cluster deployments fanned across
 // workers must render identically to the serial run.
 func TestRunParallelKVDeterminism(t *testing.T) {
-	var serial, fanned string
-	withWorkers(1, func() { serial = RunKV(true).Render() })
-	withWorkers(8, func() { fanned = RunKV(true).Render() })
+	serial := RunKV(&Scope{Workers: 1}, true).Render()
+	fanned := RunKV(&Scope{Workers: 8}, true).Render()
 	if serial != fanned {
 		t.Fatalf("kv output depends on Workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, fanned)
 	}

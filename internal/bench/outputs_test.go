@@ -19,37 +19,44 @@ import (
 
 const outputsGolden = "testdata/outputs.golden"
 
-// checkOutput runs run with engine statistics on, checks its manifest line
-// and returns it.
-func checkOutput(t *testing.T, name, sizing string, run func() Result) tracetest.Output {
+// checkOutput runs run on scope s, which must be fresh, checks its
+// manifest line and returns it.
+func checkOutput(t *testing.T, s *Scope, name, sizing string, run func(*Scope) Result) tracetest.Output {
 	t.Helper()
-	StartEngineStats()
-	r := run()
-	engines, events := StopEngineStats()
-	o := tracetest.Output{Name: name, Sizing: sizing, Flag: Engines,
+	o, err := scopeOutput(s, name, sizing, run(s))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracetest.CheckOutputs(t, outputsGolden, *update, o)
+	return o
+}
+
+// scopeOutput is the manifest line of r, the result of a run on scope s.
+func scopeOutput(s *Scope, name, sizing string, r Result) (tracetest.Output, error) {
+	engines, events := s.Stats()
+	o := tracetest.Output{Name: name, Sizing: sizing, Flag: s.Engines,
 		Engines: engines, Events: events, Render: r.Render()}
 	if rec, ok := r.(Recorder); ok {
 		var doc artifact.Artifact
 		rec.Record(&doc)
 		rows, err := json.Marshal(doc)
 		if err != nil {
-			t.Fatal(err)
+			return o, err
 		}
 		o.Rows = rows
 	}
-	tracetest.CheckOutputs(t, outputsGolden, *update, o)
-	return o
+	return o, nil
 }
 
-// tableRun returns a run of the named entry of Experiments at sizing s.
-func tableRun(t *testing.T, name string, s Sizing) func() Result {
+// tableRun returns a run of the named entry of Experiments at sizing z.
+func tableRun(t *testing.T, name string, z Sizing) func(*Scope) Result {
 	t.Helper()
 	e, ok := Lookup(name)
 	if !ok {
 		t.Fatalf("no experiment %q", name)
 	}
-	return func() Result {
-		r, err := e.Run(s)
+	return func(s *Scope) Result {
+		r, err := e.Run(s, z)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,13 +64,13 @@ func tableRun(t *testing.T, name string, s Sizing) func() Result {
 	}
 }
 
-// runOutput runs the named entry of Experiments at sizing s through
-// checkOutput and returns its result.
-func runOutput(t *testing.T, name string, s Sizing) Result {
+// runOutput runs the named entry of Experiments at sizing z on scope s,
+// which must be fresh, through checkOutput and returns its result.
+func runOutput(t *testing.T, s *Scope, name string, z Sizing) Result {
 	t.Helper()
 	var r Result
-	run := tableRun(t, name, s)
-	checkOutput(t, name, s.String(), func() Result { r = run(); return r })
+	run := tableRun(t, name, z)
+	checkOutput(t, s, name, z.String(), func(s *Scope) Result { r = run(s); return r })
 	return r
 }
 

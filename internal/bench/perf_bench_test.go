@@ -8,6 +8,7 @@ import (
 	"npf/internal/mem"
 	"npf/internal/nic"
 	"npf/internal/rc"
+	"npf/internal/sim"
 )
 
 // BenchmarkFaultPath measures one end-to-end minor rNPF on the IB stack:
@@ -36,7 +37,7 @@ func BenchmarkFaultPath(b *testing.B) {
 // into the original buffer once the driver resolves the fault. Each
 // iteration discards the buffer page so the next packet diverts again.
 func BenchmarkBackupReplay(b *testing.B) {
-	eng := newBenchGroup(2, 1, 0).Engine(0)
+	eng := sim.NewEngine(2)
 	net := fabric.New(eng, fabric.DefaultEthernet())
 	m := mem.NewMachine(eng, 8<<30)
 	drv := core.NewDriver(eng, core.DefaultConfig())

@@ -93,15 +93,12 @@ func TestRCStreamAcrossPartitions(t *testing.T) {
 	const msgs = 16
 	sizes := [2]int{4 << 10, 64 << 10}
 	run := func(engines int) *rcStream {
-		var s *rcStream
-		withEngines(engines, func() {
-			e := NewIBEnv(IBOpts{Seed: 5})
-			s = newRCStream(e, msgs, msgs, sizes)
-			e.Run()
-			if engines > 0 && e.G.Parts() != 2 {
-				t.Fatal("IBEnv did not partition")
-			}
-		})
+		e := NewIBEnv(IBOpts{Seed: 5, Scope: &Scope{Engines: engines}})
+		s := newRCStream(e, msgs, msgs, sizes)
+		e.Run()
+		if engines > 0 && e.G.Parts() != 2 {
+			t.Fatal("IBEnv did not partition")
+		}
 		return s
 	}
 	single, split := run(0), run(2)

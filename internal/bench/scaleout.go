@@ -26,8 +26,8 @@ var scaleoutTransports = []topo.Transport{topo.TransportEth, topo.TransportUD}
 // scaleoutParts is the sweep's partition count. It is fixed by the fleet
 // shape — racks deal onto partitions via topo.Topology.Partition — and
 // never by the -engines budget, so the Result (fingerprint included) is
-// byte-identical for every Engines and Workers value; budgets only move
-// wall-clock. Engines == 0 runs the same 8-partition group on one thread.
+// byte-identical for every Scope.Engines and Workers value; budgets only
+// move wall-clock. Engines == 0 runs the same 8-partition group on one thread.
 const scaleoutParts = 8
 
 // scaleoutSeed seeds both fleets. Each transport's job builds a private
@@ -65,14 +65,14 @@ func ScaleoutConfig(tr topo.Transport, quick bool) topo.SweepConfig {
 
 // RunScaleout runs the sweep on both transports, each an independent
 // seed-isolated job through the sweep runner.
-func RunScaleout(quick bool) *ScaleoutResult {
+func RunScaleout(s *Scope, quick bool) *ScaleoutResult {
 	res := &ScaleoutResult{Quick: quick, Results: make([]topo.Result, len(scaleoutTransports))}
 	var jobs []func()
 	for i, tr := range scaleoutTransports {
 		i, tr := i, tr
-		jobs = append(jobs, func() { scaleoutJob(res, i, tr, quick) })
+		jobs = append(jobs, func() { scaleoutJob(s, res, i, tr, quick) })
 	}
-	runJobs(jobs)
+	s.runJobs(jobs)
 	return res
 }
 
@@ -80,19 +80,19 @@ func RunScaleout(quick bool) *ScaleoutResult {
 // runs it to quiescence. Unlike the figure envs there is no single-engine
 // fallback: the group is the topology, so -engines 0, 1, and 8 all execute
 // the identical partition structure.
-func scaleoutJob(res *ScaleoutResult, i int, tr topo.Transport, quick bool) {
+func scaleoutJob(s *Scope, res *ScaleoutResult, i int, tr topo.Transport, quick bool) {
 	fcfg := fabric.DefaultEthernet()
 	if tr == topo.TransportUD {
 		fcfg = fabric.DefaultInfiniBand()
 	}
-	g := newBenchGroup(scaleoutSeed, scaleoutParts, fcfg.Lookahead())
+	g := s.newBenchGroup(scaleoutSeed, scaleoutParts, fcfg.Lookahead())
 	net := fabric.NewOnGroup(g, fcfg)
-	s, err := topo.New(g.Engine(0), net, ScaleoutConfig(tr, quick))
+	sw, err := topo.New(g.Engine(0), net, ScaleoutConfig(tr, quick))
 	if err != nil {
 		panic("bench: scaleout config: " + err.Error())
 	}
-	s.Run()
-	res.Results[i] = s.Result()
+	sw.Run()
+	res.Results[i] = sw.Result()
 }
 
 // Rows flattens the sweep into the scale_out artifact section.

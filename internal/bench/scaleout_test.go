@@ -18,6 +18,7 @@ import (
 // the 1,008-host / 101,000-client fleet; -short (the CI race pass) shrinks
 // it to the quick fleet with the same shape.
 func TestScaleoutDeterminism(t *testing.T) {
+	t.Parallel()
 	quick, size := testing.Short(), Test
 	if quick {
 		size = Quick
@@ -25,13 +26,11 @@ func TestScaleoutDeterminism(t *testing.T) {
 	var ref *ScaleoutResult
 	outs := map[int]string{}
 	for _, n := range []int{1, 2, 8} {
-		withEngines(n, func() {
-			r := runOutput(t, "scaleout", size).(*ScaleoutResult)
-			if ref == nil {
-				ref = r
-			}
-			outs[n] = r.Render()
-		})
+		r := runOutput(t, &Scope{Engines: n}, "scaleout", size).(*ScaleoutResult)
+		if ref == nil {
+			ref = r
+		}
+		outs[n] = r.Render()
 	}
 	for _, n := range []int{2, 8} {
 		if outs[n] != outs[1] {

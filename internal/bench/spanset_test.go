@@ -26,13 +26,15 @@ func TestQuickRunSpanSets(t *testing.T) {
 		mu.Unlock()
 		return tr
 	}
-	oldFactory := TraceFactory
-	TraceFactory, newAnatomyTracer = record, record
-	defer func() { TraceFactory, newAnatomyTracer = oldFactory, trace.New }()
 	var got []string
 	for _, name := range []string{"fig3", "ablate", "anatomy"} {
 		tracers = nil
-		runOutput(t, name, Quick)
+		r := runOutput(t, &Scope{Trace: record}, name, Quick)
+		if a, ok := r.(*AnatomyResult); ok {
+			for _, trs := range a.tracers {
+				tracers = append(tracers, trs...)
+			}
+		}
 		for i, tr := range tracers {
 			got = append(got, fmt.Sprintf("%s/%d %s", name, i,
 				tracetest.SpanSet(trace.ContextSpans(tr.FaultEvents()))))

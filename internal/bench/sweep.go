@@ -6,39 +6,56 @@ import (
 	"sync/atomic"
 
 	"npf/internal/sim"
+	"npf/internal/trace"
 )
 
-// Workers is the fan-out for RunParallel when an experiment does not pass an
-// explicit count: the number of goroutines the figure/ablation sweeps spread
-// their independent sub-runs across. 1 (the default) runs everything
-// serially on the calling goroutine; cmd/npfbench sets it from -parallel.
+// Scope is one run's settings and statistics: every Run function, and
+// every env built with EthOpts.Scope or IBOpts.Scope, takes its fan-out,
+// engine budget and tracer factory from the scope and registers the engine
+// groups it builds there. Two runs on two scopes share nothing, so they
+// can run side by side in one process. A nil *Scope is the default run:
+// serial jobs, one partition per env, one thread per group, no tracer
+// factory, nothing counted. Use a fresh scope per run: Stats counts every
+// group built on it.
 //
-// Parallelism never changes results: every job owns a private sim.Engine
-// (seed-isolated by construction), jobs write only their own result slots,
-// and all cross-job merging happens after the pool drains, in job order. So
-// output is byte-identical for any Workers value.
-var Workers = 1
+// Settings never change results: every job owns private engines
+// (seed-isolated by construction), writes only its own result slots, and
+// all cross-job merging happens after the pool drains, in job order; the
+// partition structure is fixed by the env shape, never by the thread
+// budget. So output is byte-identical for any Workers value, and for
+// every Engines >= 1.
+type Scope struct {
+	// Workers is the fan-out of the sweep jobs in single-engine mode: 1
+	// (or less) runs them serially on the calling goroutine. cmd/npfbench
+	// sets it from -parallel.
+	Workers int
+	// Engines selects the engine topology the env constructors build (see
+	// newEnvGroup). 0 is the single-engine mode: a one-partition group
+	// whose one engine carries every host of an env. Any value >= 1 makes
+	// each env a two-partition group, one engine per host side,
+	// synchronized conservatively through the fabric's propagation-latency
+	// lookahead, and is the TOTAL worker-thread budget of a sweep: runJobs
+	// fans jobs across min(len(jobs), Engines) goroutines and gives each
+	// env's group max(1, Engines/workers) threads (capped at GOMAXPROCS;
+	// see pdesThreads). cmd/npfbench sets it from -engines.
+	Engines int
+	// Trace, when non-nil, is called for every traced partition engine the
+	// env constructors build, and its tracer is wired through the whole
+	// stack (drivers, machines, devices/HCAs). cmd/npfbench sets it for
+	// -trace and -series. With Workers > 1 envs are built from worker
+	// goroutines, so it must be safe for concurrent calls.
+	Trace func(*sim.Engine) *trace.Tracer
+	// Root is the repository root the loc experiment reads ("" is the
+	// working directory); cmd/npfbench sets it from -root.
+	Root string
 
-// Engines selects the engine topology the env constructors build (see
-// newEnvGroup). 0 (the default) is the single-engine mode: a
-// one-partition sim.Group whose one engine carries every host of an env.
-// Any value >= 1 switches the constructors to partitioned PDES mode —
-// each env becomes a two-partition sim.Group, one engine per host side,
-// synchronized conservatively through the fabric's propagation-latency
-// lookahead — and is the TOTAL worker-thread budget
-// for a sweep: runJobs fans jobs across min(len(jobs), Engines)
-// goroutines and gives each env's group the remaining budget,
-// max(1, Engines/workers) threads (capped at GOMAXPROCS — see
-// pdesThreads). The partition structure is fixed by the env shape, never
-// by the thread budget, so results are byte-identical for every
-// Engines >= 1; only wall-clock changes. cmd/npfbench sets it from
-// -engines.
-var Engines = 0
-
-// envThreads is the per-env thread allotment while a PDES runJobs pool
-// drains. Written single-threadedly before the pool spawns, read by jobs
-// through pdesThreads, reset after the pool joins.
-var envThreads int
+	// threads is the per-env thread allotment while a PDES runJobs pool
+	// drains: written before the pool spawns, read by its jobs through
+	// pdesThreads, reset after the pool joins.
+	threads int
+	mu      sync.Mutex
+	groups  []*sim.Group // every group built on the scope, for Stats
+}
 
 // pdesThreads reports the worker-thread budget the next env group gets.
 // The allotment is capped at the host's GOMAXPROCS: a group granted more
@@ -46,18 +63,15 @@ var envThreads int
 // through the conservative-sync windows (strictly slower than sweeping
 // the partitions on one thread). Results are identical either way — the
 // cap, like every thread setting, only changes wall-clock.
-func pdesThreads() int {
-	t := envThreads
+func (s *Scope) pdesThreads() int {
+	if s == nil {
+		return 1
+	}
+	t := s.threads
 	if t <= 0 {
-		t = 1
-		if Engines > 1 {
-			t = Engines
-		}
+		t = max(1, s.Engines)
 	}
-	if c := runtime.GOMAXPROCS(0); t > c {
-		t = c
-	}
-	return t
+	return min(t, runtime.GOMAXPROCS(0))
 }
 
 // DefaultWorkers reports the worker count for "use all cores": GOMAXPROCS.
@@ -97,82 +111,56 @@ func RunParallel(workers int, jobs []func()) {
 }
 
 // runJobs is the sweep-internal shorthand. In single-engine mode it fans
-// jobs across the global Workers setting. In PDES mode (Engines >= 1) the
-// engine budget drives the fan-out instead: min(len(jobs), Engines) job
+// jobs across the scope's Workers. In PDES mode (Engines >= 1) the engine
+// budget drives the fan-out instead: min(len(jobs), Engines) job
 // goroutines, with the leftover budget handed to each job's env group as
 // intra-env worker threads.
-func runJobs(jobs []func()) {
-	if Engines >= 1 {
-		workers := Engines
-		if workers > len(jobs) {
-			workers = len(jobs)
-		}
-		envThreads = Engines / workers
-		if envThreads < 1 {
-			envThreads = 1
-		}
+func (s *Scope) runJobs(jobs []func()) {
+	switch {
+	case s == nil:
+		RunParallel(1, jobs)
+	case s.Engines >= 1:
+		workers := max(1, min(s.Engines, len(jobs)))
+		s.threads = s.Engines / workers
 		RunParallel(workers, jobs)
-		envThreads = 0
-		return
+		s.threads = 0
+	default:
+		RunParallel(s.Workers, jobs)
 	}
-	RunParallel(Workers, jobs)
 }
 
-// ---------------------------------------------------------------------------
-// Engine statistics registry. cmd/npfbench -json uses it to report how many
-// engines an experiment built and how many events they executed, without
-// threading a collector through every Run function.
-
-var engineReg struct {
-	mu      sync.Mutex
-	enabled bool
-	groups  []*sim.Group
-}
-
-// StartEngineStats begins collecting every engine group built through
-// newBenchGroup.
-func StartEngineStats() {
-	engineReg.mu.Lock()
-	engineReg.enabled = true
-	engineReg.groups = nil
-	engineReg.mu.Unlock()
-}
-
-// StopEngineStats ends collection and reports the engines registered since
-// StartEngineStats and the total events they executed. Call it only after
-// the experiment's Run function has returned: RunParallel's barrier makes
-// every engine's counters safe to read then.
-func StopEngineStats() (engines int, events uint64) {
-	engineReg.mu.Lock()
-	defer engineReg.mu.Unlock()
-	for _, g := range engineReg.groups {
+// Stats reports the engines of every group built on the scope and the
+// total events they executed. Call it only after the run has returned:
+// RunParallel's barrier makes every engine's counters safe to read then.
+func (s *Scope) Stats() (engines int, events uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, g := range s.groups {
 		// Group.Executed folds in cross-partition mail injections, which
 		// are not engine events, so the total is stable across thread
 		// budgets.
 		events += g.Executed()
 		engines += g.Parts()
 	}
-	engineReg.enabled = false
-	engineReg.groups = nil
 	return engines, events
 }
 
 // newBenchGroup is the constructor every experiment engine goes through:
 // a conservative-sync group of `parts` engines with the runaway-event
 // guard applied per engine, the current thread budget installed, and the
-// whole group registered once for -json statistics. A single-engine
-// experiment runs on newBenchGroup(seed, 1, 0).Engine(0).
-func newBenchGroup(seed int64, parts int, lookahead sim.Time) *sim.Group {
+// whole group registered once on the scope for Stats. A single-engine
+// experiment runs on s.newBenchGroup(seed, 1, 0).Engine(0).
+func (s *Scope) newBenchGroup(seed int64, parts int, lookahead sim.Time) *sim.Group {
 	g := sim.NewGroup(seed, parts, lookahead)
 	for _, e := range g.Engines() {
 		e.MaxEvents = MaxEngineEvents
 	}
-	g.SetThreads(pdesThreads())
-	engineReg.mu.Lock()
-	if engineReg.enabled {
-		engineReg.groups = append(engineReg.groups, g)
+	g.SetThreads(s.pdesThreads())
+	if s != nil {
+		s.mu.Lock()
+		s.groups = append(s.groups, g)
+		s.mu.Unlock()
 	}
-	engineReg.mu.Unlock()
 	return g
 }
 
@@ -180,10 +168,23 @@ func newBenchGroup(seed int64, parts int, lookahead sim.Time) *sim.Group {
 // client, or IB sides A and B — and is where Engines picks the topology:
 // one partition carrying both sides at Engines == 0, two partitions (side
 // one on partition 0, side two on partition 1) at Engines >= 1.
-func newEnvGroup(seed int64, lookahead sim.Time) *sim.Group {
+func (s *Scope) newEnvGroup(seed int64, lookahead sim.Time) *sim.Group {
 	parts := 1
-	if Engines >= 1 {
+	if s != nil && s.Engines >= 1 {
 		parts = 2
 	}
-	return newBenchGroup(seed, parts, lookahead)
+	return s.newBenchGroup(seed, parts, lookahead)
+}
+
+// tracer is the tracer an env puts on eng: the scope's Trace factory's
+// when one is set, else a fresh one when force is set, else none.
+func (s *Scope) tracer(eng *sim.Engine, force bool) *trace.Tracer {
+	var tr *trace.Tracer
+	if s != nil && s.Trace != nil {
+		tr = s.Trace(eng)
+	}
+	if force && tr == nil {
+		tr = trace.New(eng)
+	}
+	return tr
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -8,25 +9,8 @@ import (
 
 	"npf/internal/sim"
 	"npf/internal/trace"
+	"npf/internal/trace/tracetest"
 )
-
-// withWorkers runs fn with the package-level Workers fan-out temporarily set
-// to n.
-func withWorkers(n int, fn func()) {
-	old := Workers
-	Workers = n
-	defer func() { Workers = old }()
-	fn()
-}
-
-// withEngines runs fn with the package-level PDES engine-thread budget
-// temporarily set to n (0 restores the historical single-engine mode).
-func withEngines(n int, fn func()) {
-	old := Engines
-	Engines = n
-	defer func() { Engines = old }()
-	fn()
-}
 
 func TestRunParallelRunsEveryJobOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 8, 64} {
@@ -80,9 +64,8 @@ func TestRunParallelSlotWrites(t *testing.T) {
 // byte-identical output to the serial run.
 func TestRunParallelFig3Determinism(t *testing.T) {
 	opts := Fig3Opts{Trials: 8, Replicas: 4}
-	var serial, fanned string
-	withWorkers(1, func() { serial = RunFig3Opts(opts).Render() })
-	withWorkers(8, func() { fanned = RunFig3Opts(opts).Render() })
+	serial := RunFig3Opts(&Scope{Workers: 1}, opts).Render()
+	fanned := RunFig3Opts(&Scope{Workers: 8}, opts).Render()
 	if serial != fanned {
 		t.Fatalf("fig3 output depends on Workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, fanned)
 	}
@@ -92,11 +75,46 @@ func TestRunParallelFig3Determinism(t *testing.T) {
 // heterogeneous job mix (twelve sub-experiments across five stacks) — renders
 // identically under serial and parallel execution.
 func TestRunParallelAblateDeterminism(t *testing.T) {
-	var serial, fanned string
-	withWorkers(1, func() { serial = RunAblate().Render() })
-	withWorkers(8, func() { fanned = RunAblate().Render() })
+	serial := RunAblate(&Scope{Workers: 1}).Render()
+	fanned := RunAblate(&Scope{Workers: 8}).Render()
 	if serial != fanned {
 		t.Fatalf("ablate output depends on Workers:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", serial, fanned)
+	}
+}
+
+// TestRunParallelScopes runs fig3 and ablate at the Test sizing at the
+// same time, each on its own scope with two workers: a run's settings and
+// statistics belong to its scope, so each scope's Stats and manifest line
+// must equal its serial run's.
+func TestRunParallelScopes(t *testing.T) {
+	names := []string{"fig3", "ablate"}
+	serial := make([]tracetest.Output, len(names))
+	for i, name := range names {
+		serial[i] = checkOutput(t, &Scope{}, name, Test.String(), tableRun(t, name, Test))
+	}
+	side := make([]tracetest.Output, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		e, _ := Lookup(name)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := &Scope{Workers: 2}
+			r, err := e.Run(s, Test)
+			if err == nil {
+				side[i], err = scopeOutput(s, name, Test.String(), r)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, name := range names {
+		if a, b := side[i], serial[i]; !reflect.DeepEqual(a, b) {
+			t.Errorf("%s beside another run: %d engines, %d events; serial: %d, %d (or its render or rows differ)",
+				name, a.Engines, a.Events, b.Engines, b.Events)
+		}
 	}
 }
 
@@ -109,9 +127,7 @@ func TestEnginesFig3Determinism(t *testing.T) {
 	opts := Fig3Opts{Trials: 6, Replicas: 2}
 	outs := map[int]string{}
 	for _, n := range []int{1, 2, 8} {
-		withEngines(n, func() {
-			outs[n] = checkOutput(t, "fig3", "t6r2", func() Result { return RunFig3Opts(opts) }).Render
-		})
+		outs[n] = checkOutput(t, &Scope{Engines: n}, "fig3", "t6r2", func(s *Scope) Result { return RunFig3Opts(s, opts) }).Render
 	}
 	for _, n := range []int{2, 8} {
 		if outs[n] != outs[1] {
@@ -124,11 +140,10 @@ func TestEnginesFig3Determinism(t *testing.T) {
 // fig4a startup sweep (ring refills, NPF backup path, memaslap load) must
 // render byte-identically for Engines 1, 2, and 8.
 func TestEnginesFig4aDeterminism(t *testing.T) {
+	t.Parallel()
 	outs := map[int]string{}
 	for _, n := range []int{1, 2, 8} {
-		withEngines(n, func() {
-			outs[n] = checkOutput(t, "fig4a", "1s", func() Result { return RunFig4a(sim.Second) }).Render
-		})
+		outs[n] = checkOutput(t, &Scope{Engines: n}, "fig4a", "1s", func(s *Scope) Result { return RunFig4a(s, sim.Second) }).Render
 	}
 	for _, n := range []int{2, 8} {
 		if outs[n] != outs[1] {
@@ -145,13 +160,12 @@ func TestEnginesTable5Determinism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heavy experiment; skipped in -short mode")
 	}
+	t.Parallel()
 	outs := map[int]string{}
 	events := map[int]uint64{}
 	for _, n := range []int{1, 8} {
-		withEngines(n, func() {
-			o := checkOutput(t, "table5", Test.String(), tableRun(t, "table5", Test))
-			outs[n], events[n] = o.Render, o.Events
-		})
+		o := checkOutput(t, &Scope{Engines: n}, "table5", Test.String(), tableRun(t, "table5", Test))
+		outs[n], events[n] = o.Render, o.Events
 	}
 	if outs[8] != outs[1] {
 		t.Fatalf("table5 output depends on Engines:\n--- engines=1 ---\n%s\n--- engines=8 ---\n%s", outs[1], outs[8])
@@ -161,16 +175,14 @@ func TestEnginesTable5Determinism(t *testing.T) {
 	}
 }
 
-// captureSeries runs a sweep with a sampling trace factory installed and
-// returns the rendered WriteSeriesSet stream — the byte string the
-// determinism pins compare.
-func captureSeries(t *testing.T, run func()) string {
+// captureSeries runs a sweep on scope s with a sampling trace factory
+// installed and returns the rendered WriteSeriesSet stream — the byte
+// string the determinism pins compare.
+func captureSeries(t *testing.T, s *Scope, run func(*Scope)) string {
 	t.Helper()
-	old := TraceFactory
-	defer func() { TraceFactory = old }()
 	var mu sync.Mutex
 	var tracers []*trace.Tracer
-	TraceFactory = func(eng *sim.Engine) *trace.Tracer {
+	s.Trace = func(eng *sim.Engine) *trace.Tracer {
 		tr := trace.New(eng)
 		tr.StartSampler(100 * sim.Microsecond)
 		mu.Lock()
@@ -178,11 +190,11 @@ func captureSeries(t *testing.T, run func()) string {
 		mu.Unlock()
 		return tr
 	}
-	run()
+	run(s)
 	var set []*trace.Series
 	for _, tr := range tracers {
-		if s := tr.Sampler().Series(); s != nil && len(s.Names) > 0 {
-			set = append(set, s)
+		if ser := tr.Sampler().Series(); ser != nil && len(ser.Names) > 0 {
+			set = append(set, ser)
 		}
 	}
 	if len(set) == 0 {
@@ -201,9 +213,9 @@ func captureSeries(t *testing.T, run func()) string {
 // even though engines — and thus samplers — register in scheduling order.
 func TestRunParallelSeriesDeterminism(t *testing.T) {
 	opts := Fig3Opts{Trials: 6, Replicas: 2}
-	var serial, fanned string
-	withWorkers(1, func() { serial = captureSeries(t, func() { RunFig3Opts(opts) }) })
-	withWorkers(8, func() { fanned = captureSeries(t, func() { RunFig3Opts(opts) }) })
+	run := func(s *Scope) { RunFig3Opts(s, opts) }
+	serial := captureSeries(t, &Scope{Workers: 1}, run)
+	fanned := captureSeries(t, &Scope{Workers: 8}, run)
 	if serial != fanned {
 		t.Fatalf("series output depends on Workers:\n--- workers=1 ---\n%.2000s\n--- workers=8 ---\n%.2000s", serial, fanned)
 	}
@@ -217,11 +229,9 @@ func TestEnginesSeriesDeterminism(t *testing.T) {
 	opts := Fig3Opts{Trials: 4, Replicas: 2}
 	outs := map[int]string{}
 	for _, n := range []int{1, 2, 8} {
-		withEngines(n, func() {
-			outs[n] = checkOutput(t, "fig3-series", "t4r2", func() Result {
-				return text(captureSeries(t, func() { RunFig3Opts(opts) }))
-			}).Render
-		})
+		outs[n] = checkOutput(t, &Scope{Engines: n}, "fig3-series", "t4r2", func(s *Scope) Result {
+			return text(captureSeries(t, s, func(s *Scope) { RunFig3Opts(s, opts) }))
+		}).Render
 	}
 	for _, n := range []int{2, 8} {
 		if outs[n] != outs[1] {
@@ -234,8 +244,8 @@ func TestEnginesSeriesDeterminism(t *testing.T) {
 // hoisted seed option preserves the historical results: RunFig3 must be
 // exactly RunFig3Opts with the default seed and a single replica.
 func TestFig3OptsDefaultsMatchRunFig3(t *testing.T) {
-	a := RunFig3(6).Render()
-	b := RunFig3Opts(Fig3Opts{Trials: 6, Seed: fig3DefaultSeed, Replicas: 1}).Render()
+	a := RunFig3(nil, 6).Render()
+	b := RunFig3Opts(nil, Fig3Opts{Trials: 6, Seed: fig3DefaultSeed, Replicas: 1}).Render()
 	if a != b {
 		t.Fatalf("RunFig3 and explicit-default RunFig3Opts diverge:\n%s\nvs\n%s", a, b)
 	}

@@ -33,7 +33,7 @@ type Table5Result struct {
 // Every (mode, instance-count) cell is an independent job on its own
 // engine, executed through the sweep runner and merged in fixed order, so
 // output does not depend on the fan-out.
-func RunTable5() *Table5Result {
+func RunTable5(s *Scope) *Table5Result {
 	modes := []struct {
 		name   string
 		policy nic.FaultPolicy
@@ -46,7 +46,7 @@ func RunTable5() *Table5Result {
 		for n := 1; n <= 4; n++ {
 			mi, n := mi, n
 			jobs = append(jobs, func() {
-				ktps, ok := runTable5Config(mode.policy, n)
+				ktps, ok := runTable5Config(s, mode.policy, n)
 				if !ok {
 					ktps = -1
 				}
@@ -54,7 +54,7 @@ func RunTable5() *Table5Result {
 			})
 		}
 	}
-	runJobs(jobs)
+	s.runJobs(jobs)
 	res := &Table5Result{KTPS: make(map[string][]float64)}
 	for mi, mode := range modes {
 		res.KTPS[mode.name] = cols[mi]
@@ -62,8 +62,8 @@ func RunTable5() *Table5Result {
 	return res
 }
 
-func runTable5Config(policy nic.FaultPolicy, instances int) (float64, bool) {
-	e := NewEthEnv(EthOpts{Seed: 13, ServerRAM: t5HostRAM, Policy: nic.PolicyBackup, RingSize: 64})
+func runTable5Config(s *Scope, policy nic.FaultPolicy, instances int) (float64, bool) {
+	e := NewEthEnv(EthOpts{Seed: 13, ServerRAM: t5HostRAM, Policy: nic.PolicyBackup, RingSize: 64, Scope: s})
 	var slaps []*apps.Memaslap
 	for i := 0; i < instances; i++ {
 		name := fmt.Sprintf("vm%d", i)

@@ -15,11 +15,11 @@ func TestScenariosPassAndAreDeterministic(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			a := sc.Run(7)
+			a := sc.Run(7, Options{})
 			if !a.Pass {
 				t.Fatalf("scenario failed:\n%s", a.Render())
 			}
-			b := sc.Run(7)
+			b := sc.Run(7, Options{})
 			if a.Digest != b.Digest {
 				t.Fatalf("nondeterministic: digest %016x then %016x", a.Digest, b.Digest)
 			}
@@ -39,7 +39,7 @@ func TestScenariosPassAcrossSeeds(t *testing.T) {
 	}
 	for _, sc := range Scenarios() {
 		for seed := int64(1); seed <= 3; seed++ {
-			if r := sc.Run(seed); !r.Pass {
+			if r := sc.Run(seed, Options{}); !r.Pass {
 				t.Errorf("seed %d:\n%s", seed, r.Render())
 			}
 		}

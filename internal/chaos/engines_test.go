@@ -6,34 +6,18 @@ import (
 	"npf/internal/sim"
 )
 
-// withEngines runs fn with the package-level Engines knob temporarily set,
-// mirroring withSampling.
-func withEngines(n int, fn func()) {
-	old := Engines
-	Engines = n
-	defer func() { Engines = old }()
-	fn()
-}
-
 // TestScenariosEnginesDeterminism extends the chaos replay contract to the
 // partitioned testbeds: every scenario must pass its invariants under the
 // PDES topology, and — since the partition structure is fixed — produce
-// identical reports for every Engines value (which only changes the worker
+// identical reports for every Options.Engines value (which only changes the worker
 // thread count). Running under -race additionally checks the engine
 // threads' isolation.
 func TestScenariosEnginesDeterminism(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			var reports []*Report
-			withSampling(250*sim.Microsecond, func() {
-				for _, n := range []int{1, 2} {
-					withEngines(n, func() {
-						reports = append(reports, sc.Run(7))
-					})
-				}
-			})
-			a, b := reports[0], reports[1]
+			a := sc.Run(7, Options{Engines: 1, SampleEvery: 250 * sim.Microsecond})
+			b := sc.Run(7, Options{Engines: 2, SampleEvery: 250 * sim.Microsecond})
 			if !a.Pass {
 				t.Fatalf("scenario failed partitioned:\n%s", a.Render())
 			}

@@ -13,7 +13,7 @@ import (
 // before finish, so the test controls whether an invariant "failed".
 func runForcedFailure(seed int64, ok bool) *Report {
 	r := &Report{Scenario: "forced", Seed: seed}
-	e := newEthEnv(seed, 32, core.DefaultConfig(), 0)
+	e := newEthEnv(Options{}, seed, 32, core.DefaultConfig(), 0)
 	ethTraffic(e, r, 50, 2000, sim.Millisecond, 20*sim.Microsecond, 120*sim.Second)
 	r.check(ok, "forced invariant failure")
 	return r.finish(e.tr)

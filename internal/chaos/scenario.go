@@ -19,43 +19,61 @@ import (
 // hanging a wedged scenario.
 const maxScenarioEvents = 200_000_000
 
-// SampleEvery, when positive, starts a time-series sampler on every
-// scenario testbed's tracer with this virtual-time interval; the sampled
-// series lands in Report.Series. Like bench.TraceFactory it is a
-// process-wide knob set before running scenarios, not per-run state.
-var SampleEvery sim.Time
-
-// Engines selects the engine topology scenario testbeds build (see
-// newGroup), mirroring bench.Engines: 0 (the default) builds each testbed
-// on a one-partition group, the single-engine mode; any value >= 1 shards
-// it across a two-partition PDES group — fault-target tier (servers) on
-// partition 0, workload tier (clients) on partition 1 — with Engines
-// worker threads. The partition structure is fixed, so reports and
-// digests are byte-identical for every Engines >= 1; only wall-clock
-// changes. Chaos plans arm on partition 0, where every registered target
-// lives. The IB link-flap scenario keeps a single engine regardless (both
-// of its hosts are fault targets).
-var Engines = 0
+// Options are one scenario run's settings. The zero value is the default
+// run: a one-partition testbed, no sampler, trace.New tracers.
+type Options struct {
+	// Engines selects the engine topology the testbeds build (see
+	// newGroup), as bench.Scope.Engines does: 0 builds each testbed on a
+	// one-partition group, the single-engine mode; any value >= 1 shards
+	// it across a two-partition PDES group — fault-target tier (servers)
+	// on partition 0, workload tier (clients) on partition 1 — with
+	// Engines worker threads. The partition structure is fixed, so reports
+	// and digests are byte-identical for every Engines >= 1; only
+	// wall-clock changes. Chaos plans arm on partition 0, where every
+	// registered target lives. The IB link-flap scenario keeps a single
+	// engine regardless (both of its hosts are fault targets).
+	// cmd/npfbench sets it from -engines.
+	Engines int
+	// SampleEvery, when positive, starts a time-series sampler on the
+	// testbed's server tracer with this virtual-time interval; the sampled
+	// series lands in Report.Series.
+	SampleEvery sim.Time
+	// Trace, when non-nil, builds every testbed tracer in place of
+	// trace.New; tests use it to see what a scenario recorded.
+	Trace func(*sim.Engine) *trace.Tracer
+}
 
 // newGroup builds a scenario testbed's engine group: one partition at
 // Engines == 0, two at Engines >= 1, run on Engines worker threads, with
 // the runaway guard on every engine.
-func newGroup(seed int64, lookahead sim.Time) *sim.Group {
+func (o Options) newGroup(seed int64, lookahead sim.Time) *sim.Group {
 	parts := 1
-	if Engines >= 1 {
+	if o.Engines >= 1 {
 		parts = 2
 	}
 	g := sim.NewGroup(seed, parts, lookahead)
-	g.SetThreads(Engines)
+	g.SetThreads(o.Engines)
 	for _, eng := range g.Engines() {
 		eng.MaxEvents = maxScenarioEvents
 	}
 	return g
 }
 
-// newTracer builds every scenario testbed's tracer; tests wrap it to see
-// what a scenario recorded.
-var newTracer = trace.New
+// tracer builds a testbed tracer on eng.
+func (o Options) tracer(eng *sim.Engine) *trace.Tracer {
+	if o.Trace != nil {
+		return o.Trace(eng)
+	}
+	return trace.New(eng)
+}
+
+// sample starts tr's sampler when sampling is on. Testbeds call it last
+// in their construction: the sampler takes its first sample at once.
+func (o Options) sample(tr *trace.Tracer) {
+	if o.SampleEvery > 0 {
+		tr.StartSampler(o.SampleEvery)
+	}
+}
 
 // seriesCSV renders a tracer's sampled series (empty when sampling is off).
 func seriesCSV(tr *trace.Tracer) string {
@@ -83,7 +101,8 @@ type Report struct {
 	Digest uint64
 
 	// Series is the sampled time-series CSV of the run (empty unless
-	// SampleEvery was set); same-seed replays must agree byte-for-byte.
+	// Options.SampleEvery was set); same-seed replays must agree
+	// byte-for-byte.
 	Series string
 
 	Sent             int
@@ -178,7 +197,7 @@ func (r *Report) Render() string {
 type Scenario struct {
 	Name string
 	Desc string
-	Run  func(seed int64) *Report
+	Run  func(seed int64, o Options) *Report
 }
 
 // Scenarios returns the registry, in fixed order.
@@ -243,7 +262,7 @@ func Lookup(name string) (Scenario, bool) {
 }
 
 // RunScenario runs one named scenario.
-func RunScenario(name string, seed int64) (*Report, error) {
+func RunScenario(name string, seed int64, o Options) (*Report, error) {
 	s, ok := Lookup(name)
 	if !ok {
 		var names []string
@@ -252,7 +271,7 @@ func RunScenario(name string, seed int64) (*Report, error) {
 		}
 		return nil, fmt.Errorf("chaos: unknown scenario %q (have %s)", name, strings.Join(names, ", "))
 	}
-	return s.Run(seed), nil
+	return s.Run(seed, o), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -263,8 +282,8 @@ func RunScenario(name string, seed int64) (*Report, error) {
 // It mirrors internal/bench's env without importing it, so the root
 // npf package can re-export this package. The server lives on partition 0
 // of the testbed's group (with the tracer and every chaos target) and the
-// client on its last partition: partition 1 at Engines >= 1, else the
-// same one engine.
+// client on its last partition: partition 1 at Options.Engines >= 1, else
+// the same one engine.
 type ethEnv struct {
 	eng      *sim.Engine // server engine (partition 0)
 	engC     *sim.Engine // client engine (the last partition)
@@ -280,12 +299,12 @@ type ethEnv struct {
 	client   *tcp.Stack
 }
 
-func newEthEnv(seed int64, ringSize int, dcfg core.Config, cgroupLimit int64) *ethEnv {
+func newEthEnv(o Options, seed int64, ringSize int, dcfg core.Config, cgroupLimit int64) *ethEnv {
 	e := &ethEnv{}
 	fcfg := fabric.DefaultEthernet()
-	e.g = newGroup(seed, fcfg.Lookahead())
+	e.g = o.newGroup(seed, fcfg.Lookahead())
 	e.eng, e.engC = e.g.Engine(0), e.g.Engine(e.g.Parts()-1)
-	e.tr = newTracer(e.eng)
+	e.tr = o.tracer(e.eng)
 	e.net = fabric.NewOnGroup(e.g, fcfg)
 	ncfg := nic.DefaultConfig()
 	srv := topo.HostSpec{Driver: dcfg, NIC: &ncfg}.Build(e.eng, e.net, e.tr, "server")
@@ -303,31 +322,13 @@ func newEthEnv(seed int64, ringSize int, dcfg core.Config, cgroupLimit int64) *e
 	cAS := cli.M.NewAddressSpace("client", nil)
 	cch := cli.Dev.NewChannel("client", cAS, 256, nic.PolicyPinned, 256)
 	e.client = tcp.NewStack(cch, tcp.DefaultConfig())
-	warmStack(e.client)
-	if SampleEvery > 0 {
-		e.tr.StartSampler(SampleEvery)
-	}
+	e.client.WarmBuffers()
+	o.sample(e.tr)
 	return e
 }
 
 // run drives the testbed — every partition — to the horizon.
 func (e *ethEnv) run(horizon sim.Time) sim.Time { return e.g.RunUntil(horizon) }
-
-func warmStack(st *tcp.Stack) {
-	ch := st.Channel()
-	rxBase, rxLen := st.RxBuffers()
-	txBase, txLen := st.TxBuffers()
-	for _, r := range []struct {
-		base mem.VAddr
-		n    int64
-	}{{rxBase, rxLen}, {txBase, txLen}} {
-		pages := int(r.n / mem.PageSize)
-		if _, err := ch.AS.TouchPages(r.base.Page(), pages, true); err != nil {
-			panic(err)
-		}
-		ch.Domain.Map(r.base.Page(), pages)
-	}
-}
 
 func (e *ethEnv) targets() Targets {
 	t := Targets{
@@ -381,9 +382,9 @@ func ethTraffic(e *ethEnv, r *Report, msgs, msgBytes int, start, gap, horizon si
 // ---------------------------------------------------------------------------
 // Ethernet scenarios.
 
-func runLossBurst(seed int64) *Report {
+func runLossBurst(seed int64, o Options) *Report {
 	r := &Report{Scenario: "loss-burst-during-replay", Seed: seed}
-	e := newEthEnv(seed, 64, core.DefaultConfig(), 0)
+	e := newEthEnv(o, seed, 64, core.DefaultConfig(), 0)
 	serverNode := e.server.Channel().Dev.Node
 	Arm(NewPlan(
 		LossBurst{At: 2 * sim.Millisecond, Duration: 3 * sim.Millisecond, Prob: 0.3,
@@ -400,9 +401,9 @@ func runLossBurst(seed int64) *Report {
 	return r.finish(e.tr)
 }
 
-func runInvalidateWhileParked(seed int64) *Report {
+func runInvalidateWhileParked(seed int64, o Options) *Report {
 	r := &Report{Scenario: "invalidate-while-parked", Seed: seed}
-	e := newEthEnv(seed, 64, core.DefaultConfig(), 0)
+	e := newEthEnv(o, seed, 64, core.DefaultConfig(), 0)
 	plan := NewPlan(InvalidationChaos{
 		At: 0, Duration: 60 * sim.Second,
 		Extra: 20 * sim.Microsecond, Duplicates: 2,
@@ -426,9 +427,9 @@ func runInvalidateWhileParked(seed int64) *Report {
 	return r.finish(e.tr)
 }
 
-func runThrashUnderPressure(seed int64) *Report {
+func runThrashUnderPressure(seed int64, o Options) *Report {
 	r := &Report{Scenario: "thrash-under-pressure", Seed: seed}
-	e := newEthEnv(seed, 64, core.DefaultConfig(), 16<<20)
+	e := newEthEnv(o, seed, 64, core.DefaultConfig(), 16<<20)
 	// Fast NVMe-class swap: the scenario stresses reclaim racing NPFs, not
 	// disk latency, and a 10 ms-per-page device would dominate every batch.
 	e.m.Swap.ReadLatency = 200 * sim.Microsecond
@@ -444,14 +445,14 @@ func runThrashUnderPressure(seed int64) *Report {
 	return r.finish(e.tr)
 }
 
-func runSlowResolver(seed int64) *Report {
+func runSlowResolver(seed int64, o Options) *Report {
 	r := &Report{Scenario: "slow-resolver", Seed: seed}
 	dcfg := core.DefaultConfig()
 	dcfg.RetryBackoffBase = 50 * sim.Microsecond
 	dcfg.RetryBackoffMax = 400 * sim.Microsecond
 	dcfg.MaxNPFRetries = 3
 	dcfg.DegradeToPinned = true
-	e := newEthEnv(seed, 64, dcfg, 0)
+	e := newEthEnv(o, seed, 64, dcfg, 0)
 	Arm(NewPlan(ResolverSlowdown{
 		At: sim.Millisecond, Duration: 4 * sim.Millisecond,
 		Extra: 100 * sim.Microsecond, TimeoutProb: 1,
@@ -463,9 +464,9 @@ func runSlowResolver(seed int64) *Report {
 	return r.finish(e.tr)
 }
 
-func runColdRingStorm(seed int64) *Report {
+func runColdRingStorm(seed int64, o Options) *Report {
 	r := &Report{Scenario: "cold-ring-storm", Seed: seed}
-	e := newEthEnv(seed, 32, core.DefaultConfig(), 0)
+	e := newEthEnv(o, seed, 32, core.DefaultConfig(), 0)
 	Arm(NewPlan(FirmwareStall{
 		At: sim.Millisecond, Duration: 3 * sim.Millisecond,
 		Mult: 3, Add: 100 * sim.Microsecond,
@@ -479,11 +480,11 @@ func runColdRingStorm(seed int64) *Report {
 // ---------------------------------------------------------------------------
 // InfiniBand scenario.
 
-func runLinkFlap(seed int64) *Report {
+func runLinkFlap(seed int64, o Options) *Report {
 	r := &Report{Scenario: "link-flap", Seed: seed}
 	eng := sim.NewEngine(seed)
 	eng.MaxEvents = maxScenarioEvents
-	tr := newTracer(eng)
+	tr := o.tracer(eng)
 	net := fabric.New(eng, fabric.DefaultInfiniBand())
 	cfg := rc.DefaultConfig()
 	// Both hosts are fault targets, so both stay on the one engine; only
@@ -491,9 +492,7 @@ func runLinkFlap(seed int64) *Report {
 	spec := topo.HostSpec{HCA: &cfg}
 	a, b := spec.Build(eng, net, nil, "a"), spec.Build(eng, net, tr, "b")
 	hcaA, hcaB, drvA, drvB := a.HCA, b.HCA, a.Drv, b.Drv
-	if SampleEvery > 0 {
-		tr.StartSampler(SampleEvery)
-	}
+	o.sample(tr)
 	asA, asB := a.M.NewAddressSpace("a", nil), b.M.NewAddressSpace("b", nil)
 	asA.MapBytes(64 << 20)
 	asB.MapBytes(64 << 20)

@@ -16,8 +16,8 @@ import (
 
 // kvEnv is one KV scenario testbed: the service plus the engines and
 // tracers it runs on. The server tier (and every chaos target) lives on
-// partition 0 of the testbed's group; with Engines >= 1 the client tier
-// lives on partition 1, with its own tracer.
+// partition 0 of the testbed's group; with Options.Engines >= 1 the client
+// tier lives on partition 1, with its own tracer.
 type kvEnv struct {
 	eng *sim.Engine   // server-tier engine; chaos plans arm here
 	g   *sim.Group    // the testbed's group (newGroup)
@@ -27,24 +27,22 @@ type kvEnv struct {
 }
 
 // newKVEnv builds a KV deployment on a fresh engine group.
-func newKVEnv(seed int64, cfg kv.Config) *kvEnv {
+func newKVEnv(o Options, seed int64, cfg kv.Config) *kvEnv {
 	e := &kvEnv{}
 	fcfg := fabric.DefaultEthernet()
 	if cfg.Transport == kv.TransportRC {
 		fcfg = fabric.DefaultInfiniBand()
 	}
-	e.g = newGroup(seed, fcfg.Lookahead())
+	e.g = o.newGroup(seed, fcfg.Lookahead())
 	e.eng = e.g.Engine(0)
-	e.tr = newTracer(e.eng)
+	e.tr = o.tracer(e.eng)
 	e.trC = e.tr
 	if e.g.Parts() > 1 {
-		e.trC = newTracer(e.g.Engine(1))
+		e.trC = o.tracer(e.g.Engine(1))
 	}
 	cfg.ClientTracer = e.trC
 	e.svc = kv.New(e.eng, fabric.NewOnGroup(e.g, fcfg), e.tr, cfg)
-	if SampleEvery > 0 {
-		e.tr.StartSampler(SampleEvery)
-	}
+	o.sample(e.tr)
 	return e
 }
 
@@ -117,9 +115,9 @@ func runKVWorkload(r *Report, e *kvEnv, wl *kv.Workload) {
 	}
 }
 
-func runKVInvalidationStorm(seed int64) *Report {
+func runKVInvalidationStorm(seed int64, o Options) *Report {
 	r := &Report{Scenario: "kv-under-invalidation-storm", Seed: seed}
-	env := newKVEnv(seed, kv.Config{
+	env := newKVEnv(o, seed, kv.Config{
 		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
 		Reg: kv.RegODP, ExpectedKeys: 512,
 	})
@@ -151,9 +149,9 @@ func runKVInvalidationStorm(seed int64) *Report {
 	return r.finish(env.tr)
 }
 
-func runKVReplicaLinkFlap(seed int64) *Report {
+func runKVReplicaLinkFlap(seed int64, o Options) *Report {
 	r := &Report{Scenario: "kv-replica-link-flap", Seed: seed}
-	env := newKVEnv(seed, kv.Config{
+	env := newKVEnv(o, seed, kv.Config{
 		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
 		Reg:            kv.RegODP,
 		ExpectedKeys:   512,
@@ -180,9 +178,9 @@ func runKVReplicaLinkFlap(seed int64) *Report {
 	return r.finish(env.tr)
 }
 
-func runKVMemoryPressure(seed int64) *Report {
+func runKVMemoryPressure(seed int64, o Options) *Report {
 	r := &Report{Scenario: "kv-memory-pressure", Seed: seed}
-	env := newKVEnv(seed, kv.Config{
+	env := newKVEnv(o, seed, kv.Config{
 		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
 		Reg: kv.RegODP, ExpectedKeys: 512,
 	})

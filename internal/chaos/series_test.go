@@ -7,15 +7,6 @@ import (
 	"npf/internal/sim"
 )
 
-// withSampling runs fn with the package-level SampleEvery knob temporarily
-// set, mirroring bench's withWorkers idiom.
-func withSampling(every sim.Time, fn func()) {
-	old := SampleEvery
-	SampleEvery = every
-	defer func() { SampleEvery = old }()
-	fn()
-}
-
 // TestScenarioSeriesReplayByteIdentical extends the chaos replay contract to
 // time-series output: two runs of the same scenario with the same seed must
 // produce byte-identical Report.Series, and enabling sampling must not
@@ -24,11 +15,8 @@ func TestScenarioSeriesReplayByteIdentical(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			var a, b *Report
-			withSampling(250*sim.Microsecond, func() {
-				a = sc.Run(7)
-				b = sc.Run(7)
-			})
+			o := Options{SampleEvery: 250 * sim.Microsecond}
+			a, b := sc.Run(7, o), sc.Run(7, o)
 			if !a.Pass {
 				t.Fatalf("scenario failed with sampling on:\n%s", a.Render())
 			}
@@ -49,9 +37,9 @@ func TestScenarioSeriesReplayByteIdentical(t *testing.T) {
 }
 
 // TestSamplingOffLeavesSeriesEmpty pins the default: scenarios run without
-// the knob must not pay for (or report) a series.
+// SampleEvery must not pay for (or report) a series.
 func TestSamplingOffLeavesSeriesEmpty(t *testing.T) {
-	r := Scenarios()[0].Run(1)
+	r := Scenarios()[0].Run(1, Options{})
 	if r.Series != "" {
 		t.Fatalf("Series populated without SampleEvery:\n%.300s", r.Series)
 	}

@@ -21,21 +21,19 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 func TestScenarioSpanSets(t *testing.T) {
 	var tracers []*trace.Tracer
 	var engs []*sim.Engine
-	newTracer = func(eng *sim.Engine) *trace.Tracer {
+	record := func(eng *sim.Engine) *trace.Tracer {
 		tr := trace.New(eng)
 		tracers = append(tracers, tr)
 		engs = append(engs, eng)
 		return tr
 	}
-	defer func() { newTracer, Engines = trace.New, 0 }()
 	var got []string
 	var outs []tracetest.Output
 	for _, engines := range []int{0, 1} {
-		Engines = engines
 		for _, seed := range []int64{1, 7} {
 			for _, sc := range Scenarios() {
 				tracers, engs = nil, nil
-				r := sc.Run(seed)
+				r := sc.Run(seed, Options{Engines: engines, Trace: record})
 				for i, tr := range tracers {
 					got = append(got, fmt.Sprintf("%s/seed%d/e%d/%d %s | digest=%016x delivered=%d npfs=%d retx=%d sim=%v",
 						sc.Name, seed, engines, i,

@@ -209,6 +209,20 @@ func (s *Stack) TxBuffers() (mem.VAddr, int64) {
 	return s.txBufBase, int64(s.Cfg.TxRingEntries) * mem.PageSize
 }
 
+// WarmBuffers pre-faults and maps the RX then the TX buffer region, so an
+// ODP stack starts warm (testbed setup: no cold-ring effects).
+func (s *Stack) WarmBuffers() {
+	warm := func(base mem.VAddr, n int64) {
+		pages := int(n / mem.PageSize)
+		if _, err := s.ch.AS.TouchPages(base.Page(), pages, true); err != nil {
+			panic(err)
+		}
+		s.ch.Domain.Map(base.Page(), pages)
+	}
+	warm(s.RxBuffers())
+	warm(s.TxBuffers())
+}
+
 func (s *Stack) rxBuf(i int64) mem.VAddr {
 	return s.rxBufBase + mem.VAddr(i%int64(s.ch.Rx.Size()))*mem.PageSize
 }

@@ -9,6 +9,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync" //npf:xengine — test support: serializes manifest rewrites across parallel tests, never an engine
 	"testing"
 
 	"npf/internal/trace"
@@ -109,13 +110,19 @@ func fnv64(b []byte) uint64 {
 	return h.Sum64()
 }
 
+// manifestMu serializes CheckOutputs, so parallel tests that share a
+// manifest can rewrite their lines under -update without losing others'.
+var manifestMu sync.Mutex
+
 // CheckOutputs compares each output's line with the manifest line of the
 // same key (its first field), so tests can share one manifest and a
 // skipped test leaves its lines unchecked. A changed or missing line fails
 // naming its key. With update it rewrites those lines instead, keeping the
-// others, in key order.
+// others, in key order. It is safe for parallel tests.
 func CheckOutputs(t testing.TB, path string, update bool, outs ...Output) {
 	t.Helper()
+	manifestMu.Lock()
+	defer manifestMu.Unlock()
 	lines := map[string]string{}
 	if _, err := os.Stat(path); err == nil || !update {
 		for _, l := range readLines(t, path) {

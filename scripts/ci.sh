@@ -54,9 +54,11 @@ echo "== npfperf module vet / test =="
 go -C cmd/npfperf vet ./...
 go -C cmd/npfperf test -short ./...
 
-# The full experiment suite (internal/bench) takes ~10 minutes without the
-# race detector and blows past any reasonable timeout with it; its heavy
-# tests honour -short, so the race pass runs in short mode and still
+# The full experiment suite (internal/bench) takes about two minutes
+# without the race detector on a 2-vCPU host (its eight heavy tests run in
+# parallel, each on its own bench.Scope) and blows past any reasonable
+# timeout with it; its heavy tests honour -short, so the race pass runs in
+# short mode and still
 # exercises every package's fast paths under the detector. This pass also
 # covers the analyzer unit tests (internal/analysis/...): the fixture
 # harness and the shared fact store run under the detector here. It also
@@ -143,7 +145,10 @@ go test -run '^$' -fuzz '^FuzzHistogram$' -fuzztime 10s ./internal/sim/
 
 # The sweep runner's determinism contract under the race detector: the
 # worker pool fans real figure jobs across 8 goroutines and must produce
-# byte-identical output to the serial run.
+# byte-identical output to the serial run. The pattern also selects
+# TestRunParallelScopes, which runs fig3 and ablate side by side, each on
+# its own bench.Scope, whose engine statistics must match their serial
+# runs'.
 echo "== sweep runner race check =="
 go test -race -run 'TestRunParallel' ./internal/bench/
 
@@ -177,12 +182,9 @@ diff "$tmp1" "$tmp4" || { echo "kv ablation differs between -engines 1 and 4" >&
 go run ./cmd/npfbench -quick -engines 1 scaleout > "$tmp1"
 go run ./cmd/npfbench -quick -engines 4 scaleout > "$tmp4"
 diff "$tmp1" "$tmp4" || { echo "scale-out sweep differs between -engines 1 and 4" >&2; exit 1; }
-# Fault-anatomy determinism. The critpath subcommand rides along as a
-# render smoke.
-go run ./cmd/npftrace anatomy -quick -engines 1 > "$tmp1"
-go run ./cmd/npftrace anatomy -quick -engines 4 > "$tmp4"
+go run ./cmd/npfbench -quick -engines 1 anatomy > "$tmp1"
+go run ./cmd/npfbench -quick -engines 4 anatomy > "$tmp4"
 diff "$tmp1" "$tmp4" || { echo "fault anatomy differs between -engines 1 and 4" >&2; exit 1; }
-go run ./cmd/npftrace critpath -quick > /dev/null
 rm -f "$tmp1" "$tmp4"
 echo "engines matrix ok (chaos + kv + scaleout + anatomy, -engines 1 vs 4)"
 
