@@ -40,8 +40,9 @@ are rejected if they contain allocating constructs (make/new, growing
 append, closure capture, interface boxing, string concat, fmt, map
 literals). Annotate reviewed lines //npf:allocok. The registry of
 runtime-gated hot paths (sim.Engine scheduling, the packet paths, the
-memcached handlers, the trace fault-record methods, workload.Source draws)
-must keep their annotations: removing one is itself a finding.`
+memcached handlers, the kv message paths, the trace fault-record methods,
+workload.Source draws) must keep their annotations: removing one is itself
+a finding.`
 
 var Analyzer = &analysis.Analyzer{
 	Name:      "noalloc",
@@ -97,6 +98,13 @@ var Required = map[string][]string{
 	},
 	"npf/internal/apps": {
 		"KVServer.handle", "sendReply", "slapConn.onReply",
+	},
+	"npf/internal/kv": {
+		"Workload.sendReq", "Workload.retry", "Workload.takeReq",
+		"HostNode.takeMsg", "HostNode.freeMsg", "HostNode.sendReply",
+		"Service.send", "tcpEndpoint.send", "rcEndpoint.send",
+		"replica.toReply", "replica.replicate", "replica.replTimeout",
+		"replica.handleReplAck", "replica.ack",
 	},
 	"npf/internal/tcp": {
 		"Stack.transmit",

@@ -35,8 +35,12 @@ type Workload struct {
 
 	clients []*wlClient
 	pending map[uint64]*pendingReq
-	retryFn func(any) // w.retry, bound once
-	issued  int
+	// freeReqs recycles pendingReqs after complete (client-partition
+	// state, like every Workload field).
+	freeReqs []*pendingReq
+	// w.retry and w.frontHit, bound once.
+	retryFn, frontHitFn func(any)
+	issued              int
 	// completed counts finished ops; the tracer publishes it as kv.ops.
 	completed sim.Counter
 	started   bool
@@ -68,7 +72,7 @@ type pendingReq struct {
 func (s *Service) NewWorkload(cfg WorkloadConfig) *Workload {
 	cfg = cfg.WithDefaults(s.Cfg.ExpectedKeys)
 	w := &Workload{svc: s, Cfg: cfg, pending: make(map[uint64]*pendingReq)}
-	w.retryFn = w.retry
+	w.retryFn, w.frontHitFn = w.retry, w.frontHit
 	per := cfg.TargetOps / cfg.Clients
 	extra := cfg.TargetOps % cfg.Clients
 	clientHosts := s.Hosts[s.Cfg.ServerHosts:]
@@ -122,7 +126,7 @@ func (w *Workload) Start() {
 	for _, c := range w.clients {
 		c := c
 		if w.Cfg.OpenLoop {
-			w.svc.cliEng.After(c.nextArrival(), func() { c.arrive() })
+			w.svc.cliEng.AfterArg(c.nextArrival(), arriveEvent, c)
 		} else if c.quota > 0 {
 			// Deterministic small stagger so clients do not issue in
 			// lockstep on the first tick.
@@ -167,15 +171,17 @@ func (c *wlClient) nextArrival() sim.Time {
 	return c.src.NextArrival(c.wl.svc.cliEng.Now())
 }
 
-// arrive is the open-loop tick: issue (regardless of completions) and
-// re-arm until the quota is spent.
-func (c *wlClient) arrive() {
+// arriveEvent is the open-loop tick of client arg: issue (regardless of
+// completions) and re-arm until the quota is spent. It is a plain
+// function, so arming it creates no closure.
+func arriveEvent(arg any) {
+	c := arg.(*wlClient)
 	if c.quota <= 0 {
 		return
 	}
 	c.issue()
 	if c.quota > 0 {
-		c.wl.svc.cliEng.After(c.nextArrival(), func() { c.arrive() })
+		c.wl.svc.cliEng.AfterArg(c.nextArrival(), arriveEvent, c)
 	}
 }
 
@@ -190,7 +196,8 @@ func (c *wlClient) issue() {
 	shard := s.place.ShardOfKey(key)
 	s.nextReq++
 	id := s.nextReq
-	req := &pendingReq{
+	req := w.takeReq()
+	*req = pendingReq{
 		id: id, c: c, key: key, shard: shard, isGet: isGet,
 		size:  s.Cfg.ValueBytes,
 		start: s.cliEng.Now(),
@@ -202,13 +209,7 @@ func (c *wlClient) issue() {
 		if c.host.frontCache.get(key) {
 			// Hot-key hit at the client tier: complete locally.
 			w.FrontHits.Inc()
-			s.cliEng.After(frontCacheCost, func() {
-				if r, ok := w.pending[id]; ok {
-					delete(w.pending, id)
-					w.Hits.Inc()
-					w.complete(r)
-				}
-			})
+			s.cliEng.AfterArg(frontCacheCost, w.frontHitFn, req)
 			return
 		}
 	} else {
@@ -221,6 +222,33 @@ func (c *wlClient) issue() {
 // frontCacheCost is the client-local cost of a front-cache hit.
 const frontCacheCost = 500 * sim.Nanosecond
 
+// frontHit completes a get the front cache served, once frontCacheCost
+// has passed. It is bound once as w.frontHitFn.
+func (w *Workload) frontHit(arg any) {
+	req := arg.(*pendingReq)
+	if w.pending[req.id] != req {
+		return
+	}
+	delete(w.pending, req.id)
+	w.Hits.Inc()
+	w.complete(req)
+}
+
+// takeReq returns a pendingReq from the workload's free list, allocating
+// only when the list is empty; the caller assigns every field.
+//
+//npf:noalloc
+func (w *Workload) takeReq() *pendingReq {
+	n := len(w.freeReqs)
+	if n == 0 {
+		return new(pendingReq) //npf:allocok — list refill, up to the workload's ops in flight
+	}
+	req := w.freeReqs[n-1]
+	w.freeReqs[n-1] = nil
+	w.freeReqs = w.freeReqs[:n-1]
+	return req
+}
+
 // clientPrimary is the primary host the client tier routes shard traffic
 // to: the placement table on a single-engine service, the client-side
 // snapshot (updated by promotions through Engine.Call) when partitioned.
@@ -231,8 +259,10 @@ func (s *Service) clientPrimary(shard int) int {
 	return s.place.PrimaryHost(shard)
 }
 
-// sendReq (re)sends a pending op to the shard's current primary and arms
-// the retry timer.
+// sendReq (re)sends a pending op to the shard's current primary in a
+// message from the client host's free list, and arms the retry timer.
+//
+//npf:noalloc
 func (w *Workload) sendReq(req *pendingReq) {
 	s := w.svc
 	req.attempts++
@@ -242,15 +272,19 @@ func (w *Workload) sendReq(req *pendingReq) {
 		kind = rpcSet
 		wire += req.size
 	}
-	s.send(req.c.host, s.clientPrimary(req.shard), wire, &rpcMsg{
+	m := req.c.host.takeMsg()
+	*m = rpcMsg{
 		Kind: kind, Shard: req.shard, Key: req.key, Size: req.size,
 		ReqID: req.id, Client: req.c.id,
-	})
-	req.timer = s.cliEng.AfterArg(w.Cfg.RequestTimeout, w.retryFn, req)
+	}
+	s.send(req.c.host, s.clientPrimary(req.shard), wire, m)
+	req.timer = s.cliEng.AfterArg(w.Cfg.RequestTimeout, w.retryFn, req) //npf:allocok — a *pendingReq is pointer-shaped; boxing it does not allocate
 }
 
 // retry is the retry timer of a pending op, bound once as w.retryFn: it
 // resends the op unless it has completed since.
+//
+//npf:noalloc
 func (w *Workload) retry(arg any) {
 	req := arg.(*pendingReq)
 	if w.pending[req.id] != req {
@@ -260,14 +294,17 @@ func (w *Workload) retry(arg any) {
 	w.sendReq(req) // placement is re-read: a failover reroutes us
 }
 
-// deliverReply routes a reply arriving at client host h.
+// deliverReply routes a reply arriving at client host h, then recycles
+// it: the reply is a request h sent, come back. A late or unmatched reply
+// is recycled too.
 func (s *Service) deliverReply(h *HostNode, m *rpcMsg) {
 	for _, w := range s.workloads {
 		if req, ok := w.pending[m.ReqID]; ok && req.c.host == h {
 			w.handleReply(req, m)
-			return
+			break
 		}
 	}
+	h.freeMsg(m)
 }
 
 func (w *Workload) handleReply(req *pendingReq, m *rpcMsg) {
@@ -292,10 +329,13 @@ func (w *Workload) handleReply(req *pendingReq, m *rpcMsg) {
 	w.complete(req)
 }
 
-// complete records one finished op and fires issue/done transitions.
+// complete records one finished op, recycles its pendingReq and fires
+// issue/done transitions.
 func (w *Workload) complete(req *pendingReq) {
 	s := w.svc
+	c := req.c
 	w.Lat.AddTime(s.cliEng.Now() - req.start)
+	w.freeReqs = append(w.freeReqs, req)
 	w.completed.Inc()
 	if w.completed.N == uint64(w.Cfg.TargetOps) {
 		w.DoneAt = s.cliEng.Now()
@@ -304,8 +344,8 @@ func (w *Workload) complete(req *pendingReq) {
 		}
 		return
 	}
-	if !w.Cfg.OpenLoop && req.c.quota > 0 {
-		req.c.issue()
+	if !w.Cfg.OpenLoop && c.quota > 0 {
+		c.issue()
 	}
 }
 

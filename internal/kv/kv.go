@@ -201,10 +201,12 @@ type HostNode struct {
 	netAS *mem.AddressSpace // transport buffer address space
 	mgmt  fabric.NodeID     // management-network port (heartbeats)
 
-	// sendReplyFn sends a get reply once its service delay ends (servers
-	// only). Its argument is the reply, whose From names the client host
-	// until send stamps the sender.
+	// sendReplyFn is h.sendReply, bound once (servers only).
 	sendReplyFn func(any)
+
+	// free is the host's list of recycled data-path messages. Only the
+	// host's own engine touches it (see rpcMsg for the ownership rule).
+	free []*rpcMsg
 
 	// Replicas hosted here, ordered by shard ID (servers only).
 	replicas       []*replica
@@ -375,10 +377,7 @@ func (s *Service) newHost(i int) *HostNode {
 	if !server {
 		h.eng, h.tr = s.cliEng, s.TracerC
 	} else {
-		h.sendReplyFn = func(reply any) {
-			m := reply.(*rpcMsg)
-			s.send(h, m.From, rpcHeader+m.Size, m)
-		}
+		h.sendReplyFn = h.sendReply
 	}
 	// The substrate comes from a shared topo.HostSpec; Build's construction
 	// order (machine, driver, adapter) is the historical kv order, so RNG
@@ -398,6 +397,16 @@ func (s *Service) newHost(i int) *HostNode {
 	h.mgmt = s.Net.AttachOn(&mgmtPort{svc: s, host: h}, h.eng)
 	h.frontCache = newFrontCache(0)
 	return h
+}
+
+// sendReply sends a client reply once its service delay ends. Its
+// argument is the reply, whose From names the client host until send
+// stamps the sender; a get hit carries the value's Size.
+//
+//npf:noalloc
+func (h *HostNode) sendReply(arg any) {
+	m := arg.(*rpcMsg)
+	h.svc.send(h, m.From, rpcHeader+m.Size, m)
 }
 
 // hostODP reports whether host h's network buffers run unpinned: clients
@@ -428,9 +437,10 @@ func (s *Service) buildShards() {
 				as:      as,
 				store:   store,
 				primary: pos == 0 && hIdx == s.place.PrimaryHost(shard),
-				pending: make(map[uint64]*pendingSet),
+				pending: make(map[uint64]pendingSet),
 				buffer:  make(map[uint64]*rpcMsg),
 			}
+			r.replicateFn, r.replTimeoutFn, r.ackDrainFn = r.replicate, r.replTimeout, r.ackDrain
 			switch {
 			case s.Cfg.Reg == RegPinned:
 				pages := int(s.Cfg.ArenaBytes / mem.PageSize)

@@ -33,7 +33,7 @@ type replica struct {
 	logStart uint64 // sequence of logKeys[0]; log covers [logStart, seq]
 
 	// Primary: sets awaiting backup acks, by sequence.
-	pending map[uint64]*pendingSet
+	pending map[uint64]pendingSet
 
 	// Backup: out-of-order replicated ops buffered until contiguous, and
 	// whether a resync is already in flight. gapAt stamps when the buffer
@@ -47,6 +47,11 @@ type replica struct {
 	resyncFull bool
 
 	shed uint64 // sets dropped after the arena stayed exhausted
+
+	// r.replicate, r.replTimeout and r.ackDrain, bound once: the set's
+	// service delay, its replication timeout and a backup's apply delay
+	// are argument events carrying the message they act on.
+	replicateFn, replTimeoutFn, ackDrainFn func(any)
 }
 
 // pendingSet tracks one replicated set at the primary until every backup
@@ -54,8 +59,10 @@ type replica struct {
 type pendingSet struct {
 	need  int
 	timer sim.EventID
-	reply *rpcMsg // the client reply to release
-	to    int     // client host index
+	// reply is the client reply to release: the set request itself,
+	// rewritten in place. Its From names the client host and its Seq the
+	// set's sequence.
+	reply *rpcMsg
 }
 
 // handle dispatches one shard-addressed message.
@@ -90,88 +97,119 @@ func (r *replica) opCost(key string, storeCost sim.Time) sim.Time {
 	return cost
 }
 
+// toReply rewrites client request m in place into its reply, addressed
+// to the client host that sent it; the caller fills in the result.
+//
+//npf:noalloc
+func (r *replica) toReply(m *rpcMsg) {
+	from, id, client := m.From, m.ReqID, m.Client
+	*m = rpcMsg{Kind: rpcReply, From: from, Shard: r.shard, ReqID: id, Client: client}
+}
+
+// handleClientOp serves a get or set. The request comes back to the
+// client as its own reply.
 func (r *replica) handleClientOp(m *rpcMsg) {
 	s := r.svc
 	if s.place.PrimaryHost(r.shard) != r.host.Index {
 		// Stale client routing: redirect (the client re-reads placement).
 		s.Redirects.Inc()
-		reply := &rpcMsg{Kind: rpcReply, Shard: r.shard, ReqID: m.ReqID,
-			Client: m.Client, Redirect: true, Epoch: s.place.Epoch(r.shard)}
-		s.send(r.host, m.From, rpcHeader, reply)
+		r.toReply(m)
+		m.Redirect, m.Epoch = true, s.place.Epoch(r.shard)
+		s.send(r.host, m.From, rpcHeader, m)
 		return
 	}
 	if m.Kind == rpcGet {
 		hit, size, storeCost, _ := r.store.Get(m.Key)
 		cost := r.opCost(m.Key, storeCost)
-		reply := &rpcMsg{Kind: rpcReply, From: m.From, Shard: r.shard, ReqID: m.ReqID,
-			Client: m.Client, Hit: hit, OK: true, Size: size}
-		s.Eng.AfterArg(cost, r.host.sendReplyFn, reply)
+		r.toReply(m)
+		m.Hit, m.OK, m.Size = hit, true, size
+		s.Eng.AfterArg(cost, r.host.sendReplyFn, m)
 		return
 	}
 	// Set: apply locally, then replicate synchronously.
 	cost, applied := r.applySet(m.Key, m.Size)
 	cost = r.opCost(m.Key, cost)
-	reply := &rpcMsg{Kind: rpcReply, Shard: r.shard, ReqID: m.ReqID,
-		Client: m.Client, OK: applied}
-	from := m.From
 	if !applied {
-		s.Eng.After(cost, func() { s.send(r.host, from, rpcHeader, reply) })
+		r.toReply(m) // OK stays false: shed
+		s.Eng.AfterArg(cost, r.host.sendReplyFn, m)
 		return
 	}
 	r.seq++
-	seq := r.seq
 	r.logAppend(m.Key, m.Size)
-	key, size := m.Key, m.Size
-	s.Eng.After(cost, func() { r.replicate(seq, key, size, reply, from) })
+	m.Seq = r.seq
+	s.Eng.AfterArg(cost, r.replicateFn, m)
 }
 
-// replicate fans one applied set out to the backups and parks the client
-// reply until they ack (or the replication timeout fires).
-func (r *replica) replicate(seq uint64, key string, size int, reply *rpcMsg, to int) {
+// replicate fans one applied set (the request m, carrying its Seq) out to
+// the backups, then parks m, rewritten into the client reply, until they
+// ack (or the replication timeout fires). It is bound once as
+// r.replicateFn.
+//
+//npf:noalloc
+func (r *replica) replicate(arg any) {
+	m := arg.(*rpcMsg)
 	s := r.svc
+	seq := m.Seq
 	backups := 0
 	for _, hIdx := range s.place.ReplicaHosts(r.shard) {
 		if hIdx == r.host.Index {
 			continue
 		}
 		backups++
-		s.send(r.host, hIdx, rpcHeader+size, &rpcMsg{
-			Kind: rpcRepl, Shard: r.shard, Seq: seq, Key: key, Size: size,
+		rm := r.host.takeMsg()
+		*rm = rpcMsg{
+			Kind: rpcRepl, Shard: r.shard, Seq: seq, Key: m.Key, Size: m.Size,
 			Epoch: s.place.Epoch(r.shard),
-		})
+		}
+		s.send(r.host, hIdx, rpcHeader+m.Size, rm)
 	}
+	r.toReply(m)
+	m.OK, m.Seq = true, seq
 	if backups == 0 {
-		s.send(r.host, to, rpcHeader, reply)
+		s.send(r.host, m.From, rpcHeader, m)
 		return
 	}
-	p := &pendingSet{need: backups, reply: reply, to: to}
-	r.pending[seq] = p
-	p.timer = s.Eng.After(s.Cfg.ReplTimeout, func() {
-		if r.pending[seq] != p {
-			return
-		}
-		delete(r.pending, seq)
-		s.ReplTimeouts.Inc()
-		// Complete the client op anyway: the write is exposed to loss
-		// until the lagging backup resyncs (async-replication semantics
-		// under partitions; the detector will fail the shard over if the
-		// backup is truly gone).
-		s.send(r.host, to, rpcHeader, reply)
-	})
+	timer := s.Eng.AfterArg(s.Cfg.ReplTimeout, r.replTimeoutFn, m)     //npf:allocok — an *rpcMsg is pointer-shaped; boxing it does not allocate
+	r.pending[seq] = pendingSet{need: backups, reply: m, timer: timer} //npf:allocok — the map holds the sets in flight and grows to their peak, once
 }
 
+// replTimeout is a pending set's replication timer, bound once as
+// r.replTimeoutFn; its argument is the parked reply.
+//
+//npf:noalloc
+func (r *replica) replTimeout(arg any) {
+	m := arg.(*rpcMsg)
+	if p, ok := r.pending[m.Seq]; !ok || p.reply != m {
+		return
+	}
+	delete(r.pending, m.Seq)
+	r.svc.ReplTimeouts.Inc()
+	// Complete the client op anyway: the write is exposed to loss until
+	// the lagging backup resyncs (async-replication semantics under
+	// partitions; the detector will fail the shard over if the backup is
+	// truly gone).
+	r.svc.send(r.host, m.From, rpcHeader, m)
+}
+
+// handleReplAck counts one backup's ack and recycles it: the ack is the
+// replicated set this primary sent, come back.
+//
+//npf:noalloc
 func (r *replica) handleReplAck(m *rpcMsg) {
-	p, ok := r.pending[m.Seq]
+	seq := m.Seq
+	r.host.freeMsg(m)
+	p, ok := r.pending[seq]
 	if !ok {
 		return // late ack after a timeout
 	}
 	p.need--
 	if p.need > 0 {
+		r.pending[seq] = p //npf:allocok — overwrites an existing key, which never grows the map
 		return
 	}
-	delete(r.pending, m.Seq)
+	delete(r.pending, seq)
 	r.svc.Eng.Cancel(p.timer)
-	r.svc.send(r.host, p.to, rpcHeader, p.reply)
+	r.svc.send(r.host, p.reply.From, rpcHeader, p.reply)
 }
 
 // handleRepl applies one replicated set at a backup, buffering gaps and
@@ -179,10 +217,11 @@ func (r *replica) handleReplAck(m *rpcMsg) {
 func (r *replica) handleRepl(m *rpcMsg) {
 	s := r.svc
 	if r.primary {
-		return // a deposed primary's stale replication; ignore
+		r.host.freeMsg(m) // a deposed primary's stale replication; ignore
+		return
 	}
 	if m.Seq <= r.seq {
-		r.ack(m.From, m.Seq) // duplicate delivery
+		r.ack(m) // duplicate delivery
 		return
 	}
 	if m.Seq > r.seq+1 {
@@ -197,12 +236,15 @@ func (r *replica) handleRepl(m *rpcMsg) {
 	}
 	cost, _ := r.applySet(m.Key, m.Size)
 	r.seq = m.Seq
-	from := m.From
-	seq := m.Seq
-	s.Eng.After(r.opCost(m.Key, cost), func() {
-		r.ack(from, seq)
-		r.drainBuffer()
-	})
+	s.Eng.AfterArg(r.opCost(m.Key, cost), r.ackDrainFn, m)
+}
+
+// ackDrain acks an in-order replicated set once its apply delay ends,
+// then applies buffered ops that became contiguous. It is bound once as
+// r.ackDrainFn.
+func (r *replica) ackDrain(arg any) {
+	r.ack(arg.(*rpcMsg))
+	r.drainBuffer()
 }
 
 // drainBuffer applies buffered ops that became contiguous.
@@ -213,17 +255,20 @@ func (r *replica) drainBuffer() {
 			return
 		}
 		delete(r.buffer, r.seq+1)
-		cost, _ := r.applySet(m.Key, m.Size)
+		r.applySet(m.Key, m.Size) // its cost was paid by the op that made us contiguous
 		r.seq = m.Seq
-		_ = cost // already paid by the batch that made us contiguous
-		r.ack(m.From, m.Seq)
+		r.ack(m)
 	}
 }
 
-func (r *replica) ack(to int, seq uint64) {
-	r.svc.send(r.host, to, rpcHeader, &rpcMsg{
-		Kind: rpcReplAck, Shard: r.shard, Seq: seq,
-	})
+// ack rewrites replicated set m in place into its ack and sends it back
+// to the primary that sent it.
+//
+//npf:noalloc
+func (r *replica) ack(m *rpcMsg) {
+	to, seq := m.From, m.Seq
+	*m = rpcMsg{Kind: rpcReplAck, Shard: r.shard, Seq: seq}
+	r.svc.send(r.host, to, rpcHeader, m)
 }
 
 // requestResync asks the current primary for the missing tail (or a full

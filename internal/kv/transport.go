@@ -1,6 +1,8 @@
 package kv
 
 import (
+	"fmt"
+
 	"npf/internal/core"
 	"npf/internal/fabric"
 	"npf/internal/mem"
@@ -16,7 +18,11 @@ const rpcHeader = 64
 type rpcKind int
 
 const (
-	rpcGet rpcKind = iota
+	// rpcFree is the zero kind: a message on a host's free list. No
+	// handler accepts it, so a zeroed (recycled) message is never a valid
+	// get, and Service.deliver panics if one arrives.
+	rpcFree rpcKind = iota
+	rpcGet
 	rpcSet
 	rpcReply
 	rpcRepl
@@ -29,6 +35,11 @@ const (
 // rpcMsg is the single wire message of the KV protocol. Fields are used
 // per Kind; unused fields stay zero. Payload bytes are simulated by the
 // transport's length argument, so the struct itself carries only metadata.
+//
+// A data-path message (a get or set, its reply, a replicated set and its
+// ack) belongs to the host that last received it. That host rewrites it
+// in place into the message it sends back, or returns it to its own free
+// list (HostNode.freeMsg); the sender never touches it after send.
 type rpcMsg struct {
 	Kind  rpcKind
 	From  int // sending host index
@@ -162,9 +173,10 @@ func (e *tcpEndpoint) dial(to int) {
 	e.conns[to] = c
 }
 
+//npf:noalloc
 func (e *tcpEndpoint) send(to int, wireBytes int, m *rpcMsg) {
 	if c := e.conns[to]; c != nil {
-		c.Send(wireBytes, m)
+		c.Send(wireBytes, m) //npf:allocok — an *rpcMsg is pointer-shaped; boxing it does not allocate
 	}
 }
 
@@ -246,6 +258,7 @@ func (e *rcEndpoint) newPeer(to int) *rcPeer {
 	return p
 }
 
+//npf:noalloc
 func (e *rcEndpoint) send(to int, wireBytes int, m *rpcMsg) {
 	p := e.peers[to]
 	if p == nil {
@@ -264,15 +277,45 @@ func (e *rcEndpoint) send(to int, wireBytes int, m *rpcMsg) {
 	})
 }
 
-// send routes one protocol message from host h to host `to`.
+// send routes one protocol message from host h to host `to`. The message
+// leaves h's hands: the receiving host owns it from delivery on.
+//
+//npf:noalloc
 func (s *Service) send(h *HostNode, to int, wireBytes int, m *rpcMsg) {
 	m.From = h.Index
-	h.ep.send(to, wireBytes, m)
+	h.ep.send(to, wireBytes, m) //npf:allocok — both endpoints' send methods are fenced themselves
+}
+
+// takeMsg returns a zeroed message from h's free list, allocating only
+// when the list is empty. Only h's own engine calls it.
+//
+//npf:noalloc
+func (h *HostNode) takeMsg() *rpcMsg {
+	n := len(h.free)
+	if n == 0 {
+		return new(rpcMsg) //npf:allocok — list refill, up to the host's messages in flight
+	}
+	m := h.free[n-1]
+	h.free[n-1] = nil
+	h.free = h.free[:n-1]
+	return m
+}
+
+// freeMsg zeroes a data-path message h received and puts it on h's free
+// list; its kind becomes rpcFree until the next takeMsg.
+//
+//npf:noalloc
+func (h *HostNode) freeMsg(m *rpcMsg) {
+	*m = rpcMsg{}
+	h.free = append(h.free, m) //npf:allocok — list growth, up to the host's messages in flight
 }
 
 // deliver dispatches a received message on host h.
 func (s *Service) deliver(h *HostNode, m *rpcMsg) {
 	switch m.Kind {
+	case rpcFree:
+		panic(fmt.Sprintf("kv: %s received a recycled message: a data-path rpcMsg belongs to "+
+			"the host that last received it, so its sender must not recycle or reuse it", h.Name))
 	case rpcHeartbeat:
 		if h.Server && h.lastHB != nil && m.From < len(h.lastHB) {
 			now := s.Eng.Now()

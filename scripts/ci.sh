@@ -66,7 +66,10 @@ go -C cmd/npfperf test -short ./...
 # TestSweepDeterminism at 2 and 4 threads, bench's
 # TestGroupStatsAcrossThreads at 2 and 8), so the detector checks that a
 # fleet message, handed between partitions through the mailbox, is never
-# touched by two partitions at once.
+# touched by two partitions at once. kv's TestPartitionedService and
+# TestPartitionedFailover run at 2 threads here too: a kv message changes
+# owner with the host that receives it, and each host's free list is
+# touched only by its own partition's engine.
 echo "== go test -race -short =="
 go test -race -short -timeout 10m ./...
 
@@ -107,18 +110,22 @@ done
 # and back) allocate nothing; a faulting 1,024-page translate allocates
 # only its miss list; RC packets and TCP frames recycle only within one
 # engine; a faulting RC message stays within its measured object and byte
-# budgets; and the quick fleet stays within its measured objects per
-# completed op on both transports (one message per request round trip).
+# budgets; the quick fleet stays within its measured objects per
+# completed op on both transports (one message per request round trip);
+# and a warm replicated KV deployment stays within 0.05 objects per
+# completed op (each request comes back as its reply and each replicated
+# set as its ack, heartbeats amortized).
 # npflint's noalloc Required entries (port.enqueue/kick, iotlb.hit/install/invalidate,
 # PageTable.Get/Lookup/Span, AddressSpace.lruPush/lruRemove/TouchResident,
 # HCA.take/post and the QP post/ack/data handlers, Stack.transmit and the
 # Conn send/ack path, TxQueue.kick, the memcached server's request and
-# reply handlers and memaslap's reply handler) are the static side of the
-# same gate.
+# reply handlers, memaslap's reply handler, and kv's request, reply,
+# replication and ack paths with its message free lists) are the static
+# side of the same gate.
 echo "== packet-path allocation gate =="
-out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestTranslateAllocs|TestTouchResidentNoAlloc|TestRCWarmRoundNoAlloc|TestIBFaultingMessageAllocBound|TestScaleoutRoundTripAllocBound|TestTCPWarmRoundNoAlloc|TestFramePoolSameEngineOnly|TestMemcachedWarmOpNoAlloc' \
+out=$(go test -run 'TestSendDeliverNoAlloc|TestIOTLBChurnNoAlloc|TestTranslateAllocs|TestTouchResidentNoAlloc|TestRCWarmRoundNoAlloc|TestIBFaultingMessageAllocBound|TestScaleoutRoundTripAllocBound|TestTCPWarmRoundNoAlloc|TestFramePoolSameEngineOnly|TestMemcachedWarmOpNoAlloc|TestKVWarmOpsAllocBound' \
     -bench 'BenchmarkSendDeliver|BenchmarkIOTLBChurn|BenchmarkTranslateMissInstall' -benchtime 10000x \
-    ./internal/fabric/ ./internal/iommu/ ./internal/mem/ ./internal/rc/ ./internal/tcp/ ./internal/apps/ ./internal/bench/)
+    ./internal/fabric/ ./internal/iommu/ ./internal/mem/ ./internal/rc/ ./internal/tcp/ ./internal/apps/ ./internal/kv/ ./internal/bench/)
 echo "$out"
 for bench in BenchmarkSendDeliver BenchmarkIOTLBChurn BenchmarkTranslateMissInstall; do
     if ! grep -q "$bench.* 0 B/op.* 0 allocs/op" <<< "$out"; then
