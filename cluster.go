@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"npf/internal/chaos"
-	"npf/internal/core"
 	"npf/internal/fabric"
 	"npf/internal/kv"
-	"npf/internal/mem"
 	"npf/internal/nic"
 	"npf/internal/rc"
 	"npf/internal/sim"
@@ -180,11 +178,13 @@ type Host struct {
 	NIC     *Device
 	HCA     *HCA
 
+	host    *topo.Host
 	cluster *Cluster
 }
 
-// NewHost adds a machine and an NPF driver. Defaults: 8 GiB of RAM,
-// DefaultDriverConfig(); override with WithRAM and WithDriverConfig. On a
+// NewHost adds a machine and an NPF driver, built by the same recipe as
+// every other simulated host (topo.HostSpec). Defaults: 8 GiB of RAM
+// (override with WithRAM) and the Figure-3-calibrated driver. On a
 // partitioned cluster the host lands on the next partition round-robin
 // unless WithPartition pins it; everything the host builds afterwards
 // lives on that partition's engine and tracer. A misconfigured host (e.g.
@@ -202,7 +202,7 @@ func (c *Cluster) NewHost(name string, opts ...HostOption) *Host {
 // engine range is reported here, at construction — not as a late index
 // panic when the partitioned run first touches the host.
 func (c *Cluster) TryNewHost(name string, opts ...HostOption) (*Host, error) {
-	cfg := hostConfig{ram: 8 << 30, driver: core.DefaultConfig(), part: -1}
+	cfg := hostConfig{ram: 8 << 30, part: -1}
 	for _, o := range opts {
 		o.applyHost(&cfg)
 	}
@@ -225,18 +225,8 @@ func (c *Cluster) TryNewHost(name string, opts ...HostOption) (*Host, error) {
 		part = c.nextPart % c.Group.Parts()
 		c.nextPart++
 	}
-	eng := c.EngineFor(part)
-	tr := c.tracerFor(part)
-	h := &Host{
-		Name:    name,
-		Eng:     eng,
-		Part:    part,
-		Machine: mem.NewMachine(eng, cfg.ram),
-		Driver:  core.NewDriver(eng, cfg.driver),
-		cluster: c,
-	}
-	h.Machine.SetTracer(tr)
-	h.Driver.SetTracer(tr)
+	th := topo.HostSpec{RAM: cfg.ram}.Build(c.EngineFor(part), c.Net, c.tracerFor(part), name)
+	h := &Host{Name: name, Eng: th.Eng, Part: part, Machine: th.M, Driver: th.Drv, host: th, cluster: c}
 	// Cluster-level chaos activations run on partition 0; hosts elsewhere
 	// are out of the injector's reach and must stay unregistered.
 	if c.injector != nil && part == 0 {
@@ -298,9 +288,7 @@ func (c *Cluster) TryNewHosts(t HostTemplate, n int) ([]*Host, error) {
 
 // AttachNIC gives the host an Ethernet NIC wired to its driver.
 func (h *Host) AttachNIC() *Device {
-	h.NIC = nic.NewDevice(h.Eng, h.cluster.Net, nic.DefaultConfig())
-	h.NIC.SetTracer(h.cluster.tracerFor(h.Part))
-	h.Driver.AttachDevice(h.NIC)
+	h.NIC = h.host.AttachNIC(h.cluster.Net, nic.DefaultConfig(), h.cluster.tracerFor(h.Part))
 	if ij := h.cluster.injector; ij != nil && h.Part == 0 {
 		ij.T.Firmware = append(ij.T.Firmware, &h.NIC.Firmware)
 	}
@@ -309,9 +297,7 @@ func (h *Host) AttachNIC() *Device {
 
 // AttachHCA gives the host an InfiniBand adapter wired to its driver.
 func (h *Host) AttachHCA() *HCA {
-	h.HCA = rc.NewHCA(h.Eng, h.cluster.Net, rc.DefaultConfig())
-	h.HCA.SetTracer(h.cluster.tracerFor(h.Part))
-	h.Driver.AttachHCA(h.HCA)
+	h.HCA = h.host.AttachHCA(h.cluster.Net, rc.DefaultConfig(), h.cluster.tracerFor(h.Part))
 	if ij := h.cluster.injector; ij != nil && h.Part == 0 {
 		ij.T.Firmware = append(ij.T.Firmware, &h.HCA.Firmware)
 	}
@@ -334,21 +320,21 @@ func (h *Host) NewProcess(name string, cgroup *MemGroup) *AddressSpace {
 
 // OpenChannel creates a direct I/O channel for as on the host's NIC and —
 // for non-pinned policies — enables on-demand paging through the host
-// driver. Defaults: the address space's name, a 256-entry ring,
-// PolicyBackup; override with WithChannelName, WithRingSize, WithPolicy.
+// driver. The channel takes the address space's name. Defaults: a
+// 256-entry ring, PolicyBackup; override with WithRingSize, WithPolicy.
 // A WithChaos plan passed here is armed against this channel's device,
 // driver, and address space only:
 //
 //	ch := host.OpenChannel(as, npf.WithRingSize(256), npf.WithPolicy(npf.PolicyBackup), npf.WithChaos(plan))
 func (h *Host) OpenChannel(as *AddressSpace, opts ...ChannelOption) *Channel {
-	cfg := channelConfig{name: as.Name, ringSize: 256, policy: PolicyBackup}
+	cfg := channelConfig{ringSize: 256, policy: PolicyBackup}
 	for _, o := range opts {
 		o.applyChannel(&cfg)
 	}
 	if h.NIC == nil {
 		h.AttachNIC()
 	}
-	ch := h.NIC.NewChannel(cfg.name, as, cfg.ringSize, cfg.policy, cfg.ringSize)
+	ch := h.NIC.NewChannel(as.Name, as, cfg.ringSize, cfg.policy)
 	if cfg.policy != PolicyPinned {
 		h.Driver.EnableODP(ch)
 	}

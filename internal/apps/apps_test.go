@@ -117,7 +117,7 @@ func newMemcachedEnv(t *testing.T, policy nic.FaultPolicy, service sim.Time) *kv
 		dev := nic.NewDevice(eng, net, dcfg)
 		drv.AttachDevice(dev)
 		as := m.NewAddressSpace(name, nil)
-		ch := dev.NewChannel(name, as, 64, pol, 64)
+		ch := dev.NewChannel(name, as, 64, pol)
 		if pol != nic.PolicyPinned {
 			drv.EnableODP(ch)
 		}
@@ -503,7 +503,7 @@ func newEthStreamEnv(t *testing.T, freq float64, major, backup bool) (*sim.Engin
 		dev := nic.NewDevice(eng, net, dcfg)
 		drv.AttachDevice(dev)
 		as := m.NewAddressSpace(name, nil)
-		ch := dev.NewChannel(name, as, 256, pol, 256)
+		ch := dev.NewChannel(name, as, 256, pol)
 		drv.EnableODP(ch)
 		st := tcp.NewStack(ch, tcp.DefaultConfig())
 		// Pre-fault rings (the §6.4 benchmarks eliminate the cold ring).

@@ -28,7 +28,7 @@ func TestSoakEthBackupUnderInjection(t *testing.T) {
 			dev := nic.NewDevice(eng, net, dcfg)
 			drv.AttachDevice(dev)
 			as := m.NewAddressSpace(name, nil)
-			ch := dev.NewChannel(name, as, 128, nic.PolicyBackup, 128)
+			ch := dev.NewChannel(name, as, 128, nic.PolicyBackup)
 			drv.EnableODP(ch)
 			return tcp.NewStack(ch, tcp.DefaultConfig())
 		}
@@ -130,11 +130,11 @@ func TestSoakMemcachedUnderMemoryPressure(t *testing.T) {
 	}
 	sDev, cDev := mkDev(), mkDev()
 	sAS := m.NewAddressSpace("srv", cg)
-	sCh := sDev.NewChannel("srv", sAS, 64, nic.PolicyBackup, 64)
+	sCh := sDev.NewChannel("srv", sAS, 64, nic.PolicyBackup)
 	drv.EnableODP(sCh)
 	sStack := tcp.NewStack(sCh, tcp.DefaultConfig())
 	cAS := m.NewAddressSpace("cli", nil)
-	cCh := cDev.NewChannel("cli", cAS, 128, nic.PolicyPinned, 128)
+	cCh := cDev.NewChannel("cli", cAS, 128, nic.PolicyPinned)
 	cStack := tcp.NewStack(cCh, tcp.DefaultConfig())
 	if _, err := core.StaticPinAll(cAS, cCh.Domain); err != nil {
 		t.Fatal(err)

@@ -167,7 +167,7 @@ func ablateDropBurst(s *Scope, disable bool) float64 {
 	drv.AttachDevice(dev)
 	as := m.NewAddressSpace("u", nil)
 	as.MapBytes(1 << 20)
-	ch := dev.NewChannel("u", as, 64, nic.PolicyDrop, 64)
+	ch := dev.NewChannel("u", as, 64, nic.PolicyDrop)
 	drv.EnableODP(ch)
 	for i := 0; i < 64; i++ {
 		ch.Rx.PostRx(nic.Descriptor{Buffer: mem.VAddr(i) * mem.PageSize, Len: mem.PageSize})

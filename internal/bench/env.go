@@ -69,6 +69,8 @@ type EthEnv struct {
 	// scope with a Trace factory. It lives on the server engine; the client
 	// host runs untraced.
 	Tracer *trace.Tracer
+
+	srv, cli *topo.Host
 }
 
 // Run drives the env to quiescence and returns the end time.
@@ -102,21 +104,35 @@ func NewEthEnv(o EthOpts) *EthEnv {
 	}
 	dcfg := core.DefaultConfig()
 	dcfg.PrefaultRing = o.PrefaultRing
+	ncfg := nic.DefaultConfig()
+	if !o.Jitter {
+		ncfg.FirmwareJitterSigma = 0
+	}
 	fcfg := fabric.DefaultEthernet()
 	g := o.Scope.newEnvGroup(o.Seed+1, fcfg.Lookahead())
 	eng, ceng := g.Engine(0), g.Engine(g.Parts()-1)
 	tr := o.Scope.tracer(eng, o.Trace)
 	net := fabric.NewOnGroup(g, fcfg)
 	// One spec stamps out both substrates (machines and drivers don't
-	// split RNGs, so the per-host grouping preserves seeded results).
+	// split RNGs, so the per-host grouping preserves seeded results). The
+	// NICs attach afterwards, server first, in the order their RNGs split.
 	spec := topo.HostSpec{RAM: o.ServerRAM, Driver: dcfg}
 	srv := spec.Build(eng, net, tr, "server")
 	spec.RAM = 8 << 30
 	cli := spec.Build(ceng, net, nil, "client")
 	e := &EthEnv{Eng: eng, G: g, ClientEng: ceng, Net: net, M: srv.M,
-		ClientM: cli.M, Drv: srv.Drv, ClientDrv: cli.Drv, Tracer: tr}
-	e.Server = e.newHost(e.Eng, e.Drv, e.M, "server", o.Policy, o.RingSize, o.ServerCgroup, o.Jitter)
-	e.Client = e.newHost(e.ClientEng, e.ClientDrv, e.ClientM, "client", nic.PolicyPinned, 256, nil, o.Jitter)
+		ClientM: cli.M, Drv: srv.Drv, ClientDrv: cli.Drv, Tracer: tr, srv: srv, cli: cli}
+	// The server device is the traced one; stacks inherit the tracer from
+	// their device at construction, so it is set before any endpoint.
+	srv.AttachNIC(net, ncfg, tr)
+	var err error
+	if e.Server, err = newEndpoint(srv, "server", o.Policy, o.RingSize, o.ServerCgroup, 0); err != nil {
+		panic(fmt.Sprintf("bench: pinning server: %v", err))
+	}
+	cli.AttachNIC(net, ncfg, nil)
+	if e.Client, err = newEndpoint(cli, "client", nic.PolicyPinned, 256, nil, 0); err != nil {
+		panic(fmt.Sprintf("bench: pinning client: %v", err))
+	}
 	return e
 }
 
@@ -126,61 +142,43 @@ func NewEthEnv(o EthOpts) *EthEnv {
 // Pinned instances whose memory does not fit return an error (the paper's
 // Table 5 "N/A").
 func (e *EthEnv) AddServerInstance(name string, policy nic.FaultPolicy, ringSize int, cgroup *mem.Group, vmBytes int64) (*EthHost, error) {
-	h := &EthHost{Dev: e.Server.Dev}
-	h.AS = e.M.NewAddressSpace(name, cgroup)
-	if vmBytes > 0 {
-		h.AS.MapBytes(vmBytes)
-	}
-	h.Chan = h.Dev.NewChannel(name, h.AS, ringSize, policy, ringSize)
-	if policy != nic.PolicyPinned {
-		e.Drv.EnableODP(h.Chan)
-	}
-	h.Stack = tcp.NewStack(h.Chan, tcp.DefaultConfig())
-	if policy == nic.PolicyPinned {
-		if _, err := core.StaticPinAll(h.AS, h.Chan.Domain); err != nil {
-			return nil, fmt.Errorf("bench: pinning %s: %w", name, err)
-		}
+	h, err := newEndpoint(e.srv, name, policy, ringSize, cgroup, vmBytes)
+	if err != nil {
+		return nil, fmt.Errorf("bench: pinning %s: %w", name, err)
 	}
 	return h, nil
 }
 
 // AddClientInstance adds another (pinned) client stack on the client NIC.
 func (e *EthEnv) AddClientInstance(name string) *EthHost {
-	h := &EthHost{Dev: e.Client.Dev}
-	h.AS = e.ClientM.NewAddressSpace(name, nil)
-	h.Chan = h.Dev.NewChannel(name, h.AS, 256, nic.PolicyPinned, 256)
-	h.Stack = tcp.NewStack(h.Chan, tcp.DefaultConfig())
-	if _, err := core.StaticPinAll(h.AS, h.Chan.Domain); err != nil {
+	h, err := newEndpoint(e.cli, name, nic.PolicyPinned, 256, nil, 0)
+	if err != nil {
 		panic(err)
 	}
 	return h
 }
 
-func (e *EthEnv) newHost(eng *sim.Engine, drv *core.Driver, m *mem.Machine, name string, policy nic.FaultPolicy, ringSize int, cgroup *mem.Group, jitter bool) *EthHost {
-	dcfg := nic.DefaultConfig()
-	if !jitter {
-		dcfg.FirmwareJitterSigma = 0
+// newEndpoint opens one IOuser on host's NIC: an address space (with
+// vmBytes mapped first), a channel, on-demand paging or a static pin per
+// policy, and a TCP stack. A static pin that does not fit returns its
+// error; the caller decides whether that is fatal.
+func newEndpoint(host *topo.Host, name string, policy nic.FaultPolicy, ringSize int, cgroup *mem.Group, vmBytes int64) (*EthHost, error) {
+	h := &EthHost{Dev: host.Dev}
+	h.AS = host.M.NewAddressSpace(name, cgroup)
+	if vmBytes > 0 {
+		h.AS.MapBytes(vmBytes)
 	}
-	dev := nic.NewDevice(eng, e.Net, dcfg)
-	// The server device is the traced one; stacks inherit the tracer from
-	// their device at construction, so set it before tcp.NewStack below.
-	if name == "server" {
-		dev.SetTracer(e.Tracer)
-	}
-	drv.AttachDevice(dev)
-	h := &EthHost{Dev: dev}
-	h.AS = m.NewAddressSpace(name, cgroup)
-	h.Chan = dev.NewChannel(name, h.AS, ringSize, policy, ringSize)
+	h.Chan = h.Dev.NewChannel(name, h.AS, ringSize, policy)
 	if policy != nic.PolicyPinned {
-		drv.EnableODP(h.Chan)
+		host.Drv.EnableODP(h.Chan)
 	}
 	h.Stack = tcp.NewStack(h.Chan, tcp.DefaultConfig())
 	if policy == nic.PolicyPinned {
 		if _, err := core.StaticPinAll(h.AS, h.Chan.Domain); err != nil {
-			panic(fmt.Sprintf("bench: pinning %s: %v", name, err))
+			return nil, err
 		}
 	}
-	return h
+	return h, nil
 }
 
 // IBEnv is a pair of InfiniBand hosts with ODP drivers.

@@ -66,7 +66,7 @@ func runEthStream(s *Scope, freqPerByte float64, major, backup bool) float64 {
 		dev := nic.NewDevice(eng, net, dcfg)
 		drv.AttachDevice(dev)
 		as := m.NewAddressSpace(name, nil)
-		ch := dev.NewChannel(name, as, 256, pol, 256)
+		ch := dev.NewChannel(name, as, 256, pol)
 		drv.EnableODP(ch)
 		st := tcp.NewStack(ch, tcp.DefaultConfig())
 		st.WarmBuffers() // pre-fault the ring: no cold-ring effects here

@@ -47,7 +47,7 @@ func BenchmarkBackupReplay(b *testing.B) {
 	drv.AttachDevice(dev)
 	as := m.NewAddressSpace("u", nil)
 	as.MapBytes(1 << 20)
-	ch := dev.NewChannel("u", as, 64, nic.PolicyBackup, 64)
+	ch := dev.NewChannel("u", as, 64, nic.PolicyBackup)
 	drv.EnableODP(ch)
 	src := nic.NewDevice(eng, net, dcfg) // traffic source
 	drv.AttachDevice(src)

@@ -278,12 +278,14 @@ func RunScenario(name string, seed int64, o Options) (*Report, error) {
 // Ethernet testbed.
 
 // ethEnv is a compact two-host Ethernet testbed: an ODP server with a
-// backup ring (cold — nothing prefaulted) and a warm, unmodified client.
-// It mirrors internal/bench's env without importing it, so the root
-// npf package can re-export this package. The server lives on partition 0
-// of the testbed's group (with the tracer and every chaos target) and the
-// client on its last partition: partition 1 at Options.Engines >= 1, else
-// the same one engine.
+// backup ring and a warm, unmodified client. It differs from
+// internal/bench's EthEnv in three ways: the client's buffers are warmed
+// (tcp.Stack.WarmBuffers), not statically pinned; the server's backup
+// ring starts cold, with nothing prefaulted; and the testbed hands its
+// server-side parts to the scenarios as chaos targets. The server lives
+// on partition 0 of the testbed's group (with the tracer and every chaos
+// target) and the client on its last partition: partition 1 at
+// Options.Engines >= 1, else the same one engine.
 type ethEnv struct {
 	eng      *sim.Engine // server engine (partition 0)
 	engC     *sim.Engine // client engine (the last partition)
@@ -313,14 +315,15 @@ func newEthEnv(o Options, seed int64, ringSize int, dcfg core.Config, cgroupLimi
 		e.group = mem.NewGroup("chaos-cgroup", cgroupLimit)
 	}
 	e.serverAS = e.m.NewAddressSpace("server", e.group)
-	sch := e.sDev.NewChannel("server", e.serverAS, ringSize, nic.PolicyBackup, ringSize)
+	sch := e.sDev.NewChannel("server", e.serverAS, ringSize, nic.PolicyBackup)
 	e.drv.EnableODP(sch)
 	e.server = tcp.NewStack(sch, tcp.DefaultConfig())
 
-	// The client is warm, fully pinned and untraced.
+	// The client is warm and untraced: its buffers are touched and mapped
+	// up front, never pinned.
 	cli := topo.HostSpec{NIC: &ncfg}.Build(e.engC, e.net, nil, "client")
 	cAS := cli.M.NewAddressSpace("client", nil)
-	cch := cli.Dev.NewChannel("client", cAS, 256, nic.PolicyPinned, 256)
+	cch := cli.Dev.NewChannel("client", cAS, 256, nic.PolicyPinned)
 	e.client = tcp.NewStack(cch, tcp.DefaultConfig())
 	e.client.WarmBuffers()
 	o.sample(e.tr)

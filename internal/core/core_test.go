@@ -185,7 +185,7 @@ func newEthEnv(t *testing.T, serverPolicy nic.FaultPolicy, ringSize int, prefaul
 		dev := nic.NewDevice(eng, net, dcfg)
 		drv.AttachDevice(dev)
 		as := m.NewAddressSpace(name, nil)
-		ch := dev.NewChannel(name, as, ringSize, policy, ringSize)
+		ch := dev.NewChannel(name, as, ringSize, policy)
 		if odp {
 			drv.EnableODP(ch)
 		}
@@ -289,7 +289,7 @@ func TestStaticPinAllAndOvercommitFailure(t *testing.T) {
 
 	as1 := m.NewAddressSpace("vm1", nil)
 	as1.MapBytes(40 * mem.PageSize)
-	ch1 := u.NewChannel("c1", as1, 8, nic.PolicyPinned, 8)
+	ch1 := u.NewChannel("c1", as1, 8, nic.PolicyPinned)
 	if _, err := StaticPinAll(as1, ch1.Domain); err != nil {
 		t.Fatalf("vm1 pin: %v", err)
 	}
@@ -299,7 +299,7 @@ func TestStaticPinAllAndOvercommitFailure(t *testing.T) {
 
 	as2 := m.NewAddressSpace("vm2", nil)
 	as2.MapBytes(40 * mem.PageSize)
-	ch2 := u.NewChannel("c2", as2, 8, nic.PolicyPinned, 8)
+	ch2 := u.NewChannel("c2", as2, 8, nic.PolicyPinned)
 	_, err := StaticPinAll(as2, ch2.Domain)
 	if !errors.Is(err, mem.ErrOutOfMemory) {
 		t.Fatalf("vm2 pin err = %v, want OOM (Table 5's N/A)", err)
@@ -312,7 +312,7 @@ func TestFineGrainedPinCycle(t *testing.T) {
 	u := nic.NewDevice(eng, fabric.New(eng, fabric.DefaultEthernet()), nic.DefaultConfig())
 	as := m.NewAddressSpace("p", nil)
 	as.MapBytes(1 << 20)
-	ch := u.NewChannel("c", as, 8, nic.PolicyPinned, 8)
+	ch := u.NewChannel("c", as, 8, nic.PolicyPinned)
 
 	cost, release, err := FineGrainedPin(as, ch.Domain, 0, 64<<10)
 	if err != nil {
@@ -336,7 +336,7 @@ func TestPinDownCacheAmortizes(t *testing.T) {
 	u := nic.NewDevice(eng, fabric.New(eng, fabric.DefaultEthernet()), nic.DefaultConfig())
 	as := m.NewAddressSpace("p", nil)
 	as.MapBytes(16 << 20)
-	ch := u.NewChannel("c", as, 8, nic.PolicyPinned, 8)
+	ch := u.NewChannel("c", as, 8, nic.PolicyPinned)
 	pdc := NewPinDownCache(as, ch.Domain, 1<<20)
 
 	first, err := pdc.Acquire(0, 64<<10)
@@ -361,7 +361,7 @@ func TestPinDownCacheCapacityEviction(t *testing.T) {
 	u := nic.NewDevice(eng, fabric.New(eng, fabric.DefaultEthernet()), nic.DefaultConfig())
 	as := m.NewAddressSpace("p", nil)
 	as.MapBytes(64 << 20)
-	ch := u.NewChannel("c", as, 8, nic.PolicyPinned, 8)
+	ch := u.NewChannel("c", as, 8, nic.PolicyPinned)
 	pdc := NewPinDownCache(as, ch.Domain, 32*mem.PageSize)
 
 	for i := 0; i < 16; i++ {
@@ -393,7 +393,7 @@ func TestPinDownCacheInvariantProperty(t *testing.T) {
 		u := nic.NewDevice(eng, fabric.New(eng, fabric.DefaultEthernet()), nic.DefaultConfig())
 		as := m.NewAddressSpace("p", nil)
 		as.MapBytes(64 << 20)
-		ch := u.NewChannel("c", as, 8, nic.PolicyPinned, 8)
+		ch := u.NewChannel("c", as, 8, nic.PolicyPinned)
 		pdc := NewPinDownCache(as, ch.Domain, 16*mem.PageSize)
 		for _, op := range ops {
 			addr := mem.VAddr(op%64) * mem.PageSize

@@ -30,7 +30,7 @@ func TestFirmwareDelayHook(t *testing.T) {
 			drv.AttachDevice(dev)
 			as := m.NewAddressSpace("tx", nil)
 			as.MapBytes(1 << 20)
-			ch := dev.NewChannel("tx", as, 16, nic.PolicyBackup, 16)
+			ch := dev.NewChannel("tx", as, 16, nic.PolicyBackup)
 			drv.EnableODP(ch)
 			// A send from a cold buffer takes a TX NPF.
 			return &dev.Firmware, drv, func(i int) {

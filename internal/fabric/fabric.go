@@ -115,10 +115,9 @@ type node struct {
 	loss LossFunc
 	// Wire statistics are per-node (single-writer under PDES) and summed
 	// by the Network's aggregate accessors after a run.
-	delivered      sim.Counter
-	deliveredBytes sim.Counter
-	dropped        sim.Counter
-	injectedDrops  sim.Counter
+	delivered     sim.Counter
+	dropped       sim.Counter
+	injectedDrops sim.Counter
 }
 
 // New creates a network on eng with the given configuration. It spans
@@ -199,11 +198,6 @@ func (n *Network) Engine(id NodeID) *sim.Engine { return n.nodes[id].eng }
 
 // Delivered counts packets delivered to endpoints, across all nodes.
 func (n *Network) Delivered() uint64 { return n.sum(func(nd *node) uint64 { return nd.delivered.N }) }
-
-// DeliveredBytes counts payload bytes delivered, across all nodes.
-func (n *Network) DeliveredBytes() uint64 {
-	return n.sum(func(nd *node) uint64 { return nd.deliveredBytes.N })
-}
 
 // Dropped counts packets lost anywhere in the fabric.
 func (n *Network) Dropped() uint64 { return n.sum(func(nd *node) uint64 { return nd.dropped.N }) }
@@ -286,7 +280,6 @@ func (n *Network) deliver(dst *node, p *Packet) {
 		return
 	}
 	dst.delivered.Inc()
-	dst.deliveredBytes.Add(uint64(p.Size))
 	dst.endpoint.Deliver(p)
 }
 

@@ -127,18 +127,3 @@ func (p *Placement) Promote(shard, host int) bool {
 	p.epoch[shard]++
 	return true
 }
-
-// HostShards returns the shards for which host appears in the replica
-// set, ascending — used to enumerate a host's replicas deterministically.
-func (p *Placement) HostShards(host int) []int {
-	var out []int
-	for s, set := range p.table {
-		for _, h := range set {
-			if h == host {
-				out = append(out, s)
-				break
-			}
-		}
-	}
-	return out
-}

@@ -127,7 +127,7 @@ func (s *Service) buildTCPMesh() {
 		if s.hostODP(h) {
 			policy = nic.PolicyBackup
 		}
-		ch := h.Dev.NewChannel(h.Name, h.netAS, s.Cfg.RingSize, policy, s.Cfg.RingSize)
+		ch := h.Dev.NewChannel(h.Name, h.netAS, s.Cfg.RingSize, policy)
 		if s.hostODP(h) {
 			h.Drv.EnableODP(ch)
 		}

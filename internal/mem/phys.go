@@ -214,6 +214,3 @@ func NewMachine(eng *sim.Engine, ramBytes int64) *Machine {
 		Costs: DefaultCosts(),
 	}
 }
-
-// FreeBytes reports unallocated physical memory.
-func (m *Machine) FreeBytes() int64 { return m.RAM.Limit - m.RAM.Used() }

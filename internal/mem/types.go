@@ -27,9 +27,6 @@ type PageNum int64
 // Page returns the page containing a.
 func (a VAddr) Page() PageNum { return PageNum(a >> PageShift) }
 
-// Offset returns the offset of a within its page.
-func (a VAddr) Offset() uint64 { return uint64(a) & (PageSize - 1) }
-
 // Base returns the first address of page pn.
 func (pn PageNum) Base() VAddr { return VAddr(pn) << PageShift }
 

@@ -208,12 +208,9 @@ type Channel struct {
 }
 
 // NewChannel creates an IOchannel with an RX ring of ringSize entries under
-// the given fault policy. bmSize bounds in-flight rNPFs per the paper's
-// bitmap (<=0 defaults to ringSize).
-func (d *Device) NewChannel(name string, as *mem.AddressSpace, ringSize int, policy FaultPolicy, bmSize int) *Channel {
-	if bmSize <= 0 {
-		bmSize = ringSize
-	}
+// the given fault policy. The ring's rNPF bitmap (the paper's Figure 6) has
+// one bit per ring entry.
+func (d *Device) NewChannel(name string, as *mem.AddressSpace, ringSize int, policy FaultPolicy) *Channel {
 	d.nextFlow++
 	ch := &Channel{
 		Dev:    d,
@@ -222,7 +219,7 @@ func (d *Device) NewChannel(name string, as *mem.AddressSpace, ringSize int, pol
 		Domain: d.MMU.NewDomain(),
 		Flow:   d.nextFlow,
 	}
-	ch.Rx = newRxRing(ch, ringSize, bmSize, policy)
+	ch.Rx = newRxRing(ch, ringSize, ringSize, policy)
 	ch.Tx = newTxQueue(ch)
 	d.channels[ch.Flow] = ch
 	return ch

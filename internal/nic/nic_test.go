@@ -95,7 +95,12 @@ func newEnv(t *testing.T, policy FaultPolicy, ringSize, bmSize int) *testEnv {
 	}
 	e.as = e.m.NewAddressSpace("iouser", nil)
 	e.as.MapBytes(64 << 20)
-	e.ch = e.dev.NewChannel("ch0", e.as, ringSize, policy, bmSize)
+	e.ch = e.dev.NewChannel("ch0", e.as, ringSize, policy)
+	if bmSize != ringSize {
+		// NewChannel's bitmap is ring-sized; a few tests reach the
+		// bitmap's edges with a smaller or larger one.
+		e.ch.Rx = newRxRing(e.ch, ringSize, bmSize, policy)
+	}
 	e.ch.SetRxHandler(e)
 	e.ch.SetTxHandler(e)
 	e.drv = &testDriver{env: e}
@@ -383,8 +388,8 @@ func TestTxFaultSuspendsAndResumes(t *testing.T) {
 	dstAS := m.NewAddressSpace("dst", nil)
 	dstAS.MapBytes(1 << 20)
 
-	srcCh := src.NewChannel("src0", srcAS, 8, PolicyBackup, 8)
-	dstCh := dst.NewChannel("dst0", dstAS, 8, PolicyBackup, 8)
+	srcCh := src.NewChannel("src0", srcAS, 8, PolicyBackup)
+	dstCh := dst.NewChannel("dst0", dstAS, 8, PolicyBackup)
 
 	recv := &testEnv{eng: eng}
 	dstCh.SetRxHandler(recv)
@@ -426,7 +431,7 @@ func TestTxWarmNoFault(t *testing.T) {
 	peer := NewDevice(e.eng, e.net, e.dev.Cfg)
 	peerAS := e.m.NewAddressSpace("peer", nil)
 	peerAS.MapBytes(1 << 20)
-	peerCh := peer.NewChannel("p0", peerAS, 8, PolicyBackup, 8)
+	peerCh := peer.NewChannel("p0", peerAS, 8, PolicyBackup)
 	peer.SetNPFSink(&testDriver{})
 	sink := &testEnv{eng: e.eng}
 	peerCh.SetRxHandler(sink)

@@ -45,9 +45,6 @@ func newTxQueue(ch *Channel) *TxQueue {
 // Suspended reports whether the queue is stalled on an NPF.
 func (q *TxQueue) Suspended() bool { return q.suspended }
 
-// QueuedPackets reports descriptors awaiting transmission.
-func (q *TxQueue) QueuedPackets() int { return q.queue.Len() }
-
 // Post enqueues descriptors for transmission.
 func (q *TxQueue) Post(descs ...TxDesc) {
 	for _, d := range descs {

@@ -221,12 +221,6 @@ func (qp *QP) PostRead(wqe ReadWQE) {
 	qp.toPeer(pkt, 0)
 }
 
-// RecvQueueLen reports posted, unconsumed receive WQEs.
-func (qp *QP) RecvQueueLen() int { return qp.rq.Len() }
-
-// SendQueueLen reports send WQEs not yet fully acknowledged.
-func (qp *QP) SendQueueLen() int { return qp.sq.Len() }
-
 // ---------------------------------------------------------------------------
 // Requester: send engine.
 

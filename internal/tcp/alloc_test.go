@@ -22,7 +22,7 @@ func pinnedStack(eng *sim.Engine, net *fabric.Network, name string, tr *trace.Tr
 		dev.SetTracer(tr)
 	}
 	as := mem.NewMachine(eng, 1<<30).NewAddressSpace(name, nil)
-	s := NewStack(dev.NewChannel(name, as, 64, nic.PolicyPinned, 64), DefaultConfig())
+	s := NewStack(dev.NewChannel(name, as, 64, nic.PolicyPinned), DefaultConfig())
 	warm(s)
 	return s
 }

@@ -76,7 +76,7 @@ func newPair(t *testing.T, serverPolicy nic.FaultPolicy, ringSize int, lossProb 
 		dev := nic.NewDevice(eng, net, dcfg)
 		dev.SetNPFSink(autoDriver{})
 		as := m.NewAddressSpace(name, nil)
-		ch := dev.NewChannel(name, as, ringSize, policy, ringSize)
+		ch := dev.NewChannel(name, as, ringSize, policy)
 		return NewStack(ch, DefaultConfig())
 	}
 	p := &pair{eng: eng, net: net, m: m}

@@ -136,7 +136,7 @@ func (sv *serverHost) addTenant(t *tenantState) *serverTenant {
 		if spec.Reg == RegPinned {
 			policy = nic.PolicyPinned
 		}
-		st.ch = sv.host.Dev.NewChannel(name, st.as, s.cfg.RingSize, policy, s.cfg.RingSize)
+		st.ch = sv.host.Dev.NewChannel(name, st.as, s.cfg.RingSize, policy)
 		st.ch.SetRxHandler(st)
 		if spec.Reg != RegPinned {
 			sv.host.Drv.EnableODP(st.ch)

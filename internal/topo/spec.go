@@ -13,10 +13,11 @@ import (
 // HostSpec is the reusable recipe for one simulated host's substrate:
 // memory machine, NPF driver, and optionally a NIC or HCA. A spec is a
 // value — stamp out a thousand hosts from one spec with Build in a loop,
-// varying only the engine (partition) and name. The construction order
-// (machine, driver, then adapter) matches the historical per-host builders
-// in internal/kv and the root facade, so RNG split order — and therefore
-// every seeded result — is preserved when a builder migrates to a spec.
+// varying only the engine (partition) and name. It is the one host
+// recipe: kv, the sweep, the bench and chaos testbeds and the root facade
+// all build through it. The construction order is machine, driver, then
+// adapter; a builder that attaches its adapter later (Host.AttachNIC,
+// AttachHCA) controls where that adapter's RNG split falls.
 type HostSpec struct {
 	// RAM is the host's physical memory (default 8 GiB).
 	RAM int64
@@ -65,14 +66,29 @@ func (sp HostSpec) Build(eng *sim.Engine, net *fabric.Network, tr *trace.Tracer,
 		h.NetAS.MapBytes(sp.NetASBytes)
 	}
 	if sp.NIC != nil {
-		h.Dev = nic.NewDevice(eng, net, *sp.NIC)
-		h.Dev.SetTracer(tr)
-		h.Drv.AttachDevice(h.Dev)
+		h.AttachNIC(net, *sp.NIC, tr)
 	}
 	if sp.HCA != nil {
-		h.HCA = rc.NewHCA(eng, net, *sp.HCA)
-		h.HCA.SetTracer(tr)
-		h.Drv.AttachHCA(h.HCA)
+		h.AttachHCA(net, *sp.HCA, tr)
 	}
 	return h
+}
+
+// AttachNIC gives the host an Ethernet NIC on net, traced by tr (nil:
+// untraced) and served by the host's driver. The device's RNG splits
+// here, so hosts that attach later keep the order they attach in.
+func (h *Host) AttachNIC(net *fabric.Network, cfg nic.Config, tr *trace.Tracer) *nic.Device {
+	h.Dev = nic.NewDevice(h.Eng, net, cfg)
+	h.Dev.SetTracer(tr)
+	h.Drv.AttachDevice(h.Dev)
+	return h.Dev
+}
+
+// AttachHCA gives the host an InfiniBand adapter on net, traced by tr
+// (nil: untraced) and served by the host's driver.
+func (h *Host) AttachHCA(net *fabric.Network, cfg rc.Config, tr *trace.Tracer) *rc.HCA {
+	h.HCA = rc.NewHCA(h.Eng, net, cfg)
+	h.HCA.SetTracer(tr)
+	h.Drv.AttachHCA(h.HCA)
+	return h.HCA
 }

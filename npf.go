@@ -184,16 +184,11 @@ func DefaultTCPConfig() TCPConfig { return tcp.DefaultConfig() }
 type (
 	// Driver is the IOprovider's NPF driver (ODP).
 	Driver = core.Driver
-	// DriverConfig holds driver cost parameters and policy knobs.
-	DriverConfig = core.Config
 	// PinDownCache is the coarse-grained pinning baseline.
 	PinDownCache = core.PinDownCache
 	// IOMMUDomain is a device translation domain.
 	IOMMUDomain = iommu.Domain
 )
-
-// DefaultDriverConfig returns Figure-3-calibrated driver costs.
-func DefaultDriverConfig() DriverConfig { return core.DefaultConfig() }
 
 // StaticPinAll pins an entire address space (the SRIOV/DPDK production
 // baseline). It fails when physical memory cannot hold it.
@@ -212,12 +207,6 @@ type (
 	// latency histograms on the engine's virtual clock. A nil *Tracer is
 	// inert, so call sites never guard.
 	Tracer = trace.Tracer
-	// Span is one interval of a view derived from the recorded events
-	// (trace.FaultSpans, trace.ContextSpans); SpanID names it within its
-	// view; Arg is an attached key/value.
-	Span   = trace.Span
-	SpanID = trace.SpanID
-	Arg    = trace.Arg
 	// Sampler snapshots all registered metrics every interval of virtual
 	// time (see WithSampling); Series is its exportable result, with CSV,
 	// JSON, OpenMetrics, and sparkline renderers.
@@ -285,8 +274,6 @@ type (
 	// the per-tenant server memory registration.
 	SweepTransport = topo.Transport
 	SweepRegPolicy = topo.RegPolicy
-	// Topology maps hosts to racks and racks to PDES partitions.
-	Topology = topo.Topology
 )
 
 // Sweep transports and registration policies (the paper's Table 3

@@ -1,6 +1,9 @@
 package npf
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // Facade-level tests: the public API alone must be enough to build working
 // setups (this is what the examples rely on).
@@ -121,6 +124,49 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	// built or run that moves a traced event fails here.
 	if d1 != 0xaa76268da7733b79 {
 		t.Fatalf("digest %016x (%d events, last receive %v), pinned aa76268da7733b79", d1, e1, t1)
+	}
+}
+
+// WithSampling, as README shows it: the sampler exists, its series has
+// rows and the driver's NPF counter as a column, and two same-seed runs
+// export byte-identical CSV.
+func TestWithSampling(t *testing.T) {
+	run := func() (*Series, []byte) {
+		cluster := NewCluster(WithSeed(42), WithFabric(InfiniBandFabric()), WithSampling(100*Microsecond))
+		if cluster.Sampler == nil {
+			t.Fatal("WithSampling left Cluster.Sampler nil")
+		}
+		a, b := cluster.NewHost("a"), cluster.NewHost("b")
+		src := a.NewProcess("src", nil)
+		src.MapBytes(1 << 20)
+		dst := b.NewProcess("dst", nil)
+		dst.MapBytes(1 << 20)
+		qpA, qpB := a.OpenQP(src), b.OpenQP(dst)
+		ConnectQPs(qpA, qpB)
+		qpB.PostRecv(RecvWQE{ID: 1, Addr: 0, Len: 64 << 10})
+		qpA.PostSend(SendWQE{ID: 1, Laddr: 0, Len: 64 << 10})
+		cluster.Run()
+		series := cluster.Sampler.Series()
+		var csv bytes.Buffer
+		if err := series.WriteCSV(&csv); err != nil {
+			t.Fatal(err)
+		}
+		return series, csv.Bytes()
+	}
+	s1, csv1 := run()
+	_, csv2 := run()
+	if len(s1.Times) == 0 {
+		t.Fatal("sampled series has no rows")
+	}
+	npfs, ok := s1.Cols["core.npfs"]
+	if !ok {
+		t.Fatalf("no core.npfs column among %v", s1.Names)
+	}
+	if npfs[len(npfs)-1] == 0 {
+		t.Fatal("core.npfs never rose over a cold transfer")
+	}
+	if !bytes.Equal(csv1, csv2) {
+		t.Fatal("same-seed runs exported different CSV")
 	}
 }
 

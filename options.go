@@ -22,13 +22,11 @@ type clusterConfig struct {
 
 type hostConfig struct {
 	ram     int64
-	driver  DriverConfig
 	part    int  // -1 = round-robin across partitions
 	partSet bool // WithPartition was given explicitly (validate it)
 }
 
 type channelConfig struct {
-	name     string
 	ringSize int
 	policy   FaultPolicy
 	plan     *ChaosPlan
@@ -142,17 +140,6 @@ func WithRAM(bytes int64) HostOption {
 // non-negative p is ignored as documented.
 func WithPartition(p int) HostOption {
 	return hostOption(func(c *hostConfig) { c.part = p; c.partSet = true })
-}
-
-// WithDriverConfig overrides the host's NPF driver configuration (default
-// DefaultDriverConfig()).
-func WithDriverConfig(cfg DriverConfig) HostOption {
-	return hostOption(func(c *hostConfig) { c.driver = cfg })
-}
-
-// WithChannelName names the channel (default: the address space's name).
-func WithChannelName(name string) ChannelOption {
-	return channelOption(func(c *channelConfig) { c.name = name })
 }
 
 // WithRingSize sets the channel's RX descriptor ring size (default 256).

@@ -44,6 +44,9 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# The full suite. It also checks the four examples' output byte for byte:
+# each of examples/{quickstart,keyvalue,hpc,storage} has an Example
+# function whose "// Output:" block is the program's stdout.
 echo "== go test =="
 go test -timeout 20m ./...
 
