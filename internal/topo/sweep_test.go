@@ -259,3 +259,36 @@ func pointerFields(t reflect.Type, path string) []string {
 	}
 	return nil
 }
+
+// TestDefaultTenantSizing pins one default tenant's per-server memory: an
+// arena of two 1 KiB slots per key on the server plus eight (4096 keys on
+// one server: 2050 pages), a group limit of arena, ring and one page of
+// slack (UD adds its reply buffer to the ring), and a pin-down cache half
+// the arena.
+func TestDefaultTenantSizing(t *testing.T) {
+	const arena = 2050 * 4096
+	for _, tc := range []struct {
+		tr    Transport
+		limit int64
+	}{
+		{TransportEth, arena + 128*4096 + 4096},
+		{TransportUD, arena + 129*4096 + 4096},
+	} {
+		eng := sim.NewEngine(1)
+		cfg := SweepConfig{Servers: 1, SwarmHosts: 1, Transport: tc.tr, Tenants: []TenantSpec{{Reg: RegPinDown}}}
+		s, err := New(eng, fabric.New(eng, fabricFor(tc.tr)), cfg)
+		if err != nil {
+			t.Fatalf("[%v] New: %v", tc.tr, err)
+		}
+		st := s.servers[0].tenants[0]
+		if got := st.slots * st.slotSize; got != arena {
+			t.Errorf("[%v] arena %d B, want %d", tc.tr, got, arena)
+		}
+		if st.group.Limit != tc.limit {
+			t.Errorf("[%v] group limit %d B, want %d", tc.tr, st.group.Limit, tc.limit)
+		}
+		if st.pdc.Capacity != arena/2 {
+			t.Errorf("[%v] pin-down capacity %d B, want %d", tc.tr, st.pdc.Capacity, arena/2)
+		}
+	}
+}
