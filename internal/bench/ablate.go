@@ -7,13 +7,13 @@ import (
 	"strings"
 
 	"npf/internal/apps"
-	"npf/internal/core"
 	"npf/internal/fabric"
 	"npf/internal/iommu"
 	"npf/internal/mem"
 	"npf/internal/nic"
 	"npf/internal/rc"
 	"npf/internal/sim"
+	"npf/internal/topo"
 )
 
 // AblateResult collects the design-choice ablations called out in §4's
@@ -158,27 +158,24 @@ func ablateColdSend(s *Scope, prefetch bool) (events float64, ms float64) {
 func ablateDropBurst(s *Scope, disable bool) float64 {
 	eng := s.newBenchGroup(31, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultEthernet())
-	m := mem.NewMachine(eng, 8<<30)
-	drv := core.NewDriver(eng, core.DefaultConfig())
+	host := topo.HostSpec{RAM: 8 << 30}.Build(eng, net, nil, "u")
 	dcfg := nic.DefaultConfig()
 	dcfg.FirmwareJitterSigma = 0
 	dcfg.DisableInflightBitmap = disable
-	dev := nic.NewDevice(eng, net, dcfg)
-	drv.AttachDevice(dev)
-	as := m.NewAddressSpace("u", nil)
+	dev := host.AttachNIC(net, dcfg, nil)
+	as := host.M.NewAddressSpace("u", nil)
 	as.MapBytes(1 << 20)
 	ch := dev.NewChannel("u", as, 64, nic.PolicyDrop)
-	drv.EnableODP(ch)
+	host.Drv.EnableODP(ch)
 	for i := 0; i < 64; i++ {
 		ch.Rx.PostRx(nic.Descriptor{Buffer: mem.VAddr(i) * mem.PageSize, Len: mem.PageSize})
 	}
-	src := nic.NewDevice(eng, net, dcfg) // traffic source
-	drv.AttachDevice(src)
+	src := host.AttachNIC(net, dcfg, nil) // traffic source
 	for i := 0; i < 200; i++ {
 		net.Send(&fabric.Packet{Src: src.Node, Dst: dev.Node, Flow: ch.Flow, Size: 4096})
 	}
 	eng.RunUntil(sim.Second)
-	return float64(drv.RxReports.N)
+	return float64(host.Drv.RxReports.N)
 }
 
 // ablateReadRNR measures repeated 512KB RDMA reads into cold destinations.

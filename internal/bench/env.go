@@ -40,7 +40,8 @@ func partTracers(g *sim.Group, mk func(*sim.Engine) *trace.Tracer) []*trace.Trac
 	return trs
 }
 
-// EthHost bundles one Ethernet endpoint: device, channel, stack, driver.
+// EthHost bundles one Ethernet endpoint: device, address space, channel
+// and stack.
 type EthHost struct {
 	Dev   *nic.Device
 	AS    *mem.AddressSpace
@@ -81,20 +82,18 @@ func (e *EthEnv) RunUntil(t sim.Time) sim.Time { return e.G.RunUntil(t) }
 
 // EthOpts configures the testbed.
 type EthOpts struct {
-	Seed         int64
-	ServerRAM    int64
-	Policy       nic.FaultPolicy // server ring policy
-	RingSize     int
-	ServerCgroup *mem.Group
-	PrefaultRing bool
-	Jitter       bool
-	Trace        bool // attach a trace.Tracer even without a Trace factory
+	Seed      int64
+	ServerRAM int64           // default 8 GiB
+	Policy    nic.FaultPolicy // server ring policy
+	RingSize  int             // server ring entries (default 64)
+	Trace     bool            // attach a trace.Tracer even without a Trace factory
 	// Scope is the run the env belongs to (nil: the default run).
 	Scope *Scope
 }
 
 // NewEthEnv builds the testbed. The client is always statically pinned
-// (unmodified); the server is pinned or ODP per Policy.
+// (unmodified); the server is pinned or ODP per Policy. Both NICs run
+// without firmware jitter.
 func NewEthEnv(o EthOpts) *EthEnv {
 	if o.ServerRAM == 0 {
 		o.ServerRAM = 8 << 30
@@ -102,31 +101,25 @@ func NewEthEnv(o EthOpts) *EthEnv {
 	if o.RingSize == 0 {
 		o.RingSize = 64
 	}
-	dcfg := core.DefaultConfig()
-	dcfg.PrefaultRing = o.PrefaultRing
 	ncfg := nic.DefaultConfig()
-	if !o.Jitter {
-		ncfg.FirmwareJitterSigma = 0
-	}
+	ncfg.FirmwareJitterSigma = 0
 	fcfg := fabric.DefaultEthernet()
 	g := o.Scope.newEnvGroup(o.Seed+1, fcfg.Lookahead())
 	eng, ceng := g.Engine(0), g.Engine(g.Parts()-1)
 	tr := o.Scope.tracer(eng, o.Trace)
 	net := fabric.NewOnGroup(g, fcfg)
-	// One spec stamps out both substrates (machines and drivers don't
-	// split RNGs, so the per-host grouping preserves seeded results). The
-	// NICs attach afterwards, server first, in the order their RNGs split.
-	spec := topo.HostSpec{RAM: o.ServerRAM, Driver: dcfg}
-	srv := spec.Build(eng, net, tr, "server")
-	spec.RAM = 8 << 30
-	cli := spec.Build(ceng, net, nil, "client")
+	// The machines and drivers come first (they split no RNG, so the
+	// per-host grouping preserves seeded results). The NICs attach
+	// afterwards, server first, in the order their RNGs split.
+	srv := topo.HostSpec{RAM: o.ServerRAM}.Build(eng, net, tr, "server")
+	cli := topo.HostSpec{RAM: 8 << 30}.Build(ceng, net, nil, "client")
 	e := &EthEnv{Eng: eng, G: g, ClientEng: ceng, Net: net, M: srv.M,
 		ClientM: cli.M, Drv: srv.Drv, ClientDrv: cli.Drv, Tracer: tr, srv: srv, cli: cli}
 	// The server device is the traced one; stacks inherit the tracer from
 	// their device at construction, so it is set before any endpoint.
 	srv.AttachNIC(net, ncfg, tr)
 	var err error
-	if e.Server, err = newEndpoint(srv, "server", o.Policy, o.RingSize, o.ServerCgroup, 0); err != nil {
+	if e.Server, err = newEndpoint(srv, "server", o.Policy, o.RingSize, nil, 0); err != nil {
 		panic(fmt.Sprintf("bench: pinning server: %v", err))
 	}
 	cli.AttachNIC(net, ncfg, nil)
@@ -212,8 +205,7 @@ func (e *IBEnv) RunUntil(t sim.Time) sim.Time { return e.G.RunUntil(t) }
 // IBOpts configures the IB testbed.
 type IBOpts struct {
 	Seed   int64
-	Jitter bool
-	MTU    int
+	Jitter bool // keep the HCAs' firmware jitter (default off)
 	Tweak  func(*rc.Config)
 	Trace  bool // attach a trace.Tracer even without a Trace factory
 	// Scope is the run the env belongs to (nil: the default run).
@@ -226,9 +218,6 @@ func NewIBEnv(o IBOpts) *IBEnv {
 	cfg := rc.DefaultConfig()
 	if !o.Jitter {
 		cfg.FirmwareJitterSigma = 0
-	}
-	if o.MTU != 0 {
-		cfg.MTU = o.MTU
 	}
 	if o.Tweak != nil {
 		o.Tweak(&cfg)

@@ -6,13 +6,13 @@ import (
 	"strings"
 
 	"npf/internal/apps"
-	"npf/internal/core"
 	"npf/internal/fabric"
 	"npf/internal/mem"
 	"npf/internal/nic"
 	"npf/internal/rc"
 	"npf/internal/sim"
 	"npf/internal/tcp"
+	"npf/internal/topo"
 )
 
 // Fig10Result holds stream throughput versus synthetic rNPF frequency.
@@ -58,16 +58,15 @@ func RunFig10(s *Scope) *Fig10Result {
 func runEthStream(s *Scope, freqPerByte float64, major, backup bool) float64 {
 	eng := s.newBenchGroup(41, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultEthernet())
-	m := mem.NewMachine(eng, 8<<30)
-	drv := core.NewDriver(eng, core.DefaultConfig())
+	// One host carries both ends, each on its own NIC.
+	host := topo.HostSpec{RAM: 8 << 30}.Build(eng, net, nil, "stream")
+	dcfg := nic.DefaultConfig()
+	dcfg.FirmwareJitterSigma = 0
 	mkStack := func(name string, pol nic.FaultPolicy) *tcp.Stack {
-		dcfg := nic.DefaultConfig()
-		dcfg.FirmwareJitterSigma = 0
-		dev := nic.NewDevice(eng, net, dcfg)
-		drv.AttachDevice(dev)
-		as := m.NewAddressSpace(name, nil)
+		dev := host.AttachNIC(net, dcfg, nil)
+		as := host.M.NewAddressSpace(name, nil)
 		ch := dev.NewChannel(name, as, 256, pol)
-		drv.EnableODP(ch)
+		host.Drv.EnableODP(ch)
 		st := tcp.NewStack(ch, tcp.DefaultConfig())
 		st.WarmBuffers() // pre-fault the ring: no cold-ring effects here
 		return st
@@ -93,19 +92,17 @@ func runEthStream(s *Scope, freqPerByte float64, major, backup bool) float64 {
 func runIBStream(s *Scope, freqPerByte float64) float64 {
 	eng := s.newBenchGroup(43, 1, 0).Engine(0)
 	net := fabric.New(eng, fabric.DefaultInfiniBand())
-	m := mem.NewMachine(eng, 8<<30)
+	// One host carries both ends, sender's HCA first.
+	host := topo.HostSpec{RAM: 8 << 30}.Build(eng, net, nil, "stream")
 	cfg := rc.DefaultConfig()
 	cfg.FirmwareJitterSigma = 0
-	drv := core.NewDriver(eng, core.DefaultConfig())
-	hcaS, hcaR := rc.NewHCA(eng, net, cfg), rc.NewHCA(eng, net, cfg)
-	drv.AttachHCA(hcaS)
-	drv.AttachHCA(hcaR)
-	asS := m.NewAddressSpace("s", nil)
-	asR := m.NewAddressSpace("r", nil)
+	hcaS, hcaR := host.AttachHCA(net, cfg, nil), host.AttachHCA(net, cfg, nil)
+	asS := host.M.NewAddressSpace("s", nil)
+	asR := host.M.NewAddressSpace("r", nil)
 	snd, rcv := hcaS.NewQP(asS), hcaR.NewQP(asR)
 	rc.Connect(snd, rcv)
-	drv.EnableODPQP(snd)
-	drv.EnableODPQP(rcv)
+	host.Drv.EnableODPQP(snd)
+	host.Drv.EnableODPQP(rcv)
 	strm := apps.NewIBStream(snd, rcv, 64<<10, 128<<20)
 	if freqPerByte > 0 {
 		base, pages := strm.RecvRegion()

@@ -33,7 +33,9 @@ type storageRig struct {
 }
 
 // buildStorageRig assembles the testbed; returns an error when the pinned
-// configuration is refused.
+// configuration is refused. It builds its hosts by hand, not through
+// topo.HostSpec: one driver serves both the target's and the initiators'
+// machines, which a HostSpec host (one machine, one driver) cannot express.
 func buildStorageRig(s *Scope, seed int64, ramBytes int64, pinned bool, blockSize int, sessions, iodepth int, targetBytes int64) (*storageRig, error) {
 	eng := s.newBenchGroup(seed, 1, 0).Engine(0)
 	cfg := rc.DefaultConfig()

@@ -10,6 +10,7 @@ import (
 	"npf/internal/mem"
 	"npf/internal/rc"
 	"npf/internal/sim"
+	"npf/internal/topo"
 )
 
 // mkMPIHosts returns a host factory on a shared fabric: one machine, HCA,
@@ -18,13 +19,11 @@ func mkMPIHosts(eng *sim.Engine, net *fabric.Network) func(int) (*mem.AddressSpa
 	cfg := rc.DefaultConfig()
 	cfg.FirmwareJitterSigma = 0
 	cfg.MTU = 16 << 10 // jumbo MTU keeps event counts tractable
+	spec := topo.HostSpec{RAM: 128 << 30, HCA: &cfg}
 	return func(rank int) (*mem.AddressSpace, *rc.HCA, *core.Driver) {
-		m := mem.NewMachine(eng, 128<<30)
-		drv := core.NewDriver(eng, core.DefaultConfig())
-		hca := rc.NewHCA(eng, net, cfg)
-		drv.AttachHCA(hca)
-		as := m.NewAddressSpace(fmt.Sprintf("rank%d", rank), nil)
-		return as, hca, drv
+		name := fmt.Sprintf("rank%d", rank)
+		h := spec.Build(eng, net, nil, name)
+		return h.M.NewAddressSpace(name, nil), h.HCA, h.Drv
 	}
 }
 

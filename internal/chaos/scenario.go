@@ -525,12 +525,11 @@ func runLinkFlap(seed int64, o Options) *Report {
 		})
 	}
 
-	ij := Arm(NewPlan(LinkFlap{
+	Arm(NewPlan(LinkFlap{
 		Node: hcaB.Node, At: sim.Millisecond, Down: 500 * sim.Microsecond,
 		Period: 1500 * sim.Microsecond, Times: 3,
 	}), Targets{Eng: eng, Net: net, Firmware: []*nic.Firmware{&hcaA.Firmware, &hcaB.Firmware},
 		Drivers: []*core.Driver{drvA, drvB}, Tracer: tr})
-	_ = ij
 
 	end := eng.RunUntil(120 * sim.Second)
 	r.Series = seriesCSV(tr)

@@ -144,9 +144,9 @@ func (w *Workload) prepopulate() {
 		key := s.keys.Name(k)
 		shard := s.place.ShardOfKey(key)
 		for _, r := range s.shards[shard] {
-			if _, ok := r.applySet(key, s.Cfg.ValueBytes); ok && r.primary {
+			if _, ok := r.applySet(key, valueBytes); ok && r.primary {
 				r.seq++
-				r.logAppend(key, s.Cfg.ValueBytes)
+				r.logAppend(key, valueBytes)
 			}
 		}
 		// Backups adopt the primary's sequence (they applied the same ops).
@@ -199,7 +199,7 @@ func (c *wlClient) issue() {
 	req := w.takeReq()
 	*req = pendingReq{
 		id: id, c: c, key: key, shard: shard, isGet: isGet,
-		size:  s.Cfg.ValueBytes,
+		size:  valueBytes,
 		start: s.cliEng.Now(),
 	}
 	w.pending[id] = req

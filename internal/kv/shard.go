@@ -26,7 +26,7 @@ type replica struct {
 	primary bool
 	seq     uint64 // last op sequence applied (primary: also last assigned)
 
-	// Primary: replication log (ring of the last LogCap ops) for catching
+	// Primary: replication log (ring of the last logCap ops) for catching
 	// lagging backups up without a full snapshot.
 	logKeys  []string
 	logSizes []int
@@ -306,7 +306,7 @@ func (r *replica) handleResyncReq(m *rpcMsg) {
 		_, size, _ := r.store.Peek(k)
 		sizes[i] = size
 	}
-	batch := s.maxResyncBatch()
+	batch := maxResyncBatch
 	if len(keys) == 0 {
 		s.send(r.host, m.From, rpcHeader, &rpcMsg{
 			Kind: rpcResyncData, Shard: r.shard, Reset: true, Last: true, Seq: r.seq,
@@ -333,7 +333,7 @@ func (r *replica) handleResyncReq(m *rpcMsg) {
 // sendLogRange streams log entries [from, r.seq] in bounded batches.
 func (r *replica) sendLogRange(to int, from uint64) {
 	s := r.svc
-	batch := uint64(s.maxResyncBatch())
+	batch := uint64(maxResyncBatch)
 	if from > r.seq { // nothing missing; just close the resync
 		s.send(r.host, to, rpcHeader, &rpcMsg{
 			Kind: rpcResyncData, Shard: r.shard, Last: true,
@@ -443,14 +443,14 @@ func (r *replica) applySet(key string, size int) (sim.Time, bool) {
 }
 
 // logAppend records one op in the primary's replication log, trimming to
-// LogCap entries.
+// logCap entries.
 func (r *replica) logAppend(key string, size int) {
 	if r.logStart == 0 {
 		r.logStart = 1
 	}
 	r.logKeys = append(r.logKeys, key)
 	r.logSizes = append(r.logSizes, size)
-	if over := len(r.logKeys) - r.svc.Cfg.LogCap; over > 0 {
+	if over := len(r.logKeys) - logCap; over > 0 {
 		r.logKeys = r.logKeys[over:]
 		r.logSizes = r.logSizes[over:]
 		r.logStart += uint64(over)

@@ -127,7 +127,7 @@ func (s *Service) buildTCPMesh() {
 		if s.hostODP(h) {
 			policy = nic.PolicyBackup
 		}
-		ch := h.Dev.NewChannel(h.Name, h.netAS, s.Cfg.RingSize, policy)
+		ch := h.Dev.NewChannel(h.Name, h.netAS, ringEntries, policy)
 		if s.hostODP(h) {
 			h.Drv.EnableODP(ch)
 		}
@@ -346,10 +346,4 @@ func (s *Service) deliver(h *HostNode, m *rpcMsg) {
 
 // maxResyncBatch bounds resync batch entries so one message fits an RC
 // receive slot (and keeps TCP resync bursts from monopolizing a conn).
-func (s *Service) maxResyncBatch() int {
-	n := (rcSlotBytes - rpcHeader) / s.Cfg.ValueBytes
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+const maxResyncBatch = (rcSlotBytes - rpcHeader) / valueBytes

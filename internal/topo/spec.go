@@ -13,10 +13,11 @@ import (
 // HostSpec is the reusable recipe for one simulated host's substrate:
 // memory machine, NPF driver, and optionally a NIC or HCA. A spec is a
 // value — stamp out a thousand hosts from one spec with Build in a loop,
-// varying only the engine (partition) and name. It is the one host
-// recipe: kv, the sweep, the bench and chaos testbeds and the root facade
-// all build through it. The construction order is machine, driver, then
-// adapter; a builder that attaches its adapter later (Host.AttachNIC,
+// varying only the engine (partition) and name. It is the host recipe of
+// kv, the sweep, the bench and chaos testbeds and the root facade; only
+// bench's Figure 8 storage rig, whose one driver serves two machines,
+// builds its hosts by hand. The construction order is machine, driver,
+// then adapter; a builder that attaches its adapter later (Host.AttachNIC,
 // AttachHCA) controls where that adapter's RNG split falls.
 type HostSpec struct {
 	// RAM is the host's physical memory (default 8 GiB).
@@ -27,21 +28,17 @@ type HostSpec struct {
 	NIC *nic.Config
 	// HCA, when non-nil, attaches an InfiniBand adapter with this config.
 	HCA *rc.Config
-	// NetASBytes maps a transport address space of this size at build time
-	// (0 skips it; regions can be mapped later).
-	NetASBytes int64
 }
 
 // Host is the substrate a HostSpec builds. Higher layers (the sweep's
 // servers, kv's service hosts) hang their state off it.
 type Host struct {
-	Name  string
-	Eng   *sim.Engine
-	M     *mem.Machine
-	Drv   *core.Driver
-	Dev   *nic.Device // nil unless spec.NIC
-	HCA   *rc.HCA     // nil unless spec.HCA
-	NetAS *mem.AddressSpace
+	Name string
+	Eng  *sim.Engine
+	M    *mem.Machine
+	Drv  *core.Driver
+	Dev  *nic.Device // nil unless spec.NIC or AttachNIC
+	HCA  *rc.HCA     // nil unless spec.HCA or AttachHCA
 }
 
 // Build instantiates the spec on eng, attaching any adapter to net.
@@ -61,10 +58,6 @@ func (sp HostSpec) Build(eng *sim.Engine, net *fabric.Network, tr *trace.Tracer,
 	h.M.SetTracer(tr)
 	h.Drv = core.NewDriver(eng, drvCfg)
 	h.Drv.SetTracer(tr)
-	if sp.NetASBytes > 0 {
-		h.NetAS = h.M.NewAddressSpace(name+"-net", nil)
-		h.NetAS.MapBytes(sp.NetASBytes)
-	}
 	if sp.NIC != nil {
 		h.AttachNIC(net, *sp.NIC, tr)
 	}
@@ -76,7 +69,8 @@ func (sp HostSpec) Build(eng *sim.Engine, net *fabric.Network, tr *trace.Tracer,
 
 // AttachNIC gives the host an Ethernet NIC on net, traced by tr (nil:
 // untraced) and served by the host's driver. The device's RNG splits
-// here, so hosts that attach later keep the order they attach in.
+// here, so hosts that attach later keep the order they attach in. A host
+// may carry several adapters; Dev names the last one attached.
 func (h *Host) AttachNIC(net *fabric.Network, cfg nic.Config, tr *trace.Tracer) *nic.Device {
 	h.Dev = nic.NewDevice(h.Eng, net, cfg)
 	h.Dev.SetTracer(tr)
@@ -85,7 +79,8 @@ func (h *Host) AttachNIC(net *fabric.Network, cfg nic.Config, tr *trace.Tracer) 
 }
 
 // AttachHCA gives the host an InfiniBand adapter on net, traced by tr
-// (nil: untraced) and served by the host's driver.
+// (nil: untraced) and served by the host's driver; HCA names the last one
+// attached.
 func (h *Host) AttachHCA(net *fabric.Network, cfg rc.Config, tr *trace.Tracer) *rc.HCA {
 	h.HCA = rc.NewHCA(h.Eng, net, cfg)
 	h.HCA.SetTracer(tr)

@@ -110,7 +110,7 @@ func (s *Sweep) newSwarmHost(idx int32, eng *sim.Engine) *SwarmHost {
 	// UD: minimal pinned substrate — one machine, one address space (send
 	// staging plus a reply ring), one QP.
 	cfg := rc.DefaultConfig()
-	spec := HostSpec{RAM: s.cfg.SwarmRAM, HCA: &cfg}
+	spec := HostSpec{RAM: swarmRAM, HCA: &cfg}
 	sh.host = spec.Build(eng, s.net, nil, fmt.Sprintf("swarm-%04d", idx))
 	sh.node = sh.host.HCA.Node
 	sh.rxDepth = int64(s.cfg.RingSize)
@@ -279,7 +279,7 @@ func (sh *SwarmHost) timeoutClosed(ci int32) {
 		return // completed; stale timer
 	}
 	st := &sh.stats[c.tenant]
-	if int(c.attempts) >= sh.sweep.cfg.MaxAttempts {
+	if c.attempts >= maxAttempts {
 		st.lost++
 		sh.completeClosed(ci, false)
 		return
@@ -352,7 +352,7 @@ func (sh *SwarmHost) timeoutOpen(id uint64) {
 	}
 	tenant := sh.clients[p.client].tenant
 	st := &sh.stats[tenant]
-	if int(p.attempts) >= sh.sweep.cfg.MaxAttempts {
+	if p.attempts >= maxAttempts {
 		delete(sh.pending, id)
 		st.lost++
 		st.ops++

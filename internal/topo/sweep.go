@@ -58,8 +58,11 @@ func (r RegPolicy) String() string {
 	}
 }
 
-// TenantSpec is one tenant: a workload shape plus a registration policy and
-// a per-server memory budget.
+// TenantSpec is one tenant: a workload shape plus a registration policy.
+// Its per-server memory follows from the shape: an arena of two value
+// slots per key on the server plus eight, a memory group capped at arena,
+// ring and one page of slack (reclaim waves squeeze it), and, under
+// RegPinDown, a pin-down cache half the arena.
 type TenantSpec struct {
 	// Workload shapes the tenant's load (clients, ops, key popularity,
 	// open/closed loop, arrival curve). Defaults via workload.Config.
@@ -70,15 +73,6 @@ type TenantSpec struct {
 	// (0 = all). Rings, QPs, and arenas exist only on those servers — the
 	// lazy-allocation half of cheap per-host state.
 	Servers int
-	// ArenaBytes sizes the tenant's value arena per server (default: two
-	// slots per expected key on this server, page-rounded).
-	ArenaBytes int64
-	// GroupLimitBytes caps the tenant's per-server memory group (default:
-	// arena + ring + one page of slack). Reclaim waves squeeze it.
-	GroupLimitBytes int64
-	// PinCacheBytes bounds the pin-down cache (RegPinDown only; default
-	// half the arena).
-	PinCacheBytes int64
 }
 
 // SweepConfig sizes a ClusterSweep.
@@ -86,39 +80,39 @@ type SweepConfig struct {
 	// Servers and SwarmHosts partition the fleet (defaults 16 and 48).
 	Servers    int
 	SwarmHosts int
-	// HostsPerRack sets the topology granularity (default 16).
-	HostsPerRack int
 	// Transport selects Ethernet rings or IB UD datagrams.
 	Transport Transport
 	// RingSize is each server tenant's receive ring depth (default 128).
 	RingSize int
-	// ServerRAM and SwarmRAM size host memory (defaults 512 MiB / 64 MiB).
-	ServerRAM int64
-	SwarmRAM  int64
 	// ValueBytes is the stored value size (default 1024; must fit a UD
 	// datagram alongside the request header).
 	ValueBytes int
 	// ServiceTime is the server CPU cost per op before memory costs
 	// (default 2 µs).
 	ServiceTime sim.Time
-	// MaxAttempts bounds per-op retransmissions after timeouts (default 6);
-	// an op that exhausts them is counted lost, not retried forever.
-	MaxAttempts int
 	// Tenants lists the workloads; nil gets the canonical three-tenant
 	// odp/pindown/pinned comparison.
 	Tenants []TenantSpec
 	// ReclaimWaves > 0 schedules that many fleet-wide memory-pressure
-	// waves, each multiplying every tenant group limit by 3/4 (floored at
-	// ReclaimFloorBytes), one every WaveEvery.
-	ReclaimWaves      int
-	WaveEvery         sim.Time
-	ReclaimFloorBytes int64
+	// waves, each multiplying every tenant group limit by 3/4, one every
+	// WaveEvery.
+	ReclaimWaves int
+	WaveEvery    sim.Time
 }
 
 const (
 	reqHeaderBytes = 64
 	repHeaderBytes = 64
 	slotAlign      = 256
+
+	// hostsPerRack sets the topology granularity.
+	hostsPerRack = 16
+	// serverRAM and swarmRAM size host memory.
+	serverRAM = 512 << 20
+	swarmRAM  = 64 << 20
+	// maxAttempts bounds an op's sends; an op whose last attempt times
+	// out is counted lost, not retried forever.
+	maxAttempts = 6
 )
 
 // withDefaults fills the zero config; it does not validate.
@@ -129,26 +123,14 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	if c.SwarmHosts == 0 {
 		c.SwarmHosts = 48
 	}
-	if c.HostsPerRack == 0 {
-		c.HostsPerRack = 16
-	}
 	if c.RingSize == 0 {
 		c.RingSize = 128
-	}
-	if c.ServerRAM == 0 {
-		c.ServerRAM = 512 << 20
-	}
-	if c.SwarmRAM == 0 {
-		c.SwarmRAM = 64 << 20
 	}
 	if c.ValueBytes == 0 {
 		c.ValueBytes = 1024
 	}
 	if c.ServiceTime == 0 {
 		c.ServiceTime = 2 * sim.Microsecond
-	}
-	if c.MaxAttempts == 0 {
-		c.MaxAttempts = 6
 	}
 	if c.WaveEvery == 0 {
 		c.WaveEvery = 20 * sim.Millisecond
@@ -240,7 +222,7 @@ func New(eng *sim.Engine, net *fabric.Network, cfg SweepConfig) (*Sweep, error) 
 		return nil, fmt.Errorf("topo: eng must be the group's partition-0 engine")
 	}
 	total := cfg.Servers + cfg.SwarmHosts
-	s.topo = Topology{Hosts: total, HostsPerRack: cfg.HostsPerRack}
+	s.topo = Topology{Hosts: total, HostsPerRack: hostsPerRack}
 
 	s.bindEvents()
 	s.buildTenants()
@@ -384,7 +366,7 @@ func (s *Sweep) Start() {
 	}
 	if s.cfg.ReclaimWaves > 0 {
 		for _, srv := range s.servers {
-			srv.scheduleWaves(s.cfg.ReclaimWaves, s.cfg.WaveEvery, s.cfg.ReclaimFloorBytes)
+			srv.scheduleWaves(s.cfg.ReclaimWaves, s.cfg.WaveEvery)
 		}
 	}
 }

@@ -219,8 +219,10 @@ type (
 	// KVService is a sharded, replicated key-value store deployed across
 	// simulated hosts on the cluster fabric; deploy one with WithKV.
 	KVService = kv.Service
-	// KVConfig sizes a deployment; a zero value is a small but fully
-	// functional one.
+	// KVConfig sizes a deployment: hosts, shards, replicas, transport,
+	// registration policy, expected keys and control-plane timing. Value
+	// size, rings and arenas follow from it; a zero value is a small but
+	// fully functional deployment.
 	KVConfig = kv.Config
 	// KVHost is one machine of the deployment (servers first, then
 	// clients).
@@ -264,8 +266,9 @@ type (
 	// SweepConfig sizes the fleet: servers, swarm hosts, transport, and
 	// the tenants with their registration policies.
 	SweepConfig = topo.SweepConfig
-	// SweepTenant is one tenant of a sweep: its workload shape, memory
-	// budget, and registration policy.
+	// SweepTenant is one tenant of a sweep: its workload shape,
+	// registration policy and server count. Its per-server arena, memory
+	// group and pin-down cache follow from the shape.
 	SweepTenant = topo.TenantSpec
 	// SweepResult is the deterministic aggregate (per-tenant tails,
 	// fleet-wide NPF activity, bytes-per-host, fingerprint).

@@ -99,9 +99,10 @@ func WithSampling(every Time) ClusterOption {
 // cluster also carries a WithChaos plan, every KV host's driver, device,
 // cgroup, and address space joins the plan's target set, so cluster-level
 // faults (MemoryPressure, InvalidationChaos, LinkFlap, ...) land on the
-// service. A zero KVConfig is a small but fully functional deployment; the
-// fabric transport follows cfg.Transport, so pair KVTransportRC with
-// WithFabric(InfiniBandFabric()).
+// service. Each shard replica's value arena is sized from
+// cfg.ExpectedKeys. A zero KVConfig is a small but fully functional
+// deployment; the fabric transport follows cfg.Transport, so pair
+// KVTransportRC with WithFabric(InfiniBandFabric()).
 func WithKV(cfg KVConfig) ClusterOption {
 	return clusterOption(func(c *clusterConfig) { c.kv = &cfg })
 }
@@ -109,12 +110,12 @@ func WithKV(cfg KVConfig) ClusterOption {
 // WithSwarm deploys a scale-out sweep on the cluster's fabric: cfg.Servers
 // paper-stack server machines and cfg.SwarmHosts lightweight swarm hosts
 // multiplexing the tenants' logical clients (O(10^5..10^6) on one
-// simulation), with per-tenant memory cgroups and registration policies so
-// pinned / pin-down-cache / ODP show up as fleet-wide tail latency. The
-// sweep is reachable as Cluster.Swarm; Run starts it automatically and
-// Swarm.Result() aggregates afterwards. Workload shaping uses the same
-// WorkloadConfig as WithKV tenants. Pair TransportUD with
-// WithFabric(InfiniBandFabric()).
+// simulation), with per-tenant memory cgroups (sized from each tenant's
+// key count) and registration policies so pinned / pin-down-cache / ODP
+// show up as fleet-wide tail latency. The sweep is reachable as
+// Cluster.Swarm; Run starts it automatically and Swarm.Result()
+// aggregates afterwards. Workload shaping uses the same WorkloadConfig as
+// WithKV tenants. Pair TransportUD with WithFabric(InfiniBandFabric()).
 //
 // Determinism: for byte-identical results across machine sizes keep
 // WithEngines(n) fixed (it sets the partition layout) and vary only
