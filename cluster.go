@@ -75,8 +75,8 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 	if cfg.plan != nil {
 		// Arm now; hosts and devices created later register themselves with
 		// the injector's live target set before the engine runs. The plan is
-		// armed on (and its activations run on) partition 0's engine, so on
-		// a partitioned cluster only partition-0 components may join it.
+		// armed on (and its activations run on) partition 0's engine; the
+		// injector keeps only the drivers and adapters that live there.
 		c.injector = chaos.Arm(cfg.plan, chaos.Targets{Eng: c.Eng, Net: c.Net, Tracer: c.Tracer})
 	}
 	if cfg.kv != nil {
@@ -86,20 +86,12 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 		}
 		c.KV = kv.New(c.Eng, c.Net, c.Tracer, kcfg)
 		if ij := c.injector; ij != nil {
-			if c.Group.Parts() > 1 {
-				// Partitioned: the client tier lives on partition 1, out of
-				// the injector's reach — register the server tier only.
-				ij.T.Firmware = append(ij.T.Firmware, c.KV.ServerFirmware()...)
-				ij.T.Drivers = append(ij.T.Drivers, c.KV.ServerDrivers()...)
-			} else {
-				ij.T.Firmware = append(ij.T.Firmware, c.KV.Firmware()...)
-				ij.T.Drivers = append(ij.T.Drivers, c.KV.Drivers()...)
-			}
-			// Shard groups, value arenas, and transport buffers are all
-			// server-tier state regardless of partitioning.
+			// On a partitioned cluster the injector keeps the server tier's
+			// adapters and drivers. The shard groups are server-tier state
+			// on any partition count.
+			ij.AddFirmware(c.KV.Firmware()...)
+			ij.AddDrivers(c.KV.Drivers()...)
 			ij.T.Groups = append(ij.T.Groups, c.KV.Groups()...)
-			ij.T.Spaces = append(ij.T.Spaces, c.KV.Spaces()...)
-			ij.T.Spaces = append(ij.T.Spaces, c.KV.NetSpaces()...)
 		}
 	}
 	if cfg.swarm != nil {
@@ -149,15 +141,7 @@ func (c *Cluster) RunUntil(until Time) Time {
 // Digest condenses every partition's trace into one value; same-seed runs
 // produce identical digests for any engine/thread count. Zero when the
 // cluster was built without tracing.
-func (c *Cluster) Digest() uint64 {
-	if len(c.Tracers) == 0 {
-		return 0
-	}
-	if len(c.Tracers) == 1 {
-		return c.Tracer.Digest()
-	}
-	return trace.DigestAll(c.Tracers)
-}
+func (c *Cluster) Digest() uint64 { return trace.DigestAll(c.Tracers) }
 
 // Injector returns the armed chaos injector, or nil when the cluster was
 // built without WithChaos.
@@ -227,11 +211,7 @@ func (c *Cluster) TryNewHost(name string, opts ...HostOption) (*Host, error) {
 	}
 	th := topo.HostSpec{RAM: cfg.ram}.Build(c.EngineFor(part), c.Net, c.tracerFor(part), name)
 	h := &Host{Name: name, Eng: th.Eng, Part: part, Machine: th.M, Driver: th.Drv, host: th, cluster: c}
-	// Cluster-level chaos activations run on partition 0; hosts elsewhere
-	// are out of the injector's reach and must stay unregistered.
-	if c.injector != nil && part == 0 {
-		c.injector.T.Drivers = append(c.injector.T.Drivers, h.Driver)
-	}
+	c.injector.AddDrivers(h.Driver)
 	return h, nil
 }
 
@@ -289,31 +269,26 @@ func (c *Cluster) TryNewHosts(t HostTemplate, n int) ([]*Host, error) {
 // AttachNIC gives the host an Ethernet NIC wired to its driver.
 func (h *Host) AttachNIC() *Device {
 	h.NIC = h.host.AttachNIC(h.cluster.Net, nic.DefaultConfig(), h.cluster.tracerFor(h.Part))
-	if ij := h.cluster.injector; ij != nil && h.Part == 0 {
-		ij.T.Firmware = append(ij.T.Firmware, &h.NIC.Firmware)
-	}
+	h.cluster.injector.AddFirmware(&h.NIC.Firmware)
 	return h.NIC
 }
 
 // AttachHCA gives the host an InfiniBand adapter wired to its driver.
 func (h *Host) AttachHCA() *HCA {
 	h.HCA = h.host.AttachHCA(h.cluster.Net, rc.DefaultConfig(), h.cluster.tracerFor(h.Part))
-	if ij := h.cluster.injector; ij != nil && h.Part == 0 {
-		ij.T.Firmware = append(ij.T.Firmware, &h.HCA.Firmware)
-	}
+	h.cluster.injector.AddFirmware(&h.HCA.Firmware)
 	return h.HCA
 }
 
 // NewProcess creates an IOuser address space, optionally inside a memory
-// cgroup. Cgroup'd spaces become visible to cluster-level chaos plans
-// (MemoryPressure waves target registered groups).
+// cgroup. A cgroup on partition 0 becomes visible to cluster-level chaos
+// plans (MemoryPressure waves target registered groups).
 func (h *Host) NewProcess(name string, cgroup *MemGroup) *AddressSpace {
 	as := h.Machine.NewAddressSpace(name, cgroup)
-	if ij := h.cluster.injector; ij != nil && h.Part == 0 {
-		ij.T.Spaces = append(ij.T.Spaces, as)
-		if cgroup != nil {
-			ij.T.Groups = append(ij.T.Groups, cgroup)
-		}
+	// A mem.Group carries no engine for the injector to check, so the
+	// facade keeps groups of other partitions out of its reach here.
+	if ij := h.cluster.injector; ij != nil && h.Part == 0 && cgroup != nil {
+		ij.T.Groups = append(ij.T.Groups, cgroup)
 	}
 	return as
 }
@@ -350,7 +325,6 @@ func (h *Host) OpenChannel(as *AddressSpace, opts ...ChannelOption) *Channel {
 			Net:      h.cluster.Net,
 			Firmware: []*Firmware{&h.NIC.Firmware},
 			Drivers:  []*Driver{h.Driver},
-			Spaces:   []*AddressSpace{as},
 			Tracer:   h.cluster.tracerFor(h.Part),
 		})
 	}

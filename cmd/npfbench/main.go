@@ -36,7 +36,7 @@
 //	            section rows); a pure function of the code, the experiment
 //	            list, -quick and -engines, so byte-identical for every
 //	            -parallel value and on every host. Host timing lives only
-//	            in cmd/npfperf
+//	            in cmd/npfperf. Not accepted with -chaos
 //	-trace      write a Chrome trace_event JSON (load in Perfetto /
 //	            about:tracing) covering every engine the selected
 //	            experiments build
@@ -48,7 +48,8 @@
 //	            (default 10ms)
 //	-chaos      run a named fault-injection scenario instead of the paper
 //	            experiments ("all" runs the whole catalogue; "list" prints
-//	            it); exits non-zero if any invariant fails
+//	            it); exits non-zero if any invariant fails. -trace and
+//	            -series cover every testbed engine the scenarios build
 //	-seed       RNG seed for -chaos runs (default 1)
 package main
 
@@ -178,18 +179,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *chaosName != "" {
-		return runChaos(*chaosName, *seed, chaos.Options{Engines: *engines}, stdout, stderr)
-	}
-
-	exps, err := selectExperiments(fs.Args(), *kvExp, *scaleoutExp)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
+	if *chaosName != "" && *jsonOut != "" {
+		fmt.Fprintln(stderr, "-json does not apply to -chaos runs")
 		return 2
-	}
-
-	if *parallel <= 0 {
-		*parallel = bench.DefaultWorkers()
 	}
 
 	var tracers []*trace.Tracer
@@ -212,27 +204,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	size := bench.Full
-	if *quick {
-		size = bench.Quick
-	}
+	code := 0
 	doc := &artifact.Artifact{Engines: *engines, Quick: *quick}
-	for _, e := range exps {
-		// Each experiment runs on its own scope, so its statistics count
-		// only the engines it built.
-		scope := &bench.Scope{Workers: *parallel, Engines: *engines, Trace: factory, Root: *root}
-		r, err := e.Run(scope, size)
-		engines, events := scope.Stats()
+	if *chaosName != "" {
+		if code = runChaos(*chaosName, *seed, chaos.Options{Engines: *engines, Trace: factory}, stdout, stderr); code == 2 {
+			return code
+		}
+	} else {
+		exps, err := selectExperiments(fs.Args(), *kvExp, *scaleoutExp)
 		if err != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
-			return 1
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		if rec, ok := r.(bench.Recorder); ok {
-			rec.Record(doc)
+		if *parallel <= 0 {
+			*parallel = bench.DefaultWorkers()
 		}
-		doc.Experiments = append(doc.Experiments,
-			artifact.Experiment{Name: e.Name, Engines: engines, Events: events})
-		fmt.Fprintf(stdout, "==== %s ====\n%s\n", e.Name, r.Render())
+		size := bench.Full
+		if *quick {
+			size = bench.Quick
+		}
+		for _, e := range exps {
+			// Each experiment runs on its own scope, so its statistics count
+			// only the engines it built.
+			scope := &bench.Scope{Workers: *parallel, Engines: *engines, Trace: factory, Root: *root}
+			r, err := e.Run(scope, size)
+			engines, events := scope.Stats()
+			if err != nil {
+				fmt.Fprintf(stderr, "%s: %v\n", e.Name, err)
+				return 1
+			}
+			if rec, ok := r.(bench.Recorder); ok {
+				rec.Record(doc)
+			}
+			doc.Experiments = append(doc.Experiments,
+				artifact.Experiment{Name: e.Name, Engines: engines, Events: events})
+			fmt.Fprintf(stdout, "==== %s ====\n%s\n", e.Name, r.Render())
+		}
 	}
 
 	if len(tracers) > 0 {
@@ -308,5 +315,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "trace: wrote %d context and %d NPF spans from %d engines to %s\n", ctx, npfs, len(tracers), *traceOut)
 	}
-	return 0
+	return code
 }

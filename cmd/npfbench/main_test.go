@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"npf/internal/bench"
+	"npf/internal/trace"
 )
 
 // names lists the experiments' names in order.
@@ -86,5 +87,46 @@ func TestAppendFlagRunsNamedExperimentOnce(t *testing.T) {
 	}
 	if n := strings.Count(stdout.String(), "==== scaleout ===="); n != 1 {
 		t.Errorf("scaleout ran %d times, want 1", n)
+	}
+}
+
+// TestChaosWritesSeries checks that -chaos honours -series: the scenario's
+// tracer is sampled and the CSV it writes parses as a series set.
+func TestChaosWritesSeries(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s.csv")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-chaos", "cold-ring-storm", "-series", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, want 0; stderr:\n%s", code, stderr.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("-series not written: %v", err)
+	}
+	defer f.Close()
+	set, err := trace.ReadSeriesSet(f)
+	if err != nil {
+		t.Fatalf("series CSV does not parse: %v", err)
+	}
+	if len(set) == 0 || len(set[0].Times) == 0 {
+		t.Fatalf("series CSV holds no samples (%d sections)", len(set))
+	}
+	if !strings.Contains(stdout.String(), "series: wrote") {
+		t.Errorf("stdout does not report the series file:\n%s", stdout.String())
+	}
+}
+
+// TestChaosRejectsJSON checks that -chaos with -json exits 2 and names the
+// flag instead of silently writing nothing.
+func TestChaosRejectsJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "r.json")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-chaos", "cold-ring-storm", "-json", path}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "-json") {
+		t.Errorf("stderr %q does not name -json", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("ran a scenario before rejecting -json:\n%s", stdout.String())
 	}
 }

@@ -51,13 +51,14 @@ func main() {
 	flag.Parse()
 
 	var tr *trace.Tracer
+	scope := &bench.Scope{Trace: trace.New}
 	switch *scenario {
 	case "single":
-		tr = runIB(nil, *seed, 1, *size)
+		tr = runIB(scope, *seed, 1, *size)
 	case "fig3":
-		tr = runIB(nil, *seed, *trials, *size)
+		tr = runIB(scope, *seed, *trials, *size)
 	case "backup":
-		tr = runBackup(nil, *seed)
+		tr = runBackup(scope, *seed)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
 		os.Exit(2)
@@ -115,10 +116,10 @@ func report(w io.Writer, scenario string, tr *trace.Tracer, topK int) {
 
 // runIB reproduces the Figure 3a conditions: a warm sender posting
 // size-byte messages into cold receive buffers, each receive raising a
-// minor rNPF on the responder. The env is built on scope s (nil: the
-// default run).
+// minor rNPF on the responder. The env is built and traced on scope s,
+// which must carry a Trace factory.
 func runIB(s *bench.Scope, seed int64, trials, size int) *trace.Tracer {
-	e := bench.NewIBEnv(bench.IBOpts{Seed: seed, Trace: true, Scope: s})
+	e := bench.NewIBEnv(bench.IBOpts{Seed: seed, Scope: s})
 	bench.MinorNPFs(e, size, trials)
 	return e.Tracer
 }
@@ -127,10 +128,10 @@ func runIB(s *bench.Scope, seed int64, trials, size int) *trace.Tracer {
 // backup-ring policy: faulting packets are parked and replayed, so the
 // trace shows rx-backup roots with long "parked" stages. Parked packets
 // are replayed, not dropped, so the TCP sender never retransmits and the
-// trace has no retransmission episodes. The env is built on scope s (nil:
-// the default run).
+// trace has no retransmission episodes. The env is built and traced on
+// scope s, which must carry a Trace factory.
 func runBackup(s *bench.Scope, seed int64) *trace.Tracer {
-	e := bench.NewEthEnv(bench.EthOpts{Seed: seed, Policy: nic.PolicyBackup, RingSize: 16, Trace: true, Scope: s})
+	e := bench.NewEthEnv(bench.EthOpts{Seed: seed, Policy: nic.PolicyBackup, RingSize: 16, Scope: s})
 	store := apps.NewKVStore(e.Server.AS, 0)
 	apps.NewKVServer(e.Server.Stack, store, 50*sim.Microsecond)
 	slap := apps.NewMemaslap(e.Client.Stack, apps.MemaslapConfig{

@@ -28,7 +28,7 @@ func TestScenarioSpanSets(t *testing.T) {
 			{"fig3", func(s *bench.Scope) *trace.Tracer { return runIB(s, seed, 50, 4096) }},
 			{"backup", func(s *bench.Scope) *trace.Tracer { return runBackup(s, seed) }},
 		} {
-			scope := &bench.Scope{}
+			scope := &bench.Scope{Trace: trace.New}
 			tr := sc.run(scope)
 			engines, events := scope.Stats()
 			got = append(got, fmt.Sprintf("%s/seed%d %s", sc.name, seed,

@@ -25,6 +25,10 @@ type CmdRead struct {
 // RspRead is the completion response (target → initiator, RC send).
 type RspRead struct{ ID int64 }
 
+// maxLockedFraction is the admin bound on pinned memory as a fraction of
+// RAM (ulimit -l policy).
+const maxLockedFraction float64 = 0.20
+
 // StorageTargetConfig parameterises the tgt-style target.
 type StorageTargetConfig struct {
 	// CommBufBytes is the communication buffer region (tgt default: 1 GB).
@@ -37,9 +41,6 @@ type StorageTargetConfig struct {
 	// Pinned pins the whole communication region at startup; otherwise the
 	// region relies on NPFs.
 	Pinned bool
-	// MaxLockedFraction is the admin bound on pinned memory as a fraction
-	// of RAM (ulimit -l policy). Zero means unlimited.
-	MaxLockedFraction float64
 	// ServiceTime is CPU cost per request outside memory and disk.
 	ServiceTime sim.Time
 }
@@ -47,11 +48,10 @@ type StorageTargetConfig struct {
 // DefaultStorageTargetConfig mirrors the paper's tgt setup.
 func DefaultStorageTargetConfig() StorageTargetConfig {
 	return StorageTargetConfig{
-		CommBufBytes:      1 << 30,
-		SlotBytes:         512 << 10,
-		SlotsPerSession:   32,
-		MaxLockedFraction: 0.20,
-		ServiceTime:       20 * sim.Microsecond,
+		CommBufBytes:    1 << 30,
+		SlotBytes:       512 << 10,
+		SlotsPerSession: 32,
+		ServiceTime:     20 * sim.Microsecond,
 	}
 }
 
@@ -88,11 +88,10 @@ func NewStorageTarget(as *mem.AddressSpace, cache *mem.PageCache, cfg StorageTar
 	}
 	t.commBase = as.MapBytes(cfg.CommBufBytes)
 	if cfg.Pinned {
-		if cfg.MaxLockedFraction > 0 &&
-			float64(cfg.CommBufBytes) > cfg.MaxLockedFraction*float64(as.Machine().RAM.Limit) {
+		if float64(cfg.CommBufBytes) > maxLockedFraction*float64(as.Machine().RAM.Limit) {
 			return nil, fmt.Errorf("%w: %d bytes > %.0f%% of %d RAM",
 				ErrPinnedTooLarge, cfg.CommBufBytes,
-				cfg.MaxLockedFraction*100, as.Machine().RAM.Limit)
+				maxLockedFraction*100, as.Machine().RAM.Limit)
 		}
 		pages := int(cfg.CommBufBytes / mem.PageSize)
 		if _, err := as.Pin(t.commBase.Page(), pages); err != nil {

@@ -27,15 +27,12 @@ import (
 const MaxEngineEvents = 2_000_000_000
 
 // partTracers returns one tracer per partition of g, each made by mk on
-// that partition's engine; all nil when mk is nil. A tracer is driven by
-// its own engine only, so a one-partition group has exactly one, shared
-// by every side of the env.
+// that partition's engine. A tracer is driven by its own engine only, so a
+// one-partition group has exactly one, shared by every side of the env.
 func partTracers(g *sim.Group, mk func(*sim.Engine) *trace.Tracer) []*trace.Tracer {
 	trs := make([]*trace.Tracer, g.Parts())
-	if mk != nil {
-		for i, eng := range g.Engines() {
-			trs[i] = mk(eng)
-		}
+	for i, eng := range g.Engines() {
+		trs[i] = mk(eng)
 	}
 	return trs
 }
@@ -66,9 +63,9 @@ type EthEnv struct {
 	G         *sim.Group
 	ClientEng *sim.Engine
 	ClientDrv *core.Driver
-	// Tracer is non-nil when the env was built with EthOpts.Trace or on a
-	// scope with a Trace factory. It lives on the server engine; the client
-	// host runs untraced.
+	// Tracer is non-nil when the env was built on a scope with a Trace
+	// factory. It lives on the server engine; the client host runs
+	// untraced.
 	Tracer *trace.Tracer
 
 	srv, cli *topo.Host
@@ -86,7 +83,6 @@ type EthOpts struct {
 	ServerRAM int64           // default 8 GiB
 	Policy    nic.FaultPolicy // server ring policy
 	RingSize  int             // server ring entries (default 64)
-	Trace     bool            // attach a trace.Tracer even without a Trace factory
 	// Scope is the run the env belongs to (nil: the default run).
 	Scope *Scope
 }
@@ -106,7 +102,7 @@ func NewEthEnv(o EthOpts) *EthEnv {
 	fcfg := fabric.DefaultEthernet()
 	g := o.Scope.newEnvGroup(o.Seed+1, fcfg.Lookahead())
 	eng, ceng := g.Engine(0), g.Engine(g.Parts()-1)
-	tr := o.Scope.tracer(eng, o.Trace)
+	tr := o.Scope.tracer(eng)
 	net := fabric.NewOnGroup(g, fcfg)
 	// The machines and drivers come first (they split no RNG, so the
 	// per-host grouping preserves seeded results). The NICs attach
@@ -188,8 +184,8 @@ type IBEnv struct {
 	// with one partition is Eng itself.
 	G    *sim.Group
 	EngB *sim.Engine
-	// Tracer is non-nil when the env was built with IBOpts.Trace or on a
-	// scope with a Trace factory. Each side's tracer is its partition's:
+	// Tracer is non-nil when the env was built on a scope with a Trace
+	// factory. Each side's tracer is its partition's:
 	// Tracer belongs to side A and TracerB to side B, the same tracer with
 	// one partition.
 	Tracer  *trace.Tracer
@@ -207,7 +203,6 @@ type IBOpts struct {
 	Seed   int64
 	Jitter bool // keep the HCAs' firmware jitter (default off)
 	Tweak  func(*rc.Config)
-	Trace  bool // attach a trace.Tracer even without a Trace factory
 	// Scope is the run the env belongs to (nil: the default run).
 	Scope *Scope
 }
@@ -224,7 +219,7 @@ func NewIBEnv(o IBOpts) *IBEnv {
 	}
 	fcfg := fabric.DefaultInfiniBand()
 	g := o.Scope.newEnvGroup(o.Seed+1, fcfg.Lookahead())
-	trs := partTracers(g, func(eng *sim.Engine) *trace.Tracer { return o.Scope.tracer(eng, o.Trace) })
+	trs := partTracers(g, o.Scope.tracer)
 	e := &IBEnv{Eng: g.Engine(0), G: g, EngB: g.Engine(g.Parts() - 1),
 		Net: fabric.NewOnGroup(g, fcfg), Tracer: trs[0], TracerB: trs[len(trs)-1]}
 	// The spec builds the sides back to back, A first, so HCA A's RNG

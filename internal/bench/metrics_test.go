@@ -11,6 +11,7 @@ import (
 
 	"npf/internal/mem"
 	"npf/internal/rc"
+	"npf/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden metric snapshots under testdata/")
@@ -51,7 +52,7 @@ func snapshotMetrics(t *testing.T, snap string) (counters, latencyN map[string]u
 // extension (RNR NACKs sent by the read initiator) and DiscardPages
 // (evictions outside reclaim).
 func TestPublishedMetricsMatchStats(t *testing.T) {
-	e := NewIBEnv(IBOpts{Seed: 5, Trace: true, Tweak: func(c *rc.Config) {
+	e := NewIBEnv(IBOpts{Seed: 5, Scope: &Scope{Trace: trace.New}, Tweak: func(c *rc.Config) {
 		c.ReadRNRExtension = true
 	}})
 	const readLen = 64 << 10

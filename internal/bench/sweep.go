@@ -177,14 +177,10 @@ func (s *Scope) newEnvGroup(seed int64, lookahead sim.Time) *sim.Group {
 }
 
 // tracer is the tracer an env puts on eng: the scope's Trace factory's
-// when one is set, else a fresh one when force is set, else none.
-func (s *Scope) tracer(eng *sim.Engine, force bool) *trace.Tracer {
-	var tr *trace.Tracer
-	if s != nil && s.Trace != nil {
-		tr = s.Trace(eng)
+// when one is set, else none.
+func (s *Scope) tracer(eng *sim.Engine) *trace.Tracer {
+	if s == nil || s.Trace == nil {
+		return nil
 	}
-	if force && tr == nil {
-		tr = trace.New(eng)
-	}
-	return tr
+	return s.Trace(eng)
 }

@@ -13,7 +13,11 @@ import (
 // runTracedNPFs drives the Figure 3a scenario (warm sender, cold receive
 // buffers, minor rNPFs on the responder) on a traced IB env.
 func runTracedNPFs(seed int64, trials int, traced, jitter bool) *IBEnv {
-	e := NewIBEnv(IBOpts{Seed: seed, Trace: traced, Jitter: jitter})
+	o := IBOpts{Seed: seed, Jitter: jitter}
+	if traced {
+		o.Scope = &Scope{Trace: trace.New}
+	}
+	e := NewIBEnv(o)
 	const pages, window = 1, 8
 	Warm(e.QPA, 0, pages*2)
 	done := 0

@@ -28,6 +28,13 @@ import (
 // Targets names the stack objects an Injector may perturb. Any field may be
 // nil/empty; faults that need an absent target arm as no-ops. Eng is
 // required.
+//
+// The injector's activations run on Eng, so a fault may touch only state
+// of Eng's partition. Arm and AddFirmware/AddDrivers enforce that reach:
+// firmware and drivers whose Eng is another engine are dropped, so a
+// caller hands over every adapter and driver it has, on one partition or
+// many. A mem.Group carries no engine; callers register only groups of
+// Eng's partition.
 type Targets struct {
 	Eng *sim.Engine
 	Net *fabric.Network
@@ -36,7 +43,6 @@ type Targets struct {
 	Firmware []*nic.Firmware
 	Drivers  []*core.Driver
 	Groups   []*mem.Group
-	Spaces   []*mem.AddressSpace
 	// Tracer receives the "chaos" spans and counters (nil disables, as
 	// everywhere else in the stack).
 	Tracer *trace.Tracer
@@ -67,9 +73,10 @@ func (p *Plan) Add(faults ...Fault) *Plan {
 
 // Injector is an armed plan: the bound targets plus the telemetry and RNG
 // state the faults share. T is a live pointer — callers that build the
-// stack after arming (the root package's cluster facade) may keep appending
-// devices, drivers, and groups until the engine runs; faults resolve their
-// targets when they activate, not when they arm.
+// stack after arming (the root package's cluster facade) may keep
+// registering devices and drivers (AddFirmware, AddDrivers) and appending
+// groups until the engine runs; faults resolve their targets when they
+// activate, not when they arm.
 type Injector struct {
 	T   *Targets
 	rng *sim.Rand
@@ -93,10 +100,12 @@ func Arm(p *Plan, t Targets) *Injector {
 		panic("chaos: Targets.Eng is required")
 	}
 	ij := &Injector{
-		T:   &t,
+		T:   &Targets{Eng: t.Eng, Net: t.Net, Groups: t.Groups, Tracer: t.Tracer},
 		rng: t.Eng.Rand().Split(),
 		tr:  t.Tracer,
 	}
+	ij.AddFirmware(t.Firmware...)
+	ij.AddDrivers(t.Drivers...)
 	ij.tr.Counter("chaos.injected_drops", &ij.InjectedDrops)
 	ij.tr.Counter("chaos.firmware_stalls", &ij.FirmwareStalls)
 	ij.tr.Counter("chaos.link_flaps", &ij.LinkFlaps)
@@ -109,6 +118,33 @@ func Arm(p *Plan, t Targets) *Injector {
 		}
 	}
 	return ij
+}
+
+// AddFirmware registers adapters' firmware with the injector, in order.
+// Firmware on another engine than the injector's is out of its reach and
+// is dropped. A nil injector (no plan armed) ignores the call.
+func (ij *Injector) AddFirmware(fws ...*nic.Firmware) {
+	if ij == nil {
+		return
+	}
+	for _, fw := range fws {
+		if fw.Eng == ij.T.Eng {
+			ij.T.Firmware = append(ij.T.Firmware, fw)
+		}
+	}
+}
+
+// AddDrivers registers NPF drivers with the injector, in order, keeping
+// only those on the injector's engine, as AddFirmware does.
+func (ij *Injector) AddDrivers(drvs ...*core.Driver) {
+	if ij == nil {
+		return
+	}
+	for _, d := range drvs {
+		if d.Eng == ij.T.Eng {
+			ij.T.Drivers = append(ij.T.Drivers, d)
+		}
+	}
 }
 
 // split returns an independent RNG stream for one fault. Streams are split

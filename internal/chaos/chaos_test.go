@@ -1,11 +1,56 @@
 package chaos
 
 import (
+	"slices"
 	"testing"
 
 	"npf/internal/core"
+	"npf/internal/fabric"
+	"npf/internal/nic"
 	"npf/internal/sim"
+	"npf/internal/topo"
 )
+
+// TestInjectorKeepsOwnPartition pins the injector's reach on a
+// two-partition group: Arm keeps only the firmware and drivers on its own
+// engine, in order, and a late registration from the other partition
+// leaves the targets unchanged.
+func TestInjectorKeepsOwnPartition(t *testing.T) {
+	fcfg := fabric.DefaultEthernet()
+	g := sim.NewGroup(1, 2, fcfg.Lookahead())
+	net := fabric.NewOnGroup(g, fcfg)
+	ncfg := nic.DefaultConfig()
+	spec := topo.HostSpec{NIC: &ncfg}
+	a := spec.Build(g.Engine(0), net, nil, "a")
+	far := spec.Build(g.Engine(1), net, nil, "far")
+	b := spec.Build(g.Engine(0), net, nil, "b")
+
+	ij := Arm(nil, Targets{
+		Eng:      g.Engine(0),
+		Net:      net,
+		Firmware: []*nic.Firmware{&a.Dev.Firmware, &far.Dev.Firmware, &b.Dev.Firmware},
+		Drivers:  []*core.Driver{a.Drv, far.Drv, b.Drv},
+	})
+	wantFW := []*nic.Firmware{&a.Dev.Firmware, &b.Dev.Firmware}
+	wantDrv := []*core.Driver{a.Drv, b.Drv}
+	check := func(when string) {
+		t.Helper()
+		if !slices.Equal(ij.T.Firmware, wantFW) {
+			t.Fatalf("%s: firmware targets %v, want partition 0's %v", when, ij.T.Firmware, wantFW)
+		}
+		if !slices.Equal(ij.T.Drivers, wantDrv) {
+			t.Fatalf("%s: driver targets %v, want partition 0's %v", when, ij.T.Drivers, wantDrv)
+		}
+	}
+	check("after Arm")
+	ij.AddFirmware(&far.Dev.Firmware)
+	ij.AddDrivers(far.Drv)
+	check("after a late partition-1 registration")
+
+	var none *Injector
+	none.AddFirmware(&a.Dev.Firmware)
+	none.AddDrivers(a.Drv)
+}
 
 // Every named scenario must pass its invariants and replay byte-identically:
 // two runs with the same seed produce the same trace digest (and the same

@@ -16,8 +16,8 @@ func TestScenariosEnginesDeterminism(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			a := sc.Run(7, Options{Engines: 1, SampleEvery: 250 * sim.Microsecond})
-			b := sc.Run(7, Options{Engines: 2, SampleEvery: 250 * sim.Microsecond})
+			a := sc.Run(7, Options{Engines: 1, Trace: sampling(250 * sim.Microsecond)})
+			b := sc.Run(7, Options{Engines: 2, Trace: sampling(250 * sim.Microsecond)})
 			if !a.Pass {
 				t.Fatalf("scenario failed partitioned:\n%s", a.Render())
 			}

@@ -20,7 +20,7 @@ import (
 const maxScenarioEvents = 200_000_000
 
 // Options are one scenario run's settings. The zero value is the default
-// run: a one-partition testbed, no sampler, trace.New tracers.
+// run: a one-partition testbed traced by trace.New, without a sampler.
 type Options struct {
 	// Engines selects the engine topology the testbeds build (see
 	// newGroup), as bench.Scope.Engines does: 0 builds each testbed on a
@@ -29,17 +29,15 @@ type Options struct {
 	// on partition 0, workload tier (clients) on partition 1 — with
 	// Engines worker threads. The partition structure is fixed, so reports
 	// and digests are byte-identical for every Engines >= 1; only
-	// wall-clock changes. Chaos plans arm on partition 0, where every
-	// registered target lives. The IB link-flap scenario keeps a single
-	// engine regardless (both of its hosts are fault targets).
-	// cmd/npfbench sets it from -engines.
+	// wall-clock changes. Chaos plans arm on partition 0; the injector
+	// keeps only the targets that live there. The IB link-flap scenario
+	// keeps a single engine regardless (both of its hosts are fault
+	// targets). cmd/npfbench sets it from -engines.
 	Engines int
-	// SampleEvery, when positive, starts a time-series sampler on the
-	// testbed's server tracer with this virtual-time interval; the sampled
-	// series lands in Report.Series.
-	SampleEvery sim.Time
 	// Trace, when non-nil, builds every testbed tracer in place of
-	// trace.New; tests use it to see what a scenario recorded.
+	// trace.New. A factory that starts each tracer's sampler fills
+	// Report.Series. cmd/npfbench sets it for -trace and -series; tests
+	// use it to see what a scenario recorded.
 	Trace func(*sim.Engine) *trace.Tracer
 }
 
@@ -67,14 +65,6 @@ func (o Options) tracer(eng *sim.Engine) *trace.Tracer {
 	return trace.New(eng)
 }
 
-// sample starts tr's sampler when sampling is on. Testbeds call it last
-// in their construction: the sampler takes its first sample at once.
-func (o Options) sample(tr *trace.Tracer) {
-	if o.SampleEvery > 0 {
-		tr.StartSampler(o.SampleEvery)
-	}
-}
-
 // seriesCSV renders a tracer's sampled series (empty when sampling is off).
 func seriesCSV(tr *trace.Tracer) string {
 	s := tr.Sampler().Series()
@@ -100,9 +90,9 @@ type Report struct {
 	// must produce identical digests (byte-identical replay).
 	Digest uint64
 
-	// Series is the sampled time-series CSV of the run (empty unless
-	// Options.SampleEvery was set); same-seed replays must agree
-	// byte-for-byte.
+	// Series is the sampled time-series CSV of the run's fault-target
+	// tracer (empty unless Options.Trace started its sampler); same-seed
+	// replays must agree byte-for-byte.
 	Series string
 
 	Sent             int
@@ -326,7 +316,6 @@ func newEthEnv(o Options, seed int64, ringSize int, dcfg core.Config, cgroupLimi
 	cch := cli.Dev.NewChannel("client", cAS, 256, nic.PolicyPinned)
 	e.client = tcp.NewStack(cch, tcp.DefaultConfig())
 	e.client.WarmBuffers()
-	o.sample(e.tr)
 	return e
 }
 
@@ -339,7 +328,6 @@ func (e *ethEnv) targets() Targets {
 		Net:      e.net,
 		Firmware: []*nic.Firmware{&e.sDev.Firmware},
 		Drivers:  []*core.Driver{e.drv},
-		Spaces:   []*mem.AddressSpace{e.serverAS},
 		Tracer:   e.tr,
 	}
 	if e.group != nil {
@@ -495,7 +483,6 @@ func runLinkFlap(seed int64, o Options) *Report {
 	spec := topo.HostSpec{HCA: &cfg}
 	a, b := spec.Build(eng, net, nil, "a"), spec.Build(eng, net, tr, "b")
 	hcaA, hcaB, drvA, drvB := a.HCA, b.HCA, a.Drv, b.Drv
-	o.sample(tr)
 	asA, asB := a.M.NewAddressSpace("a", nil), b.M.NewAddressSpace("b", nil)
 	asA.MapBytes(64 << 20)
 	asB.MapBytes(64 << 20)

@@ -15,14 +15,15 @@ import (
 // (CheckConsistency) layered on top of the usual no-lost-work checks.
 
 // kvEnv is one KV scenario testbed: the service plus the engines and
-// tracers it runs on. The server tier (and every chaos target) lives on
-// partition 0 of the testbed's group; with Options.Engines >= 1 the client
-// tier lives on partition 1, with its own tracer.
+// tracers it runs on. The server tier lives on partition 0 of the
+// testbed's group; with Options.Engines >= 1 the client tier lives on
+// partition 1.
 type kvEnv struct {
-	eng *sim.Engine   // server-tier engine; chaos plans arm here
-	g   *sim.Group    // the testbed's group (newGroup)
-	tr  *trace.Tracer // server-tier tracer
-	trC *trace.Tracer // client-tier tracer (== tr on one partition)
+	eng *sim.Engine // server-tier engine; chaos plans arm here
+	g   *sim.Group  // the testbed's group (newGroup)
+	// trs holds one tracer per partition: trs[0] is the server tier's,
+	// the last the client tier's (the same one on one partition).
+	trs []*trace.Tracer
 	svc *kv.Service
 }
 
@@ -35,44 +36,25 @@ func newKVEnv(o Options, seed int64, cfg kv.Config) *kvEnv {
 	}
 	e.g = o.newGroup(seed, fcfg.Lookahead())
 	e.eng = e.g.Engine(0)
-	e.tr = o.tracer(e.eng)
-	e.trC = e.tr
-	if e.g.Parts() > 1 {
-		e.trC = o.tracer(e.g.Engine(1))
+	for _, eng := range e.g.Engines() {
+		e.trs = append(e.trs, o.tracer(eng))
 	}
-	cfg.ClientTracer = e.trC
-	e.svc = kv.New(e.eng, fabric.NewOnGroup(e.g, fcfg), e.tr, cfg)
-	o.sample(e.tr)
+	cfg.ClientTracer = e.trs[len(e.trs)-1]
+	e.svc = kv.New(e.eng, fabric.NewOnGroup(e.g, fcfg), e.trs[0], cfg)
 	return e
 }
 
-// targets exposes the deployment to the injector. In partitioned mode the
-// client tier lives on partition 1, beyond the reach of an injector whose
-// activations run on partition 0, so only the server tier registers.
+// targets exposes the deployment to the injector, which keeps the adapters
+// and drivers on its own partition: the server tier's.
 func (e *kvEnv) targets() Targets {
-	t := Targets{
-		Eng:    e.eng,
-		Net:    e.svc.Net,
-		Groups: e.svc.Groups(),
-		Spaces: e.svc.Spaces(),
-		Tracer: e.tr,
+	return Targets{
+		Eng:      e.eng,
+		Net:      e.svc.Net,
+		Firmware: e.svc.Firmware(),
+		Drivers:  e.svc.Drivers(),
+		Groups:   e.svc.Groups(),
+		Tracer:   e.trs[0],
 	}
-	if e.g.Parts() > 1 {
-		t.Firmware = e.svc.ServerFirmware()
-		t.Drivers = e.svc.ServerDrivers()
-	} else {
-		t.Firmware = e.svc.Firmware()
-		t.Drivers = e.svc.Drivers()
-	}
-	return t
-}
-
-// digest condenses the run's trace; in partitioned mode both tiers fold in.
-func (e *kvEnv) digest() uint64 {
-	if e.trC != e.tr {
-		return trace.DigestAll([]*trace.Tracer{e.tr, e.trC})
-	}
-	return e.tr.Digest()
 }
 
 // runKVWorkload drives wl to completion (quiescing the control plane a
@@ -89,8 +71,8 @@ func runKVWorkload(r *Report, e *kvEnv, wl *kv.Workload) {
 	wl.Start()
 	end := e.g.RunUntil(120 * sim.Second)
 
-	r.Series = seriesCSV(e.tr)
-	r.Digest = e.digest()
+	r.Series = seriesCSV(e.trs[0])
+	r.Digest = trace.DigestAll(e.trs)
 	r.Sent = wl.Cfg.TargetOps
 	r.Delivered = wl.Completed()
 	r.NPFs = svc.NPFs()
@@ -146,7 +128,7 @@ func runKVInvalidationStorm(seed int64, o Options) *Report {
 	runKVWorkload(r, env, wl)
 	r.check(r.NPFs > 0, "fault never fired: no network page faults")
 	r.check(r.InvDuplicates > 0, "fault never fired: no duplicated invalidations")
-	return r.finish(env.tr)
+	return r.finish(env.trs[0])
 }
 
 func runKVReplicaLinkFlap(seed int64, o Options) *Report {
@@ -175,7 +157,7 @@ func runKVReplicaLinkFlap(seed int64, o Options) *Report {
 	runKVWorkload(r, env, wl)
 	r.check(r.Failovers > 0, "fault never fired: severed primary was not failed over")
 	r.check(r.Resyncs > 0, "rejoined host never resynced")
-	return r.finish(env.tr)
+	return r.finish(env.trs[0])
 }
 
 func runKVMemoryPressure(seed int64, o Options) *Report {
@@ -199,5 +181,5 @@ func runKVMemoryPressure(seed int64, o Options) *Report {
 	})
 	runKVWorkload(r, env, wl)
 	r.check(r.GroupEvicts > 0, "fault never fired: no cgroup evictions")
-	return r.finish(env.tr)
+	return r.finish(env.trs[0])
 }

@@ -5,7 +5,18 @@ import (
 	"testing"
 
 	"npf/internal/sim"
+	"npf/internal/trace"
 )
+
+// sampling is a tracer factory that starts each tracer's sampler at the
+// given virtual-time interval, as npfbench's -series factory does.
+func sampling(every sim.Time) func(*sim.Engine) *trace.Tracer {
+	return func(eng *sim.Engine) *trace.Tracer {
+		tr := trace.New(eng)
+		tr.StartSampler(every)
+		return tr
+	}
+}
 
 // TestScenarioSeriesReplayByteIdentical extends the chaos replay contract to
 // time-series output: two runs of the same scenario with the same seed must
@@ -15,7 +26,7 @@ func TestScenarioSeriesReplayByteIdentical(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			o := Options{SampleEvery: 250 * sim.Microsecond}
+			o := Options{Trace: sampling(250 * sim.Microsecond)}
 			a, b := sc.Run(7, o), sc.Run(7, o)
 			if !a.Pass {
 				t.Fatalf("scenario failed with sampling on:\n%s", a.Render())
@@ -37,10 +48,10 @@ func TestScenarioSeriesReplayByteIdentical(t *testing.T) {
 }
 
 // TestSamplingOffLeavesSeriesEmpty pins the default: scenarios run without
-// SampleEvery must not pay for (or report) a series.
+// a sampling tracer factory must not pay for (or report) a series.
 func TestSamplingOffLeavesSeriesEmpty(t *testing.T) {
 	r := Scenarios()[0].Run(1, Options{})
 	if r.Series != "" {
-		t.Fatalf("Series populated without SampleEvery:\n%.300s", r.Series)
+		t.Fatalf("Series populated without a sampler:\n%.300s", r.Series)
 	}
 }

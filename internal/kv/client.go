@@ -249,16 +249,6 @@ func (w *Workload) takeReq() *pendingReq {
 	return req
 }
 
-// clientPrimary is the primary host the client tier routes shard traffic
-// to: the placement table on a single-engine service, the client-side
-// snapshot (updated by promotions through Engine.Call) when partitioned.
-func (s *Service) clientPrimary(shard int) int {
-	if s.cliPrimary != nil {
-		return s.cliPrimary[shard]
-	}
-	return s.place.PrimaryHost(shard)
-}
-
 // sendReq (re)sends a pending op to the shard's current primary in a
 // message from the client host's free list, and arms the retry timer.
 //
@@ -277,7 +267,7 @@ func (w *Workload) sendReq(req *pendingReq) {
 		Kind: kind, Shard: req.shard, Key: req.key, Size: req.size,
 		ReqID: req.id, Client: req.c.id,
 	}
-	s.send(req.c.host, s.clientPrimary(req.shard), wire, m)
+	s.send(req.c.host, s.cliPrimary[req.shard], wire, m)
 	req.timer = s.cliEng.AfterArg(w.Cfg.RequestTimeout, w.retryFn, req) //npf:allocok — a *pendingReq is pointer-shaped; boxing it does not allocate
 }
 

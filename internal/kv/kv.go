@@ -233,10 +233,9 @@ type Service struct {
 	Hosts []*HostNode
 	place *Placement
 	// cliPrimary is the client tier's view of each shard's primary host.
-	// Nil on a single-engine service (clients read the placement table
-	// directly); in partitioned mode the table is server-partition state,
-	// so promotions forward the new routing to the client engine through
-	// Engine.Call and clients route from this snapshot. Stale routes
+	// The placement table is server-tier state, so a promotion forwards
+	// the new route to the client engine through Engine.Call (inline on
+	// one partition) and clients route from this snapshot. Stale routes
 	// (bounded by the fabric lookahead) resolve through redirects, exactly
 	// like stale routes on a real network.
 	cliPrimary []int
@@ -253,7 +252,7 @@ type Service struct {
 	// stopped is split per partition so each side's control loops read
 	// only their own engine's state: stoppedSrv parks the heartbeat and
 	// detector loops, stoppedCli parks client-side re-dials. Stop sets
-	// both (through Engine.Call for the server side when partitioned).
+	// both (the server side's through Engine.Call).
 	stoppedSrv bool
 	stoppedCli bool
 
@@ -328,11 +327,9 @@ func New(eng *sim.Engine, net *fabric.Network, tr *trace.Tracer, cfg Config) *Se
 		serverIdx[i] = i
 	}
 	s.place = NewPlacement(cfg.Shards, cfg.Replicas, serverIdx)
-	if s.cliEng != s.Eng {
-		s.cliPrimary = make([]int, cfg.Shards)
-		for i := range s.cliPrimary {
-			s.cliPrimary[i] = s.place.PrimaryHost(i)
-		}
+	s.cliPrimary = make([]int, cfg.Shards)
+	for i := range s.cliPrimary {
+		s.cliPrimary[i] = s.place.PrimaryHost(i)
 	}
 
 	total := cfg.ServerHosts + cfg.ClientHosts
@@ -488,10 +485,6 @@ func (s *Service) Start() {
 // group mailbox when the service is partitioned.
 func (s *Service) Stop() {
 	s.stoppedCli = true
-	if s.cliEng == s.Eng {
-		s.stoppedSrv = true
-		return
-	}
 	s.cliEng.Call(s.Eng, func() { s.stoppedSrv = true })
 }
 
@@ -577,14 +570,11 @@ func (s *Service) detectorLoop(h *HostNode) {
 			}
 			if cand == h.Index {
 				s.place.Promote(r.shard, h.Index)
-				if s.cliPrimary != nil {
-					// Partitioned: the placement table is server-side
-					// state. Forward the new route to the client engine;
-					// it lands one lookahead later, like a routing update
-					// crossing a real network.
-					shard, idx := r.shard, h.Index
-					s.Eng.Call(s.cliEng, func() { s.cliPrimary[shard] = idx })
-				}
+				// Forward the new route to the client tier; across
+				// partitions it lands one lookahead later, like a routing
+				// update crossing a real network.
+				shard, idx := r.shard, h.Index
+				s.Eng.Call(s.cliEng, func() { s.cliPrimary[shard] = idx })
 				s.Failovers.Inc()
 				r.promote()
 				break
@@ -690,25 +680,6 @@ func (s *Service) Spaces() []*mem.AddressSpace {
 	return out
 }
 
-// ServerDrivers returns the server-tier hosts' NPF drivers. In a
-// partitioned deployment these are the only drivers living on the group's
-// partition-0 engine, and therefore the only ones a chaos injector armed
-// on that engine may install hooks into.
-func (s *Service) ServerDrivers() []*core.Driver {
-	var out []*core.Driver
-	for _, h := range s.Hosts[:s.Cfg.ServerHosts] {
-		out = append(out, h.Drv)
-	}
-	return out
-}
-
-// ServerFirmware returns the firmware of the server-tier adapters (NICs
-// under TransportTCP, HCAs under TransportRC); see ServerDrivers for why
-// chaos targets stop here.
-func (s *Service) ServerFirmware() []*nic.Firmware {
-	return firmware(s.Hosts[:s.Cfg.ServerHosts])
-}
-
 // Drivers returns every host's NPF driver.
 func (s *Service) Drivers() []*core.Driver {
 	var out []*core.Driver
@@ -729,13 +700,11 @@ func (s *Service) Devices() []*nic.Device {
 	return out
 }
 
-// Firmware returns the firmware of every host's adapter.
-func (s *Service) Firmware() []*nic.Firmware { return firmware(s.Hosts) }
-
-// firmware collects the adapter firmware of hosts, in host order.
-func firmware(hosts []*HostNode) []*nic.Firmware {
+// Firmware returns the firmware of every host's adapter (NICs under
+// TransportTCP, HCAs under TransportRC), in host order.
+func (s *Service) Firmware() []*nic.Firmware {
 	var out []*nic.Firmware
-	for _, h := range hosts {
+	for _, h := range s.Hosts {
 		if h.Dev != nil {
 			out = append(out, &h.Dev.Firmware)
 		}

@@ -77,6 +77,21 @@ type FaultSink interface {
 	HandleQPFault(ev QPFault)
 }
 
+// RC's fixed sizing, calibrated to the Connect-IB testbed.
+const (
+	// headerBytes is per-packet wire overhead.
+	headerBytes int = 48
+	// sendWindow bounds unacknowledged packets per QP.
+	sendWindow int = 128
+	// ackEvery coalesces acknowledgments: one ACK per this many packets
+	// (an ACK is always sent on a message boundary).
+	ackEvery int = 4
+	// lineRateBps paces read-response emission (the responder streams at
+	// line rate rather than dumping its whole window instantaneously, so
+	// suspension can take effect mid-stream).
+	lineRateBps int64 = 56e9
+)
+
 // Config holds HCA latency and protocol parameters: the firmware fault
 // path the adapter shares with the Ethernet NIC (internal/nic), plus RC's
 // own.
@@ -84,13 +99,6 @@ type Config struct {
 	nic.FirmwareConfig
 	// MTU is the packet payload size.
 	MTU int
-	// HeaderBytes is per-packet wire overhead.
-	HeaderBytes int
-	// Window bounds unacknowledged packets per QP.
-	Window int
-	// AckEvery coalesces acknowledgments: one ACK per this many packets
-	// (an ACK is always sent on a message boundary).
-	AckEvery int
 	// RNRTimeout is the pause the RNR NACK asks of the sender.
 	RNRTimeout sim.Time
 	// RetxTimeout is the local-ACK timeout safety net.
@@ -103,10 +111,6 @@ type Config struct {
 	// ReadWindow bounds in-flight RDMA-read response chunks per request;
 	// the initiator grants credits as it places data.
 	ReadWindow int
-	// LineRateBps paces read-response emission (the responder streams at
-	// line rate rather than dumping its whole window instantaneously, so
-	// suspension can take effect mid-stream).
-	LineRateBps int64
 	// ReadRNRExtension enables the paper's §4 recommendation: extend RC's
 	// end-to-end flow control to remote reads, letting an initiator that
 	// faults placing response data suspend the responder (like RNR NACK)
@@ -120,14 +124,10 @@ func DefaultConfig() Config {
 	return Config{
 		FirmwareConfig: nic.DefaultFirmware(),
 		MTU:            4096,
-		HeaderBytes:    48,
-		Window:         128,
-		AckEvery:       4,
 		RNRTimeout:     280 * sim.Microsecond,
 		RetxTimeout:    10 * sim.Millisecond,
 		PrefetchWQE:    true,
 		ReadWindow:     64,
-		LineRateBps:    56e9,
 	}
 }
 
@@ -264,7 +264,7 @@ func (h *HCA) post(pkt *packet, dst fabric.NodeID, payloadBytes int) {
 	h.PacketsSent.Inc()
 	pkt.Src, pkt.Dst = h.Node, dst
 	pkt.Flow = fabric.FlowID(pkt.DstQPN)
-	pkt.Size = payloadBytes + h.Cfg.HeaderBytes
+	pkt.Size = payloadBytes + headerBytes
 	pkt.from = h
 	h.Net.Send(&pkt.Packet)
 }

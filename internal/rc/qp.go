@@ -245,7 +245,7 @@ func (qp *QP) positionOf(psn uint64) (wqe *SendWQE, off int) {
 func (qp *QP) sendLoop() {
 	cfg := &qp.hca.Cfg
 	for !qp.sendPaused && !qp.rnrWait &&
-		qp.inflight() < uint64(cfg.Window) && qp.sndNxt < qp.assignPSN {
+		qp.inflight() < uint64(sendWindow) && qp.sndNxt < qp.assignPSN {
 		w, off := qp.positionOf(qp.sndNxt)
 		chunk := w.Len - off
 		if chunk > cfg.MTU {
@@ -437,7 +437,6 @@ func (qp *QP) handlePacket(pkt *packet) {
 
 //npf:noalloc
 func (qp *QP) handleData(pkt *packet) {
-	cfg := &qp.hca.Cfg
 	if pkt.PSN != qp.expPSN {
 		if pkt.PSN < qp.expPSN {
 			// Duplicate from a rewind overlap: re-ack to resync.
@@ -507,7 +506,7 @@ func (qp *QP) handleData(pkt *packet) {
 			recv: RecvCompletion{Len: pkt.ChunkLen, Payload: pkt.App},
 		})
 	}
-	if qp.unacked >= cfg.AckEvery || pkt.Last {
+	if qp.unacked >= ackEvery || pkt.Last {
 		qp.sendAck()
 	}
 }
@@ -658,7 +657,7 @@ func (qp *QP) pumpReadResp(st *respStream) {
 	st.credits--
 	if st.off < st.length {
 		st.pumping = true
-		wire := sim.Time(int64(chunk+cfg.HeaderBytes) * 8 * int64(sim.Second) / cfg.LineRateBps)
+		wire := sim.Time(int64(chunk+headerBytes) * 8 * int64(sim.Second) / lineRateBps)
 		qp.hca.Eng.After(wire, func() {
 			st.pumping = false
 			qp.pumpReadResp(st)

@@ -69,8 +69,8 @@ func newConn(s *Stack, id uint64, peerNode fabric.NodeID, peerFlow fabric.FlowID
 		peerNode:  peerNode,
 		peerFlow:  peerFlow,
 		state:     st,
-		cwnd:      s.Cfg.InitialCwndSegs * s.Cfg.MSS,
-		ssthresh:  s.Cfg.RWndBytes,
+		cwnd:      initialCwndSegs * mss,
+		ssthresh:  rwndBytes,
 		rto:       s.Cfg.InitRTO,
 		ooo:       make(map[uint64]segment),
 		retxStart: -1,
@@ -101,7 +101,6 @@ func (c *Conn) Send(length int, payload any) {
 	if c.state == StateFailed || c.state == StateClosed {
 		return
 	}
-	mss := c.stack.Cfg.MSS
 	remaining := length
 	for remaining > 0 {
 		chunk := remaining
@@ -174,10 +173,9 @@ func (c *Conn) inflightBytes() int {
 //
 //npf:noalloc
 func (c *Conn) trySend() {
-	cfg := &c.stack.Cfg
 	wnd := c.cwnd
-	if wnd > cfg.RWndBytes {
-		wnd = cfg.RWndBytes
+	if wnd > rwndBytes {
+		wnd = rwndBytes
 	}
 	moved := false
 	for c.sent < c.q.Len() {
@@ -218,7 +216,6 @@ func (c *Conn) sendAck() {
 //
 //npf:noalloc
 func (c *Conn) handleAck(ack uint64) {
-	cfg := &c.stack.Cfg
 	if ack > c.sndMax {
 		return // acking data we never sent; ignore
 	}
@@ -255,9 +252,9 @@ func (c *Conn) handleAck(ack uint64) {
 		}
 		// Congestion window growth.
 		if c.cwnd < c.ssthresh {
-			c.cwnd += cfg.MSS // slow start
+			c.cwnd += mss // slow start
 		} else {
-			c.cwnd += cfg.MSS * cfg.MSS / c.cwnd // congestion avoidance
+			c.cwnd += mss * mss / c.cwnd // congestion avoidance
 		}
 		if c.sent == 0 {
 			c.disarmTimer()
@@ -273,7 +270,7 @@ func (c *Conn) handleAck(ack uint64) {
 			// Fast retransmit.
 			c.stack.FastRetx.Inc()
 			c.stack.Retransmits.Inc()
-			c.ssthresh = max(c.inflightBytes()/2, 2*cfg.MSS)
+			c.ssthresh = max(c.inflightBytes()/2, 2*mss)
 			c.cwnd = c.ssthresh
 			c.rttValid = false
 			c.sendSegment(c.q.At(0))
@@ -351,8 +348,8 @@ func (c *Conn) onRTO() {
 	}
 	// Loss is taken as congestion: collapse the window, go back to the
 	// first unacked segment (go-back-N), and back the timer off.
-	c.ssthresh = max(c.inflightBytes()/2, 2*cfg.MSS)
-	c.cwnd = cfg.MSS
+	c.ssthresh = max(c.inflightBytes()/2, 2*mss)
+	c.cwnd = mss
 	c.dupAcks = 0
 	c.rttValid = false
 	// Every segment on the wire counts as unsent again.

@@ -31,37 +31,36 @@ import (
 // stack announces a failure to the application layer").
 var ErrTooManyRetries = errors.New("tcp: connection failed: too many retransmissions")
 
-// Config holds stack parameters; defaults mirror the paper-era Linux 3.x
-// values that shape Figure 4.
+// Segment and window sizing: Linux-3.x-like with a 4000-byte MSS (jumbo
+// frames keep simulated event counts tractable; see DESIGN.md §6).
+const (
+	mss             int = 4000    // payload bytes per segment
+	headerBytes     int = 66      // wire overhead per segment
+	rwndBytes       int = 1 << 20 // receiver window (fixed)
+	initialCwndSegs int = 10      // IW (Linux 3.x: 10)
+	txRingEntries   int = 512     // transmit buffer ring size
+)
+
+// Config holds the stack's timer and retry parameters; defaults mirror the
+// paper-era Linux 3.x values that shape Figure 4.
 type Config struct {
-	MSS             int      // payload bytes per segment
-	HeaderBytes     int      // wire overhead per segment
-	RWndBytes       int      // receiver window (fixed)
-	InitialCwndSegs int      // IW (Linux 3.x: 10)
-	InitRTO         sim.Time // RFC 6298 initial RTO
-	MinRTO          sim.Time
-	MaxRTO          sim.Time
-	MaxRetries      int // data retransmissions before abort (Linux tcp_retries2)
-	SynRTO          sim.Time
-	SynMaxRetries   int // Linux tcp_syn_retries
-	TxRingEntries   int // transmit buffer ring size
+	InitRTO       sim.Time // RFC 6298 initial RTO
+	MinRTO        sim.Time
+	MaxRTO        sim.Time
+	MaxRetries    int // data retransmissions before abort (Linux tcp_retries2)
+	SynRTO        sim.Time
+	SynMaxRetries int // Linux tcp_syn_retries
 }
 
-// DefaultConfig returns Linux-3.x-like parameters with a 4000-byte MSS
-// (jumbo frames keep simulated event counts tractable; see DESIGN.md §6).
+// DefaultConfig returns Linux-3.x-like timers and retry limits.
 func DefaultConfig() Config {
 	return Config{
-		MSS:             4000,
-		HeaderBytes:     66,
-		RWndBytes:       1 << 20,
-		InitialCwndSegs: 10,
-		InitRTO:         sim.Second,
-		MinRTO:          200 * sim.Millisecond,
-		MaxRTO:          60 * sim.Second,
-		MaxRetries:      15,
-		SynRTO:          sim.Second,
-		SynMaxRetries:   6,
-		TxRingEntries:   512,
+		InitRTO:       sim.Second,
+		MinRTO:        200 * sim.Millisecond,
+		MaxRTO:        60 * sim.Second,
+		MaxRetries:    15,
+		SynRTO:        sim.Second,
+		SynMaxRetries: 6,
 	}
 }
 
@@ -186,7 +185,7 @@ func NewStack(ch *nic.Channel, cfg Config) *Stack {
 	bufBytes := int64(mem.PageSize)
 	ringSize := ch.Rx.Size()
 	s.rxBufBase = ch.AS.MapBytes(int64(ringSize) * bufBytes)
-	s.txBufBase = ch.AS.MapBytes(int64(cfg.TxRingEntries) * bufBytes)
+	s.txBufBase = ch.AS.MapBytes(int64(txRingEntries) * bufBytes)
 	ch.SetRxHandler(s)
 	ch.SetTxHandler(s)
 	for i := 0; i < ringSize; i++ {
@@ -206,7 +205,7 @@ func (s *Stack) RxBuffers() (mem.VAddr, int64) {
 
 // TxBuffers returns the transmit buffer region.
 func (s *Stack) TxBuffers() (mem.VAddr, int64) {
-	return s.txBufBase, int64(s.Cfg.TxRingEntries) * mem.PageSize
+	return s.txBufBase, int64(txRingEntries) * mem.PageSize
 }
 
 // WarmBuffers pre-faults and maps the RX then the TX buffer region, so an
@@ -323,11 +322,11 @@ func (s *Stack) transmit(peerNode fabric.NodeID, peerFlow fabric.FlowID, seg *se
 	f.Dst = peerNode
 	f.Flow = peerFlow
 	f.from = s
-	buf := s.txBufBase + mem.VAddr(s.txNext%s.Cfg.TxRingEntries)*mem.PageSize
+	buf := s.txBufBase + mem.VAddr(s.txNext%txRingEntries)*mem.PageSize
 	s.txNext++
 	s.ch.Tx.Post(nic.TxDesc{
 		Buffer: buf,
-		Len:    seg.Len + s.Cfg.HeaderBytes,
+		Len:    seg.Len + headerBytes,
 		Frame:  &f.Packet,
 	})
 }

@@ -38,7 +38,16 @@ func (t *Tracer) Digest() uint64 {
 }
 
 // DigestAll folds several tracers' digests in order (multi-engine runs).
+// No tracers digest to 0 and one tracer to its own Digest, so a caller
+// holding one tracer per partition digests a one-partition run as that
+// partition's tracer.
 func DigestAll(tracers []*Tracer) uint64 {
+	switch len(tracers) {
+	case 0:
+		return 0
+	case 1:
+		return tracers[0].Digest()
+	}
 	h := fnvOffset
 	for _, tr := range tracers {
 		h = fnvInt(h, int64(tr.Digest()))

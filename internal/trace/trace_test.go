@@ -429,3 +429,23 @@ func TestReportHelpers(t *testing.T) {
 		t.Fatalf("tree missing the context span:\n%s", out)
 	}
 }
+
+// TestDigestAllSizes pins DigestAll's short folds: no tracers digest to 0
+// and one tracer to its own Digest (so a one-partition run's digest does
+// not depend on whether its caller holds a slice), while two tracers fold
+// in order.
+func TestDigestAllSizes(t *testing.T) {
+	if got := DigestAll(nil); got != 0 {
+		t.Fatalf("DigestAll(nil) = %016x, want 0", got)
+	}
+	n := sim.Counter{N: 3}
+	a := New(sim.NewEngine(1))
+	a.Counter("x.n", &n)
+	b := New(sim.NewEngine(2))
+	if got, want := DigestAll([]*Tracer{a}), a.Digest(); got != want {
+		t.Fatalf("DigestAll of one tracer = %016x, want its Digest %016x", got, want)
+	}
+	if DigestAll([]*Tracer{a, b}) == DigestAll([]*Tracer{b, a}) {
+		t.Fatal("DigestAll of two tracers ignores their order")
+	}
+}

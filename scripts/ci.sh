@@ -172,6 +172,16 @@ for seed in 1 7; do
     echo "chaos matrix ok (seed $seed)"
 done
 
+# Chaos telemetry: -series and -trace cover every scenario testbed, and
+# the series CSV renders.
+echo "== chaos series and trace =="
+chaos_series=$(mktemp)
+chaos_trace=$(mktemp)
+go run ./cmd/npfbench -chaos all -seed 1 -series "$chaos_series" -trace "$chaos_trace" > /dev/null
+go run ./cmd/npfstat -render "$chaos_series" > /dev/null
+rm -f "$chaos_series" "$chaos_trace"
+echo "chaos series and trace ok"
+
 # PDES engines determinism matrix: the same partitioned run must produce
 # byte-identical reports — trace digests included — whether it gets 1 or 4
 # engine worker threads, that is under sim.Group's one-thread driver and
