@@ -65,24 +65,23 @@ import (
 
 	"npf/internal/artifact"
 	"npf/internal/bench"
-	"npf/internal/chaos"
 	"npf/internal/sim"
 	"npf/internal/trace"
 )
 
-// runChaos runs one named chaos scenario (or all of them) with options o
-// and returns the process exit code: 0 when every invariant held, 1
+// runChaos runs one named chaos scenario (or all of them) on scope s and
+// returns the process exit code: 0 when every invariant held, 1
 // otherwise.
-func runChaos(name string, seed int64, o chaos.Options, stdout, stderr io.Writer) int {
+func runChaos(name string, seed int64, s *bench.Scope, stdout, stderr io.Writer) int {
 	if name == "list" {
-		for _, s := range chaos.Scenarios() {
+		for _, s := range bench.Scenarios() {
 			fmt.Fprintf(stdout, "  %-24s %s\n", s.Name, s.Desc)
 		}
 		return 0
 	}
 	var names []string
 	if name == "all" {
-		for _, s := range chaos.Scenarios() {
+		for _, s := range bench.Scenarios() {
 			names = append(names, s.Name)
 		}
 	} else {
@@ -90,7 +89,7 @@ func runChaos(name string, seed int64, o chaos.Options, stdout, stderr io.Writer
 	}
 	code := 0
 	for _, n := range names {
-		rep, err := chaos.RunScenario(n, seed, o)
+		rep, err := bench.RunScenario(n, seed, s)
 		if err != nil {
 			fmt.Fprintf(stderr, "chaos: %v\n", err)
 			return 2
@@ -204,10 +203,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	if *parallel <= 0 {
+		*parallel = bench.DefaultWorkers()
+	}
+	// newScope is every run's scope: the chaos scenarios share one, and
+	// each experiment gets its own, so its statistics count only the
+	// engines it built.
+	newScope := func() *bench.Scope {
+		return &bench.Scope{Workers: *parallel, Engines: *engines, Trace: factory, Root: *root}
+	}
+
 	code := 0
 	doc := &artifact.Artifact{Engines: *engines, Quick: *quick}
 	if *chaosName != "" {
-		if code = runChaos(*chaosName, *seed, chaos.Options{Engines: *engines, Trace: factory}, stdout, stderr); code == 2 {
+		if code = runChaos(*chaosName, *seed, newScope(), stdout, stderr); code == 2 {
 			return code
 		}
 	} else {
@@ -216,17 +225,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		if *parallel <= 0 {
-			*parallel = bench.DefaultWorkers()
-		}
 		size := bench.Full
 		if *quick {
 			size = bench.Quick
 		}
 		for _, e := range exps {
-			// Each experiment runs on its own scope, so its statistics count
-			// only the engines it built.
-			scope := &bench.Scope{Workers: *parallel, Engines: *engines, Trace: factory, Root: *root}
+			scope := newScope()
 			r, err := e.Run(scope, size)
 			engines, events := scope.Stats()
 			if err != nil {

@@ -204,7 +204,7 @@ type FioConfig struct {
 	BlockSize int
 	IODepth   int
 	LUNBytes  int64
-	// TargetBytes stops after reading this much (0: run until stopped).
+	// TargetBytes stops after reading this much (0: read until the run ends).
 	TargetBytes int64
 }
 
@@ -219,7 +219,6 @@ type FioInitiator struct {
 
 	bufBase mem.VAddr
 	nextID  int64
-	stopped bool
 
 	Bytes   sim.Counter
 	Reads   sim.Counter
@@ -271,9 +270,6 @@ func (f *FioInitiator) Start() {
 	}
 }
 
-// Stop halts new issues.
-func (f *FioInitiator) Stop() { f.stopped = true }
-
 // BandwidthGBps reports achieved bandwidth since Start.
 func (f *FioInitiator) BandwidthGBps(now sim.Time) float64 {
 	end := f.DoneAt
@@ -287,9 +283,6 @@ func (f *FioInitiator) BandwidthGBps(now sim.Time) float64 {
 }
 
 func (f *FioInitiator) issue() {
-	if f.stopped {
-		return
-	}
 	f.nextID++
 	id := f.nextID
 	blocks := f.Cfg.LUNBytes / int64(f.Cfg.BlockSize)

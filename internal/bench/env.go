@@ -71,9 +71,6 @@ type EthEnv struct {
 	srv, cli *topo.Host
 }
 
-// Run drives the env to quiescence and returns the end time.
-func (e *EthEnv) Run() sim.Time { return e.G.Run() }
-
 // RunUntil advances every host of the env to t.
 func (e *EthEnv) RunUntil(t sim.Time) sim.Time { return e.G.RunUntil(t) }
 

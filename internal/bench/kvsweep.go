@@ -82,26 +82,35 @@ func RunKV(s *Scope, quick bool) *KVResult {
 	return res
 }
 
-// runKVDeployment is the deployment kv and anatomy share: one policy's
-// service (3 servers x 4 shards x 2 replicas, NVMe-class swap) under the
-// reclaim waves, running ops Zipf-skewed operations to completion on a
-// group seeded seed. mk makes each partition's tracer (nil: untraced);
-// the server tier records on partition 0's, the client tier on the last
-// partition's, which is the same one on a one-partition group. With
-// Engines >= 1 the cluster is partitioned server-tier/client-tier across a
-// two-engine PDES group (newEnvGroup); the partition count is fixed, so
-// results are byte-identical for every Engines value.
-func (s *Scope) runKVDeployment(seed int64, pol kv.RegPolicy, ops int, mk func(*sim.Engine) *trace.Tracer) (*kv.Service, *kv.Workload, []*trace.Tracer) {
+// newKVDeployment builds cfg's service on a fresh env group seeded seed
+// (newEnvGroup), on the fabric of cfg.Transport. mk makes each
+// partition's tracer (a nil tracer: untraced); the server tier records
+// on partition 0's, the client tier on the last partition's, which is
+// the same one on a one-partition group. With Engines >= 1 the cluster
+// is partitioned server-tier/client-tier across a two-engine PDES group;
+// the partition count is fixed, so results are byte-identical for every
+// Engines value.
+func (s *Scope) newKVDeployment(seed int64, cfg kv.Config, mk func(*sim.Engine) *trace.Tracer) (*sim.Group, *kv.Service, []*trace.Tracer) {
 	fcfg := fabric.DefaultEthernet()
-	cfg := kv.Config{
-		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
-		Reg: pol, ExpectedKeys: 1024,
+	if cfg.Transport == kv.TransportRC {
+		fcfg = fabric.DefaultInfiniBand()
 	}
 	g := s.newEnvGroup(seed, fcfg.Lookahead())
-	eng := g.Engine(0)
 	trs := partTracers(g, mk)
 	cfg.ClientTracer = trs[len(trs)-1]
-	svc := kv.New(eng, fabric.NewOnGroup(g, fcfg), trs[0], cfg)
+	return g, kv.New(g.Engine(0), fabric.NewOnGroup(g, fcfg), trs[0], cfg), trs
+}
+
+// runKVDeployment is the deployment kv and anatomy share: one policy's
+// service (3 servers x 4 shards x 2 replicas, NVMe-class swap, see
+// newKVDeployment) under the reclaim waves, running ops Zipf-skewed
+// operations to completion on a group seeded seed.
+func (s *Scope) runKVDeployment(seed int64, pol kv.RegPolicy, ops int, mk func(*sim.Engine) *trace.Tracer) (*kv.Service, *kv.Workload, []*trace.Tracer) {
+	g, svc, trs := s.newKVDeployment(seed, kv.Config{
+		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
+		Reg: pol, ExpectedKeys: 1024,
+	}, mk)
+	eng := svc.Eng
 	// NVMe-class swap: the sweep measures reclaim racing the data path in
 	// the tail, not disk seek times drowning everything.
 	for _, h := range svc.Hosts {

@@ -1,9 +1,10 @@
-package chaos
+package bench
 
 import (
 	"fmt"
 	"strings"
 
+	"npf/internal/chaos"
 	"npf/internal/core"
 	"npf/internal/fabric"
 	"npf/internal/mem"
@@ -16,53 +17,26 @@ import (
 )
 
 // maxScenarioEvents trips the engine's runaway diagnostic instead of
-// hanging a wedged scenario.
+// hanging a wedged scenario. It replaces MaxEngineEvents on every
+// scenario engine (see guarded).
 const maxScenarioEvents = 200_000_000
 
-// Options are one scenario run's settings. The zero value is the default
-// run: a one-partition testbed traced by trace.New, without a sampler.
-type Options struct {
-	// Engines selects the engine topology the testbeds build (see
-	// newGroup), as bench.Scope.Engines does: 0 builds each testbed on a
-	// one-partition group, the single-engine mode; any value >= 1 shards
-	// it across a two-partition PDES group — fault-target tier (servers)
-	// on partition 0, workload tier (clients) on partition 1 — with
-	// Engines worker threads. The partition structure is fixed, so reports
-	// and digests are byte-identical for every Engines >= 1; only
-	// wall-clock changes. Chaos plans arm on partition 0; the injector
-	// keeps only the targets that live there. The IB link-flap scenario
-	// keeps a single engine regardless (both of its hosts are fault
-	// targets). cmd/npfbench sets it from -engines.
-	Engines int
-	// Trace, when non-nil, builds every testbed tracer in place of
-	// trace.New. A factory that starts each tracer's sampler fills
-	// Report.Series. cmd/npfbench sets it for -trace and -series; tests
-	// use it to see what a scenario recorded.
-	Trace func(*sim.Engine) *trace.Tracer
-}
-
-// newGroup builds a scenario testbed's engine group: one partition at
-// Engines == 0, two at Engines >= 1, run on Engines worker threads, with
-// the runaway guard on every engine.
-func (o Options) newGroup(seed int64, lookahead sim.Time) *sim.Group {
-	parts := 1
-	if o.Engines >= 1 {
-		parts = 2
-	}
-	g := sim.NewGroup(seed, parts, lookahead)
-	g.SetThreads(o.Engines)
+// guarded puts the scenarios' runaway guard on every engine of g.
+func guarded(g *sim.Group) *sim.Group {
 	for _, eng := range g.Engines() {
 		eng.MaxEvents = maxScenarioEvents
 	}
 	return g
 }
 
-// tracer builds a testbed tracer on eng.
-func (o Options) tracer(eng *sim.Engine) *trace.Tracer {
-	if o.Trace != nil {
-		return o.Trace(eng)
+// scenarioTracer is the factory of a scenario testbed's tracers: the
+// scope's Trace when it has one, else trace.New. A scenario is always
+// traced: its report carries the tracer's digest.
+func (s *Scope) scenarioTracer() func(*sim.Engine) *trace.Tracer {
+	if s != nil && s.Trace != nil {
+		return s.Trace
 	}
-	return trace.New(eng)
+	return trace.New
 }
 
 // seriesCSV renders a tracer's sampled series (empty when sampling is off).
@@ -91,7 +65,7 @@ type Report struct {
 	Digest uint64
 
 	// Series is the sampled time-series CSV of the run's fault-target
-	// tracer (empty unless Options.Trace started its sampler); same-seed
+	// tracer (empty unless Scope.Trace started its sampler); same-seed
 	// replays must agree byte-for-byte.
 	Series string
 
@@ -187,10 +161,22 @@ func (r *Report) Render() string {
 type Scenario struct {
 	Name string
 	Desc string
-	Run  func(seed int64, o Options) *Report
+	// Run runs the scenario at seed on scope s, which counts the
+	// testbed's group in Stats and makes its tracers (trace.New when s has
+	// no Trace). s.Engines picks the testbed's partitions as it does an
+	// env's (newEnvGroup): one at 0; at >= 1 two, the fault-target tier
+	// (servers) on partition 0 and the workload tier (clients) on
+	// partition 1. The structure is fixed, so reports and digests are
+	// byte-identical for every Engines >= 1. Chaos plans arm on partition
+	// 0; the injector keeps only the targets that live there. The IB
+	// link-flap testbed keeps a single engine regardless (both of its
+	// hosts are fault targets).
+	Run func(seed int64, s *Scope) *Report
 }
 
-// Scenarios returns the registry, in fixed order.
+// Scenarios returns the registry, in fixed order. It is a function, not
+// an entry of Experiments, so a binary that runs only experiments does
+// not link the scenarios.
 func Scenarios() []Scenario {
 	return []Scenario{
 		{
@@ -241,73 +227,57 @@ func Scenarios() []Scenario {
 	}
 }
 
-// Lookup finds a scenario by name.
-func Lookup(name string) (Scenario, bool) {
-	for _, s := range Scenarios() {
-		if s.Name == name {
-			return s, true
+// RunScenario runs the scenario named name on scope s.
+func RunScenario(name string, seed int64, s *Scope) (*Report, error) {
+	var names []string
+	for _, sc := range Scenarios() {
+		if sc.Name == name {
+			return sc.Run(seed, s), nil
 		}
+		names = append(names, sc.Name)
 	}
-	return Scenario{}, false
-}
-
-// RunScenario runs one named scenario.
-func RunScenario(name string, seed int64, o Options) (*Report, error) {
-	s, ok := Lookup(name)
-	if !ok {
-		var names []string
-		for _, s := range Scenarios() {
-			names = append(names, s.Name)
-		}
-		return nil, fmt.Errorf("chaos: unknown scenario %q (have %s)", name, strings.Join(names, ", "))
-	}
-	return s.Run(seed, o), nil
+	return nil, fmt.Errorf("chaos: unknown scenario %q (have %s)", name, strings.Join(names, ", "))
 }
 
 // ---------------------------------------------------------------------------
 // Ethernet testbed.
 
-// ethEnv is a compact two-host Ethernet testbed: an ODP server with a
-// backup ring and a warm, unmodified client. It differs from
-// internal/bench's EthEnv in three ways: the client's buffers are warmed
+// chaosEthEnv is a compact two-host Ethernet testbed: an ODP server with
+// a backup ring and a warm, unmodified client. It differs from EthEnv in
+// five ways: its NICs keep their firmware jitter; the server's driver
+// runs the scenario's config; the client's buffers are warmed
 // (tcp.Stack.WarmBuffers), not statically pinned; the server's backup
 // ring starts cold, with nothing prefaulted; and the testbed hands its
 // server-side parts to the scenarios as chaos targets. The server lives
 // on partition 0 of the testbed's group (with the tracer and every chaos
 // target) and the client on its last partition: partition 1 at
-// Options.Engines >= 1, else the same one engine.
-type ethEnv struct {
-	eng      *sim.Engine // server engine (partition 0)
-	engC     *sim.Engine // client engine (the last partition)
-	g        *sim.Group
-	tr       *trace.Tracer
-	net      *fabric.Network
-	m        *mem.Machine
-	group    *mem.Group
-	drv      *core.Driver
-	sDev     *nic.Device
-	server   *tcp.Stack
-	serverAS *mem.AddressSpace
-	client   *tcp.Stack
+// Scope.Engines >= 1, else the same one engine.
+type chaosEthEnv struct {
+	g      *sim.Group
+	engC   *sim.Engine // client engine (the last partition)
+	tr     *trace.Tracer
+	net    *fabric.Network
+	srv    *topo.Host // server host, on partition 0
+	group  *mem.Group // the server's cgroup (nil: none)
+	server *EthHost
+	client *tcp.Stack
 }
 
-func newEthEnv(o Options, seed int64, ringSize int, dcfg core.Config, cgroupLimit int64) *ethEnv {
-	e := &ethEnv{}
+func newChaosEthEnv(s *Scope, seed int64, ringSize int, dcfg core.Config, cgroupLimit int64) *chaosEthEnv {
+	e := &chaosEthEnv{}
 	fcfg := fabric.DefaultEthernet()
-	e.g = o.newGroup(seed, fcfg.Lookahead())
-	e.eng, e.engC = e.g.Engine(0), e.g.Engine(e.g.Parts()-1)
-	e.tr = o.tracer(e.eng)
+	e.g = guarded(s.newEnvGroup(seed, fcfg.Lookahead()))
+	eng := e.g.Engine(0)
+	e.engC = e.g.Engine(e.g.Parts() - 1)
+	e.tr = s.scenarioTracer()(eng)
 	e.net = fabric.NewOnGroup(e.g, fcfg)
 	ncfg := nic.DefaultConfig()
-	srv := topo.HostSpec{Driver: dcfg, NIC: &ncfg}.Build(e.eng, e.net, e.tr, "server")
-	e.m, e.drv, e.sDev = srv.M, srv.Drv, srv.Dev
+	e.srv = topo.HostSpec{Driver: dcfg, NIC: &ncfg}.Build(eng, e.net, e.tr, "server")
 	if cgroupLimit > 0 {
 		e.group = mem.NewGroup("chaos-cgroup", cgroupLimit)
 	}
-	e.serverAS = e.m.NewAddressSpace("server", e.group)
-	sch := e.sDev.NewChannel("server", e.serverAS, ringSize, nic.PolicyBackup)
-	e.drv.EnableODP(sch)
-	e.server = tcp.NewStack(sch, tcp.DefaultConfig())
+	// An ODP endpoint never fails to pin.
+	e.server, _ = newEndpoint(e.srv, "server", nic.PolicyBackup, ringSize, e.group, 0)
 
 	// The client is warm and untraced: its buffers are touched and mapped
 	// up front, never pinned.
@@ -319,15 +289,12 @@ func newEthEnv(o Options, seed int64, ringSize int, dcfg core.Config, cgroupLimi
 	return e
 }
 
-// run drives the testbed — every partition — to the horizon.
-func (e *ethEnv) run(horizon sim.Time) sim.Time { return e.g.RunUntil(horizon) }
-
-func (e *ethEnv) targets() Targets {
-	t := Targets{
-		Eng:      e.eng,
+func (e *chaosEthEnv) targets() chaos.Targets {
+	t := chaos.Targets{
+		Eng:      e.srv.Eng,
 		Net:      e.net,
-		Firmware: []*nic.Firmware{&e.sDev.Firmware},
-		Drivers:  []*core.Driver{e.drv},
+		Firmware: []*nic.Firmware{&e.srv.Dev.Firmware},
+		Drivers:  []*core.Driver{e.srv.Drv},
 		Tracer:   e.tr,
 	}
 	if e.group != nil {
@@ -339,11 +306,11 @@ func (e *ethEnv) targets() Targets {
 // ethTraffic paces msgs client→server messages of msgBytes each, one every
 // gap starting at start, and runs the engine to the horizon. It fills the
 // report's traffic and driver fields.
-func ethTraffic(e *ethEnv, r *Report, msgs, msgBytes int, start, gap, horizon sim.Time) {
-	e.server.Listen(func(c *tcp.Conn) {
+func ethTraffic(e *chaosEthEnv, r *Report, msgs, msgBytes int, start, gap, horizon sim.Time) {
+	e.server.Stack.Listen(func(c *tcp.Conn) {
 		c.OnMessage = func(payload any, n int) { r.Delivered++ }
 	})
-	conn := e.client.Dial(e.server.Channel().Dev.Node, e.server.Channel().Flow)
+	conn := e.client.Dial(e.server.Dev.Node, e.server.Chan.Flow)
 	conn.OnFail = func(err error) {
 		r.Failures = append(r.Failures, fmt.Sprintf("connection failed: %v", err))
 	}
@@ -352,38 +319,38 @@ func ethTraffic(e *ethEnv, r *Report, msgs, msgBytes int, start, gap, horizon si
 	for i := 0; i < msgs; i++ {
 		e.engC.At(start+sim.Time(i)*gap, func() { conn.Send(msgBytes, nil) })
 	}
-	end := e.run(horizon)
+	end := e.g.RunUntil(horizon)
 
 	r.Series = seriesCSV(e.tr)
 	r.Digest = e.tr.Digest()
-	r.NPFs = e.drv.NPFs.N
+	r.NPFs = e.srv.Drv.NPFs.N
 	r.InjectedDrops = e.net.InjectedDrops()
-	r.Retransmits = e.client.Retransmits.N + e.server.Retransmits.N
-	r.ResolverTimeouts = e.drv.ResolverTimeouts.N
-	r.DegradedPins = e.drv.DegradedPins.N
-	r.InvDuplicates = e.drv.InvDuplicates.N
-	r.FaultP99Us = e.drv.Hist.Total.Percentile(99)
+	r.Retransmits = e.client.Retransmits.N + e.server.Stack.Retransmits.N
+	r.ResolverTimeouts = e.srv.Drv.ResolverTimeouts.N
+	r.DegradedPins = e.srv.Drv.DegradedPins.N
+	r.InvDuplicates = e.srv.Drv.InvDuplicates.N
+	r.FaultP99Us = e.srv.Drv.Hist.Total.Percentile(99)
 	r.SimSeconds = end.Seconds()
 
 	// Universal invariants: no lost completions, no stuck rings.
 	r.check(r.Delivered == r.Sent, "lost completions: delivered %d of %d", r.Delivered, r.Sent)
-	r.check(e.drv.PendingBackupWork() == 0, "stuck ring: %d backup entries still pending", e.drv.PendingBackupWork())
+	r.check(e.srv.Drv.PendingBackupWork() == 0, "stuck ring: %d backup entries still pending", e.srv.Drv.PendingBackupWork())
 }
 
 // ---------------------------------------------------------------------------
 // Ethernet scenarios.
 
-func runLossBurst(seed int64, o Options) *Report {
+func runLossBurst(seed int64, s *Scope) *Report {
 	r := &Report{Scenario: "loss-burst-during-replay", Seed: seed}
-	e := newEthEnv(o, seed, 64, core.DefaultConfig(), 0)
-	serverNode := e.server.Channel().Dev.Node
-	Arm(NewPlan(
-		LossBurst{At: 2 * sim.Millisecond, Duration: 3 * sim.Millisecond, Prob: 0.3,
+	e := newChaosEthEnv(s, seed, 64, core.DefaultConfig(), 0)
+	serverNode := e.server.Dev.Node
+	chaos.Arm(chaos.NewPlan(
+		chaos.LossBurst{At: 2 * sim.Millisecond, Duration: 3 * sim.Millisecond, Prob: 0.3,
 			Nodes: []fabric.NodeID{serverNode}},
 		// After the uncorrelated burst, a Gilbert–Elliott tail: bursty
 		// correlated loss while retransmissions replay the parked window.
-		GilbertElliott{At: 5 * sim.Millisecond, Duration: 10 * sim.Millisecond,
-			Model: GEParams{PGoodBad: 0.01, PBadGood: 0.1, LossBad: 0.5},
+		chaos.GilbertElliott{At: 5 * sim.Millisecond, Duration: 10 * sim.Millisecond,
+			Model: chaos.GEParams{PGoodBad: 0.01, PBadGood: 0.1, LossBad: 0.5},
 			Nodes: []fabric.NodeID{serverNode}},
 	), e.targets())
 	ethTraffic(e, r, 200, 2000, sim.Millisecond, 20*sim.Microsecond, 120*sim.Second)
@@ -392,39 +359,39 @@ func runLossBurst(seed int64, o Options) *Report {
 	return r.finish(e.tr)
 }
 
-func runInvalidateWhileParked(seed int64, o Options) *Report {
+func runInvalidateWhileParked(seed int64, s *Scope) *Report {
 	r := &Report{Scenario: "invalidate-while-parked", Seed: seed}
-	e := newEthEnv(o, seed, 64, core.DefaultConfig(), 0)
-	plan := NewPlan(InvalidationChaos{
+	e := newChaosEthEnv(s, seed, 64, core.DefaultConfig(), 0)
+	plan := chaos.NewPlan(chaos.InvalidationChaos{
 		At: 0, Duration: 60 * sim.Second,
 		Extra: 20 * sim.Microsecond, Duplicates: 2,
 	})
 	// Discard the server's RX buffers repeatedly while parked packets are
 	// being replayed: each discard fires the (duplicated) notifier flow and
 	// forces minor refaults on buffers the resolver may be mid-way through.
-	rxBase, rxLen := e.server.RxBuffers()
+	rxBase, rxLen := e.server.Stack.RxBuffers()
 	for i := 0; i < 5; i++ {
-		plan.Add(Callback{
+		plan.Add(chaos.Callback{
 			At: sim.Time(1500+500*i) * sim.Microsecond,
-			Fn: func(ij *Injector) {
-				e.serverAS.DiscardPages(rxBase.Page(), int(rxLen/mem.PageSize))
+			Fn: func(ij *chaos.Injector) {
+				e.server.AS.DiscardPages(rxBase.Page(), int(rxLen/mem.PageSize))
 			},
 		})
 	}
-	Arm(plan, e.targets())
+	chaos.Arm(plan, e.targets())
 	ethTraffic(e, r, 150, 2000, sim.Millisecond, 25*sim.Microsecond, 120*sim.Second)
 	r.check(r.InvDuplicates > 0, "fault never fired: no duplicated invalidations")
 	r.check(r.FaultP99Us < 5000, "NPF p99 %.0f us exceeds 5 ms", r.FaultP99Us)
 	return r.finish(e.tr)
 }
 
-func runThrashUnderPressure(seed int64, o Options) *Report {
+func runThrashUnderPressure(seed int64, s *Scope) *Report {
 	r := &Report{Scenario: "thrash-under-pressure", Seed: seed}
-	e := newEthEnv(o, seed, 64, core.DefaultConfig(), 16<<20)
+	e := newChaosEthEnv(s, seed, 64, core.DefaultConfig(), 16<<20)
 	// Fast NVMe-class swap: the scenario stresses reclaim racing NPFs, not
 	// disk latency, and a 10 ms-per-page device would dominate every batch.
-	e.m.Swap.ReadLatency = 200 * sim.Microsecond
-	Arm(NewPlan(MemoryPressure{
+	e.srv.M.Swap.ReadLatency = 200 * sim.Microsecond
+	chaos.Arm(chaos.NewPlan(chaos.MemoryPressure{
 		At: 1500 * sim.Microsecond, Period: sim.Millisecond, Waves: 5,
 		LowBytes: 64 << 10, HighBytes: 16 << 20,
 	}), e.targets())
@@ -436,15 +403,15 @@ func runThrashUnderPressure(seed int64, o Options) *Report {
 	return r.finish(e.tr)
 }
 
-func runSlowResolver(seed int64, o Options) *Report {
+func runSlowResolver(seed int64, s *Scope) *Report {
 	r := &Report{Scenario: "slow-resolver", Seed: seed}
 	dcfg := core.DefaultConfig()
 	dcfg.RetryBackoffBase = 50 * sim.Microsecond
 	dcfg.RetryBackoffMax = 400 * sim.Microsecond
 	dcfg.MaxNPFRetries = 3
 	dcfg.DegradeToPinned = true
-	e := newEthEnv(o, seed, 64, dcfg, 0)
-	Arm(NewPlan(ResolverSlowdown{
+	e := newChaosEthEnv(s, seed, 64, dcfg, 0)
+	chaos.Arm(chaos.NewPlan(chaos.ResolverSlowdown{
 		At: sim.Millisecond, Duration: 4 * sim.Millisecond,
 		Extra: 100 * sim.Microsecond, TimeoutProb: 1,
 	}), e.targets())
@@ -455,15 +422,15 @@ func runSlowResolver(seed int64, o Options) *Report {
 	return r.finish(e.tr)
 }
 
-func runColdRingStorm(seed int64, o Options) *Report {
+func runColdRingStorm(seed int64, s *Scope) *Report {
 	r := &Report{Scenario: "cold-ring-storm", Seed: seed}
-	e := newEthEnv(o, seed, 32, core.DefaultConfig(), 0)
-	Arm(NewPlan(FirmwareStall{
+	e := newChaosEthEnv(s, seed, 32, core.DefaultConfig(), 0)
+	chaos.Arm(chaos.NewPlan(chaos.FirmwareStall{
 		At: sim.Millisecond, Duration: 3 * sim.Millisecond,
 		Mult: 3, Add: 100 * sim.Microsecond,
 	}), e.targets())
 	ethTraffic(e, r, 300, 4000, sim.Millisecond, 5*sim.Microsecond, 120*sim.Second)
-	r.check(e.sDev.RxToBackup.N > 0, "cold ring never parked a packet")
+	r.check(e.srv.Dev.RxToBackup.N > 0, "cold ring never parked a packet")
 	r.check(r.FaultP99Us < 10000, "NPF p99 %.0f us exceeds 10 ms", r.FaultP99Us)
 	return r.finish(e.tr)
 }
@@ -471,11 +438,10 @@ func runColdRingStorm(seed int64, o Options) *Report {
 // ---------------------------------------------------------------------------
 // InfiniBand scenario.
 
-func runLinkFlap(seed int64, o Options) *Report {
+func runLinkFlap(seed int64, s *Scope) *Report {
 	r := &Report{Scenario: "link-flap", Seed: seed}
-	eng := sim.NewEngine(seed)
-	eng.MaxEvents = maxScenarioEvents
-	tr := o.tracer(eng)
+	eng := guarded(s.newBenchGroup(seed, 1, 0)).Engine(0)
+	tr := s.scenarioTracer()(eng)
 	net := fabric.New(eng, fabric.DefaultInfiniBand())
 	cfg := rc.DefaultConfig()
 	// Both hosts are fault targets, so both stay on the one engine; only
@@ -512,10 +478,10 @@ func runLinkFlap(seed int64, o Options) *Report {
 		})
 	}
 
-	Arm(NewPlan(LinkFlap{
+	chaos.Arm(chaos.NewPlan(chaos.LinkFlap{
 		Node: hcaB.Node, At: sim.Millisecond, Down: 500 * sim.Microsecond,
 		Period: 1500 * sim.Microsecond, Times: 3,
-	}), Targets{Eng: eng, Net: net, Firmware: []*nic.Firmware{&hcaA.Firmware, &hcaB.Firmware},
+	}), chaos.Targets{Eng: eng, Net: net, Firmware: []*nic.Firmware{&hcaA.Firmware, &hcaB.Firmware},
 		Drivers: []*core.Driver{drvA, drvB}, Tracer: tr})
 
 	end := eng.RunUntil(120 * sim.Second)

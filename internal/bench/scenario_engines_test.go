@@ -1,4 +1,4 @@
-package chaos
+package bench
 
 import (
 	"testing"
@@ -9,15 +9,16 @@ import (
 // TestScenariosEnginesDeterminism extends the chaos replay contract to the
 // partitioned testbeds: every scenario must pass its invariants under the
 // PDES topology, and — since the partition structure is fixed — produce
-// identical reports for every Options.Engines value (which only changes the worker
+// identical reports for every Scope.Engines value (which only changes the worker
 // thread count). Running under -race additionally checks the engine
 // threads' isolation.
 func TestScenariosEnginesDeterminism(t *testing.T) {
+	t.Parallel()
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			a := sc.Run(7, Options{Engines: 1, Trace: sampling(250 * sim.Microsecond)})
-			b := sc.Run(7, Options{Engines: 2, Trace: sampling(250 * sim.Microsecond)})
+			a := sc.Run(7, &Scope{Engines: 1, Trace: sampling(250 * sim.Microsecond)})
+			b := sc.Run(7, &Scope{Engines: 2, Trace: sampling(250 * sim.Microsecond)})
 			if !a.Pass {
 				t.Fatalf("scenario failed partitioned:\n%s", a.Render())
 			}

@@ -1,4 +1,4 @@
-package chaos
+package bench
 
 import (
 	"strings"
@@ -13,7 +13,7 @@ import (
 // before finish, so the test controls whether an invariant "failed".
 func runForcedFailure(seed int64, ok bool) *Report {
 	r := &Report{Scenario: "forced", Seed: seed}
-	e := newEthEnv(Options{}, seed, 32, core.DefaultConfig(), 0)
+	e := newChaosEthEnv(nil, seed, 32, core.DefaultConfig(), 0)
 	ethTraffic(e, r, 50, 2000, sim.Millisecond, 20*sim.Microsecond, 120*sim.Second)
 	r.check(ok, "forced invariant failure")
 	return r.finish(e.tr)
@@ -24,6 +24,7 @@ func runForcedFailure(seed int64, ok bool) *Report {
 // the last causal fault events plus its digest, Render prints it, and a
 // passing run of the identical scenario carries nothing.
 func TestFailingReportCarriesFlightRecorder(t *testing.T) {
+	t.Parallel()
 	fail := runForcedFailure(7, false)
 	if fail.Pass {
 		t.Fatal("forced failure reported Pass")

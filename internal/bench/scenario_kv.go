@@ -1,7 +1,7 @@
-package chaos
+package bench
 
 import (
-	"npf/internal/fabric"
+	"npf/internal/chaos"
 	"npf/internal/kv"
 	"npf/internal/mem"
 	"npf/internal/sim"
@@ -14,41 +14,29 @@ import (
 // single-host scenarios use, with the replication convergence invariant
 // (CheckConsistency) layered on top of the usual no-lost-work checks.
 
-// kvEnv is one KV scenario testbed: the service plus the engines and
-// tracers it runs on. The server tier lives on partition 0 of the
-// testbed's group; with Options.Engines >= 1 the client tier lives on
+// chaosKVEnv is one KV scenario testbed: the service plus the group and
+// tracers it runs on (see newKVDeployment). The server tier lives on
+// partition 0; with Scope.Engines >= 1 the client tier lives on
 // partition 1.
-type kvEnv struct {
-	eng *sim.Engine // server-tier engine; chaos plans arm here
-	g   *sim.Group  // the testbed's group (newGroup)
+type chaosKVEnv struct {
+	g *sim.Group
 	// trs holds one tracer per partition: trs[0] is the server tier's,
 	// the last the client tier's (the same one on one partition).
 	trs []*trace.Tracer
 	svc *kv.Service
 }
 
-// newKVEnv builds a KV deployment on a fresh engine group.
-func newKVEnv(o Options, seed int64, cfg kv.Config) *kvEnv {
-	e := &kvEnv{}
-	fcfg := fabric.DefaultEthernet()
-	if cfg.Transport == kv.TransportRC {
-		fcfg = fabric.DefaultInfiniBand()
-	}
-	e.g = o.newGroup(seed, fcfg.Lookahead())
-	e.eng = e.g.Engine(0)
-	for _, eng := range e.g.Engines() {
-		e.trs = append(e.trs, o.tracer(eng))
-	}
-	cfg.ClientTracer = e.trs[len(e.trs)-1]
-	e.svc = kv.New(e.eng, fabric.NewOnGroup(e.g, fcfg), e.trs[0], cfg)
-	return e
+// newChaosKVEnv builds a KV deployment on a fresh engine group.
+func newChaosKVEnv(s *Scope, seed int64, cfg kv.Config) *chaosKVEnv {
+	g, svc, trs := s.newKVDeployment(seed, cfg, s.scenarioTracer())
+	return &chaosKVEnv{g: guarded(g), trs: trs, svc: svc}
 }
 
 // targets exposes the deployment to the injector, which keeps the adapters
 // and drivers on its own partition: the server tier's.
-func (e *kvEnv) targets() Targets {
-	return Targets{
-		Eng:      e.eng,
+func (e *chaosKVEnv) targets() chaos.Targets {
+	return chaos.Targets{
+		Eng:      e.svc.Eng,
 		Net:      e.svc.Net,
 		Firmware: e.svc.Firmware(),
 		Drivers:  e.svc.Drivers(),
@@ -59,7 +47,7 @@ func (e *kvEnv) targets() Targets {
 
 // runKVWorkload drives wl to completion (quiescing the control plane a
 // grace period after the last op) and fills the report's common fields.
-func runKVWorkload(r *Report, e *kvEnv, wl *kv.Workload) {
+func runKVWorkload(r *Report, e *chaosKVEnv, wl *kv.Workload) {
 	svc := e.svc
 	wl.OnDone = func() {
 		// Leave the control plane up long enough for failed-over or
@@ -97,14 +85,14 @@ func runKVWorkload(r *Report, e *kvEnv, wl *kv.Workload) {
 	}
 }
 
-func runKVInvalidationStorm(seed int64, o Options) *Report {
+func runKVInvalidationStorm(seed int64, s *Scope) *Report {
 	r := &Report{Scenario: "kv-under-invalidation-storm", Seed: seed}
-	env := newKVEnv(o, seed, kv.Config{
+	env := newChaosKVEnv(s, seed, kv.Config{
 		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
 		Reg: kv.RegODP, ExpectedKeys: 512,
 	})
 	svc := env.svc
-	plan := NewPlan(InvalidationChaos{
+	plan := chaos.NewPlan(chaos.InvalidationChaos{
 		At: 0, Duration: 2 * sim.Second,
 		Extra: 20 * sim.Microsecond, Duplicates: 2,
 	})
@@ -115,13 +103,13 @@ func runKVInvalidationStorm(seed int64, o Options) *Report {
 	spaces := append(svc.NetSpaces(), svc.Spaces()...)
 	for i := 0; i < 4; i++ {
 		at := sim.Time(3+2*i) * sim.Millisecond
-		plan.Add(Callback{At: at, Fn: func(ij *Injector) {
+		plan.Add(chaos.Callback{At: at, Fn: func(ij *chaos.Injector) {
 			for _, as := range spaces {
 				as.DiscardPages(0, int(as.MappedBytes()/mem.PageSize))
 			}
 		}})
 	}
-	Arm(plan, env.targets())
+	chaos.Arm(plan, env.targets())
 	wl := svc.NewWorkload(kv.WorkloadConfig{
 		TargetOps: 1200, Keys: 512, Prepopulate: true, FrontCacheEntries: 32,
 	})
@@ -131,9 +119,9 @@ func runKVInvalidationStorm(seed int64, o Options) *Report {
 	return r.finish(env.trs[0])
 }
 
-func runKVReplicaLinkFlap(seed int64, o Options) *Report {
+func runKVReplicaLinkFlap(seed int64, s *Scope) *Report {
 	r := &Report{Scenario: "kv-replica-link-flap", Seed: seed}
-	env := newKVEnv(o, seed, kv.Config{
+	env := newChaosKVEnv(s, seed, kv.Config{
 		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
 		Reg:            kv.RegODP,
 		ExpectedKeys:   512,
@@ -145,9 +133,9 @@ func runKVReplicaLinkFlap(seed int64, o Options) *Report {
 	victim := svc.Placement().PrimaryHost(0)
 	// Sever the victim host whole (data link and management port) for
 	// 100 ms — an order of magnitude past FailoverAfter — then heal it.
-	Arm(NewPlan(
-		Callback{At: 25 * sim.Millisecond, Fn: func(ij *Injector) { svc.SetHostDown(victim, true) }},
-		Callback{At: 125 * sim.Millisecond, Fn: func(ij *Injector) { svc.SetHostDown(victim, false) }},
+	chaos.Arm(chaos.NewPlan(
+		chaos.Callback{At: 25 * sim.Millisecond, Fn: func(ij *chaos.Injector) { svc.SetHostDown(victim, true) }},
+		chaos.Callback{At: 125 * sim.Millisecond, Fn: func(ij *chaos.Injector) { svc.SetHostDown(victim, false) }},
 	), env.targets())
 	wl := svc.NewWorkload(kv.WorkloadConfig{
 		TargetOps: 3000, Keys: 512, Prepopulate: true,
@@ -160,9 +148,9 @@ func runKVReplicaLinkFlap(seed int64, o Options) *Report {
 	return r.finish(env.trs[0])
 }
 
-func runKVMemoryPressure(seed int64, o Options) *Report {
+func runKVMemoryPressure(seed int64, s *Scope) *Report {
 	r := &Report{Scenario: "kv-memory-pressure", Seed: seed}
-	env := newKVEnv(o, seed, kv.Config{
+	env := newChaosKVEnv(s, seed, kv.Config{
 		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
 		Reg: kv.RegODP, ExpectedKeys: 512,
 	})
@@ -172,7 +160,7 @@ func runKVMemoryPressure(seed int64, o Options) *Report {
 	for _, h := range svc.Hosts {
 		h.M.Swap.ReadLatency = 200 * sim.Microsecond
 	}
-	Arm(NewPlan(MemoryPressure{
+	chaos.Arm(chaos.NewPlan(chaos.MemoryPressure{
 		At: 5 * sim.Millisecond, Period: 10 * sim.Millisecond, Waves: 5,
 		LowBytes: 64 << 10, HighBytes: 0,
 	}), env.targets())

@@ -1,4 +1,4 @@
-package chaos
+package bench
 
 import (
 	"strings"
@@ -23,11 +23,12 @@ func sampling(every sim.Time) func(*sim.Engine) *trace.Tracer {
 // produce byte-identical Report.Series, and enabling sampling must not
 // change whether the invariants pass.
 func TestScenarioSeriesReplayByteIdentical(t *testing.T) {
+	t.Parallel()
 	for _, sc := range Scenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			o := Options{Trace: sampling(250 * sim.Microsecond)}
-			a, b := sc.Run(7, o), sc.Run(7, o)
+			mk := sampling(250 * sim.Microsecond)
+			a, b := sc.Run(7, &Scope{Trace: mk}), sc.Run(7, &Scope{Trace: mk})
 			if !a.Pass {
 				t.Fatalf("scenario failed with sampling on:\n%s", a.Render())
 			}
@@ -50,7 +51,8 @@ func TestScenarioSeriesReplayByteIdentical(t *testing.T) {
 // TestSamplingOffLeavesSeriesEmpty pins the default: scenarios run without
 // a sampling tracer factory must not pay for (or report) a series.
 func TestSamplingOffLeavesSeriesEmpty(t *testing.T) {
-	r := Scenarios()[0].Run(1, Options{})
+	t.Parallel()
+	r := Scenarios()[0].Run(1, &Scope{})
 	if r.Series != "" {
 		t.Fatalf("Series populated without a sampler:\n%.300s", r.Series)
 	}

@@ -9,10 +9,10 @@ import (
 	"npf/internal/trace"
 )
 
-// Scope is one run's settings and statistics: every Run function, and
-// every env built with EthOpts.Scope or IBOpts.Scope, takes its fan-out,
-// engine budget and tracer factory from the scope and registers the engine
-// groups it builds there. Two runs on two scopes share nothing, so they
+// Scope is one run's settings and statistics: every Run function, every
+// chaos scenario, and every env built with EthOpts.Scope or IBOpts.Scope,
+// takes its fan-out, engine budget and tracer factory from the scope and
+// registers the engine groups it builds there. Two runs on two scopes share nothing, so they
 // can run side by side in one process. A nil *Scope is the default run:
 // serial jobs, one partition per env, one thread per group, no tracer
 // factory, nothing counted. Use a fresh scope per run: Stats counts every

@@ -9,7 +9,8 @@
 //
 // Everything is scheduled on the sim engine from seeded RNG streams split
 // at Arm time in deterministic order, so a chaos run replays byte-identical
-// for the same seed (the scenario runner asserts this with trace digests).
+// for the same seed (the scenarios in internal/bench assert this with
+// trace digests).
 // Every armed fault and every discrete injected event (a flap, a pressure
 // wave, a resolver timeout, a duplicated invalidation) emits an
 // internal/trace span in the "chaos" category; high-frequency events

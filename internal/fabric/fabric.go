@@ -193,9 +193,6 @@ func (n *Network) node(id NodeID) *node {
 	return n.nodes[id]
 }
 
-// Engine returns the engine a node's events run on.
-func (n *Network) Engine(id NodeID) *sim.Engine { return n.nodes[id].eng }
-
 // Delivered counts packets delivered to endpoints, across all nodes.
 func (n *Network) Delivered() uint64 { return n.sum(func(nd *node) uint64 { return nd.delivered.N }) }
 
@@ -217,8 +214,9 @@ func (n *Network) sum(f func(*node) uint64) uint64 {
 	return total
 }
 
-// SetNodeRate overrides both port rates of one node (e.g. the 12 Gb/s
-// duplication-prototype NIC attached to an otherwise 40 Gb/s fabric).
+// SetNodeRate overrides both port rates of one node (e.g. a slow NIC on an
+// otherwise faster fabric). The 12 Gb/s prototype NIC needs no override:
+// it is DefaultEthernet's RateBps.
 func (n *Network) SetNodeRate(id NodeID, rateBps int64) {
 	nd := n.nodes[id]
 	nd.egress.rateBps = rateBps
@@ -289,10 +287,6 @@ func (n *Network) deliver(dst *node, p *Packet) {
 func (n *Network) SetLossFunc(id NodeID, fn LossFunc) {
 	n.nodes[id].loss = fn
 }
-
-// Rand returns the node's private, deterministic loss stream, so injectors
-// can correlate their own draws with the link rather than a global stream.
-func (n *Network) Rand(id NodeID) *sim.Rand { return n.nodes[id].rng }
 
 // SetLinkDown severs (or restores) a node's link in both directions:
 // while down, everything it sends or should receive is silently dropped —

@@ -57,9 +57,6 @@ func (g *GuestTable) AllowedPages() int { return g.granted }
 // walk cost, and Blocked must be consulted before the fault path.
 func (d *Domain) SetGuestTable(g *GuestTable) { d.guest = g }
 
-// GuestTable returns the installed guest table, if any.
-func (d *Domain) GuestTable() *GuestTable { return d.guest }
-
 // Blocked reports whether any page of the access [addr, addr+length) is
 // forbidden by the guest table. Blocked accesses are protection violations:
 // the device drops them and no NPF is raised.

@@ -590,32 +590,6 @@ func (s *Service) detectorLoop(h *HostNode) {
 // Placement exposes the control-plane table (for tests and invariants).
 func (s *Service) Placement() *Placement { return s.place }
 
-// Replicas returns shard's replicas in placement order.
-func (s *Service) Replicas(shard int) []*ReplicaState {
-	var out []*ReplicaState
-	for _, r := range s.shards[shard] {
-		out = append(out, &ReplicaState{
-			Host:    r.host.Index,
-			Primary: r.primary,
-			Seq:     r.seq,
-			Items:   r.store.Items(),
-			Used:    r.store.UsedBytes(),
-			Shed:    r.shed,
-		})
-	}
-	return out
-}
-
-// ReplicaState is a read-only snapshot of one replica for invariants.
-type ReplicaState struct {
-	Host    int
-	Primary bool
-	Seq     uint64
-	Items   int
-	Used    int64
-	Shed    uint64
-}
-
 // CheckConsistency verifies the replication invariant after a run has
 // quiesced: every replica of every shard applied the same op sequence and
 // holds identical item state. It returns human-readable violations.

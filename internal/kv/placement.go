@@ -104,9 +104,6 @@ func (p *Placement) ShardOfKey(key string) int {
 	return int(fnv64(key) % uint64(p.shards))
 }
 
-// Shards returns the shard count.
-func (p *Placement) Shards() int { return p.shards }
-
 // ReplicaHosts returns shard's replica hosts in placement (promotion)
 // order. The caller must not mutate the slice.
 func (p *Placement) ReplicaHosts(shard int) []int { return p.table[shard] }

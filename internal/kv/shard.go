@@ -46,8 +46,6 @@ type replica struct {
 	resyncAt   sim.Time
 	resyncFull bool
 
-	shed uint64 // sets dropped after the arena stayed exhausted
-
 	// r.replicate, r.replTimeout and r.ackDrain, bound once: the set's
 	// service delay, its replication timeout and a backup's apply delay
 	// are argument events carrying the message they act on.
@@ -436,7 +434,6 @@ func (r *replica) applySet(key string, size int) (sim.Time, bool) {
 			r.svc.ArenaEvicts.Inc()
 			continue
 		}
-		r.shed++
 		r.svc.Shed.Inc()
 		return total, false
 	}

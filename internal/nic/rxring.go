@@ -75,9 +75,6 @@ func newRxRing(ch *Channel, size, bmSize int, policy FaultPolicy) *RxRing {
 	return r
 }
 
-// Policy returns the ring's fault policy.
-func (r *RxRing) Policy() FaultPolicy { return r.policy }
-
 // Size returns the ring's entry count.
 func (r *RxRing) Size() int { return r.size }
 

@@ -119,8 +119,6 @@ func TestSamplerExportsByteIdentical(t *testing.T) {
 		write func(*Series, *bytes.Buffer) error
 	}{
 		{"csv", func(s *Series, b *bytes.Buffer) error { return s.WriteCSV(b) }},
-		{"json", func(s *Series, b *bytes.Buffer) error { return s.WriteJSON(b) }},
-		{"openmetrics", func(s *Series, b *bytes.Buffer) error { return s.WriteOpenMetrics(b) }},
 	} {
 		var b1, b2 bytes.Buffer
 		if err := f.write(s1.Series(), &b1); err != nil {

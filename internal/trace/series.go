@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -19,10 +18,10 @@ import (
 // are formatted with strconv's shortest round-trip form, and timestamps are
 // virtual time.
 type Series struct {
-	Interval sim.Time             `json:"interval_ns"`
-	Times    []sim.Time           `json:"times_ns"`
-	Names    []string             `json:"names"`
-	Cols     map[string][]float64 `json:"columns"`
+	Interval sim.Time
+	Times    []sim.Time
+	Names    []string
+	Cols     map[string][]float64
 }
 
 // formatFloat renders v in the shortest form that round-trips, with NaN and
@@ -54,52 +53,6 @@ func (s *Series) WriteCSV(w io.Writer) error {
 		}
 		bw.WriteByte('\n')
 	}
-	return bw.Flush()
-}
-
-// WriteJSON writes the series as one indented JSON document. encoding/json
-// sorts map keys, so the output is deterministic.
-func (s *Series) WriteJSON(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// openMetricsName maps a dotted metric name onto the OpenMetrics charset.
-func openMetricsName(name string) string {
-	var b strings.Builder
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_',
-			c >= '0' && c <= '9' && i > 0:
-			b.WriteByte(c)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
-}
-
-// WriteOpenMetrics writes a Prometheus/OpenMetrics text snapshot of the
-// final sampled value of every metric, suitable for scraping or diffing.
-// Dots in metric names become underscores; the snapshot is terminated with
-// the mandatory "# EOF" marker.
-func (s *Series) WriteOpenMetrics(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	last := len(s.Times) - 1
-	for _, name := range s.Names {
-		om := openMetricsName(name)
-		fmt.Fprintf(bw, "# TYPE %s gauge\n", om)
-		fmt.Fprintf(bw, "%s %s\n", om, formatFloat(s.Cols[name][last]))
-	}
-	bw.WriteString("# EOF\n")
 	return bw.Flush()
 }
 

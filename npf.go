@@ -46,7 +46,7 @@
 //	cluster := npf.NewCluster(npf.WithSeed(42), npf.WithChaos(plan))
 //
 // Canned adversarial scenarios with pass/fail invariants live in
-// npf/internal/chaos and run with `npfbench -chaos NAME`.
+// npf/internal/bench (bench.Scenarios) and run with `npfbench -chaos NAME`.
 //
 // See examples/ for runnable programs and cmd/npfbench for the paper's
 // evaluation.
@@ -208,8 +208,8 @@ type (
 	// inert, so call sites never guard.
 	Tracer = trace.Tracer
 	// Sampler snapshots all registered metrics every interval of virtual
-	// time (see WithSampling); Series is its exportable result, with CSV,
-	// JSON, OpenMetrics, and sparkline renderers.
+	// time (see WithSampling); Series is its exportable result, with CSV
+	// and sparkline renderers.
 	Sampler = trace.Sampler
 	Series  = trace.Series
 )

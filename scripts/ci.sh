@@ -72,7 +72,11 @@ go -C cmd/npfperf test -short ./...
 # touched by two partitions at once. kv's TestPartitionedService and
 # TestPartitionedFailover run at 2 threads here too: a kv message changes
 # owner with the host that receives it, and each host's free list is
-# touched only by its own partition's engine.
+# touched only by its own partition's engine. The chaos scenario tests
+# live in internal/bench with the scenarios and none skips under -short
+# except the seed sweep: TestScenariosEnginesDeterminism runs every
+# scenario's two-partition testbed at 1 and 2 threads under the detector,
+# next to the series, span-set and flight-recorder replays.
 echo "== go test -race -short =="
 go test -race -short -timeout 10m ./...
 
