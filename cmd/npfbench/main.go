@@ -91,7 +91,7 @@ func runChaos(name string, seed int64, s *bench.Scope, stdout, stderr io.Writer)
 	for _, n := range names {
 		rep, err := bench.RunScenario(n, seed, s)
 		if err != nil {
-			fmt.Fprintf(stderr, "chaos: %v\n", err)
+			fmt.Fprintln(stderr, err)
 			return 2
 		}
 		fmt.Fprintf(stdout, "==== chaos %s ====\n%s\n", n, rep.Render())

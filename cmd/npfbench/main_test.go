@@ -130,3 +130,19 @@ func TestChaosRejectsJSON(t *testing.T) {
 		t.Errorf("ran a scenario before rejecting -json:\n%s", stdout.String())
 	}
 }
+
+// TestChaosUnknownScenario checks that -chaos with an unknown name exits 2
+// and names the scenario under one "chaos: " prefix.
+func TestChaosUnknownScenario(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-chaos", "nosuch"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	msg := stderr.String()
+	if !strings.HasPrefix(msg, `chaos: unknown scenario "nosuch"`) || strings.Count(msg, "chaos:") != 1 {
+		t.Errorf("stderr %q, want one \"chaos: \" prefix before the unknown scenario", msg)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("ran a scenario for an unknown name:\n%s", stdout.String())
+	}
+}

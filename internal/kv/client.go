@@ -66,6 +66,11 @@ type pendingReq struct {
 	attempts int
 }
 
+// maxLatReserve caps a workload's latency reservation at 8 MiB. A larger
+// TargetOps stands for a run that ends on time, not on its count
+// (TestKVWarmOpsAllocBound's 1<<30), and its reservoir grows as it records.
+const maxLatReserve = 1 << 20
+
 // NewWorkload attaches a tenant workload to the service. Client RNGs are
 // split from the engine in construction order, so results are independent
 // of when (or whether) other tenants run their ops.
@@ -73,6 +78,8 @@ func (s *Service) NewWorkload(cfg WorkloadConfig) *Workload {
 	cfg = cfg.WithDefaults(s.Cfg.ExpectedKeys)
 	w := &Workload{svc: s, Cfg: cfg, pending: make(map[uint64]*pendingReq)}
 	w.retryFn, w.frontHitFn = w.retry, w.frontHit
+	// An op records at most one latency, so TargetOps bounds the samples.
+	w.Lat.Grow(min(cfg.TargetOps, maxLatReserve))
 	per := cfg.TargetOps / cfg.Clients
 	extra := cfg.TargetOps % cfg.Clients
 	clientHosts := s.Hosts[s.Cfg.ServerHosts:]

@@ -21,8 +21,8 @@ import (
 // first, by bit pattern, then -0 before +0. Every query therefore depends
 // only on the multiset of samples, not on how they were stored.
 //
-// Copies share storage, so copy a Histogram only while it is empty; use
-// Merge to combine or snapshot one.
+// Copies share storage, so copy a Histogram only before its first Grow or
+// Add; use Merge to combine or snapshot one.
 type Histogram struct {
 	samples []float64
 	sum     float64
@@ -63,6 +63,14 @@ func (h *Histogram) Add(v float64) {
 	}
 	h.samples = append(h.samples, v)
 	h.sum += v
+}
+
+// Grow reserves room for n more samples, so that the next n Adds allocate
+// nothing. A caller that knows how many samples it will record reserves
+// them once instead of letting Add double the slice; repeats then fold
+// into runs only once the reserved room fills.
+func (h *Histogram) Grow(n int) {
+	h.samples = slices.Grow(h.samples, n)
 }
 
 // minRun is the shortest run fold stores as one entry. A histRun record

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -294,6 +295,81 @@ func TestHistogramQueryNoAlloc(t *testing.T) {
 		h.st.runs = slices.Grow(h.st.runs, 64*32)
 		if allocs := testing.AllocsPerRun(50, period); allocs != 0 {
 			t.Errorf("%s: a sample period allocates %.1f, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestHistogramGrowNoAlloc: after Grow(n), n Adds allocate nothing, runs
+// long enough to fold included. (n-1)*8 B is a size class, so a
+// reservation one sample short would fill before the last Add and allocate.
+func TestHistogramGrowNoAlloc(t *testing.T) {
+	const n = 1025
+	var hs [2]Histogram // AllocsPerRun warms up on the first
+	for i := range hs {
+		hs[i].Grow(n)
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		h := &hs[k]
+		k++
+		for i := 0; i < n; i++ {
+			h.Add(float64(i / (2 * minRun) % 13))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%d Adds after Grow(%d) allocate %.0f objects, want 0", n, n, allocs)
+	}
+	if hs[1].Count() != n {
+		t.Errorf("Count = %d, want %d", hs[1].Count(), n)
+	}
+}
+
+// TestHistogramGrowMatchesUngrown: a reservation changes only where the
+// samples live. A grown histogram and an un-grown twin fed the same
+// samples report the same count, sum and percentiles, before and after a
+// Merge, whether the samples fit the reservation or overflow it and fold.
+func TestHistogramGrowMatchesUngrown(t *testing.T) {
+	const reserve = 600
+	for _, tc := range []struct {
+		name string
+		val  func(i int) float64
+	}{
+		{"distinct", func(i int) float64 { return float64(i%977) * 1.25 }},
+		{"runs", func(i int) float64 { return float64(i / (minRun + 2) % 17) }},
+		{"one value", func(int) float64 { return 48.04 }},
+	} {
+		for _, n := range []int{reserve / 2, reserve, 5 * reserve} {
+			var grown, plain, side Histogram
+			grown.Grow(reserve)
+			for i := 0; i < n; i++ {
+				grown.Add(tc.val(i))
+				plain.Add(tc.val(i))
+				side.Add(tc.val(3 * i))
+			}
+			name := fmt.Sprintf("%s/%d", tc.name, n)
+			sameHist(t, name, &grown, &plain)
+			grown.Merge(&side)
+			plain.Merge(&side)
+			sameHist(t, name+"/merged", &grown, &plain)
+			var a, b Histogram
+			a.Merge(&grown)
+			b.Merge(&plain)
+			sameHist(t, name+"/merged into empty", &a, &b)
+		}
+	}
+}
+
+// sameHist fails unless a and b report the same count, sum and
+// percentile at every tenth of a percent.
+func sameHist(t *testing.T, name string, a, b *Histogram) {
+	t.Helper()
+	if a.Count() != b.Count() || math.Float64bits(a.sum) != math.Float64bits(b.sum) {
+		t.Fatalf("%s: n=%d sum=%v, want n=%d sum=%v", name, a.Count(), a.sum, b.Count(), b.sum)
+	}
+	for q := 0; q <= 1000; q++ {
+		p := float64(q) / 10
+		if got, want := a.Percentile(p), b.Percentile(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: p%v = %v, want %v", name, p, got, want)
 		}
 	}
 }

@@ -325,20 +325,47 @@ func (s *Sweep) buildServerTenants() {
 
 // buildClients deals each tenant's logical clients round-robin over the
 // swarm hosts, splitting one RNG per client in construction order and
-// spreading TargetOps across the tenant's clients.
+// spreading TargetOps across the tenant's clients. The config fixes each
+// host's client count and its ops per tenant before the first event, so
+// each host's client table is allocated once, at its count, and each
+// (host, tenant) latency reservoir is reserved for the host's quotas in
+// that tenant: an op records at most one latency.
 func (s *Sweep) buildClients() {
+	hosts := len(s.swarms)
+	for j, sh := range s.swarms {
+		n := 0
+		for _, t := range s.tenants {
+			n += dealt(t.cfg.Clients, hosts, j)
+		}
+		sh.clients = make([]swarmClient, 0, n)
+	}
 	for _, t := range s.tenants {
 		per := t.cfg.TargetOps / t.cfg.Clients
 		extra := t.cfg.TargetOps % t.cfg.Clients
 		for i := 0; i < t.cfg.Clients; i++ {
-			sh := s.swarms[i%len(s.swarms)]
+			sh := s.swarms[i%hosts]
 			quota := per
 			if i < extra {
 				quota++
 			}
 			sh.addClient(t, int32(quota))
 		}
+		// Host j holds dealt(Clients) clients at per ops each, and the
+		// first extra clients, dealt the same way, one op more.
+		for j, sh := range s.swarms {
+			sh.stats[t.idx].lat.Grow(dealt(t.cfg.Clients, hosts, j)*per + dealt(extra, hosts, j))
+		}
 	}
+}
+
+// dealt reports how many of n items dealt round-robin over k hands land in
+// hand j.
+func dealt(n, k, j int) int {
+	d := n / k
+	if j < n%k {
+		d++
+	}
+	return d
 }
 
 // pickServer routes a key to its tenant shard's server.

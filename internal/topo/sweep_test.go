@@ -163,6 +163,61 @@ func TestSweepOpenLoop(t *testing.T) {
 	}
 }
 
+// TestSweepSizesFromConfig: New allocates each swarm host's client table
+// at the count the deal gives it, and reserves each (host, tenant)
+// latency reservoir for the host's quotas in that tenant; a run grows
+// neither. Tenants here deal unevenly over the hosts, one spreads a
+// remainder of ops and one runs open loop.
+func TestSweepSizesFromConfig(t *testing.T) {
+	cfg := smallConfig(TransportEth)
+	cfg.Tenants[0].Workload.OpenLoop = true
+	cfg.Tenants[0].Workload.ArrivalRate = 50_000
+	cfg.Tenants[1].Workload.Clients = 29
+	cfg.Tenants[1].Workload.TargetOps = 437
+	eng := sim.NewEngine(5)
+	s, err := New(eng, fabric.New(eng, fabric.DefaultEthernet()), cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	type reservoir struct{ quota, cap int }
+	res := make([][]reservoir, len(s.swarms))
+	for j, sh := range s.swarms {
+		if cap(sh.clients) != len(sh.clients) {
+			t.Errorf("swarm host %d: %d clients in a table of %d", j, len(sh.clients), cap(sh.clients))
+		}
+		res[j] = make([]reservoir, len(sh.stats))
+		for _, c := range sh.clients {
+			res[j][c.tenant].quota += int(c.quota)
+		}
+		for ti := range sh.stats {
+			r := &res[j][ti]
+			if r.cap = latCap(&sh.stats[ti].lat); r.cap < r.quota {
+				t.Errorf("swarm host %d tenant %d: reservoir holds %d, quotas %d", j, ti, r.cap, r.quota)
+			}
+		}
+	}
+	s.Run()
+	if r := s.Result(); r.Ops != 400+437+400 {
+		t.Fatalf("ops = %d, want %d", r.Ops, 400+437+400)
+	}
+	for j, sh := range s.swarms {
+		for ti := range sh.stats {
+			r, lat := res[j][ti], &sh.stats[ti].lat
+			if c := latCap(lat); c != r.cap {
+				t.Errorf("swarm host %d tenant %d: reservoir grew from %d to %d", j, ti, r.cap, c)
+			}
+			if lat.Count() > r.quota {
+				t.Errorf("swarm host %d tenant %d: %d samples, reserved %d", j, ti, lat.Count(), r.quota)
+			}
+		}
+	}
+}
+
+// latCap reports the capacity of a histogram's sample slice.
+func latCap(h *sim.Histogram) int {
+	return reflect.ValueOf(h).Elem().FieldByName("samples").Cap()
+}
+
 func TestSweepValidation(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := fabric.New(eng, fabric.DefaultEthernet())
