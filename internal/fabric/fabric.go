@@ -1,7 +1,7 @@
 // Package fabric simulates the physical network joining the hosts: per-node
 // egress and ingress ports with line-rate serialization, propagation delay,
-// bounded buffering, optional random loss, and 802.3x-style link-level
-// pause (flow control).
+// bounded ingress buffering (unbounded on a lossless fabric) and optional
+// random loss.
 //
 // The fabric is deliberately dumb: it moves packets and can lose them.
 // Reliability is the transports' job (internal/rc, internal/tcp), and NPF
@@ -290,7 +290,7 @@ func (n *Network) SetLossFunc(id NodeID, fn LossFunc) {
 
 // SetLinkDown severs (or restores) a node's link in both directions:
 // while down, everything it sends or should receive is silently dropped —
-// a cable pull, unlike Pause which buffers.
+// a cable pull.
 func (n *Network) SetLinkDown(id NodeID, down bool) {
 	nd := n.nodes[id]
 	nd.ingress.blackhole = down
@@ -307,24 +307,10 @@ func (n *Network) NodeIDs() []NodeID {
 	return ids
 }
 
-// SetBlackhole makes a node's ingress silently discard all traffic (on) —
-// a true black hole for loss testing, unlike Pause which buffers.
+// SetBlackhole makes a node's ingress silently discard all traffic (on),
+// a true black hole for loss testing.
 func (n *Network) SetBlackhole(id NodeID, on bool) {
 	n.nodes[id].ingress.blackhole = on
-}
-
-// Pause asserts or releases link-level flow control on a node's ingress:
-// while paused, packets queue at the ingress port (and, if the buffer
-// fills, are dropped on lossy fabrics — congestion spreading is out of
-// scope, as the paper excludes this mechanism for rNPFs anyway).
-func (n *Network) Pause(id NodeID, paused bool) {
-	n.nodes[id].ingress.setPaused(paused)
-}
-
-// QueuedBytes reports bytes buffered at a node's ingress (visibility for
-// tests).
-func (n *Network) QueuedBytes(id NodeID) int {
-	return n.nodes[id].ingress.queuedBytes
 }
 
 // port is a rate-limited FIFO stage. It belongs to one node and schedules
@@ -340,7 +326,6 @@ type port struct {
 	cur         *Packet
 	queue       sim.Ring[*Packet]
 	queuedBytes int
-	paused      bool
 	blackhole   bool
 
 	// done takes each packet as its serialization completes; fire is the
@@ -371,16 +356,9 @@ func (p *port) enqueue(pkt *Packet) {
 	p.kick()
 }
 
-func (p *port) setPaused(paused bool) {
-	p.paused = paused
-	if !paused {
-		p.kick()
-	}
-}
-
 //npf:noalloc
 func (p *port) kick() {
-	if p.cur != nil || p.paused || p.queue.Len() == 0 {
+	if p.cur != nil || p.queue.Len() == 0 {
 		return
 	}
 	pkt := p.queue.Pop()

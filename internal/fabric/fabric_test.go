@@ -72,37 +72,39 @@ func TestOrderingPreserved(t *testing.T) {
 	}
 }
 
-func TestIngressOverflowDropsWhenLossy(t *testing.T) {
-	cfg := Config{RateBps: 8e9, Propagation: 0, IngressBufferBytes: 3000}
-	eng, net, _, b, ida, idb := setup(cfg)
-	net.Pause(idb, true) // ingress cannot drain
+// slowIngress sends ten 1000 B packets from a to b at 1000 ns each while b
+// serializes one per 100 µs, so b's ingress holds the first in service and
+// a backlog behind it. It returns the bytes queued at b's ingress once the
+// last packet has arrived.
+func slowIngress(eng *sim.Engine, net *Network, ida, idb NodeID) (queued int) {
+	net.SetNodeRate(idb, 8e7)
 	for i := 0; i < 10; i++ {
 		net.Send(&Packet{Src: ida, Dst: idb, Size: 1000})
 	}
+	eng.RunUntil(10_000)
+	queued = net.nodes[idb].ingress.queuedBytes
 	eng.Run()
-	if len(b.pkts) != 0 {
-		t.Fatal("paused ingress delivered packets")
+	return queued
+}
+
+func TestIngressOverflowDropsWhenLossy(t *testing.T) {
+	cfg := Config{RateBps: 8e9, Propagation: 0, IngressBufferBytes: 3000}
+	eng, net, _, b, ida, idb := setup(cfg)
+	if q := slowIngress(eng, net, ida, idb); q != 3000 {
+		t.Fatalf("queued at the full ingress: %d bytes, want 3000 (buffer capacity)", q)
 	}
-	if net.Dropped() == 0 {
-		t.Fatal("full lossy ingress should drop")
-	}
-	net.Pause(idb, false)
-	eng.Run()
-	if len(b.pkts) != 3 {
-		t.Fatalf("after unpause delivered %d, want 3 (buffer capacity)", len(b.pkts))
+	// One packet in service plus a full buffer get through; the rest drop.
+	if len(b.pkts) != 4 || net.Dropped() != 6 {
+		t.Fatalf("full lossy ingress delivered %d and dropped %d, want 4 and 6", len(b.pkts), net.Dropped())
 	}
 }
 
 func TestLosslessNeverDrops(t *testing.T) {
 	cfg := Config{RateBps: 8e9, Propagation: 0, IngressBufferBytes: 2000, Lossless: true}
 	eng, net, _, b, ida, idb := setup(cfg)
-	net.Pause(idb, true)
-	for i := 0; i < 10; i++ {
-		net.Send(&Packet{Src: ida, Dst: idb, Size: 1000})
+	if q := slowIngress(eng, net, ida, idb); q != 9000 {
+		t.Fatalf("queued at the lossless ingress: %d bytes, want 9000 (past its 2000 B buffer)", q)
 	}
-	eng.Run()
-	net.Pause(idb, false)
-	eng.Run()
 	if len(b.pkts) != 10 {
 		t.Fatalf("lossless delivered %d, want 10", len(b.pkts))
 	}
@@ -267,27 +269,6 @@ func TestArrivalTimesUnderQueueing(t *testing.T) {
 		eng.Run()
 		checkArrivals(t, b, ids, want)
 	}
-}
-
-// TestArrivalTimesPauseMidQueue: pausing an ingress port lets the packet
-// in service finish, holds the rest, and unpausing drains them back to
-// back from the unpause instant.
-func TestArrivalTimesPauseMidQueue(t *testing.T) {
-	eng, net, _, b, ida, idb := setup(Config{RateBps: 8e9, Propagation: 0, Lossless: true})
-	for i := 0; i < 5; i++ {
-		sendAt(eng, net, 0, ida, idb, i)
-	}
-	// Packets reach the ingress at 1000, 2000, ..., 5000 and serialize
-	// there for 1000 ns each. The pause at 2500 catches packet 1 in service.
-	eng.At(2500, func() { net.Pause(idb, true) })
-	eng.At(6000, func() {
-		if q := net.QueuedBytes(idb); q != 3000 {
-			t.Errorf("queued at the paused ingress: %d bytes, want 3000", q)
-		}
-	})
-	eng.At(7000, func() { net.Pause(idb, false) })
-	eng.Run()
-	checkArrivals(t, b, []int{0, 1, 2, 3, 4}, []sim.Time{2000, 3000, 8000, 9000, 10000})
 }
 
 // TestArrivalTimesBlackholeMidQueue: a black hole drops what arrives while

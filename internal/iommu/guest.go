@@ -46,12 +46,6 @@ func (g *GuestTable) Revoke(first mem.PageNum, count int) {
 	}
 }
 
-// Allowed reports whether pn may be DMAed.
-func (g *GuestTable) Allowed(pn mem.PageNum) bool { return g.allowed.Get(pn) }
-
-// AllowedPages reports the grant count.
-func (g *GuestTable) AllowedPages() int { return g.granted }
-
 // SetGuestTable installs (or clears, with nil) the guest level on this
 // domain. With a guest table set, every device walk pays a second-level
 // walk cost, and Blocked must be consulted before the fault path.

@@ -9,15 +9,15 @@ import (
 func TestGuestTableAllowRevoke(t *testing.T) {
 	g := NewGuestTable()
 	g.Allow(4, 4)
-	if !g.Allowed(5) || g.Allowed(8) {
+	if !g.allowed.Get(5) || g.allowed.Get(8) {
 		t.Fatal("allow range wrong")
 	}
 	g.Revoke(5, 1)
-	if g.Allowed(5) || !g.Allowed(4) {
+	if g.allowed.Get(5) || !g.allowed.Get(4) {
 		t.Fatal("revoke wrong")
 	}
-	if g.AllowedPages() != 3 {
-		t.Fatalf("allowed = %d", g.AllowedPages())
+	if g.granted != 3 {
+		t.Fatalf("allowed = %d", g.granted)
 	}
 }
 

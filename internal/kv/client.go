@@ -349,9 +349,6 @@ func (w *Workload) complete(req *pendingReq) {
 // Completed reports ops finished so far.
 func (w *Workload) Completed() int { return int(w.completed.N) }
 
-// Issued reports ops issued so far.
-func (w *Workload) Issued() int { return w.issued }
-
 // ---------------------------------------------------------------------------
 // Host-level hot-key front cache: a bounded LRU of keys recently fetched
 // by any client on the host. Only presence is cached (values are not

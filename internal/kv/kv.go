@@ -211,7 +211,7 @@ type HostNode struct {
 
 	// connFails counts transport connection failures observed by this
 	// host's dialer. Per-host (single-writer under PDES: both the server
-	// and the client tier dial); Service.ConnFailures sums them.
+	// and the client tier dial).
 	connFails sim.Counter
 }
 
@@ -271,15 +271,6 @@ type Service struct {
 // Events that interact with workloads (e.g. scheduling Stop after OnDone)
 // must run on this engine.
 func (s *Service) ClientEngine() *sim.Engine { return s.cliEng }
-
-// ConnFailures sums transport connection failures across every host.
-func (s *Service) ConnFailures() uint64 {
-	var n uint64
-	for _, h := range s.Hosts {
-		n += h.connFails.N
-	}
-	return n
-}
 
 // New builds the service on eng and net: hosts, transports (a full mesh
 // between every host pair), shard replicas with their per-shard memory

@@ -31,13 +31,17 @@ func newPartitionedService(t *testing.T, seed int64, cfg Config) (*sim.Group, *S
 // run: both engines' clocks and event counts, both tracers' digests, and
 // the service/workload counters.
 func pdesFingerprint(g *sim.Group, svc *Service, wl *Workload) string {
+	var connFails uint64
+	for _, h := range svc.Hosts {
+		connFails += h.connFails.N
+	}
 	return fmt.Sprintf(
 		"exec=%d now0=%d now1=%d dsrv=%x dcli=%x ops=%d p50=%.3f p99=%.3f fo=%d rt=%d shed=%d resync=%d redir=%d conn=%d",
 		g.Executed(), g.Engine(0).Now(), g.Engine(1).Now(),
 		svc.Tracer.Digest(), svc.TracerC.Digest(),
 		wl.Completed(), wl.Lat.Percentile(50), wl.Lat.Percentile(99),
 		svc.Failovers.N, svc.ReplTimeouts.N, svc.Shed.N, svc.Resyncs.N,
-		svc.Redirects.N, svc.ConnFailures())
+		svc.Redirects.N, connFails)
 }
 
 // TestPartitionedService checks the partitioned deployment end to end on

@@ -77,10 +77,10 @@ func TestRetriesAndRedirects(t *testing.T) {
 					wl.Retries.N, svc.Redirects.N, svc.Failovers.N)
 			}
 			n := wl.Cfg.TargetOps
-			if wl.Issued() != n || wl.Completed() != n || wl.Lat.Count() != n ||
+			if wl.issued != n || wl.Completed() != n || wl.Lat.Count() != n ||
 				int(wl.Gets.N+wl.Sets.N) != n || len(wl.pending) != 0 {
 				t.Fatalf("issued %d, completed %d, %d latencies, %d gets+sets, %d pending; want %d ops each completed once",
-					wl.Issued(), wl.Completed(), wl.Lat.Count(), wl.Gets.N+wl.Sets.N, len(wl.pending), n)
+					wl.issued, wl.Completed(), wl.Lat.Count(), wl.Gets.N+wl.Sets.N, len(wl.pending), n)
 			}
 			if bad := svc.CheckConsistency(); len(bad) != 0 {
 				t.Fatalf("consistency violations: %v", bad)

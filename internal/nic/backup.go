@@ -22,9 +22,6 @@ func newBackupRing(dev *Device, size int) *BackupRing {
 	return &BackupRing{dev: dev, size: size}
 }
 
-// Resize changes the ring capacity (experiment knob).
-func (b *BackupRing) Resize(size int) { b.size = size }
-
 // Len reports entries awaiting the driver.
 func (b *BackupRing) Len() int { return len(b.queue) }
 

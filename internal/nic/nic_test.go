@@ -324,7 +324,7 @@ func TestBmSizeBoundsParkedPackets(t *testing.T) {
 func TestBackupRingOverflowDrops(t *testing.T) {
 	e := newEnv(t, PolicyBackup, 64, 64)
 	e.drv.manual = true
-	e.dev.Backup.Resize(3)
+	e.dev.Backup.size = 3
 	e.postRx(0, 64)
 	for i := 0; i < 6; i++ {
 		e.inject(i, 1000)
@@ -408,7 +408,7 @@ func TestTxFaultSuspendsAndResumes(t *testing.T) {
 		TxDesc{Buffer: 0, Len: 2000, Frame: &fabric.Packet{Dst: dst.Node, Flow: dstCh.Flow, Payload: "one"}},
 		TxDesc{Buffer: mem.PageNum(4).Base(), Len: 2000, Frame: &fabric.Packet{Dst: dst.Node, Flow: dstCh.Flow, Payload: "two"}},
 	)
-	if !srcCh.Tx.Suspended() {
+	if !srcCh.Tx.suspended {
 		t.Fatal("cold TX buffer did not suspend the queue")
 	}
 	eng.Run()

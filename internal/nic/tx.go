@@ -42,9 +42,6 @@ func newTxQueue(ch *Channel) *TxQueue {
 	return q
 }
 
-// Suspended reports whether the queue is stalled on an NPF.
-func (q *TxQueue) Suspended() bool { return q.suspended }
-
 // Post enqueues descriptors for transmission.
 func (q *TxQueue) Post(descs ...TxDesc) {
 	for _, d := range descs {

@@ -760,12 +760,6 @@ type UDRemote struct {
 // Remote returns this QP's own UD address, for peers to reply to.
 func (qp *QP) Remote() UDRemote { return UDRemote{Node: qp.hca.Node, QPN: qp.QPN} }
 
-// PostSendUD sends one unreliable datagram (length <= MTU) to the
-// Connect-ed peer.
-func (qp *QP) PostSendUD(wqe SendWQE) {
-	qp.PostSendUDTo(UDRemote{Node: fabricNode(qp.peerNode), QPN: qp.peerQPN}, wqe)
-}
-
 // PostSendUDTo sends one unreliable datagram (length <= MTU) to an explicit
 // address handle; the QP needs no connection to the destination.
 func (qp *QP) PostSendUDTo(dst UDRemote, wqe SendWQE) {

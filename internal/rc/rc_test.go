@@ -345,7 +345,7 @@ func TestUDDropAndDemandPage(t *testing.T) {
 	e.b.OnRecv = func(c RecvCompletion) { got = append(got, c) }
 	e.b.PostRecv(RecvWQE{ID: 1, Addr: 0, Len: mem.PageSize})
 	e.b.PostRecv(RecvWQE{ID: 2, Addr: 0, Len: mem.PageSize})
-	e.a.PostSendUD(SendWQE{ID: 1, Laddr: 0, Len: 1000, Payload: "lost"})
+	e.a.PostSendUDTo(e.b.Remote(), SendWQE{ID: 1, Laddr: 0, Len: 1000, Payload: "lost"})
 	e.eng.Run()
 	if len(got) != 0 {
 		t.Fatal("UD datagram survived a cold buffer")
@@ -354,7 +354,7 @@ func TestUDDropAndDemandPage(t *testing.T) {
 		t.Fatalf("UD drops = %d", e.b.hca.UDDropsFault.N)
 	}
 	// Buffer is now demand-paged: the next datagram lands.
-	e.a.PostSendUD(SendWQE{ID: 2, Laddr: 0, Len: 1000, Payload: "ok"})
+	e.a.PostSendUDTo(e.b.Remote(), SendWQE{ID: 2, Laddr: 0, Len: 1000, Payload: "ok"})
 	e.eng.Run()
 	if len(got) != 1 || got[0].Payload != "ok" {
 		t.Fatalf("recv = %+v", got)

@@ -37,8 +37,8 @@ func BenchmarkEngineArgThroughput(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineImmediate measures the After(0) fast path: run-this-next
-// scheduling bypasses the heap entirely.
+// BenchmarkEngineImmediate measures a chain of After(0) events: each one
+// is filed in the heap as the only pending event and popped next.
 func BenchmarkEngineImmediate(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
@@ -276,8 +276,8 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 
 // TestEngineAfterArgSteadyStateAllocs is TestEngineSteadyStateAllocs for
 // argument events: a handler bound once and a pointer argument schedule,
-// cancel and run without allocating, whether the event is immediate, in
-// the heap or in the calendar tier.
+// cancel and run without allocating, whether the event is due now, later
+// in the current epoch or in the calendar tier.
 func TestEngineAfterArgSteadyStateAllocs(t *testing.T) {
 	e := NewEngine(1)
 	type client struct{ n int }
@@ -337,7 +337,7 @@ func TestEngineFarCancelRetention(t *testing.T) {
 	rng := NewRand(1)
 	fn := func() {}
 	var timers [1000]EventID
-	retained := func() int { return len(e.heap) + e.far + len(e.imm) - e.immHead }
+	retained := func() int { return len(e.heap) + e.far }
 	worst := 0
 	for i := 0; i < 100_000; i++ {
 		slot := i % len(timers)

@@ -1,11 +1,12 @@
 // Package sim provides the deterministic discrete-event simulation engine
 // that every other subsystem in this repository runs on.
 //
-// A single Engine owns a virtual clock and a priority queue of events.
-// Components schedule callbacks with At/After (or a bound func and its
-// argument with AtArg/AfterArg); Run drains the queue in
-// (time, sequence) order, so two runs with the same seed and the same
-// schedule produce byte-identical results.
+// A single Engine owns a virtual clock and one priority queue of events,
+// those due at the current instant included. Components schedule
+// callbacks with At/After (or a bound func and its argument with
+// AtArg/AfterArg); Run drains the queue in (time, sequence) order, so two
+// runs with the same seed and the same schedule produce byte-identical
+// results.
 //
 // The hot path is allocation-free in steady state: executed and cancelled
 // events return to a free list and are reused by later At/After calls, and
@@ -77,8 +78,7 @@ func (t Time) String() string {
 // pooled struct: an EventID names (event, seq), and a struct reused by a
 // later At carries a new seq. fn == nil marks an event that was cancelled
 // or has already run. next links the calendar-tier lists; it is nil in
-// the heap and &immMark in the immediate FIFO. The struct is exactly 48
-// bytes, one size class (TestEventSize).
+// the heap. The struct is exactly 48 bytes, one size class (TestEventSize).
 type event struct {
 	at   Time
 	seq  uint64
@@ -86,11 +86,6 @@ type event struct {
 	arg  any
 	next *event
 }
-
-// immMark's address is the next link of every event in the immediate FIFO,
-// which tells Cancel not to count it against the heap and the calendar
-// tier.
-var immMark event
 
 // plain is a func() carried as an argument: pointer-shaped, so boxing it
 // allocates nothing. It is the arg of an At/After event.
@@ -142,8 +137,8 @@ type Engine struct {
 	now Time
 	seq uint64
 	// heap is a manual binary min-heap ordered by (at, seq). It holds every
-	// pending event of epoch <= cur except those due at exactly the current
-	// instant, so its top is the global (at, seq) minimum.
+	// pending event of epoch <= cur, so its top is the global (at, seq)
+	// minimum.
 	heap []*event
 	// The calendar tier holds every later event. ring[ep&ringMask] lists
 	// the events of epoch ep for cur < ep < cur+ringEpochs, and ringBits
@@ -158,13 +153,6 @@ type Engine struct {
 	over     *event
 	overMin  int64
 	far      int
-	// imm is a FIFO of events scheduled for the current instant (After(0),
-	// At(Now())). Appending preserves seq order, and no heap event due now
-	// can have a larger seq (nothing enters the heap at the current time),
-	// so a plain queue pop keeps the global (at, seq) order — while making
-	// the extremely common "run this next" pattern O(1).
-	imm     []*event
-	immHead int
 	// running is the seq of the event executing now, or of the last one
 	// to have run.
 	running uint64
@@ -216,7 +204,7 @@ func (e *Engine) Partition() int { return e.part }
 // Forever when nothing is pending. It is the conservative-sync protocol's
 // view of the engine's next action.
 func (e *Engine) NextEventTime() Time {
-	if ev, _ := e.peek(); ev != nil {
+	if ev := e.peek(); ev != nil {
 		return ev.at
 	}
 	return Forever
@@ -282,17 +270,14 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) EventID {
 	}
 	ev := e.alloc(t, fn, arg)
 	e.live++
-	if t == e.now {
-		ev.next = &immMark
-		e.imm = append(e.imm, ev) //npf:allocok — FIFO backing reaches steady-state capacity
-	} else {
-		e.schedule(ev)
-	}
+	e.schedule(ev)
 	return EventID{ev, ev.seq}
 }
 
-// schedule files a future event by epoch: the heap for epochs up to cur,
-// the epoch's ring list for the next ringEpochs-1, overflow beyond that.
+// schedule files an event by epoch: the heap for epochs up to cur, the
+// epoch's ring list for the next ringEpochs-1, overflow beyond that. An
+// event due now is filed like any other; its seq is larger than that of
+// every pending event due now, so it runs after them.
 //
 //npf:noalloc
 func (e *Engine) schedule(ev *event) {
@@ -363,11 +348,9 @@ func (e *Engine) Cancel(id EventID) bool {
 	ev.fn = nil
 	ev.arg = nil
 	e.live--
-	if ev.next != &immMark {
-		e.dead++
-		if e.dead >= compactMinDead && e.dead*2 > len(e.heap)+e.far {
-			e.compact()
-		}
+	e.dead++
+	if e.dead >= compactMinDead && e.dead*2 > len(e.heap)+e.far {
+		e.compact()
 	}
 	return true
 }
@@ -510,18 +493,9 @@ func (e *Engine) Stop() { e.stopped = true }
 // the final virtual time.
 func (e *Engine) Run() Time { return e.RunUntil(Forever) }
 
-// peek returns the next live event and which queue it heads, discarding any
-// dead events that have surfaced. It returns nil when nothing is scheduled.
-func (e *Engine) peek() (ev *event, fromHeap bool) {
-	for e.immHead < len(e.imm) && e.imm[e.immHead].fn == nil {
-		e.recycle(e.imm[e.immHead])
-		e.imm[e.immHead] = nil
-		e.immHead++
-	}
-	if e.immHead == len(e.imm) {
-		e.imm = e.imm[:0]
-		e.immHead = 0
-	}
+// peek returns the next live event, the heap's top, discarding any dead
+// events that have surfaced. It returns nil when nothing is scheduled.
+func (e *Engine) peek() *event {
 	for len(e.heap) > 0 && e.heap[0].fn == nil {
 		e.dead--
 		e.recycle(e.popHeap())
@@ -529,17 +503,10 @@ func (e *Engine) peek() (ev *event, fromHeap bool) {
 	if len(e.heap) == 0 && e.far != 0 {
 		e.refill()
 	}
-	switch {
-	case len(e.heap) == 0 && e.immHead == len(e.imm):
-		return nil, false
-	case len(e.heap) > 0 && (e.immHead == len(e.imm) || e.heap[0].at <= e.now):
-		// A heap event due at the current instant predates (smaller seq)
-		// everything in the immediate FIFO: events only enter the heap for
-		// future times, so it must run first.
-		return e.heap[0], true
-	default:
-		return e.imm[e.immHead], false
+	if len(e.heap) == 0 {
+		return nil
 	}
+	return e.heap[0]
 }
 
 // RunUntil executes events with timestamps <= deadline. Events scheduled
@@ -555,8 +522,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 }
 
 // park advances the clock to t when t is ahead of it and not Forever. The
-// caller has run every event <= t, so the immediate FIFO, whose entries
-// are all due at the current instant, is empty and stays valid.
+// caller has run every event <= t, so every pending event stays in the
+// future. t may lie in a later epoch than cur; an event then scheduled
+// at the new Now waits in the calendar tier like any future one.
 func (e *Engine) park(t Time) {
 	if t != Forever && e.now < t {
 		e.now = t
@@ -570,16 +538,11 @@ func (e *Engine) park(t Time) {
 func (e *Engine) runThrough(target Time) (stopped bool) {
 	e.stopped = false
 	for !e.stopped {
-		next, fromHeap := e.peek()
+		next := e.peek()
 		if next == nil || next.at > target || next.at == Forever {
 			return false
 		}
-		if fromHeap {
-			e.popHeap()
-		} else {
-			e.imm[e.immHead] = nil
-			e.immHead++
-		}
+		e.popHeap()
 		e.live--
 		e.now = next.at
 		e.executed++

@@ -8,8 +8,8 @@ import (
 
 // refEngine is the reference model FuzzEngineOrder checks the Engine
 // against: every pending event in one slice sorted by (at, seq). It has no
-// tiers, no FIFO, no pool and no lazy deletion, so it states the engine's
-// contract directly.
+// tiers, no pool and no lazy deletion, so it states the engine's contract
+// directly.
 type refEngine struct {
 	now      Time
 	seq      uint64

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -234,7 +235,8 @@ func TestEngineEventIDReuseSafety(t *testing.T) {
 	}
 
 	// A cancelled event's ID goes stale the same way, and cancelling it
-	// twice is a no-op, for heap, calendar and immediate events alike.
+	// twice is a no-op, whether the event is due now, later in the current
+	// epoch or in the calendar tier.
 	for _, d := range []Time{0, 10, Time(1) << (epochShift + 2)} {
 		victim := e.After(d, func() { t.Fatalf("cancelled event (delay %v) ran", d) })
 		if !e.Cancel(victim) || e.Cancel(victim) {
@@ -254,7 +256,7 @@ func TestEngineEventIDReuseSafety(t *testing.T) {
 
 // TestEventSize pins the event struct at 48 bytes, one allocation size
 // class: an argument event fits fn and arg by folding the generation into
-// seq, the cancelled flag into fn and the immediate flag into next.
+// seq and the cancelled flag into fn.
 func TestEventSize(t *testing.T) {
 	if sz := unsafe.Sizeof(event{}); sz != 48 {
 		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 48", sz)
@@ -303,21 +305,23 @@ func TestEngineImmediateOrdering(t *testing.T) {
 
 // Stop with same-instant events still queued, then more At(now) scheduling,
 // then resume: (time, seq) order must hold across the interruption, and a
-// deadline jump must not strand immediate events.
+// deadline jump must not strand events due now. A deadline that parks the
+// clock in an epoch past the heap's files events due now in the calendar
+// tier, which must still run them in seq order before later events.
 func TestEngineStopResumeImmediate(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
 	e.At(5, func() { order = append(order, "a"); e.Stop() })
 	e.At(5, func() { order = append(order, "b") })
 	e.Run()
-	e.At(5, func() { order = append(order, "c") }) // now == 5: immediate queue
+	e.At(5, func() { order = append(order, "c") }) // now == 5: due now, after b
 	e.RunUntil(9)                                  // runs b, c; clock jumps to 9
 	if e.Now() != 9 {
 		t.Fatalf("clock = %v, want 9", e.Now())
 	}
 	e.At(9, func() { order = append(order, "d"); e.Stop() })
 	e.At(9, func() { order = append(order, "e") })
-	e.Run()        // runs d, stops with e still immediate
+	e.Run()        // runs d, stops with e still due now
 	e.RunUntil(20) // deadline jump: e must run first, not be stranded
 	if e.Now() != 20 {
 		t.Fatalf("clock = %v, want 20", e.Now())
@@ -332,6 +336,27 @@ func TestEngineStopResumeImmediate(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("order = %q, want %q", got, want)
+	}
+
+	// Park the clock 3 epochs past cur (the ring) and then a full ring past
+	// it (overflow), with a later event pending when the now-events arrive.
+	for _, park := range []Time{3<<epochShift + 7, (ringEpochs+8)<<epochShift + 7} {
+		e.RunUntil(park)
+		if ep := epochOf(e.Now()); ep <= e.cur {
+			t.Fatalf("park %v: clock epoch %d not past cur %d", park, ep, e.cur)
+		}
+		order = order[:0]
+		e.At(park+2<<epochShift, func() { order = append(order, "late") })
+		e.At(e.Now(), func() { order = append(order, "n1") })
+		e.At(e.Now(), func() { order = append(order, "n2") })
+		e.After(0, func() { order = append(order, "n3") })
+		if len(e.heap) != 0 || e.far != 4 {
+			t.Fatalf("park %v: heap %d, calendar %d; want every event in the calendar tier", park, len(e.heap), e.far)
+		}
+		e.Run()
+		if got := strings.Join(order, " "); got != "n1 n2 n3 late" {
+			t.Fatalf("park %v: order = %q, want %q", park, got, "n1 n2 n3 late")
+		}
 	}
 }
 

@@ -115,11 +115,12 @@ func TestFramePoolSameEngineOnly(t *testing.T) {
 	}
 }
 
-// TestGoBackNLateAckCoversRequeued: the client's ACKs are held at its
-// ingress until after an RTO has rewound the send queue and resent the
-// first segment. The late cumulative ACK then covers all four requeued
-// segments, so none of the other three is sent a second time; the messages
-// still arrive in order and tcp.inflight_segs falls back to 0.
+// TestGoBackNLateAckCoversRequeued: the client loses every ACK until an
+// RTO has rewound the send queue and resent the first segment. The
+// server's ACK of that resend is the late cumulative ACK: it covers all
+// four requeued segments, so none of the other three is sent a second
+// time; the messages still arrive in order and tcp.inflight_segs falls
+// back to 0.
 func TestGoBackNLateAckCoversRequeued(t *testing.T) {
 	const n = 4
 	eng := sim.NewEngine(1)
@@ -134,7 +135,8 @@ func TestGoBackNLateAckCoversRequeued(t *testing.T) {
 	c := client.Dial(server.ch.Dev.Node, server.ch.Flow)
 
 	// Count each data segment the server is sent, by sequence number, and
-	// let only the final cumulative ACK reach the client.
+	// let only a cumulative ACK of all n segments, sent after the RTO,
+	// reach the client.
 	sends := map[uint64]int{}
 	net.SetLossFunc(server.ch.Dev.Node, func(p *fabric.Packet) bool {
 		if seg := p.Payload.(*frame).seg; seg.Kind == segData && seg.Len > 0 {
@@ -142,26 +144,28 @@ func TestGoBackNLateAckCoversRequeued(t *testing.T) {
 		}
 		return false
 	})
+	late := 0
 	net.SetLossFunc(client.ch.Dev.Node, func(p *fabric.Packet) bool {
 		seg := p.Payload.(*frame).seg
-		return seg.Kind == segData && seg.Ack < n*4000
-	})
-
-	const start = 10 * sim.Millisecond
-	eng.At(start, func() {
-		net.Pause(client.ch.Dev.Node, true)
-		for k := 0; k < n; k++ {
-			c.Send(4000, k)
+		if seg.Kind != segData {
+			return false
 		}
-	})
-	// The RTO (InitRTO: no RTT sample yet) fires at start+1s; release the
-	// held ACKs just after it.
-	eng.At(start+sim.Second+sim.Microsecond, func() {
-		if client.Timeouts.N != 1 || c.sent != 1 || c.q.Len() != n {
+		if seg.Ack < n*4000 || client.Timeouts.N == 0 {
+			return true
+		}
+		if late++; late == 1 && (client.Timeouts.N != 1 || c.sent != 1 || c.q.Len() != n) {
 			t.Errorf("before the late ACK: %d timeouts, %d of %d queued segments sent; want 1, 1 of %d",
 				client.Timeouts.N, c.sent, c.q.Len(), n)
 		}
-		net.Pause(client.ch.Dev.Node, false)
+		return false
+	})
+
+	// The RTO (InitRTO: no RTT sample yet) fires at start+1s.
+	const start = 10 * sim.Millisecond
+	eng.At(start, func() {
+		for k := 0; k < n; k++ {
+			c.Send(4000, k)
+		}
 	})
 	tr.StartSampler(sim.Millisecond)
 	eng.Run()

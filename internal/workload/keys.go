@@ -24,6 +24,3 @@ func (t *KeyTable) Name(k int) string {
 	}
 	return t.names[k]
 }
-
-// Interned reports how many names the table currently holds.
-func (t *KeyTable) Interned() int { return len(t.names) }

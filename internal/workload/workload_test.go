@@ -113,8 +113,8 @@ func TestKeyTableInterning(t *testing.T) {
 	if got := kt.Name(3); got != "key-0000003" {
 		t.Fatalf("Name(3) = %q", got)
 	}
-	if kt.Interned() != 4 {
-		t.Fatalf("Interned = %d, want 4", kt.Interned())
+	if len(kt.names) != 4 {
+		t.Fatalf("interned %d names, want 4", len(kt.names))
 	}
 	// Steady state: no growth, no allocation.
 	allocs := testing.AllocsPerRun(100, func() {

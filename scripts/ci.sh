@@ -89,9 +89,9 @@ if ! grep -q 'BenchmarkTracerDisabled.* 0 B/op.* 0 allocs/op' <<< "$out"; then
 fi
 
 # The sim engine's free-list contract: steady-state scheduling must not
-# allocate, and the event-throughput hot path and the fleet-regime
-# large-pending queue (about 100k far timers in the calendar tier) must
-# report 0 allocs/op. Argument events (AtArg/AfterArg with a pre-bound
+# allocate, and the event-throughput hot path, a chain of After(0) events
+# and the fleet-regime large-pending queue (about 100k far timers in the
+# calendar tier) must report 0 B/op and 0 allocs/op. Argument events (AtArg/AfterArg with a pre-bound
 # func and a pointer argument) schedule, cancel and run at 0 allocs/op
 # too. TestEngineFarCancelRetention bounds what cancelled
 # far timers may keep queued. A histogram stores a run of repeated samples
@@ -100,9 +100,9 @@ fi
 # delivers mail with a pre-bound func and a pointer argument at 0 allocs/op.
 echo "== engine allocation gate =="
 out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineAfterArgSteadyStateAllocs|TestEngineTimerChurnAllocs|TestEngineFarCancelRetention|TestHistogramRepeatsStayCompact|TestHistogramQueryNoAlloc' \
-    -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineArgThroughput|BenchmarkEngineLargePending|BenchmarkGroupMail|BenchmarkHistogramAddRepeat' -benchtime 10000x ./internal/sim/)
+    -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineArgThroughput|BenchmarkEngineImmediate|BenchmarkEngineLargePending|BenchmarkGroupMail|BenchmarkHistogramAddRepeat' -benchtime 10000x ./internal/sim/)
 echo "$out"
-for bench in BenchmarkEngineEventThroughput BenchmarkEngineArgThroughput BenchmarkEngineLargePending BenchmarkGroupMail BenchmarkHistogramAddRepeat; do
+for bench in BenchmarkEngineEventThroughput BenchmarkEngineArgThroughput BenchmarkEngineImmediate BenchmarkEngineLargePending BenchmarkGroupMail BenchmarkHistogramAddRepeat; do
     if ! grep -q "$bench.* 0 B/op.* 0 allocs/op" <<< "$out"; then
         echo "$bench is not allocation-free" >&2
         exit 1
