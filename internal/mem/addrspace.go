@@ -11,20 +11,36 @@ import (
 // ErrSegv is returned when touching an address that no VMA covers.
 var ErrSegv = errors.New("mem: segmentation fault (address not mapped)")
 
-// pte is the state of one virtual page.
+// pte is the state of one virtual page: 32 bytes, one allocation size
+// class (TestPTESize). pn fits 32 bits because MapBytes keeps every mapped
+// page below maxPages.
 type pte struct {
-	pn      PageNum
+	pn      uint32
 	present bool
 	pinned  bool
-	dirty   bool // content exists; eviction must swap out, not drop
-	inSwap  bool // next fault-in must read the swap device (major)
-	wp      bool // write-protected (COW-shared after Fork)
-	cowCopy bool // first materialisation must copy from the fork parent
+	dirty   bool    // content exists; eviction must swap out, not drop
+	flags   pteFlag // the rarely set states below
 	access  sim.Time
 	// prev and next link the page into its space's LRU, a circular list
 	// through the space's sentinel; both are non-nil iff present && !pinned.
 	prev, next *pte
 }
+
+// pteFlag is one of a pte's rarely set states, a bit of pte.flags.
+type pteFlag uint8
+
+const (
+	pteInSwap  pteFlag = 1 << iota // next fault-in must read the swap device (major)
+	pteWP                          // write-protected (COW-shared after Fork)
+	pteCowCopy                     // first materialisation must copy from the fork parent
+)
+
+// has reports whether flag f is set on p.
+func (p *pte) has(f pteFlag) bool { return p.flags&f != 0 }
+
+// maxPages bounds an address space: every page number fits a pte's 32-bit
+// pn.
+const maxPages = 1 << 32
 
 // TouchResult summarises the outcome of an access.
 type TouchResult struct {
@@ -117,8 +133,15 @@ func (as *AddressSpace) Machine() *Machine { return as.m }
 
 // MapBytes maps a fresh, zero-filled, demand-paged region of at least n
 // bytes and returns its base address. Nothing becomes resident until
-// touched (delayed allocation).
+// touched (delayed allocation). A negative n, or a mapping that would
+// reach past maxPages, is an invariant violation and panics.
 func (as *AddressSpace) MapBytes(n int64) VAddr {
+	if n < 0 {
+		panic("mem: invariant violated: MapBytes of a negative size")
+	}
+	if n > int64(maxPages-as.mappedPages)*PageSize {
+		panic("mem: invariant violated: MapBytes past the 2^32-page address space")
+	}
 	pages := PageNum((n + PageSize - 1) / PageSize)
 	base := as.mappedPages.Base()
 	as.mappedPages += pages
@@ -150,7 +173,7 @@ func (as *AddressSpace) RegisterNotifier(n Notifier) { as.notifiers = append(as.
 func (as *AddressSpace) pte(pn PageNum) *pte {
 	pp := as.pages.At(pn)
 	if *pp == nil {
-		*pp = &pte{pn: pn}
+		*pp = &pte{pn: uint32(pn)}
 		as.ptes++
 	}
 	return *pp
@@ -219,7 +242,7 @@ func (as *AddressSpace) TouchPages(first PageNum, count int, write bool) (TouchR
 		if p.present {
 			p.access = now
 			if write {
-				if p.wp {
+				if p.has(pteWP) {
 					// COW break: a write fault plus the page copy.
 					res.Cost += as.m.Costs.MinorFault + as.cowBreak(p)
 					res.Minor++
@@ -263,7 +286,7 @@ func (as *AddressSpace) FaultInRange(first PageNum, count int, write bool) (Touc
 		if p.present {
 			p.access = as.m.Eng.Now()
 			if write {
-				if p.wp {
+				if p.has(pteWP) {
 					res.Cost += as.m.Costs.MinorFault + as.cowBreak(p)
 					res.Minor++
 				}
@@ -307,7 +330,7 @@ func (as *AddressSpace) FaultInRange(first PageNum, count int, write bool) (Touc
 func (as *AddressSpace) TouchResident(addr VAddr, length int, write bool) bool {
 	first, count := addr.Page(), PagesSpanned(addr, length)
 	for i := 0; i < count; i++ {
-		if p := as.pages.Get(first + PageNum(i)); p == nil || !p.present || write && p.wp {
+		if p := as.pages.Get(first + PageNum(i)); p == nil || !p.present || write && p.has(pteWP) {
 			return false
 		}
 	}
@@ -331,18 +354,18 @@ func (as *AddressSpace) faultIn(p *pte) (cost sim.Time, major bool, err error) {
 		return 0, false, err
 	}
 	cost = charged + as.m.Costs.MinorFault
-	if p.inSwap {
+	if p.has(pteInSwap) {
 		cost += as.m.Swap.ReadCost(PageSize)
-		p.inSwap = false
+		p.flags &^= pteInSwap
 		major = true
 		as.MajorFaults.Inc()
 	} else {
 		as.MinorFaults.Inc()
 	}
-	if p.cowCopy {
+	if p.has(pteCowCopy) {
 		// Materialising a forked page copies it from the parent.
 		cost += CowCopyCost
-		p.cowCopy = false
+		p.flags &^= pteCowCopy
 	}
 	if h := as.m.faultLat; h != nil {
 		h.AddTime(cost)
@@ -458,7 +481,7 @@ func (as *AddressSpace) evictOldest() (int64, sim.Time, bool) {
 	cost := as.invalidate(p)
 	if p.dirty {
 		as.m.Swap.WriteCost(PageSize)
-		p.inSwap = true
+		p.flags |= pteInSwap
 		p.dirty = false
 	}
 	as.Evicted.Inc()
@@ -474,7 +497,7 @@ func (as *AddressSpace) evictOldest() (int64, sim.Time, bool) {
 func (as *AddressSpace) invalidate(p *pte) sim.Time {
 	var cost sim.Time
 	for _, n := range as.notifiers {
-		cost += n.InvalidatePages(p.pn, 1)
+		cost += n.InvalidatePages(PageNum(p.pn), 1)
 	}
 	p.present = false
 	if p.next != nil {
@@ -516,10 +539,10 @@ func (as *AddressSpace) dropPages(first PageNum, count int, swap bool) (int, sim
 			}
 			cost += as.invalidate(p)
 			if !swap {
-				p.inSwap = false
+				p.flags &^= pteInSwap
 			} else if p.dirty {
 				as.m.Swap.WriteCost(PageSize)
-				p.inSwap = true
+				p.flags |= pteInSwap
 			}
 			p.dirty = false
 			as.Evicted.Inc()

@@ -48,11 +48,11 @@ func (as *AddressSpace) Fork(name string, cgroup *Group) (*AddressSpace, sim.Tim
 		}
 		// Child: lazily copied on first touch.
 		cp := child.pte(pn)
-		cp.cowCopy = true
+		cp.flags |= pteCowCopy
 		// Parent: write-protect; devices must stop writing through stale
 		// mappings immediately.
-		if !p.wp && !p.pinned {
-			p.wp = true
+		if !p.has(pteWP) && !p.pinned {
+			p.flags |= pteWP
 			for _, n := range as.notifiers {
 				cost += n.InvalidatePages(pn, 1)
 			}
@@ -63,7 +63,7 @@ func (as *AddressSpace) Fork(name string, cgroup *Group) (*AddressSpace, sim.Tim
 
 // cowBreak clears write protection on p, paying the copy.
 func (as *AddressSpace) cowBreak(p *pte) sim.Time {
-	p.wp = false
+	p.flags &^= pteWP
 	as.CowBreaks.Inc()
 	return CowCopyCost
 }
@@ -81,7 +81,7 @@ func (as *AddressSpace) MigratePages(first PageNum, count int) (int, sim.Time) {
 			continue
 		}
 		for _, n := range as.notifiers {
-			cost += n.InvalidatePages(p.pn, 1)
+			cost += n.InvalidatePages(PageNum(p.pn), 1)
 		}
 		cost += MigratePerPage
 		as.Migrations.Inc()

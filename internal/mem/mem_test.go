@@ -2,8 +2,11 @@ package mem
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"npf/internal/sim"
 )
@@ -65,6 +68,71 @@ func TestSegv(t *testing.T) {
 	_ = as.MapBytes(PageSize)
 	if _, err := as.Touch(5*PageSize, 1, false); !errors.Is(err, ErrSegv) {
 		t.Fatalf("err = %v, want ErrSegv", err)
+	}
+}
+
+// TestPTESize pins the page-table entry at 32 bytes, one allocation size
+// class: pn is 32 bits and the rarely set states share one byte.
+func TestPTESize(t *testing.T) {
+	if sz := unsafe.Sizeof(pte{}); sz != 32 {
+		t.Fatalf("unsafe.Sizeof(pte{}) = %d, want 32", sz)
+	}
+}
+
+// MapBytes rejects a negative size and any mapping past maxPages, the
+// bound that lets a pte store its page number in 32 bits, and leaves the
+// space as it was.
+func TestMapBytesBounds(t *testing.T) {
+	cases := []struct {
+		name   string
+		before int64 // bytes mapped first
+		n      int64
+		panics bool
+	}{
+		{"zero", 0, 0, false},
+		{"one byte", 0, 1, false},
+		{"whole space", 0, maxPages * PageSize, false},
+		{"rest of space", PageSize, (maxPages - 1) * PageSize, false},
+		{"negative", 0, -1, true},
+		{"most negative", 0, math.MinInt64, true},
+		{"one byte past", 0, maxPages*PageSize + 1, true},
+		{"one page past the rest", PageSize, maxPages * PageSize, true},
+		{"max int64", 0, math.MaxInt64, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			as := newTestMachine(1<<20).NewAddressSpace("p", nil)
+			as.MapBytes(c.before)
+			mapped := as.MappedBytes()
+			func() {
+				defer func() {
+					r := recover()
+					if c.panics != (r != nil) {
+						t.Fatalf("MapBytes(%d) recovered %v, want panic %v", c.n, r, c.panics)
+					}
+					if r != nil && !strings.Contains(r.(string), "invariant") {
+						t.Fatalf("MapBytes(%d) recovered %v, want an invariant panic", c.n, r)
+					}
+				}()
+				as.MapBytes(c.n)
+			}()
+			if c.panics && as.MappedBytes() != mapped {
+				t.Fatalf("refused MapBytes(%d) moved MappedBytes %d -> %d", c.n, mapped, as.MappedBytes())
+			}
+		})
+	}
+	// The last mappable page keeps its number through the 32-bit pn: its
+	// eviction notifies that page.
+	as := newTestMachine(1<<20).NewAddressSpace("p", nil)
+	as.MapBytes(maxPages * PageSize)
+	var got PageNum = -1
+	as.RegisterNotifier(NotifierFunc(func(first PageNum, _ int) sim.Time { got = first; return 0 }))
+	last := PageNum(maxPages - 1)
+	if _, err := as.TouchPages(last, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := as.EvictPages(last, 1); n != 1 || got != last {
+		t.Fatalf("evicting page %d: %d evicted, notifier saw page %d", last, n, got)
 	}
 }
 

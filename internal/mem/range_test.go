@@ -68,8 +68,8 @@ func sameState(t *testing.T, step int, got, want *rangeSpace) {
 		if p == nil {
 			continue
 		}
-		ps := [...]bool{p.present, p.pinned, p.dirty, p.inSwap, p.wp, p.cowCopy, p.next != nil}
-		qs := [...]bool{q.present, q.pinned, q.dirty, q.inSwap, q.wp, q.cowCopy, q.next != nil}
+		ps := [...]bool{p.present, p.pinned, p.dirty, p.has(pteInSwap), p.has(pteWP), p.has(pteCowCopy), p.next != nil}
+		qs := [...]bool{q.present, q.pinned, q.dirty, q.has(pteInSwap), q.has(pteWP), q.has(pteCowCopy), q.next != nil}
 		if ps != qs || p.access != q.access {
 			t.Fatalf("step %d: page %d flags %v at %v, per-page %v at %v", step, pn, ps, p.access, qs, q.access)
 		}
@@ -92,7 +92,7 @@ func spaceCounters(as *AddressSpace) string {
 func lruPages(as *AddressSpace) []PageNum {
 	var pns []PageNum
 	for p := as.lru.next; p != &as.lru; p = p.next {
-		pns = append(pns, p.pn)
+		pns = append(pns, PageNum(p.pn))
 	}
 	return pns
 }
@@ -203,7 +203,7 @@ func FuzzAddressSpaceRanges(f *testing.F) {
 				ok := true
 				for pn := addr.Page(); pn < addr.Page()+PageNum(PagesSpanned(addr, length)); pn++ {
 					p := want.as.pages.Get(pn)
-					ok = ok && p != nil && p.present && !(write && p.wp)
+					ok = ok && p != nil && p.present && !(write && p.has(pteWP))
 				}
 				if ok {
 					if r, err := want.as.Touch(addr, length, write); err != nil || r.Kind() != NoFault {
