@@ -215,57 +215,6 @@ func (c *Cluster) TryNewHost(name string, opts ...HostOption) (*Host, error) {
 	return h, nil
 }
 
-// HostTemplate is a reusable recipe for batch host construction: a name
-// pattern plus the options every host built from it shares. Templates are
-// values — define one per role (server, client, ...) and stamp out fleets:
-//
-//	tmpl := npf.HostTemplate{NamePattern: "srv-%03d", Options: []npf.HostOption{npf.WithRAM(32 << 30)}}
-//	servers, err := cluster.TryNewHosts(tmpl, 100)
-type HostTemplate struct {
-	// NamePattern is a fmt pattern receiving the host's index within the
-	// batch (default "host-%03d").
-	NamePattern string
-	// Options apply to every host built from the template, in order,
-	// before any per-call extras.
-	Options []HostOption
-}
-
-// NewHosts adds n hosts in one call, named "host-000".., all built with
-// the same options — the batch form of NewHost. On a partitioned cluster
-// the batch round-robins across partitions unless WithPartition pins it
-// (placement is identical to n NewHost calls in a loop). Use TryNewHosts
-// with a HostTemplate to control naming or collect errors.
-func (c *Cluster) NewHosts(n int, opts ...HostOption) []*Host {
-	hosts, err := c.TryNewHosts(HostTemplate{Options: opts}, n)
-	if err != nil {
-		panic("npf: " + err.Error())
-	}
-	return hosts
-}
-
-// TryNewHosts builds n hosts from a template. Construction is in index
-// order (host i's RNG splits before host i+1's), so a batch is
-// byte-equivalent to the loop it replaces. The first configuration error
-// aborts the batch.
-func (c *Cluster) TryNewHosts(t HostTemplate, n int) ([]*Host, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("TryNewHosts: negative count %d", n)
-	}
-	pattern := t.NamePattern
-	if pattern == "" {
-		pattern = "host-%03d"
-	}
-	hosts := make([]*Host, 0, n)
-	for i := 0; i < n; i++ {
-		h, err := c.TryNewHost(fmt.Sprintf(pattern, i), t.Options...)
-		if err != nil {
-			return nil, err
-		}
-		hosts = append(hosts, h)
-	}
-	return hosts, nil
-}
-
 // AttachNIC gives the host an Ethernet NIC wired to its driver.
 func (h *Host) AttachNIC() *Device {
 	h.NIC = h.host.AttachNIC(h.cluster.Net, nic.DefaultConfig(), h.cluster.tracerFor(h.Part))

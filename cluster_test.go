@@ -1,49 +1,24 @@
 package npf
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
-// Batch host construction and partition-pin validation.
+// Host placement and partition-pin validation.
 
 func TestNewHostsBatch(t *testing.T) {
 	cluster := NewCluster(WithSeed(5), WithEngines(4))
-	hosts := cluster.NewHosts(10, WithRAM(1<<30))
-	if len(hosts) != 10 {
-		t.Fatalf("built %d hosts, want 10", len(hosts))
-	}
-	if hosts[0].Name != "host-000" || hosts[9].Name != "host-009" {
-		t.Fatalf("default names: %q .. %q", hosts[0].Name, hosts[9].Name)
-	}
-	// Placement must match ten NewHost calls in a loop: round-robin.
-	for i, h := range hosts {
+	// Ten NewHost calls in a loop place round-robin across partitions.
+	for i := 0; i < 10; i++ {
+		h := cluster.NewHost(fmt.Sprintf("host-%03d", i), WithRAM(1<<30))
 		if h.Part != i%4 {
 			t.Fatalf("host %d on partition %d, want %d", i, h.Part, i%4)
 		}
 		if h.Eng != cluster.EngineFor(h.Part) {
 			t.Fatalf("host %d engine/partition mismatch", i)
 		}
-	}
-}
-
-func TestHostTemplateNaming(t *testing.T) {
-	cluster := NewCluster(WithSeed(5))
-	tmpl := HostTemplate{
-		NamePattern: "srv-%02d",
-		Options:     []HostOption{WithRAM(2 << 30)},
-	}
-	hosts, err := cluster.TryNewHosts(tmpl, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hosts[2].Name != "srv-02" {
-		t.Fatalf("name = %q", hosts[2].Name)
-	}
-	// Templates are reusable: a second batch continues independently.
-	more, err := cluster.TryNewHosts(tmpl, 2)
-	if err != nil || len(more) != 2 {
-		t.Fatalf("second batch: %v, %d hosts", err, len(more))
 	}
 }
 

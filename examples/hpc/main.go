@@ -60,14 +60,11 @@ func (n *node) register(buf npf.VAddr, also *npf.QP) npf.Time {
 func run(usePinCache bool) (npf.Time, uint64) {
 	cluster := npf.NewCluster(npf.WithSeed(3), npf.WithFabric(npf.InfiniBandFabric()))
 	ring := make([]*node, nodes)
-	hosts, err := cluster.TryNewHosts(npf.HostTemplate{
-		NamePattern: "node%d",
-		Options:     []npf.HostOption{npf.WithRAM(32 << 30)},
-	}, nodes)
-	if err != nil {
-		panic(err)
-	}
-	for i, h := range hosts {
+	for i := range ring {
+		h, err := cluster.TryNewHost(fmt.Sprintf("node%d", i), npf.WithRAM(32<<30))
+		if err != nil {
+			panic(err)
+		}
 		as := h.NewProcess("rank", nil)
 		as.MapBytes(buffers * msgSize)
 		ring[i] = &node{host: h, as: as}

@@ -41,7 +41,7 @@ append, closure capture, interface boxing, string concat, fmt, map
 literals). Annotate reviewed lines //npf:allocok. The registry of
 runtime-gated hot paths (sim.Engine scheduling, the packet paths, the
 memcached handlers, the kv message paths, the trace fault-record methods,
-workload.Source draws) must keep their annotations: removing one is itself
+workload.Config draws) must keep their annotations: removing one is itself
 a finding.`
 
 var Analyzer = &analysis.Analyzer{
@@ -115,7 +115,7 @@ var Required = map[string][]string{
 		"Tracer.FaultContext",
 	},
 	"npf/internal/workload": {
-		"Source.NextOp", "Source.NextArrival",
+		"Config.NextOp", "Config.NextArrival",
 	},
 }
 

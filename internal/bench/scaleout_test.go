@@ -103,20 +103,18 @@ func TestGroupStatsAcrossThreads(t *testing.T) {
 }
 
 // TestScaleoutClientHotPathAllocs gates the per-client steady-state hot
-// path at zero allocations: one op draw, one interned key lookup, one
-// open-loop arrival draw. At 10^5 logical clients any per-op allocation
-// here dominates the heap profile, so this is a hard floor, not a budget.
+// path at zero allocations: one op draw and one interned key lookup. At
+// 10^5 logical clients any per-op allocation here dominates the heap
+// profile, so this is a hard floor, not a budget.
 func TestScaleoutClientHotPathAllocs(t *testing.T) {
-	cfg := workload.Config{Keys: 4096, OpenLoop: true}.WithDefaults(4096)
+	cfg := workload.Config{Keys: 4096}.WithDefaults(4096)
 	eng := sim.NewEngine(7)
-	src := workload.NewSource(cfg, eng.Rand().Split())
+	rng := eng.Rand().Split()
 	var keys workload.KeyTable
 	keys.Name(cfg.Keys - 1) // warm the intern table end-to-end
-	now := sim.Time(0)
 	allocs := testing.AllocsPerRun(2000, func() {
-		_, k := src.NextOp()
+		_, k := cfg.NextOp(rng)
 		_ = keys.Name(k)
-		now += src.NextArrival(now)
 	})
 	if allocs != 0 {
 		t.Fatalf("per-client steady-state hot path allocates %.1f/op; want 0", allocs)

@@ -50,8 +50,8 @@ type wlClient struct {
 	wl    *Workload
 	id    int
 	host  *HostNode
-	src   workload.Source
-	quota int // ops this client still has to issue
+	rng   sim.Rand // the client's split stream; draws read wl.Cfg
+	quota int      // ops this client still has to issue
 }
 
 type pendingReq struct {
@@ -94,7 +94,7 @@ func (s *Service) NewWorkload(cfg WorkloadConfig) *Workload {
 		}
 		w.clients = append(w.clients, &wlClient{
 			wl: w, id: i, host: h,
-			src:   workload.NewSource(cfg, s.Eng.Rand().Split()),
+			rng:   *s.Eng.Rand().Split(),
 			quota: q,
 		})
 	}
@@ -171,11 +171,10 @@ func (w *Workload) prepopulate() {
 	}
 }
 
-// nextArrival draws the open-loop inter-arrival gap (Curve-modulated when
-// the workload config sets one; the zero Curve is the historical constant
-// rate, byte-identical to the pre-extraction draw).
+// nextArrival draws the open-loop inter-arrival gap at the configured
+// constant rate.
 func (c *wlClient) nextArrival() sim.Time {
-	return c.src.NextArrival(c.wl.svc.cliEng.Now())
+	return c.wl.Cfg.NextArrival(&c.rng)
 }
 
 // arriveEvent is the open-loop tick of client arg: issue (regardless of
@@ -198,7 +197,7 @@ func (c *wlClient) issue() {
 	s := w.svc
 	c.quota--
 	w.issued++
-	isGet, keyIdx := c.src.NextOp()
+	isGet, keyIdx := c.wl.Cfg.NextOp(&c.rng)
 	key := s.keys.Name(keyIdx)
 	shard := s.place.ShardOfKey(key)
 	s.nextReq++

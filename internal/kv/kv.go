@@ -4,8 +4,8 @@
 // about. Shards are placed on server hosts by consistent hashing, each
 // shard runs a primary with synchronous primary→backup replication, and a
 // client tier drives Zipf-distributed traffic through the real `tcp` or
-// `rc` transports, so ODP page faults, pin-down-cache churn, and cgroup
-// reclaim all surface as end-to-end tail latency.
+// `rc` transports, so ODP page faults, pin-down-cache registration, and
+// cgroup reclaim all surface as end-to-end tail latency.
 //
 // Everything is deterministic: placement is pure hashing, failover
 // decisions are driven by heartbeat timestamps on the virtual clock, and
@@ -150,8 +150,9 @@ func (c Config) withDefaults() Config {
 
 // arenaBytes is each replica's pre-mapped value arena: two page-rounded
 // value slots per expected key on a shard (2x headroom for hash skew) plus
-// eight. A RegPinDown replica's pin-down cache holds half of it, small
-// enough to churn.
+// eight. A RegPinDown replica's pin-down cache holds half of it, about one
+// slot per expected key plus four: every key a workload touches fits, so
+// the cache never evicts and the pin-down tenant's latency tracks ODP's.
 func (c Config) arenaBytes() int64 {
 	slot := (int64(valueBytes) + mem.PageSize - 1) &^ (mem.PageSize - 1)
 	perShard := int64(c.ExpectedKeys)/int64(c.Shards) + 1

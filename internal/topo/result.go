@@ -217,7 +217,6 @@ func (s *Sweep) StateBytes() int64 {
 		}
 		total += int64(len(sh.clients)) * int64(unsafe.Sizeof(swarmClient{}))
 		total += int64(len(sh.stats)) * 64
-		total += int64(len(sh.pending)) * int64(unsafe.Sizeof(pendingOp{}))
 	}
 	return total
 }

@@ -64,8 +64,9 @@ func (r RegPolicy) String() string {
 // ring and one page of slack (reclaim waves squeeze it), and, under
 // RegPinDown, a pin-down cache half the arena.
 type TenantSpec struct {
-	// Workload shapes the tenant's load (clients, ops, key popularity,
-	// open/closed loop, arrival curve). Defaults via workload.Config.
+	// Workload shapes the tenant's load (clients, ops, key popularity).
+	// Defaults via workload.Config; a fleet tenant runs a closed loop, so
+	// OpenLoop must be false.
 	Workload workload.Config
 	// Reg selects the registration policy.
 	Reg RegPolicy
@@ -204,7 +205,7 @@ type Sweep struct {
 	serverUD   [][]rc.UDRemote
 
 	// The per-op event handlers (bindEvents).
-	issueFn, arriveFn, timeoutFn, timeoutOpenFn, replyFn func(any)
+	issueFn, timeoutFn, replyFn func(any)
 
 	started bool
 }
@@ -254,6 +255,9 @@ func (c SweepConfig) validate() error {
 		}
 		if t.Workload.Clients < 1 {
 			return fmt.Errorf("topo: tenant %d has no clients", i)
+		}
+		if t.Workload.OpenLoop {
+			return fmt.Errorf("topo: tenant %d (%s) is open-loop; a fleet client runs a closed loop", i, t.Workload.Tenant)
 		}
 	}
 	return nil
@@ -380,9 +384,9 @@ func (t *tenantState) slotOf(key int32, slots int64) int64 {
 	return (int64(key) / int64(len(t.servers))) % slots
 }
 
-// Start arms the load: closed-loop clients stagger in, open-loop clients
-// draw their first arrival, and reclaim waves are scheduled. Call after
-// New and before running the engines; extra calls are no-ops.
+// Start arms the load: clients stagger in and reclaim waves are
+// scheduled. Call after New and before running the engines; extra calls
+// are no-ops.
 func (s *Sweep) Start() {
 	if s.started {
 		return

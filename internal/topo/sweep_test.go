@@ -2,6 +2,7 @@ package topo
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -136,42 +137,13 @@ func TestSweepDeterminism(t *testing.T) {
 	}
 }
 
-func TestSweepOpenLoop(t *testing.T) {
-	cfg := smallConfig(TransportEth)
-	cfg.Tenants[0].Workload.OpenLoop = true
-	cfg.Tenants[0].Workload.ArrivalRate = 50_000
-	cfg.Tenants[0].Workload.Curve = workload.Curve{
-		Diurnal: 0.5, Period: 10 * sim.Millisecond,
-		FlashAt: 2 * sim.Millisecond, FlashFor: sim.Millisecond, FlashMult: 4,
-	}
-	eng := sim.NewEngine(11)
-	net := fabric.New(eng, fabric.DefaultEthernet())
-	s, err := New(eng, net, cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	s.Run()
-	r := s.Result()
-	if r.Tenants[0].Ops != 400 {
-		t.Fatalf("open-loop tenant ops = %d, want 400", r.Tenants[0].Ops)
-	}
-	// All pending ops drained.
-	for _, sh := range s.swarms {
-		if len(sh.pending) != 0 {
-			t.Fatalf("pending ops leaked: %d", len(sh.pending))
-		}
-	}
-}
-
 // TestSweepSizesFromConfig: New allocates each swarm host's client table
 // at the count the deal gives it, and reserves each (host, tenant)
 // latency reservoir for the host's quotas in that tenant; a run grows
-// neither. Tenants here deal unevenly over the hosts, one spreads a
-// remainder of ops and one runs open loop.
+// neither. Tenants here deal unevenly over the hosts and one spreads a
+// remainder of ops.
 func TestSweepSizesFromConfig(t *testing.T) {
 	cfg := smallConfig(TransportEth)
-	cfg.Tenants[0].Workload.OpenLoop = true
-	cfg.Tenants[0].Workload.ArrivalRate = 50_000
 	cfg.Tenants[1].Workload.Clients = 29
 	cfg.Tenants[1].Workload.TargetOps = 437
 	eng := sim.NewEngine(5)
@@ -231,6 +203,12 @@ func TestSweepValidation(t *testing.T) {
 	if _, err := New(eng, net, bad); err == nil {
 		t.Fatal("page-overflowing ValueBytes accepted")
 	}
+	// A fleet client runs a closed loop only; the error names the tenant.
+	bad = smallConfig(TransportEth)
+	bad.Tenants[1].Workload.OpenLoop = true
+	if _, err := New(eng, net, bad); err == nil || !strings.Contains(err.Error(), "pindown") {
+		t.Fatalf("open-loop tenant: err = %v, want an error naming tenant pindown", err)
+	}
 	// eng must be partition 0 of the fabric's group.
 	if _, err := New(sim.NewEngine(1), net, smallConfig(TransportEth)); err == nil {
 		t.Fatal("an engine outside the fabric's group accepted")
@@ -274,8 +252,8 @@ func TestTopologyPartition(t *testing.T) {
 // megabytes. The sizes of swarmClient and serverTenant also enter
 // StateBytes, and so every fleet fingerprint: they are pinned exactly.
 func TestSwarmClientFootprint(t *testing.T) {
-	if sz := unsafe.Sizeof(swarmClient{}); sz != 128 {
-		t.Fatalf("swarmClient is %d bytes, want 128; 10^6 clients = %d MB", sz, sz*1_000_000/1_000_000)
+	if sz := unsafe.Sizeof(swarmClient{}); sz != 48 {
+		t.Fatalf("swarmClient is %d bytes, want 48; 10^6 clients = %d MB", sz, sz*1_000_000/1_000_000)
 	}
 	if sz := unsafe.Sizeof(serverTenant{}); sz != 160 {
 		t.Fatalf("serverTenant is %d bytes, want 160", sz)

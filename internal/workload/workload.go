@@ -6,13 +6,12 @@
 // Everything here is deterministic and allocation-disciplined:
 //
 //   - Config carries the generator knobs (clients, target ops, get ratio,
-//     key-space size and Zipf exponent, open/closed loop, arrival rate) plus
-//     a Curve shaping the arrival rate over virtual time (diurnal swing,
-//     flash crowd) — seeded draws only, so same-seed runs replay
-//     byte-identically.
-//   - Source is one logical client's draw stream over a split RNG. Its
-//     methods never allocate; a Source embeds by value in swarm-client
-//     structs so 10^5 clients cost one slice, not 10^5 heap objects.
+//     key-space size and Zipf exponent, open/closed loop, arrival rate) and
+//     draws from them: NextOp and NextArrival read the tenant's one
+//     defaulted Config and a client's split RNG — seeded draws only, so
+//     same-seed runs replay byte-identically. A client holds only its RNG,
+//     so 10^5 swarm clients cost one pointer-free slice, and the draws
+//     never allocate.
 //   - KeyTable interns the canonical "key-%07d" names so the steady-state
 //     op path never formats strings.
 package workload
@@ -44,14 +43,11 @@ type Config struct {
 	ZipfS float64
 	// OpenLoop issues ops on an exponential arrival clock regardless of
 	// completions (coordinated-omission-free); the default closed loop
-	// keeps one op outstanding per client.
+	// keeps one op outstanding per client. Only kv runs an open loop: a
+	// scale-out sweep rejects an open-loop tenant.
 	OpenLoop bool
-	// ArrivalRate is ops/sec per client in open-loop mode (default 20k),
-	// before Curve modulation.
+	// ArrivalRate is ops/sec per client in open-loop mode (default 20k).
 	ArrivalRate float64
-	// Curve shapes ArrivalRate over virtual time (diurnal swing, flash
-	// crowd). The zero Curve is a constant rate.
-	Curve Curve
 	// FrontCacheEntries bounds the host-level hot-key front cache; 0
 	// disables it. Gets hitting the cache complete locally.
 	FrontCacheEntries int
@@ -94,61 +90,27 @@ func (c Config) WithDefaults(defaultKeys int) Config {
 	return c
 }
 
-// Source is one logical client's deterministic draw stream: op mix, key
-// popularity, and open-loop arrival gaps. It holds its split RNG's state
-// and the distribution parameters by value, so it embeds in per-client
-// structs without a pointer (a slice of 10^5 clients is then one object
-// the garbage collector never scans) and its methods never allocate.
-type Source struct {
-	rng      sim.Rand
-	getRatio float64
-	keys     int
-	zipfS    float64
-	rate     float64 // per-client base arrival rate, ops/sec
-	curve    Curve
-}
-
-// NewSource builds a Source drawing from rng (split one RNG per client, in
-// construction order, so clients are order-independent). The Source copies
-// rng's state and draws from its own copy. cfg must already have defaults
-// applied.
-func NewSource(cfg Config, rng *sim.Rand) Source {
-	return Source{
-		rng:      *rng,
-		getRatio: cfg.GetRatio,
-		keys:     cfg.Keys,
-		zipfS:    cfg.ZipfS,
-		rate:     cfg.ArrivalRate,
-		curve:    cfg.Curve,
-	}
-}
-
-// NextOp draws one operation: whether it is a get, and the Zipf-ranked key
-// index. The draw order (Bernoulli, then Zipf) is the historical kv order,
-// so extracting the generator did not change any seeded run. Runs on every
-// simulated op, so it is fenced allocation-free (and gated at runtime by
-// TestSourceDrawAllocs).
+// NextOp draws one operation from rng, a client's split stream: whether
+// it is a get, and the Zipf-ranked key index. The draw order (Bernoulli,
+// then Zipf) is the historical kv order, so extracting the generator did
+// not change any seeded run. c must already have defaults applied. Runs on
+// every simulated op, so it is fenced allocation-free (and gated at
+// runtime by TestSourceDrawAllocs).
 //
 //npf:noalloc
-func (s *Source) NextOp() (get bool, key int) {
-	get = s.rng.Bernoulli(s.getRatio)
-	key = s.rng.Zipf(s.keys, s.zipfS)
+func (c *Config) NextOp(rng *sim.Rand) (get bool, key int) {
+	get = rng.Bernoulli(c.GetRatio)
+	key = rng.Zipf(c.Keys, c.ZipfS)
 	return get, key
 }
 
-// NextArrival draws the open-loop inter-arrival gap at virtual time now,
-// with the configured curve modulating the base rate. The +1ns floor keeps
-// gaps strictly positive. Runs on every open-loop arrival, so it is fenced
-// allocation-free like NextOp.
+// NextArrival draws an open-loop inter-arrival gap from rng at the
+// configured per-client rate. The +1ns floor keeps gaps strictly positive.
+// Runs on every open-loop arrival, so it is fenced allocation-free like
+// NextOp.
 //
 //npf:noalloc
-func (s *Source) NextArrival(now sim.Time) sim.Time {
-	rate := s.rate * s.curve.Mult(now)
-	gap := s.rng.Exp(1e9 / rate) // mean gap in ns
+func (c *Config) NextArrival(rng *sim.Rand) sim.Time {
+	gap := rng.Exp(1e9 / c.ArrivalRate) // mean gap in ns
 	return sim.Time(gap) + sim.Nanosecond
 }
-
-// Rand exposes the source's RNG for draws beyond the canned ones (e.g.
-// value-size jitter). Deterministic: the RNG is the client's split stream.
-// The pointer is into s, so it is valid as long as s stays where it is.
-func (s *Source) Rand() *sim.Rand { return &s.rng }

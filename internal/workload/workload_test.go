@@ -31,14 +31,14 @@ func TestSourceDeterminism(t *testing.T) {
 	cfg := Config{OpenLoop: true}.WithDefaults(1000)
 	draw := func() (gets int, keys []int, gaps []sim.Time) {
 		eng := sim.NewEngine(42)
-		src := NewSource(cfg, eng.Rand().Split())
+		rng := eng.Rand().Split()
 		for i := 0; i < 200; i++ {
-			g, k := src.NextOp()
+			g, k := cfg.NextOp(rng)
 			if g {
 				gets++
 			}
 			keys = append(keys, k)
-			gaps = append(gaps, src.NextArrival(sim.Time(i)*sim.Microsecond))
+			gaps = append(gaps, cfg.NextArrival(rng))
 		}
 		return gets, keys, gaps
 	}
@@ -64,50 +64,6 @@ func TestSourceDeterminism(t *testing.T) {
 	}
 }
 
-func TestCurveZeroIsConstant(t *testing.T) {
-	var c Curve
-	for _, at := range []sim.Time{0, sim.Microsecond, sim.Second, 37 * sim.Millisecond} {
-		if m := c.Mult(at); m != 1 {
-			t.Fatalf("zero curve Mult(%v) = %v, want 1", at, m)
-		}
-	}
-}
-
-func TestCurveDiurnal(t *testing.T) {
-	c := Curve{Diurnal: 0.5, Period: sim.Second}
-	trough := c.Mult(0)
-	peak := c.Mult(sim.Second / 2)
-	if trough != 0.75 {
-		t.Fatalf("trough = %v, want 0.75", trough)
-	}
-	if peak != 1.25 {
-		t.Fatalf("peak = %v, want 1.25", peak)
-	}
-	// Periodicity.
-	if c.Mult(sim.Second/4) != c.Mult(sim.Second+sim.Second/4) {
-		t.Fatal("curve not periodic")
-	}
-}
-
-func TestCurveFlashCrowd(t *testing.T) {
-	c := Curve{FlashAt: sim.Millisecond, FlashFor: sim.Millisecond, FlashMult: 8}
-	if m := c.Mult(0); m != 1 {
-		t.Fatalf("before flash: %v", m)
-	}
-	if m := c.Mult(sim.Millisecond + sim.Microsecond); m != 8 {
-		t.Fatalf("inside flash: %v", m)
-	}
-	if m := c.Mult(2 * sim.Millisecond); m != 1 {
-		t.Fatalf("after flash: %v", m)
-	}
-	// Composition with diurnal.
-	c.Diurnal, c.Period = 0.5, 4*sim.Millisecond
-	in := c.Mult(sim.Millisecond + sim.Microsecond)
-	if in <= 6 || in >= 10.001 {
-		t.Fatalf("composed multiplier out of range: %v", in)
-	}
-}
-
 func TestKeyTableInterning(t *testing.T) {
 	var kt KeyTable
 	if got := kt.Name(3); got != "key-0000003" {
@@ -128,21 +84,22 @@ func TestKeyTableInterning(t *testing.T) {
 }
 
 // TestSourceDrawAllocs is the runtime side of the //npf:noalloc fence on
-// NextOp/NextArrival: both draws run per simulated op and must be
+// Config.NextOp/NextArrival: a client draws an op per simulated op, and a
+// kv open-loop client an arrival gap per op, so both must be
 // allocation-free at steady state.
 func TestSourceDrawAllocs(t *testing.T) {
 	cfg := Config{OpenLoop: true}.WithDefaults(1000)
 	eng := sim.NewEngine(7)
-	src := NewSource(cfg, eng.Rand().Split())
+	rng := eng.Rand().Split()
 	var sink int
 	allocs := testing.AllocsPerRun(200, func() {
-		g, k := src.NextOp()
+		g, k := cfg.NextOp(rng)
 		if g {
 			sink += k
 		}
-		sink += int(src.NextArrival(3 * sim.Microsecond))
+		sink += int(cfg.NextArrival(rng))
 	})
 	if allocs != 0 {
-		t.Fatalf("Source draws allocate: %v allocs/op", allocs)
+		t.Fatalf("Config draws allocate: %v allocs/op", allocs)
 	}
 }

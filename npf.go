@@ -251,13 +251,10 @@ const (
 // (internal/topo).
 type (
 	// WorkloadConfig sizes one tenant's load generator: clients, target
-	// ops, get ratio, Zipf key skew, open/closed loop, arrival rate and
-	// curve. One type serves both WithKV tenants (Service.NewWorkload) and
-	// WithSwarm sweep tenants.
+	// ops, get ratio, Zipf key skew, open/closed loop and arrival rate.
+	// One type serves both WithKV tenants (Service.NewWorkload) and
+	// WithSwarm sweep tenants, which must be closed-loop.
 	WorkloadConfig = workload.Config
-	// WorkloadCurve shapes an open-loop arrival rate over virtual time:
-	// diurnal swing plus an optional flash crowd.
-	WorkloadCurve = workload.Curve
 
 	// ClusterSweep is a scale-out experiment: O(10^3) hosts and
 	// O(10^5..10^6) logical clients on one deterministic simulation, built
