@@ -143,10 +143,6 @@ func (c *Cluster) RunUntil(until Time) Time {
 // cluster was built without tracing.
 func (c *Cluster) Digest() uint64 { return trace.DigestAll(c.Tracers) }
 
-// Injector returns the armed chaos injector, or nil when the cluster was
-// built without WithChaos.
-func (c *Cluster) Injector() *chaos.Injector { return c.injector }
-
 // Host is one machine: memory, an NPF driver, and optionally a NIC and/or
 // an HCA.
 type Host struct {
@@ -229,17 +225,9 @@ func (h *Host) AttachHCA() *HCA {
 	return h.HCA
 }
 
-// NewProcess creates an IOuser address space, optionally inside a memory
-// cgroup. A cgroup on partition 0 becomes visible to cluster-level chaos
-// plans (MemoryPressure waves target registered groups).
-func (h *Host) NewProcess(name string, cgroup *MemGroup) *AddressSpace {
-	as := h.Machine.NewAddressSpace(name, cgroup)
-	// A mem.Group carries no engine for the injector to check, so the
-	// facade keeps groups of other partitions out of its reach here.
-	if ij := h.cluster.injector; ij != nil && h.Part == 0 && cgroup != nil {
-		ij.T.Groups = append(ij.T.Groups, cgroup)
-	}
-	return as
+// NewProcess creates an IOuser address space on the host's machine.
+func (h *Host) NewProcess(name string) *AddressSpace {
+	return h.Machine.NewAddressSpace(name, nil)
 }
 
 // OpenChannel creates a direct I/O channel for as on the host's NIC and —
@@ -288,13 +276,4 @@ func (h *Host) OpenQP(as *AddressSpace) *QP {
 	qp := h.HCA.NewQP(as)
 	h.Driver.EnableODPQP(qp)
 	return qp
-}
-
-// OpenPinnedQP creates a queue pair whose memory the caller pins and
-// registers explicitly (no ODP).
-func (h *Host) OpenPinnedQP(as *AddressSpace) *QP {
-	if h.HCA == nil {
-		h.AttachHCA()
-	}
-	return h.HCA.NewQP(as)
 }

@@ -65,7 +65,7 @@ func run(usePinCache bool) (npf.Time, uint64) {
 		if err != nil {
 			panic(err)
 		}
-		as := h.NewProcess("rank", nil)
+		as := h.NewProcess("rank")
 		as.MapBytes(buffers * msgSize)
 		ring[i] = &node{host: h, as: as}
 	}

@@ -19,9 +19,9 @@ func main() {
 
 	// Each host runs one IOuser process. Nothing is pinned, ever: the
 	// address spaces are plain demand-paged virtual memory.
-	src := alice.NewProcess("sender", nil)
+	src := alice.NewProcess("sender")
 	src.MapBytes(1 << 20)
-	dst := bob.NewProcess("receiver", nil)
+	dst := bob.NewProcess("receiver")
 	dst.MapBytes(1 << 20)
 
 	// ODP queue pairs: registration is a single call; presence is the

@@ -20,11 +20,11 @@ func main() {
 
 	// The data server exposes a 4 GiB dataset region. With ODP it can be
 	// registered wholesale — no pinning, no memory consumed up front.
-	srv := serverHost.NewProcess("dataset", nil)
+	srv := serverHost.NewProcess("dataset")
 	const datasetBytes = 4 << 30
 	srv.MapBytes(datasetBytes)
 
-	cli := clientHost.NewProcess("reader", nil)
+	cli := clientHost.NewProcess("reader")
 	cli.MapBytes(256 << 20)
 
 	qpS := serverHost.OpenQP(srv)

@@ -359,7 +359,7 @@ func TestStorageEndToEndODP(t *testing.T) {
 	if e.fio.DoneAt == 0 {
 		t.Fatalf("fio incomplete: %d bytes", e.fio.Bytes.N)
 	}
-	bw := e.fio.BandwidthGBps(e.eng.Now())
+	bw := fioGBps(e.fio, e.eng.Now())
 	if bw < 0.1 {
 		t.Fatalf("bandwidth = %.3f GB/s", bw)
 	}
@@ -415,7 +415,7 @@ func TestStorageCacheBeatsDisk(t *testing.T) {
 		})
 		fio.Start()
 		eng.RunUntil(60 * sim.Second)
-		return fio.BandwidthGBps(eng.Now())
+		return fioGBps(fio, eng.Now())
 	}
 	small := run(64 << 20) // fits in cache quickly → mostly hits
 	big := run(4 << 30)    // mostly misses
@@ -595,4 +595,16 @@ func TestIBStreamWithInjection(t *testing.T) {
 	if faulty < clean/20 {
 		t.Fatalf("RNR recovery too costly: %.1f vs %.1f", faulty, clean)
 	}
+}
+
+// fioGBps is f's achieved bandwidth since Start, in GB/s.
+func fioGBps(f *FioInitiator, now sim.Time) float64 {
+	end := f.DoneAt
+	if end == 0 {
+		end = now
+	}
+	if end <= f.started {
+		return 0
+	}
+	return float64(f.Bytes.N) / (end - f.started).Seconds() / 1e9
 }

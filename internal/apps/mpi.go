@@ -1,8 +1,6 @@
 package apps
 
 import (
-	"fmt"
-
 	"npf/internal/core"
 	"npf/internal/iommu"
 	"npf/internal/mem"
@@ -47,8 +45,6 @@ type MPIConfig struct {
 	OffCacheBuffers int
 	// PinCacheBytes bounds each rank's pin-down cache (RegPin).
 	PinCacheBytes int64
-	// MemcpyBps is the copy bandwidth for RegCopy.
-	MemcpyBps int64
 	// PerMsgOverhead is the MPI software cost per message at each end
 	// (matching, tag lookup, completion handling). Applied in every mode.
 	PerMsgOverhead sim.Time
@@ -80,9 +76,6 @@ const mpiMaxMsg = 4 << 20
 // NewMPIJob builds the job: one machine per rank, full QP mesh, ODP or
 // pinned registration per mode.
 func NewMPIJob(eng *sim.Engine, mkHost func(rank int) (*mem.AddressSpace, *rc.HCA, *core.Driver), cfg MPIConfig) *MPIJob {
-	if cfg.MemcpyBps == 0 {
-		cfg.MemcpyBps = 10e9
-	}
 	if cfg.PerMsgOverhead == 0 {
 		cfg.PerMsgOverhead = 5 * sim.Microsecond
 	}
@@ -166,7 +159,7 @@ func (r *mpiRank) prepare(buf mem.VAddr, length int, ready func()) {
 		if err != nil {
 			panic(err)
 		}
-		cost += res.Cost + sim.Time(int64(length)*int64(sim.Second)/r.job.Cfg.MemcpyBps)
+		cost += res.Cost + mem.CopyCost(length)
 	case RegPin:
 		res, err := r.as.Touch(buf, length, true)
 		if err != nil {
@@ -186,7 +179,7 @@ func (r *mpiRank) prepare(buf mem.VAddr, length int, ready func()) {
 func (r *mpiRank) recvCost(length int) sim.Time {
 	cost := r.job.Cfg.PerMsgOverhead
 	if r.job.Cfg.Mode == RegCopy {
-		cost += sim.Time(int64(length) * int64(sim.Second) / r.job.Cfg.MemcpyBps)
+		cost += mem.CopyCost(length)
 	}
 	return cost
 }
@@ -329,8 +322,4 @@ func (r *mpiRank) prepareRecv(buf mem.VAddr, length int, qp *rc.QP) {
 		// Nothing: rNPFs handle it.
 	}
 	qp.PostRecv(rc.RecvWQE{ID: 1, Addr: buf, Len: length})
-}
-
-func (job *MPIJob) String() string {
-	return fmt.Sprintf("mpi-%d-ranks-%v", job.Cfg.Ranks, job.Cfg.Mode)
 }

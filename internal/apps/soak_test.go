@@ -53,7 +53,8 @@ func TestSoakRoCEChaos(t *testing.T) {
 		net := fabric.New(eng, fabric.Config{
 			RateBps: 40e9, Propagation: 2 * sim.Microsecond, LossProbability: 0.01,
 		})
-		cfg := rc.DefaultRoCEConfig()
+		cfg := rc.DefaultConfig()
+		cfg.RetxTimeout = 4 * sim.Millisecond // RoCE's retransmission timeout
 		m := mem.NewMachine(eng, 8<<30)
 		drv := core.NewDriver(eng, core.DefaultConfig())
 		hcaA, hcaB := rc.NewHCA(eng, net, cfg), rc.NewHCA(eng, net, cfg)

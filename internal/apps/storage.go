@@ -70,8 +70,6 @@ type StorageTarget struct {
 	diskBusy sim.Time
 
 	Requests sim.Counter
-	// MemcpyBps is the staging copy bandwidth (page cache → comm buffer).
-	MemcpyBps int64
 }
 
 // NewStorageTarget builds the target on as, caching lun through cache.
@@ -79,12 +77,11 @@ type StorageTarget struct {
 // per the locked-memory budget.
 func NewStorageTarget(as *mem.AddressSpace, cache *mem.PageCache, cfg StorageTargetConfig) (*StorageTarget, error) {
 	t := &StorageTarget{
-		Cfg:       cfg,
-		AS:        as,
-		Cache:     cache,
-		eng:       as.Machine().Eng,
-		slots:     cfg.CommBufBytes / cfg.SlotBytes,
-		MemcpyBps: 10e9,
+		Cfg:   cfg,
+		AS:    as,
+		Cache: cache,
+		eng:   as.Machine().Eng,
+		slots: cfg.CommBufBytes / cfg.SlotBytes,
 	}
 	t.commBase = as.MapBytes(cfg.CommBufBytes)
 	if cfg.Pinned {
@@ -184,7 +181,7 @@ func (s *storageSession) handleCmd(comp rc.RecvCompletion) {
 	if err != nil {
 		panic(fmt.Sprintf("storage: staging touch: %v", err))
 	}
-	cost += res.Cost + sim.Time(int64(cmd.Len)*int64(sim.Second)/t.MemcpyBps)
+	cost += res.Cost + mem.CopyCost(cmd.Len)
 
 	// 3. RDMA-write the data to the initiator, then send the response.
 	t.eng.After(cost, func() {
@@ -268,18 +265,6 @@ func (f *FioInitiator) Start() {
 	for i := 0; i < f.Cfg.IODepth; i++ {
 		f.issue()
 	}
-}
-
-// BandwidthGBps reports achieved bandwidth since Start.
-func (f *FioInitiator) BandwidthGBps(now sim.Time) float64 {
-	end := f.DoneAt
-	if end == 0 {
-		end = now
-	}
-	if end <= f.started {
-		return 0
-	}
-	return float64(f.Bytes.N) / (end - f.started).Seconds() / 1e9
 }
 
 func (f *FioInitiator) issue() {

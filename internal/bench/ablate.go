@@ -275,7 +275,6 @@ func (r *AblateResult) Render() string {
 // repository's own implementations.
 type LOCResult struct {
 	PinDownCacheLOC int
-	FineGrainedLOC  int
 	ODPCallSites    int
 }
 
@@ -293,7 +292,7 @@ func RunLOC(repoRoot string) (*LOCResult, error) {
 		if strings.HasPrefix(trimmed, "// PinDownCache") {
 			inPDC = true
 		}
-		if strings.HasPrefix(trimmed, "// CopyCost") {
+		if strings.HasPrefix(line, "func ") && !strings.Contains(line, "PinDownCache") {
 			inPDC = false
 		}
 		if trimmed == "" || strings.HasPrefix(trimmed, "//") {
@@ -301,9 +300,6 @@ func RunLOC(repoRoot string) (*LOCResult, error) {
 		}
 		if inPDC {
 			res.PinDownCacheLOC++
-		}
-		if strings.Contains(line, "FineGrainedPin") {
-			res.FineGrainedLOC++
 		}
 	}
 	// ODP usage in the MPI app: EnableODPQP call sites.

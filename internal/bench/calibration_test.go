@@ -123,7 +123,7 @@ func TestTable4CollapsesAtZeroSigma(t *testing.T) {
 		for _, p := range []struct {
 			name string
 			v    float64
-		}{{"min", h.Min()}, {"p50", h.Percentile(50)}, {"p99", h.Percentile(99)}, {"max", h.Max()}} {
+		}{{"min", h.Percentile(0)}, {"p50", h.Percentile(50)}, {"p99", h.Percentile(99)}, {"max", h.Max()}} {
 			if ns(p.v) != want {
 				t.Errorf("%s at sigma 0: %s = %.3f µs, want the fig3 total %v", size.name, p.name, p.v, want)
 			}

@@ -409,7 +409,6 @@ func runSlowResolver(seed int64, s *Scope) *Report {
 	dcfg.RetryBackoffBase = 50 * sim.Microsecond
 	dcfg.RetryBackoffMax = 400 * sim.Microsecond
 	dcfg.MaxNPFRetries = 3
-	dcfg.DegradeToPinned = true
 	e := newChaosEthEnv(s, seed, 64, dcfg, 0)
 	chaos.Arm(chaos.NewPlan(chaos.ResolverSlowdown{
 		At: sim.Millisecond, Duration: 4 * sim.Millisecond,

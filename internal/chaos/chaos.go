@@ -434,7 +434,7 @@ func (f InvalidationChaos) Arm(ij *Injector) {
 // wedged during [At, At+Duration): each attempt gains Extra software
 // latency and, with probability TimeoutProb, times out entirely — forcing
 // the driver's exponential-backoff retry, and eventually its
-// DegradeToPinned escape hatch if the config enables one.
+// MaxNPFRetries escape hatch if the config enables one.
 type ResolverSlowdown struct {
 	At          sim.Time
 	Duration    sim.Time

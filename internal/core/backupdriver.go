@@ -10,7 +10,7 @@ import (
 // pendingRx is one queued receive-fault entry plus how many resolution
 // attempts it has already burned (OOM backoffs, injected resolver timeouts,
 // re-resolutions after a racing reclaim) — the counter behind the backup
-// resolver's exponential backoff and DegradeToPinned escape hatch.
+// resolver's exponential backoff and MaxNPFRetries escape hatch.
 type pendingRx struct {
 	e       nic.RxNPFEntry
 	attempt int
@@ -62,13 +62,10 @@ func (st *chanState) pump() {
 	if ok {
 		_, pages = st.ch.Domain.TranslateAccess(desc.Buffer, desc.Len, true)
 	}
-	if st.d.Cfg.PrefaultRing {
-		pages = append(pages, st.d.prefaultPages(st.ch)...)
-	}
 	var copyCost sim.Time
 	if e.Packet != nil {
 		// Copying the parked packet into the IOuser buffer is CPU work.
-		copyCost = sim.Time(int64(e.Packet.Size) * int64(sim.Second) / st.d.Cfg.MemcpyBps)
+		copyCost = mem.CopyCost(e.Packet.Size)
 	}
 	if e.Packet != nil && p.attempt == 0 {
 		// Backup-ring residency of the causal record: park to service start,

@@ -104,8 +104,8 @@ func TestStaticPinCost(t *testing.T) {
 	if as.PinnedBytes() != 64<<20 {
 		t.Fatalf("pinned = %d", as.PinnedBytes())
 	}
-	if u.MappedPages() != 64<<20/mem.PageSize {
-		t.Fatalf("mapped = %d", u.MappedPages())
+	if u.Mapped != 64<<20/mem.PageSize {
+		t.Fatalf("mapped = %d", u.Mapped)
 	}
 }
 

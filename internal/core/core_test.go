@@ -169,14 +169,12 @@ type ethEnv struct {
 	server, client *tcp.Stack
 }
 
-func newEthEnv(t *testing.T, serverPolicy nic.FaultPolicy, ringSize int, prefault bool) *ethEnv {
+func newEthEnv(t *testing.T, serverPolicy nic.FaultPolicy, ringSize int) *ethEnv {
 	t.Helper()
 	eng := sim.NewEngine(1)
 	net := fabric.New(eng, fabric.DefaultEthernet())
 	m := mem.NewMachine(eng, 8<<30)
-	cfg := DefaultConfig()
-	cfg.PrefaultRing = prefault
-	drv := NewDriver(eng, cfg)
+	drv := NewDriver(eng, DefaultConfig())
 	e := &ethEnv{eng: eng, net: net, m: m, drv: drv}
 
 	mk := func(name string, policy nic.FaultPolicy, odp bool) *tcp.Stack {
@@ -203,7 +201,7 @@ func newEthEnv(t *testing.T, serverPolicy nic.FaultPolicy, ringSize int, prefaul
 }
 
 func TestBackupDriverColdRing(t *testing.T) {
-	e := newEthEnv(t, nic.PolicyBackup, 64, false)
+	e := newEthEnv(t, nic.PolicyBackup, 64)
 	received := 0
 	var doneAt sim.Time
 	e.server.Listen(func(c *tcp.Conn) {
@@ -231,7 +229,7 @@ func TestBackupDriverColdRing(t *testing.T) {
 }
 
 func TestDropDriverColdRingSuffers(t *testing.T) {
-	e := newEthEnv(t, nic.PolicyDrop, 64, false)
+	e := newEthEnv(t, nic.PolicyDrop, 64)
 	received := 0
 	var doneAt sim.Time
 	e.server.Listen(func(c *tcp.Conn) {
@@ -251,31 +249,6 @@ func TestDropDriverColdRingSuffers(t *testing.T) {
 	}
 	if e.client.Timeouts.N == 0 {
 		t.Fatal("drop policy should force TCP timeouts")
-	}
-}
-
-func TestPrefaultRingCutsRxFaults(t *testing.T) {
-	run := func(prefault bool) uint64 {
-		e := newEthEnv(t, nic.PolicyBackup, 64, prefault)
-		received := 0
-		e.server.Listen(func(c *tcp.Conn) {
-			c.OnMessage = func(payload any, n int) { received++ }
-		})
-		c := e.client.Dial(e.server.Channel().Dev.Node, e.server.Channel().Flow)
-		for i := 0; i < 50; i++ {
-			c.Send(4000, i)
-		}
-		e.eng.RunUntil(30 * sim.Second)
-		if received != 50 {
-			t.Fatalf("prefault=%v received %d/50", prefault, received)
-		}
-		return e.server.Channel().Dev.RxToBackup.N
-	}
-	without := run(false)
-	with := run(true)
-	if with*4 > without {
-		t.Fatalf("backup parks with prefault = %d, without = %d; prefault should collapse RX faults",
-			with, without)
 	}
 }
 
@@ -303,30 +276,6 @@ func TestStaticPinAllAndOvercommitFailure(t *testing.T) {
 	_, err := StaticPinAll(as2, ch2.Domain)
 	if !errors.Is(err, mem.ErrOutOfMemory) {
 		t.Fatalf("vm2 pin err = %v, want OOM (Table 5's N/A)", err)
-	}
-}
-
-func TestFineGrainedPinCycle(t *testing.T) {
-	eng := sim.NewEngine(1)
-	m := mem.NewMachine(eng, 1<<30)
-	u := nic.NewDevice(eng, fabric.New(eng, fabric.DefaultEthernet()), nic.DefaultConfig())
-	as := m.NewAddressSpace("p", nil)
-	as.MapBytes(1 << 20)
-	ch := u.NewChannel("c", as, 8, nic.PolicyPinned)
-
-	cost, release, err := FineGrainedPin(as, ch.Domain, 0, 64<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cost <= 0 {
-		t.Fatal("pin cost must be positive")
-	}
-	if !ch.Domain.Present(0) || as.PinnedBytes() != 64<<10 {
-		t.Fatal("buffer not pinned+mapped")
-	}
-	relCost := release()
-	if relCost <= 0 || as.PinnedBytes() != 0 || ch.Domain.Present(0) {
-		t.Fatalf("release broken: cost=%v pinned=%d", relCost, as.PinnedBytes())
 	}
 }
 
@@ -412,12 +361,5 @@ func TestPinDownCacheInvariantProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCopyCost(t *testing.T) {
-	cfg := DefaultConfig()
-	if got := CopyCost(cfg, 10<<20); got != sim.Time(float64(10<<20)/10e9*1e9) {
-		t.Fatalf("copy cost = %v", got)
 	}
 }

@@ -12,10 +12,10 @@
 //   - the §5 Ethernet backup-ring driver: a per-IOuser software queue and a
 //     resolver that waits for ring room, faults buffers in, merges parked
 //     packets, and notifies the NIC — keeping the IOuser unaware;
-//   - the §4 optimizations: scatter-gather batching/prefetch, the in-flight
-//     bitmap (implemented device-side), and optional ring prefaulting;
-//   - the baselines every experiment compares against: static pinning,
-//     fine-grained pinning, and a pin-down cache (pinning.go).
+//   - the §4 optimizations: scatter-gather batching/prefetch and the
+//     in-flight bitmap (implemented device-side);
+//   - the baselines every experiment compares against: static pinning and
+//     a pin-down cache (pinning.go).
 package core
 
 import (
@@ -44,14 +44,6 @@ type Config struct {
 	// UpdateCost is the driver's internal-state update after an
 	// invalidation (Figure 3b "updates").
 	UpdateCost sim.Time
-	// MemcpyBps is the CPU copy bandwidth used when the backup-ring
-	// resolver merges packets into IOuser buffers (and by the copy-based
-	// baselines).
-	MemcpyBps int64
-	// PrefaultRing makes the backup resolver and drop-path handler fault
-	// in every posted descriptor of the ring on the first rNPF (§3's
-	// pre-faulting optimization; incomplete as a solution, useful as one).
-	PrefaultRing bool
 	// RetryBackoffBase is the first retry delay when a fault resolution
 	// cannot complete (OOM after reclaim, or an injected resolver timeout);
 	// successive retries double it up to RetryBackoffMax. Equal values give
@@ -59,13 +51,11 @@ type Config struct {
 	RetryBackoffBase sim.Time
 	// RetryBackoffMax caps the exponential retry delay.
 	RetryBackoffMax sim.Time
-	// MaxNPFRetries, with DegradeToPinned, is the escape hatch for a
-	// resolver that keeps timing out: after this many failed attempts on
-	// one fault the driver stops trusting on-demand resolution and pins the
-	// pages outright (so they can never fault again). 0 disables.
+	// MaxNPFRetries is the escape hatch for a resolver that keeps timing
+	// out: after this many failed attempts on one fault the driver stops
+	// trusting on-demand resolution and pins the pages outright (so they
+	// can never fault again). 0 disables it.
 	MaxNPFRetries int
-	// DegradeToPinned enables the pin-instead-of-retry escape hatch.
-	DegradeToPinned bool
 }
 
 // RetryBackoff returns the delay before retry number attempt (0-based):
@@ -91,7 +81,7 @@ func (c Config) RetryBackoff(attempt int) sim.Time {
 // chaos subsystem uses to model a slow or wedged IOprovider. Each
 // resolution attempt asks it for an extra software delay; timeout true
 // aborts the attempt entirely (the driver retries with exponential
-// backoff, or pins the pages once the DegradeToPinned escape hatch trips).
+// backoff, or pins the pages once the MaxNPFRetries escape hatch trips).
 type ResolverInjector interface {
 	ResolveDelay(attempt, pages int) (extra sim.Time, timeout bool)
 }
@@ -112,7 +102,6 @@ func DefaultConfig() Config {
 		PerPageLookup:    40 * sim.Nanosecond,
 		CheckCost:        9 * sim.Microsecond,
 		UpdateCost:       9 * sim.Microsecond,
-		MemcpyBps:        10e9,
 		RetryBackoffBase: 100 * sim.Microsecond,
 		RetryBackoffMax:  100 * sim.Microsecond,
 	}
@@ -174,7 +163,7 @@ type Driver struct {
 	Inv       InvalidationStats
 	// ResolverTimeouts counts resolution attempts aborted by an injected
 	// resolver timeout; DegradedPins counts pages pinned by the
-	// DegradeToPinned escape hatch; InvDuplicates counts injected duplicate
+	// MaxNPFRetries escape hatch; InvDuplicates counts injected duplicate
 	// notifier deliveries.
 	ResolverTimeouts sim.Counter
 	DegradedPins     sim.Counter
@@ -367,7 +356,7 @@ func (d *Driver) faultCommit(as *mem.AddressSpace, dom *iommu.Domain, pages []me
 // (e.g. the backup resolver's packet copy). fid is the device-minted fault
 // whose record each stage accrues to. attempt counts prior failed
 // resolutions of this same fault (0 on first service); it drives the
-// exponential retry backoff and the DegradeToPinned escape hatch.
+// exponential retry backoff and the MaxNPFRetries escape hatch.
 func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem.PageNum,
 	write bool, start sim.Time, resumeCost, extraCost sim.Time,
 	fid trace.FaultID, attempt int, done func(), retry func()) {
@@ -383,7 +372,7 @@ func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem
 	// trusting on-demand resolution for this fault — it bypasses the
 	// (possibly wedged) resolver injection point and pins the pages during
 	// this service so they can never fault again.
-	degraded := d.Cfg.DegradeToPinned && d.Cfg.MaxNPFRetries > 0 && attempt >= d.Cfg.MaxNPFRetries
+	degraded := d.Cfg.MaxNPFRetries > 0 && attempt >= d.Cfg.MaxNPFRetries
 	if d.resolver != nil && !degraded {
 		extra, timeout := d.resolver.ResolveDelay(attempt, len(pages))
 		if timeout {
@@ -466,8 +455,8 @@ func (d *Driver) serveFault(as *mem.AddressSpace, dom *iommu.Domain, pages []mem
 
 // HandleQPFault implements rc.FaultSink. Faults on paths where the device
 // will WRITE memory (placing incoming sends/writes or read-response data)
-// resolve with write intent, breaking copy-on-write protection like
-// get_user_pages(write) does.
+// resolve with write intent, like get_user_pages(write); the rest map
+// read-only (DESIGN X2).
 func (d *Driver) HandleQPFault(ev rc.QPFault) { d.handleQPFault(ev, 0) }
 
 func (d *Driver) handleQPFault(ev rc.QPFault, attempt int) {
@@ -535,21 +524,4 @@ func (d *Driver) PendingBackupWork() int {
 		n += st.q.Len() // the entry in service stays queued until it resolves
 	}
 	return n
-}
-
-// prefaultPages gathers the missing pages of every posted descriptor
-// (PrefaultRing optimization).
-func (d *Driver) prefaultPages(ch *nic.Channel) []mem.PageNum {
-	seen := make(map[mem.PageNum]bool)
-	var pages []mem.PageNum
-	ch.Rx.ForEachPosted(func(idx int64, desc nic.Descriptor) {
-		_, missing := ch.Domain.TranslateAccess(desc.Buffer, desc.Len, true)
-		for _, pn := range missing {
-			if !seen[pn] {
-				seen[pn] = true
-				pages = append(pages, pn)
-			}
-		}
-	})
-	return pages
 }

@@ -49,31 +49,3 @@ func TestGuestTableComposesWithODP(t *testing.T) {
 		t.Fatal("granted cold buffer should fault through ODP")
 	}
 }
-
-func TestGuestRevokeStopsTraffic(t *testing.T) {
-	e := newIBEnv(t, 1<<30, nil)
-	guest := iommu.NewGuestTable()
-	guest.Allow(0, 64)
-	e.b.Domain.SetGuestTable(guest)
-	e.asA.TouchPages(0, 16, true)
-	e.a.Domain.Map(0, 16)
-
-	received := 0
-	e.b.OnRecv = func(rc.RecvCompletion) { received++ }
-	e.b.PostRecv(rc.RecvWQE{ID: 1, Addr: 0, Len: mem.PageSize})
-	e.a.PostSend(rc.SendWQE{ID: 1, Laddr: 0, Len: 4096})
-	e.eng.Run()
-	if received != 1 {
-		t.Fatal("granted traffic blocked")
-	}
-
-	// Fine-grained revoke (the IOuser's own unmap): later traffic to the
-	// same buffer is dropped regardless of the host-side ODP state.
-	guest.Revoke(0, 64)
-	e.b.PostRecv(rc.RecvWQE{ID: 2, Addr: 0, Len: mem.PageSize})
-	e.a.PostSend(rc.SendWQE{ID: 2, Laddr: 0, Len: 4096})
-	e.eng.RunUntil(e.eng.Now() + 50*sim.Millisecond)
-	if received != 1 {
-		t.Fatal("revoked buffer still receives")
-	}
-}

@@ -9,8 +9,9 @@ import (
 	"npf/internal/trace"
 )
 
-// This file implements the three zero-copy pinning strategies of §2.2 that
-// every experiment compares NPFs against, plus the copy baseline of §6.2.
+// This file implements the zero-copy pinning strategies of §2.2 that every
+// experiment compares NPFs against: static pinning and the pin-down cache.
+// The §6.2 copy baseline's cost is mem.CopyCost.
 
 // StaticPin pins and maps an entire region — used to statically pin a whole
 // IOuser address space (SRIOV/DPDK production practice). It fails with
@@ -29,26 +30,6 @@ func StaticPin(as *mem.AddressSpace, dom *iommu.Domain, addr mem.VAddr, length i
 // StaticPinAll pins an address space's entire mapped range.
 func StaticPinAll(as *mem.AddressSpace, dom *iommu.Domain) (sim.Time, error) {
 	return StaticPin(as, dom, 0, as.MappedBytes())
-}
-
-// FineGrainedPin pins and maps one DMA buffer immediately before an I/O
-// operation; the returned release function unpins and unmaps it right
-// after. This is the general-purpose kernel DMA API discipline (§2.2),
-// safe but slow: the full map/unmap cost is paid on every operation.
-func FineGrainedPin(as *mem.AddressSpace, dom *iommu.Domain, addr mem.VAddr, length int) (cost sim.Time, release func() sim.Time, err error) {
-	first := addr.Page()
-	count := mem.PagesSpanned(addr, length)
-	res, err := as.Pin(first, count)
-	if err != nil {
-		return res.Cost, nil, err
-	}
-	cost = res.Cost + dom.MapBatch(pageRange(first, count))
-	release = func() sim.Time {
-		c := as.Unpin(first, count)
-		uc, _ := dom.Unmap(first, count)
-		return c + uc
-	}
-	return cost, release, nil
 }
 
 // PinDownCache is the §2.2 coarse-grained strategy: a bounded cache of
@@ -187,12 +168,6 @@ func (c *PinDownCache) Flush() sim.Time {
 		}
 		cost += cst
 	}
-}
-
-// CopyCost models the §6.2 "copy" baseline: staging data through a
-// pre-pinned bounce buffer costs one CPU copy of the payload at each end.
-func CopyCost(cfg Config, n int) sim.Time {
-	return sim.Time(int64(n) * int64(sim.Second) / cfg.MemcpyBps)
 }
 
 func pageRange(first mem.PageNum, count int) []mem.PageNum {

@@ -35,8 +35,7 @@ type Endpoint interface {
 	Deliver(pkt *Packet)
 }
 
-// Config sets fabric-wide defaults; per-node rates can be overridden with
-// SetNodeRate.
+// Config sets the fabric-wide parameters every port shares.
 type Config struct {
 	// RateBps is the default line rate in bits per second.
 	RateBps int64
@@ -158,17 +157,12 @@ func (cfg Config) Lookahead() sim.Time { return cfg.Propagation }
 // (e.g. kv) read its partition count to decide where to place hosts.
 func (n *Network) Group() *sim.Group { return n.group }
 
-// Attach adds an endpoint to the fabric and returns its node id. Each node
-// receives its own RNG stream, split off the fabric's at attach time:
-// attachment order is deterministic, so per-link loss sequences are too.
-func (n *Network) Attach(ep Endpoint) NodeID {
-	return n.AttachOn(ep, n.eng)
-}
-
 // AttachOn adds an endpoint that lives on eng, the partition engine of
-// the host that owns it; eng must be a partition of the network's group.
-// Attachment must happen before the group runs (construction is
-// single-threaded).
+// the host that owns it, and returns its node id; eng must be a partition
+// of the network's group. Attachment must happen before the group runs
+// (construction is single-threaded). Each node receives its own RNG
+// stream, split off the fabric's at attach time: attachment order is
+// deterministic, so per-link loss sequences are too.
 func (n *Network) AttachOn(ep Endpoint, eng *sim.Engine) NodeID {
 	if eng.Group() != n.group {
 		panic("fabric: attach on an engine outside the network's group")
@@ -212,15 +206,6 @@ func (n *Network) sum(f func(*node) uint64) uint64 {
 		total += f(nd)
 	}
 	return total
-}
-
-// SetNodeRate overrides both port rates of one node (e.g. a slow NIC on an
-// otherwise faster fabric). The 12 Gb/s prototype NIC needs no override:
-// it is DefaultEthernet's RateBps.
-func (n *Network) SetNodeRate(id NodeID, rateBps int64) {
-	nd := n.nodes[id]
-	nd.egress.rateBps = rateBps
-	nd.ingress.rateBps = rateBps
 }
 
 // Send injects a packet at its source's egress port. The packet reaches

@@ -22,9 +22,17 @@ func setup(cfg Config) (*sim.Engine, *Network, *sink, *sink, NodeID, NodeID) {
 	eng := sim.NewEngine(1)
 	net := New(eng, cfg)
 	a, b := &sink{eng: eng}, &sink{eng: eng}
-	ida := net.Attach(a)
-	idb := net.Attach(b)
+	ida := net.AttachOn(a, eng)
+	idb := net.AttachOn(b, eng)
 	return eng, net, a, b, ida, idb
+}
+
+// setNodeRate sets both port rates of one node, as a slow NIC on a faster
+// fabric would have.
+func setNodeRate(net *Network, id NodeID, rateBps int64) {
+	nd := net.nodes[id]
+	nd.egress.rateBps = rateBps
+	nd.ingress.rateBps = rateBps
 }
 
 func TestDeliveryLatency(t *testing.T) {
@@ -77,7 +85,7 @@ func TestOrderingPreserved(t *testing.T) {
 // a backlog behind it. It returns the bytes queued at b's ingress once the
 // last packet has arrived.
 func slowIngress(eng *sim.Engine, net *Network, ida, idb NodeID) (queued int) {
-	net.SetNodeRate(idb, 8e7)
+	setNodeRate(net, idb, 8e7)
 	for i := 0; i < 10; i++ {
 		net.Send(&Packet{Src: ida, Dst: idb, Size: 1000})
 	}
@@ -133,7 +141,7 @@ func TestLossInjection(t *testing.T) {
 func TestPerNodeRateOverride(t *testing.T) {
 	cfg := Config{RateBps: 8e9, Propagation: 0}
 	eng, net, _, b, ida, idb := setup(cfg)
-	net.SetNodeRate(idb, 4e9) // ingress at half rate: 2 ns/byte
+	setNodeRate(net, idb, 4e9) // ingress at half rate: 2 ns/byte
 	net.Send(&Packet{Src: ida, Dst: idb, Size: 1000})
 	eng.Run()
 	if want := sim.Time(1000 + 2000); b.at[0] != want {
@@ -149,8 +157,8 @@ func TestStreamsShareEgressFairlyEnough(t *testing.T) {
 	net := New(eng, cfg)
 	src := &sink{eng: eng}
 	b1, b2 := &sink{eng: eng}, &sink{eng: eng}
-	idsrc := net.Attach(src)
-	id1, id2 := net.Attach(b1), net.Attach(b2)
+	idsrc := net.AttachOn(src, eng)
+	id1, id2 := net.AttachOn(b1, eng), net.AttachOn(b2, eng)
 	for i := 0; i < 10; i++ {
 		net.Send(&Packet{Src: idsrc, Dst: id1, Size: 1000})
 		net.Send(&Packet{Src: idsrc, Dst: id2, Size: 1000})
@@ -276,7 +284,7 @@ func TestArrivalTimesUnderQueueing(t *testing.T) {
 // through.
 func TestArrivalTimesBlackholeMidQueue(t *testing.T) {
 	eng, net, _, b, ida, idb := setup(Config{RateBps: 8e9, Propagation: 0})
-	net.SetNodeRate(idb, 4e9) // ingress at 2000 ns per packet: a queue builds
+	setNodeRate(net, idb, 4e9) // ingress at 2000 ns per packet: a queue builds
 	for i := 0; i < 5; i++ {
 		sendAt(eng, net, 0, ida, idb, i)
 	}
@@ -389,7 +397,7 @@ func sendDeliverRound(tb testing.TB) func() {
 	eng := sim.NewEngine(1)
 	net := New(eng, DefaultEthernet())
 	a, b := &countSink{}, &countSink{}
-	ida, idb := net.Attach(a), net.Attach(b)
+	ida, idb := net.AttachOn(a, eng), net.AttachOn(b, eng)
 	pkts := make([]Packet, 16)
 	for i := range pkts {
 		pkts[i] = Packet{Src: ida, Dst: idb, Size: 1500}

@@ -17,7 +17,6 @@ import (
 // *not* NPFs — no amount of IOprovider paging can make them legal.
 type GuestTable struct {
 	allowed mem.PageTable[bool]
-	granted int // pages with allowed set
 
 	// Violations counts accesses the guest table blocked.
 	Violations sim.Counter
@@ -29,20 +28,7 @@ func NewGuestTable() *GuestTable { return &GuestTable{} }
 // Allow grants DMA access to count pages starting at first.
 func (g *GuestTable) Allow(first mem.PageNum, count int) {
 	for i := 0; i < count; i++ {
-		if p := g.allowed.At(first + mem.PageNum(i)); !*p {
-			*p = true
-			g.granted++
-		}
-	}
-}
-
-// Revoke removes DMA access (the IOuser's fine-grained unmap).
-func (g *GuestTable) Revoke(first mem.PageNum, count int) {
-	for i := 0; i < count; i++ {
-		if p := g.allowed.Lookup(first + mem.PageNum(i)); p != nil && *p {
-			*p = false
-			g.granted--
-		}
+		*g.allowed.At(first + mem.PageNum(i)) = true
 	}
 }
 

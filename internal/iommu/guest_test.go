@@ -6,21 +6,6 @@ import (
 	"npf/internal/mem"
 )
 
-func TestGuestTableAllowRevoke(t *testing.T) {
-	g := NewGuestTable()
-	g.Allow(4, 4)
-	if !g.allowed.Get(5) || g.allowed.Get(8) {
-		t.Fatal("allow range wrong")
-	}
-	g.Revoke(5, 1)
-	if g.allowed.Get(5) || !g.allowed.Get(4) {
-		t.Fatal("revoke wrong")
-	}
-	if g.granted != 3 {
-		t.Fatalf("allowed = %d", g.granted)
-	}
-}
-
 func TestDomainBlocked(t *testing.T) {
 	u := New(0)
 	d := u.NewDomain()

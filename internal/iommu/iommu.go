@@ -12,8 +12,6 @@
 package iommu
 
 import (
-	"fmt"
-
 	"npf/internal/mem"
 	"npf/internal/sim"
 	"npf/internal/trace"
@@ -135,9 +133,6 @@ func (d *Domain) Present(pn mem.PageNum) bool { return d.ptes.Get(pn)&pteMapped 
 
 // Writable reports whether page pn translates for device writes.
 func (d *Domain) Writable(pn mem.PageNum) bool { return d.ptes.Get(pn)&pteWritable != 0 }
-
-// MappedPages returns the number of present PTEs.
-func (d *Domain) MappedPages() int { return d.Mapped }
 
 // Map installs translations for count pages starting at first, returning
 // the modelled driver+hardware cost. Already-present pages cost only the
@@ -300,9 +295,4 @@ func (d *Domain) TranslateAccess(addr mem.VAddr, length int, write bool) (cost s
 		missing = append(missing, pn) //npf:allocok — sized at the first miss, so it never grows
 	}
 	return cost, missing
-}
-
-// String implements fmt.Stringer for diagnostics.
-func (d *Domain) String() string {
-	return fmt.Sprintf("iommu-domain %d (%d mapped)", d.ID, d.Mapped)
 }

@@ -23,8 +23,8 @@ func TestMapBatchSingleSync(t *testing.T) {
 			t.Fatalf("page %d missing after batch", pn)
 		}
 	}
-	if a.MappedPages() != 4 {
-		t.Fatalf("mapped = %d", a.MappedPages())
+	if a.Mapped != 4 {
+		t.Fatalf("mapped = %d", a.Mapped)
 	}
 }
 
@@ -48,8 +48,8 @@ func TestUnmapBatch(t *testing.T) {
 	if cost < u.Costs.InvalidateSync || cost > u.Costs.InvalidateSync+10*u.Costs.InvalidatePerPage {
 		t.Fatalf("cost = %v", cost)
 	}
-	if d.MappedPages() != 1 || !d.Present(2) {
-		t.Fatalf("wrong survivors: mapped=%d", d.MappedPages())
+	if d.Mapped != 1 || !d.Present(2) {
+		t.Fatalf("wrong survivors: mapped=%d", d.Mapped)
 	}
 	// IOTLB must not serve stale entries.
 	_, missing := d.Translate(mem.PageNum(1).Base(), 1)

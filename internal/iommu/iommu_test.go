@@ -15,8 +15,8 @@ func TestMapTranslateUnmap(t *testing.T) {
 	if cost := d.Map(10, 4); cost < u.Costs.MapSync {
 		t.Fatalf("map cost %v below sync floor", cost)
 	}
-	if d.MappedPages() != 4 {
-		t.Fatalf("mapped = %d, want 4", d.MappedPages())
+	if d.Mapped != 4 {
+		t.Fatalf("mapped = %d, want 4", d.Mapped)
 	}
 	_, missing := d.Translate(mem.PageNum(10).Base(), 4*mem.PageSize)
 	if len(missing) != 0 {
@@ -195,7 +195,7 @@ func TestMapUnmapModelProperty(t *testing.T) {
 				count++
 			}
 		}
-		return d.MappedPages() == count
+		return d.Mapped == count
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -18,25 +18,13 @@ type pte struct {
 	pn      uint32
 	present bool
 	pinned  bool
-	dirty   bool    // content exists; eviction must swap out, not drop
-	flags   pteFlag // the rarely set states below
+	dirty   bool // content exists; eviction must swap out, not drop
+	inSwap  bool // next fault-in must read the swap device (major)
 	access  sim.Time
 	// prev and next link the page into its space's LRU, a circular list
 	// through the space's sentinel; both are non-nil iff present && !pinned.
 	prev, next *pte
 }
-
-// pteFlag is one of a pte's rarely set states, a bit of pte.flags.
-type pteFlag uint8
-
-const (
-	pteInSwap  pteFlag = 1 << iota // next fault-in must read the swap device (major)
-	pteWP                          // write-protected (COW-shared after Fork)
-	pteCowCopy                     // first materialisation must copy from the fork parent
-)
-
-// has reports whether flag f is set on p.
-func (p *pte) has(f pteFlag) bool { return p.flags&f != 0 }
 
 // maxPages bounds an address space: every page number fits a pte's 32-bit
 // pn.
@@ -49,18 +37,6 @@ type TouchResult struct {
 	Cost sim.Time
 	// Minor and Major count the page faults taken.
 	Minor, Major int
-}
-
-// Kind reports the most severe fault taken, for single-page touches.
-func (r TouchResult) Kind() FaultKind {
-	switch {
-	case r.Major > 0:
-		return MajorFault
-	case r.Minor > 0:
-		return MinorFault
-	default:
-		return NoFault
-	}
 }
 
 // AddressSpace is the virtual address space of one IOuser (process or VM).
@@ -91,8 +67,6 @@ type AddressSpace struct {
 	MinorFaults sim.Counter
 	MajorFaults sim.Counter
 	Evicted     sim.Counter
-	CowBreaks   sim.Counter
-	Migrations  sim.Counter
 }
 
 // NewAddressSpace creates an address space on machine m, optionally confined
@@ -242,11 +216,6 @@ func (as *AddressSpace) TouchPages(first PageNum, count int, write bool) (TouchR
 		if p.present {
 			p.access = now
 			if write {
-				if p.has(pteWP) {
-					// COW break: a write fault plus the page copy.
-					res.Cost += as.m.Costs.MinorFault + as.cowBreak(p)
-					res.Minor++
-				}
 				p.dirty = true
 			}
 			as.lruTouch(p)
@@ -286,10 +255,6 @@ func (as *AddressSpace) FaultInRange(first PageNum, count int, write bool) (Touc
 		if p.present {
 			p.access = as.m.Eng.Now()
 			if write {
-				if p.has(pteWP) {
-					res.Cost += as.m.Costs.MinorFault + as.cowBreak(p)
-					res.Minor++
-				}
 				p.dirty = true
 			}
 			as.lruTouch(p)
@@ -322,15 +287,14 @@ func (as *AddressSpace) FaultInRange(first PageNum, count int, write bool) (Touc
 // TouchResident is a device DMA's access to pages the IOMMU has just
 // translated: every page of [addr, addr+length) is marked accessed (and
 // dirty for a write) and becomes the most recently used, as Touch does for
-// resident pages. A DMA can neither fault a page in nor break COW, so if
-// any page is not resident, or is write-protected for a write, it reports
-// false and changes nothing.
+// resident pages. A DMA cannot fault a page in, so if any page is not
+// resident it reports false and changes nothing.
 //
 //npf:noalloc
 func (as *AddressSpace) TouchResident(addr VAddr, length int, write bool) bool {
 	first, count := addr.Page(), PagesSpanned(addr, length)
 	for i := 0; i < count; i++ {
-		if p := as.pages.Get(first + PageNum(i)); p == nil || !p.present || write && p.has(pteWP) {
+		if p := as.pages.Get(first + PageNum(i)); p == nil || !p.present {
 			return false
 		}
 	}
@@ -354,18 +318,13 @@ func (as *AddressSpace) faultIn(p *pte) (cost sim.Time, major bool, err error) {
 		return 0, false, err
 	}
 	cost = charged + as.m.Costs.MinorFault
-	if p.has(pteInSwap) {
+	if p.inSwap {
 		cost += as.m.Swap.ReadCost(PageSize)
-		p.flags &^= pteInSwap
+		p.inSwap = false
 		major = true
 		as.MajorFaults.Inc()
 	} else {
 		as.MinorFaults.Inc()
-	}
-	if p.has(pteCowCopy) {
-		// Materialising a forked page copies it from the parent.
-		cost += CowCopyCost
-		p.flags &^= pteCowCopy
 	}
 	if h := as.m.faultLat; h != nil {
 		h.AddTime(cost)
@@ -481,7 +440,7 @@ func (as *AddressSpace) evictOldest() (int64, sim.Time, bool) {
 	cost := as.invalidate(p)
 	if p.dirty {
 		as.m.Swap.WriteCost(PageSize)
-		p.flags |= pteInSwap
+		p.inSwap = true
 		p.dirty = false
 	}
 	as.Evicted.Inc()
@@ -539,10 +498,10 @@ func (as *AddressSpace) dropPages(first PageNum, count int, swap bool) (int, sim
 			}
 			cost += as.invalidate(p)
 			if !swap {
-				p.flags &^= pteInSwap
+				p.inSwap = false
 			} else if p.dirty {
 				as.m.Swap.WriteCost(PageSize)
-				p.flags |= pteInSwap
+				p.inSwap = true
 			}
 			p.dirty = false
 			as.Evicted.Inc()

@@ -57,7 +57,7 @@ func TestDemandPaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Kind() != NoFault || res.Cost != 0 {
+	if res.Minor+res.Major != 0 || res.Cost != 0 {
 		t.Fatalf("second touch should hit: %+v", res)
 	}
 }
@@ -72,7 +72,7 @@ func TestSegv(t *testing.T) {
 }
 
 // TestPTESize pins the page-table entry at 32 bytes, one allocation size
-// class: pn is 32 bits and the rarely set states share one byte.
+// class: pn is 32 bits and the four state bools share one word.
 func TestPTESize(t *testing.T) {
 	if sz := unsafe.Sizeof(pte{}); sz != 32 {
 		t.Fatalf("unsafe.Sizeof(pte{}) = %d, want 32", sz)
@@ -359,8 +359,8 @@ func TestPageCache(t *testing.T) {
 	if _, hit := pc.Read(1); hit {
 		t.Fatal("block 1 should have been evicted")
 	}
-	if pc.ResidentBytes() > 4<<20 {
-		t.Fatalf("cache exceeds RAM: %d", pc.ResidentBytes())
+	if cacheBytes(pc) > 4<<20 {
+		t.Fatalf("cache exceeds RAM: %d", cacheBytes(pc))
 	}
 }
 
@@ -374,14 +374,14 @@ func TestPageCacheCompetesWithPinnedMemory(t *testing.T) {
 	disk := &SwapDevice{ReadLatency: sim.Millisecond}
 	pc := m.NewPageCache("pc", nil, disk, 1<<20)
 	pc.Read(1)
-	if pc.ResidentBytes() != 1<<20 {
-		t.Fatalf("cache resident = %d", pc.ResidentBytes())
+	if cacheBytes(pc) != 1<<20 {
+		t.Fatalf("cache resident = %d", cacheBytes(pc))
 	}
 	// Second block cannot fit: pinned pages are unreclaimable, so the read
 	// succeeds uncached.
 	pc.Read(2)
-	if pc.ResidentBytes() > 1<<20 {
-		t.Fatalf("cache grew past available memory: %d", pc.ResidentBytes())
+	if cacheBytes(pc) > 1<<20 {
+		t.Fatalf("cache grew past available memory: %d", cacheBytes(pc))
 	}
 }
 
@@ -422,3 +422,12 @@ func TestAccountingInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCopyCost(t *testing.T) {
+	if got := CopyCost(10 << 20); got != sim.Time(float64(10<<20)/10e9*1e9) {
+		t.Fatalf("copy cost = %v", got)
+	}
+}
+
+// cacheBytes is pc's current footprint.
+func cacheBytes(pc *PageCache) int64 { return int64(len(pc.blocks)) * pc.BlockSize }

@@ -52,9 +52,6 @@ func (m *Machine) NewPageCache(name string, cgroup *Group, disk *SwapDevice, blo
 	return pc
 }
 
-// ResidentBytes reports the cache's current footprint.
-func (pc *PageCache) ResidentBytes() int64 { return int64(len(pc.blocks)) * pc.BlockSize }
-
 // Read reads one block, returning its synchronous cost and whether it hit.
 // A miss pays the disk and inserts the block, reclaiming cold memory from
 // the cache's groups if needed; if even reclaim cannot make room the read

@@ -146,23 +146,3 @@ func (t *PageTable[T]) farLeaf(i uint64) *[ptLeafSize]T {
 	t.far[k] = ptFarLeaf[T]{idx: i, leaf: leaf}
 	return leaf
 }
-
-// Walk calls fn for every entry of every allocated leaf, in ascending page
-// order. Entries never written read as the zero value. fn may write
-// through the pointer but must not call At on the same table.
-func (t *PageTable[T]) Walk(fn func(pn PageNum, v *T)) {
-	visit := func(i uint64, leaf *[ptLeafSize]T) {
-		base := PageNum(i << ptLeafBits)
-		for j := range leaf {
-			fn(base+PageNum(j), &leaf[j])
-		}
-	}
-	for i, leaf := range t.dir {
-		if leaf != nil {
-			visit(uint64(i), leaf)
-		}
-	}
-	for _, f := range t.far {
-		visit(f.idx, f.leaf)
-	}
-}

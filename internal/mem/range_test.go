@@ -56,7 +56,7 @@ func sameState(t *testing.T, step int, got, want *rangeSpace) {
 	t.Helper()
 	a, b := got.as, want.as
 	if a.MinorFaults != b.MinorFaults || a.MajorFaults != b.MajorFaults || a.Evicted != b.Evicted ||
-		a.CowBreaks != b.CowBreaks || a.residentBytes != b.residentBytes || a.pinnedBytes != b.pinnedBytes ||
+		a.residentBytes != b.residentBytes || a.pinnedBytes != b.pinnedBytes ||
 		a.ptes != b.ptes || a.groups[0].Used() != b.groups[0].Used() {
 		t.Fatalf("step %d: counters differ:\nrange    %s\nper-page %s", step, spaceCounters(a), spaceCounters(b))
 	}
@@ -68,8 +68,8 @@ func sameState(t *testing.T, step int, got, want *rangeSpace) {
 		if p == nil {
 			continue
 		}
-		ps := [...]bool{p.present, p.pinned, p.dirty, p.has(pteInSwap), p.has(pteWP), p.has(pteCowCopy), p.next != nil}
-		qs := [...]bool{q.present, q.pinned, q.dirty, q.has(pteInSwap), q.has(pteWP), q.has(pteCowCopy), q.next != nil}
+		ps := [...]bool{p.present, p.pinned, p.dirty, p.inSwap, p.next != nil}
+		qs := [...]bool{q.present, q.pinned, q.dirty, q.inSwap, q.next != nil}
 		if ps != qs || p.access != q.access {
 			t.Fatalf("step %d: page %d flags %v at %v, per-page %v at %v", step, pn, ps, p.access, qs, q.access)
 		}
@@ -84,8 +84,8 @@ func sameState(t *testing.T, step int, got, want *rangeSpace) {
 }
 
 func spaceCounters(as *AddressSpace) string {
-	return fmt.Sprintf("minor %d major %d evicted %d cow %d resident %d pinned %d ptes %d cgroup %d",
-		as.MinorFaults.N, as.MajorFaults.N, as.Evicted.N, as.CowBreaks.N, as.residentBytes, as.pinnedBytes, as.ptes, as.groups[0].Used())
+	return fmt.Sprintf("minor %d major %d evicted %d resident %d pinned %d ptes %d cgroup %d",
+		as.MinorFaults.N, as.MajorFaults.N, as.Evicted.N, as.residentBytes, as.pinnedBytes, as.ptes, as.groups[0].Used())
 }
 
 // lruPages lists the LRU from coldest to most recently used.
@@ -128,16 +128,15 @@ func rangeCount(b byte) int {
 // cost, fault counts, invalidations, LRU order and per-page state as
 // calling them on each page in turn, including partial progress up to an
 // ErrSegv page or a cgroup out-of-memory failure. TouchResident must
-// succeed exactly when every page is resident (and, for a write, not
-// write-protected), then act as Touch; otherwise it must change nothing.
-// Pin, Unpin, Fork (write-protecting every resident page) and clock steps
-// set the stage.
+// succeed exactly when every page is resident, then act as Touch;
+// otherwise it must change nothing. Pin, Unpin and clock steps set the
+// stage.
 func FuzzAddressSpaceRanges(f *testing.F) {
 	// An 832-page cgroup: read 300 pages from page 505, across a leaf
-	// boundary; fork; DMA-touch 505–517 for write (refused: COW) and
-	// read; write 508–519 (COW breaks); discard 505–513; fault in pages
-	// for write from 1,535 to the end of the mapping (ErrSegv); pin three
-	// pages; evict 300 pages from 505.
+	// boundary; step the clock twice; DMA-touch 505–517 for write and read;
+	// write 508–519; discard 505–513; fault in pages for write from 1,535
+	// to the end of the mapping (ErrSegv); pin three pages; evict 300
+	// pages from 505.
 	f.Add([]byte{0x60, 0, 21, 209, 8, 0, 50, 7, 0, 0, 22, 21, 11, 4, 21, 11,
 		18, 12, 11, 2, 21, 8, 19, 5, 219, 5, 13, 2, 3, 21, 209})
 	// A 64-page cgroup: pin 60 pages from 505, touch and pin 1,020–1,023,
@@ -153,7 +152,6 @@ func FuzzAddressSpaceRanges(f *testing.F) {
 		limit := 64 + int64(data[0])*8 // cgroup limit in pages: 64–2,104
 		data = data[1:]
 		got, want := newRangeSpace(limit), newRangeSpace(limit)
-		forks := 0
 		for step := 0; len(data) >= 3; step++ {
 			op, a, c := data[0], data[1], data[2]
 			data = data[3:]
@@ -203,10 +201,10 @@ func FuzzAddressSpaceRanges(f *testing.F) {
 				ok := true
 				for pn := addr.Page(); pn < addr.Page()+PageNum(PagesSpanned(addr, length)); pn++ {
 					p := want.as.pages.Get(pn)
-					ok = ok && p != nil && p.present && !(write && p.has(pteWP))
+					ok = ok && p != nil && p.present
 				}
 				if ok {
-					if r, err := want.as.Touch(addr, length, write); err != nil || r.Kind() != NoFault {
+					if r, err := want.as.Touch(addr, length, write); err != nil || r.Minor+r.Major != 0 {
 						t.Fatalf("step %d: reference Touch of resident pages = %+v, %v", step, r, err)
 					}
 				}
@@ -225,12 +223,6 @@ func FuzzAddressSpaceRanges(f *testing.F) {
 			case 6: // Unpin
 				got.as.Unpin(first, count)
 				want.as.Unpin(first, count)
-			case 7: // Fork: write-protect every resident page
-				if forks < 2 {
-					forks++
-					got.as.Fork("child", nil)
-					want.as.Fork("child", nil)
-				}
 			default: // advance the clock, so access times differ
 				for _, r := range []*rangeSpace{got, want} {
 					r.eng.After(sim.Time(c)+1, func() {})
@@ -242,18 +234,16 @@ func FuzzAddressSpaceRanges(f *testing.F) {
 	})
 }
 
-// TestTouchResidentRefusesFaults: a DMA touch of a non-resident page, or a
-// write to a COW-protected one, reports failure and leaves every page's
-// state, the LRU order and the counters as they were, even when the
-// offending page is the last of a range that crosses a leaf boundary.
+// TestTouchResidentRefusesFaults: a DMA touch of a range with a
+// non-resident page reports failure and leaves every page's state, the LRU
+// order and the counters as they were, even when the offending page is the
+// last of a range that crosses a leaf boundary.
 func TestTouchResidentRefusesFaults(t *testing.T) {
 	got, want := newRangeSpace(1<<20), newRangeSpace(1<<20)
 	for _, r := range []*rangeSpace{got, want} {
 		if _, err := r.as.TouchPages(ptLeafSize-4, 8, false); err != nil {
 			t.Fatal(err)
 		}
-		r.as.Fork("child", nil) // write-protects pages 508–515
-		// Page 516, faulted in after the fork, is resident and writable.
 		if _, err := r.as.TouchPages(ptLeafSize+4, 1, true); err != nil {
 			t.Fatal(err)
 		}
@@ -265,10 +255,9 @@ func TestTouchResidentRefusesFaults(t *testing.T) {
 		length int
 		write  bool
 	}{
-		{PageNum(ptLeafSize - 4).Base(), 8 * PageSize, true},      // every page COW-protected
 		{PageNum(ptLeafSize - 4).Base(), 10 * PageSize, false},    // page 517 not resident
+		{PageNum(ptLeafSize - 4).Base(), 10 * PageSize, true},     // page 517 not resident
 		{PageNum(ptLeafSize + 4).Base(), PageSize + 1, false},     // page 517 not resident
-		{PageNum(ptLeafSize - 4).Base(), 9 * PageSize, true},      // 508–515 COW, 516 writable
 		{PageNum(3 * ptLeafSize).Base(), PageSize, false},         // leaf never allocated
 		{PageNum(rangePages + ptLeafSize).Base(), PageSize, true}, // beyond the mapping
 	}
@@ -278,11 +267,11 @@ func TestTouchResidentRefusesFaults(t *testing.T) {
 		}
 		sameState(t, i, got, want)
 	}
-	// Reads of the COW-protected pages are fine, and act as Touch does.
-	if !got.as.TouchResident(PageNum(ptLeafSize-4).Base(), 9*PageSize, false) {
-		t.Fatal("TouchResident refused a read of resident pages")
+	// A touch of resident pages acts as Touch does.
+	if !got.as.TouchResident(PageNum(ptLeafSize-4).Base(), 9*PageSize, true) {
+		t.Fatal("TouchResident refused a write of resident pages")
 	}
-	if r, err := want.as.Touch(PageNum(ptLeafSize-4).Base(), 9*PageSize, false); err != nil || r.Kind() != NoFault {
+	if r, err := want.as.Touch(PageNum(ptLeafSize-4).Base(), 9*PageSize, true); err != nil || r.Minor+r.Major != 0 {
 		t.Fatalf("reference Touch = %+v, %v", r, err)
 	}
 	sameState(t, len(cases), got, want)

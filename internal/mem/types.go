@@ -41,31 +41,6 @@ func PagesSpanned(addr VAddr, length int) int {
 	return int(last-first) + 1
 }
 
-// FaultKind classifies the outcome of touching a page.
-type FaultKind int
-
-const (
-	// NoFault: the page was resident.
-	NoFault FaultKind = iota
-	// MinorFault: the page had to be allocated (first touch / demand zero)
-	// or was resident but unmapped; no device access was needed.
-	MinorFault
-	// MajorFault: the page had to be read back from the swap device.
-	MajorFault
-)
-
-func (k FaultKind) String() string {
-	switch k {
-	case NoFault:
-		return "none"
-	case MinorFault:
-		return "minor"
-	case MajorFault:
-		return "major"
-	}
-	return "invalid"
-}
-
 // Notifier is the simulated counterpart of a Linux MMU notifier: it is
 // invoked when pages of an address space are invalidated (evicted, unmapped
 // or remapped), before their frames are reused. The returned duration is the
@@ -94,6 +69,17 @@ type Costs struct {
 	// PinPage / UnpinPage are per-page get_user_pages/put_page costs.
 	PinPage   sim.Time
 	UnpinPage sim.Time
+}
+
+// MemcpyBps is the CPU copy bandwidth, in bytes per second: the one rate
+// behind every copy the model charges (the backup-ring merge, MPI's copy
+// mode, the storage target's staging copy).
+const MemcpyBps = 10e9
+
+// CopyCost is the CPU time to copy n bytes at MemcpyBps: the §6.2 "copy"
+// baseline stages data through a pre-pinned bounce buffer at this cost.
+func CopyCost(n int) sim.Time {
+	return sim.Time(int64(n) * int64(sim.Second) / MemcpyBps)
 }
 
 // DefaultCosts returns the calibrated defaults.

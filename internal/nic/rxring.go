@@ -97,14 +97,6 @@ func (r *RxRing) DescriptorAt(idx int64) (Descriptor, bool) {
 	return r.slot(idx).desc, true
 }
 
-// ForEachPosted visits every posted, unconsumed descriptor (driver-side
-// ring prefaulting walks these).
-func (r *RxRing) ForEachPosted(fn func(idx int64, d Descriptor)) {
-	for i := r.reported; i < r.tail; i++ {
-		fn(i, r.slot(i).desc)
-	}
-}
-
 // PostRx posts receive descriptors. The IOuser may keep at most size
 // descriptors outstanding; exceeding that is a stack bug and panics.
 func (r *RxRing) PostRx(descs ...Descriptor) {

@@ -13,8 +13,6 @@
 package rc
 
 import (
-	"fmt"
-
 	"npf/internal/fabric"
 	"npf/internal/mem"
 	"npf/internal/nic"
@@ -129,16 +127,6 @@ func DefaultConfig() Config {
 		PrefetchWQE:    true,
 		ReadWindow:     64,
 	}
-}
-
-// DefaultRoCEConfig returns parameters for RDMA over Converged Ethernet on
-// a 40 Gb/s ConnectX-3-class NIC (§4 "Applicability": the same RC protocol
-// and NPF machinery run over lossy Ethernet). The tighter retransmission
-// timeout plus out-of-sequence NAKs cover genuine packet loss.
-func DefaultRoCEConfig() Config {
-	cfg := DefaultConfig()
-	cfg.RetxTimeout = 4 * sim.Millisecond
-	return cfg
 }
 
 // HCA is one InfiniBand adapter. It implements fabric.Endpoint.
@@ -275,5 +263,3 @@ func (h *HCA) newPacket() *packet {
 	pkt.Payload = pkt
 	return pkt
 }
-
-func (h *HCA) String() string { return fmt.Sprintf("hca@node%d", h.Node) }

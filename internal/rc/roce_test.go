@@ -17,7 +17,8 @@ func newRoCEEnv(t *testing.T, lossProb float64) *rcEnv {
 		Propagation:     2 * sim.Microsecond,
 		LossProbability: lossProb,
 	})
-	cfg := DefaultRoCEConfig()
+	cfg := DefaultConfig()
+	cfg.RetxTimeout = 4 * sim.Millisecond // RoCE: the tighter timeout plus sequence NAKs cover loss
 	cfg.FirmwareJitterSigma = 0
 	m := mem.NewMachine(eng, 8<<30)
 	hcaA := NewHCA(eng, net, cfg)
@@ -73,7 +74,8 @@ func TestRoCESeqNackFasterThanTimeoutOnly(t *testing.T) {
 		net := fabric.New(eng, fabric.Config{
 			RateBps: 40e9, Propagation: 2 * sim.Microsecond, LossProbability: 0.03,
 		})
-		cfg := DefaultRoCEConfig()
+		cfg := DefaultConfig()
+		cfg.RetxTimeout = 4 * sim.Millisecond
 		cfg.FirmwareJitterSigma = 0
 		if cfgTweak != nil {
 			cfgTweak(&cfg)

@@ -115,17 +115,6 @@ func (r *Rand) Zipf(n int, s float64) int {
 	return x
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Split returns a new independent source derived from this one, so that
 // subsystems can draw random numbers without perturbing each other's
 // sequences.

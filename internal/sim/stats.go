@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -311,22 +310,7 @@ func (h *Histogram) Max() float64 {
 	return h.nth(n - 1)
 }
 
-// Min reports the smallest sample, or 0 with no samples.
-func (h *Histogram) Min() float64 {
-	if h.Count() == 0 {
-		return 0
-	}
-	h.sort()
-	return h.nth(0)
-}
-
-func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%.1f p50=%.1f p95=%.1f p99=%.1f max=%.1f",
-		h.Count(), h.Mean(), h.Percentile(50), h.Percentile(95), h.Percentile(99), h.Max())
-}
-
-// Counter is a monotonically increasing event counter with an associated
-// rate helper.
+// Counter is a monotonically increasing event counter.
 type Counter struct {
 	N uint64
 }
@@ -336,14 +320,6 @@ func (c *Counter) Inc() { c.N++ }
 
 // Add adds n.
 func (c *Counter) Add(n uint64) { c.N += n }
-
-// Rate reports events per virtual second over the span [start, end].
-func (c *Counter) Rate(start, end Time) float64 {
-	if end <= start {
-		return 0
-	}
-	return float64(c.N) / (end - start).Seconds()
-}
 
 // TimeSeries records (time, value) points bucketed at a fixed interval;
 // used for throughput-versus-time figures.

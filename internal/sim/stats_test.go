@@ -23,7 +23,7 @@ func TestHistogramPercentiles(t *testing.T) {
 	if got := h.Max(); got != 100 {
 		t.Errorf("max = %v, want 100", got)
 	}
-	if got := h.Min(); got != 1 {
+	if got := h.Percentile(0); got != 1 {
 		t.Errorf("min = %v, want 1", got)
 	}
 	if got := h.Mean(); got != 50.5 {
@@ -49,7 +49,7 @@ func TestHistogramSingleSample(t *testing.T) {
 			t.Errorf("p%v = %v, want 42", p, got)
 		}
 	}
-	if h.Min() != 42 || h.Max() != 42 || h.Mean() != 42 {
+	if h.Percentile(0) != 42 || h.Max() != 42 || h.Mean() != 42 {
 		t.Error("single-sample min/max/mean should all be the sample")
 	}
 }
@@ -92,14 +92,14 @@ func TestHistogramMerge(t *testing.T) {
 	if a.Mean() != 5.5 {
 		t.Errorf("merged mean = %v, want 5.5", a.Mean())
 	}
-	if a.Min() != 1 || a.Max() != 10 {
-		t.Errorf("merged min/max = %v/%v, want 1/10", a.Min(), a.Max())
+	if a.Percentile(0) != 1 || a.Max() != 10 {
+		t.Errorf("merged min/max = %v/%v, want 1/10", a.Percentile(0), a.Max())
 	}
 	if a.Percentile(50) != 5 {
 		t.Errorf("merged p50 = %v, want 5", a.Percentile(50))
 	}
 	// Source must be untouched, and degenerate merges must be no-ops.
-	if b.Count() != 5 || b.Min() != 6 {
+	if b.Count() != 5 || b.Percentile(0) != 6 {
 		t.Error("Merge modified its argument")
 	}
 	var empty Histogram
@@ -129,7 +129,7 @@ func TestHistogramMonotoneProperty(t *testing.T) {
 		if h.Count() == 0 {
 			return true
 		}
-		prev := h.Min()
+		prev := h.Percentile(0)
 		for p := 0.0; p <= 100; p += 5 {
 			cur := h.Percentile(p)
 			if cur < prev || cur > h.Max() {
@@ -174,8 +174,8 @@ func TestHistogramLazySortInterleaved(t *testing.T) {
 				t.Fatalf("%s: p%.0f = %v, want %v", step, p, got, want)
 			}
 		}
-		if h.Min() != once.Min() || h.Max() != once.Max() {
-			t.Fatalf("%s: min/max %v/%v, want %v/%v", step, h.Min(), h.Max(), once.Min(), once.Max())
+		if h.Percentile(0) != once.Percentile(0) || h.Max() != once.Max() {
+			t.Fatalf("%s: min/max %v/%v, want %v/%v", step, h.Percentile(0), h.Max(), once.Percentile(0), once.Max())
 		}
 	}
 
@@ -434,28 +434,5 @@ func TestTimeSeries(t *testing.T) {
 	_, rates := ts.RatePoints()
 	if rates[2] != 4 {
 		t.Fatalf("rate = %v, want 4/s", rates[2])
-	}
-}
-
-func TestCounterRate(t *testing.T) {
-	var c Counter
-	c.Add(500)
-	if got := c.Rate(0, 2*Second); got != 250 {
-		t.Fatalf("rate = %v, want 250", got)
-	}
-	if got := c.Rate(5, 5); got != 0 {
-		t.Fatalf("zero-span rate = %v, want 0", got)
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRand(4)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
 	}
 }

@@ -79,26 +79,13 @@ func newConn(s *Stack, id uint64, peerNode fabric.NodeID, peerFlow fabric.FlowID
 	return c
 }
 
-// State returns the connection state.
-func (c *Conn) State() ConnState { return c.state }
-
-// ID returns the connection identifier.
-func (c *Conn) ID() uint64 { return c.id }
-
-// Close tears the connection down locally (no FIN handshake is modelled).
-func (c *Conn) Close() {
-	c.state = StateClosed
-	c.disarmTimer()
-	delete(c.stack.conns, c.id)
-}
-
 // Send writes one framed application message of length bytes. The payload
 // travels with the segment carrying the message's final byte and is
 // delivered to the peer's OnMessage once the stream is contiguous there.
 //
 //npf:noalloc
 func (c *Conn) Send(length int, payload any) {
-	if c.state == StateFailed || c.state == StateClosed {
+	if c.state == StateFailed {
 		return
 	}
 	remaining := length

@@ -17,7 +17,6 @@ package tcp
 
 import (
 	"errors"
-	"fmt"
 
 	"npf/internal/fabric"
 	"npf/internal/mem"
@@ -110,22 +109,7 @@ const (
 	StateSynSent ConnState = iota
 	StateEstablished
 	StateFailed
-	StateClosed
 )
-
-func (s ConnState) String() string {
-	switch s {
-	case StateSynSent:
-		return "syn-sent"
-	case StateEstablished:
-		return "established"
-	case StateFailed:
-		return "failed"
-	case StateClosed:
-		return "closed"
-	}
-	return "invalid"
-}
 
 // Stack is one TCP endpoint bound to a NIC channel. It owns the channel's
 // receive ring buffers and a transmit buffer ring in the IOuser's address
@@ -294,7 +278,7 @@ func (s *Stack) handleSegment(f *frame) {
 		c.establish()
 	case segData:
 		c, ok := s.conns[seg.Conn]
-		if !ok || c.state == StateFailed || c.state == StateClosed {
+		if !ok || c.state == StateFailed {
 			return
 		}
 		c.handleData(seg)
@@ -337,5 +321,3 @@ func newFrame() *frame {
 	f.Payload = f
 	return f
 }
-
-func (s *Stack) String() string { return fmt.Sprintf("tcp-stack(%s)", s.ch.Name) }

@@ -8,30 +8,6 @@ import (
 	"npf/internal/sim"
 )
 
-func TestCloseStopsConnection(t *testing.T) {
-	p := newPair(t, nic.PolicyPinned, 64, 0, true)
-	received := 0
-	p.server.Listen(func(c *Conn) {
-		c.OnMessage = func(payload any, n int) { received++ }
-	})
-	c := p.client.Dial(p.server.ch.Dev.Node, p.server.ch.Flow)
-	c.Send(4000, 1)
-	p.eng.Run()
-	if received != 1 {
-		t.Fatalf("received %d", received)
-	}
-	c.Close()
-	if c.State() != StateClosed {
-		t.Fatalf("state = %v", c.State())
-	}
-	// Sends after close are dropped; the engine drains with no new events.
-	c.Send(4000, 2)
-	p.eng.Run()
-	if received != 1 {
-		t.Fatalf("closed connection delivered data: %d", received)
-	}
-}
-
 func TestHugeMessageSegmentation(t *testing.T) {
 	p := newPair(t, nic.PolicyPinned, 256, 0, true)
 	var got []int
@@ -175,7 +151,7 @@ func TestListenerAnswersSynFromFrame(t *testing.T) {
 	if len(synAcks) != 1 || synAcks[0].Src != server.ch.Dev.Node || synAcks[0].Flow != flow {
 		t.Fatalf("SYN-ACKs reaching the dialer: %+v, want one from node %d on flow %d", synAcks, server.ch.Dev.Node, flow)
 	}
-	if c.State() != StateEstablished {
-		t.Fatalf("dialer state %v, want established", c.State())
+	if c.state != StateEstablished {
+		t.Fatalf("dialer state %v, want established", c.state)
 	}
 }

@@ -253,8 +253,8 @@ func TestRTOBackoffAndRecovery(t *testing.T) {
 	if p.client.Timeouts.N < 2 {
 		t.Fatalf("timeouts = %d, want >=2 (exponential backoff rounds)", p.client.Timeouts.N)
 	}
-	if c.State() != StateEstablished {
-		t.Fatalf("state = %v", c.State())
+	if c.state != StateEstablished {
+		t.Fatalf("state = %v", c.state)
 	}
 }
 
@@ -274,8 +274,8 @@ func TestConnectionFailsAfterMaxRetries(t *testing.T) {
 	if !errors.Is(failure, ErrTooManyRetries) {
 		t.Fatalf("failure = %v", failure)
 	}
-	if c.State() != StateFailed {
-		t.Fatalf("state = %v", c.State())
+	if c.state != StateFailed {
+		t.Fatalf("state = %v", c.state)
 	}
 }
 
@@ -288,8 +288,8 @@ func TestSynRetryThenConnect(t *testing.T) {
 	c.OnConnect = func() { connectedAt = p.eng.Now() }
 	p.eng.At(2500*sim.Millisecond, func() { p.net.SetBlackhole(p.server.ch.Dev.Node, false) })
 	p.eng.Run()
-	if c.State() != StateEstablished {
-		t.Fatalf("state = %v", c.State())
+	if c.state != StateEstablished {
+		t.Fatalf("state = %v", c.state)
 	}
 	// SYN at 0 and 1s lost; the 3s retry lands (1s + 2s backoff).
 	if connectedAt < 2900*sim.Millisecond || connectedAt > 3500*sim.Millisecond {
@@ -305,8 +305,8 @@ func TestSynGivesUp(t *testing.T) {
 	var failed bool
 	c.OnFail = func(error) { failed = true }
 	p.eng.Run()
-	if !failed || c.State() != StateFailed {
-		t.Fatalf("failed=%v state=%v", failed, c.State())
+	if !failed || c.state != StateFailed {
+		t.Fatalf("failed=%v state=%v", failed, c.state)
 	}
 }
 
@@ -353,7 +353,7 @@ func TestTwoConnectionsInterleave(t *testing.T) {
 	p := newPair(t, nic.PolicyPinned, 256, 0, true)
 	got := map[uint64][]int{}
 	p.server.Listen(func(c *Conn) {
-		id := c.ID()
+		id := c.id
 		c.OnMessage = func(payload any, n int) {
 			got[id] = append(got[id], payload.(int))
 		}

@@ -95,30 +95,6 @@ func (t *Tracer) Sampler() *Sampler {
 	return t.sampler
 }
 
-// Interval returns the sampling interval (0 for a nil sampler).
-func (s *Sampler) Interval() sim.Time {
-	if s == nil {
-		return 0
-	}
-	return s.interval
-}
-
-// Len reports stored rows.
-func (s *Sampler) Len() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.times)
-}
-
-// Truncated reports whether rows were dropped because the row cap was hit.
-func (s *Sampler) Truncated() bool {
-	if s == nil {
-		return false
-	}
-	return s.truncated
-}
-
 // tick is the event body the sampler schedules on the engine.
 func (s *Sampler) tick() {
 	s.sample()

@@ -37,8 +37,8 @@ func TestSamplerRowsAndParking(t *testing.T) {
 	tr, s := buildSampledRun(1)
 	// t=0 (synchronous first sample), t=5, t=10, t=15 — and at t=15 the
 	// queue is empty so the sampler parks and Run terminates.
-	if got := s.Len(); got != 4 {
-		t.Fatalf("Len = %d, want 4", got)
+	if got := len(s.times); got != 4 {
+		t.Fatalf("rows = %d, want 4", got)
 	}
 	ser := s.Series()
 	if ser == nil {
@@ -66,8 +66,8 @@ func TestSamplerRowsAndParking(t *testing.T) {
 	if tr.StartSampler(us(99)) != s {
 		t.Fatal("StartSampler is not idempotent")
 	}
-	if s.Interval() != us(5) {
-		t.Fatalf("Interval = %v", s.Interval())
+	if s.interval != us(5) {
+		t.Fatalf("interval = %v", s.interval)
 	}
 }
 
@@ -106,8 +106,8 @@ func TestSamplerMaxSamplesTruncates(t *testing.T) {
 		eng.At(us(int64(i)), func() {})
 	}
 	eng.Run()
-	if s.Len() != 3 || !s.Truncated() {
-		t.Fatalf("Len=%d Truncated=%v, want 3/true", s.Len(), s.Truncated())
+	if len(s.times) != 3 || !s.truncated {
+		t.Fatalf("rows=%d truncated=%v, want 3/true", len(s.times), s.truncated)
 	}
 }
 

@@ -37,7 +37,7 @@
 //	driver            driver + OS produce the pages [sw]
 //	page-resolve      the OS fault-in portion, minor or major (inside driver)
 //	copy              backup-resolver packet merge (memcpy; inside driver)
-//	degrade-pin       pinning by the DegradeToPinned escape hatch
+//	degrade-pin       pinning by the MaxNPFRetries escape hatch
 //	update            IOMMU page-table update [sw+hw]
 //	resume            device notices and resumes the operation [hw]
 //

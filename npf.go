@@ -19,7 +19,7 @@
 //     the paper's cold-ring collapse — npf/internal/tcp
 //   - the IOprovider driver: the paper's contribution (Figure 2 fault and
 //     invalidation flows, backup-ring resolver, batching/prefetch) and its
-//     baselines (static / fine-grained / pin-down-cache pinning) —
+//     baselines (static and pin-down-cache pinning) —
 //     npf/internal/core
 //   - the evaluation workloads and an experiment harness regenerating
 //     every table and figure — npf/internal/apps, npf/internal/bench
@@ -95,8 +95,6 @@ type (
 	Machine = mem.Machine
 	// AddressSpace is one IOuser's demand-paged virtual address space.
 	AddressSpace = mem.AddressSpace
-	// MemGroup is a cgroup-style accounting domain with a byte limit.
-	MemGroup = mem.Group
 	// PageCache is an OS page cache over a simulated disk.
 	PageCache = mem.PageCache
 	// VAddr is a virtual address; PageNum a virtual page number.
@@ -106,9 +104,6 @@ type (
 
 // PageSize is the simulated page size (4 KiB).
 const PageSize = mem.PageSize
-
-// NewMemGroup creates a memory-accounting group (cgroup) with a byte limit.
-func NewMemGroup(name string, limit int64) *MemGroup { return mem.NewGroup(name, limit) }
 
 // Fabric.
 type (

@@ -12,9 +12,9 @@ func TestClusterQuickstartFlow(t *testing.T) {
 	cluster := NewCluster(WithSeed(1), WithFabric(InfiniBandFabric()))
 	a := cluster.NewHost("a")
 	b := cluster.NewHost("b")
-	src := a.NewProcess("src", nil)
+	src := a.NewProcess("src")
 	src.MapBytes(1 << 20)
-	dst := b.NewProcess("dst", nil)
+	dst := b.NewProcess("dst")
 	dst.MapBytes(1 << 20)
 	qpA, qpB := a.OpenQP(src), b.OpenQP(dst)
 	ConnectQPs(qpA, qpB)
@@ -41,11 +41,11 @@ func TestClusterEthernetChannelODP(t *testing.T) {
 	server := cluster.NewHost("server")
 	client := cluster.NewHost("client")
 
-	sAS := server.NewProcess("srv", nil)
+	sAS := server.NewProcess("srv")
 	sCh := server.OpenChannel(sAS, WithRingSize(64), WithPolicy(PolicyBackup))
 	sStack := NewStack(sCh, DefaultTCPConfig())
 
-	cAS := client.NewProcess("cli", nil)
+	cAS := client.NewProcess("cli")
 	cCh := client.OpenChannel(cAS, WithRingSize(64), WithPolicy(PolicyPinned))
 	cStack := NewStack(cCh, DefaultTCPConfig())
 	if _, err := StaticPinAll(cAS, cCh.Domain); err != nil {
@@ -66,26 +66,12 @@ func TestClusterEthernetChannelODP(t *testing.T) {
 	}
 }
 
-func TestClusterMemoryGroup(t *testing.T) {
-	cluster := NewCluster(WithSeed(3), WithFabric(EthernetFabric()))
-	h := cluster.NewHost("h", WithRAM(1<<30))
-	cg := NewMemGroup("container", 16*PageSize)
-	p := h.NewProcess("p", cg)
-	p.MapBytes(1 << 20)
-	if _, err := p.TouchPages(0, 64, true); err != nil {
-		t.Fatal(err)
-	}
-	if p.ResidentBytes() != 16*PageSize {
-		t.Fatalf("resident = %d, want cgroup limit", p.ResidentBytes())
-	}
-}
-
 func TestPinDownCacheFacade(t *testing.T) {
 	cluster := NewCluster(WithSeed(4), WithFabric(InfiniBandFabric()))
 	h := cluster.NewHost("h", WithRAM(1<<30))
-	as := h.NewProcess("p", nil)
+	as := h.NewProcess("p")
 	as.MapBytes(16 << 20)
-	qp := h.OpenPinnedQP(as)
+	qp := h.OpenQP(as)
 	pdc := NewPinDownCache(as, qp.Domain, 1<<20)
 	if _, err := pdc.Acquire(0, 64<<10); err != nil {
 		t.Fatal(err)
@@ -100,9 +86,9 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		cluster := NewCluster(WithSeed(99), WithFabric(InfiniBandFabric()), WithTracing())
 		a := cluster.NewHost("a")
 		b := cluster.NewHost("b")
-		src := a.NewProcess("src", nil)
+		src := a.NewProcess("src")
 		src.MapBytes(8 << 20)
-		dst := b.NewProcess("dst", nil)
+		dst := b.NewProcess("dst")
 		dst.MapBytes(8 << 20)
 		qpA, qpB := a.OpenQP(src), b.OpenQP(dst)
 		ConnectQPs(qpA, qpB)
@@ -137,9 +123,9 @@ func TestWithSampling(t *testing.T) {
 			t.Fatal("WithSampling left Cluster.Sampler nil")
 		}
 		a, b := cluster.NewHost("a"), cluster.NewHost("b")
-		src := a.NewProcess("src", nil)
+		src := a.NewProcess("src")
 		src.MapBytes(1 << 20)
-		dst := b.NewProcess("dst", nil)
+		dst := b.NewProcess("dst")
 		dst.MapBytes(1 << 20)
 		qpA, qpB := a.OpenQP(src), b.OpenQP(dst)
 		ConnectQPs(qpA, qpB)
@@ -184,11 +170,11 @@ func TestClusterChaosLateBinding(t *testing.T) {
 		server := cluster.NewHost("server")
 		client := cluster.NewHost("client")
 
-		sAS := server.NewProcess("srv", nil)
+		sAS := server.NewProcess("srv")
 		sCh := server.OpenChannel(sAS, WithRingSize(64))
 		sStack := NewStack(sCh, DefaultTCPConfig())
 
-		cAS := client.NewProcess("cli", nil)
+		cAS := client.NewProcess("cli")
 		cCh := client.OpenChannel(cAS, WithPolicy(PolicyPinned))
 		cStack := NewStack(cCh, DefaultTCPConfig())
 		if _, err := StaticPinAll(cAS, cCh.Domain); err != nil {
@@ -231,11 +217,11 @@ func TestChannelScopedChaos(t *testing.T) {
 	server := cluster.NewHost("server")
 	client := cluster.NewHost("client")
 
-	sAS := server.NewProcess("srv", nil)
+	sAS := server.NewProcess("srv")
 	sCh := server.OpenChannel(sAS, WithRingSize(64), WithChaos(plan))
 	sStack := NewStack(sCh, DefaultTCPConfig())
 
-	cAS := client.NewProcess("cli", nil)
+	cAS := client.NewProcess("cli")
 	cCh := client.OpenChannel(cAS, WithPolicy(PolicyPinned))
 	cStack := NewStack(cCh, DefaultTCPConfig())
 	if _, err := StaticPinAll(cAS, cCh.Domain); err != nil {
@@ -276,7 +262,7 @@ func TestClusterWithKV(t *testing.T) {
 	if cluster.KV == nil {
 		t.Fatal("WithKV left Cluster.KV nil")
 	}
-	ij := cluster.Injector()
+	ij := cluster.injector
 	if len(ij.T.Groups) == 0 || len(ij.T.Drivers) == 0 || len(ij.T.Firmware) == 0 {
 		t.Fatal("KV layers did not join the chaos target set")
 	}
@@ -329,9 +315,9 @@ func TestClusterWithEnginesDeterminism(t *testing.T) {
 		if a.Part != 0 || b.Part != 1 {
 			t.Fatalf("round-robin placement broke: a=%d b=%d", a.Part, b.Part)
 		}
-		src := a.NewProcess("src", nil)
+		src := a.NewProcess("src")
 		src.MapBytes(8 << 20)
-		dst := b.NewProcess("dst", nil)
+		dst := b.NewProcess("dst")
 		dst.MapBytes(8 << 20)
 		qpA, qpB := a.OpenQP(src), b.OpenQP(dst)
 		ConnectQPs(qpA, qpB)
@@ -378,7 +364,7 @@ func TestClusterWithEnginesKV(t *testing.T) {
 		if cluster.KV.ClientEngine() != cluster.EngineFor(1) {
 			t.Fatal("client tier did not land on partition 1")
 		}
-		ij := cluster.Injector()
+		ij := cluster.injector
 		if len(ij.T.Drivers) != 3 {
 			t.Fatalf("chaos targets hold %d drivers, want the 3 servers", len(ij.T.Drivers))
 		}

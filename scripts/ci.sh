@@ -38,6 +38,19 @@ if ! git --no-pager diff --exit-code EXPERIMENTS.md >&2; then
     exit 1
 fi
 
+# scripts/workloadcov.sh keeps a reason for each zero-hit function it
+# keeps; a function deleted later must take its line with it. This check
+# reads the table only (the coverage corpus takes minutes and is not run
+# here): each named function must still be declared in its file.
+echo "== workloadcov keep table =="
+awk '/^keep=\$\(cat <<.KEEP.\)?$/ { on = 1; next } /^KEEP$/ { on = 0 } on' scripts/workloadcov.sh |
+    while IFS=$'\t' read -r file fn _; do
+        if ! grep -Eq "^func (\([^)]*\) )?$fn[[(]" "${file#npf/}"; then
+            echo "workloadcov.sh keep table: $fn is not declared in ${file#npf/}" >&2
+            exit 1
+        fi
+    done
+
 echo "== go vet =="
 go vet ./...
 
@@ -304,5 +317,19 @@ go run ./cmd/npfstat -baseline BENCH_pr8.json "$tmpjson"
 echo "== npfstat render smoke =="
 go run ./cmd/npfstat -render "$tmpseries" > /dev/null
 echo "npfstat render ok"
+
+# experiments_full.txt is the full default run EXPERIMENTS.md quotes: the
+# code must still print it byte for byte (about 80 s at -parallel 2 on a
+# 2-vCPU host; tier-1 does not run it). Regenerate it with
+#   go run ./cmd/npfbench -parallel 2 > experiments_full.txt
+# and then python3 scripts/mkexperiments.py.
+echo "== experiments_full.txt drift =="
+tmpfull=$(mktemp)
+go run ./cmd/npfbench -parallel 2 > "$tmpfull"
+if ! cmp "$tmpfull" experiments_full.txt; then
+    echo "experiments_full.txt drift: the full run no longer prints it" >&2
+    exit 1
+fi
+rm -f "$tmpfull"
 
 echo "CI OK"
