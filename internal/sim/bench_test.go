@@ -37,6 +37,26 @@ func BenchmarkEngineArgThroughput(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineReservedSeq is BenchmarkEngineArgThroughput through a
+// reserved seq: each event reserves the next one's seq, then schedules it
+// with AtArgSeq, the way a swarm host arms its timers.
+func BenchmarkEngineReservedSeq(b *testing.B) {
+	b.ReportAllocs()
+	e := NewEngine(1)
+	n := 0
+	var step func(any)
+	step = func(arg any) {
+		n++
+		if n < b.N {
+			seq := e.ReserveSeqs(1)
+			e.AtArgSeq(e.Now()+10, seq, step, arg)
+		}
+	}
+	b.ResetTimer()
+	e.AtArgSeq(1, e.ReserveSeqs(1), step, &n)
+	e.Run()
+}
+
 // BenchmarkEngineImmediate measures a chain of After(0) events: each one
 // is filed in the heap as the only pending event and popped next.
 func BenchmarkEngineImmediate(b *testing.B) {

@@ -6,7 +6,9 @@
 // callbacks with At/After (or a bound func and its argument with
 // AtArg/AfterArg); Run drains the queue in (time, sequence) order, so two
 // runs with the same seed and the same schedule produce byte-identical
-// results.
+// results. ReserveSeqs and AtArgSeq split an AtArg in two: the sequence
+// number is taken when the timer is armed, the event is queued later, and
+// it runs where the AtArg would have run it.
 //
 // The hot path is allocation-free in steady state: executed and cancelled
 // events return to a free list and are reused by later At/After calls, and
@@ -218,8 +220,8 @@ func (e *Engine) Executed() uint64 { return e.executed }
 func (e *Engine) Pending() int { return e.live }
 
 // alloc takes an event from the pool, or allocates one when the pool is
-// empty, and stamps it with the next sequence number.
-func (e *Engine) alloc(t Time, fn func(any), arg any) *event {
+// empty, and stamps it with seq.
+func (e *Engine) alloc(t Time, seq uint64, fn func(any), arg any) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -228,8 +230,7 @@ func (e *Engine) alloc(t Time, fn func(any), arg any) *event {
 	} else {
 		ev = &event{} //npf:allocok — pool miss; amortized away once the pool warms up
 	}
-	ev.at, ev.seq, ev.fn, ev.arg = t, e.seq, fn, arg
-	e.seq++
+	ev.at, ev.seq, ev.fn, ev.arg = t, seq, fn, arg
 	return ev
 }
 
@@ -268,16 +269,54 @@ func (e *Engine) AtArg(t Time, fn func(any), arg any) EventID {
 	if fn == nil {
 		panic("sim: AtArg with a nil fn")
 	}
-	ev := e.alloc(t, fn, arg)
+	ev := e.alloc(t, e.seq, fn, arg)
+	e.seq++
 	e.live++
 	e.schedule(ev)
 	return EventID{ev, ev.seq}
 }
 
+// ReserveSeqs takes the next n seqs without scheduling anything and
+// returns the first: the seqs that n AtArg calls made now would take, in
+// the same order. AtArgSeq later schedules an event under each of them.
+func (e *Engine) ReserveSeqs(n int) uint64 {
+	if n < 0 {
+		panic("sim: ReserveSeqs with a negative count")
+	}
+	first := e.seq
+	e.seq += uint64(n)
+	return first
+}
+
+// AtArgSeq schedules fn(arg) at absolute virtual time t under seq, a seq
+// that ReserveSeqs returned and no event has used yet: the event runs
+// exactly where an AtArg call made at the reservation would have run it.
+// It has AtArg's allocation contract. It panics when seq was never
+// reserved, or when (t, seq) comes before (Now, EventSeq), the event
+// running now: that event would run out of (time, seq) order.
+//
+//npf:noalloc
+func (e *Engine) AtArgSeq(t Time, seq uint64, fn func(any), arg any) EventID {
+	if seq >= e.seq {
+		panic(fmt.Sprintf("sim: AtArgSeq with seq %d, which was never reserved", seq)) //npf:allocok — dying anyway
+	}
+	if t < e.now || t == e.now && seq < e.running {
+		panic(fmt.Sprintf("sim: AtArgSeq at (%v, %d) before the running event (%v, %d)", t, seq, e.now, e.running)) //npf:allocok — dying anyway
+	}
+	if fn == nil {
+		panic("sim: AtArgSeq with a nil fn")
+	}
+	ev := e.alloc(t, seq, fn, arg)
+	e.live++
+	e.schedule(ev)
+	return EventID{ev, seq}
+}
+
 // schedule files an event by epoch: the heap for epochs up to cur, the
 // epoch's ring list for the next ringEpochs-1, overflow beyond that. An
-// event due now is filed like any other; its seq is larger than that of
-// every pending event due now, so it runs after them.
+// event due now is filed like any other: the heap orders it among the
+// pending events due now by its seq, which AtArgSeq may have reserved
+// before theirs.
 //
 //npf:noalloc
 func (e *Engine) schedule(ev *event) {
@@ -325,10 +364,10 @@ func (e *Engine) AfterArg(d Time, fn func(any), arg any) EventID {
 }
 
 // EventSeq returns the seq of the event executing now (EventID.Seq of the
-// ID its At or AtArg returned). Group mail is not an event and leaves it
-// as the last event set it. A handler bound once for many timers compares
-// it with the seq its owner recorded when arming, to tell the current
-// timer from stale ones.
+// ID its At, AtArg or AtArgSeq returned). Group mail is not an event and
+// leaves it as the last event set it. A handler bound once for many
+// timers compares it with the seq of the timer its owner has due, to
+// tell that timer's event from a superseded one.
 func (e *Engine) EventSeq() uint64 { return e.running }
 
 // Cancel removes a scheduled event. Cancelling an event that already ran or

@@ -84,8 +84,9 @@ func (r *refEngine) runUntil(deadline Time) Time {
 // fuzzScript is what an event does when it runs: log its id, optionally
 // schedule its child (an event with no script of its own, whose id is
 // reserved up front so both engines agree on it) and optionally Stop.
-// mode picks the call that schedules the child: At, AtArg, After or
-// AfterArg.
+// mode picks the call that schedules the child: At, AtArg, After,
+// AfterArg, or a seq reserved where that call would be made and an
+// AtArgSeq at the end of the script.
 type fuzzScript struct {
 	child      int // 0: none
 	class, arg byte
@@ -127,8 +128,10 @@ const (
 
 // FuzzEngineOrder drives the Engine and refEngine with the same decoded
 // operation stream — At, AtArg, After and AfterArg in every calendar
-// region, Cancel of live, fired and stale IDs (singly and in bursts large
-// enough to compact), RunUntil and Run, NextEventTime, and Stop from
+// region, ReserveSeqs with a later AtArgSeq (from inside the event that
+// reserved, or at a later step of the stream, before the event is due),
+// Cancel of live, fired and stale IDs (singly and in bursts large enough
+// to compact), RunUntil and Run, NextEventTime, and Stop from
 // inside events — and requires the same execution order, Now, Pending and
 // Executed after every operation and the same NextEventTime wherever the
 // stream asks for it. Whenever a new event takes the pooled struct of the
@@ -136,9 +139,11 @@ const (
 // twice: on NewEngine's engine driven by its own RunUntil and Run, and on
 // the engine of a NewGroup one-partition group driven through
 // Group.RunUntil and Group.Run. The call an event is
-// scheduled with (At, AtArg, After or AfterArg) is read from input bits
-// the older decoding ignored, so the committed corpus entries replay the
-// sequences they were found with.
+// scheduled with (At, AtArg, After, AfterArg or a reserved seq) is read
+// from input bits the older decodings ignored or that the model's order
+// does not depend on: a reserved seq is the seq the AtArg call would have
+// taken, so the committed corpus entries replay the sequences they were
+// found with, through other calls.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 5, 0, 0, 2, 9, 1, 0, 4, 3, 3, 0, 6, 200, 0, 4, 2, 1})
 	f.Add([]byte{0, 6, 0, 2, 6, 0, 0, 0, 3, 3, 7, 5, 3, 7, 1, 4, 0, 5})
@@ -164,6 +169,9 @@ func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUnti
 	var got, want []int
 	var fn func(id int) func()
 	var argFn func(any)
+	// held lists the events whose seq is reserved and which are not yet
+	// scheduled. The model queued each of them when its seq was taken.
+	var held []heldEvent
 	// reused requires that when event id has taken the pooled struct of
 	// the event that ran last, that event's ID cancels nothing.
 	reused := func(id int) {
@@ -175,17 +183,50 @@ func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUnti
 			t.Fatalf("%s: Cancel of the ID of event %d, which ran, cancelled event %d in its reused struct", name, last, id)
 		}
 	}
+	// place schedules event id at through the call mode picks, or takes
+	// its seq and returns it held.
+	place := func(mode byte, at Time, id int) (heldEvent, bool) {
+		if mode%8 >= 4 {
+			return heldEvent{id: id, at: at, seq: e.ReserveSeqs(1)}, true
+		}
+		ids[id] = schedule(e, mode, at, id, fn, argFn)
+		reused(id)
+		return heldEvent{}, false
+	}
+	// release schedules a held event under its reserved seq.
+	release := func(h heldEvent) {
+		arg := new(int)
+		*arg = h.id
+		ids[h.id] = e.AtArgSeq(h.at, h.seq, argFn, arg)
+		reused(h.id)
+	}
+	// flush releases every held event due by deadline.
+	flush := func(deadline Time) {
+		kept := held[:0]
+		for _, h := range held {
+			if h.at <= deadline {
+				release(h)
+			} else {
+				kept = append(kept, h)
+			}
+		}
+		held = kept
+	}
 	// script runs event id's script; the plain and the argument forms
 	// share it.
 	script := func(id int) {
 		got = append(got, id)
 		s := scripts[id]
+		var child heldEvent
+		var hold bool
 		if s.child != 0 {
-			ids[s.child] = schedule(e, s.mode, fuzzOffset(e.Now(), s.class, s.arg), s.child, fn, argFn)
-			reused(s.child)
+			child, hold = place(s.mode, fuzzOffset(e.Now(), s.class, s.arg), s.child)
 		}
 		if s.stop {
 			e.Stop()
+		}
+		if hold {
+			release(child)
 		}
 	}
 	fn = func(id int) func() { return func() { script(id) } }
@@ -215,9 +256,10 @@ func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUnti
 			ids = append(ids, EventID{})
 		}
 		at := fuzzOffset(e.Now(), class, arg)
-		ids[id] = schedule(e, class>>3, at, id, fn, argFn)
+		if h, ok := place(class>>3, at, id); ok {
+			held = append(held, h)
+		}
 		ref.at(at, id)
-		reused(id)
 	}
 	next := func() byte {
 		if len(data) == 0 {
@@ -229,11 +271,14 @@ func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUnti
 	}
 	checked := 0
 	for step := 0; len(data) > 0 && step < fuzzMaxSteps; step++ {
+		// A held event is released at a later step: before a run can
+		// reach it, and before an operation that reads the queue.
 		switch op := next(); op % 7 {
 		case 0: // one event; flags pick a child, its region, its call, and Stop
 			class, arg, flags := next(), next(), next()
 			add(class, arg, fuzzScript{child: int(flags & 1), class: flags >> 4, arg: arg ^ flags, mode: flags >> 2, stop: flags&2 != 0})
 		case 1: // cancel one id: live, fired, stale, or never scheduled
+			flush(Forever)
 			id := int(next()) % len(ids)
 			if g, w := e.Cancel(ids[id]), ref.cancel(id); g != w {
 				t.Fatalf("%s step %d: Cancel(%d) = %v, model %v", name, step, id, g, w)
@@ -244,6 +289,7 @@ func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUnti
 				add(class, arg+byte(i), fuzzScript{})
 			}
 		case 3: // cancel every id in one residue class
+			flush(Forever)
 			m := int(next())%4 + 2
 			r := int(next()) % m
 			for id := r; id < len(ids); id += m {
@@ -253,14 +299,17 @@ func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUnti
 			}
 		case 4:
 			deadline := fuzzOffset(e.Now(), next(), next())
+			flush(deadline)
 			if g, w := runUntil(deadline), ref.runUntil(deadline); g != w {
 				t.Fatalf("%s step %d: RunUntil(%v) = %v, model %v", name, step, deadline, g, w)
 			}
 		case 5:
+			flush(Forever)
 			if g, w := run(), ref.runUntil(Forever); g != w {
 				t.Fatalf("%s step %d: Run() = %v, model %v", name, step, g, w)
 			}
 		case 6:
+			flush(Forever)
 			if g, w := e.NextEventTime(), ref.nextEventTime(); g != w {
 				t.Fatalf("%s step %d: NextEventTime() = %v, model %v", name, step, g, w)
 			}
@@ -269,11 +318,19 @@ func fuzzEngineStream(t *testing.T, name string, data []byte, e *Engine, runUnti
 			t.Fatalf("%s step %d: ran %v, model ran %v", name, step, got[checked:], want[checked:])
 		}
 		checked = len(got)
-		if e.Now() != ref.now || e.Pending() != len(ref.pend) || e.Executed() != ref.executed {
-			t.Fatalf("%s step %d: Now/Pending/Executed = %v/%d/%d, model %v/%d/%d",
-				name, step, e.Now(), e.Pending(), e.Executed(), ref.now, len(ref.pend), ref.executed)
+		if e.Now() != ref.now || e.Pending()+len(held) != len(ref.pend) || e.Executed() != ref.executed {
+			t.Fatalf("%s step %d: Now/Pending+held/Executed = %v/%d+%d/%d, model %v/%d/%d",
+				name, step, e.Now(), e.Pending(), len(held), e.Executed(), ref.now, len(ref.pend), ref.executed)
 		}
 	}
+}
+
+// heldEvent is an event whose seq FuzzEngineOrder reserved and which it
+// schedules later with AtArgSeq.
+type heldEvent struct {
+	id  int
+	at  Time
+	seq uint64
 }
 
 // schedule puts event id on e at time at through the call mode picks: At,

@@ -280,6 +280,68 @@ func TestEngineEventSeq(t *testing.T) {
 	}
 }
 
+// A seq ReserveSeqs took runs its AtArgSeq event where an AtArg made at
+// the reservation would have run it: before a same-instant event
+// scheduled after the reservation, even one scheduled before the
+// AtArgSeq call.
+func TestEngineReservedSeqOrder(t *testing.T) {
+	e := NewEngine(1)
+	var order []string
+	h := func(arg any) { order = append(order, *arg.(*string)) }
+	name := func(s string) *string { return &s }
+	first := e.ReserveSeqs(2)
+	e.AtArg(10, h, name("plain"))
+	e.AtArgSeq(10, first+1, h, name("reserved second"))
+	e.AtArgSeq(10, first, h, name("reserved first"))
+	e.Run()
+	if want := []string{"reserved first", "reserved second", "plain"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+}
+
+// AtArgSeq refuses a seq ReserveSeqs never returned, and a (time, seq)
+// key before the running event's: that event would run out of order.
+func TestEngineAtArgSeqPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		call func(e *Engine) // runs inside an event at (10, seq 2)
+		want string
+	}{
+		{"never reserved", func(e *Engine) { e.AtArgSeq(20, 3, func(any) {}, nil) }, "never reserved"},
+		{"never reserved, at the next seq", func(e *Engine) {
+			s := e.ReserveSeqs(1)
+			e.AtArgSeq(20, s+1, func(any) {}, nil)
+		}, "never reserved"},
+		{"earlier seq at the running instant", func(e *Engine) { e.AtArgSeq(10, 1, func(any) {}, nil) }, "before the running event"},
+		{"earlier time", func(e *Engine) { e.AtArgSeq(9, 1, func(any) {}, nil) }, "before the running event"},
+	} {
+		e := NewEngine(1)
+		first := e.ReserveSeqs(2) // seqs 0 and 1, never scheduled
+		var got any
+		e.AtArg(10, func(any) {
+			defer func() { got = recover() }()
+			tc.call(e)
+		}, nil)
+		e.Run()
+		if first != 0 || e.EventSeq() != 2 {
+			t.Fatalf("%s: reserved from %d, ran seq %d; want 0 and 2", tc.name, first, e.EventSeq())
+		}
+		if msg, _ := got.(string); !strings.Contains(msg, tc.want) {
+			t.Errorf("%s: panic %v, want one naming %q", tc.name, got, tc.want)
+		}
+	}
+	// A seq reserved by the running event may run at its instant.
+	e := NewEngine(1)
+	var ran bool
+	e.AtArg(10, func(any) {
+		e.AtArgSeq(10, e.ReserveSeqs(1), func(any) { ran = e.Now() == 10 }, nil)
+	}, nil)
+	e.Run()
+	if !ran {
+		t.Fatal("an AtArgSeq at the running instant under a new seq did not run then")
+	}
+}
+
 // After(0) inside a callback runs after every event already due at the same
 // instant, including ones still in the heap from before the clock arrived.
 func TestEngineImmediateOrdering(t *testing.T) {

@@ -85,32 +85,45 @@ func (r *Rand) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// Zipf returns values in [0, n) with a Zipfian distribution of exponent
+// Zipf draws values in [0, n) with a Zipfian distribution of exponent
 // s>1 (s<=1 is clamped): rank 0 is the hottest. A precomputed inverse-CDF
-// table is too costly for large n, so we invert the continuous density
+// table is too costly for large n, so Draw inverts the continuous density
 // p(k) ∝ k^-s over [1, n] in closed form:
 //
 //	k = (1 + u·(n^(1-s) − 1))^(1/(1-s))
 //
-// which is rejection-free and allocation-free.
-func (r *Rand) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 0
-	}
+// which is rejection-free and allocation-free. NewZipf computes the two
+// constants, n^(1-s) − 1 and 1/(1-s), once per (n, s), so a draw costs
+// one math.Pow.
+type Zipf struct {
+	n   int
+	a   float64 // n^(1-s) − 1
+	inv float64 // 1/(1-s)
+}
+
+// NewZipf returns the distribution over [0, n) with exponent s.
+func NewZipf(n int, s float64) Zipf {
 	if s <= 1 {
 		s = 1.0001
+	}
+	return Zipf{n: n, a: math.Pow(float64(n), 1-s) - 1, inv: 1 / (1 - s)}
+}
+
+// Draw returns one value from r. It draws nothing when n <= 1.
+func (z Zipf) Draw(r *Rand) int {
+	if z.n <= 1 {
+		return 0
 	}
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	k := math.Pow(1+u*(math.Pow(float64(n), 1-s)-1), 1/(1-s))
-	x := int(k) - 1
+	x := int(math.Pow(1+u*z.a, z.inv)) - 1
 	if x < 0 {
 		x = 0
 	}
-	if x >= n {
-		x = n - 1
+	if x >= z.n {
+		x = z.n - 1
 	}
 	return x
 }

@@ -392,7 +392,7 @@ func TestRandRanges(t *testing.T) {
 		if v := r.Float64(); v < 0 || v >= 1 {
 			t.Fatalf("Float64 out of range: %v", v)
 		}
-		if v := r.Zipf(100, 1.2); v < 0 || v >= 100 {
+		if v := NewZipf(100, 1.2).Draw(r); v < 0 || v >= 100 {
 			t.Fatalf("Zipf out of range: %d", v)
 		}
 	}

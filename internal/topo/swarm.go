@@ -3,7 +3,6 @@ package topo
 import (
 	"fmt"
 	"math"
-	"unsafe"
 
 	"npf/internal/core"
 	"npf/internal/fabric"
@@ -41,6 +40,35 @@ type SwarmHost struct {
 	clients []swarmClient
 	nextID  uint64
 	stats   []swStats // per tenant
+
+	// timers is the host's timer heap: each client's staggered start, then
+	// its open op's retry timer, at most one entry per client. Only the
+	// top has an engine event (arm). idle is the latest timer removed
+	// before it had one; the host's last completion gives it its event
+	// (armIdle).
+	timers []swarmTimer
+	idle   swarmTimer
+}
+
+// swarmTimer is one entry of a swarm host's timer heap: a client's start
+// while the client has no open op, its retry timer while it has one. due
+// and seq are the (time, seq) key the AfterArg call that armed the timer
+// used to take; armed records that an engine event carries that key.
+type swarmTimer struct {
+	due    sim.Time
+	seq    uint64
+	client int32
+	armed  bool
+}
+
+// noTimer is swarmClient.timer when the client has no heap entry.
+const noTimer = -1
+
+func timerLess(a, b *swarmTimer) bool {
+	if a.due != b.due {
+		return a.due < b.due
+	}
+	return a.seq < b.seq
 }
 
 // swarmClient is one closed-loop logical client. Its op state is inline so
@@ -57,12 +85,11 @@ type swarmClient struct {
 	curID  uint32 // the open op's host-local id; 0: none
 	key    int32
 	server int32
-	// attempts counts the open op's sends; timer is the EventID.Seq of
-	// the retry timer its last send armed, the only one that is current.
+	// attempts counts the open op's sends; timer is the client's index in
+	// its host's timer heap, or noTimer.
 	attempts int8
 	get      bool
-	host     uint16 // the SwarmHost's index in Sweep.swarms
-	timer    uint64
+	timer    int32
 	start    sim.Time
 }
 
@@ -137,41 +164,148 @@ func (sh *SwarmHost) addClient(t *tenantState, quota int32) {
 		rng:    *sh.eng.Rand().Split(),
 		tenant: t.idx,
 		quota:  quota,
-		host:   uint16(sh.idx),
+		timer:  noTimer,
 	})
 }
 
-// bindEvents binds the fleet's per-op event handlers once. A client
-// event's argument is its client, a *swarmClient into its host's client
-// slice, and a service delay's is the request: scheduling either
-// allocates nothing.
+// bindEvents binds the fleet's per-op event handlers once. A timer
+// event's argument is its *SwarmHost and a service delay's is the request:
+// scheduling either allocates nothing.
 func (s *Sweep) bindEvents() {
-	s.issueFn = func(c any) { sh, ci := s.client(c); sh.issue(ci) }
-	s.timeoutFn = func(c any) { sh, ci := s.client(c); sh.timeout(ci) }
+	s.timerFn = func(sh any) { sh.(*SwarmHost).fire() }
 	s.replyFn = func(req any) {
 		m := req.(*msg)
 		s.servers[m.server].tenants[m.tenant].reply(m)
 	}
 }
 
-// client returns the swarm host of c, a per-client event's argument, and
-// c's index in that host's client slice.
-func (s *Sweep) client(c any) (*SwarmHost, int32) {
-	p := c.(*swarmClient)
-	sh := s.swarms[p.host]
-	off := uintptr(unsafe.Pointer(p)) - uintptr(unsafe.Pointer(unsafe.SliceData(sh.clients)))
-	return sh, int32(off / unsafe.Sizeof(swarmClient{}))
-}
-
-// start arms every client with ops to run, staggered 3 µs apart (the
-// historical kv ramp).
+// start queues every client with ops to run, staggered 3 µs apart (the
+// historical kv ramp), each under the seq an AfterArg would take here.
 func (sh *SwarmHost) start() {
+	sh.timers = make([]swarmTimer, 0, len(sh.clients))
+	now := sh.eng.Now()
 	for i := range sh.clients {
-		c := &sh.clients[i]
-		if c.quota > 0 {
-			sh.eng.AfterArg(sim.Time(i+1)*3*sim.Microsecond, sh.sweep.issueFn, c)
+		if sh.clients[i].quota > 0 {
+			sh.pushTimer(now.Add(sim.Time(i+1)*3*sim.Microsecond), sh.eng.ReserveSeqs(1), int32(i))
 		}
 	}
+}
+
+// fire runs a timer event. Only the heap's top acts: the event of a
+// timer its op's completion removed first, or the idle timer's event,
+// finds another seq or no timer there. The top starts its client when the
+// client has no open op, and times the open op out otherwise.
+func (sh *SwarmHost) fire() {
+	if len(sh.timers) == 0 || sh.timers[0].seq != sh.eng.EventSeq() {
+		return // superseded
+	}
+	ci := sh.timers[0].client
+	sh.removeTimer(0)
+	if sh.sweep.onTimer != nil {
+		sh.sweep.onTimer(sh, ci)
+	}
+	if sh.clients[ci].curID == 0 {
+		sh.issue(ci)
+	} else {
+		sh.timeout(ci)
+	}
+}
+
+// pushTimer files client ci's timer at (due, seq).
+func (sh *SwarmHost) pushTimer(due sim.Time, seq uint64, ci int32) {
+	sh.timers = append(sh.timers, swarmTimer{due: due, seq: seq, client: ci})
+	if sh.siftUp(int32(len(sh.timers)-1)) == 0 {
+		sh.arm()
+	}
+}
+
+// removeTimer drops heap entry i. A timer that never had an event is
+// remembered as idle when it is the latest yet.
+func (sh *SwarmHost) removeTimer(i int32) {
+	h := sh.timers
+	if t := &h[i]; !t.armed && timerLess(&sh.idle, t) {
+		sh.idle = *t
+	}
+	sh.clients[h[i].client].timer = noTimer
+	n := int32(len(h)) - 1
+	sh.timers = h[:n]
+	if i == n {
+		return
+	}
+	h[i] = h[n]
+	// The top is every entry's minimum, so only a removal at the top can
+	// change it.
+	if sh.siftDown(i) == i {
+		sh.siftUp(i)
+	}
+	if i == 0 {
+		sh.arm()
+	}
+}
+
+// arm gives the heap's top its engine event, once: the top's seq was
+// reserved and never used, and its key is still ahead of the running
+// event's.
+func (sh *SwarmHost) arm() {
+	if t := &sh.timers[0]; !t.armed {
+		t.armed = true
+		sh.eng.AtArgSeq(t.due, t.seq, sh.sweep.timerFn, sh)
+	}
+}
+
+// armIdle gives the idle timer its event once the host's last op has
+// completed, so the host's engine clock ends where an event per timer left
+// it: the sweep's FinalTime is the latest event's time.
+func (sh *SwarmHost) armIdle() {
+	if t := &sh.idle; t.due > sh.eng.Now() {
+		sh.eng.AtArgSeq(t.due, t.seq, sh.sweep.timerFn, sh)
+	}
+}
+
+// siftUp moves entry i toward the root and returns where it lands,
+// keeping each moved client's index.
+func (sh *SwarmHost) siftUp(i int32) int32 {
+	h := sh.timers
+	t := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !timerLess(&t, &h[p]) {
+			break
+		}
+		h[i] = h[p]
+		sh.clients[h[i].client].timer = i
+		i = p
+	}
+	h[i] = t
+	sh.clients[t.client].timer = i
+	return i
+}
+
+// siftDown moves entry i toward the leaves and returns where it lands,
+// keeping each moved client's index.
+func (sh *SwarmHost) siftDown(i int32) int32 {
+	h := sh.timers
+	n := int32(len(h))
+	t := h[i]
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && timerLess(&h[r], &h[l]) {
+			m = r
+		}
+		if !timerLess(&h[m], &t) {
+			break
+		}
+		h[i] = h[m]
+		sh.clients[h[i].client].timer = i
+		i = m
+	}
+	h[i] = t
+	sh.clients[t.client].timer = i
+	return i
 }
 
 // newOpID returns the host's next op id. Clients keep theirs in 32 bits,
@@ -239,17 +373,14 @@ func (sh *SwarmHost) sendOp(ci int32) {
 		id: uint64(c.curID), swarm: sh.idx, client: ci, server: c.server,
 		tenant: c.tenant, key: c.key, get: c.get,
 	})
-	c.timer = sh.eng.AfterArg(sh.retryDelay(c), sh.sweep.timeoutFn, c).Seq()
+	due := sh.eng.Now().Add(sh.retryDelay(c))
+	sh.pushTimer(due, sh.eng.ReserveSeqs(1), ci)
 }
 
-// timeout runs when a retry timer of client ci fires. Only the timer its
-// last send armed is current, and only while the op is open; every other
-// one belongs to a completed op and is a no-op.
+// timeout runs when the retry timer of client ci's open op fires: the op
+// is resent, or given up after its last attempt.
 func (sh *SwarmHost) timeout(ci int32) {
 	c := &sh.clients[ci]
-	if c.curID == 0 || c.timer != sh.eng.EventSeq() {
-		return // completed; stale timer
-	}
 	st := &sh.stats[c.tenant]
 	if c.attempts >= maxAttempts {
 		st.lost++
@@ -263,6 +394,9 @@ func (sh *SwarmHost) timeout(ci int32) {
 func (sh *SwarmHost) complete(ci int32, hit bool) {
 	c := &sh.clients[ci]
 	c.curID = 0
+	if c.timer != noTimer {
+		sh.removeTimer(c.timer)
+	}
 	st := &sh.stats[c.tenant]
 	st.ops++
 	if hit {
@@ -272,6 +406,8 @@ func (sh *SwarmHost) complete(ci int32, hit bool) {
 	c.quota--
 	if c.quota > 0 {
 		sh.issue(ci)
+	} else if len(sh.timers) == 0 {
+		sh.armIdle() // every client is done
 	}
 }
 

@@ -205,7 +205,9 @@ type Sweep struct {
 	serverUD   [][]rc.UDRemote
 
 	// The per-op event handlers (bindEvents).
-	issueFn, timeoutFn, replyFn func(any)
+	timerFn, replyFn func(any)
+	// onTimer, when set, sees every timer that acts (export_test.go).
+	onTimer func(sh *SwarmHost, ci int32)
 
 	started bool
 }

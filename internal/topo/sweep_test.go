@@ -139,8 +139,8 @@ func TestSweepDeterminism(t *testing.T) {
 
 // TestSweepSizesFromConfig: New allocates each swarm host's client table
 // at the count the deal gives it, and reserves each (host, tenant)
-// latency reservoir for the host's quotas in that tenant; a run grows
-// neither. Tenants here deal unevenly over the hosts and one spreads a
+// latency reservoir for the host's quotas in that tenant; Start sizes each
+// timer heap for the host's clients. A run grows none of them. Tenants here deal unevenly over the hosts and one spreads a
 // remainder of ops.
 func TestSweepSizesFromConfig(t *testing.T) {
 	cfg := smallConfig(TransportEth)
@@ -173,6 +173,9 @@ func TestSweepSizesFromConfig(t *testing.T) {
 		t.Fatalf("ops = %d, want %d", r.Ops, 400+437+400)
 	}
 	for j, sh := range s.swarms {
+		if cap(sh.timers) != len(sh.clients) {
+			t.Errorf("swarm host %d: timer heap of %d for %d clients", j, cap(sh.timers), len(sh.clients))
+		}
 		for ti := range sh.stats {
 			r, lat := res[j][ti], &sh.stats[ti].lat
 			if c := latCap(lat); c != r.cap {

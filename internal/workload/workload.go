@@ -57,9 +57,14 @@ type Config struct {
 	// Prepopulate bulk-loads every key before traffic, so gets hit and
 	// arenas start resident.
 	Prepopulate bool
+
+	// zipf is the key distribution over Keys at ZipfS, computed once by
+	// WithDefaults.
+	zipf sim.Zipf
 }
 
-// WithDefaults fills zero fields with the documented defaults.
+// WithDefaults fills zero fields with the documented defaults and fixes
+// the key distribution NextOp draws from.
 // defaultKeys seeds the key-space size when Keys is zero (the KV service
 // passes its ExpectedKeys; the scale-out sweep passes its own).
 func (c Config) WithDefaults(defaultKeys int) Config {
@@ -87,6 +92,7 @@ func (c Config) WithDefaults(defaultKeys int) Config {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 50 * sim.Millisecond
 	}
+	c.zipf = sim.NewZipf(c.Keys, c.ZipfS)
 	return c
 }
 
@@ -100,7 +106,7 @@ func (c Config) WithDefaults(defaultKeys int) Config {
 //npf:noalloc
 func (c *Config) NextOp(rng *sim.Rand) (get bool, key int) {
 	get = rng.Bernoulli(c.GetRatio)
-	key = rng.Zipf(c.Keys, c.ZipfS)
+	key = c.zipf.Draw(rng)
 	return get, key
 }
 

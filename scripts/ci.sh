@@ -106,16 +106,17 @@ fi
 # and the fleet-regime large-pending queue (about 100k far timers in the
 # calendar tier) must report 0 B/op and 0 allocs/op. Argument events (AtArg/AfterArg with a pre-bound
 # func and a pointer argument) schedule, cancel and run at 0 allocs/op
-# too. TestEngineFarCancelRetention bounds what cancelled
+# too, and so does a seq ReserveSeqs took scheduled later with AtArgSeq.
+# TestEngineFarCancelRetention bounds what cancelled
 # far timers may keep queued. A histogram stores a run of repeated samples
 # once: repeats add at 0 allocs/op and retain O(1) memory, and a warm
 # add-then-query period allocates nothing. A sim.Group at one thread
 # delivers mail with a pre-bound func and a pointer argument at 0 allocs/op.
 echo "== engine allocation gate =="
 out=$(go test -run 'TestEngineSteadyStateAllocs|TestEngineAfterArgSteadyStateAllocs|TestEngineTimerChurnAllocs|TestEngineFarCancelRetention|TestHistogramRepeatsStayCompact|TestHistogramQueryNoAlloc' \
-    -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineArgThroughput|BenchmarkEngineImmediate|BenchmarkEngineLargePending|BenchmarkGroupMail|BenchmarkHistogramAddRepeat' -benchtime 10000x ./internal/sim/)
+    -bench 'BenchmarkEngineEventThroughput|BenchmarkEngineArgThroughput|BenchmarkEngineReservedSeq|BenchmarkEngineImmediate|BenchmarkEngineLargePending|BenchmarkGroupMail|BenchmarkHistogramAddRepeat' -benchtime 10000x ./internal/sim/)
 echo "$out"
-for bench in BenchmarkEngineEventThroughput BenchmarkEngineArgThroughput BenchmarkEngineImmediate BenchmarkEngineLargePending BenchmarkGroupMail BenchmarkHistogramAddRepeat; do
+for bench in BenchmarkEngineEventThroughput BenchmarkEngineArgThroughput BenchmarkEngineReservedSeq BenchmarkEngineImmediate BenchmarkEngineLargePending BenchmarkGroupMail BenchmarkHistogramAddRepeat; do
     if ! grep -q "$bench.* 0 B/op.* 0 allocs/op" <<< "$out"; then
         echo "$bench is not allocation-free" >&2
         exit 1
