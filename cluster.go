@@ -19,8 +19,8 @@ import (
 //
 //	cluster := npf.NewCluster(npf.WithSeed(42), npf.WithFabric(npf.EthernetFabric()))
 type Cluster struct {
-	// Eng is partition 0's engine, where chaos plans and the KV server
-	// tier live; on a single-engine cluster it is the only engine.
+	// Eng is partition 0's engine, where chaos plans and the KV service
+	// live; on a single-engine cluster it is the only engine.
 	Eng *Engine
 	Net *Network
 	// Group is the conservative-lookahead PDES group the cluster runs
@@ -80,15 +80,10 @@ func NewCluster(opts ...ClusterOption) *Cluster {
 		c.injector = chaos.Arm(cfg.plan, chaos.Targets{Eng: c.Eng, Net: c.Net, Tracer: c.Tracer})
 	}
 	if cfg.kv != nil {
-		kcfg := *cfg.kv
-		if len(c.Tracers) > 1 {
-			kcfg.ClientTracer = c.Tracers[1]
-		}
-		c.KV = kv.New(c.Eng, c.Net, c.Tracer, kcfg)
+		// Every KV host runs on partition 0, with the injector, so a plan
+		// reaches the whole service on any partition count.
+		c.KV = kv.New(c.Eng, c.Net, c.Tracer, *cfg.kv)
 		if ij := c.injector; ij != nil {
-			// On a partitioned cluster the injector keeps the server tier's
-			// adapters and drivers. The shard groups are server-tier state
-			// on any partition count.
 			ij.AddFirmware(c.KV.Firmware()...)
 			ij.AddDrivers(c.KV.Drivers()...)
 			ij.T.Groups = append(ij.T.Groups, c.KV.Groups()...)

@@ -26,11 +26,12 @@
 //	-root       repository root for the loc experiment (default ".")
 //	-parallel   fan independent sweep jobs across N worker goroutines
 //	            (0 = one per CPU); results are byte-identical to -parallel 1
-//	-engines    partitioned PDES mode: build every env as a multi-engine
-//	            sim.Group (one engine per host side, conservative lookahead
-//	            sync) with a total worker-thread budget of N; results are
-//	            byte-identical for every N >= 1 (0 = historical
-//	            single-engine mode). Applies to -chaos scenarios too.
+//	-engines    worker-thread budget of the partitioned groups (scaleout's
+//	            fixed 8 partitions; 0 runs each on one thread): with
+//	            N >= 1 jobs fan across min(jobs, N) goroutines and share
+//	            the rest of N as group threads. Every other env, kv
+//	            deployment and -chaos testbed runs on one partition, so no
+//	            N changes any output
 //	-json       write a machine-readable BENCH_results.json-style artifact
 //	            (per-experiment engines and events, engine allocs/op,
 //	            section rows); a pure function of the code, the experiment
@@ -155,7 +156,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scaleoutExp := fs.Bool("scaleout", false, "append the million-user cluster sweep (the \"scaleout\" experiment) to the selected experiments")
 	root := fs.String("root", ".", "repository root (for the loc experiment)")
 	parallel := fs.Int("parallel", 1, "sweep worker goroutines (0 = one per CPU)")
-	engines := fs.Int("engines", 0, "partitioned PDES engine-thread budget (0 = single-engine mode)")
+	engines := fs.Int("engines", 0, "worker-thread budget of the partitioned groups (scaleout); changes no output")
 	jsonOut := fs.String("json", "", "write machine-readable results to this file")
 	traceOut := fs.String("trace", "", "write Chrome trace JSON to this file")
 	seriesOut := fs.String("series", "", "write sampled metric time-series CSV to this file")

@@ -49,7 +49,7 @@ func run(reg npf.KVRegPolicy) {
 		Prepopulate: true, FrontCacheEntries: 32,
 	})
 	wl.OnDone = func() {
-		svc.ClientEngine().After(300*npf.Millisecond, func() { svc.Stop() })
+		svc.Eng.After(300*npf.Millisecond, func() { svc.Stop() })
 	}
 	wl.Start()
 	cluster.RunUntil(60 * npf.Second)

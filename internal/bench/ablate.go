@@ -93,15 +93,13 @@ func RunAblate(s *Scope) *AblateResult {
 			var doneAt sim.Time
 			e.QPB.OnRecv = func(rc.RecvCompletion) {
 				done++
-				doneAt = e.EngB.Now()
+				doneAt = e.Eng.Now()
 				if done < 50 {
 					// Next message into a fresh cold buffer.
 					id := int64(done)
 					base := mem.VAddr(done*msg/mem.PageSize) * mem.PageSize
 					e.QPB.PostRecv(rc.RecvWQE{ID: id, Addr: base, Len: msg})
-					e.EngB.Call(e.Eng, func() {
-						e.QPA.PostSend(rc.SendWQE{ID: id, Laddr: 0, Len: msg})
-					})
+					e.QPA.PostSend(rc.SendWQE{ID: id, Laddr: 0, Len: msg})
 				}
 			}
 			e.QPB.PostRecv(rc.RecvWQE{ID: 0, Addr: 0, Len: msg})
@@ -146,7 +144,7 @@ func ablateColdSend(s *Scope, prefetch bool) (events float64, ms float64) {
 	const msg = 4 << 20
 	Warm(e.QPA, 0, msg/mem.PageSize) // sender warm; receiver cold
 	var doneAt sim.Time
-	e.QPB.OnRecv = func(rc.RecvCompletion) { doneAt = e.EngB.Now() }
+	e.QPB.OnRecv = func(rc.RecvCompletion) { doneAt = e.Eng.Now() }
 	e.QPB.PostRecv(rc.RecvWQE{ID: 1, Addr: 0, Len: msg})
 	e.QPA.PostSend(rc.SendWQE{ID: 1, Laddr: 0, Len: msg})
 	e.RunUntil(10 * sim.Second)
@@ -223,7 +221,7 @@ func ablateStream(s *Scope, nested bool) float64 {
 	Warm(e.QPB, 0, 16*msg/mem.PageSize)
 	received := 0
 	var lastAt sim.Time
-	e.QPB.OnRecv = func(rc.RecvCompletion) { received++; lastAt = e.EngB.Now() }
+	e.QPB.OnRecv = func(rc.RecvCompletion) { received++; lastAt = e.Eng.Now() }
 	const count = 200
 	for i := 0; i < count; i++ {
 		e.QPB.PostRecv(rc.RecvWQE{ID: int64(i), Addr: mem.VAddr(i%16) * msg, Len: msg})

@@ -27,16 +27,14 @@ type AnatomyResult struct {
 	EvDrop   []uint64                    // flight-ring events overwritten
 	RecDrop  []uint64                    // records dropped at the cap
 
-	// tracers holds each policy's per-partition tracers: what the run
-	// recorded.
-	tracers [][]*trace.Tracer
+	// tracers holds each policy's tracer: what the run recorded.
+	tracers []*trace.Tracer
 }
 
 // RunAnatomy profiles the NPF lifecycle per registration policy. Each
 // policy is an independent, seed-isolated job through the sweep runner and
 // writes only its own row, so output is byte-identical for any Workers
-// fan-out; in PDES mode the partition count is fixed at two, so it is also
-// byte-identical for every Engines value.
+// fan-out and every Engines value.
 func RunAnatomy(s *Scope, quick bool) *AnatomyResult {
 	ops := 4000
 	if quick {
@@ -54,7 +52,7 @@ func RunAnatomy(s *Scope, quick bool) *AnatomyResult {
 		NPFs:     make([]uint64, n),
 		EvDrop:   make([]uint64, n),
 		RecDrop:  make([]uint64, n),
-		tracers:  make([][]*trace.Tracer, n),
+		tracers:  make([]*trace.Tracer, n),
 	}
 	var jobs []func()
 	for i, pol := range policies {
@@ -66,14 +64,10 @@ func RunAnatomy(s *Scope, quick bool) *AnatomyResult {
 }
 
 // anatomyJob is kv's deployment with the recorder on: a different seed and
-// tracers created unconditionally. The client tier records on its own
-// partition's clock; its spans never enter the anatomy (faults are a
-// server-tier phenomenon). All fault lifecycle events land on the server
-// partition in every engine mode, which is what keeps the extraction
-// identical.
+// a tracer created unconditionally.
 func anatomyJob(s *Scope, res *AnatomyResult, i int, pol kv.RegPolicy, ops int) {
-	svc, _, trs := s.runKVDeployment(47, pol, ops, trace.New)
-	tr := trs[0]
+	svc, _ := s.runKVDeployment(47, pol, ops, trace.New)
+	tr := svc.Tracer
 	recs := tr.FaultRecords()
 	res.Stages[i] = trace.FaultStageBreakdown(recs)
 	res.Paths[i] = trace.FaultPathCounts(recs)
@@ -83,7 +77,7 @@ func anatomyJob(s *Scope, res *AnatomyResult, i int, pol kv.RegPolicy, ops int) 
 	res.NPFs[i] = svc.NPFs()
 	res.EvDrop[i] = tr.DroppedFaultEvents()
 	res.RecDrop[i] = tr.DroppedFaultRecords()
-	res.tracers[i] = trs
+	res.tracers[i] = tr
 }
 
 // Rows flattens the result into the fault_anatomy artifact section.

@@ -26,17 +26,6 @@ import (
 // converges) trips the engine's diagnostic panic instead of hanging CI.
 const MaxEngineEvents = 2_000_000_000
 
-// partTracers returns one tracer per partition of g, each made by mk on
-// that partition's engine. A tracer is driven by its own engine only, so a
-// one-partition group has exactly one, shared by every side of the env.
-func partTracers(g *sim.Group, mk func(*sim.Engine) *trace.Tracer) []*trace.Tracer {
-	trs := make([]*trace.Tracer, g.Parts())
-	for i, eng := range g.Engines() {
-		trs[i] = mk(eng)
-	}
-	return trs
-}
-
 // EthHost bundles one Ethernet endpoint: device, address space, channel
 // and stack.
 type EthHost struct {
@@ -56,15 +45,12 @@ type EthEnv struct {
 	Drv     *core.Driver
 	Server  *EthHost
 	Client  *EthHost
-	// G is the env's engine group (see newEnvGroup): the server lives on
-	// partition 0 (Eng) and the client on the last partition (ClientEng),
-	// which with one partition is Eng itself. ClientDrv is the client
-	// host's own driver.
+	// G is the env's one-partition engine group, whose engine is Eng:
+	// both hosts run on it. ClientDrv is the client host's own driver.
 	G         *sim.Group
-	ClientEng *sim.Engine
 	ClientDrv *core.Driver
 	// Tracer is non-nil when the env was built on a scope with a Trace
-	// factory. It lives on the server engine; the client host runs
+	// factory. The server host is traced; the client host runs
 	// untraced.
 	Tracer *trace.Tracer
 
@@ -97,16 +83,16 @@ func NewEthEnv(o EthOpts) *EthEnv {
 	ncfg := nic.DefaultConfig()
 	ncfg.FirmwareJitterSigma = 0
 	fcfg := fabric.DefaultEthernet()
-	g := o.Scope.newEnvGroup(o.Seed+1, fcfg.Lookahead())
-	eng, ceng := g.Engine(0), g.Engine(g.Parts()-1)
+	g := o.Scope.newBenchGroup(o.Seed+1, 1, fcfg.Lookahead())
+	eng := g.Engine(0)
 	tr := o.Scope.tracer(eng)
 	net := fabric.NewOnGroup(g, fcfg)
 	// The machines and drivers come first (they split no RNG, so the
 	// per-host grouping preserves seeded results). The NICs attach
 	// afterwards, server first, in the order their RNGs split.
 	srv := topo.HostSpec{RAM: o.ServerRAM}.Build(eng, net, tr, "server")
-	cli := topo.HostSpec{RAM: 8 << 30}.Build(ceng, net, nil, "client")
-	e := &EthEnv{Eng: eng, G: g, ClientEng: ceng, Net: net, M: srv.M,
+	cli := topo.HostSpec{RAM: 8 << 30}.Build(eng, net, nil, "client")
+	e := &EthEnv{Eng: eng, G: g, Net: net, M: srv.M,
 		ClientM: cli.M, Drv: srv.Drv, ClientDrv: cli.Drv, Tracer: tr, srv: srv, cli: cli}
 	// The server device is the traced one; stacks inherit the tracer from
 	// their device at construction, so it is set before any endpoint.
@@ -176,17 +162,14 @@ type IBEnv struct {
 	HCAA, HCAB *rc.HCA
 	ASA, ASB   *mem.AddressSpace
 	QPA, QPB   *rc.QP
-	// G is the env's engine group (see newEnvGroup): side A lives on
-	// partition 0 (Eng) and side B on the last partition (EngB), which
-	// with one partition is Eng itself.
+	// G is the env's one-partition engine group, whose engine is Eng:
+	// both sides run on it. EngB names Eng too; it stays for
+	// cmd/npfperf, which reads it.
 	G    *sim.Group
 	EngB *sim.Engine
 	// Tracer is non-nil when the env was built on a scope with a Trace
-	// factory. Each side's tracer is its partition's:
-	// Tracer belongs to side A and TracerB to side B, the same tracer with
-	// one partition.
-	Tracer  *trace.Tracer
-	TracerB *trace.Tracer
+	// factory. Both sides record on it.
+	Tracer *trace.Tracer
 }
 
 // Run drives the env to quiescence and returns the end time.
@@ -215,14 +198,14 @@ func NewIBEnv(o IBOpts) *IBEnv {
 		o.Tweak(&cfg)
 	}
 	fcfg := fabric.DefaultInfiniBand()
-	g := o.Scope.newEnvGroup(o.Seed+1, fcfg.Lookahead())
-	trs := partTracers(g, o.Scope.tracer)
-	e := &IBEnv{Eng: g.Engine(0), G: g, EngB: g.Engine(g.Parts() - 1),
-		Net: fabric.NewOnGroup(g, fcfg), Tracer: trs[0], TracerB: trs[len(trs)-1]}
+	g := o.Scope.newBenchGroup(o.Seed+1, 1, fcfg.Lookahead())
+	eng := g.Engine(0)
+	e := &IBEnv{Eng: eng, G: g, EngB: eng,
+		Net: fabric.NewOnGroup(g, fcfg), Tracer: o.Scope.tracer(eng)}
 	// The spec builds the sides back to back, A first, so HCA A's RNG
-	// splits before HCA B's on a shared engine.
+	// splits before HCA B's.
 	spec := topo.HostSpec{RAM: 128 << 30, HCA: &cfg}
-	a, b := spec.Build(e.Eng, e.Net, e.Tracer, "a"), spec.Build(e.EngB, e.Net, e.TracerB, "b")
+	a, b := spec.Build(eng, e.Net, e.Tracer, "a"), spec.Build(eng, e.Net, e.Tracer, "b")
 	e.MA, e.MB = a.M, b.M
 	e.DrvA, e.DrvB = a.Drv, b.Drv
 	e.HCAA, e.HCAB = a.HCA, b.HCA

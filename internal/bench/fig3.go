@@ -63,21 +63,16 @@ func MinorNPFs(e *IBEnv, bytes, trials int) {
 	Warm(e.QPA, 0, pages*2)
 	const window = 8
 	done := 0
-	// runTrial is always invoked on side B; the next send is handed to
-	// side A through Engine.Call (inline on a shared engine, mailbox mail
-	// in partitioned mode).
 	var runTrial func()
 	runTrial = func() {
 		if done >= trials {
-			e.EngB.Stop()
+			e.Eng.Stop()
 			return
 		}
 		id := int64(done)
 		base := mem.VAddr(done%window*pages) * mem.PageSize
 		e.QPB.PostRecv(rc.RecvWQE{ID: id, Addr: base, Len: bytes})
-		e.EngB.Call(e.Eng, func() {
-			e.QPA.PostSend(rc.SendWQE{ID: id, Laddr: 0, Len: bytes})
-		})
+		e.QPA.PostSend(rc.SendWQE{ID: id, Laddr: 0, Len: bytes})
 	}
 	e.QPB.OnRecv = func(rc.RecvCompletion) {
 		e.ASB.DiscardPages(mem.PageNum(done%window*pages), pages)

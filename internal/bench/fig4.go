@@ -117,9 +117,7 @@ func RunFig4b(s *Scope, ops int, ringSizes []int, timeout sim.Time) *Fig4bResult
 					Conns: 8, GetRatio: 0.9, ValueSize: 1024, Keys: 500,
 					KeyPrefix: "k", Prepopulate: true, TargetOps: ops,
 				}, sim.Second)
-				// OnDone fires from a client-side event, so the stop must
-				// target the client's engine.
-				slap.OnDone = func() { e.ClientEng.Stop() }
+				slap.OnDone = func() { e.Eng.Stop() }
 				slap.Start(e.Server.Chan.Dev.Node, e.Server.Chan.Flow)
 				e.RunUntil(timeout)
 				switch {

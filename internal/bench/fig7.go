@@ -98,9 +98,8 @@ func runFig7Mode(s *Scope, mode string) [2][][2]float64 {
 		slap.Start(srv.Chan.Dev.Node, srv.Chan.Flow)
 		slaps[i] = slap
 	}
-	// The flip: instance 0 grows ×9, instance 1 shrinks ×9. The slaps are
-	// client-side state, so the flip event runs on the client engine.
-	e.ClientEng.At(fig7Flip, func() {
+	// The flip: instance 0 grows ×9, instance 1 shrinks ×9.
+	e.Eng.At(fig7Flip, func() {
 		slaps[0].SetWorkingSet(fig7BigKeys)
 		slaps[1].SetWorkingSet(fig7SmallKeys)
 	})

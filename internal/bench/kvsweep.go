@@ -66,7 +66,7 @@ func RunKV(s *Scope, quick bool) *KVResult {
 	for i, pol := range policies {
 		i, pol := i, pol
 		jobs = append(jobs, func() {
-			svc, wl, _ := s.runKVDeployment(43, pol, ops, s.tracer)
+			svc, wl := s.runKVDeployment(43, pol, ops, s.tracer)
 			res.Ops[i] = wl.Completed()
 			res.P50Us[i] = wl.Lat.Percentile(50)
 			res.P99Us[i] = wl.Lat.Percentile(99)
@@ -82,31 +82,25 @@ func RunKV(s *Scope, quick bool) *KVResult {
 	return res
 }
 
-// newKVDeployment builds cfg's service on a fresh env group seeded seed
-// (newEnvGroup), on the fabric of cfg.Transport. mk makes each
-// partition's tracer (a nil tracer: untraced); the server tier records
-// on partition 0's, the client tier on the last partition's, which is
-// the same one on a one-partition group. With Engines >= 1 the cluster
-// is partitioned server-tier/client-tier across a two-engine PDES group;
-// the partition count is fixed, so results are byte-identical for every
-// Engines value.
-func (s *Scope) newKVDeployment(seed int64, cfg kv.Config, mk func(*sim.Engine) *trace.Tracer) (*sim.Group, *kv.Service, []*trace.Tracer) {
+// newKVDeployment builds cfg's service on a fresh one-partition group
+// seeded seed, on the fabric of cfg.Transport. mk makes the tracer every
+// host records on (a nil tracer: untraced).
+func (s *Scope) newKVDeployment(seed int64, cfg kv.Config, mk func(*sim.Engine) *trace.Tracer) (*sim.Group, *kv.Service) {
 	fcfg := fabric.DefaultEthernet()
 	if cfg.Transport == kv.TransportRC {
 		fcfg = fabric.DefaultInfiniBand()
 	}
-	g := s.newEnvGroup(seed, fcfg.Lookahead())
-	trs := partTracers(g, mk)
-	cfg.ClientTracer = trs[len(trs)-1]
-	return g, kv.New(g.Engine(0), fabric.NewOnGroup(g, fcfg), trs[0], cfg), trs
+	g := s.newBenchGroup(seed, 1, fcfg.Lookahead())
+	eng := g.Engine(0)
+	return g, kv.New(eng, fabric.NewOnGroup(g, fcfg), mk(eng), cfg)
 }
 
 // runKVDeployment is the deployment kv and anatomy share: one policy's
 // service (3 servers x 4 shards x 2 replicas, NVMe-class swap, see
 // newKVDeployment) under the reclaim waves, running ops Zipf-skewed
 // operations to completion on a group seeded seed.
-func (s *Scope) runKVDeployment(seed int64, pol kv.RegPolicy, ops int, mk func(*sim.Engine) *trace.Tracer) (*kv.Service, *kv.Workload, []*trace.Tracer) {
-	g, svc, trs := s.newKVDeployment(seed, kv.Config{
+func (s *Scope) runKVDeployment(seed int64, pol kv.RegPolicy, ops int, mk func(*sim.Engine) *trace.Tracer) (*kv.Service, *kv.Workload) {
+	g, svc := s.newKVDeployment(seed, kv.Config{
 		ServerHosts: 3, ClientHosts: 1, Shards: 4, Replicas: 2,
 		Reg: pol, ExpectedKeys: 1024,
 	}, mk)
@@ -134,14 +128,10 @@ func (s *Scope) runKVDeployment(seed int64, pol kv.RegPolicy, ops int, mk func(*
 		TargetOps: ops, Keys: 1024, ZipfS: 1.1, GetRatio: 0.9,
 		Prepopulate: true, FrontCacheEntries: 32,
 	})
-	wl.OnDone = func() {
-		// OnDone fires from a client-side event; the delayed Stop must run
-		// on the client engine too (it forwards the server side's flag).
-		svc.ClientEngine().After(300*sim.Millisecond, func() { svc.Stop() })
-	}
+	wl.OnDone = func() { eng.After(300*sim.Millisecond, func() { svc.Stop() }) }
 	wl.Start()
 	g.RunUntil(120 * sim.Second)
-	return svc, wl, trs
+	return svc, wl
 }
 
 // Rows flattens the result into the kv artifact section.

@@ -4,9 +4,11 @@ import (
 	"runtime"
 	"testing"
 
+	"npf/internal/fabric"
 	"npf/internal/mem"
 	"npf/internal/rc"
 	"npf/internal/sim"
+	"npf/internal/topo"
 )
 
 // rcEvent is one completion: when it fired, its WQE and its length (0 for
@@ -17,30 +19,58 @@ type rcEvent struct {
 	len int
 }
 
-// rcStream sends msgs RC messages from side A to side B of an IBEnv,
+// ibPair is the two sides of one RC connection: A sends, B receives.
+type ibPair struct {
+	engA, engB *sim.Engine
+	qpA, qpB   *rc.QP
+	asB        *mem.AddressSpace
+}
+
+// newIBPair builds NewIBEnv's two hosts without jitter on a group of parts
+// partitions (1 or 2): A on partition 0 and B on the last, so with two
+// partitions every packet crosses the group mailbox.
+func newIBPair(seed int64, parts int) (*sim.Group, ibPair) {
+	cfg := rc.DefaultConfig()
+	cfg.FirmwareJitterSigma = 0
+	fcfg := fabric.DefaultInfiniBand()
+	g := sim.NewGroup(seed, parts, fcfg.Lookahead())
+	net := fabric.NewOnGroup(g, fcfg)
+	spec := topo.HostSpec{RAM: 128 << 30, HCA: &cfg}
+	a, b := spec.Build(g.Engine(0), net, nil, "a"), spec.Build(g.Engine(parts-1), net, nil, "b")
+	asA, asB := a.M.NewAddressSpace("a", nil), b.M.NewAddressSpace("b", nil)
+	asA.MapBytes(8 << 30)
+	asB.MapBytes(8 << 30)
+	p := ibPair{engA: a.Eng, engB: b.Eng, qpA: a.HCA.NewQP(asA), qpB: b.HCA.NewQP(asB), asB: asB}
+	rc.Connect(p.qpA, p.qpB)
+	a.Drv.EnableODPQP(p.qpA)
+	b.Drv.EnableODPQP(p.qpB)
+	return g, p
+}
+
+// rcStream sends msgs RC messages from side A to side B of an ibPair,
 // alternating sizes[0] and sizes[1] bytes, window of them in flight: the
 // receive and the send of message k+window are posted when message k
 // completes, into message k's buffer. B discards each buffer once its
 // completion arrives, so every message takes a receive NPF, an RNR NACK,
 // a driver resolve and a resend.
 type rcStream struct {
-	e            *IBEnv
+	p            ibPair
 	sizes        [2]int
 	msgs, window int
 	recv, sent   []rcEvent
 	stopAt       int // B stops its engine after this many receives (0: never)
 }
 
-func newRCStream(e *IBEnv, msgs, window int, sizes [2]int) *rcStream {
-	s := &rcStream{e: e, sizes: sizes, msgs: msgs, window: window}
-	Warm(e.QPA, 0, sizes[1]/mem.PageSize)
-	e.QPB.OnRecv = s.onRecv
-	e.QPA.OnSendComplete = func(id int64) { s.sent = append(s.sent, rcEvent{e.Eng.Now(), id, 0}) }
+func newRCStream(p ibPair, msgs, window int, sizes [2]int) *rcStream {
+	s := &rcStream{p: p, sizes: sizes, msgs: msgs, window: window}
+	Warm(p.qpA, 0, sizes[1]/mem.PageSize)
+	p.qpB.OnRecv = s.onRecv
+	p.qpA.OnSendComplete = func(id int64) { s.sent = append(s.sent, rcEvent{p.engA.Now(), id, 0}) }
 	for k := 0; k < window && k < msgs; k++ {
 		// Construction is single-threaded: post the first window's sends
 		// directly rather than through a cross-engine call.
-		e.QPB.PostRecv(s.recvWQE(k))
-		e.QPA.PostSend(s.sendWQE(k))
+		p.qpB.PostRecv(s.recvWQE(k))
+		p.qpA.PostSend(s.sendWQE(k))
 	}
 	return s
 }
@@ -55,17 +85,17 @@ func (s *rcStream) sendWQE(k int) rc.SendWQE {
 }
 
 func (s *rcStream) onRecv(c rc.RecvCompletion) {
-	e := s.e
+	p := s.p
 	k := len(s.recv)
-	s.recv = append(s.recv, rcEvent{e.EngB.Now(), c.WQEID, c.Len})
-	e.ASB.DiscardPages(mem.PageNum(s.buf(k)/mem.PageSize), s.size(k)/mem.PageSize)
+	s.recv = append(s.recv, rcEvent{p.engB.Now(), c.WQEID, c.Len})
+	p.asB.DiscardPages(mem.PageNum(s.buf(k)/mem.PageSize), s.size(k)/mem.PageSize)
 	if n := k + s.window; n < s.msgs {
-		e.QPB.PostRecv(s.recvWQE(n))
+		p.qpB.PostRecv(s.recvWQE(n))
 		w := s.sendWQE(n)
-		e.EngB.Call(e.Eng, func() { e.QPA.PostSend(w) })
+		p.engB.Call(p.engA, func() { p.qpA.PostSend(w) })
 	}
 	if len(s.recv) == s.stopAt {
-		e.EngB.Stop()
+		p.engB.Stop()
 	}
 }
 
@@ -82,26 +112,27 @@ func sameEvents(t *testing.T, what string, got, want []rcEvent) {
 }
 
 // TestRCStreamAcrossPartitions runs a faulting RC message stream with its
-// two hosts on separate partitions of a 2-engine group, where every packet
-// crosses the group mailbox and so is never recycled into its sender's
-// free list (the free list belongs to the sender's engine). Under -race
-// this checks that no pooled packet is shared between the two engines'
-// goroutines; the completions must match the single-engine run's event for
-// event. Every message is posted before the run, so no cross-engine call
-// shifts the partitioned run's timing.
+// two hosts on separate partitions of a 2-engine group run on two threads,
+// where every packet crosses the group mailbox and so is never recycled
+// into its sender's free list (the free list belongs to the sender's
+// engine). Under -race this checks that no pooled packet is shared between
+// the two engines' goroutines; the completions must match the
+// one-partition run's event for event. Every message is posted before the
+// run, so no cross-engine call shifts the partitioned run's timing.
 func TestRCStreamAcrossPartitions(t *testing.T) {
 	const msgs = 16
 	sizes := [2]int{4 << 10, 64 << 10}
-	run := func(engines int) *rcStream {
-		e := NewIBEnv(IBOpts{Seed: 5, Scope: &Scope{Engines: engines}})
-		s := newRCStream(e, msgs, msgs, sizes)
-		e.Run()
-		if engines > 0 && e.G.Parts() != 2 {
-			t.Fatal("IBEnv did not partition")
+	run := func(parts int) *rcStream {
+		g, p := newIBPair(6, parts)
+		g.SetThreads(parts)
+		s := newRCStream(p, msgs, msgs, sizes)
+		g.Run()
+		if parts == 2 && g.Stats().Parts[1].Mail == 0 {
+			t.Fatal("no packet crossed to B's partition")
 		}
 		return s
 	}
-	single, split := run(0), run(2)
+	single, split := run(1), run(2)
 	if len(single.recv) != msgs || len(single.sent) != msgs {
 		t.Fatalf("single-engine run completed %d receives, %d sends; want %d", len(single.recv), len(single.sent), msgs)
 	}
@@ -130,7 +161,8 @@ func TestIBFaultingMessageAllocBound(t *testing.T) {
 	}
 	const warm, measured = 16, 32
 	e := NewIBEnv(IBOpts{Seed: 11, Jitter: true})
-	s := newRCStream(e, warm+measured, 8, [2]int{4 << 10, 4 << 20})
+	p := ibPair{engA: e.Eng, engB: e.Eng, qpA: e.QPA, qpB: e.QPB, asB: e.ASB}
+	s := newRCStream(p, warm+measured, 8, [2]int{4 << 10, 4 << 20})
 	s.stopAt = warm
 	e.Run()
 	var before, after runtime.MemStats

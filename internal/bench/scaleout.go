@@ -77,9 +77,9 @@ func RunScaleout(s *Scope, quick bool) *ScaleoutResult {
 }
 
 // scaleoutJob builds one transport's fleet on a fixed-partition group and
-// runs it to quiescence. Unlike the figure envs there is no single-engine
-// fallback: the group is the topology, so -engines 0, 1, and 8 all execute
-// the identical partition structure.
+// runs it to quiescence. The fleet is the one partitioned experiment: the
+// group is the topology, so -engines 0, 1, and 8 all execute the identical
+// partition structure.
 func scaleoutJob(s *Scope, res *ScaleoutResult, i int, tr topo.Transport, quick bool) {
 	fcfg := fabric.DefaultEthernet()
 	if tr == topo.TransportUD {

@@ -163,14 +163,8 @@ type Scenario struct {
 	Desc string
 	// Run runs the scenario at seed on scope s, which counts the
 	// testbed's group in Stats and makes its tracers (trace.New when s has
-	// no Trace). s.Engines picks the testbed's partitions as it does an
-	// env's (newEnvGroup): one at 0; at >= 1 two, the fault-target tier
-	// (servers) on partition 0 and the workload tier (clients) on
-	// partition 1. The structure is fixed, so reports and digests are
-	// byte-identical for every Engines >= 1. Chaos plans arm on partition
-	// 0; the injector keeps only the targets that live there. The IB
-	// link-flap testbed keeps a single engine regardless (both of its
-	// hosts are fault targets).
+	// no Trace). Every testbed runs on one partition, so reports and
+	// digests are byte-identical for every Workers and Engines value.
 	Run func(seed int64, s *Scope) *Report
 }
 
@@ -248,16 +242,13 @@ func RunScenario(name string, seed int64, s *Scope) (*Report, error) {
 // runs the scenario's config; the client's buffers are warmed
 // (tcp.Stack.WarmBuffers), not statically pinned; the server's backup
 // ring starts cold, with nothing prefaulted; and the testbed hands its
-// server-side parts to the scenarios as chaos targets. The server lives
-// on partition 0 of the testbed's group (with the tracer and every chaos
-// target) and the client on its last partition: partition 1 at
-// Scope.Engines >= 1, else the same one engine.
+// server-side parts to the scenarios as chaos targets. Both hosts run on
+// the testbed's one-partition group; only the server is traced.
 type chaosEthEnv struct {
 	g      *sim.Group
-	engC   *sim.Engine // client engine (the last partition)
 	tr     *trace.Tracer
 	net    *fabric.Network
-	srv    *topo.Host // server host, on partition 0
+	srv    *topo.Host // server host
 	group  *mem.Group // the server's cgroup (nil: none)
 	server *EthHost
 	client *tcp.Stack
@@ -266,9 +257,8 @@ type chaosEthEnv struct {
 func newChaosEthEnv(s *Scope, seed int64, ringSize int, dcfg core.Config, cgroupLimit int64) *chaosEthEnv {
 	e := &chaosEthEnv{}
 	fcfg := fabric.DefaultEthernet()
-	e.g = guarded(s.newEnvGroup(seed, fcfg.Lookahead()))
+	e.g = guarded(s.newBenchGroup(seed, 1, fcfg.Lookahead()))
 	eng := e.g.Engine(0)
-	e.engC = e.g.Engine(e.g.Parts() - 1)
 	e.tr = s.scenarioTracer()(eng)
 	e.net = fabric.NewOnGroup(e.g, fcfg)
 	ncfg := nic.DefaultConfig()
@@ -281,7 +271,7 @@ func newChaosEthEnv(s *Scope, seed int64, ringSize int, dcfg core.Config, cgroup
 
 	// The client is warm and untraced: its buffers are touched and mapped
 	// up front, never pinned.
-	cli := topo.HostSpec{NIC: &ncfg}.Build(e.engC, e.net, nil, "client")
+	cli := topo.HostSpec{NIC: &ncfg}.Build(eng, e.net, nil, "client")
 	cAS := cli.M.NewAddressSpace("client", nil)
 	cch := cli.Dev.NewChannel("client", cAS, 256, nic.PolicyPinned)
 	e.client = tcp.NewStack(cch, tcp.DefaultConfig())
@@ -315,9 +305,8 @@ func ethTraffic(e *chaosEthEnv, r *Report, msgs, msgBytes int, start, gap, horiz
 		r.Failures = append(r.Failures, fmt.Sprintf("connection failed: %v", err))
 	}
 	r.Sent = msgs
-	// Sends originate at the client, so they are paced on its engine.
 	for i := 0; i < msgs; i++ {
-		e.engC.At(start+sim.Time(i)*gap, func() { conn.Send(msgBytes, nil) })
+		e.srv.Eng.At(start+sim.Time(i)*gap, func() { conn.Send(msgBytes, nil) })
 	}
 	end := e.g.RunUntil(horizon)
 

@@ -5,7 +5,6 @@ import (
 	"npf/internal/kv"
 	"npf/internal/mem"
 	"npf/internal/sim"
-	"npf/internal/trace"
 )
 
 // ---------------------------------------------------------------------------
@@ -14,26 +13,20 @@ import (
 // single-host scenarios use, with the replication convergence invariant
 // (CheckConsistency) layered on top of the usual no-lost-work checks.
 
-// chaosKVEnv is one KV scenario testbed: the service plus the group and
-// tracers it runs on (see newKVDeployment). The server tier lives on
-// partition 0; with Scope.Engines >= 1 the client tier lives on
-// partition 1.
+// chaosKVEnv is one KV scenario testbed: the service plus the group it
+// runs on (see newKVDeployment). Every host records on svc.Tracer.
 type chaosKVEnv struct {
-	g *sim.Group
-	// trs holds one tracer per partition: trs[0] is the server tier's,
-	// the last the client tier's (the same one on one partition).
-	trs []*trace.Tracer
+	g   *sim.Group
 	svc *kv.Service
 }
 
 // newChaosKVEnv builds a KV deployment on a fresh engine group.
 func newChaosKVEnv(s *Scope, seed int64, cfg kv.Config) *chaosKVEnv {
-	g, svc, trs := s.newKVDeployment(seed, cfg, s.scenarioTracer())
-	return &chaosKVEnv{g: guarded(g), trs: trs, svc: svc}
+	g, svc := s.newKVDeployment(seed, cfg, s.scenarioTracer())
+	return &chaosKVEnv{g: guarded(g), svc: svc}
 }
 
-// targets exposes the deployment to the injector, which keeps the adapters
-// and drivers on its own partition: the server tier's.
+// targets exposes the whole deployment to the injector.
 func (e *chaosKVEnv) targets() chaos.Targets {
 	return chaos.Targets{
 		Eng:      e.svc.Eng,
@@ -41,7 +34,7 @@ func (e *chaosKVEnv) targets() chaos.Targets {
 		Firmware: e.svc.Firmware(),
 		Drivers:  e.svc.Drivers(),
 		Groups:   e.svc.Groups(),
-		Tracer:   e.trs[0],
+		Tracer:   e.svc.Tracer,
 	}
 }
 
@@ -51,16 +44,14 @@ func runKVWorkload(r *Report, e *chaosKVEnv, wl *kv.Workload) {
 	svc := e.svc
 	wl.OnDone = func() {
 		// Leave the control plane up long enough for failed-over or
-		// squeezed replicas to finish resyncing, then park it. OnDone fires
-		// from a client-side event, so the delayed Stop runs on the client
-		// engine (it forwards the server tier's flag).
-		svc.ClientEngine().After(300*sim.Millisecond, func() { svc.Stop() })
+		// squeezed replicas to finish resyncing, then park it.
+		svc.Eng.After(300*sim.Millisecond, func() { svc.Stop() })
 	}
 	wl.Start()
 	end := e.g.RunUntil(120 * sim.Second)
 
-	r.Series = seriesCSV(e.trs[0])
-	r.Digest = trace.DigestAll(e.trs)
+	r.Series = seriesCSV(svc.Tracer)
+	r.Digest = svc.Tracer.Digest()
 	r.Sent = wl.Cfg.TargetOps
 	r.Delivered = wl.Completed()
 	r.NPFs = svc.NPFs()
@@ -116,7 +107,7 @@ func runKVInvalidationStorm(seed int64, s *Scope) *Report {
 	runKVWorkload(r, env, wl)
 	r.check(r.NPFs > 0, "fault never fired: no network page faults")
 	r.check(r.InvDuplicates > 0, "fault never fired: no duplicated invalidations")
-	return r.finish(env.trs[0])
+	return r.finish(svc.Tracer)
 }
 
 func runKVReplicaLinkFlap(seed int64, s *Scope) *Report {
@@ -145,7 +136,7 @@ func runKVReplicaLinkFlap(seed int64, s *Scope) *Report {
 	runKVWorkload(r, env, wl)
 	r.check(r.Failovers > 0, "fault never fired: severed primary was not failed over")
 	r.check(r.Resyncs > 0, "rejoined host never resynced")
-	return r.finish(env.trs[0])
+	return r.finish(svc.Tracer)
 }
 
 func runKVMemoryPressure(seed int64, s *Scope) *Report {
@@ -169,5 +160,5 @@ func runKVMemoryPressure(seed int64, s *Scope) *Report {
 	})
 	runKVWorkload(r, env, wl)
 	r.check(r.GroupEvicts > 0, "fault never fired: no cgroup evictions")
-	return r.finish(env.trs[0])
+	return r.finish(svc.Tracer)
 }

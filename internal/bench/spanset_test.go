@@ -31,9 +31,7 @@ func TestQuickRunSpanSets(t *testing.T) {
 		tracers = nil
 		r := runOutput(t, &Scope{Trace: record}, name, Quick)
 		if a, ok := r.(*AnatomyResult); ok {
-			for _, trs := range a.tracers {
-				tracers = append(tracers, trs...)
-			}
+			tracers = append(tracers, a.tracers...)
 		}
 		for i, tr := range tracers {
 			got = append(got, fmt.Sprintf("%s/%d %s", name, i,

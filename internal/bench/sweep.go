@@ -11,36 +11,35 @@ import (
 
 // Scope is one run's settings and statistics: every Run function, every
 // chaos scenario, and every env built with EthOpts.Scope or IBOpts.Scope,
-// takes its fan-out, engine budget and tracer factory from the scope and
+// takes its fan-out, thread budget and tracer factory from the scope and
 // registers the engine groups it builds there. Two runs on two scopes share nothing, so they
 // can run side by side in one process. A nil *Scope is the default run:
-// serial jobs, one partition per env, one thread per group, no tracer
-// factory, nothing counted. Use a fresh scope per run: Stats counts every
-// group built on it.
+// serial jobs, one thread per group, no tracer factory, nothing counted.
+// Use a fresh scope per run: Stats counts every group built on it.
 //
 // Settings never change results: every job owns private engines
 // (seed-isolated by construction), writes only its own result slots, and
 // all cross-job merging happens after the pool drains, in job order; the
-// partition structure is fixed by the env shape, never by the thread
-// budget. So output is byte-identical for any Workers value, and for
-// every Engines >= 1.
+// partition structure is fixed by the experiment, never by a setting.
+// Every two-sided env, kv deployment and chaos testbed runs on one
+// partition; only the scale-out fleet is partitioned. So output is
+// byte-identical for any Workers and Engines value.
 type Scope struct {
-	// Workers is the fan-out of the sweep jobs in single-engine mode: 1
-	// (or less) runs them serially on the calling goroutine. cmd/npfbench
+	// Workers is the fan-out of the sweep jobs when Engines is 0: 1 (or
+	// less) runs them serially on the calling goroutine. cmd/npfbench
 	// sets it from -parallel.
 	Workers int
-	// Engines selects the engine topology the env constructors build (see
-	// newEnvGroup). 0 is the single-engine mode: a one-partition group
-	// whose one engine carries every host of an env. Any value >= 1 makes
-	// each env a two-partition group, one engine per host side,
-	// synchronized conservatively through the fabric's propagation-latency
-	// lookahead, and is the TOTAL worker-thread budget of a sweep: runJobs
-	// fans jobs across min(len(jobs), Engines) goroutines and gives each
-	// env's group max(1, Engines/workers) threads (capped at GOMAXPROCS;
-	// see pdesThreads). cmd/npfbench sets it from -engines.
+	// Engines is the worker-thread budget of a sweep whose groups are
+	// partitioned (the scale-out fleet's; see pdesThreads). At 0 each
+	// such group runs on one thread and Workers sets the fan-out. Any
+	// value >= 1 is the TOTAL budget: runJobs fans jobs across
+	// min(len(jobs), Engines) goroutines and gives each group
+	// max(1, Engines/workers) threads (capped at GOMAXPROCS). A
+	// one-partition group has no threads to use. cmd/npfbench sets it
+	// from -engines.
 	Engines int
-	// Trace, when non-nil, is called for every traced partition engine the
-	// env constructors build, and its tracer is wired through the whole
+	// Trace, when non-nil, is called for every traced engine the env
+	// constructors build, and its tracer is wired through the whole
 	// stack (drivers, machines, devices/HCAs). cmd/npfbench sets it for
 	// -trace and -series. With Workers > 1 envs are built from worker
 	// goroutines, so it must be safe for concurrent calls.
@@ -49,7 +48,7 @@ type Scope struct {
 	// working directory); cmd/npfbench sets it from -root.
 	Root string
 
-	// threads is the per-env thread allotment while a PDES runJobs pool
+	// threads is the per-group thread allotment while a runJobs pool
 	// drains: written before the pool spawns, read by its jobs through
 	// pdesThreads, reset after the pool joins.
 	threads int
@@ -57,7 +56,7 @@ type Scope struct {
 	groups  []*sim.Group // every group built on the scope, for Stats
 }
 
-// pdesThreads reports the worker-thread budget the next env group gets.
+// pdesThreads reports the worker-thread budget the next group gets.
 // The allotment is capped at the host's GOMAXPROCS: a group granted more
 // threads than the scheduler has processors just ping-pongs goroutines
 // through the conservative-sync windows (strictly slower than sweeping
@@ -110,11 +109,10 @@ func RunParallel(workers int, jobs []func()) {
 	wg.Wait()
 }
 
-// runJobs is the sweep-internal shorthand. In single-engine mode it fans
-// jobs across the scope's Workers. In PDES mode (Engines >= 1) the engine
-// budget drives the fan-out instead: min(len(jobs), Engines) job
-// goroutines, with the leftover budget handed to each job's env group as
-// intra-env worker threads.
+// runJobs is the sweep-internal shorthand. At Engines 0 it fans jobs
+// across the scope's Workers. At Engines >= 1 the thread budget drives
+// the fan-out instead: min(len(jobs), Engines) job goroutines, with the
+// leftover budget handed to each job's group as worker threads.
 func (s *Scope) runJobs(jobs []func()) {
 	switch {
 	case s == nil:
@@ -162,18 +160,6 @@ func (s *Scope) newBenchGroup(seed int64, parts int, lookahead sim.Time) *sim.Gr
 		s.mu.Unlock()
 	}
 	return g
-}
-
-// newEnvGroup builds the engine group of a two-sided testbed — server and
-// client, or IB sides A and B — and is where Engines picks the topology:
-// one partition carrying both sides at Engines == 0, two partitions (side
-// one on partition 0, side two on partition 1) at Engines >= 1.
-func (s *Scope) newEnvGroup(seed int64, lookahead sim.Time) *sim.Group {
-	parts := 1
-	if s != nil && s.Engines >= 1 {
-		parts = 2
-	}
-	return s.newBenchGroup(seed, parts, lookahead)
 }
 
 // tracer is the tracer an env puts on eng: the scope's Trace factory's

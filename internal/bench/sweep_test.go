@@ -118,63 +118,6 @@ func TestRunParallelScopes(t *testing.T) {
 	}
 }
 
-// TestEnginesFig3Determinism is the PDES counterpart of the Workers pins,
-// on the RC/InfiniBand transport: the same fig3 sweep must render
-// byte-identically for every engine-thread budget. (Engines 0 — the legacy
-// single-engine topology — is a different RNG split and legitimately
-// differs; the identity promise covers every Engines >= 1.)
-func TestEnginesFig3Determinism(t *testing.T) {
-	opts := Fig3Opts{Trials: 6, Replicas: 2}
-	outs := map[int]string{}
-	for _, n := range []int{1, 2, 8} {
-		outs[n] = checkOutput(t, &Scope{Engines: n}, "fig3", "t6r2", func(s *Scope) Result { return RunFig3Opts(s, opts) }).Render
-	}
-	for _, n := range []int{2, 8} {
-		if outs[n] != outs[1] {
-			t.Fatalf("fig3 output depends on Engines:\n--- engines=1 ---\n%s\n--- engines=%d ---\n%s", outs[1], n, outs[n])
-		}
-	}
-}
-
-// TestEnginesFig4aDeterminism covers the Ethernet transport: a shortened
-// fig4a startup sweep (ring refills, NPF backup path, memaslap load) must
-// render byte-identically for Engines 1, 2, and 8.
-func TestEnginesFig4aDeterminism(t *testing.T) {
-	t.Parallel()
-	outs := map[int]string{}
-	for _, n := range []int{1, 2, 8} {
-		outs[n] = checkOutput(t, &Scope{Engines: n}, "fig4a", "1s", func(s *Scope) Result { return RunFig4a(s, sim.Second) }).Render
-	}
-	for _, n := range []int{2, 8} {
-		if outs[n] != outs[1] {
-			t.Fatalf("fig4a output depends on Engines:\n--- engines=1 ---\n%s\n--- engines=%d ---\n%s", outs[1], n, outs[n])
-		}
-	}
-}
-
-// TestEnginesTable5Determinism covers table5's partitioned runs (one to
-// four memcached instances per server, NPF and pinning): budgets 1 and 8,
-// which run the one-thread driver and the threaded protocol, must render
-// byte-identically and execute the same number of events.
-func TestEnginesTable5Determinism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy experiment; skipped in -short mode")
-	}
-	t.Parallel()
-	outs := map[int]string{}
-	events := map[int]uint64{}
-	for _, n := range []int{1, 8} {
-		o := checkOutput(t, &Scope{Engines: n}, "table5", Test.String(), tableRun(t, "table5", Test))
-		outs[n], events[n] = o.Render, o.Events
-	}
-	if outs[8] != outs[1] {
-		t.Fatalf("table5 output depends on Engines:\n--- engines=1 ---\n%s\n--- engines=8 ---\n%s", outs[1], outs[8])
-	}
-	if events[1] == 0 || events[8] != events[1] {
-		t.Fatalf("table5 executed %d events at engines=1, %d at engines=8", events[1], events[8])
-	}
-}
-
 // captureSeries runs a sweep on scope s with a sampling trace factory
 // installed and returns the rendered WriteSeriesSet stream — the byte
 // string the determinism pins compare.
@@ -218,25 +161,6 @@ func TestRunParallelSeriesDeterminism(t *testing.T) {
 	fanned := captureSeries(t, &Scope{Workers: 8}, run)
 	if serial != fanned {
 		t.Fatalf("series output depends on Workers:\n--- workers=1 ---\n%.2000s\n--- workers=8 ---\n%.2000s", serial, fanned)
-	}
-}
-
-// TestEnginesSeriesDeterminism extends the byte-identity promise of
-// partitioned runs to sampler output: the WriteSeriesSet stream (the
-// instrumented server partition of every env) must not depend on the
-// engine-thread budget.
-func TestEnginesSeriesDeterminism(t *testing.T) {
-	opts := Fig3Opts{Trials: 4, Replicas: 2}
-	outs := map[int]string{}
-	for _, n := range []int{1, 2, 8} {
-		outs[n] = checkOutput(t, &Scope{Engines: n}, "fig3-series", "t4r2", func(s *Scope) Result {
-			return text(captureSeries(t, s, func(s *Scope) { RunFig3Opts(s, opts) }))
-		}).Render
-	}
-	for _, n := range []int{2, 8} {
-		if outs[n] != outs[1] {
-			t.Fatalf("series output depends on Engines:\n--- engines=1 ---\n%.2000s\n--- engines=%d ---\n%.2000s", outs[1], n, outs[n])
-		}
 	}
 }
 

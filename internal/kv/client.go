@@ -35,8 +35,7 @@ type Workload struct {
 
 	clients []*wlClient
 	pending map[uint64]*pendingReq
-	// freeReqs recycles pendingReqs after complete (client-partition
-	// state, like every Workload field).
+	// freeReqs recycles pendingReqs after complete.
 	freeReqs []*pendingReq
 	// w.retry and w.frontHit, bound once.
 	retryFn, frontHitFn func(any)
@@ -98,9 +97,7 @@ func (s *Service) NewWorkload(cfg WorkloadConfig) *Workload {
 			quota: q,
 		})
 	}
-	// Latency and completion probes are client-tier state: they belong to
-	// the client tracer (the server tracer on a single-engine service).
-	tr := s.TracerC
+	tr := s.Tracer
 	tenant := cfg.Tenant
 	// The Percentile probes touch the histogram's lazy sort cache — an
 	// in-place, order-insensitive reordering that runs at deterministic
@@ -133,11 +130,11 @@ func (w *Workload) Start() {
 	for _, c := range w.clients {
 		c := c
 		if w.Cfg.OpenLoop {
-			w.svc.cliEng.AfterArg(c.nextArrival(), arriveEvent, c)
+			w.svc.Eng.AfterArg(c.nextArrival(), arriveEvent, c)
 		} else if c.quota > 0 {
 			// Deterministic small stagger so clients do not issue in
 			// lockstep on the first tick.
-			w.svc.cliEng.After(sim.Time(c.id+1)*3*sim.Microsecond, func() { c.issue() })
+			w.svc.Eng.After(sim.Time(c.id+1)*3*sim.Microsecond, func() { c.issue() })
 		}
 	}
 }
@@ -187,7 +184,7 @@ func arriveEvent(arg any) {
 	}
 	c.issue()
 	if c.quota > 0 {
-		c.wl.svc.cliEng.AfterArg(c.nextArrival(), arriveEvent, c)
+		c.wl.svc.Eng.AfterArg(c.nextArrival(), arriveEvent, c)
 	}
 }
 
@@ -206,7 +203,7 @@ func (c *wlClient) issue() {
 	*req = pendingReq{
 		id: id, c: c, key: key, shard: shard, isGet: isGet,
 		size:  valueBytes,
-		start: s.cliEng.Now(),
+		start: s.Eng.Now(),
 	}
 	w.pending[id] = req
 
@@ -215,7 +212,7 @@ func (c *wlClient) issue() {
 		if c.host.frontCache.get(key) {
 			// Hot-key hit at the client tier: complete locally.
 			w.FrontHits.Inc()
-			s.cliEng.AfterArg(frontCacheCost, w.frontHitFn, req)
+			s.Eng.AfterArg(frontCacheCost, w.frontHitFn, req)
 			return
 		}
 	} else {
@@ -273,8 +270,8 @@ func (w *Workload) sendReq(req *pendingReq) {
 		Kind: kind, Shard: req.shard, Key: req.key, Size: req.size,
 		ReqID: req.id, Client: req.c.id,
 	}
-	s.send(req.c.host, s.cliPrimary[req.shard], wire, m)
-	req.timer = s.cliEng.AfterArg(w.Cfg.RequestTimeout, w.retryFn, req) //npf:allocok — a *pendingReq is pointer-shaped; boxing it does not allocate
+	s.send(req.c.host, s.place.PrimaryHost(req.shard), wire, m)
+	req.timer = s.Eng.AfterArg(w.Cfg.RequestTimeout, w.retryFn, req) //npf:allocok — a *pendingReq is pointer-shaped; boxing it does not allocate
 }
 
 // retry is the retry timer of a pending op, bound once as w.retryFn: it
@@ -308,11 +305,11 @@ func (w *Workload) handleReply(req *pendingReq, m *rpcMsg) {
 	if m.Redirect && req.attempts < 64 {
 		// The replica we asked is no longer primary. Retry immediately
 		// against the current placement table.
-		s.cliEng.Cancel(req.timer)
+		s.Eng.Cancel(req.timer)
 		w.sendReq(req)
 		return
 	}
-	s.cliEng.Cancel(req.timer)
+	s.Eng.Cancel(req.timer)
 	delete(w.pending, req.id)
 	if req.isGet {
 		if m.Hit {
@@ -330,11 +327,11 @@ func (w *Workload) handleReply(req *pendingReq, m *rpcMsg) {
 func (w *Workload) complete(req *pendingReq) {
 	s := w.svc
 	c := req.c
-	w.Lat.AddTime(s.cliEng.Now() - req.start)
+	w.Lat.AddTime(s.Eng.Now() - req.start)
 	w.freeReqs = append(w.freeReqs, req)
 	w.completed.Inc()
 	if w.completed.N == uint64(w.Cfg.TargetOps) {
-		w.DoneAt = s.cliEng.Now()
+		w.DoneAt = s.Eng.Now()
 		if w.OnDone != nil {
 			w.OnDone()
 		}

@@ -94,13 +94,6 @@ type Config struct {
 	HeartbeatEvery sim.Time // server-to-server heartbeat period (default 10ms)
 	FailoverAfter  sim.Time // missed-heartbeat window before promotion (default 40ms)
 	ReplTimeout    sim.Time // sync-replication ack timeout (default 15ms)
-
-	// ClientTracer receives the client tier's telemetry (workload probes,
-	// op/retry/front-cache counters) when the service runs partitioned: the
-	// client hosts live on their own engine, so their counters must belong
-	// to a tracer on that engine. Nil means the server tracer is used —
-	// correct whenever the service runs on a single engine.
-	ClientTracer *trace.Tracer
 }
 
 const (
@@ -168,12 +161,6 @@ type HostNode struct {
 	Name   string
 	Server bool
 
-	// eng is the engine this host's events run on: the service engine for
-	// servers, the client engine for clients. On a single-engine service
-	// both are Service.Eng. tr is the tracer its components publish to.
-	eng *sim.Engine
-	tr  *trace.Tracer
-
 	M   *mem.Machine
 	Drv *core.Driver
 
@@ -189,8 +176,8 @@ type HostNode struct {
 	// sendReplyFn is h.sendReply, bound once (servers only).
 	sendReplyFn func(any)
 
-	// free is the host's list of recycled data-path messages. Only the
-	// host's own engine touches it (see rpcMsg for the ownership rule).
+	// free is the host's list of recycled data-path messages (see rpcMsg
+	// for the ownership rule).
 	free []*rpcMsg
 
 	// Replicas hosted here, ordered by shard ID (servers only).
@@ -211,8 +198,7 @@ type HostNode struct {
 	frontCache *frontCache
 
 	// connFails counts transport connection failures observed by this
-	// host's dialer. Per-host (single-writer under PDES: both the server
-	// and the client tier dial).
+	// host's dialer.
 	connFails sim.Counter
 }
 
@@ -224,41 +210,21 @@ type Service struct {
 	Tracer *trace.Tracer
 	Cfg    Config
 
-	// cliEng is the engine the client hosts run on. On a single-engine
-	// service it is Eng; when Net spans a PDES group the servers live on
-	// partition 0 (Eng) and the clients on partition 1. TracerC is the
-	// client tier's tracer (Cfg.ClientTracer, or Tracer when unset).
-	cliEng  *sim.Engine
-	TracerC *trace.Tracer
-
 	Hosts []*HostNode
 	place *Placement
-	// cliPrimary is the client tier's view of each shard's primary host.
-	// The placement table is server-tier state, so a promotion forwards
-	// the new route to the client engine through Engine.Call (inline on
-	// one partition) and clients route from this snapshot. Stale routes
-	// (bounded by the fabric lookahead) resolve through redirects, exactly
-	// like stale routes on a real network.
-	cliPrimary []int
 
 	shards    [][]*replica // shard -> replicas in placement order
 	workloads []*Workload
-	nextReq   uint64 // service-global request IDs (client-partition state)
+	nextReq   uint64 // service-global request IDs
 	// keys interns the canonical key names once per service; the per-op
-	// path indexes it instead of Sprintf-ing. Client-partition state:
-	// written only from prepopulation (pre-traffic) and cliEng events.
+	// path indexes it instead of Sprintf-ing.
 	keys workload.KeyTable
 
 	started bool
-	// stopped is split per partition so each side's control loops read
-	// only their own engine's state: stoppedSrv parks the heartbeat and
-	// detector loops, stoppedCli parks client-side re-dials. Stop sets
-	// both (the server side's through Engine.Call).
-	stoppedSrv bool
-	stoppedCli bool
+	// stopped parks the heartbeat and detector loops and the re-dials.
+	stopped bool
 
-	// Counters. All of these are written from server-partition events
-	// only.
+	// Counters.
 	Failovers    sim.Counter
 	Redirects    sim.Counter
 	ReplTimeouts sim.Counter
@@ -267,47 +233,23 @@ type Service struct {
 	ArenaEvicts  sim.Counter
 }
 
-// ClientEngine returns the engine the client hosts run on: Eng on a
-// single-engine service, the client partition's engine when partitioned.
-// Events that interact with workloads (e.g. scheduling Stop after OnDone)
-// must run on this engine.
-func (s *Service) ClientEngine() *sim.Engine { return s.cliEng }
-
 // New builds the service on eng and net: hosts, transports (a full mesh
 // between every host pair), shard replicas with their per-shard memory
-// groups and arenas, and the registration policy's pinning state. tr may
-// be nil (telemetry off).
-//
-// When net's group has two or more partitions, eng must be partition 0's
-// engine: the server hosts are placed there and every client host on
-// partition 1, so one cluster executes on two engine threads while staying
-// byte-identical to the single-engine run of the same seed. Construction,
-// Start, and prepopulation are single-threaded (pre-run), so they may
-// touch both partitions' state freely.
+// groups and arenas, and the registration policy's pinning state. Every
+// host, server and client alike, runs on eng, also when net spans a
+// partitioned group. tr may be nil (telemetry off).
 func New(eng *sim.Engine, net *fabric.Network, tr *trace.Tracer, cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{Eng: eng, Net: net, Tracer: tr, Cfg: cfg}
-	s.cliEng = eng
-	s.TracerC = tr
-	if g := net.Group(); g.Parts() > 1 {
-		if eng != g.Engine(0) {
-			panic("kv: partitioned service must be built on the group's partition-0 engine")
-		}
-		s.cliEng = g.Engine(1)
-		if cfg.ClientTracer != nil {
-			s.TracerC = cfg.ClientTracer
-		}
-	}
-	// The per-workload counts are client-tier state: NewWorkload publishes
-	// each workload's fields under these names on the client tracer.
-	s.TracerC.Counter("kv.ops")
+	// NewWorkload publishes each workload's counts under these names.
+	tr.Counter("kv.ops")
 	tr.Counter("kv.failovers", &s.Failovers)
 	tr.Counter("kv.repl_timeouts", &s.ReplTimeouts)
 	tr.Counter("kv.resyncs", &s.Resyncs)
 	tr.Counter("kv.shed", &s.Shed)
 	tr.Counter("kv.redirects", &s.Redirects)
-	s.TracerC.Counter("kv.frontcache_hits")
-	s.TracerC.Counter("kv.retries")
+	tr.Counter("kv.frontcache_hits")
+	tr.Counter("kv.retries")
 	// Causal-recorder depth on the server tier: completed vs in-flight NPF
 	// lifecycle records (trace/fault.go), sampled per tick.
 	//npf:probepure — FaultRecordCount/PendingFaults only read recorder lengths
@@ -319,10 +261,6 @@ func New(eng *sim.Engine, net *fabric.Network, tr *trace.Tracer, cfg Config) *Se
 		serverIdx[i] = i
 	}
 	s.place = NewPlacement(cfg.Shards, cfg.Replicas, serverIdx)
-	s.cliPrimary = make([]int, cfg.Shards)
-	for i := range s.cliPrimary {
-		s.cliPrimary[i] = s.place.PrimaryHost(i)
-	}
 
 	total := cfg.ServerHosts + cfg.ClientHosts
 	for i := 0; i < total; i++ {
@@ -346,10 +284,7 @@ func (s *Service) newHost(i int) *HostNode {
 		svc:            s,
 		replicaByShard: make(map[int]*replica),
 	}
-	h.eng, h.tr = s.Eng, s.Tracer
-	if !server {
-		h.eng, h.tr = s.cliEng, s.TracerC
-	} else {
+	if server {
 		h.sendReplyFn = h.sendReply
 	}
 	// The substrate comes from a shared topo.HostSpec; Build's construction
@@ -364,10 +299,10 @@ func (s *Service) newHost(i int) *HostNode {
 		ncfg := nic.DefaultConfig()
 		spec.NIC = &ncfg
 	}
-	b := spec.Build(h.eng, s.Net, h.tr, h.Name)
+	b := spec.Build(s.Eng, s.Net, s.Tracer, h.Name)
 	h.M, h.Drv, h.Dev, h.HCA = b.M, b.Drv, b.Dev, b.HCA
 	h.netAS = h.M.NewAddressSpace(h.Name+"-net", nil)
-	h.mgmt = s.Net.AttachOn(&mgmtPort{svc: s, host: h}, h.eng)
+	h.mgmt = s.Net.AttachOn(&mgmtPort{svc: s, host: h}, s.Eng)
 	h.frontCache = newFrontCache(0)
 	return h
 }
@@ -446,9 +381,7 @@ func (s *Service) hostMMUDomain(h *HostNode) *iommu.Domain {
 }
 
 // Start arms the heartbeat and failure-detector loops. Workload Start
-// calls it implicitly; it is idempotent. Call it before the run begins
-// (construction is single-threaded): the loops it arms live on the server
-// engine.
+// calls it implicitly; it is idempotent.
 func (s *Service) Start() {
 	if s.started {
 		return
@@ -471,25 +404,12 @@ func (s *Service) Start() {
 }
 
 // Stop quiesces the control plane: heartbeat and detector loops park at
-// their next tick, client-side re-dials stop. In-flight data-path work
-// drains normally. Call it from a client-partition event (e.g. a workload
-// OnDone) or before the run: the server side's flag travels over the
-// group mailbox when the service is partitioned.
-func (s *Service) Stop() {
-	s.stoppedCli = true
-	s.cliEng.Call(s.Eng, func() { s.stoppedSrv = true })
-}
-
-// sideStopped reports whether h's partition has been told to stop.
-func (s *Service) sideStopped(h *HostNode) bool {
-	if h.eng == s.cliEng {
-		return s.stoppedCli
-	}
-	return s.stoppedSrv
-}
+// their next tick, re-dials stop. In-flight data-path work drains
+// normally.
+func (s *Service) Stop() { s.stopped = true }
 
 func (s *Service) heartbeatLoop(h *HostNode) {
-	if s.stoppedSrv {
+	if s.stopped {
 		return
 	}
 	// Advertise the applied sequence of every primary hosted here (the
@@ -522,7 +442,7 @@ func (s *Service) heartbeatLoop(h *HostNode) {
 // the shard's primary has missed heartbeats, demote (and resync) when the
 // placement table says someone else took the shard over.
 func (s *Service) detectorLoop(h *HostNode) {
-	if s.stoppedSrv {
+	if s.stopped {
 		return
 	}
 	now := s.Eng.Now()
@@ -562,11 +482,6 @@ func (s *Service) detectorLoop(h *HostNode) {
 			}
 			if cand == h.Index {
 				s.place.Promote(r.shard, h.Index)
-				// Forward the new route to the client tier; across
-				// partitions it lands one lookahead later, like a routing
-				// update crossing a real network.
-				shard, idx := r.shard, h.Index
-				s.Eng.Call(s.cliEng, func() { s.cliPrimary[shard] = idx })
 				s.Failovers.Inc()
 				r.promote()
 				break

@@ -164,9 +164,7 @@ func (e *tcpEndpoint) dial(to int) {
 		e.host.connFails.Inc()
 		// Re-dial so a long partition does not sever the pair forever;
 		// queued messages on the failed conn are lost (clients retry).
-		// OnFail fires on the dialing host's engine, so it reads its own
-		// partition's stop flag.
-		if !e.svc.sideStopped(e.host) {
+		if !e.svc.stopped {
 			e.dial(to)
 		}
 	}

@@ -104,12 +104,6 @@ type EventID struct {
 	seq uint64
 }
 
-// Seq returns the scheduling sequence number of the event id names: its
-// tie-break among events due at the same instant, unique per engine. An
-// event can compare it with Engine.EventSeq to learn whether it is the
-// event id names.
-func (id EventID) Seq() uint64 { return id.seq }
-
 // maxFreeEvents caps the free list; beyond it, recycled events are left to
 // the garbage collector. The cap bounds pool memory after a burst while
 // keeping every steady-state workload allocation-free.
@@ -363,8 +357,9 @@ func (e *Engine) AfterArg(d Time, fn func(any), arg any) EventID {
 	return e.AtArg(e.now.Add(d), fn, arg)
 }
 
-// EventSeq returns the seq of the event executing now (EventID.Seq of the
-// ID its At, AtArg or AtArgSeq returned). Group mail is not an event and
+// EventSeq returns the seq of the event executing now: its tie-break
+// among events due at the same instant, unique per engine, and the seq
+// its At, AtArg or AtArgSeq call took. Group mail is not an event and
 // leaves it as the last event set it. A handler bound once for many
 // timers compares it with the seq of the timer its owner has due, to
 // tell that timer's event from a superseded one.

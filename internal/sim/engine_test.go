@@ -222,9 +222,9 @@ func TestEngineEventIDReuseSafety(t *testing.T) {
 	e.Run()
 	// The struct behind id is now on top of the free list; this At reuses it.
 	reused := e.At(e.Now()+1, func() { ran++ })
-	if reused.ev != id.ev || reused.Seq() == id.Seq() {
+	if reused.ev != id.ev || reused.seq == id.seq {
 		t.Fatalf("reuse: struct %p seq %d after %p seq %d; want the same struct under a new seq",
-			reused.ev, reused.Seq(), id.ev, id.Seq())
+			reused.ev, reused.seq, id.ev, id.seq)
 	}
 	if e.Cancel(id) {
 		t.Fatal("Cancel of an already-run event reported true")
@@ -245,7 +245,7 @@ func TestEngineEventIDReuseSafety(t *testing.T) {
 		e.Run() // recycles the dead struct
 		next := e.AfterArg(d, func(any) { ran++ }, nil)
 		if e.Cancel(victim) {
-			t.Fatalf("delay %v: stale Cancel of a cancelled event hit seq %d", d, next.Seq())
+			t.Fatalf("delay %v: stale Cancel of a cancelled event hit seq %d", d, next.seq)
 		}
 		e.Run()
 	}
@@ -274,7 +274,7 @@ func TestEngineEventSeq(t *testing.T) {
 	ids[1] = e.AfterArg(0, h, nil)
 	ids[2] = e.AtArg(5, h, nil)
 	e.Run()
-	want := []uint64{ids[1].Seq(), ids[0].Seq(), ids[2].Seq()}
+	want := []uint64{ids[1].seq, ids[0].seq, ids[2].seq}
 	if !slices.Equal(seen, want) {
 		t.Fatalf("EventSeq in order = %v, want %v", seen, want)
 	}

@@ -270,7 +270,7 @@ func TestClusterWithKV(t *testing.T) {
 		TargetOps: 600, Keys: 256, Prepopulate: true,
 	})
 	wl.OnDone = func() {
-		cluster.KV.ClientEngine().After(300*Millisecond, func() { cluster.KV.Stop() })
+		cluster.KV.Eng.After(300*Millisecond, func() { cluster.KV.Stop() })
 	}
 	wl.Start()
 	cluster.RunUntil(60 * Second)
@@ -293,7 +293,7 @@ func TestClusterWithKVOverRC(t *testing.T) {
 			Transport: KVTransportRC, Reg: KVRegPinned}))
 	wl := cluster.KV.NewWorkload(WorkloadConfig{TargetOps: 400, Keys: 256, Prepopulate: true})
 	wl.OnDone = func() {
-		cluster.KV.ClientEngine().After(300*Millisecond, func() { cluster.KV.Stop() })
+		cluster.KV.Eng.After(300*Millisecond, func() { cluster.KV.Stop() })
 	}
 	wl.Start()
 	cluster.RunUntil(60 * Second)
@@ -304,11 +304,16 @@ func TestClusterWithKVOverRC(t *testing.T) {
 
 // TestClusterWithEnginesDeterminism shards a two-host RC cluster across two
 // partition engines and checks the run replays byte-identically for any
-// worker-thread count.
+// worker-thread count. A second pair of runs adds a sampler, whose series
+// must not depend on the thread count either.
 func TestClusterWithEnginesDeterminism(t *testing.T) {
-	run := func(threads int) (uint64, uint64, Time) {
+	run := func(threads int, sampled bool) (uint64, uint64, Time, uint64) {
+		obs := WithTracing()
+		if sampled {
+			obs = WithSampling(100 * Microsecond)
+		}
 		cluster := NewCluster(WithSeed(99), WithFabric(InfiniBandFabric()),
-			WithEngines(2), WithTracing())
+			WithEngines(2), obs)
 		cluster.Group.SetThreads(threads)
 		a := cluster.NewHost("a") // partition 0
 		b := cluster.NewHost("b") // partition 1
@@ -334,23 +339,32 @@ func TestClusterWithEnginesDeterminism(t *testing.T) {
 		if b.Driver.NPFs.N == 0 {
 			t.Fatal("cold receive should have faulted")
 		}
-		return cluster.Group.Executed(), cluster.Digest(), end
+		var series uint64
+		if sampled {
+			s := cluster.Sampler.Series()
+			if len(s.Times) == 0 {
+				t.Fatalf("threads=%d: sampled series has no rows", threads)
+			}
+			series = s.Digest()
+		}
+		return cluster.Group.Executed(), cluster.Digest(), end, series
 	}
-	e1, d1, t1 := run(1)
-	e2, d2, t2 := run(2)
-	if e1 != e2 || d1 != d2 || t1 != t2 {
-		t.Fatalf("thread counts diverged: (%d,%016x,%v) vs (%d,%016x,%v)",
-			e1, d1, t1, e2, d2, t2)
-	}
-	if d1 != 0x76b255ad778a3496 {
-		t.Fatalf("digest %016x (%d events, end %v), pinned 76b255ad778a3496", d1, e1, t1)
+	for _, sampled := range []bool{false, true} {
+		e1, d1, t1, s1 := run(1, sampled)
+		e2, d2, t2, s2 := run(2, sampled)
+		if e1 != e2 || d1 != d2 || t1 != t2 || s1 != s2 {
+			t.Fatalf("sampled=%v: thread counts diverged: (%d,%016x,%v,series %016x) vs (%d,%016x,%v,series %016x)",
+				sampled, e1, d1, t1, s1, e2, d2, t2, s2)
+		}
+		if !sampled && d1 != 0x76b255ad778a3496 {
+			t.Fatalf("digest %016x (%d events, end %v), pinned 76b255ad778a3496", d1, e1, t1)
+		}
 	}
 }
 
-// TestClusterWithEnginesKV deploys the KV service split server-tier /
-// client-tier across two partition engines, with a memory-pressure chaos
-// plan armed against the server partition, and checks byte-identical
-// replay across thread counts.
+// TestClusterWithEnginesKV deploys the KV service on partition 0 of a
+// two-partition cluster, with a memory-pressure chaos plan armed there,
+// and checks byte-identical replay across thread counts.
 func TestClusterWithEnginesKV(t *testing.T) {
 	run := func(threads int) (uint64, uint64, int) {
 		plan := NewChaosPlan(MemoryPressure{
@@ -361,18 +375,15 @@ func TestClusterWithEnginesKV(t *testing.T) {
 			WithKV(KVConfig{ServerHosts: 3, ClientHosts: 1, Shards: 4}),
 			WithChaos(plan))
 		cluster.Group.SetThreads(threads)
-		if cluster.KV.ClientEngine() != cluster.EngineFor(1) {
-			t.Fatal("client tier did not land on partition 1")
-		}
 		ij := cluster.injector
-		if len(ij.T.Drivers) != 3 {
-			t.Fatalf("chaos targets hold %d drivers, want the 3 servers", len(ij.T.Drivers))
+		if len(ij.T.Drivers) != 4 {
+			t.Fatalf("chaos targets hold %d drivers, want all 4 kv hosts'", len(ij.T.Drivers))
 		}
 		wl := cluster.KV.NewWorkload(WorkloadConfig{
 			TargetOps: 600, Keys: 256, Prepopulate: true,
 		})
 		wl.OnDone = func() {
-			cluster.KV.ClientEngine().After(300*Millisecond, func() { cluster.KV.Stop() })
+			cluster.KV.Eng.After(300*Millisecond, func() { cluster.KV.Stop() })
 		}
 		wl.Start()
 		cluster.RunUntil(60 * Second)

@@ -61,10 +61,9 @@ func WithSeed(seed int64) ClusterOption {
 // one-partition group, the single-engine mode: one engine carries every
 // host and runs its own event loop, with no batching.
 //
-// With WithKV, the service splits server tier (partition 0) from client
-// tier (partition 1). A WithChaos plan is armed on partition 0, and its
-// injector keeps only the drivers and adapters of partition-0 hosts and
-// of the KV server tier.
+// With WithKV, every host of the service runs on partition 0. A
+// WithChaos plan is armed on partition 0, and its injector keeps only the
+// drivers and adapters of partition-0 hosts, the KV service's included.
 func WithEngines(n int) ClusterOption {
 	return clusterOption(func(c *clusterConfig) { c.engines = n })
 }
@@ -98,9 +97,9 @@ func WithSampling(every Time) ClusterOption {
 // cluster's engine and fabric. The service is reachable as Cluster.KV;
 // start it (or a workload, which starts it implicitly) before Run. When the
 // cluster also carries a WithChaos plan, every KV host's driver and
-// adapter on the plan's partition, and every shard cgroup, joins the
-// plan's target set, so cluster-level faults (MemoryPressure,
-// InvalidationChaos, LinkFlap, ...) land on the service. Each shard replica's value arena is sized from
+// adapter, and every shard cgroup, joins the plan's target set, so
+// cluster-level faults (MemoryPressure, InvalidationChaos, LinkFlap, ...)
+// land on the service. Each shard replica's value arena is sized from
 // cfg.ExpectedKeys. A zero KVConfig is a small but fully functional
 // deployment; the fabric transport follows cfg.Transport, so pair
 // KVTransportRC with WithFabric(InfiniBandFabric()).

@@ -82,14 +82,12 @@ go -C cmd/npfperf test -short ./...
 # TestSweepDeterminism at 2 and 4 threads, bench's
 # TestGroupStatsAcrossThreads at 2 and 8), so the detector checks that a
 # fleet message, handed between partitions through the mailbox, is never
-# touched by two partitions at once. kv's TestPartitionedService and
-# TestPartitionedFailover run at 2 threads here too: a kv message changes
-# owner with the host that receives it, and each host's free list is
-# touched only by its own partition's engine. The chaos scenario tests
-# live in internal/bench with the scenarios and none skips under -short
-# except the seed sweep: TestScenariosEnginesDeterminism runs every
-# scenario's two-partition testbed at 1 and 2 threads under the detector,
-# next to the series, span-set and flight-recorder replays.
+# touched by two partitions at once; bench's TestRCStreamAcrossPartitions
+# does the same for an RC stream between two partitions at 2 threads. The
+# chaos scenario tests live in internal/bench with the scenarios and none
+# skips under -short except the seed sweep: TestScenariosEnginesDeterminism
+# runs every scenario at Engines 0 and 2 under the detector, next to the
+# series, span-set and flight-recorder replays.
 echo "== go test -race -short =="
 go test -race -short -timeout 10m ./...
 
@@ -200,31 +198,30 @@ go run ./cmd/npfstat -render "$chaos_series" > /dev/null
 rm -f "$chaos_series" "$chaos_trace"
 echo "chaos series and trace ok"
 
-# PDES engines determinism matrix: the same partitioned run must produce
-# byte-identical reports — trace digests included — whether it gets 1 or 4
-# engine worker threads, that is under sim.Group's one-thread driver and
-# under its threaded protocol. Covers every chaos scenario (server tier and
-# client tier in separate partitions, except link-flap, whose two hosts are
-# both fault targets and share one engine), the KV registration ablation,
-# the scale-out sweep and the fault anatomy.
+# Engines determinism matrix: -engines is only a thread budget, so no
+# value may change an output — trace digests included. The chaos
+# scenarios, the KV registration ablation and the fault anatomy run on
+# one partition at every value: -engines 0 and 4 must match. The
+# scale-out sweep's fixed 8-partition group must match under sim.Group's
+# one-thread driver (-engines 1) and its threaded protocol (-engines 4).
 # npfbench prints no wall clock, so the raw outputs must match.
 echo "== engines determinism matrix =="
 tmp1=$(mktemp)
 tmp4=$(mktemp)
-go run ./cmd/npfbench -chaos all -engines 1 > "$tmp1"
+go run ./cmd/npfbench -chaos all -engines 0 > "$tmp1"
 go run ./cmd/npfbench -chaos all -engines 4 > "$tmp4"
-diff "$tmp1" "$tmp4" || { echo "chaos digests differ between -engines 1 and 4" >&2; exit 1; }
-go run ./cmd/npfbench -quick -engines 1 kv > "$tmp1"
+diff "$tmp1" "$tmp4" || { echo "chaos digests differ between -engines 0 and 4" >&2; exit 1; }
+go run ./cmd/npfbench -quick -engines 0 kv > "$tmp1"
 go run ./cmd/npfbench -quick -engines 4 kv > "$tmp4"
-diff "$tmp1" "$tmp4" || { echo "kv ablation differs between -engines 1 and 4" >&2; exit 1; }
+diff "$tmp1" "$tmp4" || { echo "kv ablation differs between -engines 0 and 4" >&2; exit 1; }
 go run ./cmd/npfbench -quick -engines 1 scaleout > "$tmp1"
 go run ./cmd/npfbench -quick -engines 4 scaleout > "$tmp4"
 diff "$tmp1" "$tmp4" || { echo "scale-out sweep differs between -engines 1 and 4" >&2; exit 1; }
-go run ./cmd/npfbench -quick -engines 1 anatomy > "$tmp1"
+go run ./cmd/npfbench -quick -engines 0 anatomy > "$tmp1"
 go run ./cmd/npfbench -quick -engines 4 anatomy > "$tmp4"
-diff "$tmp1" "$tmp4" || { echo "fault anatomy differs between -engines 1 and 4" >&2; exit 1; }
+diff "$tmp1" "$tmp4" || { echo "fault anatomy differs between -engines 0 and 4" >&2; exit 1; }
 rm -f "$tmp1" "$tmp4"
-echo "engines matrix ok (chaos + kv + scaleout + anatomy, -engines 1 vs 4)"
+echo "engines matrix ok (chaos + kv + anatomy at -engines 0 vs 4, scaleout at 1 vs 4)"
 
 # npflint: the determinism contracts (no wall clock in sim layers, no
 # order-dependent map walks, sim.Time-only signatures, no host concurrency

@@ -9,9 +9,11 @@
 #   scripts/workloadcov.sh [OUT]
 #
 # The corpus: npfbench's quick suite; kv, anatomy and scaleout at quick
-# and full size; a quick fig3 with -trace (the Chrome export) and one at
+# and full size; the quick scaleout at -engines 4 (two threads per fleet
+# group on two or more CPUs, the threaded sim.Group driver); a quick fig3 with -trace (the Chrome export) and one at
 # -parallel 0 (the worker default); the nine chaos scenarios at seeds 1
-# and 7, at -engines 0 and 2; npftrace's three scenarios, each writing
+# and 7, at -engines 0 and 2 (the same reports: -engines is a thread
+# budget); npftrace's three scenarios, each writing
 # its Chrome trace; the four examples; npfperf's four workloads (2 s
 # each); npfstat rendering the quick suite's series and gating the full
 # scaleout artifact against BENCH_pr8.json. Tests are not in it: a
@@ -54,7 +56,6 @@ npf/internal/fabric/fabric.go	SetBlackhole	tcp's retry-limit abort tests (ROADMA
 npf/internal/iommu/iommu.go	Present	FuzzDomainIOTLB's oracle and the X2 test (TestReadOnlyMappingUpgradesOnDMAWrite)
 npf/internal/iommu/iommu.go	Writable	FuzzDomainIOTLB's oracle and the X2 test (TestReadOnlyMappingUpgradesOnDMAWrite)
 npf/internal/kv/kv.go	String	Transport.String names the kv tests' per-transport subtests
-npf/internal/kv/kv.go	sideStopped	kv's RC transport, ROADMAP item 7's control
 npf/internal/kv/transport.go	buildRCMesh	kv's RC transport, ROADMAP item 7's control
 npf/internal/kv/transport.go	newPeer	kv's RC transport, ROADMAP item 7's control
 npf/internal/kv/transport.go	send	kv's RC transport, ROADMAP item 7's control
@@ -65,6 +66,7 @@ npf/internal/sim/group.go	Stats	ROADMAP item 14.4
 npf/internal/sim/group.go	StopFrom	the threaded driver re-clamps its horizon through it after an engine Stop; no threaded workload stops mid-run (FuzzGroupOrder)
 npf/internal/tcp/conn.go	fail	a connection past its retry limit aborts (ROADMAP item 7)
 npf/internal/tcp/tcp.go	TxComplete	an empty nic.TxHandler method: every TX completion calls it, but cover counts a function with no statements as 0%
+npf/internal/trace/digest.go	DigestAll	Cluster.Digest folds a partitioned cluster's tracers (TestClusterWithEngines*)
 npf/internal/trace/fault.go	FlightExcerpt	the flight recorder; only a failing chaos report reaches it (TestFailingReportCarriesFlightRecorder)
 npf/internal/trace/fault.go	SortFaultEvents	the flight recorder; only a failing chaos report reaches it (TestFailingReportCarriesFlightRecorder)
 npf/internal/trace/fault.go	WriteFlightRecorder	the flight recorder; only a failing chaos report reaches it (TestFailingReportCarriesFlightRecorder)
@@ -115,6 +117,7 @@ step quick "$bin/npfbench" -quick -parallel 2 -root "$root" -series quick.csv
 step kv-anatomy-scaleout-quick "$bin/npfbench" -quick -parallel 2 kv anatomy scaleout
 step kv-anatomy "$bin/npfbench" -parallel 2 kv anatomy
 step scaleout "$bin/npfbench" -json scale.json scaleout
+step scaleout-threads "$bin/npfbench" -quick -engines 4 scaleout
 step trace "$bin/npfbench" -quick -trace trace.json fig3
 step parallel0 "$bin/npfbench" -quick -parallel 0 fig3
 for e in 0 2; do
