@@ -7,37 +7,33 @@
 // Every name is checked before anything runs (an unknown one exits 2); an
 // experiment that fails, such as loc run outside the repository root,
 // exits 1 without writing -json. Three experiments are not in the default
-// list: kv (the distributed-KV registration ablation), anatomy (the causal
-// fault profiler over the same deployment: each registration policy's
-// per-stage NPF latency table and the critical path of its p99 tail) and
-// scaleout (the 1,008-host, 101,000-client cluster sweep on one fixed
-// 8-partition group, byte-identical for every -engines and -parallel
-// value). Their rows land in the -json artifact's kv, fault_anatomy and
-// scale_out sections; with -trace or -series the artifact also sums
-// dropped flight-recorder events and fault records in trace_drops. The
-// artifact's types and their npfstat gates are declared in
-// internal/artifact.
+// list and run only when named: kv (the distributed-KV registration
+// ablation), anatomy (the causal fault profiler over the same deployment:
+// each registration policy's per-stage NPF latency table and the critical
+// path of its p99 tail) and scaleout (the 1,008-host, 101,000-client
+// cluster sweep on one fixed 8-partition group, byte-identical for every
+// -parallel value). Their rows land in the -json artifact's kv,
+// fault_anatomy and scale_out sections; with -trace or -series the
+// artifact also sums dropped flight-recorder events and fault records in
+// trace_drops. The artifact's types and their npfstat gates are declared
+// in internal/artifact.
 //
 // Flags:
 //
 //	-quick      run every experiment at its quick sizing (CI-friendly)
-//	-kv         append kv unless it is named
-//	-scaleout   append scaleout unless it is named
 //	-root       repository root for the loc experiment (default ".")
-//	-parallel   fan independent sweep jobs across N worker goroutines
-//	            (0 = one per CPU); results are byte-identical to -parallel 1
-//	-engines    worker-thread budget of the partitioned groups (scaleout's
-//	            fixed 8 partitions; 0 runs each on one thread): with
-//	            N >= 1 jobs fan across min(jobs, N) goroutines and share
-//	            the rest of N as group threads. Every other env, kv
-//	            deployment and -chaos testbed runs on one partition, so no
-//	            N changes any output
+//	-parallel   the run's thread budget N (0 = one per CPU; default 1):
+//	            an experiment's independent jobs fan across min(jobs, N)
+//	            goroutines and share the rest of N as threads of their
+//	            partitioned groups (scaleout's fixed 8 partitions). Every
+//	            other env, kv deployment and -chaos testbed runs on one
+//	            partition, so no N changes any output
 //	-json       write a machine-readable BENCH_results.json-style artifact
 //	            (per-experiment engines and events, engine allocs/op,
 //	            section rows); a pure function of the code, the experiment
-//	            list, -quick and -engines, so byte-identical for every
-//	            -parallel value and on every host. Host timing lives only
-//	            in cmd/npfperf. Not accepted with -chaos
+//	            list and -quick, so byte-identical for every -parallel
+//	            value and on every host. Host timing lives only in
+//	            cmd/npfperf. Not accepted with -chaos
 //	-trace      write a Chrome trace_event JSON (load in Perfetto /
 //	            about:tracing) covering every engine the selected
 //	            experiments build
@@ -60,7 +56,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
+	"runtime"
 	"sync"
 	"time"
 
@@ -104,21 +100,14 @@ func runChaos(name string, seed int64, s *bench.Scope, stdout, stderr io.Writer)
 }
 
 // selectExperiments resolves the named experiments (the default list when
-// none is named, kv and scaleout appended when their flags ask and they
-// are not named) against bench.Experiments.
-func selectExperiments(names []string, kv, scaleout bool) ([]bench.Experiment, error) {
+// none is named) against bench.Experiments.
+func selectExperiments(names []string) ([]bench.Experiment, error) {
 	if len(names) == 0 {
 		for _, e := range bench.Experiments {
 			if e.Default {
 				names = append(names, e.Name)
 			}
 		}
-	}
-	if kv && !slices.Contains(names, "kv") {
-		names = append(names, "kv")
-	}
-	if scaleout && !slices.Contains(names, "scaleout") {
-		names = append(names, "scaleout")
 	}
 	exps := make([]bench.Experiment, len(names))
 	for i, n := range names {
@@ -152,11 +141,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("npfbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "run reduced-size experiments")
-	kvExp := fs.Bool("kv", false, "append the distributed-KV ablation to the selected experiments")
-	scaleoutExp := fs.Bool("scaleout", false, "append the million-user cluster sweep (the \"scaleout\" experiment) to the selected experiments")
 	root := fs.String("root", ".", "repository root (for the loc experiment)")
-	parallel := fs.Int("parallel", 1, "sweep worker goroutines (0 = one per CPU)")
-	engines := fs.Int("engines", 0, "worker-thread budget of the partitioned groups (scaleout); changes no output")
+	parallel := fs.Int("parallel", 1, "thread budget: job goroutines, then group threads (0 = one per CPU); changes no output")
 	jsonOut := fs.String("json", "", "write machine-readable results to this file")
 	traceOut := fs.String("trace", "", "write Chrome trace JSON to this file")
 	seriesOut := fs.String("series", "", "write sampled metric time-series CSV to this file")
@@ -174,8 +160,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *engines < 0 {
-		fmt.Fprintln(stderr, "-engines must be >= 0")
+	if *parallel < 0 {
+		fmt.Fprintln(stderr, "-parallel must be >= 0")
 		return 2
 	}
 
@@ -204,24 +190,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if *parallel <= 0 {
-		*parallel = bench.DefaultWorkers()
+	if *parallel == 0 {
+		*parallel = runtime.GOMAXPROCS(0)
 	}
 	// newScope is every run's scope: the chaos scenarios share one, and
 	// each experiment gets its own, so its statistics count only the
 	// engines it built.
 	newScope := func() *bench.Scope {
-		return &bench.Scope{Workers: *parallel, Engines: *engines, Trace: factory, Root: *root}
+		return &bench.Scope{Workers: *parallel, Trace: factory, Root: *root}
 	}
 
 	code := 0
-	doc := &artifact.Artifact{Engines: *engines, Quick: *quick}
+	doc := &artifact.Artifact{Quick: *quick}
 	if *chaosName != "" {
 		if code = runChaos(*chaosName, *seed, newScope(), stdout, stderr); code == 2 {
 			return code
 		}
 	} else {
-		exps, err := selectExperiments(fs.Args(), *kvExp, *scaleoutExp)
+		exps, err := selectExperiments(fs.Args())
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2

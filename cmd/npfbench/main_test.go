@@ -22,22 +22,19 @@ func names(exps []bench.Experiment) string {
 
 func TestSelectExperiments(t *testing.T) {
 	for _, c := range []struct {
-		args         []string
-		kv, scaleout bool
-		want         string
+		args []string
+		want string
 	}{
-		{nil, false, false, "fig3 table4 fig4a fig4b table5 fig7 fig8a fig8b fig9 table6 fig10 ablate loc"},
-		{nil, true, true, "fig3 table4 fig4a fig4b table5 fig7 fig8a fig8b fig9 table6 fig10 ablate loc kv scaleout"},
-		{[]string{"fig3"}, true, false, "fig3 kv"},
-		{[]string{"kv", "fig3"}, true, false, "kv fig3"},
-		{[]string{"scaleout", "anatomy"}, true, true, "scaleout anatomy kv"},
+		{nil, "fig3 table4 fig4a fig4b table5 fig7 fig8a fig8b fig9 table6 fig10 ablate loc"},
+		{[]string{"kv", "fig3"}, "kv fig3"},
+		{[]string{"scaleout", "anatomy"}, "scaleout anatomy"},
 	} {
-		exps, err := selectExperiments(c.args, c.kv, c.scaleout)
+		exps, err := selectExperiments(c.args)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := names(exps); got != c.want {
-			t.Errorf("%v -kv=%v -scaleout=%v selected %q, want %q", c.args, c.kv, c.scaleout, got, c.want)
+			t.Errorf("%v selected %q, want %q", c.args, got, c.want)
 		}
 	}
 }
@@ -75,18 +72,6 @@ func TestFailedExperimentExitsNonZero(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Errorf("-json written after a failed experiment (stat: %v)", err)
-	}
-}
-
-// TestAppendFlagRunsNamedExperimentOnce runs `-scaleout scaleout` end to
-// end: the flag must not add a second run of an experiment already named.
-func TestAppendFlagRunsNamedExperimentOnce(t *testing.T) {
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-quick", "-scaleout", "scaleout"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr.String())
-	}
-	if n := strings.Count(stdout.String(), "==== scaleout ===="); n != 1 {
-		t.Errorf("scaleout ran %d times, want 1", n)
 	}
 }
 
@@ -128,6 +113,21 @@ func TestChaosRejectsJSON(t *testing.T) {
 	}
 	if stdout.Len() != 0 {
 		t.Errorf("ran a scenario before rejecting -json:\n%s", stdout.String())
+	}
+}
+
+// TestRejectsNegativeParallel checks that a negative thread budget exits 2
+// and names -parallel instead of silently meaning one per CPU.
+func TestRejectsNegativeParallel(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-quick", "-parallel", "-3", "fig3"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "-parallel") {
+		t.Errorf("stderr %q does not name -parallel", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("ran an experiment before rejecting -parallel:\n%s", stdout.String())
 	}
 }
 

@@ -56,7 +56,7 @@ func TestDiffHardFailures(t *testing.T) {
 
 func TestDiffEventsGateExactly(t *testing.T) {
 	// Event counts are a pure function of the seed — conservation across
-	// -parallel and -engines values is part of the determinism contract —
+	// -parallel values is part of the determinism contract —
 	// so even a single-event delta is a hard failure, count-tol or not.
 	base := mkArtifact(1000, 3, 0)
 	cur := mkArtifact(1001, 3, 0)

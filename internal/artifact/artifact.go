@@ -4,9 +4,9 @@
 // decodes them strictly (an unknown field is a usage error) and walks the
 // tags, so a new section costs one struct here and no code in either tool.
 //
-// Every field is a function of the code, the experiment list, -quick and
-// -engines: the document is byte-identical for every -parallel value and
-// on every host. Host time is measured only by cmd/npfperf.
+// Every field is a function of the code, the experiment list and -quick:
+// the document is byte-identical for every -parallel value and on every
+// host. Host time is measured only by cmd/npfperf.
 //
 // The gate vocabulary (`gate:"…"`):
 //
@@ -29,7 +29,6 @@ package artifact
 
 // Artifact is the top-level -json document.
 type Artifact struct {
-	Engines      int           `json:"engines"`
 	Quick        bool          `json:"quick"`
 	EngineBench  EngineBench   `json:"engine_bench"`
 	Series       *Series       `json:"series,omitempty"`
@@ -43,8 +42,8 @@ type Artifact struct {
 }
 
 // Experiment is one experiment's row. Engines and events are a pure
-// function of the seed for any -parallel or -engines value, so even a
-// one-event delta is a behavioural change.
+// function of the seed for any -parallel value, so even a one-event delta
+// is a behavioural change.
 type Experiment struct {
 	Name    string `json:"name" gate:"key"`
 	Engines int    `json:"engines" gate:"exact"`

@@ -34,7 +34,7 @@ type AnatomyResult struct {
 // RunAnatomy profiles the NPF lifecycle per registration policy. Each
 // policy is an independent, seed-isolated job through the sweep runner and
 // writes only its own row, so output is byte-identical for any Workers
-// fan-out and every Engines value.
+// budget.
 func RunAnatomy(s *Scope, quick bool) *AnatomyResult {
 	ops := 4000
 	if quick {
@@ -106,8 +106,8 @@ func (r *AnatomyResult) Rows() []artifact.AnatomyRow {
 }
 
 // Render prints the per-policy anatomy tables and critical paths. No wall
-// clock, no map order: the output is byte-identical for any -parallel and
-// -engines budget.
+// clock, no map order: the output is byte-identical for any -parallel
+// budget.
 func (r *AnatomyResult) Render() string {
 	var b strings.Builder
 	b.WriteString("Fault anatomy: causal NPF lifecycle per registration policy\n")

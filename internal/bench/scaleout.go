@@ -25,9 +25,9 @@ var scaleoutTransports = []topo.Transport{topo.TransportEth, topo.TransportUD}
 
 // scaleoutParts is the sweep's partition count. It is fixed by the fleet
 // shape — racks deal onto partitions via topo.Topology.Partition — and
-// never by the -engines budget, so the Result (fingerprint included) is
-// byte-identical for every Scope.Engines and Workers value; budgets only
-// move wall-clock. Engines == 0 runs the same 8-partition group on one thread.
+// never by the thread budget, so the Result (fingerprint included) is
+// byte-identical for every Scope.Workers value; budgets only move
+// wall-clock. A budget of 1 or 2 runs each 8-partition group on one thread.
 const scaleoutParts = 8
 
 // scaleoutSeed seeds both fleets. Each transport's job builds a private
@@ -78,7 +78,7 @@ func RunScaleout(s *Scope, quick bool) *ScaleoutResult {
 
 // scaleoutJob builds one transport's fleet on a fixed-partition group and
 // runs it to quiescence. The fleet is the one partitioned experiment: the
-// group is the topology, so -engines 0, 1, and 8 all execute the identical
+// group is the topology, so every thread budget executes the identical
 // partition structure.
 func scaleoutJob(s *Scope, res *ScaleoutResult, i int, tr topo.Transport, quick bool) {
 	fcfg := fabric.DefaultEthernet()

@@ -26,7 +26,7 @@ func TestScaleoutDeterminism(t *testing.T) {
 	var ref *ScaleoutResult
 	outs := map[int]string{}
 	for _, n := range []int{1, 2, 8} {
-		r := runOutput(t, &Scope{Engines: n}, "scaleout", size).(*ScaleoutResult)
+		r := runOutput(t, &Scope{Workers: n}, "scaleout", size).(*ScaleoutResult)
 		if ref == nil {
 			ref = r
 		}

@@ -164,7 +164,7 @@ type Scenario struct {
 	// Run runs the scenario at seed on scope s, which counts the
 	// testbed's group in Stats and makes its tracers (trace.New when s has
 	// no Trace). Every testbed runs on one partition, so reports and
-	// digests are byte-identical for every Workers and Engines value.
+	// digests are byte-identical for every Workers value.
 	Run func(seed int64, s *Scope) *Report
 }
 

@@ -11,7 +11,7 @@ import (
 
 // Scope is one run's settings and statistics: every Run function, every
 // chaos scenario, and every env built with EthOpts.Scope or IBOpts.Scope,
-// takes its fan-out, thread budget and tracer factory from the scope and
+// takes its thread budget and tracer factory from the scope and
 // registers the engine groups it builds there. Two runs on two scopes share nothing, so they
 // can run side by side in one process. A nil *Scope is the default run:
 // serial jobs, one thread per group, no tracer factory, nothing counted.
@@ -23,21 +23,14 @@ import (
 // partition structure is fixed by the experiment, never by a setting.
 // Every two-sided env, kv deployment and chaos testbed runs on one
 // partition; only the scale-out fleet is partitioned. So output is
-// byte-identical for any Workers and Engines value.
+// byte-identical for any Workers value.
 type Scope struct {
-	// Workers is the fan-out of the sweep jobs when Engines is 0: 1 (or
-	// less) runs them serially on the calling goroutine. cmd/npfbench
-	// sets it from -parallel.
+	// Workers is the run's thread budget (1 or less: one thread).
+	// runJobs fans a sweep's jobs across min(len(jobs), Workers)
+	// goroutines and gives each job's group the rest of the budget as
+	// worker threads; only a partitioned group (the scale-out fleet's)
+	// has threads to use. cmd/npfbench sets it from -parallel.
 	Workers int
-	// Engines is the worker-thread budget of a sweep whose groups are
-	// partitioned (the scale-out fleet's; see pdesThreads). At 0 each
-	// such group runs on one thread and Workers sets the fan-out. Any
-	// value >= 1 is the TOTAL budget: runJobs fans jobs across
-	// min(len(jobs), Engines) goroutines and gives each group
-	// max(1, Engines/workers) threads (capped at GOMAXPROCS). A
-	// one-partition group has no threads to use. cmd/npfbench sets it
-	// from -engines.
-	Engines int
 	// Trace, when non-nil, is called for every traced engine the env
 	// constructors build, and its tracer is wired through the whole
 	// stack (drivers, machines, devices/HCAs). cmd/npfbench sets it for
@@ -56,7 +49,8 @@ type Scope struct {
 	groups  []*sim.Group // every group built on the scope, for Stats
 }
 
-// pdesThreads reports the worker-thread budget the next group gets.
+// pdesThreads reports the worker-thread budget the next group gets: the
+// pool's allotment inside runJobs, the whole budget outside one.
 // The allotment is capped at the host's GOMAXPROCS: a group granted more
 // threads than the scheduler has processors just ping-pongs goroutines
 // through the conservative-sync windows (strictly slower than sweeping
@@ -68,13 +62,10 @@ func (s *Scope) pdesThreads() int {
 	}
 	t := s.threads
 	if t <= 0 {
-		t = max(1, s.Engines)
+		t = max(1, s.Workers)
 	}
 	return min(t, runtime.GOMAXPROCS(0))
 }
-
-// DefaultWorkers reports the worker count for "use all cores": GOMAXPROCS.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // RunParallel executes every job, fanning them across min(workers, len(jobs))
 // goroutines. Jobs must be independent: each builds its own engines and
@@ -109,22 +100,18 @@ func RunParallel(workers int, jobs []func()) {
 	wg.Wait()
 }
 
-// runJobs is the sweep-internal shorthand. At Engines 0 it fans jobs
-// across the scope's Workers. At Engines >= 1 the thread budget drives
-// the fan-out instead: min(len(jobs), Engines) job goroutines, with the
+// runJobs is the sweep-internal shorthand: the scope's thread budget
+// drives the fan-out, min(len(jobs), Workers) job goroutines, with the
 // leftover budget handed to each job's group as worker threads.
 func (s *Scope) runJobs(jobs []func()) {
-	switch {
-	case s == nil:
+	if s == nil {
 		RunParallel(1, jobs)
-	case s.Engines >= 1:
-		workers := max(1, min(s.Engines, len(jobs)))
-		s.threads = s.Engines / workers
-		RunParallel(workers, jobs)
-		s.threads = 0
-	default:
-		RunParallel(s.Workers, jobs)
+		return
 	}
+	workers := max(1, min(s.Workers, len(jobs)))
+	s.threads = s.Workers / workers
+	RunParallel(workers, jobs)
+	s.threads = 0
 }
 
 // Stats reports the engines of every group built on the scope and the

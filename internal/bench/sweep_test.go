@@ -2,6 +2,7 @@ package bench
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,10 +83,41 @@ func TestRunParallelAblateDeterminism(t *testing.T) {
 	}
 }
 
+// TestRunJobsThreadBudget pins how runJobs splits a scope's thread
+// budget: each job's group gets the budget divided by the fan-out, at
+// least one thread and at most GOMAXPROCS, and a group built after the
+// pool drains gets the whole budget again.
+func TestRunJobsThreadBudget(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, budget := range []int{0, 1, 2, 8} {
+		for _, n := range []int{1, 2, 5} {
+			s := &Scope{Workers: budget}
+			got := make([]int, n)
+			jobs := make([]func(), n)
+			for i := range jobs {
+				jobs[i] = func() { got[i] = s.pdesThreads() }
+			}
+			s.runJobs(jobs)
+			want := min(max(1, budget/max(1, min(budget, n))), procs)
+			for i, g := range got {
+				if g != want {
+					t.Errorf("budget %d, %d jobs: job %d got %d threads, want %d", budget, n, i, g, want)
+				}
+			}
+			if s.threads != 0 {
+				t.Errorf("budget %d, %d jobs: allotment %d left after the pool drained", budget, n, s.threads)
+			}
+			if g, want := s.pdesThreads(), min(max(1, budget), procs); g != want {
+				t.Errorf("budget %d, %d jobs: %d threads after the pool, want %d", budget, n, g, want)
+			}
+		}
+	}
+}
+
 // TestRunParallelScopes runs fig3 and ablate at the Test sizing at the
-// same time, each on its own scope with two workers: a run's settings and
-// statistics belong to its scope, so each scope's Stats and manifest line
-// must equal its serial run's.
+// same time, each on its own scope with a budget of two: a run's settings
+// and statistics belong to its scope, so each scope's Stats and manifest
+// line, but for the budget, must equal its serial run's.
 func TestRunParallelScopes(t *testing.T) {
 	names := []string{"fig3", "ablate"}
 	serial := make([]tracetest.Output, len(names))
@@ -111,7 +143,9 @@ func TestRunParallelScopes(t *testing.T) {
 	}
 	wg.Wait()
 	for i, name := range names {
-		if a, b := side[i], serial[i]; !reflect.DeepEqual(a, b) {
+		a, b := side[i], serial[i]
+		a.Flag = b.Flag // the thread budget is what the two runs vary
+		if !reflect.DeepEqual(a, b) {
 			t.Errorf("%s beside another run: %d engines, %d events; serial: %d, %d (or its render or rows differ)",
 				name, a.Engines, a.Events, b.Engines, b.Events)
 		}

@@ -11,7 +11,7 @@
 // topology (never by the thread budget), per-client RNGs are split in
 // construction order, and the per-host memory accounting (StateBytes) is
 // computed from model state, not the Go heap — so one seed yields one
-// byte-identical result on any -engines/-parallel setting.
+// byte-identical result at any thread budget.
 package topo
 
 // Topology places hosts into racks and racks onto PDES partitions. Hosts in

@@ -11,7 +11,7 @@ import (
 // Post-processing over completed FaultRecords: the per-stage anatomy table
 // (the paper's Table 2 shape) and critical-path extraction for tail faults.
 // Everything here is pure and sorted, so renderings are byte-identical for
-// any -parallel/-engines budget given the same records.
+// any -parallel budget given the same records.
 
 // FaultStageBreakdown builds one latency histogram (µs) per lifecycle stage
 // across the records, plus "total" (detect → resume-complete). A stage

@@ -21,8 +21,7 @@ import (
 //
 // A nil tracer records nothing at zero allocations (//npf:noalloc fences
 // below), event order is virtual-time order on one engine, and every
-// export is sorted so output is byte-identical for any -parallel/-engines
-// budget.
+// export is sorted so output is byte-identical for any -parallel budget.
 
 // FaultID identifies one network page fault end to end. It is minted at the
 // detecting device from (node, per-device sequence), so IDs are unique

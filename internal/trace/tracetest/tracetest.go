@@ -85,7 +85,7 @@ func readLines(t testing.TB, path string) []string {
 type Output struct {
 	Name    string // what ran
 	Sizing  string // how big: a sizing name, a seed or a run's parameters
-	Flag    int    // the -engines setting it ran under
+	Flag    int    // the thread budget it ran under (bench.Scope.Workers)
 	Engines int    // engines the run built
 	Events  uint64 // events they executed
 	Render  string // the text the run prints

@@ -86,7 +86,7 @@ go -C cmd/npfperf test -short ./...
 # does the same for an RC stream between two partitions at 2 threads. The
 # chaos scenario tests live in internal/bench with the scenarios and none
 # skips under -short except the seed sweep: TestScenariosEnginesDeterminism
-# runs every scenario at Engines 0 and 2 under the detector, next to the
+# runs every scenario at thread budgets 0 and 2 under the detector, next to the
 # series, span-set and flight-recorder replays.
 echo "== go test -race -short =="
 go test -race -short -timeout 10m ./...
@@ -198,30 +198,25 @@ go run ./cmd/npfstat -render "$chaos_series" > /dev/null
 rm -f "$chaos_series" "$chaos_trace"
 echo "chaos series and trace ok"
 
-# Engines determinism matrix: -engines is only a thread budget, so no
+# -parallel determinism matrix: -parallel is only a thread budget, so no
 # value may change an output — trace digests included. The chaos
 # scenarios, the KV registration ablation and the fault anatomy run on
-# one partition at every value: -engines 0 and 4 must match. The
-# scale-out sweep's fixed 8-partition group must match under sim.Group's
-# one-thread driver (-engines 1) and its threaded protocol (-engines 4).
-# npfbench prints no wall clock, so the raw outputs must match.
-echo "== engines determinism matrix =="
+# one partition at every budget, the scale-out sweep on its fixed
+# 8-partition group: budget 1 runs that group on sim.Group's one-thread
+# driver and budget 4 (two jobs, two threads each on two or more CPUs)
+# on its threaded protocol. npfbench prints no wall clock, so the raw
+# outputs must match; the -json check below adds the artifact and series
+# at 1 against 8.
+echo "== -parallel determinism matrix =="
 tmp1=$(mktemp)
 tmp4=$(mktemp)
-go run ./cmd/npfbench -chaos all -engines 0 > "$tmp1"
-go run ./cmd/npfbench -chaos all -engines 4 > "$tmp4"
-diff "$tmp1" "$tmp4" || { echo "chaos digests differ between -engines 0 and 4" >&2; exit 1; }
-go run ./cmd/npfbench -quick -engines 0 kv > "$tmp1"
-go run ./cmd/npfbench -quick -engines 4 kv > "$tmp4"
-diff "$tmp1" "$tmp4" || { echo "kv ablation differs between -engines 0 and 4" >&2; exit 1; }
-go run ./cmd/npfbench -quick -engines 1 scaleout > "$tmp1"
-go run ./cmd/npfbench -quick -engines 4 scaleout > "$tmp4"
-diff "$tmp1" "$tmp4" || { echo "scale-out sweep differs between -engines 1 and 4" >&2; exit 1; }
-go run ./cmd/npfbench -quick -engines 0 anatomy > "$tmp1"
-go run ./cmd/npfbench -quick -engines 4 anatomy > "$tmp4"
-diff "$tmp1" "$tmp4" || { echo "fault anatomy differs between -engines 0 and 4" >&2; exit 1; }
+for args in "-chaos all" "-quick kv" "-quick anatomy" "-quick scaleout"; do
+    go run ./cmd/npfbench -parallel 1 $args > "$tmp1"
+    go run ./cmd/npfbench -parallel 4 $args > "$tmp4"
+    diff "$tmp1" "$tmp4" || { echo "npfbench $args differs between -parallel 1 and 4" >&2; exit 1; }
+done
 rm -f "$tmp1" "$tmp4"
-echo "engines matrix ok (chaos + kv + anatomy at -engines 0 vs 4, scaleout at 1 vs 4)"
+echo "parallel matrix ok (chaos, kv, anatomy and quick scaleout at 1 vs 4)"
 
 # npflint: the determinism contracts (no wall clock in sim layers, no
 # order-dependent map walks, sim.Time-only signatures, no host concurrency
@@ -301,14 +296,13 @@ echo "== npfstat regression gate =="
 go run ./cmd/npfstat -count-tol 0.10 -baseline BENCH_pr10.json "$tmpjson"
 
 # Scale-out fleet gate: re-run the full 1,008-host / 101,000-client cluster
-# sweep (both transports, the fixed 8-partition group, ~10 s at -engines 8)
+# sweep (both transports, the fixed 8-partition group, ~10 s at -parallel 8)
 # and gate it against the committed BENCH_pr8.json per the scale_out tags
-# in internal/artifact; the sweep is byte-identical for every -engines and
-# -parallel value, so its fingerprint gates exactly. Regenerate the
-# baseline with
-#   go run ./cmd/npfbench -engines 8 -parallel 0 -json BENCH_pr8.json scaleout
+# in internal/artifact; the sweep is byte-identical for every -parallel
+# value, so its fingerprint gates exactly. Regenerate the baseline with
+#   go run ./cmd/npfbench -parallel 8 -json BENCH_pr8.json scaleout
 echo "== scale-out fleet gate =="
-go run ./cmd/npfbench -engines 8 -parallel 0 -json "$tmpjson" scaleout > /dev/null
+go run ./cmd/npfbench -parallel 8 -json "$tmpjson" scaleout > /dev/null
 go run ./cmd/npfstat -baseline BENCH_pr8.json "$tmpjson"
 
 # npfstat render smoke: the series CSV written above must parse and render.

@@ -45,11 +45,11 @@ recipe() {
         for s in 1 7; do
             out chaos_$s.txt "$bin/npfbench" -chaos all -seed $s
         done
-        out chaos_e1_7.txt "$bin/npfbench" -chaos all -engines 1 -seed 7
+        out chaos_p4_7.txt "$bin/npfbench" -chaos all -parallel 4 -seed 7
         out quick.txt "$bin/npfbench" -quick -parallel 1 -series S.csv -json J.json \
             fig3 ablate kv anatomy table4 fig10
-        out kv_e4.txt "$bin/npfbench" -quick -engines 4 kv
-        out scale.txt "$bin/npfbench" -engines 8 -json scale.json scaleout
+        out kv_p4.txt "$bin/npfbench" -quick -parallel 4 kv
+        out scale.txt "$bin/npfbench" -parallel 8 -json scale.json scaleout
         for sc in single fig3 backup; do
             out npftrace_$sc.txt "$bin/npftrace" -scenario $sc
         done

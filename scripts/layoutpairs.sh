@@ -8,14 +8,19 @@
 #
 # BASE and CHANGE are revisions; without CHANGE the second tree is this
 # checkout's working tree (untracked files included, ignored ones not).
-# Each tree is copied into a temporary directory and npfperf is built
-# twice from it: as is, and with a generated pad file in
-# internal/workload whose function, kept reachable by an init, shifts the
-# text after it by 32 B mod 64. Each binary's class is the address mod 64
-# of bench.NewIBEnv, main.runRep and main.yardstick (`go tool nm -n`); the
-# pad grows until all three move by 32. Class "as-is" is BASE's unpadded
-# layout, "shifted" its padded one; CHANGE runs whichever of its binaries
-# is in the same class, and the script exits 1 if neither is.
+# Each tree is copied into a temporary directory and npfperf is built from
+# it as is and with a generated pad file in internal/workload whose
+# function, kept reachable by an init, shifts the text after it. Each
+# binary's class is the address mod 64 of bench.NewIBEnv, main.runRep and
+# main.yardstick (`go tool nm -n`). Class "as-is" is BASE's unpadded
+# layout; class "shifted" is BASE padded until all three symbols move by
+# 32. For each class separately, CHANGE runs its first binary (unpadded,
+# then pads of 1 to 24 statements) in that exact class. Deleted or added
+# code can move the three symbols relative to each other, so that no pad
+# matches all three; the class then falls back to the first binary whose
+# main.runRep offset alone matches (for BASE's shifted class: moved by
+# 32), and the report says so. The script exits 1 if not even that
+# matches.
 #
 # Within each class and workload the script runs 10 alternating pairs
 # (BASE first in odd pairs, CHANGE first in even ones) of
@@ -77,8 +82,19 @@ shift32() {
     echo "$(((a + 32) % 64))/$(((b + 32) % 64))/$(((c + 32) % 64))"
 }
 
-# writepad DIR K: a pad function of K statements in DIR's internal/workload.
+# runrep KEY: main.runRep's offset in KEY.
+runrep() {
+    local a b c
+    IFS=/ read -r a b c <<<"$1"
+    echo "$b"
+}
+
+# writepad DIR K: a pad function of K statements in DIR's internal/workload
+# (none for K 0).
 writepad() {
+    local f=$1/internal/workload/zz_layoutpad.go
+    rm -f "$f"
+    [ "$2" -eq 0 ] && return
     {
         echo "package workload"
         echo
@@ -92,56 +108,74 @@ writepad() {
         for ((i = 1; i <= $2; i++)); do echo "	x = x*$((2 * i + 1)) + $i"; done
         echo "	return x"
         echo "}"
-    } >"$1/internal/workload/zz_layoutpad.go"
+    } >"$f"
 }
 
-# build NAME REV: NAME/plain and NAME/padded, and their classes in
-# NAME/plain.class and NAME/padded.class.
-build() {
-    local d=$tmp/$1
-    copytree "$2" "$d/src"
-    go -C "$d/src/cmd/npfperf" build -o "$d/plain" .
-    class "$d/plain" >"$d/plain.class"
-    local want k
-    want=$(shift32 "$(cat "$d/plain.class")")
-    for k in $(seq 1 24); do
-        writepad "$d/src" "$k"
-        go -C "$d/src/cmd/npfperf" build -o "$d/padded" .
-        class "$d/padded" >"$d/padded.class"
-        if [ "$(cat "$d/padded.class")" = "$want" ]; then
-            echo "$1: as is $(cat "$d/plain.class"), padded ($k statements) $want"
+# variant NAME K: the path of NAME's npfperf with a pad of K statements,
+# built on first use; its class is in PATH.class.
+variant() {
+    local b=$tmp/$1/pad$2
+    if [ ! -f "$b" ]; then
+        writepad "$tmp/$1/src" "$2"
+        go -C "$tmp/$1/src/cmd/npfperf" build -o "$b" . >&2
+        class "$b" >"$b.class"
+    fi
+    echo "$b"
+}
+
+# findbin NAME KEY: NAME's first binary (pads 0 to 24 statements) in
+# class KEY, as "PATH all"; without one, its first whose main.runRep
+# offset is KEY's, as "PATH runRep". Fails when neither exists.
+findbin() {
+    local k b fallback=
+    for k in $(seq 0 24); do
+        b=$(variant "$1" "$k")
+        if [ "$(cat "$b.class")" = "$2" ]; then
+            echo "$b all"
             return
         fi
-    done
-    echo "$1: no pad moved all three symbols by 32 B mod 64" >&2
-    exit 1
-}
-
-build base "$1"
-build change "${2:-}"
-
-# pick CLASS BUILD: the change binary in the class of BASE's BUILD.
-pick() {
-    local b
-    for b in plain padded; do
-        if [ "$(cat "$tmp/change/$b.class")" = "$(cat "$tmp/base/$2.class")" ]; then
-            echo "$tmp/change/$b"
-            return
+        if [ -z "$fallback" ] && [ "$(runrep "$(cat "$b.class")")" = "$(runrep "$2")" ]; then
+            fallback=$b
         fi
     done
-    echo "no change binary in class $1 ($(cat "$tmp/base/$2.class"))" >&2
-    exit 1
+    [ -n "$fallback" ] || return 1
+    echo "$fallback runRep"
 }
 
-declare -A changebin
-changebin[as-is]=$(pick as-is plain)
-changebin[shifted]=$(pick shifted padded)
+# The base binary of each class, then the change binary in its class.
+declare -A basebin changebin
+mkdir -p "$tmp/out"
+copytree "$1" "$tmp/base/src"
+copytree "${2:-}" "$tmp/change/src"
+basebin[as-is]=$(variant base 0)
+asis=$(cat "${basebin[as-is]}.class")
+if ! found=$(findbin base "$(shift32 "$asis")"); then
+    echo "base: no pad moves main.runRep by 32 B mod 64 (as is $asis)" >&2
+    exit 1
+fi
+basebin[shifted]=${found% *} basehow=${found#* }
+for cls in as-is shifted; do
+    key=$(cat "${basebin[$cls]}.class")
+    note="base $key"
+    if [ $cls = shifted ] && [ "$basehow" = runRep ]; then
+        note="$note (no pad moved all three symbols by 32 B: main.runRep alone)"
+    fi
+    if ! found=$(findbin change "$key"); then
+        echo "no change binary in class $cls ($key), not even by main.runRep" >&2
+        exit 1
+    fi
+    changebin[$cls]=${found% *}
+    note="$note, change $(cat "${changebin[$cls]}.class") (${changebin[$cls]##*/})"
+    if [ "${found#* }" = runRep ]; then
+        note="$note, matched on main.runRep alone: no change binary has all three offsets"
+    fi
+    echo "class $cls: $note"
+    echo "$note" >"$tmp/out/$cls.note"
+done
 
 status=0
 for cls in as-is shifted; do
-    b=plain
-    [ $cls = shifted ] && b=padded
-    bins=("$tmp/base/$b" "${changebin[$cls]}")
+    bins=("${basebin[$cls]}" "${changebin[$cls]}")
     for w in ${wls//,/ }; do
         o=$tmp/out/$cls/$w
         mkdir -p "$o"
@@ -187,7 +221,7 @@ def quart(xs):
 bad = False
 meds = {}
 for cls in ("as-is", "shifted"):
-    print(f"== class {cls} ==")
+    print(f"== class {cls}: {open(f'{out}/{cls}.note').read().strip()} ==")
     for w in wls:
         runs = {t: [load(f"{out}/{cls}/{w}/{t}_{i}.txt") for i in range(1, pairs + 1)] for t in ("base", "change")}
         for i, (b, c) in enumerate(zip(runs["base"], runs["change"]), 1):

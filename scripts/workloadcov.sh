@@ -9,11 +9,12 @@
 #   scripts/workloadcov.sh [OUT]
 #
 # The corpus: npfbench's quick suite; kv, anatomy and scaleout at quick
-# and full size; the quick scaleout at -engines 4 (two threads per fleet
-# group on two or more CPUs, the threaded sim.Group driver); a quick fig3 with -trace (the Chrome export) and one at
-# -parallel 0 (the worker default); the nine chaos scenarios at seeds 1
-# and 7, at -engines 0 and 2 (the same reports: -engines is a thread
-# budget); npftrace's three scenarios, each writing
+# and full size; the quick scaleout at -parallel 4 (two threads per fleet
+# group on two or more CPUs, the threaded sim.Group driver); a quick fig3
+# with -trace (the Chrome export) and one at -parallel 0 (one per CPU);
+# the nine chaos scenarios at seeds 1 and 7, at -parallel 1 and 2 (the
+# same reports: -parallel is a thread budget); npftrace's three
+# scenarios, each writing
 # its Chrome trace; the four examples; npfperf's four workloads (2 s
 # each); npfstat rendering the quick suite's series and gating the full
 # scaleout artifact against BENCH_pr8.json. Tests are not in it: a
@@ -117,12 +118,12 @@ step quick "$bin/npfbench" -quick -parallel 2 -root "$root" -series quick.csv
 step kv-anatomy-scaleout-quick "$bin/npfbench" -quick -parallel 2 kv anatomy scaleout
 step kv-anatomy "$bin/npfbench" -parallel 2 kv anatomy
 step scaleout "$bin/npfbench" -json scale.json scaleout
-step scaleout-threads "$bin/npfbench" -quick -engines 4 scaleout
+step scaleout-threads "$bin/npfbench" -quick -parallel 4 scaleout
 step trace "$bin/npfbench" -quick -trace trace.json fig3
 step parallel0 "$bin/npfbench" -quick -parallel 0 fig3
-for e in 0 2; do
+for p in 1 2; do
     for s in 1 7; do
-        step "chaos-e$e-s$s" "$bin/npfbench" -chaos all -engines $e -seed $s
+        step "chaos-p$p-s$s" "$bin/npfbench" -chaos all -parallel $p -seed $s
     done
 done
 for sc in single fig3 backup; do
